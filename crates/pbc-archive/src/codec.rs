@@ -24,9 +24,11 @@ use pbc_codecs::zstdlike::ZstdLike;
 use pbc_codecs::Dictionary;
 use pbc_core::{PatternDictionary, PbcCompressor, PbcConfig};
 
+use crate::block::{read_chunk, DecodedBlock};
 use crate::error::{ArchiveError, Result};
 
-/// A key/value entry stored in a block. Keyless records use an empty key.
+/// A key/value entry handed to the writer. Keyless records use an empty
+/// key. (Reads produce a flat [`DecodedBlock`] instead.)
 pub type Entry = (Vec<u8>, Vec<u8>);
 
 /// Codec ids as stamped into the segment header. Stable: new codecs append,
@@ -233,51 +235,74 @@ impl BlockCodec {
         }
     }
 
-    /// Decompress a whole block back into entries.
-    pub fn decompress_block(&self, block: &[u8], record_count: usize) -> Result<Vec<Entry>> {
-        let entries = match self {
-            BlockCodec::Raw => deserialize_entries(block)?,
+    /// Decode a whole block into one flat [`DecodedBlock`]. `record_count`
+    /// and `raw_len` are the block's footer entry: the decode must yield
+    /// exactly that many records, and exactly (whole-block codecs) or at
+    /// most (per-record codecs) that many bytes — a block claiming more is
+    /// refused before anything is allocated for the claim.
+    pub fn decompress_block(
+        &self,
+        block: &[u8],
+        record_count: usize,
+        raw_len: usize,
+    ) -> Result<DecodedBlock> {
+        let payload_len_mismatch = |len: usize| ArchiveError::Corrupt {
+            context: format!("block payload is {len} bytes, index promises {raw_len}"),
+        };
+        match self {
+            BlockCodec::Raw => {
+                if block.len() != raw_len {
+                    return Err(payload_len_mismatch(block.len()));
+                }
+                DecodedBlock::index_serialized(block.to_vec(), record_count)
+            }
             BlockCodec::Zstd { codec, dictionary } => {
-                deserialize_entries(&codec.decompress_with_dict(block, dictionary)?)?
+                let mut payload = Vec::new();
+                codec.decompress_with_dict_into(block, dictionary, raw_len, &mut payload)?;
+                if payload.len() != raw_len {
+                    return Err(payload_len_mismatch(payload.len()));
+                }
+                DecodedBlock::index_serialized(payload, record_count)
             }
             BlockCodec::Pbc { compressor, .. } => {
-                decompress_per_record(block, |value| Ok(compressor.decompress(value)?))?
+                DecodedBlock::decode_per_record(block, record_count, raw_len, |value| {
+                    Ok(compressor.decompress(value)?)
+                })
             }
             BlockCodec::Fsst { codec } => {
-                decompress_per_record(block, |value| Ok(codec.decode(value)?))?
+                DecodedBlock::decode_per_record(block, record_count, raw_len, |value| {
+                    Ok(codec.decode(value)?)
+                })
             }
-        };
-        if entries.len() != record_count {
-            return Err(ArchiveError::Corrupt {
-                context: format!(
-                    "block decoded to {} records, index promises {record_count}",
-                    entries.len()
-                ),
-            });
         }
-        Ok(entries)
     }
 
     /// Decode a single entry by its position inside the block. For
     /// per-record codecs this walks entry headers and decodes only the
     /// requested value; whole-block codecs fall back to full decompression.
-    pub fn entry_at(&self, block: &[u8], idx: usize, record_count: usize) -> Result<Entry> {
+    pub fn entry_at(
+        &self,
+        block: &[u8],
+        idx: usize,
+        record_count: usize,
+        raw_len: usize,
+    ) -> Result<Entry> {
         if !self.is_per_record() {
-            let mut entries = self.decompress_block(block, record_count)?;
-            if idx >= entries.len() {
+            let decoded = self.decompress_block(block, record_count, raw_len)?;
+            if idx >= decoded.len() {
                 return Err(ArchiveError::Corrupt {
-                    context: format!("entry {idx} out of block of {}", entries.len()),
+                    context: format!("entry {idx} out of block of {}", decoded.len()),
                 });
             }
-            return Ok(entries.swap_remove(idx));
+            return Ok((decoded.key(idx).to_vec(), decoded.value(idx).to_vec()));
         }
         let mut pos = 0usize;
         for i in 0..=idx {
-            let (key, next) = read_chunk(block, pos, "block entry key")?;
-            let (value, next) = read_chunk(block, next, "block entry value")?;
-            pos = next;
+            let key = read_chunk(block, pos, "block entry key")?;
+            let value = read_chunk(block, key.end, "block entry value")?;
+            pos = value.end;
             if i == idx {
-                return Ok((key.to_vec(), self.decode_value(value)?));
+                return Ok((block[key].to_vec(), self.decode_value(&block[value])?));
             }
         }
         unreachable!("loop returns at i == idx")
@@ -303,24 +328,31 @@ impl BlockCodec {
         block: &[u8],
         key: &[u8],
         record_count: usize,
+        raw_len: usize,
         sorted: bool,
     ) -> Result<Option<Vec<u8>>> {
         if !self.is_per_record() {
-            let entries = self.decompress_block(block, record_count)?;
-            return Ok(entries
-                .iter()
-                .rev()
-                .find(|(k, _)| k.as_slice() == key)
-                .map(|(_, v)| v.clone()));
+            let decoded = self.decompress_block(block, record_count, raw_len)?;
+            let hit = if sorted {
+                decoded.find_last(key)
+            } else {
+                decoded
+                    .iter()
+                    .rev()
+                    .find(|(k, _)| *k == key)
+                    .map(|(_, v)| v)
+            };
+            return Ok(hit.map(<[u8]>::to_vec));
         }
         let mut pos = 0usize;
         let mut hit: Option<&[u8]> = None;
         while pos < block.len() {
-            let (k, next) = read_chunk(block, pos, "block entry key")?;
-            let (value, next) = read_chunk(block, next, "block entry value")?;
-            pos = next;
+            let k = read_chunk(block, pos, "block entry key")?;
+            let value = read_chunk(block, k.end, "block entry value")?;
+            pos = value.end;
+            let k = &block[k];
             if k == key {
-                hit = Some(value); // keep walking: last entry wins
+                hit = Some(&block[value]); // keep walking: last entry wins
             } else if sorted && k > key {
                 break;
             }
@@ -354,18 +386,6 @@ pub fn serialized_len(entries: &[Entry]) -> usize {
         .sum()
 }
 
-fn deserialize_entries(payload: &[u8]) -> Result<Vec<Entry>> {
-    let mut entries = Vec::new();
-    let mut pos = 0usize;
-    while pos < payload.len() {
-        let (key, next) = read_chunk(payload, pos, "block entry key")?;
-        let (value, next) = read_chunk(payload, next, "block entry value")?;
-        pos = next;
-        entries.push((key.to_vec(), value.to_vec()));
-    }
-    Ok(entries)
-}
-
 fn compress_per_record(entries: &[Entry], compress: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(serialized_len(entries) / 2 + 16);
     for (key, value) in entries {
@@ -376,34 +396,6 @@ fn compress_per_record(entries: &[Entry], compress: impl Fn(&[u8]) -> Vec<u8>) -
         out.extend_from_slice(&compressed);
     }
     out
-}
-
-fn decompress_per_record(
-    block: &[u8],
-    decompress: impl Fn(&[u8]) -> Result<Vec<u8>>,
-) -> Result<Vec<Entry>> {
-    let mut entries = Vec::new();
-    let mut pos = 0usize;
-    while pos < block.len() {
-        let (key, next) = read_chunk(block, pos, "block entry key")?;
-        let (value, next) = read_chunk(block, next, "block entry value")?;
-        pos = next;
-        entries.push((key.to_vec(), decompress(value)?));
-    }
-    Ok(entries)
-}
-
-fn read_chunk<'a>(input: &'a [u8], pos: usize, context: &'static str) -> Result<(&'a [u8], usize)> {
-    let (len, pos) = varint::read_usize(input, pos).map_err(|_| ArchiveError::Corrupt {
-        context: format!("bad varint in {context}"),
-    })?;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= input.len())
-        .ok_or(ArchiveError::Corrupt {
-            context: format!("{context} overruns block"),
-        })?;
-    Ok((&input[pos..end], end))
 }
 
 fn fsst_table(compressor: &PbcCompressor) -> Vec<u8> {
@@ -531,8 +523,10 @@ mod tests {
         let entries = sample_entries(120);
         for codec in all_trained_codecs(&entries) {
             let block = codec.compress_block(&entries);
-            let back = codec.decompress_block(&block, entries.len()).unwrap();
-            assert_eq!(back, entries, "{}", codec.name());
+            let back = codec
+                .decompress_block(&block, entries.len(), serialized_len(&entries))
+                .unwrap();
+            assert_eq!(back.to_entries(), entries, "{}", codec.name());
         }
     }
 
@@ -547,7 +541,10 @@ mod tests {
             // may hand segments to other processes for compaction).
             assert_eq!(rebuilt.compress_block(&entries), block, "{}", codec.name());
             assert_eq!(
-                rebuilt.decompress_block(&block, entries.len()).unwrap(),
+                rebuilt
+                    .decompress_block(&block, entries.len(), serialized_len(&entries))
+                    .unwrap()
+                    .to_entries(),
                 entries,
                 "{}",
                 codec.name()
@@ -560,10 +557,11 @@ mod tests {
         let mut entries = sample_entries(48);
         // Duplicate key with two values: the later one must win.
         entries.push((b"user:00000007".to_vec(), b"overwritten-value".to_vec()));
+        let raw_len = serialized_len(&entries);
         for codec in all_trained_codecs(&entries) {
             let block = codec.compress_block(&entries);
             let hit = codec
-                .find_by_key(&block, b"user:00000007", entries.len(), false)
+                .find_by_key(&block, b"user:00000007", entries.len(), raw_len, false)
                 .unwrap();
             assert_eq!(
                 hit.as_deref(),
@@ -573,7 +571,7 @@ mod tests {
             );
             assert_eq!(
                 codec
-                    .find_by_key(&block, b"user:00000012", entries.len(), false)
+                    .find_by_key(&block, b"user:00000012", entries.len(), raw_len, false)
                     .unwrap(),
                 Some(entries[12].1.clone()),
                 "{}",
@@ -581,7 +579,7 @@ mod tests {
             );
             assert_eq!(
                 codec
-                    .find_by_key(&block, b"user:zzz", entries.len(), false)
+                    .find_by_key(&block, b"user:zzz", entries.len(), raw_len, false)
                     .unwrap(),
                 None,
                 "{}",
@@ -597,7 +595,9 @@ mod tests {
             let block = codec.compress_block(&entries);
             for idx in [0usize, 1, 31, 63] {
                 assert_eq!(
-                    codec.entry_at(&block, idx, entries.len()).unwrap(),
+                    codec
+                        .entry_at(&block, idx, entries.len(), serialized_len(&entries))
+                        .unwrap(),
                     entries[idx],
                     "{}",
                     codec.name()

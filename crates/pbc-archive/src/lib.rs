@@ -45,6 +45,7 @@
 // `forbid` because `forbid` cannot be overridden even by that one module.
 #![deny(unsafe_code)]
 
+pub mod block;
 pub mod codec;
 pub mod error;
 pub mod format;
@@ -54,6 +55,7 @@ pub mod positioned;
 pub mod reader;
 pub mod writer;
 
+pub use block::DecodedBlock;
 pub use codec::{build_codec, select_codec_over_blocks, BlockCodec, CodecSpec, Entry};
 pub use error::{ArchiveError, Result};
 pub use mmap::MappedFile;

@@ -5,6 +5,7 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::block::DecodedBlock;
 use crate::codec::{BlockCodec, Entry};
 use crate::error::{ArchiveError, Result};
 use crate::format::{
@@ -266,13 +267,21 @@ impl SegmentReader {
     }
 
     /// Smallest key across all blocks (`None` for an empty segment).
-    /// Footer-only: no block is decoded.
+    /// Footer-only: no block is decoded. On a sorted segment it is the
+    /// first block's minimum; only an unsorted one needs every block's.
     pub fn min_key(&self) -> Option<&[u8]> {
+        if self.is_sorted() {
+            return self.blocks.first().map(|b| b.min_key.as_slice());
+        }
         self.blocks.iter().map(|b| b.min_key.as_slice()).min()
     }
 
-    /// Largest key across all blocks (`None` for an empty segment).
+    /// Largest key across all blocks (`None` for an empty segment): the
+    /// last block's maximum on a sorted segment.
     pub fn max_key(&self) -> Option<&[u8]> {
+        if self.is_sorted() {
+            return self.blocks.last().map(|b| b.max_key.as_slice());
+        }
         self.blocks.iter().map(|b| b.max_key.as_slice()).max()
     }
 
@@ -371,16 +380,29 @@ impl SegmentReader {
         }
     }
 
-    /// Decompress a whole block into its entries.
-    pub fn read_block(&self, block: usize) -> Result<Vec<Entry>> {
+    /// Record count and serialized payload length the footer promises for
+    /// `block`, as the sizes a decode is checked against.
+    fn block_shape(&self, block: usize) -> Result<(usize, usize)> {
+        let meta = &self.blocks[block];
+        usize::try_from(meta.record_count)
+            .ok()
+            .zip(usize::try_from(meta.raw_len).ok())
+            .ok_or_else(|| ArchiveError::Corrupt {
+                context: format!("block {block} is larger than this platform can address"),
+            })
+    }
+
+    /// Decode a whole block into one flat [`DecodedBlock`].
+    pub fn read_block(&self, block: usize) -> Result<DecodedBlock> {
         let bytes = self.block_bytes(block)?;
+        let (record_count, raw_len) = self.block_shape(block)?;
         let timer = self.obs.decode_ns.start_timer();
-        let entries = self
+        let decoded = self
             .block_codec(block)?
-            .decompress_block(&bytes, self.blocks[block].record_count as usize);
+            .decompress_block(&bytes, record_count, raw_len);
         timer.observe();
         self.obs.blocks_decoded.inc();
-        entries
+        decoded
     }
 
     /// Which block holds global record `ordinal` (binary search).
@@ -401,8 +423,9 @@ impl SegmentReader {
         let block = self.block_of(i)?;
         let within = (i - self.starts[block]) as usize;
         let bytes = self.block_bytes(block)?;
+        let (record_count, raw_len) = self.block_shape(block)?;
         self.block_codec(block)?
-            .entry_at(&bytes, within, self.blocks[block].record_count as usize)
+            .entry_at(&bytes, within, record_count, raw_len)
     }
 
     /// Fetch just the value bytes of record `i`.
@@ -458,12 +481,10 @@ impl SegmentReader {
         // so for last-wins semantics scan the range back to front.
         for block in self.candidate_blocks_for_key(key)?.rev() {
             let bytes = self.block_bytes(block)?;
-            let hit = self.block_codec(block)?.find_by_key(
-                &bytes,
-                key,
-                self.blocks[block].record_count as usize,
-                true,
-            )?;
+            let (record_count, raw_len) = self.block_shape(block)?;
+            let hit =
+                self.block_codec(block)?
+                    .find_by_key(&bytes, key, record_count, raw_len, true)?;
             if hit.is_some() {
                 return Ok(hit);
             }
@@ -475,10 +496,11 @@ impl SegmentReader {
     pub fn scan(&self) -> Scan<'_> {
         Scan {
             reader: self,
-            block: 0,
-            entries: Vec::new(),
+            blocks: 0..self.blocks.len(),
+            start: Vec::new(),
+            end: None,
+            decoded: DecodedBlock::default(),
             next: 0,
-            failed: false,
         }
     }
 
@@ -523,116 +545,96 @@ impl SegmentReader {
     /// std::fs::remove_file(&path).unwrap();
     /// ```
     pub fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<RangeScan<'_>> {
-        let blocks = self.candidate_blocks_for_range(start, end)?;
-        Ok(RangeScan {
+        Ok(Scan {
             reader: self,
-            block: blocks.start,
-            end_block: blocks.end,
+            blocks: self.candidate_blocks_for_range(start, end)?,
             start: start.to_vec(),
             end: end.map(|e| e.to_vec()),
-            entries: Vec::new(),
+            decoded: DecodedBlock::default(),
             next: 0,
-            failed: false,
         })
     }
 }
 
-/// Streaming iterator over a segment's entries; see [`SegmentReader::scan`].
+/// Streaming cursor over a segment's entries — all of them in storage
+/// order ([`SegmentReader::scan`]), or, on a sorted segment, those inside a
+/// key interval ([`SegmentReader::scan_range`]: only the candidate blocks
+/// the footer index selected are decoded, and the scan stops at the upper
+/// bound). One block is decoded at a time into a flat [`DecodedBlock`].
+///
+/// Use it as an [`Iterator`] for owned rows, or step it with
+/// [`Scan::advance`] and borrow each row with [`Scan::current`] — a merge
+/// that drops most rows then copies only the ones it keeps.
 pub struct Scan<'a> {
     reader: &'a SegmentReader,
-    block: usize,
-    entries: Vec<Entry>,
+    /// Candidate blocks not yet decoded.
+    blocks: std::ops::Range<usize>,
+    /// Inclusive lower key bound, applied inside the first decoded block
+    /// (empty for a full scan, where it skips nothing).
+    start: Vec<u8>,
+    /// Inclusive upper key bound; `None` = unbounded above.
+    end: Option<Vec<u8>>,
+    /// The block being drained.
+    decoded: DecodedBlock,
+    /// One past the current record in `decoded` (0 = not yet on a record).
     next: usize,
-    failed: bool,
+}
+
+/// A [`Scan`] bounded to a key interval; see [`SegmentReader::scan_range`].
+pub type RangeScan<'a> = Scan<'a>;
+
+impl Scan<'_> {
+    /// Step onto the next entry, decoding the next block when the current
+    /// one is drained. `Ok(false)` once the scan is over (past the last
+    /// block or the upper bound); after an error the scan stays over.
+    pub fn advance(&mut self) -> Result<bool> {
+        loop {
+            if self.next < self.decoded.len() {
+                let beyond = self
+                    .end
+                    .as_deref()
+                    .is_some_and(|end| self.decoded.key(self.next) > end);
+                if !beyond {
+                    self.next += 1;
+                    return Ok(true);
+                }
+                // Keys are sorted: nothing further can qualify.
+                self.blocks = 0..0;
+            }
+            // Drained (or cut off): let the block go before the next decode.
+            self.decoded = DecodedBlock::default();
+            self.next = 0;
+            let Some(block) = self.blocks.next() else {
+                return Ok(false);
+            };
+            self.decoded = self
+                .reader
+                .read_block(block)
+                .inspect_err(|_| self.blocks = 0..0)?;
+            // Only the first candidate block can hold keys below the lower
+            // bound; for later blocks this skip is 0.
+            self.next = self.decoded.lower_bound(&self.start);
+        }
+    }
+
+    /// The entry the last [`Scan::advance`] stepped onto, borrowed from
+    /// the decoded block (`None` before the first step and once over).
+    pub fn current(&self) -> Option<(&[u8], &[u8])> {
+        let i = self.next.checked_sub(1)?;
+        Some((self.decoded.key(i), self.decoded.value(i)))
+    }
 }
 
 impl Iterator for Scan<'_> {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if self.next < self.entries.len() {
-                let entry = std::mem::take(&mut self.entries[self.next]);
-                self.next += 1;
-                return Some(Ok(entry));
-            }
-            if self.block >= self.reader.block_count() {
-                return None;
-            }
-            match self.reader.read_block(self.block) {
-                Ok(entries) => {
-                    self.block += 1;
-                    self.entries = entries;
-                    self.next = 0;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
-/// Bounded streaming iterator over a sorted segment's entries; see
-/// [`SegmentReader::scan_range`]. Decodes only the candidate blocks the
-/// footer index selected, one at a time, and stops at the upper bound.
-pub struct RangeScan<'a> {
-    reader: &'a SegmentReader,
-    /// Next candidate block to decode.
-    block: usize,
-    /// One past the last candidate block.
-    end_block: usize,
-    /// Inclusive lower key bound (applied inside the first decoded block).
-    start: Vec<u8>,
-    /// Inclusive upper key bound; `None` = unbounded above.
-    end: Option<Vec<u8>>,
-    entries: Vec<Entry>,
-    next: usize,
-    failed: bool,
-}
-
-impl Iterator for RangeScan<'_> {
-    type Item = Result<Entry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if self.next < self.entries.len() {
-                let entry = std::mem::take(&mut self.entries[self.next]);
-                self.next += 1;
-                if let Some(end) = &self.end {
-                    if entry.0.as_slice() > end.as_slice() {
-                        // Keys are sorted: nothing further can qualify.
-                        self.block = self.end_block;
-                        self.next = self.entries.len();
-                        return None;
-                    }
-                }
-                return Some(Ok(entry));
-            }
-            if self.block >= self.end_block {
-                return None;
-            }
-            match self.reader.read_block(self.block) {
-                Ok(entries) => {
-                    self.block += 1;
-                    // Only the first candidate block can hold keys below
-                    // the lower bound; for later blocks this skip is 0.
-                    self.next =
-                        entries.partition_point(|(k, _)| k.as_slice() < self.start.as_slice());
-                    self.entries = entries;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
+        match self.advance() {
+            Ok(true) => self
+                .current()
+                .map(|(key, value)| Ok((key.to_vec(), value.to_vec()))),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }

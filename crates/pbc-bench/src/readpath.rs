@@ -185,8 +185,8 @@ fn measure_backend(path: &std::path::Path, mode: ReadMode, fetches: usize) -> Ba
     let started = Instant::now();
     for _ in 0..fetches {
         let b = lcg(&mut state) as usize % blocks;
-        let entries = reader.read_block(b).expect("fetch block");
-        std::hint::black_box(entries.len());
+        let block = reader.read_block(b).expect("fetch block");
+        std::hint::black_box(block.len());
     }
     let fetch_secs = started.elapsed().as_secs_f64().max(1e-9);
 

@@ -69,22 +69,23 @@ impl HuffmanTable {
         }
         out.extend_from_slice(&w.finish());
     }
+}
 
-    /// Deserialize code lengths written by [`Self::write_lengths`].
-    fn read_lengths(input: &[u8], pos: usize) -> Result<(Self, usize)> {
-        let needed = ALPHABET / 2;
-        if input.len() < pos + needed {
-            return Err(CodecError::UnexpectedEof {
-                context: "huffman code lengths",
-            });
-        }
-        let mut lengths = [0u8; ALPHABET];
-        let mut r = BitReader::new(&input[pos..pos + needed]);
-        for l in lengths.iter_mut() {
-            *l = r.read_bits(4)? as u8;
-        }
-        Ok((Self::from_lengths(lengths)?, pos + needed))
+/// Deserialize (and validate) the code lengths written by
+/// [`HuffmanTable::write_lengths`]: two 4-bit lengths per byte, first
+/// symbol in the high nibble.
+fn read_lengths(input: &[u8], pos: usize) -> Result<([u8; ALPHABET], usize)> {
+    let end = pos + ALPHABET / 2;
+    let packed = input.get(pos..end).ok_or(CodecError::UnexpectedEof {
+        context: "huffman code lengths",
+    })?;
+    let mut lengths = [0u8; ALPHABET];
+    for (pair, &byte) in lengths.chunks_exact_mut(2).zip(packed) {
+        pair[0] = byte >> 4;
+        pair[1] = byte & 0x0f;
     }
+    validate_lengths(&lengths)?;
+    Ok((lengths, end))
 }
 
 /// Validate that non-zero code lengths satisfy the Kraft inequality (i.e.
@@ -262,6 +263,7 @@ pub const DEFAULT_DECODE_BITS: u8 = 11;
 /// Two-level decode structure for the table-driven fast path: a
 /// `2^bits`-entry first-level table resolves every code of ≤ `bits` bits in
 /// one lookup; rarer longer codes escape to a canonical per-length search.
+/// Rebuilt in place for each stream, so a reused table costs no allocation.
 struct FastDecodeTable {
     /// First-level table size in bits (1..=[`MAX_CODE_LEN`]).
     bits: u8,
@@ -281,54 +283,70 @@ struct FastDecodeTable {
 }
 
 impl FastDecodeTable {
-    fn build(table: &HuffmanTable, bits: u8) -> Self {
-        let bits = bits.clamp(1, MAX_CODE_LEN);
-        let mut entries = vec![(0u8, 0u8); 1usize << bits];
-        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
-        for symbol in 0..ALPHABET {
-            let len = table.lengths[symbol];
-            if len == 0 {
-                continue;
-            }
-            count[len as usize] += 1;
-            if len <= bits {
-                let code = table.codes[symbol] as usize;
-                let shift = bits - len;
-                let start = code << shift;
-                let end = (code + 1) << shift;
-                for entry in entries.iter_mut().take(end).skip(start) {
-                    *entry = (symbol as u8, len);
-                }
-            }
+    fn new(bits: u8) -> Self {
+        FastDecodeTable {
+            bits: bits.clamp(1, MAX_CODE_LEN),
+            entries: Vec::new(),
+            first_code: [0; MAX_CODE_LEN as usize + 1],
+            count: [0; MAX_CODE_LEN as usize + 1],
+            offset: [0; MAX_CODE_LEN as usize + 1],
+            symbols: Vec::new(),
         }
-        let mut first_code = [0u32; MAX_CODE_LEN as usize + 1];
-        let mut offset = [0u32; MAX_CODE_LEN as usize + 1];
+    }
+
+    /// Load the canonical code described by (validated) `lengths`. Codes
+    /// are assigned exactly as [`canonical_codes`] does — shorter first,
+    /// ties by symbol — but by counting per length instead of sorting.
+    fn rebuild(&mut self, lengths: &[u8; ALPHABET]) {
+        let bits = self.bits;
+        self.entries.clear();
+        self.entries.resize(1usize << bits, (0, 0));
+        self.count = [0; MAX_CODE_LEN as usize + 1];
+        for &len in lengths {
+            self.count[len as usize] += 1;
+        }
         let mut code = 0u32;
         let mut total = 0u32;
         for len in 1..=MAX_CODE_LEN as usize {
-            first_code[len] = code;
-            offset[len] = total;
-            code = (code + count[len]) << 1;
-            total += count[len];
+            self.first_code[len] = code;
+            self.offset[len] = total;
+            code = (code + self.count[len]) << 1;
+            total += self.count[len];
         }
-        let mut symbols: Vec<u8> = (0..ALPHABET as u16)
-            .filter(|&s| table.lengths[s as usize] > 0)
-            .map(|s| s as u8)
-            .collect();
-        symbols.sort_by_key(|&s| (table.lengths[s as usize], s));
-        FastDecodeTable {
-            bits,
-            entries,
-            first_code,
-            count,
-            offset,
-            symbols,
+        self.symbols.clear();
+        self.symbols.resize(total as usize, 0);
+        // Symbols ascend within each length, so handing out the next code
+        // and the next `symbols` slot of that length keeps canonical order.
+        let mut issued = [0u32; MAX_CODE_LEN as usize + 1];
+        for (symbol, &len) in lengths.iter().enumerate() {
+            if len == 0 {
+                continue;
+            }
+            let nth = issued[len as usize];
+            issued[len as usize] += 1;
+            self.symbols[(self.offset[len as usize] + nth) as usize] = symbol as u8;
+            if len <= bits {
+                let code = (self.first_code[len as usize] + nth) as usize;
+                let shift = bits - len;
+                self.entries[code << shift..(code + 1) << shift].fill((symbol as u8, len));
+            }
+        }
+    }
+
+    /// Resolve the code at the head of a [`MAX_CODE_LEN`]-bit `peek`
+    /// (zero-padded past the end of the stream) to `(symbol, length)`.
+    #[inline]
+    fn decode(&self, peek: u32) -> Result<(u8, u8)> {
+        let (symbol, len) = self.entries[(peek >> (MAX_CODE_LEN - self.bits)) as usize];
+        if len != 0 {
+            Ok((symbol, len))
+        } else {
+            self.decode_long(peek)
         }
     }
 
     /// Resolve a code longer than `self.bits` from a [`MAX_CODE_LEN`]-bit
     /// peek via the canonical per-length ranges.
-    #[inline]
     fn decode_long(&self, peek: u32) -> Result<(u8, u8)> {
         for len in (self.bits + 1)..=MAX_CODE_LEN {
             let code = peek >> (MAX_CODE_LEN - len);
@@ -343,10 +361,11 @@ impl FastDecodeTable {
 }
 
 /// Word-buffered MSB-first bit cursor for the table-driven decoder. The
-/// top `nbits` bits of `bitbuf` are the next bits of the stream; the bits
-/// below them are always zero, so peeking past the end of the stream
-/// naturally zero-pads — exactly the semantics the branchy decoder gets
-/// from `read_bits(available) << (MAX_CODE_LEN - available)`.
+/// top `nbits` bits of `bitbuf` are the next bits of the stream; whatever
+/// lies below them is either zero or the stream bits that follow (a word
+/// refill may load part of a byte it does not count yet), so peeking past
+/// the end of the stream zero-pads — exactly the semantics the branchy
+/// decoder gets from `read_bits(available) << (MAX_CODE_LEN - available)`.
 struct FastBits<'a> {
     buf: &'a [u8],
     /// Next byte of `buf` to load into the buffer.
@@ -368,6 +387,16 @@ impl<'a> FastBits<'a> {
     /// Top up the bit buffer to ≥ 56 valid bits (or the end of the stream).
     #[inline]
     fn refill(&mut self) {
+        if let Some(word) = self.buf[self.next..].first_chunk::<8>() {
+            // One load; count only the whole bytes that fit. `nbits` stays
+            // ≤ 63 on this path (it only reaches 64 in the byte loop
+            // below, after which fewer than eight bytes remain for good).
+            self.bitbuf |= u64::from_be_bytes(*word) >> self.nbits;
+            let whole = (63 - self.nbits) / 8;
+            self.next += whole as usize;
+            self.nbits += whole * 8;
+            return;
+        }
         while self.nbits <= 56 && self.next < self.buf.len() {
             self.bitbuf |= u64::from(self.buf[self.next]) << (56 - self.nbits);
             self.next += 1;
@@ -375,17 +404,11 @@ impl<'a> FastBits<'a> {
         }
     }
 
-    /// Bits of stream left (buffered + not yet loaded).
+    /// The next [`MAX_CODE_LEN`] bits, zero-padded past the end of the
+    /// stream.
     #[inline]
-    fn remaining(&self) -> usize {
-        self.nbits as usize + (self.buf.len() - self.next) * 8
-    }
-
-    /// The next `k` bits, MSB-aligned to the low `k` bits of the result;
-    /// zero-padded past the end of the stream. `k` in 1..=32.
-    #[inline]
-    fn peek(&self, k: u8) -> u64 {
-        self.bitbuf >> (64 - k)
+    fn peek(&self) -> u32 {
+        (self.bitbuf >> (64 - MAX_CODE_LEN as u32)) as u32
     }
 
     /// Drop `n` buffered bits. Callers guarantee `n <= self.nbits`.
@@ -423,18 +446,21 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 }
 
 /// Parsed [`compress`] header: the declared raw length plus, for non-empty
-/// streams, the code-length table and the bit-packed payload.
-type ParsedStream<'a> = (usize, Option<(HuffmanTable, &'a [u8])>);
+/// streams, the validated code lengths and the bit-packed payload.
+type ParsedStream<'a> = (usize, Option<([u8; ALPHABET], &'a [u8])>);
 
 /// Parse the shared header of a [`compress`] buffer: raw length, code
-/// lengths, bit count. Returns `(raw_len, table, payload)`; `raw_len == 0`
-/// short-circuits with an empty table.
+/// lengths, bit count. `raw_len == 0` short-circuits with no table.
+///
+/// Every symbol costs at least one bit, so a declared raw length above the
+/// (payload-checked) bit count is rejected here — before any caller sizes
+/// an allocation from it.
 fn parse_stream(input: &[u8]) -> Result<ParsedStream<'_>> {
     let (raw_len, pos) = varint::read_usize(input, 0)?;
     if raw_len == 0 {
         return Ok((0, None));
     }
-    let (table, pos) = HuffmanTable::read_lengths(input, pos)?;
+    let (lengths, pos) = read_lengths(input, pos)?;
     let (bits, pos) = varint::read_u64(input, pos)?;
     let payload = &input[pos..];
     if (payload.len() as u64) * 8 < bits {
@@ -442,7 +468,93 @@ fn parse_stream(input: &[u8]) -> Result<ParsedStream<'_>> {
             context: "huffman payload",
         });
     }
-    Ok((raw_len, Some((table, payload))))
+    if raw_len as u64 > bits {
+        return Err(CodecError::SizeLimitExceeded {
+            declared: raw_len,
+            limit: bits as usize,
+        });
+    }
+    Ok((raw_len, Some((lengths, payload))))
+}
+
+/// A reusable table-driven decoder: the decode tables live in the value
+/// and are rebuilt in place per stream, so a long-lived `Decoder` (one per
+/// thread in [`crate::zstdlike`]) decodes without allocating.
+pub struct Decoder {
+    table: FastDecodeTable,
+}
+
+impl Default for Decoder {
+    fn default() -> Self {
+        Decoder::with_table_bits(DEFAULT_DECODE_BITS)
+    }
+}
+
+impl Decoder {
+    /// A decoder with an explicit first-level table size (clamped to
+    /// `1..=`[`MAX_CODE_LEN`]); every size decodes identically, only speed
+    /// differs.
+    pub fn with_table_bits(table_bits: u8) -> Self {
+        Decoder {
+            table: FastDecodeTable::new(table_bits),
+        }
+    }
+
+    /// Decode a buffer produced by [`compress`], appending to `out`. On
+    /// error `out` is left as it was.
+    pub fn decompress_into(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        let (raw_len, parsed) = parse_stream(input)?;
+        let Some((lengths, payload)) = parsed else {
+            return Ok(());
+        };
+        self.table.rebuild(&lengths);
+        let start = out.len();
+        out.resize(start + raw_len, 0);
+        let decoded = self.decode_symbols(payload, &mut out[start..]);
+        if decoded.is_err() {
+            out.truncate(start);
+        }
+        decoded
+    }
+
+    /// Fill `dst` with the next `dst.len()` symbols of `payload`.
+    fn decode_symbols(&self, payload: &[u8], dst: &mut [u8]) -> Result<()> {
+        let table = &self.table;
+        let mut bits = FastBits::new(payload);
+        let mut slots = dst.iter_mut();
+        loop {
+            bits.refill();
+            // With a whole code's worth of real bits buffered, whatever
+            // length the table reports is really there.
+            while bits.nbits >= u32::from(MAX_CODE_LEN) {
+                let Some(slot) = slots.next() else {
+                    return Ok(());
+                };
+                let (symbol, len) = table.decode(bits.peek())?;
+                bits.consume(len);
+                *slot = symbol;
+            }
+            if bits.next < payload.len() {
+                continue;
+            }
+            // Tail: fewer than MAX_CODE_LEN real bits remain and the peek
+            // is zero-padded, so a decoded length must fit in what is left.
+            for slot in slots {
+                if bits.nbits == 0 {
+                    return Err(CodecError::UnexpectedEof {
+                        context: "huffman codes",
+                    });
+                }
+                let (symbol, len) = table.decode(bits.peek())?;
+                if u32::from(len) > bits.nbits {
+                    return Err(CodecError::corrupt("invalid huffman code in stream"));
+                }
+                bits.consume(len);
+                *slot = symbol;
+            }
+            return Ok(());
+        }
+    }
 }
 
 /// Decompress a buffer produced by [`compress`] — the table-driven fast
@@ -455,37 +567,8 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
 /// `1..=`[`MAX_CODE_LEN`]). Exposed so the `readpath` repro experiment can
 /// sweep table bits; every size decodes identically, only speed differs.
 pub fn decompress_with_table_bits(input: &[u8], table_bits: u8) -> Result<Vec<u8>> {
-    let (raw_len, parsed) = parse_stream(input)?;
-    let Some((table, payload)) = parsed else {
-        return Ok(Vec::new());
-    };
-    let decode = FastDecodeTable::build(&table, table_bits);
-    let mut out = Vec::with_capacity(raw_len);
-    let mut bits = FastBits::new(payload);
-    while out.len() < raw_len {
-        bits.refill();
-        let remaining = bits.remaining();
-        if remaining == 0 {
-            return Err(CodecError::UnexpectedEof {
-                context: "huffman codes",
-            });
-        }
-        // Codes never exceed MAX_CODE_LEN; near the end of the stream fewer
-        // real bits remain and the peek is zero-padded, so a decoded length
-        // must fit in what is actually left.
-        let available = remaining.min(MAX_CODE_LEN as usize) as u8;
-        let (symbol, len) = decode.entries[bits.peek(decode.bits) as usize];
-        let (symbol, len) = if len != 0 {
-            (symbol, len)
-        } else {
-            decode.decode_long(bits.peek(MAX_CODE_LEN) as u32)?
-        };
-        if len > available {
-            return Err(CodecError::corrupt("invalid huffman code in stream"));
-        }
-        bits.consume(len);
-        out.push(symbol);
-    }
+    let mut out = Vec::new();
+    Decoder::with_table_bits(table_bits).decompress_into(input, &mut out)?;
     Ok(out)
 }
 
@@ -495,10 +578,10 @@ pub fn decompress_with_table_bits(input: &[u8], table_bits: u8) -> Result<Vec<u8
 /// fast path ([`decompress`] must produce byte-identical output).
 pub fn decompress_branchy(input: &[u8]) -> Result<Vec<u8>> {
     let (raw_len, parsed) = parse_stream(input)?;
-    let Some((table, payload)) = parsed else {
+    let Some((lengths, payload)) = parsed else {
         return Ok(Vec::new());
     };
-    let decode = DecodeTable::build(&table);
+    let decode = DecodeTable::build(&HuffmanTable::from_lengths(lengths)?);
     let mut out = Vec::with_capacity(raw_len);
     let mut reader = BitReader::new(payload);
     while out.len() < raw_len {
@@ -592,6 +675,22 @@ mod tests {
         let mut compressed = compress(data);
         compressed.truncate(compressed.len() - 2);
         assert!(decompress(&compressed).is_err());
+    }
+
+    #[test]
+    fn declared_length_beyond_the_bit_count_is_rejected_before_allocating() {
+        let good = compress(b"hello hello hello hello hello");
+        // 29 encodes as one varint byte; forge a 2^40-byte claim over the
+        // same table and payload.
+        let mut forged = Vec::new();
+        varint::write_usize(&mut forged, 1 << 40);
+        forged.extend_from_slice(&good[1..]);
+        for result in [decompress(&forged), decompress_branchy(&forged)] {
+            assert!(matches!(
+                result,
+                Err(CodecError::SizeLimitExceeded { declared, .. }) if declared == 1 << 40
+            ));
+        }
     }
 
     #[test]

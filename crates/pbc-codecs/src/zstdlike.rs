@@ -100,64 +100,203 @@ impl ZstdLike {
         out
     }
 
-    fn decompress_internal(&self, input: &[u8], dict: &[u8]) -> Result<Vec<u8>> {
+    /// Decompress a stream produced with `dict`, appending the decoded
+    /// bytes to `out` — the caller's buffer is the only allocation (the
+    /// literal/sequence scratch and the Huffman tables are reused per
+    /// thread). Back-references into the dictionary are resolved against
+    /// the `dict` slice itself; nothing is copied in front of the output.
+    ///
+    /// A stream declaring more than `max_len` decoded bytes is refused with
+    /// [`CodecError::SizeLimitExceeded`], and whatever it declares must
+    /// equal what its sequences add up to *before* `out` is sized from it,
+    /// so a corrupt length cannot request an allocation the stream does not
+    /// back. On error `out` is left as it was.
+    pub fn decompress_with_dict_into(
+        &self,
+        input: &[u8],
+        dict: &[u8],
+        max_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         let (raw_len, pos) = varint::read_usize(input, 0)?;
+        if raw_len > max_len {
+            return Err(CodecError::SizeLimitExceeded {
+                declared: raw_len,
+                limit: max_len,
+            });
+        }
         if raw_len == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let (token_count, pos) = varint::read_usize(input, pos)?;
-        let (literals, pos) = read_block(input, pos)?;
-        let (sequences, _pos) = read_block(input, pos)?;
-
-        let mut out = Vec::with_capacity(dict.len() + raw_len);
-        out.extend_from_slice(dict);
-        let target = dict.len() + raw_len;
-        let mut lit_pos = 0usize;
-        let mut seq_pos = 0usize;
-        for i in 0..token_count {
-            let (lit_len, p) = varint::read_usize(&sequences, seq_pos)?;
-            seq_pos = p;
-            if lit_pos + lit_len > literals.len() {
-                return Err(CodecError::UnexpectedEof {
-                    context: "zstd literal stream",
-                });
+        SCRATCH.with_borrow_mut(|scratch| {
+            let Scratch {
+                literals,
+                sequences,
+                seqs,
+                huffman,
+            } = scratch;
+            let (token_count, pos) = varint::read_usize(input, pos)?;
+            let (literals, pos) = read_block(input, pos, literals, huffman)?;
+            let (sequences, _pos) = read_block(input, pos, sequences, huffman)?;
+            parse_sequences(sequences, token_count, literals.len(), raw_len, seqs)?;
+            let base = out.len();
+            out.reserve(raw_len);
+            let executed = execute_sequences(seqs, literals, dict, base, out);
+            if executed.is_err() {
+                out.truncate(base);
             }
-            out.extend_from_slice(&literals[lit_pos..lit_pos + lit_len]);
-            lit_pos += lit_len;
-            let (offset, p) = varint::read_usize(&sequences, seq_pos)?;
-            seq_pos = p;
-            if offset == 0 {
-                // Terminal token; must be the last one.
-                if i + 1 != token_count {
-                    return Err(CodecError::corrupt("zstd terminal token before end"));
-                }
-                break;
-            }
-            let (len_code, p) = varint::read_usize(&sequences, seq_pos)?;
-            seq_pos = p;
-            let match_len = len_code + MIN_MATCH;
-            if offset > out.len() {
-                return Err(CodecError::InvalidOffset {
-                    offset,
-                    position: out.len(),
-                });
-            }
-            let start = out.len() - offset;
-            for k in 0..match_len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        }
-        if out.len() != target {
-            return Err(CodecError::corrupt(format!(
-                "zstd stream produced {} bytes, expected {}",
-                out.len() - dict.len(),
-                raw_len
-            )));
-        }
-        out.drain(..dict.len());
-        Ok(out)
+            scratch.release_oversized();
+            executed
+        })
     }
+}
+
+/// One parsed sequence: a literal run, then a match (`offset == 0` marks
+/// the terminal token, which has none).
+struct Seq {
+    lit_len: u32,
+    offset: u32,
+    match_len: u32,
+}
+
+/// Per-thread decode scratch: the entropy-decoded literal and sequence
+/// streams, the parsed sequences, and the Huffman decode tables. Decoding
+/// a block allocates none of these afresh.
+#[derive(Default)]
+struct Scratch {
+    literals: Vec<u8>,
+    sequences: Vec<u8>,
+    seqs: Vec<Seq>,
+    huffman: huffman::Decoder,
+}
+
+impl Scratch {
+    /// Most scratch bytes a thread keeps between calls: plenty for block-
+    /// sized streams, while one whole-file decode does not pin its
+    /// high-water mark for the life of the thread.
+    const RETAINED_BYTES: usize = 1 << 20;
+
+    fn release_oversized(&mut self) {
+        if self.literals.capacity() > Self::RETAINED_BYTES {
+            self.literals = Vec::new();
+        }
+        if self.sequences.capacity() > Self::RETAINED_BYTES {
+            self.sequences = Vec::new();
+        }
+        if self.seqs.capacity() * std::mem::size_of::<Seq>() > Self::RETAINED_BYTES {
+            self.seqs = Vec::new();
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
+}
+
+/// Parse the varint triples of `sequences` into `seqs` and check that they
+/// produce exactly `raw_len` bytes from exactly the literals available.
+fn parse_sequences(
+    sequences: &[u8],
+    token_count: usize,
+    literal_len: usize,
+    raw_len: usize,
+    seqs: &mut Vec<Seq>,
+) -> Result<()> {
+    let narrow =
+        |v: usize| u32::try_from(v).map_err(|_| CodecError::corrupt("zstd length overflow"));
+    seqs.clear();
+    let mut pos = 0usize;
+    let mut lit_total = 0usize;
+    let mut total = 0usize;
+    // `token_count` is untrusted: every token consumes sequence bytes, so
+    // the loop ends with the stream, and nothing is reserved from the count.
+    for i in 0..token_count {
+        let (lit_len, p) = varint::read_usize(sequences, pos)?;
+        let (offset, p) = varint::read_usize(sequences, p)?;
+        pos = p;
+        lit_total = lit_total.saturating_add(lit_len);
+        let mut seq = Seq {
+            lit_len: narrow(lit_len)?,
+            offset: narrow(offset)?,
+            match_len: 0,
+        };
+        if offset == 0 {
+            // Terminal token; must be the last one.
+            if i + 1 != token_count {
+                return Err(CodecError::corrupt("zstd terminal token before end"));
+            }
+        } else {
+            let (len_code, p) = varint::read_usize(sequences, pos)?;
+            pos = p;
+            seq.match_len = narrow(len_code.saturating_add(MIN_MATCH))?;
+        }
+        total = total
+            .saturating_add(lit_len)
+            .saturating_add(seq.match_len as usize);
+        seqs.push(seq);
+    }
+    if lit_total > literal_len {
+        return Err(CodecError::UnexpectedEof {
+            context: "zstd literal stream",
+        });
+    }
+    if total != raw_len {
+        return Err(CodecError::corrupt(format!(
+            "zstd stream produces {total} bytes, expected {raw_len}"
+        )));
+    }
+    Ok(())
+}
+
+/// Run parsed sequences, appending to `out`; `base` is where this stream's
+/// output starts, so a match reaching back past it reads the tail of
+/// `dict`. [`parse_sequences`] already bounded the literal runs.
+fn execute_sequences(
+    seqs: &[Seq],
+    literals: &[u8],
+    dict: &[u8],
+    base: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let mut lit_pos = 0usize;
+    for seq in seqs {
+        let lit_end = lit_pos + seq.lit_len as usize;
+        out.extend_from_slice(&literals[lit_pos..lit_end]);
+        lit_pos = lit_end;
+        if seq.offset == 0 {
+            break;
+        }
+        let offset = seq.offset as usize;
+        let mut remaining = seq.match_len as usize;
+        let produced = out.len() - base;
+        if offset > produced {
+            // The match starts in the dictionary (and may run on into the
+            // output, which then continues `offset` bytes back as usual).
+            let back = offset - produced;
+            let start = dict
+                .len()
+                .checked_sub(back)
+                .ok_or(CodecError::InvalidOffset {
+                    offset,
+                    position: dict.len() + produced,
+                })?;
+            let n = remaining.min(back);
+            out.extend_from_slice(&dict[start..start + n]);
+            remaining -= n;
+            if remaining == 0 {
+                continue;
+            }
+        }
+        // Chunked copy; when the source overlaps the bytes being written
+        // (offset < length) each pass doubles the repeated run.
+        let start = out.len() - offset;
+        while remaining > 0 {
+            let n = remaining.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            remaining -= n;
+        }
+    }
+    Ok(())
 }
 
 /// Write an entropy-coded block: pick raw or Huffman, whichever is smaller.
@@ -174,24 +313,35 @@ fn write_block(out: &mut Vec<u8>, payload: &[u8]) {
     }
 }
 
-/// Read a block written by [`write_block`].
-fn read_block(input: &[u8], pos: usize) -> Result<(Vec<u8>, usize)> {
+/// Read a block written by [`write_block`]: a raw payload is borrowed from
+/// `input`, an entropy-coded one is decoded into `scratch`.
+fn read_block<'a>(
+    input: &'a [u8],
+    pos: usize,
+    scratch: &'a mut Vec<u8>,
+    huffman: &mut huffman::Decoder,
+) -> Result<(&'a [u8], usize)> {
     let flag = *input.get(pos).ok_or(CodecError::UnexpectedEof {
         context: "zstd block flag",
     })?;
     let (len, pos) = varint::read_usize(input, pos + 1)?;
-    if pos + len > input.len() {
-        return Err(CodecError::UnexpectedEof {
+    let end = pos
+        .checked_add(len)
+        .filter(|&end| end <= input.len())
+        .ok_or(CodecError::UnexpectedEof {
             context: "zstd block payload",
-        });
-    }
-    let payload = &input[pos..pos + len];
+        })?;
+    let payload = &input[pos..end];
     let data = match flag {
-        0 => payload.to_vec(),
-        1 => huffman::decompress(payload)?,
+        0 => payload,
+        1 => {
+            scratch.clear();
+            huffman.decompress_into(payload, scratch)?;
+            scratch.as_slice()
+        }
         _ => return Err(CodecError::corrupt("unknown zstd block flag")),
     };
-    Ok((data, pos + len))
+    Ok((data, end))
 }
 
 impl Codec for ZstdLike {
@@ -204,7 +354,7 @@ impl Codec for ZstdLike {
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        self.decompress_internal(input, &[])
+        self.decompress_with_dict(input, &[])
     }
 }
 
@@ -214,7 +364,9 @@ impl DictCodec for ZstdLike {
     }
 
     fn decompress_with_dict(&self, input: &[u8], dict: &[u8]) -> Result<Vec<u8>> {
-        self.decompress_internal(input, dict)
+        let mut out = Vec::new();
+        self.decompress_with_dict_into(input, dict, usize::MAX, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -304,6 +456,54 @@ mod tests {
             codec.decompress_with_dict(&with_dict, &dict).unwrap(),
             record
         );
+    }
+
+    #[test]
+    fn decode_into_appends_and_resolves_matches_that_start_in_the_dictionary() {
+        let codec = ZstdLike::new(3);
+        let dict = b"status=active;region=eu-west-1;".to_vec();
+        // The input repeats the dictionary twice over: its first match
+        // starts in the dictionary and runs on into the output itself.
+        let record = [dict.as_slice(), dict.as_slice(), b"tail"].concat();
+        let compressed = codec.compress_with_dict(&record, &dict);
+        assert!(compressed.len() < record.len() / 2);
+        let mut out = b"already here".to_vec();
+        codec
+            .decompress_with_dict_into(&compressed, &dict, record.len(), &mut out)
+            .unwrap();
+        assert_eq!(out, [b"already here".as_slice(), &record].concat());
+        // Overlapping runs (offset < length) without a dictionary.
+        for run in [b"a".repeat(1000), b"abc".repeat(333), b"ab".repeat(7)] {
+            let mut out = vec![0xEE; 3];
+            codec
+                .decompress_with_dict_into(&codec.compress(&run), &[], usize::MAX, &mut out)
+                .unwrap();
+            assert_eq!(&out[3..], run);
+        }
+    }
+
+    #[test]
+    fn declared_length_is_checked_before_anything_is_sized_from_it() {
+        let codec = ZstdLike::new(3);
+        let data = b"key=value;".repeat(40);
+        let good = codec.compress(&data);
+        let mut out = b"kept".to_vec();
+        assert!(matches!(
+            codec.decompress_with_dict_into(&good, &[], data.len() - 1, &mut out),
+            Err(CodecError::SizeLimitExceeded { declared, limit })
+                if declared == data.len() && limit == data.len() - 1
+        ));
+        // A stream claiming 2^40 bytes it cannot produce is corrupt, not a
+        // terabyte allocation. (`data.len()` = 400 encodes as two varint
+        // bytes, which the forged length replaces.)
+        let mut forged = Vec::new();
+        varint::write_usize(&mut forged, 1 << 40);
+        forged.extend_from_slice(&good[2..]);
+        assert!(matches!(
+            codec.decompress_with_dict_into(&forged, &[], usize::MAX, &mut out),
+            Err(CodecError::Corrupt { .. })
+        ));
+        assert_eq!(out, b"kept", "a failed decode leaves the buffer alone");
     }
 
     #[test]

@@ -9,53 +9,14 @@
 //! process-global, and a second concurrently-running test would pollute the
 //! high-water mark.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use pbc_archive::{CodecSpec, SegmentConfig, SegmentReader};
 use pbc_store::{TierStore, ValueCodec};
 
-struct CountingAllocator;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn on_alloc(size: usize) {
-    let now = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(now, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            on_alloc(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            on_alloc(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-            on_alloc(new_size);
-        }
-        new_ptr
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{CountingAllocator, LIVE, PEAK};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;

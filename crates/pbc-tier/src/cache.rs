@@ -4,7 +4,9 @@
 //! when random access stays cheap through a block-granular cache: a cold
 //! `get` decodes a whole ~64 KiB block anyway, so keeping the decoded block
 //! around makes the next hit on it free. Capacity is accounted in decoded
-//! **bytes**, not block count, so mixed block sizes cannot blow the budget.
+//! **bytes**, not block count, so mixed block sizes cannot blow the budget:
+//! each block is charged its [`DecodedBlock::heap_bytes`] — the flat byte
+//! buffer plus the offsets table, i.e. what the cache really pins.
 //!
 //! # Replacement policy: 2Q
 //!
@@ -32,7 +34,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pbc_archive::Entry;
+use pbc_archive::DecodedBlock;
 use pbc_obs::Counter;
 
 /// Cache key: `(segment id, block index)`.
@@ -58,7 +60,7 @@ const PROBATION_FRACTION: usize = 4;
 
 /// A decoded block kept by the cache.
 struct Slot {
-    entries: Arc<Vec<Entry>>,
+    block: Arc<DecodedBlock>,
     bytes: usize,
     /// Recency tick of the most recent touch; also this slot's key in its
     /// queue's recency index.
@@ -198,15 +200,6 @@ impl std::fmt::Debug for BlockCache {
     }
 }
 
-/// Decoded size a cached block is accounted at: key and value bytes plus a
-/// small per-entry overhead for the vectors themselves.
-pub fn entries_bytes(entries: &[Entry]) -> usize {
-    entries
-        .iter()
-        .map(|(k, v)| k.len() + v.len() + 2 * std::mem::size_of::<Vec<u8>>())
-        .sum()
-}
-
 impl BlockCache {
     /// Create a 2Q cache bounded to `capacity` decoded bytes (0 disables
     /// caching: every get misses and nothing is kept). Counts into
@@ -323,9 +316,9 @@ impl BlockCache {
     /// probationary hit promotes the block to protected (demoting the
     /// protected LRU back to probation if that overflows the protected
     /// budget).
-    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<Entry>>> {
+    pub fn get(&self, key: BlockKey) -> Option<Arc<DecodedBlock>> {
         let mut promoted = false;
-        let entries = {
+        let block = {
             let mut inner = self.inner.lock();
             let tick = inner.next_tick();
             let Some(slot) = inner.map.get_mut(&key) else {
@@ -336,7 +329,7 @@ impl BlockCache {
             let old_tick = slot.tick;
             let was_protected = slot.protected;
             let bytes = slot.bytes;
-            let entries = Arc::clone(&slot.entries);
+            let block = Arc::clone(&slot.block);
             slot.tick = tick;
             match self.policy {
                 _ if was_protected => {
@@ -368,29 +361,34 @@ impl BlockCache {
                     inner.probation.insert(tick, key);
                 }
             }
-            entries
+            block
         };
         self.hits.inc();
         if promoted {
             self.promotions.inc();
         }
-        Some(entries)
+        Some(block)
     }
 
     /// Insert a decoded block, evicting blocks until the byte budget holds
     /// (probation LRU first under 2Q). Blocks larger than the whole
     /// capacity are not cached at all.
-    pub fn insert(&self, key: BlockKey, entries: Arc<Vec<Entry>>) {
-        let bytes = entries_bytes(&entries);
+    pub fn insert(&self, key: BlockKey, block: Arc<DecodedBlock>) {
+        let bytes = block.heap_bytes();
         if bytes > self.capacity {
             return;
         }
-        let mut evicted = 0u64;
+        // Whatever leaves the cache is dropped after the guard is released:
+        // freeing a block (often one another thread allocated) is allocator
+        // work no other lookup should wait behind. The list is sized before
+        // the lock for the same reason; one eviction per admission is the
+        // norm.
+        let mut evicted: Vec<Slot> = Vec::with_capacity(2);
         let mut evicted_probation = 0u64;
-        {
+        let replaced = {
             let mut inner = self.inner.lock();
             // Replacing an existing slot first keeps accounting exact.
-            inner.remove(&key);
+            let replaced = inner.remove(&key);
             let tick = inner.next_tick();
             // 2Q: all admissions are probationary. LRU: straight to the
             // protected queue (one flat recency list, no promotion step).
@@ -405,7 +403,7 @@ impl BlockCache {
             inner.map.insert(
                 key,
                 Slot {
-                    entries,
+                    block,
                     bytes,
                     tick,
                     protected,
@@ -413,27 +411,27 @@ impl BlockCache {
             );
             while inner.total_bytes() > self.capacity {
                 let from_probation = !inner.probation.is_empty();
-                let (&lru_tick, &lru_key) = if from_probation {
+                let (_, &lru_key) = if from_probation {
                     inner.probation.iter().next()
                 } else {
                     inner.protected.iter().next()
                 }
                 // pbc-allow(panic): bytes > 0 implies a resident block in one of the queues
                 .expect("bytes > 0 implies a resident block");
-                let _ = lru_tick;
                 // pbc-allow(panic): the queue indexes and the map are updated together
-                inner.remove(&lru_key).expect("index and map agree");
-                evicted += 1;
+                evicted.push(inner.remove(&lru_key).expect("index and map agree"));
                 evicted_probation += u64::from(from_probation);
             }
-        }
+            replaced
+        };
         self.admissions.inc();
-        if evicted > 0 {
-            self.evictions.add(evicted);
+        if !evicted.is_empty() {
+            self.evictions.add(evicted.len() as u64);
         }
         if evicted_probation > 0 {
             self.probation_evictions.add(evicted_probation);
         }
+        drop((replaced, evicted));
     }
 
     /// Drop every cached block of `segment` (the segment was retired by
@@ -450,7 +448,8 @@ impl BlockCache {
     /// the L1 partitions it pulled in) at a single commit, so its cache
     /// invalidation is one sweep, not one per segment.
     pub fn evict_segments(&self, segments: &[u64]) -> usize {
-        let dropped = {
+        // Collected under the lock, dropped after it (see `insert`).
+        let dropped: Vec<Slot> = {
             let mut inner = self.inner.lock();
             let doomed: Vec<BlockKey> = inner
                 .map
@@ -458,38 +457,47 @@ impl BlockCache {
                 .filter(|(seg, _)| segments.contains(seg))
                 .copied()
                 .collect();
-            for key in &doomed {
+            doomed
+                .iter()
                 // pbc-allow(panic): keys were collected from the map just above
-                inner.remove(key).expect("listed above");
-            }
-            doomed.len()
+                .map(|key| inner.remove(key).expect("listed above"))
+                .collect()
         };
-        if dropped > 0 {
-            self.invalidations.add(dropped as u64);
+        if !dropped.is_empty() {
+            self.invalidations.add(dropped.len() as u64);
         }
-        dropped
+        dropped.len()
     }
 
     /// Drop everything (counters are kept).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.probation.clear();
-        inner.protected.clear();
-        inner.probation_bytes = 0;
-        inner.protected_bytes = 0;
+        // Swapped out under the lock, dropped after it (see `insert`).
+        let dropped = {
+            let mut inner = self.inner.lock();
+            inner.probation.clear();
+            inner.protected.clear();
+            inner.probation_bytes = 0;
+            inner.protected_bytes = 0;
+            std::mem::take(&mut inner.map)
+        };
+        drop(dropped);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbc_archive::BlockCodec;
 
-    fn block(tag: u8, n: usize, value_len: usize) -> Arc<Vec<Entry>> {
+    fn block(tag: u8, n: usize, value_len: usize) -> Arc<DecodedBlock> {
+        let entries: Vec<pbc_archive::Entry> = (0..n)
+            .map(|i| (vec![tag, i as u8], vec![tag; value_len]))
+            .collect();
+        let raw = BlockCodec::Raw.compress_block(&entries);
         Arc::new(
-            (0..n)
-                .map(|i| (vec![tag, i as u8], vec![tag; value_len]))
-                .collect(),
+            BlockCodec::Raw
+                .decompress_block(&raw, n, raw.len())
+                .unwrap(),
         )
     }
 
@@ -499,7 +507,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_byte_capacity() {
-        let one_block = entries_bytes(&block(0, 4, 100));
+        let one_block = block(0, 4, 100).heap_bytes();
         let cache = BlockCache::new(one_block * 2 + 1);
         cache.insert((1, 0), block(1, 4, 100));
         cache.insert((1, 1), block(2, 4, 100));
@@ -552,7 +560,7 @@ mod tests {
         assert!(cache.get((1, 0)).is_none());
         assert!(cache.get((1, 1)).is_none());
         assert!(cache.get((2, 0)).is_some());
-        let survivor = entries_bytes(&block(3, 4, 10));
+        let survivor = block(3, 4, 10).heap_bytes();
         assert_eq!(cache.cached_bytes(), survivor);
         assert_eq!(cache.invalidations(), 2);
         assert_eq!(cache.evictions(), 0, "retirement is not capacity pressure");
@@ -600,7 +608,7 @@ mod tests {
 
     #[test]
     fn capacity_evictions_take_probation_before_protected() {
-        let one_block = entries_bytes(&block(0, 4, 100));
+        let one_block = block(0, 4, 100).heap_bytes();
         let cache = BlockCache::new(one_block * 4);
         // Two promoted (hot) blocks, two one-touch (probationary) blocks.
         cache.insert((1, 0), block(1, 4, 100));
@@ -630,7 +638,7 @@ mod tests {
 
     #[test]
     fn protected_overflow_demotes_its_lru_back_to_probation() {
-        let one_block = entries_bytes(&block(0, 4, 100));
+        let one_block = block(0, 4, 100).heap_bytes();
         // Capacity of 4 blocks → protected budget 3 blocks.
         let cache = BlockCache::new(one_block * 4);
         for b in 0..4usize {
@@ -656,7 +664,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_balances_across_queues_under_churn() {
-        let cache = BlockCache::new(8 * entries_bytes(&block(0, 4, 64)));
+        let cache = BlockCache::new(8 * block(0, 4, 64).heap_bytes());
         for round in 0..6u64 {
             for b in 0..12usize {
                 cache.insert((round, b), block(b as u8, 4, 64));
@@ -680,7 +688,7 @@ mod tests {
 
     #[test]
     fn pure_lru_policy_promotes_nothing_and_scans_evict_hot_blocks() {
-        let one_block = entries_bytes(&block(0, 4, 100));
+        let one_block = block(0, 4, 100).heap_bytes();
         let cache = lru_cache(one_block * 2 + 1);
         cache.insert((1, 0), block(1, 4, 100));
         assert!(cache.get((1, 0)).is_some());

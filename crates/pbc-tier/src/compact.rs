@@ -26,10 +26,9 @@
 
 use std::path::PathBuf;
 
-use pbc_archive::reader::Scan;
 use pbc_archive::{
     entry_size_estimate, select_codec_over_blocks, spread_sample_indices, BlockCodec, CodecSpec,
-    Entry, SegmentConfig, SegmentReader, SegmentSummary, SegmentWriter, WriterObs,
+    Entry, Scan, SegmentConfig, SegmentReader, SegmentSummary, SegmentWriter, WriterObs,
 };
 
 use crate::error::Result;
@@ -72,19 +71,6 @@ pub struct MergeOutcome {
     pub codec: Option<BlockCodec>,
 }
 
-/// One input to the merge, newest first by position in the slice.
-struct MergeSource<'a> {
-    scan: Scan<'a>,
-    current: Option<Entry>,
-}
-
-impl MergeSource<'_> {
-    fn advance(&mut self) -> Result<()> {
-        self.current = self.scan.next().transpose()?;
-        Ok(())
-    }
-}
-
 /// An output partition currently being written.
 struct OpenOutput {
     id: u64,
@@ -113,7 +99,7 @@ fn retrained_codec(readers: &[&SegmentReader], config: &SegmentConfig) -> Result
         let mut remaining = ordinal;
         for reader in readers {
             if remaining < reader.block_count() {
-                samples.push(reader.read_block(remaining)?);
+                samples.push(reader.read_block(remaining)?.to_entries());
                 break;
             }
             remaining -= reader.block_count();
@@ -210,13 +196,10 @@ fn merge_into(
             (spec, trained)
         }
     };
-    let mut sources: Vec<MergeSource<'_>> = readers
-        .iter()
-        .map(|reader| MergeSource {
-            scan: reader.scan(),
-            current: None,
-        })
-        .collect();
+    // Each input is a cursor over flat decoded blocks; heads are compared
+    // and written as borrowed slices, so a shadowed or dropped row is never
+    // copied out of its block.
+    let mut sources: Vec<Scan<'_>> = readers.iter().map(|reader| reader.scan()).collect();
     for source in &mut sources {
         source.advance()?;
     }
@@ -229,74 +212,77 @@ fn merge_into(
         outputs: Vec::new(),
         codec: retrained,
     };
+    // The round's key, copied once into a reused buffer so the holders can
+    // be stepped while it is compared against.
+    let mut min_key: Vec<u8> = Vec::new();
     // Each round: smallest key still pending; the newest source holding it
-    // (lowest rank) wins, every other holder is shadowed. Compare heads by
-    // reference and clone only the winning key.
-    while let Some(min_key) = sources
-        .iter()
-        .filter_map(|s| s.current.as_ref().map(|(k, _)| k.as_slice()))
-        .min()
-        .map(|k| k.to_vec())
-    {
-        let mut winner: Option<Vec<u8>> = None;
-        for source in sources.iter_mut() {
-            if source.current.as_ref().is_some_and(|(k, _)| *k == min_key) {
-                // pbc-allow(panic): key equality with min_key was checked in this iteration
-                let (_, value) = source.current.take().expect("matched above");
-                if winner.is_none() {
-                    winner = Some(value);
-                } else {
-                    outcome.shadowed_dropped += 1;
+    // (lowest rank — the comparison is strict, so the first holder stays)
+    // wins, every other holder is shadowed.
+    loop {
+        let mut winner: Option<(usize, &[u8], &[u8])> = None;
+        for (i, source) in sources.iter().enumerate() {
+            if let Some((key, value)) = source.current() {
+                if winner.is_none_or(|(_, best, _)| key < best) {
+                    winner = Some((i, key, value));
                 }
-                source.advance()?;
             }
         }
-        // pbc-allow(panic): min_key was taken from one of the sources this round
-        let value = winner.expect("min key came from some source");
-        let tombstone = is_tombstone(&value);
+        let Some((winner, key, value)) = winner else {
+            break;
+        };
+        min_key.clear();
+        min_key.extend_from_slice(key);
+        let tombstone = is_tombstone(value);
         if tombstone && drop_tombstones {
             outcome.tombstones_dropped += 1;
-            continue;
-        }
-        // Roll to a new partition once the boundary is reached; the key
-        // stream is sorted, so consecutive outputs cover disjoint ranges.
-        if let (Some(limit), Some(current)) = (split_bytes, open.as_mut()) {
-            if current.estimated_bytes >= limit {
-                // pbc-allow(panic): open was matched Some in the tuple pattern above
-                let finished = open.take().expect("checked above");
-                outputs.push(finish_or_remove(finished)?);
-            }
-        }
-        let current = match open.as_mut() {
-            Some(current) => current,
-            None => {
-                let (id, file_name, path) = next_output();
-                let writer = SegmentWriter::create_with_obs(
-                    &path,
-                    SegmentConfig {
-                        codec: codec_spec.clone(),
-                        ..config.clone()
-                    },
-                    writer_obs.clone(),
-                )?;
-                open.insert(OpenOutput {
-                    id,
-                    file_name,
-                    path,
-                    writer,
-                    tombstones_kept: 0,
-                    estimated_bytes: 0,
-                })
-            }
-        };
-        current.estimated_bytes += entry_size_estimate(min_key.len(), value.len()) as u64;
-        if tombstone {
-            current.writer.append_flagged(&min_key, &value)?;
-            current.tombstones_kept += 1;
-            outcome.tombstones_kept += 1;
         } else {
-            current.writer.append(&min_key, &value)?;
-            outcome.live_entries += 1;
+            // Roll to a new partition once the boundary is reached; the key
+            // stream is sorted, so consecutive outputs cover disjoint ranges.
+            if split_bytes.is_some_and(|limit| {
+                open.as_ref()
+                    .is_some_and(|current| current.estimated_bytes >= limit)
+            }) {
+                if let Some(finished) = open.take() {
+                    outputs.push(finish_or_remove(finished)?);
+                }
+            }
+            let current = match open.as_mut() {
+                Some(current) => current,
+                None => {
+                    let (id, file_name, path) = next_output();
+                    let writer = SegmentWriter::create_with_obs(
+                        &path,
+                        SegmentConfig {
+                            codec: codec_spec.clone(),
+                            ..config.clone()
+                        },
+                        writer_obs.clone(),
+                    )?;
+                    open.insert(OpenOutput {
+                        id,
+                        file_name,
+                        path,
+                        writer,
+                        tombstones_kept: 0,
+                        estimated_bytes: 0,
+                    })
+                }
+            };
+            current.estimated_bytes += entry_size_estimate(key.len(), value.len()) as u64;
+            if tombstone {
+                current.writer.append_flagged(key, value)?;
+                current.tombstones_kept += 1;
+                outcome.tombstones_kept += 1;
+            } else {
+                current.writer.append(key, value)?;
+                outcome.live_entries += 1;
+            }
+        }
+        for (i, source) in sources.iter_mut().enumerate() {
+            if source.current().is_some_and(|(k, _)| k == min_key) {
+                outcome.shadowed_dropped += u64::from(i != winner);
+                source.advance()?;
+            }
         }
     }
     if let Some(finished) = open.take() {

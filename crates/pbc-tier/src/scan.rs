@@ -46,11 +46,11 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pbc_archive::Entry;
+use pbc_archive::DecodedBlock;
 use pbc_obs::Timer;
 
 use crate::error::Result;
-use crate::store::{ColdList, ColdSegment, TierInner};
+use crate::store::{decode_marked, ColdList, ColdSegment, TierInner};
 
 /// One key with its resolved value; `None` marks a tombstone.
 type Versioned = (Vec<u8>, Option<Vec<u8>>);
@@ -68,7 +68,8 @@ fn beyond_end(key: &[u8], end: &Bound<Vec<u8>>) -> bool {
 /// `[start, end]`, feeding footer-selected candidate blocks through the
 /// store's block cache one at a time. Collapses consecutive duplicate
 /// keys within the segment to the **last** occurrence (later appends
-/// win), matching point-lookup semantics.
+/// win), matching point-lookup semantics. The current entry is borrowed
+/// from its flat decoded block; nothing is copied until the merge takes it.
 struct ColdCursor<'a> {
     inner: &'a TierInner,
     segment: Arc<ColdSegment>,
@@ -78,15 +79,21 @@ struct ColdCursor<'a> {
     /// Candidate blocks not yet fetched (footer-index selected).
     blocks: std::ops::Range<usize>,
     /// The decoded block currently being drained (shared with the cache).
-    entries: Option<Arc<Vec<Entry>>>,
+    block: Option<Arc<DecodedBlock>>,
+    /// Next undrained record of `block`.
     next: usize,
     /// Inclusive lower bound, applied inside the first fetched block.
     start: Vec<u8>,
     /// Inclusive upper *superset* bound; the merge loop enforces the
     /// exact (possibly exclusive) bound.
     end: Option<Vec<u8>>,
-    /// One-entry lookahead for last-wins duplicate collapsing.
-    lookahead: Option<Entry>,
+    /// Index of the current entry (duplicates collapsed) — in `held` when
+    /// that is set, in `block` otherwise. `None` before the first
+    /// [`ColdCursor::advance`] and once the cursor is exhausted.
+    head: Option<usize>,
+    /// The previous block, kept only while the current entry is its last
+    /// record and the cursor has already moved on to look past it.
+    held: Option<Arc<DecodedBlock>>,
     exhausted: bool,
     /// Disk decodes performed on this scan's behalf, shared across all of
     /// the scan's cursors (reported in its close trace event).
@@ -96,6 +103,7 @@ struct ColdCursor<'a> {
 impl<'a> ColdCursor<'a> {
     /// Open a cursor, consulting the segment's footer index once to
     /// select the candidate blocks (counted in `scan_segments_opened`).
+    /// It starts before its first entry: call [`ColdCursor::advance`].
     fn open(
         inner: &'a TierInner,
         segment: Arc<ColdSegment>,
@@ -111,85 +119,88 @@ impl<'a> ColdCursor<'a> {
             segment,
             generation,
             blocks,
-            entries: None,
+            block: None,
             next: 0,
             start: start.to_vec(),
             end: end.map(|e| e.to_vec()),
-            lookahead: None,
+            head: None,
+            held: None,
             exhausted: false,
             decoded_blocks,
         })
     }
 
-    /// The next raw in-range entry (marker still encoded), or `None` when
-    /// the cursor ran past its blocks or its upper bound.
-    fn next_raw(&mut self) -> Result<Option<Entry>> {
-        if self.exhausted {
-            return Ok(None);
-        }
-        loop {
-            if let Some(entries) = &self.entries {
-                if self.next < entries.len() {
-                    let entry = entries[self.next].clone();
-                    self.next += 1;
-                    if self.end.as_ref().is_some_and(|e| entry.0 > *e) {
-                        self.exhausted = true;
-                        return Ok(None);
-                    }
-                    return Ok(Some(entry));
-                }
+    /// Put `next` on an in-range record, fetching blocks as needed;
+    /// `false` once the cursor ran past its blocks or its upper bound.
+    fn seek(&mut self) -> Result<bool> {
+        while !self.exhausted {
+            if let Some(block) = self.block.as_ref().filter(|b| self.next < b.len()) {
+                self.exhausted = self
+                    .end
+                    .as_deref()
+                    .is_some_and(|end| block.key(self.next) > end);
+                return Ok(!self.exhausted);
             }
-            if self.blocks.is_empty() {
+            let Some(index) = self.blocks.next() else {
                 self.exhausted = true;
-                return Ok(None);
-            }
-            let block = self.blocks.start;
-            self.blocks.start += 1;
-            let (entries, decoded) =
+                break;
+            };
+            let (block, from_disk) =
                 self.inner
-                    .scan_block(&self.segment, block, self.generation)?;
-            if decoded {
+                    .scan_block(&self.segment, index, self.generation)?;
+            if from_disk {
                 self.decoded_blocks.fetch_add(1, Ordering::Relaxed);
             }
             // Only the first candidate block can hold keys below the
             // lower bound; for every later block this skip is 0.
-            self.next = entries.partition_point(|(k, _)| k.as_slice() < self.start.as_slice());
-            self.entries = Some(entries);
+            self.next = block.lower_bound(&self.start);
+            self.block = Some(block);
         }
+        Ok(false)
     }
 
-    /// The next in-range key with its resolved value (`None` =
-    /// tombstone), duplicates collapsed last-wins.
-    fn next_versioned(&mut self) -> Result<Option<Versioned>> {
-        let head = match self.lookahead.take() {
-            Some(entry) => Some(entry),
-            None => self.next_raw()?,
-        };
-        let Some(mut head) = head else {
-            return Ok(None);
-        };
-        loop {
-            match self.next_raw()? {
-                Some(next) if next.0 == head.0 => head = next, // later append wins
-                other => {
-                    self.lookahead = other;
-                    break;
-                }
+    /// Step to the next in-range key, duplicates collapsed last-wins.
+    fn advance(&mut self) -> Result<()> {
+        self.head = None;
+        while self.seek()? {
+            self.held = None;
+            let Some(block) = &self.block else { break };
+            // The run of duplicates inside this block: its last one wins.
+            let mut idx = self.next;
+            while idx + 1 < block.len() && block.key(idx + 1) == block.key(idx) {
+                idx += 1;
+            }
+            self.next = idx + 1;
+            self.head = Some(idx);
+            if self.next < block.len() {
+                return Ok(());
+            }
+            // The run reached the block's last record, so it may carry on
+            // in the next block: keep this one alive and look.
+            let held = Arc::clone(block);
+            let carries_on = self.seek()?
+                && self
+                    .block
+                    .as_ref()
+                    .is_some_and(|next| next.key(self.next) == held.key(idx));
+            if !carries_on {
+                self.held = Some(held);
+                return Ok(());
             }
         }
-        let (key, stored) = head;
-        let value = crate::store::decode_marked(&stored)?;
-        Ok(Some((key, value)))
+        Ok(())
+    }
+
+    /// The current entry (stored value, marker still encoded), borrowed.
+    fn head(&self) -> Option<(&[u8], &[u8])> {
+        let idx = self.head?;
+        let block = self.held.as_ref().or(self.block.as_ref())?;
+        Some((block.key(idx), block.value(idx)))
     }
 }
 
-/// One ranked merge input with its current head entry.
-struct Source<'a> {
-    current: Option<Versioned>,
-    kind: SourceKind<'a>,
-}
-
-enum SourceKind<'a> {
+/// One ranked merge input, positioned on its current head entry.
+enum Source<'a> {
     /// The hot-tier snapshot: presorted, unique, bounded, with values
     /// still codec-encoded — each is decoded only when the merge actually
     /// reaches it, so an early-terminated scan decodes only what it
@@ -197,10 +208,14 @@ enum SourceKind<'a> {
     Hot {
         inner: &'a TierInner,
         iter: std::vec::IntoIter<Versioned>,
+        current: Option<Versioned>,
     },
     /// A presorted, unique, bounded in-memory snapshot whose values are
     /// already decoded (the staging area stores plain bytes).
-    Mem(std::vec::IntoIter<Versioned>),
+    Mem {
+        iter: std::vec::IntoIter<Versioned>,
+        current: Option<Versioned>,
+    },
     /// One L0 segment's cursor.
     Cold(ColdCursor<'a>),
     /// The covering L1 partitions, opened lazily in ascending order
@@ -219,15 +234,48 @@ enum SourceKind<'a> {
 }
 
 impl Source<'_> {
+    /// Key of the head entry; `None` once the source is drained.
+    fn key(&self) -> Option<&[u8]> {
+        match self {
+            Source::Hot { current, .. } | Source::Mem { current, .. } => {
+                current.as_ref().map(|(key, _)| key.as_slice())
+            }
+            Source::Cold(cursor) => cursor.head().map(|(key, _)| key),
+            Source::Chain { cursor, .. } => {
+                cursor.as_ref().and_then(|c| c.head()).map(|(key, _)| key)
+            }
+        }
+    }
+
+    /// Materialise the head entry — the one place a cold row is copied out
+    /// of its block, so rows shadowed by a newer source never are.
+    fn take(&mut self) -> Result<Option<Versioned>> {
+        let cursor = match self {
+            Source::Hot { current, .. } | Source::Mem { current, .. } => return Ok(current.take()),
+            Source::Cold(cursor) => Some(&*cursor),
+            Source::Chain { cursor, .. } => cursor.as_ref(),
+        };
+        cursor
+            .and_then(|c| c.head())
+            .map(|(key, stored)| Ok((key.to_vec(), decode_marked(stored)?)))
+            .transpose()
+    }
+
     fn advance(&mut self) -> Result<()> {
-        self.current = match &mut self.kind {
-            SourceKind::Hot { inner, iter } => match iter.next() {
-                Some((key, Some(stored))) => Some((key, Some(inner.decode_hot(&stored)?))),
-                other => other,
-            },
-            SourceKind::Mem(iter) => iter.next(),
-            SourceKind::Cold(cursor) => cursor.next_versioned()?,
-            SourceKind::Chain {
+        match self {
+            Source::Hot {
+                inner,
+                iter,
+                current,
+            } => {
+                *current = match iter.next() {
+                    Some((key, Some(stored))) => Some((key, Some(inner.decode_hot(&stored)?))),
+                    other => other,
+                };
+            }
+            Source::Mem { iter, current } => *current = iter.next(),
+            Source::Cold(cursor) => cursor.advance()?,
+            Source::Chain {
                 inner,
                 generation,
                 pending,
@@ -237,26 +285,25 @@ impl Source<'_> {
                 decoded_blocks,
             } => loop {
                 if let Some(open) = cursor {
-                    if let Some(versioned) = open.next_versioned()? {
-                        break Some(versioned);
+                    open.advance()?;
+                    if open.head().is_some() {
+                        break;
                     }
                     *cursor = None;
                 }
-                match pending.pop_front() {
-                    Some(segment) => {
-                        *cursor = Some(ColdCursor::open(
-                            inner,
-                            segment,
-                            *generation,
-                            start,
-                            end.as_deref(),
-                            Arc::clone(decoded_blocks),
-                        )?);
-                    }
-                    None => break None,
-                }
+                let Some(segment) = pending.pop_front() else {
+                    break;
+                };
+                *cursor = Some(ColdCursor::open(
+                    inner,
+                    segment,
+                    *generation,
+                    start,
+                    end.as_deref(),
+                    Arc::clone(decoded_blocks),
+                )?);
             },
-        };
+        }
         Ok(())
     }
 }
@@ -332,35 +379,30 @@ impl<'a> RangeScan<'a> {
         let mut cold_sources = 0usize;
         let mut sources: Vec<Source<'a>> = Vec::new();
         if !hot.is_empty() {
-            sources.push(Source {
+            sources.push(Source::Hot {
+                inner,
+                iter: hot.into_iter(),
                 current: None,
-                kind: SourceKind::Hot {
-                    inner,
-                    iter: hot.into_iter(),
-                },
             });
         }
         if !staged.is_empty() {
-            sources.push(Source {
+            sources.push(Source::Mem {
+                iter: staged.into_iter(),
                 current: None,
-                kind: SourceKind::Mem(staged.into_iter()),
             });
         }
         // L0 newest first: every intersecting segment gets its own cursor
         // (they may overlap each other, so all must be merged at once).
         for segment in pinned.l0.iter().filter(|s| intersects(s)) {
             cold_sources += 1;
-            sources.push(Source {
-                current: None,
-                kind: SourceKind::Cold(ColdCursor::open(
-                    inner,
-                    Arc::clone(segment),
-                    generation,
-                    &start,
-                    end_superset,
-                    Arc::clone(&decoded_blocks),
-                )?),
-            });
+            sources.push(Source::Cold(ColdCursor::open(
+                inner,
+                Arc::clone(segment),
+                generation,
+                &start,
+                end_superset,
+                Arc::clone(&decoded_blocks),
+            )?));
         }
         // L1: the covering run, located by binary search and chained in
         // ascending order — partitions are disjoint, so later ones are
@@ -376,17 +418,14 @@ impl<'a> RangeScan<'a> {
             .collect();
         if !covering.is_empty() {
             cold_sources += covering.len();
-            sources.push(Source {
-                current: None,
-                kind: SourceKind::Chain {
-                    inner,
-                    generation,
-                    pending: covering,
-                    cursor: None,
-                    start: start.clone(),
-                    end: end_superset.map(|e| e.to_vec()),
-                    decoded_blocks: Arc::clone(&decoded_blocks),
-                },
+            sources.push(Source::Chain {
+                inner,
+                generation,
+                pending: covering,
+                cursor: None,
+                start: start.clone(),
+                end: end_superset.map(|e| e.to_vec()),
+                decoded_blocks: Arc::clone(&decoded_blocks),
             });
         }
         let timer = inner.note_scan_opened(cold_sources);
@@ -415,6 +454,51 @@ impl<'a> RangeScan<'a> {
     }
 }
 
+impl RangeScan<'_> {
+    /// The next live row, or `None` once every source is drained or the
+    /// smallest pending key passed the end bound.
+    fn next_row(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        loop {
+            // The first source holding the smallest current key. Sources
+            // are ordered by precedence and the comparison is strict, so
+            // this is the lowest-ranked (newest) holder — the winner.
+            // Compare by reference; nothing is cloned to find it.
+            let mut winner: Option<(usize, &[u8])> = None;
+            for (i, source) in self.sources.iter().enumerate() {
+                if let Some(key) = source.key() {
+                    if winner.is_none_or(|(_, best)| key < best) {
+                        winner = Some((i, key));
+                    }
+                }
+            }
+            let Some((idx, key)) = winner else {
+                return Ok(None);
+            };
+            if beyond_end(key, &self.end) {
+                return Ok(None);
+            }
+            // Only the winner's row is materialised; every other holder of
+            // the same key carries a shadowed version and is stepped past
+            // without its row ever being copied.
+            let taken = self.sources[idx].take()?;
+            self.sources[idx].advance()?;
+            let Some((key, value)) = taken else {
+                continue;
+            };
+            for (i, source) in self.sources.iter_mut().enumerate() {
+                if i != idx && source.key() == Some(key.as_slice()) {
+                    source.advance()?;
+                }
+            }
+            // A winning tombstone deletes the key from the scan.
+            if let Some(value) = value {
+                self.rows += 1;
+                return Ok(Some((key, value)));
+            }
+        }
+    }
+}
+
 impl Iterator for RangeScan<'_> {
     type Item = Result<(Vec<u8>, Vec<u8>)>;
 
@@ -422,65 +506,10 @@ impl Iterator for RangeScan<'_> {
         if self.done {
             return None;
         }
-        loop {
-            // The first source holding the smallest current key. Sources
-            // are ordered by precedence and the comparison is strict, so
-            // this is the lowest-ranked (newest) holder — the winner.
-            // Compare by reference; nothing is cloned to find it.
-            let mut winner_idx: Option<usize> = None;
-            for i in 0..self.sources.len() {
-                let Some((key, _)) = &self.sources[i].current else {
-                    continue;
-                };
-                let better = match winner_idx {
-                    None => true,
-                    Some(j) => {
-                        // pbc-allow(panic): sources with exhausted heads are skipped before selection
-                        let (best, _) = self.sources[j].current.as_ref().expect("tracked head");
-                        key < best
-                    }
-                };
-                if better {
-                    winner_idx = Some(i);
-                }
-            }
-            let Some(idx) = winner_idx else {
-                self.done = true;
-                return None;
-            };
-            // pbc-allow(panic): winner_idx tracks only sources with a live head
-            let (key, value) = self.sources[idx].current.take().expect("tracked head");
-            if beyond_end(&key, &self.end) {
-                self.done = true;
-                return None;
-            }
-            if let Err(e) = self.sources[idx].advance() {
-                self.done = true;
-                return Some(Err(e));
-            }
-            // Every other holder of the same key carries a shadowed
-            // version; advance past it.
-            for (i, source) in self.sources.iter_mut().enumerate() {
-                if i == idx {
-                    continue;
-                }
-                if source.current.as_ref().is_some_and(|(k, _)| *k == key) {
-                    source.current = None;
-                    if let Err(e) = source.advance() {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                }
-            }
-            match value {
-                Some(value) => {
-                    self.rows += 1;
-                    return Some(Ok((key, value)));
-                }
-                // A winning tombstone deletes the key from the scan.
-                None => continue,
-            }
-        }
+        let row = self.next_row().transpose();
+        // The first error, like the end of the range, ends the scan.
+        self.done = !matches!(row, Some(Ok(_)));
+        row
     }
 }
 

@@ -52,7 +52,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 use parking_lot::{Mutex, RwLock};
-use pbc_archive::{select_codec_over_blocks, BlockCodec, CodecSpec, Entry, SegmentReader};
+use pbc_archive::{
+    select_codec_over_blocks, BlockCodec, CodecSpec, DecodedBlock, Entry, SegmentReader,
+};
 use pbc_obs::{Event, MetricsRegistry, TraceEvent};
 use pbc_store::TierStore;
 use pbc_wal::{CheckpointSummary, RecoveryReport, ReplayOp, Wal, WalConfig, WalStats};
@@ -1325,8 +1327,8 @@ impl TierInner {
             // Duplicate keys may straddle block borders; newest-wins means
             // scanning candidates back to front.
             for block in segment.reader.candidate_blocks_for_key(key)?.rev() {
-                let entries = self.cached_block(segment, block, probes)?;
-                if let Some(stored) = find_last(&entries, key) {
+                let decoded = self.cached_block(segment, block, probes)?;
+                if let Some(stored) = decoded.find_last(key) {
                     return decode_marked(stored);
                 }
             }
@@ -1336,8 +1338,8 @@ impl TierInner {
             if partition.min_key.as_slice() <= key {
                 probes.segments += 1;
                 for block in partition.reader.candidate_blocks_for_key(key)?.rev() {
-                    let entries = self.cached_block(partition, block, probes)?;
-                    if let Some(stored) = find_last(&entries, key) {
+                    let decoded = self.cached_block(partition, block, probes)?;
+                    if let Some(stored) = decoded.find_last(key) {
                         return decode_marked(stored);
                     }
                 }
@@ -1443,32 +1445,32 @@ impl TierInner {
 
     /// The one cache read-through path: look the block up, decode it from
     /// disk on a miss, and publish it to the cache when `publish` is set.
-    /// Returns the entries and whether a disk decode happened.
+    /// Returns the block and whether a disk decode happened.
     fn lookup_or_decode_block(
         &self,
         segment: &ColdSegment,
         block: usize,
         publish: bool,
-    ) -> Result<(Arc<Vec<Entry>>, bool)> {
+    ) -> Result<(Arc<DecodedBlock>, bool)> {
         let cache_key = (segment.id, block);
-        if let Some(entries) = self.cache.get(cache_key) {
-            return Ok((entries, false));
+        if let Some(decoded) = self.cache.get(cache_key) {
+            return Ok((decoded, false));
         }
         // Fetch latency is miss-path only: a hit costs one map lookup and
         // timing it would drown the histogram in nanosecond noise.
-        let entries = {
+        let decoded = {
             let _timer = self.obs.cache_fetch_ns.start_timer();
             Arc::new(segment.reader.read_block(block)?)
         };
         if publish {
-            self.cache.insert(cache_key, Arc::clone(&entries));
+            self.cache.insert(cache_key, Arc::clone(&decoded));
         }
-        Ok((entries, true))
+        Ok((decoded, true))
     }
 
     /// Fetch one decoded block for a range scan pinned at
     /// `pinned_generation`, consulting the cache first and counting disk
-    /// decodes toward the scan gauges; returns the entries and whether a
+    /// decodes toward the scan gauges; returns the block and whether a
     /// disk decode happened (so the scan can count its own decodes for
     /// its close event). Decoded blocks are published to the cache only
     /// while the pinned snapshot is still the live one: once a commit
@@ -1480,16 +1482,14 @@ impl TierInner {
         segment: &ColdSegment,
         block: usize,
         pinned_generation: u64,
-    ) -> Result<(Arc<Vec<Entry>>, bool)> {
+    ) -> Result<(Arc<DecodedBlock>, bool)> {
         let live = self.generation.load(Ordering::Relaxed) == pinned_generation;
-        let (entries, decoded) = self.lookup_or_decode_block(segment, block, live)?;
-        if decoded {
+        let (decoded, from_disk) = self.lookup_or_decode_block(segment, block, live)?;
+        if from_disk {
             self.obs.scan_blocks_decoded.inc();
-            self.obs
-                .scan_bytes_decoded
-                .add(crate::cache::entries_bytes(&entries) as u64);
+            self.obs.scan_bytes_decoded.add(decoded.heap_bytes() as u64);
         }
-        Ok((entries, decoded))
+        Ok((decoded, from_disk))
     }
 
     /// Fetch one decoded block for a point lookup, consulting the cache
@@ -1499,13 +1499,13 @@ impl TierInner {
         segment: &ColdSegment,
         block: usize,
         probes: &mut BlockProbes,
-    ) -> Result<Arc<Vec<Entry>>> {
+    ) -> Result<Arc<DecodedBlock>> {
         probes.probed += 1;
-        let (entries, decoded) = self.lookup_or_decode_block(segment, block, true)?;
-        if decoded {
+        let (decoded, from_disk) = self.lookup_or_decode_block(segment, block, true)?;
+        if from_disk {
             probes.missed = true;
         }
-        Ok(entries)
+        Ok(decoded)
     }
 
     /// Spill if the hot tier crossed the watermark: evict the coldest
@@ -2332,20 +2332,6 @@ fn locate_run(list: &[Arc<ColdSegment>], inputs: &[u64]) -> Option<std::ops::Ran
         .zip(inputs)
         .all(|(s, &id)| s.id == id)
         .then_some(start..end)
-}
-
-/// Find the value of the **last** entry with `key` in a sorted block.
-fn find_last<'a>(entries: &'a [Entry], key: &[u8]) -> Option<&'a [u8]> {
-    let start = entries.partition_point(|(k, _)| k.as_slice() < key);
-    let mut hit = None;
-    for (k, v) in &entries[start..] {
-        if k.as_slice() == key {
-            hit = Some(v.as_slice());
-        } else {
-            break;
-        }
-    }
-    hit
 }
 
 #[cfg(test)]

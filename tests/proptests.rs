@@ -3,7 +3,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use pbc::archive::{ArchiveError, CodecSpec, SegmentConfig, SegmentReader, SegmentWriter};
+use pbc::archive::codec::serialized_len;
+use pbc::archive::{
+    build_codec, ArchiveError, CodecSpec, Entry, SegmentConfig, SegmentReader, SegmentWriter,
+};
 use pbc::codecs::traits::{Codec, TrainableCodec};
 use pbc::codecs::{huffman, varint, FsstCodec, Lz4Like, LzmaLike, SnappyLike, ZstdLike};
 use pbc::core::matching::{match_record, reassemble};
@@ -283,6 +286,89 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------- flat decoded blocks ----------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn every_codec_decodes_a_block_to_exactly_its_entries(
+        entries in arb_block(),
+        probe in arb_block_key(),
+    ) {
+        let raw_len = serialized_len(&entries);
+        for spec in segment_codecs() {
+            let codec = build_codec(&spec, &entries);
+            let block = codec.compress_block(&entries);
+            let decoded = codec.decompress_block(&block, entries.len(), raw_len).unwrap();
+            prop_assert_eq!(decoded.len(), entries.len());
+            prop_assert_eq!(decoded.to_entries(), entries.clone(), "{}", codec.name());
+            // The sorted-key lookup agrees with a linear last-wins scan, for
+            // every key in the block and for one that may be absent.
+            for key in entries.iter().map(|(k, _)| k).chain([&probe]) {
+                let linear = entries.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.as_slice());
+                prop_assert_eq!(decoded.find_last(key), linear, "{}", codec.name());
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_blocks_decode_to_a_typed_error_or_a_block_never_a_panic(
+        entries in arb_block(),
+        cut_seed in any::<u64>(),
+        flip_seed in any::<u64>(),
+        flip_bit in 0u8..8,
+    ) {
+        let raw_len = serialized_len(&entries);
+        for spec in segment_codecs() {
+            let codec = build_codec(&spec, &entries);
+            let block = codec.compress_block(&entries);
+            if block.is_empty() {
+                continue;
+            }
+            let mut truncated = block.clone();
+            truncated.truncate((cut_seed % block.len() as u64) as usize);
+            let mut flipped = block.clone();
+            flipped[(flip_seed % block.len() as u64) as usize] ^= 1 << flip_bit;
+            for damaged in [truncated, flipped] {
+                // Damage may go unnoticed (a flipped value byte decodes
+                // fine); what it may not do is panic or escape the type.
+                match codec.decompress_block(&damaged, entries.len(), raw_len) {
+                    Ok(decoded) => prop_assert_eq!(decoded.len(), entries.len()),
+                    Err(e) => { let _: ArchiveError = e; }
+                }
+            }
+        }
+    }
+}
+
+/// A block as the tier writes them: keys ascending (from a tiny alphabet,
+/// so duplicates and the empty key are common), values empty or prefixed
+/// with the tier's live/tombstone marker byte.
+fn arb_block() -> impl Strategy<Value = Vec<Entry>> {
+    let value = prop_oneof![
+        Just(Vec::new()),
+        Just(vec![1u8]), // the tier's bare tombstone marker
+        vec(any::<u8>(), 0..48).prop_map(|mut body| {
+            body.insert(0, 0); // the tier's live marker, then the value
+            body
+        }),
+        "[a-z]{3}=[0-9]{1,6};status=ok;region=[a-c]{1,2}".prop_map(|text| {
+            let mut stored = vec![0u8];
+            stored.extend_from_slice(text.as_bytes());
+            stored
+        }),
+    ];
+    vec((arb_block_key(), value), 0..40).prop_map(|mut entries| {
+        entries.sort_by(|a, b| a.0.cmp(&b.0)); // stable: duplicates keep their order
+        entries
+    })
+}
+
+fn arb_block_key() -> impl Strategy<Value = Vec<u8>> {
+    vec(0u8..3, 0..3)
 }
 
 /// The five codec choices a segment can commit to.

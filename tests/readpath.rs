@@ -7,7 +7,11 @@
 //! * a pinned range scan keeps reading a memory-mapped segment correctly
 //!   after compaction retires and unlinks its file;
 //! * the 2Q block cache keeps a hot point-lookup set ≥90% resident across
-//!   full-keyspace scans, where plain LRU evicts it.
+//!   full-keyspace scans, where plain LRU evicts it;
+//! * two readers churning a cache much smaller than the data (ISSUE 15:
+//!   blocks are shared as flat `Arc<DecodedBlock>`s and evicted ones are
+//!   freed off the cache lock) read correct values and every cold get is
+//!   counted as exactly one hit or one miss.
 
 use std::path::PathBuf;
 
@@ -319,4 +323,57 @@ fn two_q_keeps_hot_set_resident_across_full_keyspace_scans() {
         lru < 0.5,
         "LRU residency {lru:.2}: the scan should have flushed the hot set"
     );
+}
+
+#[test]
+fn two_readers_churning_a_small_cache_read_correctly_and_account_every_get() {
+    const KEYS: usize = 6_000;
+    const GETS_PER_READER: usize = 20_000;
+    let (dir, _guard) = temp_dir("churn");
+    let config = TierConfig::new(&dir)
+        .with_cache_capacity(48 * 1024)
+        .with_segment_config(SegmentConfig {
+            target_block_bytes: 4 * 1024,
+            ..SegmentConfig::default()
+        });
+    let store = TieredStore::open(config).expect("open store");
+    for i in 0..KEYS {
+        store.set(&key(i), &value(i)).expect("set");
+    }
+    store.flush_all().expect("flush");
+    store.compact().expect("compact");
+    assert_eq!(store.hot_len(), 0, "every get below must go cold");
+
+    // Both readers start together and draw different key sequences over
+    // the whole keyspace, so each keeps evicting blocks the other decoded.
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for reader in 0..2u64 {
+            let (store, barrier) = (&store, &barrier);
+            scope.spawn(move || {
+                let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ reader;
+                barrier.wait();
+                for _ in 0..GETS_PER_READER {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    let i = (state >> 33) as usize % KEYS;
+                    assert_eq!(store.get(&key(i)).expect("get"), Some(value(i)));
+                }
+            });
+        }
+    });
+
+    let stats = store.stats();
+    assert_eq!(stats.cold_gets, 2 * GETS_PER_READER as u64);
+    assert_eq!(
+        stats.cold_cache_hits + stats.cold_cache_misses,
+        stats.cold_gets
+    );
+    assert!(
+        stats.cold_cache_misses > stats.cold_gets / 2,
+        "the cache is a fraction of the data, so most gets should miss: {stats:?}"
+    );
+    assert!(store.cache().evictions() > 0);
+    assert!(store.cache().cached_bytes() <= store.cache().capacity());
 }
