@@ -302,7 +302,10 @@ impl Shared {
     /// sane even if that invariant is ever broken.
     fn note_drained(&self, n: usize) {
         if n > 0 {
-            let depth = self.total_depth.fetch_sub(n, Ordering::Relaxed).saturating_sub(n);
+            let depth = self
+                .total_depth
+                .fetch_sub(n, Ordering::Relaxed)
+                .saturating_sub(n);
             self.obs.queue_depth.set(depth as u64);
         }
     }

@@ -26,5 +26,5 @@ pub mod workload;
 
 pub use block::{BlockStore, PerRecordStore};
 pub use engine::{StoreError, ValueCodec};
-pub use store::{RangeEntry, ShardDrain, TierStore};
+pub use store::{Lookup, RangeEntry, RangeSnapshot, TierStore};
 pub use workload::{WorkloadReport, WorkloadSpec};

@@ -6,15 +6,20 @@
 //! accounting counts stored key and value bytes, which is what Table 8's
 //! "Memory Usage (%)" compares across codecs.
 //!
-//! Beyond the paper's experiment, the store exposes the hooks a tiered
-//! engine (`pbc-tier`) needs to spill cold shards to `pbc-archive` segments:
-//! per-shard byte accounting and last-access epochs (for LRU shard
-//! selection), [`TierStore::take_shard`] (drain a shard's decoded entries
-//! plus its tombstones), and tombstone tracking so deletes of already-
-//! spilled keys stay observable until they reach a segment themselves.
+//! Beyond the paper's experiment, the store is the hot tier of `pbc-tier`.
+//! Each shard is one map from key to slot — a live (encoded) value or a
+//! tombstone — so "stored and tombstoned at once" cannot be represented,
+//! and every transition a tiered engine needs is one step under one lock:
+//! [`TierStore::set`] (a live value replaces anything),
+//! [`TierStore::tombstone`] (a delete that keeps shadowing colder copies),
+//! [`TierStore::restore`] (put back only what nothing newer has replaced),
+//! [`TierStore::take_shard`] (drain for a spill) and
+//! [`TierStore::range_snapshot_encoded`] (the sorted cut a range scan
+//! merges). Per-shard byte accounting and last-access epochs drive LRU
+//! shard selection.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,80 +30,129 @@ use crate::engine::{StoreError, ValueCodec};
 /// Number of shards (power of two).
 const SHARDS: usize = 16;
 
-/// One shard's map plus its byte accounting. The accounting lives inside
-/// the lock so [`TierStore::take_shard`] can drain and zero it atomically
-/// with respect to concurrent writers.
+/// What a shard holds for one key.
+enum Slot {
+    /// The codec-encoded value.
+    Live(Vec<u8>),
+    /// Deleted here while colder storage may still hold an older version.
+    Tombstone,
+}
+
+impl Slot {
+    /// The encoded value, `None` for a tombstone.
+    fn encoded(&self) -> Option<&Vec<u8>> {
+        match self {
+            Slot::Live(stored) => Some(stored),
+            Slot::Tombstone => None,
+        }
+    }
+}
+
+/// What [`TierStore::lookup`] found for a key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lookup {
+    /// The key is stored; this is its decoded value.
+    Live(Vec<u8>),
+    /// The key was deleted here, and the delete shadows colder copies.
+    Tombstone,
+    /// This store holds nothing for the key.
+    Absent,
+}
+
+/// One shard's slots plus their byte accounting. The accounting lives
+/// inside the lock so [`TierStore::take_shard`] can drain and zero it
+/// atomically with respect to concurrent writers.
 #[derive(Default)]
 struct ShardState {
-    map: HashMap<Vec<u8>, Vec<u8>>,
+    slots: HashMap<Vec<u8>, Slot>,
+    /// How many slots are live; the rest are tombstones.
+    live_keys: usize,
     stored_value_bytes: u64,
     stored_key_bytes: u64,
+    tombstone_bytes: u64,
 }
 
-/// Tombstones recorded for a shard: keys deleted while (possibly) still
-/// present in colder storage.
 #[derive(Default)]
-struct TombstoneState {
-    set: HashSet<Vec<u8>>,
-    bytes: u64,
-}
-
 struct Shard {
-    // lock-order: store.state < store.tombstones
     state: RwLock<ShardState>,
-    tombstones: RwLock<TombstoneState>,
     /// Epoch of the most recent access (set/get/delete) — the LRU signal
     /// tiered storage uses to pick spill victims.
     last_access: AtomicU64,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            state: RwLock::new(ShardState::default()),
-            tombstones: RwLock::new(TombstoneState::default()),
-            last_access: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Everything [`TierStore::take_shard`] drains out of a shard: decoded
-/// entries and tombstoned keys, both sorted by key.
-#[derive(Debug, Default)]
-pub struct ShardDrain {
-    /// `(key, decoded value)` pairs, sorted by key.
-    pub entries: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Tombstoned keys, sorted.
-    pub tombstones: Vec<Vec<u8>>,
-}
-
-impl ShardDrain {
-    /// Whether the drain carried nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.tombstones.is_empty()
-    }
-
-    /// Live entries drained.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Tombstones drained.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones.len()
-    }
-
-    /// Total records a spill of this drain writes (live + tombstones) —
-    /// the per-spill metadata the tiered store records in its manifest so
-    /// dead-entry ratios stay observable per segment.
-    pub fn record_count(&self) -> usize {
-        self.entries.len() + self.tombstones.len()
-    }
-}
-
-/// One key with its decoded value as reported by
-/// [`TierStore::range_snapshot`]; `None` marks a tombstone.
+/// One key with its decoded value as reported by [`TierStore::take_shard`]
+/// and [`TierStore::range_snapshot`]; `None` marks a tombstone.
 pub type RangeEntry = (Vec<u8>, Option<Vec<u8>>);
+
+/// What [`TierStore::range_snapshot_encoded`] returns: the slots of a key
+/// interval in ascending key order, values still codec-encoded.
+///
+/// Rows are packed back to back in one buffer, so a snapshot costs two
+/// allocations however many rows it holds. A range scan snapshots every
+/// hot row up to the end of its interval and usually reads the first few;
+/// with a `Vec` per key and per value, cloning and freeing the rows it
+/// never read made a scan's cost follow the fill of the hot tier, which
+/// rises and falls with every spill.
+#[derive(Debug, Default)]
+pub struct RangeSnapshot {
+    /// Key, then encoded value, of every row.
+    bytes: Vec<u8>,
+    rows: Vec<SnapshotRow>,
+}
+
+/// Where one row lies in [`RangeSnapshot::bytes`]: the key is
+/// `key..value`, the encoded value `value..end`.
+#[derive(Debug)]
+struct SnapshotRow {
+    key: usize,
+    value: usize,
+    end: usize,
+    /// `false` marks a tombstone (its value range is empty).
+    live: bool,
+}
+
+impl RangeSnapshot {
+    /// Whether the snapshot holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Row `idx` in key order: its key and its encoded value, `None` for a
+    /// tombstone. `None` past the last row.
+    pub fn get(&self, idx: usize) -> Option<(&[u8], Option<&[u8]>)> {
+        self.rows.get(idx).map(|row| self.row(row))
+    }
+
+    /// Every row in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
+        self.rows.iter().map(|row| self.row(row))
+    }
+
+    fn row(&self, row: &SnapshotRow) -> (&[u8], Option<&[u8]>) {
+        let stored = row.live.then(|| &self.bytes[row.value..row.end]);
+        (&self.bytes[row.key..row.value], stored)
+    }
+
+    fn push(&mut self, key: &[u8], slot: &Slot) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(key);
+        let value = self.bytes.len();
+        self.bytes
+            .extend_from_slice(slot.encoded().map_or(&[][..], Vec::as_slice));
+        self.rows.push(SnapshotRow {
+            key: start,
+            value,
+            end: self.bytes.len(),
+            live: slot.encoded().is_some(),
+        });
+    }
+
+    fn sort(&mut self) {
+        let bytes = &self.bytes;
+        self.rows
+            .sort_unstable_by(|a, b| bytes[a.key..a.value].cmp(&bytes[b.key..b.value]));
+    }
+}
 
 /// A TierBase-like sharded key-value store with value compression.
 pub struct TierStore {
@@ -125,7 +179,7 @@ impl std::fmt::Debug for TierStore {
             .field("len", &self.len())
             .field("codec", &self.codec)
             .field("memory_usage_bytes", &self.memory_usage_bytes())
-            .field("tombstones", &self.tombstone_count())
+            .field("tombstone_bytes", &self.tombstone_bytes())
             .finish()
     }
 }
@@ -134,7 +188,7 @@ impl TierStore {
     /// Create a store with the given value codec.
     pub fn new(codec: ValueCodec) -> Self {
         TierStore {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
+            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             codec,
             raw_value_bytes: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
@@ -172,246 +226,175 @@ impl TierStore {
         self.shards[idx].last_access.load(Ordering::Relaxed)
     }
 
-    /// Keys currently stored in shard `idx`.
+    /// Keys currently stored in shard `idx` (tombstones excluded).
     pub fn shard_len(&self, idx: usize) -> usize {
-        self.shards[idx].state.read().map.len()
+        self.shards[idx].state.read().live_keys
     }
 
     /// Stored (compressed) value + key bytes held by shard `idx`, excluding
     /// tombstones.
     pub fn shard_memory_bytes(&self, idx: usize) -> u64 {
-        let state = self.shards[idx].state.read();
-        state.stored_value_bytes + state.stored_key_bytes
+        let shard = self.shards[idx].state.read();
+        shard.stored_value_bytes + shard.stored_key_bytes
+    }
+
+    /// Tombstone bytes held by shard `idx`.
+    pub fn shard_tombstone_bytes(&self, idx: usize) -> u64 {
+        self.shards[idx].state.read().tombstone_bytes
+    }
+
+    /// Put `new` into `key`'s slot (`None` empties it) and return what was
+    /// there. Every mutation goes through here, so this is the one place
+    /// the byte counters move. The global totals update under the shard
+    /// lock the caller holds: they must move in lockstep with the
+    /// per-shard counters, or a racing [`TierStore::take_shard`] (which
+    /// subtracts the per-shard sums under that lock) could transiently
+    /// wrap the u64 totals.
+    fn replace_slot(&self, shard: &mut ShardState, key: &[u8], new: Option<Slot>) -> Option<Slot> {
+        let key_bytes = key.len() as u64;
+        match &new {
+            Some(Slot::Live(stored)) => {
+                let value_bytes = stored.len() as u64;
+                shard.live_keys += 1;
+                shard.stored_key_bytes += key_bytes;
+                shard.stored_value_bytes += value_bytes;
+                self.stored_bytes_total
+                    .fetch_add(key_bytes + value_bytes, Ordering::Relaxed);
+            }
+            Some(Slot::Tombstone) => {
+                shard.tombstone_bytes += key_bytes;
+                self.tombstone_bytes_total
+                    .fetch_add(key_bytes, Ordering::Relaxed);
+            }
+            None => {}
+        }
+        let old = match new {
+            Some(slot) => shard.slots.insert(key.to_vec(), slot),
+            None => shard.slots.remove(key),
+        };
+        match &old {
+            Some(Slot::Live(stored)) => {
+                let value_bytes = stored.len() as u64;
+                shard.live_keys -= 1;
+                shard.stored_key_bytes -= key_bytes;
+                shard.stored_value_bytes -= value_bytes;
+                self.stored_bytes_total
+                    .fetch_sub(key_bytes + value_bytes, Ordering::Relaxed);
+            }
+            Some(Slot::Tombstone) => {
+                shard.tombstone_bytes -= key_bytes;
+                self.tombstone_bytes_total
+                    .fetch_sub(key_bytes, Ordering::Relaxed);
+            }
+            None => {}
+        }
+        old
     }
 
     /// Store a value under a key (Redis `SET`). Returns the stored
-    /// (compressed) size in bytes.
+    /// (compressed) size in bytes. The live value replaces whatever the
+    /// slot held — an older value or a tombstone — in one step, so a
+    /// concurrent [`TierStore::tombstone`] lands wholly before or wholly
+    /// after it and can never be half-erased.
     pub fn set(&self, key: &[u8], value: &[u8]) -> usize {
-        self.set_inner(key, value, false)
-    }
-
-    /// SET that also drops any tombstone for `key`, atomically with the
-    /// insert (both shard locks held together). Tiered callers need the
-    /// pair to be indivisible: insert-then-clear as two steps lets a
-    /// concurrent delete's tombstone land between them and be wrongly
-    /// erased, resurrecting an older cold value.
-    pub fn set_and_clear_tombstone(&self, key: &[u8], value: &[u8]) -> usize {
-        self.set_inner(key, value, true)
-    }
-
-    fn set_inner(&self, key: &[u8], value: &[u8], clear_tombstone: bool) -> usize {
         let encoded = self.codec.encode(value);
         let encoded_len = encoded.len();
         let idx = self.shard_of_key(key);
         {
-            // The global totals update inside the shard lock: they must
-            // move in lockstep with the per-shard counters, or a racing
-            // take_shard (which subtracts the per-shard sums under this
-            // lock) could transiently wrap the u64 totals.
-            let shard = &self.shards[idx];
-            let mut state = shard.state.write();
-            let mut added = encoded_len as u64;
-            match state.map.insert(key.to_vec(), encoded) {
-                Some(old) => {
-                    state.stored_value_bytes -= old.len() as u64;
-                    self.stored_bytes_total
-                        .fetch_sub(old.len() as u64, Ordering::Relaxed);
-                }
-                None => {
-                    state.stored_key_bytes += key.len() as u64;
-                    added += key.len() as u64;
-                }
-            }
-            state.stored_value_bytes += encoded_len as u64;
-            self.stored_bytes_total.fetch_add(added, Ordering::Relaxed);
+            let mut shard = self.shards[idx].state.write();
+            self.replace_slot(&mut shard, key, Some(Slot::Live(encoded)));
             self.raw_value_bytes
                 .fetch_add(value.len() as u64, Ordering::Relaxed);
-            if clear_tombstone {
-                // Lock order state -> tombstones, same as set_if_absent.
-                let mut tombs = shard.tombstones.write();
-                if tombs.set.remove(key) {
-                    tombs.bytes -= key.len() as u64;
-                    self.tombstone_bytes_total
-                        .fetch_sub(key.len() as u64, Ordering::Relaxed);
-                }
-            }
         }
         self.touch(idx);
         encoded_len
     }
 
-    /// Fetch and decompress a value (Redis `GET`).
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+    /// What this store holds for `key`, a live value decompressed.
+    pub fn lookup(&self, key: &[u8]) -> Result<Lookup, StoreError> {
         let idx = self.shard_of_key(key);
-        let stored = self.shards[idx].state.read().map.get(key).cloned();
+        // Only the byte clone happens under the lock; decoding does not.
+        let slot = self.shards[idx]
+            .state
+            .read()
+            .slots
+            .get(key)
+            .map(|slot| slot.encoded().cloned());
         self.touch(idx);
-        match stored {
-            Some(stored) => self.codec.decode(&stored).map(Some),
-            None => Ok(None),
-        }
+        Ok(match slot {
+            Some(Some(stored)) => Lookup::Live(self.codec.decode(&stored)?),
+            Some(None) => Lookup::Tombstone,
+            None => Lookup::Absent,
+        })
     }
 
-    /// Remove a key. Returns whether it existed. (Does **not** record a
-    /// tombstone — callers layering cold storage underneath use
-    /// [`TierStore::record_tombstone`] as well.)
+    /// Fetch and decompress a value (Redis `GET`).
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        Ok(match self.lookup(key)? {
+            Lookup::Live(value) => Some(value),
+            Lookup::Tombstone | Lookup::Absent => None,
+        })
+    }
+
+    /// Remove a stored key, leaving nothing behind. Returns whether it was
+    /// stored. (A tombstone stays: callers layering cold storage
+    /// underneath delete with [`TierStore::tombstone`] instead.)
     pub fn delete(&self, key: &[u8]) -> bool {
         let idx = self.shard_of_key(key);
         let existed = {
-            let mut state = self.shards[idx].state.write();
-            match state.map.remove(key) {
-                Some(old) => {
-                    state.stored_value_bytes -= old.len() as u64;
-                    state.stored_key_bytes -= key.len() as u64;
-                    // Global total moves under the lock, in lockstep with
-                    // the per-shard counters (see set_inner).
-                    self.stored_bytes_total
-                        .fetch_sub((old.len() + key.len()) as u64, Ordering::Relaxed);
-                    true
-                }
-                None => false,
+            let mut shard = self.shards[idx].state.write();
+            let live = matches!(shard.slots.get(key), Some(Slot::Live(_)));
+            if live {
+                self.replace_slot(&mut shard, key, None);
             }
+            live
         };
         self.touch(idx);
         existed
     }
 
-    /// Insert `key` only if it is neither stored nor tombstoned in this
-    /// store. Returns whether the insert happened.
-    ///
-    /// This is the rollback primitive for a failed spill: entries drained
-    /// out of a shard go back in *without* clobbering a write or delete
-    /// that was acknowledged while the spill ran (both of which are newer
-    /// than the drained copy).
-    pub fn set_if_absent(&self, key: &[u8], value: &[u8]) -> bool {
+    /// Delete `key` and keep the delete observable: whatever the slot held
+    /// (a value or nothing) becomes a tombstone in one step, so the value
+    /// is never gone before its tombstone is in place and a reader can
+    /// never fall through to an older copy in colder storage. Returns
+    /// whether the slot changed — `false` means it already was a
+    /// tombstone.
+    pub fn tombstone(&self, key: &[u8]) -> bool {
         let idx = self.shard_of_key(key);
-        let shard = &self.shards[idx];
-        let mut state = shard.state.write();
-        if state.map.contains_key(key) || shard.tombstones.read().set.contains(key) {
-            return false;
-        }
-        let encoded = self.codec.encode(value);
-        state.stored_key_bytes += key.len() as u64;
-        state.stored_value_bytes += encoded.len() as u64;
-        self.stored_bytes_total
-            .fetch_add((key.len() + encoded.len()) as u64, Ordering::Relaxed);
-        self.raw_value_bytes
-            .fetch_add(value.len() as u64, Ordering::Relaxed);
-        state.map.insert(key.to_vec(), encoded);
-        drop(state);
-        self.touch(idx);
-        true
-    }
-
-    /// Remove `key` only while a tombstone for it is present, atomically
-    /// (both shard locks held together). This is the rollback-safe second
-    /// delete for tiered callers: if a concurrent newer SET already
-    /// cleared the tombstone (atomically with its insert), the stored
-    /// value postdates the delete and must survive; a blind `delete`
-    /// here would erase it and resurrect whatever older copy sits in
-    /// colder storage.
-    pub fn delete_if_tombstoned(&self, key: &[u8]) -> bool {
-        let idx = self.shard_of_key(key);
-        let shard = &self.shards[idx];
-        let mut state = shard.state.write();
-        // Lock order state -> tombstones, same as set_inner.
-        if !shard.tombstones.read().set.contains(key) {
-            return false;
-        }
-        match state.map.remove(key) {
-            Some(old) => {
-                state.stored_value_bytes -= old.len() as u64;
-                state.stored_key_bytes -= key.len() as u64;
-                self.stored_bytes_total
-                    .fetch_sub((old.len() + key.len()) as u64, Ordering::Relaxed);
+        let changed = {
+            let mut shard = self.shards[idx].state.write();
+            let changed = !matches!(shard.slots.get(key), Some(Slot::Tombstone));
+            if changed {
+                self.replace_slot(&mut shard, key, Some(Slot::Tombstone));
             }
-            None => return false,
-        }
-        drop(state);
+            changed
+        };
         self.touch(idx);
-        true
+        changed
     }
 
-    /// Record a tombstone for `key` only if the key is not currently
-    /// stored (the storing write is newer than the drained tombstone).
-    /// Returns whether the tombstone was recorded. The shard's map lock is
-    /// held across the check and the insert, so a concurrent `set` cannot
-    /// interleave between them.
-    pub fn record_tombstone_if_absent(&self, key: &[u8]) -> bool {
+    /// Put a drained entry (`None` = tombstone) back, only if the store
+    /// holds nothing for `key`. Returns whether it went in.
+    ///
+    /// This is the rollback for a failed spill: whatever was written to
+    /// the slot while the spill ran — a value or a tombstone — was
+    /// acknowledged after the drained copy and must win over it.
+    pub fn restore(&self, key: &[u8], value: Option<&[u8]>) -> bool {
         let idx = self.shard_of_key(key);
-        let shard = &self.shards[idx];
-        let state = shard.state.read();
-        if state.map.contains_key(key) {
+        let mut shard = self.shards[idx].state.write();
+        if shard.slots.contains_key(key) {
             return false;
         }
-        let mut tombs = shard.tombstones.write();
-        if tombs.set.insert(key.to_vec()) {
-            tombs.bytes += key.len() as u64;
-            self.tombstone_bytes_total
-                .fetch_add(key.len() as u64, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Record that `key` was deleted while possibly still present in colder
-    /// storage. Returns whether the tombstone is new.
-    pub fn record_tombstone(&self, key: &[u8]) -> bool {
-        let idx = self.shard_of_key(key);
-        let mut tombs = self.shards[idx].tombstones.write();
-        if tombs.set.insert(key.to_vec()) {
-            tombs.bytes += key.len() as u64;
-            self.tombstone_bytes_total
-                .fetch_add(key.len() as u64, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// WAL-replay hook: re-apply a recovered put exactly as the tiered
-    /// write path does — insert and clear any tombstone atomically, so a
-    /// replayed `delete k; set k` sequence converges to the same state it
-    /// produced before the crash.
-    pub fn apply_replay_put(&self, key: &[u8], value: &[u8]) -> usize {
-        self.set_and_clear_tombstone(key, value)
-    }
-
-    /// WAL-replay hook: re-apply a recovered delete — remove any hot copy
-    /// and leave a tombstone shadowing whatever colder storage may still
-    /// hold for `key`.
-    pub fn apply_replay_delete(&self, key: &[u8]) {
-        self.delete(key);
-        self.record_tombstone(key);
-    }
-
-    /// Drop the tombstone for `key` (a newer SET supersedes the delete).
-    /// Returns whether one existed.
-    pub fn clear_tombstone(&self, key: &[u8]) -> bool {
-        let idx = self.shard_of_key(key);
-        let mut tombs = self.shards[idx].tombstones.write();
-        if tombs.set.remove(key) {
-            tombs.bytes -= key.len() as u64;
-            self.tombstone_bytes_total
-                .fetch_sub(key.len() as u64, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether `key` is currently tombstoned.
-    pub fn has_tombstone(&self, key: &[u8]) -> bool {
-        let idx = self.shard_of_key(key);
-        self.shards[idx].tombstones.read().set.contains(key)
-    }
-
-    /// Total tombstoned keys.
-    pub fn tombstone_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.tombstones.read().set.len())
-            .sum()
+        let slot = match value {
+            Some(value) => {
+                self.raw_value_bytes
+                    .fetch_add(value.len() as u64, Ordering::Relaxed);
+                Slot::Live(self.codec.encode(value))
+            }
+            None => Slot::Tombstone,
+        };
+        self.replace_slot(&mut shard, key, Some(slot));
+        true
     }
 
     /// Bytes held by tombstoned keys (not part of
@@ -421,64 +404,52 @@ impl TierStore {
         self.tombstone_bytes_total.load(Ordering::Relaxed)
     }
 
-    /// Tombstone bytes held by shard `idx`.
-    pub fn shard_tombstone_bytes(&self, idx: usize) -> u64 {
-        self.shards[idx].tombstones.read().bytes
-    }
-
-    /// Drain shard `idx`: decode and remove every entry and every tombstone,
-    /// returning both sorted by key. Decoding happens before anything is
-    /// removed, so a corrupt value leaves the shard untouched.
-    pub fn take_shard(&self, idx: usize) -> Result<ShardDrain, StoreError> {
-        let mut entries;
-        {
-            let mut state = self.shards[idx].state.write();
-            entries = Vec::with_capacity(state.map.len());
-            for (key, stored) in state.map.iter() {
-                entries.push((key.clone(), self.codec.decode(stored)?));
-            }
-            state.map.clear();
-            state.map.shrink_to_fit();
+    /// Drain shard `idx`: remove every slot and return them sorted by key,
+    /// values decoded, `None` for a tombstone. Decoding happens before
+    /// anything is removed, so a corrupt value leaves the shard untouched.
+    pub fn take_shard(&self, idx: usize) -> Result<Vec<RangeEntry>, StoreError> {
+        let mut drained = {
+            let mut shard = self.shards[idx].state.write();
+            let drained = shard
+                .slots
+                .iter()
+                .map(|(key, slot)| {
+                    let value = slot.encoded().map(|s| self.codec.decode(s)).transpose()?;
+                    Ok((key.clone(), value))
+                })
+                .collect::<Result<Vec<RangeEntry>, StoreError>>()?;
+            // The totals move under the lock, in lockstep with the shard
+            // they mirror (see replace_slot). The drained values' raw
+            // bytes leave the memory-ratio denominator with them (and come
+            // back via restore if a failed spill puts them back).
             self.stored_bytes_total.fetch_sub(
-                state.stored_value_bytes + state.stored_key_bytes,
+                shard.stored_value_bytes + shard.stored_key_bytes,
                 Ordering::Relaxed,
             );
-            state.stored_value_bytes = 0;
-            state.stored_key_bytes = 0;
-            // Keep the memory-ratio denominator honest: the drained
-            // values' raw bytes leave with them (and come back via
-            // set_if_absent if a failed spill restores them). Updated
-            // under the lock so the total moves in lockstep with the
-            // shard it mirrors.
-            let drained_raw: u64 = entries.iter().map(|(_, v)| v.len() as u64).sum();
+            self.tombstone_bytes_total
+                .fetch_sub(shard.tombstone_bytes, Ordering::Relaxed);
+            let drained_raw: u64 = drained
+                .iter()
+                .filter_map(|(_, value)| value.as_ref())
+                .map(|value| value.len() as u64)
+                .sum();
             self.raw_value_bytes
                 .fetch_sub(drained_raw, Ordering::Relaxed);
-        }
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut tombstones = {
-            let mut tombs = self.shards[idx].tombstones.write();
-            self.tombstone_bytes_total
-                .fetch_sub(tombs.bytes, Ordering::Relaxed);
-            tombs.bytes = 0;
-            tombs.set.drain().collect::<Vec<_>>()
+            *shard = ShardState::default();
+            drained
         };
-        tombstones.sort_unstable();
-        Ok(ShardDrain {
-            entries,
-            tombstones,
-        })
+        drained.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        Ok(drained)
     }
 
-    /// A sorted snapshot of every entry and tombstone whose key falls in
-    /// the closed interval `[start, end]` (`end = None` means unbounded
-    /// above), with values still **codec-encoded** as stored; `None`
-    /// marks a tombstone. Keys are unique: a key that is both stored and
-    /// tombstoned reports its stored value, matching [`TierStore::get`]
-    /// (the map shadows tombstones).
+    /// A sorted snapshot of every slot whose key falls in the closed
+    /// interval `[start, end]` (`end = None` means unbounded above), with
+    /// values still **codec-encoded** as stored. Keys are unique: a key has
+    /// one slot.
     ///
     /// This is the ordered-iteration hook a tiered range scan needs for
     /// its hot source: shards hash the keyspace, so order only exists
-    /// after collecting across all of them. Only byte clones happen under
+    /// after collecting across all of them. Only byte copies happen under
     /// the per-shard locks — decoding (see [`TierStore::range_snapshot`])
     /// is deliberately left to the caller, after every lock is released,
     /// so a wide scan's snapshot never stalls concurrent writers for the
@@ -486,23 +457,17 @@ impl TierStore {
     /// shard and is not atomic across shards — writes concurrent with the
     /// call may or may not be included, the same contract as
     /// [`TierStore::snapshot_to_segment`].
-    pub fn range_snapshot_encoded(&self, start: &[u8], end: Option<&[u8]>) -> Vec<RangeEntry> {
+    pub fn range_snapshot_encoded(&self, start: &[u8], end: Option<&[u8]>) -> RangeSnapshot {
         let in_range = |key: &[u8]| key >= start && end.is_none_or(|e| key <= e);
-        let mut merged: std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>> =
-            std::collections::BTreeMap::new();
+        let mut snapshot = RangeSnapshot::default();
         for shard in &self.shards {
-            // Lock order state -> tombstones, same as set_inner; both held
-            // together so one shard's entry/tombstone cut is consistent.
-            let state = shard.state.read();
-            let tombs = shard.tombstones.read();
-            for key in tombs.set.iter().filter(|k| in_range(k)) {
-                merged.insert(key.clone(), None);
-            }
-            for (key, stored) in state.map.iter().filter(|(k, _)| in_range(k)) {
-                merged.insert(key.clone(), Some(stored.clone()));
+            let shard = shard.state.read();
+            for (key, slot) in shard.slots.iter().filter(|(key, _)| in_range(key)) {
+                snapshot.push(key, slot);
             }
         }
-        merged.into_iter().collect()
+        snapshot.sort();
+        snapshot
     }
 
     /// [`TierStore::range_snapshot_encoded`] with the values decoded —
@@ -513,20 +478,17 @@ impl TierStore {
         end: Option<&[u8]>,
     ) -> Result<Vec<RangeEntry>, StoreError> {
         self.range_snapshot_encoded(start, end)
-            .into_iter()
+            .iter()
             .map(|(key, stored)| {
-                let value = match stored {
-                    Some(stored) => Some(self.codec.decode(&stored)?),
-                    None => None,
-                };
-                Ok((key, value))
+                let value = stored.map(|s| self.codec.decode(s)).transpose()?;
+                Ok((key.to_vec(), value))
             })
             .collect()
     }
 
     /// Number of stored keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.state.read().map.len()).sum()
+        self.shards.iter().map(|s| s.state.read().live_keys).sum()
     }
 
     /// Whether the store is empty.
@@ -562,11 +524,17 @@ impl TierStore {
         path: impl AsRef<std::path::Path>,
         config: pbc_archive::SegmentConfig,
     ) -> Result<pbc_archive::SegmentSummary, StoreError> {
-        // Phase 1: every key with its shard, sorted. Values stay put.
+        // Phase 1: every stored key with its shard, sorted. Values stay put.
         let mut keys: Vec<(Vec<u8>, u16)> = Vec::with_capacity(self.len());
         for (idx, shard) in self.shards.iter().enumerate() {
-            let state = shard.state.read();
-            keys.extend(state.map.keys().map(|k| (k.clone(), idx as u16)));
+            let shard = shard.state.read();
+            keys.extend(
+                shard
+                    .slots
+                    .iter()
+                    .filter(|(_, slot)| slot.encoded().is_some())
+                    .map(|(key, _)| (key.clone(), idx as u16)),
+            );
         }
         keys.sort_unstable();
         // Phase 2: stream values through the writer in key order.
@@ -575,9 +543,9 @@ impl TierStore {
             let stored = self.shards[*idx as usize]
                 .state
                 .read()
-                .map
+                .slots
                 .get(key)
-                .cloned();
+                .and_then(|slot| slot.encoded().cloned());
             if let Some(stored) = stored {
                 writer.append(key, &self.codec.decode(&stored)?)?;
             }
@@ -769,134 +737,189 @@ mod tests {
         assert!(store.shard_access_epoch(shard_a) > store.shard_access_epoch(shard_b));
     }
 
-    #[test]
-    fn tombstones_track_bytes_and_clear_on_reinsert() {
-        let store = TierStore::new(ValueCodec::None);
-        assert!(store.record_tombstone(b"gone:1"));
-        assert!(!store.record_tombstone(b"gone:1"), "no double-count");
-        assert!(store.record_tombstone(b"gone:22"));
-        assert!(store.has_tombstone(b"gone:1"));
-        assert_eq!(store.tombstone_count(), 2);
-        assert_eq!(store.tombstone_bytes(), 6 + 7);
-        assert!(store.clear_tombstone(b"gone:1"));
-        assert!(!store.clear_tombstone(b"gone:1"));
-        assert_eq!(store.tombstone_count(), 1);
-        assert_eq!(store.tombstone_bytes(), 7);
-    }
-
-    #[test]
-    fn set_and_clear_tombstone_is_one_step() {
-        let store = TierStore::new(ValueCodec::None);
-        store.record_tombstone(b"k");
-        assert_eq!(store.set_and_clear_tombstone(b"k", b"alive"), 5);
-        assert!(!store.has_tombstone(b"k"));
-        assert_eq!(store.get(b"k").unwrap().as_deref(), Some(&b"alive"[..]));
-        assert_eq!(store.tombstone_bytes(), 0);
-        // Plain set never touches tombstones.
-        store.record_tombstone(b"other");
-        store.set(b"other", b"v");
-        assert!(store.has_tombstone(b"other"));
-    }
-
-    #[test]
-    fn conditional_reinsert_never_clobbers_newer_state() {
-        let store = TierStore::new(ValueCodec::None);
-        // Plain absent key: insert happens.
-        assert!(store.set_if_absent(b"a", b"old"));
-        assert_eq!(store.get(b"a").unwrap().as_deref(), Some(&b"old"[..]));
-        // Present key: the newer value wins.
-        store.set(b"b", b"newer");
-        assert!(!store.set_if_absent(b"b", b"older"));
-        assert_eq!(store.get(b"b").unwrap().as_deref(), Some(&b"newer"[..]));
-        // Tombstoned key: the delete wins, no resurrection.
-        store.record_tombstone(b"c");
-        assert!(!store.set_if_absent(b"c", b"zombie"));
-        assert_eq!(store.get(b"c").unwrap(), None);
-        // Tombstone restore honors a newer stored value.
-        assert!(!store.record_tombstone_if_absent(b"b"));
-        assert!(!store.has_tombstone(b"b"));
-        assert!(store.record_tombstone_if_absent(b"d"));
-        assert!(store.has_tombstone(b"d"));
-    }
-
-    #[test]
-    fn take_shard_drains_entries_and_tombstones_sorted() {
-        let vals = values(300);
-        let refs: Vec<&[u8]> = vals[..64].iter().map(|v| v.as_slice()).collect();
-        let store = TierStore::new(ValueCodec::train_pbc_f(&refs, &PbcConfig::small()));
-        let mut reference = std::collections::BTreeMap::new();
-        for (i, v) in vals.iter().enumerate() {
-            let key = format!("take:{i:05}").into_bytes();
-            store.set(&key, v);
-            reference.insert(key, v.clone());
-        }
-        store.record_tombstone(b"take:dead");
-        let dead_shard = store.shard_of_key(b"take:dead");
-
-        let mut total_entries = 0;
-        let mut total_tombstones = 0;
-        for idx in 0..store.shard_count() {
-            let drain = store.take_shard(idx).unwrap();
-            assert!(
-                drain.entries.windows(2).all(|w| w[0].0 < w[1].0),
-                "entries sorted"
-            );
-            for (key, value) in &drain.entries {
-                assert_eq!(store.shard_of_key(key), idx, "entry from its own shard");
-                assert_eq!(reference.get(key), Some(value), "decoded value intact");
+    /// The store's slots, re-counted from a full snapshot:
+    /// `(stored key + value bytes, tombstone bytes)`.
+    fn recount(store: &TierStore) -> (u64, u64) {
+        let mut counted = (0, 0);
+        for (key, stored) in store.range_snapshot_encoded(b"", None).iter() {
+            match stored {
+                Some(stored) => counted.0 += (key.len() + stored.len()) as u64,
+                None => counted.1 += key.len() as u64,
             }
-            assert_eq!(
-                drain.record_count(),
-                drain.entry_count() + drain.tombstone_count()
-            );
-            total_entries += drain.entry_count();
-            if idx == dead_shard {
-                assert_eq!(drain.tombstones, vec![b"take:dead".to_vec()]);
-            }
-            total_tombstones += drain.tombstone_count();
-            assert_eq!(store.shard_len(idx), 0);
-            assert_eq!(store.shard_memory_bytes(idx), 0);
         }
-        assert_eq!(total_entries, 300);
-        assert_eq!(total_tombstones, 1);
-        assert!(store.is_empty());
-        assert_eq!(store.memory_usage_bytes(), 0);
-        assert_eq!(store.tombstone_bytes(), 0);
+        counted
     }
 
-    #[test]
-    fn range_snapshot_is_sorted_bounded_and_tombstone_aware() {
-        let vals = values(120);
-        let refs: Vec<&[u8]> = vals[..64].iter().map(|v| v.as_slice()).collect();
-        let store = TierStore::new(ValueCodec::train_pbc_f(&refs, &PbcConfig::small()));
-        for (i, v) in vals.iter().enumerate() {
-            store.set(format!("rng:{i:04}").as_bytes(), v);
-        }
-        store.record_tombstone(b"rng:0050-gone");
-        // A key both stored and tombstoned reports its stored value,
-        // matching get().
-        store.record_tombstone(b"rng:0007");
-
-        let snap = store
-            .range_snapshot(b"rng:0005", Some(b"rng:0051"))
-            .unwrap();
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "sorted, unique");
-        assert!(snap.iter().all(|(k, _)| {
-            k.as_slice() >= b"rng:0005".as_slice() && k.as_slice() <= b"rng:0051".as_slice()
-        }));
-        // 47 stored keys (0005..=0051) + 1 pure tombstone.
-        assert_eq!(snap.len(), 48);
-        let by_key: std::collections::BTreeMap<_, _> = snap.into_iter().collect();
-        assert_eq!(
-            by_key.get(b"rng:0007".as_slice()),
-            Some(&Some(vals[7].clone()))
+    fn assert_accounting(store: &TierStore, context: &str) {
+        let totals = (store.memory_usage_bytes(), store.tombstone_bytes());
+        assert_eq!(totals, recount(store), "totals vs recount, {context}");
+        let shards = 0..store.shard_count();
+        let per_shard = (
+            shards.clone().map(|s| store.shard_memory_bytes(s)).sum(),
+            shards.map(|s| store.shard_tombstone_bytes(s)).sum(),
         );
-        assert_eq!(by_key.get(b"rng:0050-gone".as_slice()), Some(&None));
-        // Unbounded tail.
-        let tail = store.range_snapshot(b"rng:0118", None).unwrap();
-        assert_eq!(tail.len(), 2);
-        // Empty interval.
+        assert_eq!(totals, per_shard, "totals vs per-shard sums, {context}");
+    }
+
+    #[test]
+    fn slot_transitions_keep_state_and_accounting_exact() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum State {
+            Absent,
+            Live,
+            Dead, // tombstoned
+        }
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Set,
+            Tombstone,
+            Delete,
+            RestoreLive,
+            RestoreTombstone,
+        }
+        use Op::*;
+        use State::*;
+        // (before, op, what the op returns, after, whether the op's value
+        // is the one stored afterwards). `set` always wins; `tombstone`
+        // always leaves a tombstone and reports a change unless one was
+        // there; `delete` only removes a live value; `restore` only fills
+        // an empty slot.
+        let table = [
+            (Absent, Set, true, Live, true),
+            (Live, Set, true, Live, true),
+            (Dead, Set, true, Live, true),
+            (Absent, Tombstone, true, Dead, false),
+            (Live, Tombstone, true, Dead, false),
+            (Dead, Tombstone, false, Dead, false),
+            (Absent, Delete, false, Absent, false),
+            (Live, Delete, true, Absent, false),
+            (Dead, Delete, false, Dead, false),
+            (Absent, RestoreLive, true, Live, true),
+            (Live, RestoreLive, false, Live, false),
+            (Dead, RestoreLive, false, Dead, false),
+            (Absent, RestoreTombstone, true, Dead, false),
+            (Live, RestoreTombstone, false, Live, false),
+            (Dead, RestoreTombstone, false, Dead, false),
+        ];
+
+        // A compressing codec, so stored bytes differ from raw bytes and a
+        // wrong length in the accounting cannot cancel out.
+        let vals = values(64 + 2 * table.len());
+        let refs: Vec<&[u8]> = vals[..64].iter().map(|v| v.as_slice()).collect();
+        let store = TierStore::new(ValueCodec::train_pbc_f(&refs, &PbcConfig::small()));
+        let mut expected: std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>> =
+            std::collections::BTreeMap::new();
+
+        for (row, &(before, op, returns, after, op_value_stored)) in table.iter().enumerate() {
+            // Keys of varying length, one per row, so rows share shards.
+            let key = format!("slot:{row:02}{}", "x".repeat(row)).into_bytes();
+            let (first, second) = (&vals[64 + 2 * row], &vals[65 + 2 * row]);
+            let context = format!("row {row}: {before:?} x {op:?}");
+            match before {
+                Absent => {}
+                Live => {
+                    store.set(&key, first);
+                }
+                Dead => {
+                    store.tombstone(&key);
+                }
+            }
+            assert_accounting(&store, &format!("{context}, arranged"));
+
+            let returned = match op {
+                Set => store.set(&key, second) > 0,
+                Tombstone => store.tombstone(&key),
+                Delete => store.delete(&key),
+                RestoreLive => store.restore(&key, Some(second)),
+                RestoreTombstone => store.restore(&key, None),
+            };
+            assert_eq!(returned, returns, "{context}: return value");
+            let value = if op_value_stored { second } else { first };
+            let want = match after {
+                Absent => Lookup::Absent,
+                Live => Lookup::Live(value.clone()),
+                Dead => Lookup::Tombstone,
+            };
+            assert_eq!(store.lookup(&key).unwrap(), want, "{context}: slot after");
+            assert_eq!(
+                store.get(&key).unwrap(),
+                (after == Live).then(|| value.clone()),
+                "{context}: get agrees with lookup"
+            );
+            assert_accounting(&store, &context);
+            match after {
+                Absent => {}
+                Live => {
+                    expected.insert(key, Some(value.clone()));
+                }
+                Dead => {
+                    expected.insert(key, None);
+                }
+            }
+        }
+        let live = expected.values().filter(|v| v.is_some()).count();
+        assert_eq!(store.len(), live, "len counts live slots only");
+
+        // Range snapshots: sorted, unique, closed bounds, tombstones as
+        // `None`, values decoded.
+        let everything = store.range_snapshot(b"", None).unwrap();
+        assert_eq!(
+            everything,
+            expected.clone().into_iter().collect::<Vec<_>>(),
+            "full snapshot is the model, in key order"
+        );
+        let (lo, hi) = (&everything[3].0, &everything[9].0);
+        assert_eq!(
+            store.range_snapshot(lo, Some(hi)).unwrap(),
+            everything[3..=9],
+            "both bounds inclusive"
+        );
+        assert_eq!(store.range_snapshot(hi, None).unwrap(), everything[9..]);
         assert!(store.range_snapshot(b"zzz", None).unwrap().is_empty());
+        assert!(
+            store.range_snapshot(hi, Some(lo)).unwrap().is_empty(),
+            "inverted bounds are an empty interval, not a panic"
+        );
+
+        // Draining: each shard hands back exactly its own slots, sorted
+        // and decoded, and every counter returns to zero with them.
+        let mut drained = Vec::new();
+        for idx in 0..store.shard_count() {
+            let shard = store.take_shard(idx).unwrap();
+            assert!(shard.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+            assert!(shard.iter().all(|(key, _)| store.shard_of_key(key) == idx));
+            assert_eq!(store.shard_len(idx), 0);
+            assert_accounting(&store, &format!("after take_shard({idx})"));
+            drained.extend(shard);
+        }
+        drained.sort();
+        assert_eq!(drained, everything, "nothing lost, nothing invented");
+        assert!(store.is_empty());
+        assert_eq!(
+            (store.memory_usage_bytes(), store.tombstone_bytes()),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn range_snapshot_tells_an_empty_value_from_a_tombstone() {
+        // Both rows occupy zero value bytes in the snapshot's buffer.
+        let store = TierStore::new(ValueCodec::None);
+        store.set(b"a", b"");
+        store.tombstone(b"b");
+        store.set(b"c", b"x");
+        let snapshot = store.range_snapshot_encoded(b"", None);
+        assert_eq!(
+            snapshot.iter().collect::<Vec<_>>(),
+            [
+                (&b"a"[..], Some(&b""[..])),
+                (&b"b"[..], None),
+                (&b"c"[..], Some(&b"x"[..]))
+            ]
+        );
+        assert_eq!(snapshot.get(1), Some((&b"b"[..], None)));
+        assert_eq!(snapshot.get(3), None);
+        assert!(store.range_snapshot_encoded(b"d", None).is_empty());
     }
 
     /// Unique temp path with a drop-guard, so failing tests don't leak

@@ -21,6 +21,12 @@ pub enum TierError {
         /// Description of the inconsistency.
         context: String,
     },
+    /// The manifest is in a format version this build does not read (only
+    /// the current one is supported; older ones were never deployed).
+    UnsupportedVersion {
+        /// The version tag found after the magic prefix.
+        found: String,
+    },
     /// A manifest commit tried to write a generation at or below the one
     /// already on disk — history must only move forward.
     StaleGeneration {
@@ -51,6 +57,9 @@ impl fmt::Display for TierError {
             TierError::Archive(e) => write!(f, "cold segment failed: {e}"),
             TierError::ManifestCorrupt { context } => {
                 write!(f, "manifest corrupt: {context}")
+            }
+            TierError::UnsupportedVersion { found } => {
+                write!(f, "unsupported manifest version {found:?}")
             }
             TierError::StaleGeneration { found, current } => {
                 write!(

@@ -10,17 +10,17 @@
 //!        set/get/delete/range_scan
 //!                   │
 //!        ┌──────────▼──────────┐
-//!        │  hot: TierStore     │  sharded RAM, value codec, tombstones
-//!        │  (watermark-bound)  │
+//!        │  hot: TierStore     │  sharded RAM, value codec; one slot
+//!        │  (watermark-bound)  │  per key: live value | tombstone
 //!        └──────────┬──────────┘
-//!          miss?    │    spill (coldest shards by access epoch)
+//!      empty slot?  │    spill (coldest shards by access epoch)
 //!        ┌──────────▼──────────┐
 //!        │  staging (in-flight │  readable while a spill is mid-write
 //!        │  spill overflow)    │
 //!        └──────────┬──────────┘
 //!        ┌──────────▼──────────┐
-//!        │  BlockCache (LRU by │  decoded blocks, hit/miss/eviction
-//!        │  bytes)             │  counters
+//!        │  BlockCache (2Q,    │  decoded blocks, hit/miss/eviction
+//!        │  bounded by bytes)  │  counters
 //!        └──────────┬──────────┘
 //!        ┌──────────▼──────────┐
 //!        │  L0 spill segments  │  recency order, may overlap; walked
@@ -36,7 +36,7 @@
 //!   the coldest shards (LRU by last-access epoch) are drained, merged and
 //!   written as one sorted L0 segment, then evicted from RAM.
 //! * **Read-through**: `get` falls from hot memory through the staging area
-//!   and the byte-bounded LRU [`BlockCache`] to L0 (newest first), then
+//!   and the byte-bounded 2Q [`BlockCache`] to L0 (newest first), then
 //!   binary-searches the one L1 partition covering the key — so overwrites
 //!   and tombstones always shadow older spilled state and worst-case cold
 //!   lookups cost O(L0) + O(log L1), not O(segments).
@@ -419,72 +419,6 @@ mod tests {
         for i in (0..700).step_by(31) {
             let expected = if i == 13 { None } else { Some(value(i)) };
             assert_eq!(store.get(&key(i)).unwrap(), expected, "key {i}");
-        }
-    }
-
-    #[test]
-    fn stats_less_v1_segments_reload_with_real_footer_bounds() {
-        // Regression for the stat-backfill bugs: a v1 manifest carries no
-        // per-segment stats, so reopen derives them from each segment's
-        // footer. The bounds must be the real keys (not empty vectors that
-        // make `SegmentStats::overlaps` under-report every overlap) and
-        // the byte size must be the real file size (not a silent 0 that
-        // corrupts the planner's cost math).
-        let (dir, _guard) = temp_dir("v1-stats");
-        {
-            let store = TieredStore::open(TierConfig::new(&dir)).unwrap();
-            // Two spills over the same key range, so the segments overlap.
-            for i in 0..300 {
-                store.set(&key(i), &value(i)).unwrap();
-            }
-            store.flush_all().unwrap();
-            for i in 0..300 {
-                store.set(&key(i), &value(i + 1)).unwrap();
-            }
-            store.flush_all().unwrap();
-            assert_eq!(store.segment_count(), 2);
-        }
-        // Rewrite the manifest in v1 format: same segments, no stats.
-        let loaded = Manifest::load(&dir).unwrap().unwrap();
-        let mut body = String::from("pbc-tier-manifest v1\n");
-        for entry in &loaded.segments {
-            body.push_str(&format!("segment {} {}\n", entry.id, entry.file_name));
-        }
-        let crc = pbc_archive::format::crc32(body.as_bytes());
-        body.push_str(&format!("crc {crc:08x}\n"));
-        std::fs::write(Manifest::path_in(&dir), body).unwrap();
-
-        let store = TieredStore::open(TierConfig::new(&dir)).unwrap();
-        let stats = store.segment_stats();
-        assert_eq!(stats.len(), 2);
-        for s in &stats {
-            assert!(s.records > 0, "footer backfill recovers record counts");
-            assert!(!s.min_key.is_empty() && !s.max_key.is_empty());
-            assert_eq!(s.min_key, key(0));
-            assert_eq!(s.max_key, key(299));
-            let on_disk = std::fs::metadata(dir.join(format!("seg-{:06}.seg", s.id)))
-                .unwrap()
-                .len();
-            assert_eq!(s.bytes, on_disk, "backfilled size is the real file size");
-        }
-        assert!(
-            stats[0].overlaps(&stats[1]),
-            "real bounds make the overlap visible to the planner"
-        );
-        // The planner sees the overlap and folds the two segments away.
-        let planner = CompactionPlanner::new(PlannerConfig {
-            max_segments: 1,
-            ..PlannerConfig::default()
-        });
-        let (l0, l1) = store.leveled_stats();
-        let job = planner.plan(&l0, &l1, &[]).unwrap();
-        assert_eq!(job.l0_inputs.len(), 2, "both overlapping segments planned");
-        // And every key still reads back the newer version.
-        for i in (0..300).step_by(17) {
-            assert_eq!(
-                store.get(&key(i)).unwrap().as_deref(),
-                Some(value(i + 1).as_slice())
-            );
         }
     }
 

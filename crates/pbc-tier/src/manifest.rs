@@ -20,15 +20,12 @@
 //! after a crash lands on exactly one consistent generation, sweeping
 //! whichever segment files that generation does not name.
 //!
-//! Format history:
-//! * **v1** — magic + segment lines (`segment <id> <file>`), CRC. No
-//!   generation, no stats; loads as generation 0, all segments L0.
-//! * **v2** — adds the generation line and per-segment stats (records,
-//!   tombstones, bytes, key range). Loads with every segment on L0.
-//! * **v3** — adds the **level** field (0 = recency-ordered L0 spill
-//!   segment, 1 = sorted non-overlapping L1 partition) between the file
-//!   name and the stats. L0 entries are listed newest first, then L1
-//!   entries ascending by key range.
+//! The format is **v3**: a magic line, a generation line, one line per
+//! segment (`segment <id> <file> <level> <records> <tombstones> <bytes>
+//! <min key> <max key>`, level 0 = recency-ordered L0 spill segment, 1 =
+//! sorted non-overlapping L1 partition; L0 entries newest first, then L1
+//! ascending by key range) and a CRC line. v1 and v2 were never deployed
+//! and are refused with [`TierError::UnsupportedVersion`].
 
 use std::fs;
 use std::io::Write;
@@ -44,9 +41,8 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 /// Scratch name the next manifest is staged under before the rename.
 pub const MANIFEST_TMP_NAME: &str = "MANIFEST.tmp";
 
-const MAGIC_LINE_V1: &str = "pbc-tier-manifest v1";
-const MAGIC_LINE_V2: &str = "pbc-tier-manifest v2";
-const MAGIC_LINE_V3: &str = "pbc-tier-manifest v3";
+const MAGIC_PREFIX: &str = "pbc-tier-manifest ";
+const VERSION: &str = "v3";
 
 /// Per-segment statistics recorded at commit time (spill or compaction).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -72,11 +68,9 @@ pub struct ManifestEntry {
     pub file_name: String,
     /// Which level the segment lives on: [`LEVEL_L0`] (recency-ordered
     /// spill segment) or [`LEVEL_L1`] (sorted, non-overlapping partition).
-    /// v1/v2 manifests load with every segment on L0.
     pub level: u8,
-    /// Per-segment stats; `None` only when loaded from a v1 manifest
-    /// (callers backfill from the segment footer).
-    pub stats: Option<SegmentStatsRecord>,
+    /// Per-segment stats, recorded by the commit that wrote the segment.
+    pub stats: SegmentStatsRecord,
 }
 
 /// The ordered set of live segments plus the generation this set was
@@ -85,7 +79,7 @@ pub struct ManifestEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// Commit counter: each manifest swap writes `generation + 1`. A fresh
-    /// directory starts at 0; v1 manifests load as generation 0.
+    /// directory starts at 0.
     pub generation: u64,
     /// Live segments: L0 newest first, then L1 ascending.
     pub segments: Vec<ManifestEntry>,
@@ -128,11 +122,9 @@ impl Manifest {
     /// Serialize: magic line, generation line, one `segment` line each,
     /// then a CRC line over everything above it.
     fn encode(&self) -> String {
-        let mut body = String::from(MAGIC_LINE_V3);
-        body.push('\n');
-        body.push_str(&format!("generation {}\n", self.generation));
+        let mut body = format!("{MAGIC_PREFIX}{VERSION}\ngeneration {}\n", self.generation);
         for entry in &self.segments {
-            let stats = entry.stats.clone().unwrap_or_default();
+            let stats = &entry.stats;
             body.push_str(&format!(
                 "segment {} {} {} {} {} {} {} {}\n",
                 entry.id,
@@ -166,23 +158,23 @@ impl Manifest {
                 "crc mismatch: stored {stored:08x}, computed {computed:08x}"
             )));
         }
-        let mut lines = body.lines().peekable();
-        let version = match lines.next() {
-            Some(MAGIC_LINE_V1) => 1u8,
-            Some(MAGIC_LINE_V2) => 2,
-            Some(MAGIC_LINE_V3) => 3,
-            _ => return Err(corrupt("bad magic line".into())),
-        };
-        let generation = if version >= 2 {
-            let line = lines
-                .next()
-                .ok_or_else(|| corrupt("missing generation line".into()))?;
-            line.strip_prefix("generation ")
-                .and_then(|g| g.parse::<u64>().ok())
-                .ok_or_else(|| corrupt(format!("bad generation line {line:?}")))?
-        } else {
-            0
-        };
+        let mut lines = body.lines();
+        match lines.next().and_then(|l| l.strip_prefix(MAGIC_PREFIX)) {
+            Some(VERSION) => {}
+            Some(other) => {
+                return Err(TierError::UnsupportedVersion {
+                    found: other.to_string(),
+                })
+            }
+            None => return Err(corrupt("bad magic line".into())),
+        }
+        let line = lines
+            .next()
+            .ok_or_else(|| corrupt("missing generation line".into()))?;
+        let generation = line
+            .strip_prefix("generation ")
+            .and_then(|g| g.parse::<u64>().ok())
+            .ok_or_else(|| corrupt(format!("bad generation line {line:?}")))?;
         let mut segments = Vec::new();
         for line in lines {
             let parts: Vec<&str> = line.split(' ').collect();
@@ -191,49 +183,29 @@ impl Manifest {
                     .parse::<u64>()
                     .map_err(|_| corrupt(format!("bad stats field in {line:?}")))
             };
-            let parse_stats =
-                |records, tombstones, bytes, min_key, max_key| -> Result<SegmentStatsRecord> {
-                    let stats = SegmentStatsRecord {
-                        records: parse(records)?,
-                        tombstones: parse(tombstones)?,
-                        bytes: parse(bytes)?,
-                        min_key: hex_decode(min_key)
-                            .ok_or_else(|| corrupt(format!("bad min key in {line:?}")))?,
-                        max_key: hex_decode(max_key)
-                            .ok_or_else(|| corrupt(format!("bad max key in {line:?}")))?,
-                    };
-                    if stats.tombstones > stats.records {
-                        return Err(corrupt(format!(
-                            "segment claims more tombstones than records in {line:?}"
-                        )));
-                    }
-                    Ok(stats)
-                };
-            let (id, file_name, level, stats) = match (version, parts.as_slice()) {
-                (1, ["segment", id, file_name]) => (*id, *file_name, LEVEL_L0, None),
-                (2, ["segment", id, file_name, records, tombstones, bytes, min_key, max_key]) => (
-                    *id,
-                    *file_name,
-                    LEVEL_L0,
-                    Some(parse_stats(records, tombstones, bytes, min_key, max_key)?),
-                ),
-                (
-                    3,
-                    ["segment", id, file_name, level, records, tombstones, bytes, min_key, max_key],
-                ) => {
-                    let level = parse(level)?;
-                    if level != u64::from(LEVEL_L0) && level != u64::from(LEVEL_L1) {
-                        return Err(corrupt(format!("bad level in {line:?}")));
-                    }
-                    (
-                        *id,
-                        *file_name,
-                        level as u8,
-                        Some(parse_stats(records, tombstones, bytes, min_key, max_key)?),
-                    )
-                }
-                _ => return Err(corrupt(format!("unrecognized line {line:?}"))),
+            let ["segment", id, file_name, level, records, tombstones, bytes, min_key, max_key] =
+                parts.as_slice()
+            else {
+                return Err(corrupt(format!("unrecognized line {line:?}")));
             };
+            let level = parse(level)?;
+            if level != u64::from(LEVEL_L0) && level != u64::from(LEVEL_L1) {
+                return Err(corrupt(format!("bad level in {line:?}")));
+            }
+            let stats = SegmentStatsRecord {
+                records: parse(records)?,
+                tombstones: parse(tombstones)?,
+                bytes: parse(bytes)?,
+                min_key: hex_decode(min_key)
+                    .ok_or_else(|| corrupt(format!("bad min key in {line:?}")))?,
+                max_key: hex_decode(max_key)
+                    .ok_or_else(|| corrupt(format!("bad max key in {line:?}")))?,
+            };
+            if stats.tombstones > stats.records {
+                return Err(corrupt(format!(
+                    "segment claims more tombstones than records in {line:?}"
+                )));
+            }
             let id = id
                 .parse::<u64>()
                 .map_err(|_| corrupt(format!("bad segment id in {line:?}")))?;
@@ -243,7 +215,7 @@ impl Manifest {
             segments.push(ManifestEntry {
                 id,
                 file_name: file_name.to_string(),
-                level,
+                level: level as u8,
                 stats,
             });
         }
@@ -371,13 +343,13 @@ mod tests {
                     id: 7,
                     file_name: "seg-000007.seg".into(),
                     level: LEVEL_L0,
-                    stats: Some(stats(900, 45)),
+                    stats: stats(900, 45),
                 },
                 ManifestEntry {
                     id: 3,
                     file_name: "seg-000003.seg".into(),
                     level: LEVEL_L1,
-                    stats: Some(stats(1_200, 0)),
+                    stats: stats(1_200, 0),
                 },
             ],
         }
@@ -393,7 +365,7 @@ mod tests {
         assert_eq!(loaded.segments[0].id, 7, "L0 first");
         assert_eq!(loaded.segments[0].level, LEVEL_L0);
         assert_eq!(loaded.segments[1].level, LEVEL_L1);
-        let s = loaded.segments[0].stats.as_ref().unwrap();
+        let s = &loaded.segments[0].stats;
         assert_eq!((s.records, s.tombstones), (900, 45));
     }
 
@@ -406,7 +378,7 @@ mod tests {
                 id: 1,
                 file_name: "seg-000001.seg".into(),
                 level: LEVEL_L0,
-                stats: Some(SegmentStatsRecord::default()),
+                stats: SegmentStatsRecord::default(),
             }],
         };
         manifest.store(&dir).unwrap();
@@ -414,41 +386,23 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifests_still_load_as_generation_zero_l0_without_stats() {
-        let (dir, _guard) = temp_dir("v1");
-        let mut body = String::from("pbc-tier-manifest v1\n");
-        body.push_str("segment 7 seg-000007.seg\n");
-        body.push_str("segment 3 seg-000003.seg\n");
-        let crc = crc32(body.as_bytes());
-        body.push_str(&format!("crc {crc:08x}\n"));
-        fs::write(Manifest::path_in(&dir), body).unwrap();
-        let loaded = Manifest::load(&dir).unwrap().unwrap();
-        assert_eq!(loaded.generation, 0);
-        assert_eq!(loaded.segments.len(), 2);
-        assert!(loaded.segments.iter().all(|s| s.stats.is_none()));
-        assert!(loaded.segments.iter().all(|s| s.level == LEVEL_L0));
-    }
-
-    #[test]
-    fn v2_manifests_load_with_every_segment_on_l0() {
-        let (dir, _guard) = temp_dir("v2");
-        let mut body = String::from("pbc-tier-manifest v2\n");
-        body.push_str("generation 9\n");
-        body.push_str("segment 7 seg-000007.seg 900 45 4096 61 7a\n");
-        let crc = crc32(body.as_bytes());
-        body.push_str(&format!("crc {crc:08x}\n"));
-        fs::write(Manifest::path_in(&dir), body).unwrap();
-        let loaded = Manifest::load(&dir).unwrap().unwrap();
-        assert_eq!(loaded.generation, 9);
-        assert_eq!(loaded.segments.len(), 1);
-        let entry = &loaded.segments[0];
-        assert_eq!(entry.level, LEVEL_L0, "v2 segments are all L0");
-        let s = entry.stats.as_ref().unwrap();
-        assert_eq!((s.records, s.tombstones, s.bytes), (900, 45, 4096));
-        assert_eq!(
-            (s.min_key.as_slice(), s.max_key.as_slice()),
-            (&b"a"[..], &b"z"[..])
-        );
+    fn older_format_versions_are_refused_with_a_typed_error() {
+        let (dir, _guard) = temp_dir("old-versions");
+        let bodies = [
+            ("v1", "pbc-tier-manifest v1\nsegment 7 seg-000007.seg\n"),
+            (
+                "v2",
+                "pbc-tier-manifest v2\ngeneration 9\nsegment 7 seg-000007.seg 900 45 4096 61 7a\n",
+            ),
+        ];
+        for (version, body) in bodies {
+            let crc = crc32(body.as_bytes());
+            fs::write(Manifest::path_in(&dir), format!("{body}crc {crc:08x}\n")).unwrap();
+            match Manifest::load(&dir) {
+                Err(TierError::UnsupportedVersion { found }) => assert_eq!(found, version),
+                other => panic!("expected UnsupportedVersion for {version}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -594,7 +548,7 @@ mod tests {
                 id: 9,
                 file_name: "seg-000009.seg".into(),
                 level: LEVEL_L1,
-                stats: Some(stats(2_000, 10)),
+                stats: stats(2_000, 10),
             }],
         };
         newer.store(&dir).unwrap();

@@ -48,6 +48,7 @@ use std::sync::Arc;
 
 use pbc_archive::DecodedBlock;
 use pbc_obs::Timer;
+use pbc_store::RangeSnapshot;
 
 use crate::error::Result;
 use crate::store::{decode_marked, ColdList, ColdSegment, TierInner};
@@ -202,12 +203,14 @@ impl<'a> ColdCursor<'a> {
 /// One ranked merge input, positioned on its current head entry.
 enum Source<'a> {
     /// The hot-tier snapshot: presorted, unique, bounded, with values
-    /// still codec-encoded — each is decoded only when the merge actually
-    /// reaches it, so an early-terminated scan decodes only what it
-    /// yields.
+    /// still codec-encoded — a row is copied out and decoded only when the
+    /// merge actually reaches it, so an early-terminated scan pays for
+    /// what it yields.
     Hot {
         inner: &'a TierInner,
-        iter: std::vec::IntoIter<Versioned>,
+        snapshot: RangeSnapshot,
+        /// Next row of `snapshot` to materialise.
+        next: usize,
         current: Option<Versioned>,
     },
     /// A presorted, unique, bounded in-memory snapshot whose values are
@@ -265,13 +268,18 @@ impl Source<'_> {
         match self {
             Source::Hot {
                 inner,
-                iter,
+                snapshot,
+                next,
                 current,
             } => {
-                *current = match iter.next() {
-                    Some((key, Some(stored))) => Some((key, Some(inner.decode_hot(&stored)?))),
-                    other => other,
+                *current = match snapshot.get(*next) {
+                    Some((key, stored)) => {
+                        let value = stored.map(|s| inner.decode_hot(s)).transpose()?;
+                        Some((key.to_vec(), value))
+                    }
+                    None => None,
                 };
+                *next += 1;
             }
             Source::Mem { iter, current } => *current = iter.next(),
             Source::Cold(cursor) => cursor.advance()?,
@@ -361,7 +369,7 @@ impl<'a> RangeScan<'a> {
         inner: &'a TierInner,
         start: Vec<u8>,
         end: Bound<Vec<u8>>,
-        hot: Vec<Versioned>,
+        hot: RangeSnapshot,
         staged: Vec<Versioned>,
         pinned: ColdList,
         generation: u64,
@@ -381,7 +389,8 @@ impl<'a> RangeScan<'a> {
         if !hot.is_empty() {
             sources.push(Source::Hot {
                 inner,
-                iter: hot.into_iter(),
+                snapshot: hot,
+                next: 0,
                 current: None,
             });
         }

@@ -3,10 +3,11 @@
 //! Writes land in a hot [`TierStore`]; when its accounted bytes cross the
 //! configured watermark, the coldest shards (by last-access epoch) are
 //! drained, merged, and written to a `pbc-archive` segment, then the
-//! manifest is swapped atomically. Reads go hot → tombstones → in-flight
-//! spill staging → block cache → **L0** spill segments newest-first →
-//! the single **L1** partition covering the key, so overwrites and
-//! deletes always win over older spilled state.
+//! manifest is swapped atomically. Reads go hot (a live value or a
+//! tombstone answers; only an empty slot falls through) → in-flight spill
+//! staging → block cache → **L0** spill segments newest-first → the single
+//! **L1** partition covering the key, so overwrites and deletes always win
+//! over older spilled state.
 //!
 //! ## Levels
 //!
@@ -56,7 +57,7 @@ use pbc_archive::{
     select_codec_over_blocks, BlockCodec, CodecSpec, DecodedBlock, Entry, SegmentReader,
 };
 use pbc_obs::{Event, MetricsRegistry, TraceEvent};
-use pbc_store::TierStore;
+use pbc_store::{Lookup, TierStore};
 use pbc_wal::{CheckpointSummary, RecoveryReport, ReplayOp, Wal, WalConfig, WalStats};
 
 use crate::cache::BlockCache;
@@ -121,8 +122,7 @@ pub(crate) struct ColdSegment {
     /// Tombstones among them.
     tombstones: u64,
     /// Segment file size in bytes, as counted by the writer that produced
-    /// it (or the reader footer geometry on a stats-less reload) — never
-    /// a best-effort re-stat that could silently record 0.
+    /// it — never a best-effort re-stat that could silently record 0.
     bytes: u64,
     pub(crate) min_key: Vec<u8>,
     pub(crate) max_key: Vec<u8>,
@@ -146,13 +146,13 @@ impl ColdSegment {
             id: self.id,
             file_name: self.file_name.clone(),
             level,
-            stats: Some(SegmentStatsRecord {
+            stats: SegmentStatsRecord {
                 records: self.records,
                 tombstones: self.tombstones,
                 bytes: self.bytes,
                 min_key: self.min_key.clone(),
                 max_key: self.max_key.clone(),
-            }),
+            },
         }
     }
 
@@ -351,6 +351,17 @@ impl ReservationTable {
             .map(|(_, r)| r.clone())
             .collect()
     }
+}
+
+/// Where [`TierInner::memory_lookup`] found the newest in-memory version
+/// of a key; an inner `None` is a tombstone.
+enum InMemory {
+    /// The hot tier holds it.
+    Hot(Option<Vec<u8>>),
+    /// The in-flight spill's staging area holds it.
+    Staged(Option<Vec<u8>>),
+    /// Neither does: the cold tier decides.
+    Absent,
 }
 
 /// What one cold lookup did at the segment and block level.
@@ -654,10 +665,9 @@ impl TieredStore {
     /// Open (or create) a tiered store in `config.dir`. Reloads the
     /// manifest if one exists, reopening every live segment and sweeping
     /// crash debris (a stale `MANIFEST.tmp`, orphaned segment files from
-    /// interrupted spills or half-committed compaction jobs). v1/v2
-    /// manifests load with every segment on L0. Spawns the background
-    /// maintenance thread when [`TierConfig::background_compaction`] is
-    /// set.
+    /// interrupted spills or half-committed compaction jobs). Spawns the
+    /// background maintenance thread when
+    /// [`TierConfig::background_compaction`] is set.
     pub fn open(config: TierConfig) -> Result<TieredStore> {
         std::fs::create_dir_all(&config.dir)?;
         // Exclusive advisory lock before reading anything: a second opener
@@ -684,25 +694,7 @@ impl TieredStore {
             let mut reader = SegmentReader::open_with(&path, config.segment.read_mode)?;
             reader.set_obs(obs.reader.clone());
             max_id = max_id.max(entry.id);
-            // v2+ manifests carry the stats; a v1 manifest (or a line
-            // whose stats got lost) is backfilled from the segment footer:
-            // real key bounds from the per-block index, the byte size the
-            // reader measured at open — never a best-effort re-stat whose
-            // transient failure would record a 0-byte segment and corrupt
-            // the planner's size math. v1 *segments* predate flagged
-            // counts, so their tombstone count reads as 0 — the planner
-            // undercounts dead entries for them until a compaction
-            // rewrites the segment.
-            let stats = match entry.stats.clone() {
-                Some(stats) => stats,
-                None => SegmentStatsRecord {
-                    records: reader.record_count(),
-                    tombstones: reader.flagged_count(),
-                    bytes: reader.file_len(),
-                    min_key: reader.min_key().unwrap_or_default().to_vec(),
-                    max_key: reader.max_key().unwrap_or_default().to_vec(),
-                },
-            };
+            let stats = entry.stats.clone();
             let segment = Arc::new(ColdSegment {
                 id: entry.id,
                 file_name: entry.file_name.clone(),
@@ -757,11 +749,16 @@ impl TieredStore {
                     wal_config,
                     obs.wal_obs(),
                     manifest.generation,
+                    // The same two hot-tier steps the write path logged,
+                    // in LSN order, so replay converges to the pre-crash
+                    // slots.
                     |op| match op {
                         ReplayOp::Put { key, value } => {
-                            hot.apply_replay_put(key, value);
+                            hot.set(key, value);
                         }
-                        ReplayOp::Delete { key } => hot.apply_replay_delete(key),
+                        ReplayOp::Delete { key } => {
+                            hot.tombstone(key);
+                        }
                     },
                 )?;
                 (Some(wal), Some(report))
@@ -1168,9 +1165,11 @@ impl TierInner {
         // Put latency includes any watermark spill the write triggers —
         // that stall is the write's real cost, so it belongs in the tail.
         let _timer = self.obs.put_ns.start_timer();
-        // Insert and tombstone-clear must be one atomic step: done as two,
-        // a concurrent delete's tombstone can land in between and be
-        // wrongly erased, leaving an older cold value resurrected.
+        // The live value replaces whatever the hot slot held, tombstone
+        // included, in one step: a concurrent delete's tombstone lands
+        // wholly before it (and is replaced) or wholly after it (and
+        // shadows it) — never half-erased with an older cold value
+        // resurrected.
         //
         // With a WAL, the hot-tier mutation runs inside the append's
         // critical section (under the key's WAL shard lock), so same-key
@@ -1184,105 +1183,99 @@ impl TierInner {
         // write that was never acknowledged.
         let stored = match &self.wal {
             Some(wal) => {
-                wal.append_put_with(key, value, || self.hot.set_and_clear_tombstone(key, value))?
+                wal.append_put_with(key, value, || self.hot.set(key, value))?
                     .0
             }
-            None => self.hot.set_and_clear_tombstone(key, value),
+            None => self.hot.set(key, value),
         };
         self.maybe_spill()?;
         Ok(stored)
     }
 
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let _timer = self.obs.get_ns.start_timer();
-        if let Some(value) = self.hot.get(key)? {
-            self.obs.hot_hits.inc();
-            return Ok(Some(value));
-        }
-        if self.hot.has_tombstone(key) {
-            self.obs.tombstone_negatives.inc();
-            return Ok(None);
+    /// The newest version of `key` held in memory: the hot slot, else the
+    /// in-flight spill's staged copy.
+    ///
+    /// Data normally moves *down* (hot → staging → cold), the direction
+    /// this probes, but a failed spill moves staged entries back *up*
+    /// into the hot tier. So the hot slot is consulted again after a
+    /// staging miss, or a racing reader could fall through to cold and
+    /// see an older version (or a stale `None`).
+    fn memory_lookup(&self, key: &[u8]) -> Result<InMemory> {
+        let hot = || -> Result<InMemory> {
+            Ok(match self.hot.lookup(key)? {
+                Lookup::Live(value) => InMemory::Hot(Some(value)),
+                Lookup::Tombstone => InMemory::Hot(None),
+                Lookup::Absent => InMemory::Absent,
+            })
+        };
+        match hot()? {
+            InMemory::Absent => {}
+            found => return Ok(found),
         }
         if let Some(staged) = self.staging.read().get(key) {
-            self.obs.staging_hits.inc();
-            return Ok(staged.clone());
+            return Ok(InMemory::Staged(staged.clone()));
         }
-        // A failed spill moves staged entries *up*, back into the hot tier
-        // — against the read direction. Re-check hot (and its tombstones)
-        // after the staging miss, or a racing reader could fall through to
-        // cold and see an older version (or a stale None).
-        if let Some(value) = self.hot.get(key)? {
-            self.obs.hot_hits.inc();
-            return Ok(Some(value));
+        hot()
+    }
+
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let _timer = self.obs.get_ns.start_timer();
+        match self.memory_lookup(key)? {
+            InMemory::Hot(Some(value)) => {
+                self.obs.hot_hits.inc();
+                Ok(Some(value))
+            }
+            InMemory::Hot(None) => {
+                self.obs.tombstone_negatives.inc();
+                Ok(None)
+            }
+            InMemory::Staged(staged) => {
+                self.obs.staging_hits.inc();
+                Ok(staged)
+            }
+            InMemory::Absent => self.cold_get(key),
         }
-        if self.hot.has_tombstone(key) {
-            self.obs.tombstone_negatives.inc();
-            return Ok(None);
-        }
-        self.cold_get(key)
     }
 
     fn delete(&self, key: &[u8]) -> Result<bool> {
         let _timer = self.obs.delete_ns.start_timer();
-        // Probe below the hot tier first: the staging read and the cold
-        // lookup can do I/O and must not run under the WAL shard lock
-        // held for the mutation step below.
-        let mut existed_hot = self.hot.delete(key);
-        let existed_below = if self.hot.has_tombstone(key) {
-            false // already deleted below the hot map
-        } else if let Some(staged) = self.staging.read().get(key) {
-            staged.is_some()
-        } else {
-            // A failed spill can move staged entries back up into the hot
-            // tier between our first delete and the staging miss — delete
-            // again so the restored copy cannot survive, then consult cold
-            // (which may still hold an older, now-shadowable version).
-            existed_hot = self.hot.delete(key) || existed_hot;
-            self.cold_get(key)?.is_some()
+        // Read-only probe first: is there a live version anywhere? The
+        // staging read and the cold lookup can do I/O, so none of this
+        // runs under the WAL shard lock taken for the step below. A delete
+        // that finds nothing removes nothing and is not logged.
+        let exists = match self.memory_lookup(key)? {
+            InMemory::Hot(newest) | InMemory::Staged(newest) => newest.is_some(),
+            InMemory::Absent => self.cold_get(key)?.is_some(),
         };
-        // The hot-tier mutation and the WAL append run as one atomic
-        // step under the key's WAL shard lock (same reasoning as `set`:
+        if !exists {
+            return Ok(false);
+        }
+        // Then one hot-tier step: whatever the slot holds *now* becomes a
+        // tombstone. The hot copy is never gone before its tombstone is in
+        // place, so a racing get sees the value or the tombstone, never an
+        // empty slot it would fall through to an older cold version. The
+        // tombstone is unconditional — if the probe saw the key in hot and
+        // a spill drained it meanwhile, the staged or cold copy still has
+        // to be shadowed — and only a racing delete that got there first
+        // (the slot already is a tombstone) makes this one a no-op.
+        //
+        // With a WAL, the step and the append run as one atomic step
+        // under the key's WAL shard lock (same reasoning as `set`:
         // application order must equal LSN order for same-key ops, and
         // the mutation preceding the LSN assignment keeps checkpoint
-        // marks safe). Only deletes that removed something are logged.
-        let existed = match &self.wal {
-            Some(wal) => {
-                wal.append_delete_with(key, || {
-                    let existed =
-                        self.delete_from_hot(key, existed_below) || existed_hot || existed_below;
-                    (existed, existed)
-                })?
-                .0
-            }
-            None => self.delete_from_hot(key, existed_below) || existed_hot || existed_below,
+        // marks safe). Only deletes that changed the slot are logged.
+        let step = || {
+            let deleted = self.hot.tombstone(key);
+            (deleted, deleted)
         };
-        if existed_below {
-            // Tombstones count toward the watermark, so a delete-heavy
-            // workload must be able to spill them too.
-            self.maybe_spill()?;
-        }
-        Ok(existed)
-    }
-
-    /// The hot-tier mutation half of [`TierInner::delete`]: remove the
-    /// live copy and, when something below the hot tier holds the key,
-    /// shadow it with a tombstone. Returns whether anything was removed
-    /// from the hot tier here.
-    fn delete_from_hot(&self, key: &[u8], existed_below: bool) -> bool {
-        let mut existed_hot = self.hot.delete(key);
-        if existed_below {
-            // Shadow the cold copy until a spill makes the delete durable.
-            self.hot.record_tombstone(key);
-            // A failed-spill restore racing this delete can re-insert the
-            // drained copy after our staging check but before the
-            // tombstone landed. The tombstone now blocks further
-            // conditional re-inserts, so one tombstone-guarded delete
-            // leaves the key dead — and, unlike a blind delete, spares a
-            // value a concurrent newer SET stored (its atomic
-            // tombstone-clear makes the guard fail).
-            existed_hot = self.hot.delete_if_tombstoned(key) || existed_hot;
-        }
-        existed_hot
+        let deleted = match &self.wal {
+            Some(wal) => wal.append_delete_with(key, step)?.0,
+            None => step().0,
+        };
+        // Tombstones count toward the watermark, so a delete-heavy
+        // workload must be able to spill them too.
+        self.maybe_spill()?;
+        Ok(deleted)
     }
 
     /// Cold lookup through the block cache over a lock-free snapshot of
@@ -1643,48 +1636,21 @@ impl TierInner {
         // drain finishes. Staging (a sorted map) is the one and only copy
         // of the drained data — the segment writer streams straight from
         // it, so a spill never doubles the memory it is trying to free.
-        let drain_result = {
+        let (staged_count, tombstones) = {
             let mut staging = self.staging.write();
             debug_assert!(staging.is_empty(), "spills are serialized");
-            let mut failure = None;
-            // Tombstones are counted as the drains hand them over (this
-            // is the spill's per-segment metadata); shards partition the
-            // keyspace and a key is never both stored and tombstoned, so
-            // the sum matches what staging ends up holding.
-            let mut tombstones = 0u64;
-            for &idx in victims {
-                match self.hot.take_shard(idx) {
-                    Ok(drain) => {
-                        tombstones += drain.tombstone_count() as u64;
-                        for key in drain.tombstones {
-                            staging.insert(key, None);
-                        }
-                        for (key, value) in drain.entries {
-                            staging.insert(key, Some(value));
-                        }
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            debug_assert_eq!(
-                tombstones,
-                staging.values().filter(|v| v.is_none()).count() as u64,
-                "drain counts agree with staged contents"
-            );
-            match failure {
-                Some(e) => Err(e),
-                None => Ok((staging.len(), tombstones)),
-            }
-        };
-        let (staged_count, tombstones) = match drain_result {
-            Ok(counts) => counts,
-            Err(e) => {
+            let drained = victims
+                .iter()
+                .try_for_each(|&idx| self.hot.take_shard(idx).map(|slots| staging.extend(slots)));
+            if let Err(e) = drained {
+                drop(staging);
                 self.restore_staging_to_hot();
                 return Err(e.into());
             }
+            // A slot is a value or a tombstone, never both, so the `None`s
+            // are exactly this segment's tombstone count.
+            let tombstones = staging.values().filter(|v| v.is_none()).count();
+            (staging.len(), tombstones as u64)
         };
         if staged_count == 0 {
             timer.cancel();
@@ -1755,22 +1721,12 @@ impl TierInner {
                 l0,
                 l1: current.l1.clone(),
             });
-            let generation = match self.commit_tier(&tier) {
-                Ok(generation) => generation,
-                Err(e) => {
-                    self.restore_staging_to_hot();
-                    // pbc-allow(drop-result): failed-commit cleanup; the old manifest is still live and does not name this file
-                    let _ = std::fs::remove_file(self.config.dir.join(&segment.file_name));
-                    return Err(e);
-                }
-            };
-            {
-                let mut cold = self.cold.write();
-                *cold = Arc::clone(&tier);
-                self.generation.store(generation, Ordering::Relaxed);
+            if let Err(e) = self.publish(tier) {
+                self.restore_staging_to_hot();
+                // pbc-allow(drop-result): failed-commit cleanup; the old manifest is still live and does not name this file
+                let _ = std::fs::remove_file(self.config.dir.join(&segment.file_name));
+                return Err(e);
             }
-            self.publish_gauges(&tier, generation);
-            self.obs.trace(Event::ManifestGeneration { generation });
         }
 
         // (5) The data is durable and readable from cold; staging retires.
@@ -1810,17 +1766,26 @@ impl TierInner {
             .store(tier.l0.len() as u64, Ordering::Relaxed);
     }
 
-    /// Write the manifest for `tier` under the next generation and return
-    /// that generation. Callers must hold `commit_lock` (it serializes
-    /// generation bumps and successor-tier construction) and store the
-    /// returned generation into `self.generation` **under the `cold`
-    /// write lock, together with the tier swap** — so any reader holding
+    /// Commit `tier` as the next generation and make it the live cold
+    /// tier: manifest swap, then the pointer swap with the generation
+    /// stored **under the same `cold` write lock** — so any reader holding
     /// `cold.read()` sees a generation that matches the segment set it is
-    /// looking at.
-    fn commit_tier(&self, tier: &ColdTier) -> Result<u64> {
+    /// looking at — then gauges and the trace event. Returns the new
+    /// generation. Callers must hold `commit_lock` (it serializes
+    /// generation bumps and successor-tier construction); on `Err` nothing
+    /// was published and the old manifest is still live, so the caller
+    /// only has its own files to clean up.
+    fn publish(&self, tier: Arc<ColdTier>) -> Result<u64> {
         debug_assert!(tier.check_l1_invariant().is_ok());
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         tier.manifest(generation).store_checked(&self.config.dir)?;
+        {
+            let mut cold = self.cold.write();
+            *cold = Arc::clone(&tier);
+            self.generation.store(generation, Ordering::Relaxed);
+        }
+        self.publish_gauges(&tier, generation);
+        self.obs.trace(Event::ManifestGeneration { generation });
         Ok(generation)
     }
 
@@ -1922,20 +1887,14 @@ impl TierInner {
     }
 
     /// Undo a failed spill: move staged entries and tombstones back into
-    /// the hot tier. Conditional inserts only — a write or delete
-    /// acknowledged *while* the spill ran is newer than the drained copy
-    /// and must not be clobbered or resurrected.
+    /// the hot tier, each only into a slot that is still empty — a value
+    /// or a tombstone written *while* the spill ran was acknowledged after
+    /// the drained copy and must be neither overwritten nor resurrected
+    /// over.
     fn restore_staging_to_hot(&self) {
         let mut staging = self.staging.write();
         for (key, value) in std::mem::take(&mut *staging) {
-            match value {
-                Some(value) => {
-                    self.hot.set_if_absent(&key, &value);
-                }
-                None => {
-                    self.hot.record_tombstone_if_absent(&key);
-                }
-            }
+            self.hot.restore(&key, value.as_deref());
         }
     }
 
@@ -2174,7 +2133,7 @@ impl TierInner {
                 remove_outputs(&outcome.outputs);
                 return Err(TierError::ManifestCorrupt { context });
             }
-            let generation = match self.commit_tier(&tier) {
+            let generation = match self.publish(tier) {
                 Ok(generation) => generation,
                 Err(e) => {
                     remove_outputs(&outcome.outputs);
@@ -2186,13 +2145,6 @@ impl TierInner {
                 .chain(current.l1[l1_run.clone()].iter())
                 .cloned()
                 .collect();
-            {
-                let mut cold = self.cold.write();
-                *cold = Arc::clone(&tier);
-                self.generation.store(generation, Ordering::Relaxed);
-            }
-            self.publish_gauges(&tier, generation);
-            self.obs.trace(Event::ManifestGeneration { generation });
             (retired, generation)
         };
 

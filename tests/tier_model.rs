@@ -156,3 +156,65 @@ proptest! {
         }
     }
 }
+
+/// ROADMAP defect 0(a): a get overlapping a delete must never fall through
+/// to an older spilled version of the key.
+///
+/// `key` has version 0 in a cold segment. One writer loops
+/// `set(key, n)` / `delete(key)`; readers loop `get(key)`. A reader that
+/// saw set `floor` complete before its get began may observe `None` (a
+/// delete landed) or any version `>= floor` — never an older one, and in
+/// particular never the spilled version 0 once set 1 has completed.
+#[test]
+fn a_get_racing_a_delete_never_sees_an_older_spilled_version() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    const ITERATIONS: u64 = 200;
+    const ROUNDS_PER_ITERATION: u64 = 500;
+    const READERS: usize = 2;
+    let version = |n: u64| format!("version:{n:012}").into_bytes();
+    let key = b"contended-key";
+
+    for iteration in 0..ITERATIONS {
+        let dir = fresh_dir();
+        let _guard = TempDir(dir.clone());
+        // Default watermark: nothing spills on its own during the race.
+        let store = TieredStore::open(TierConfig::new(&dir)).unwrap();
+        store.set(key, &version(0)).unwrap();
+        store.flush_all().unwrap();
+        assert_eq!(store.hot_len(), 0, "version 0 lives only in a segment");
+
+        let last_completed_set = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(READERS + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::Acquire) {
+                        let floor = last_completed_set.load(Ordering::Acquire);
+                        if let Some(value) = store.get(key).unwrap() {
+                            assert!(
+                                value >= version(floor),
+                                "iteration {iteration}: read {:?} after set {floor} completed",
+                                String::from_utf8_lossy(&value),
+                            );
+                        }
+                    }
+                });
+            }
+            start.wait();
+            // Judged after `done` is set, so a failure cannot strand the
+            // readers.
+            let every_delete_found_its_value = (1..=ROUNDS_PER_ITERATION).all(|n| {
+                store.set(key, &version(n)).unwrap();
+                last_completed_set.store(n, Ordering::Release);
+                store.delete(key).unwrap()
+            });
+            done.store(true, Ordering::Release);
+            assert!(every_delete_found_its_value);
+        });
+        assert_eq!(store.get(key).unwrap(), None, "the last op was a delete");
+    }
+}
