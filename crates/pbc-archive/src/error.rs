@@ -22,7 +22,7 @@ pub enum ArchiveError {
     UnsupportedVersion {
         /// Version stamped in the file.
         found: u16,
-        /// Highest version this build understands.
+        /// The version this build reads.
         supported: u16,
     },
     /// The file ends before a structure it promises is complete.
@@ -75,7 +75,7 @@ impl fmt::Display for ArchiveError {
             }
             ArchiveError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "segment format version {found} not supported (max {supported})"
+                "segment format version {found} not supported (this build reads {supported})"
             ),
             ArchiveError::Truncated { context } => write!(f, "segment truncated in {context}"),
             ArchiveError::CrcMismatch {

@@ -11,23 +11,22 @@
 //! +----------------------------------------------------------------------+
 //! | index    | per block: codec id u8 (segment codec or raw fallback),   |
 //! |          | varint record_count, raw_len, file_offset, comp_len,      |
-//! |          | crc32, min_key, max_key, flagged_count (v2+)              |
+//! |          | crc32, min_key, max_key, flagged_count                    |
 //! +----------------------------------------------------------------------+
 //! | trailer  | index_offset u64 | index_len u32 | index crc32 u32 |      |
 //! | (24 B)   | magic "PBCAREND" (8)                                      |
 //! +----------------------------------------------------------------------+
 //! ```
 //!
-//! Versioning rules: readers accept any file whose `version <= VERSION`;
-//! incompatible layout changes bump `VERSION`; additive changes (new codec
-//! ids, new `flags` bits) do not. All integers are little-endian or LEB128
-//! varints; keys and blocks are opaque bytes.
+//! Versioning rules: readers accept exactly `version == VERSION` and
+//! answer anything else with a typed `UnsupportedVersion`; incompatible
+//! layout changes bump `VERSION`; additive changes (new codec ids, new
+//! `flags` bits) do not. All integers are little-endian or LEB128 varints;
+//! keys and blocks are opaque bytes.
 //!
-//! Version history: v1 is the original layout; v2 appends a varint
-//! `flagged_count` to each index entry — a caller-defined per-block record
-//! counter (the tiered store counts tombstones with it), so segment-level
-//! dead-entry statistics are readable from the footer without decoding any
-//! block. v1 files decode with `flagged_count = 0`.
+//! `flagged_count` is a caller-defined per-block record counter (the tiered
+//! store counts tombstones with it), so segment-level dead-entry statistics
+//! are readable from the footer without decoding any block.
 
 use pbc_codecs::varint;
 
@@ -39,11 +38,8 @@ pub const HEADER_MAGIC: [u8; 8] = *b"PBCARSEG";
 /// Last 8 bytes of every segment file.
 pub const TRAILER_MAGIC: [u8; 8] = *b"PBCAREND";
 
-/// Current format version. Readers accept any `version <= VERSION`.
+/// Current format version, the only one readers accept.
 pub const VERSION: u16 = 2;
-
-/// Oldest version whose index entries carry a per-block `flagged_count`.
-pub const VERSION_FLAGGED_COUNTS: u16 = 2;
 
 /// Byte length of the fixed-size trailer.
 pub const TRAILER_LEN: usize = 24;
@@ -109,7 +105,7 @@ impl Header {
             });
         }
         let version = u16::from_le_bytes([input[8], input[9]]);
-        if version > VERSION {
+        if version != VERSION {
             return Err(ArchiveError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -172,11 +168,11 @@ pub struct BlockMeta {
     pub min_key: Vec<u8>,
     /// Largest record key in the block.
     pub max_key: Vec<u8>,
-    /// Caller-defined per-block record counter (v2+): the segment writer
+    /// Caller-defined per-block record counter: the segment writer
     /// increments it for records appended via
     /// [`crate::SegmentWriter::append_flagged`]. The tiered store flags
     /// tombstones, making per-segment dead-entry counts readable straight
-    /// from the footer. Always `0` when decoding v1 files.
+    /// from the footer.
     pub flagged_count: u64,
 }
 
@@ -195,7 +191,7 @@ impl BlockMeta {
         varint::write_u64(out, self.flagged_count);
     }
 
-    fn decode(input: &[u8], pos: usize, version: u16) -> Result<(BlockMeta, usize)> {
+    fn decode(input: &[u8], pos: usize) -> Result<(BlockMeta, usize)> {
         let truncated = |_| ArchiveError::Truncated {
             context: "block index",
         };
@@ -210,11 +206,7 @@ impl BlockMeta {
         let (crc, pos) = varint::read_u64(input, pos).map_err(truncated)?;
         let (min_key, pos) = read_bytes(input, pos)?;
         let (max_key, pos) = read_bytes(input, pos)?;
-        let (flagged_count, pos) = if version >= VERSION_FLAGGED_COUNTS {
-            varint::read_u64(input, pos).map_err(truncated)?
-        } else {
-            (0, pos)
-        };
+        let (flagged_count, pos) = varint::read_u64(input, pos).map_err(truncated)?;
         if crc > u32::MAX as u64 {
             return Err(ArchiveError::Corrupt {
                 context: format!("block crc field {crc:#x} exceeds 32 bits"),
@@ -257,8 +249,7 @@ fn read_bytes(input: &[u8], pos: usize) -> Result<(Vec<u8>, usize)> {
     Ok((input[pos..end].to_vec(), end))
 }
 
-/// Serialize the block index (without the trailer). Always writes the
-/// current-version layout ([`VERSION`]).
+/// Serialize the block index (without the trailer).
 pub fn encode_index(blocks: &[BlockMeta]) -> Vec<u8> {
     let mut out = Vec::new();
     varint::write_usize(&mut out, blocks.len());
@@ -268,9 +259,8 @@ pub fn encode_index(blocks: &[BlockMeta]) -> Vec<u8> {
     out
 }
 
-/// Parse the block index from its serialized bytes, interpreting entries
-/// under the layout of `version` (the file's header version).
-pub fn decode_index(input: &[u8], version: u16) -> Result<Vec<BlockMeta>> {
+/// Parse the block index from its serialized bytes.
+pub fn decode_index(input: &[u8]) -> Result<Vec<BlockMeta>> {
     let (count, mut pos) = varint::read_usize(input, 0).map_err(|_| ArchiveError::Truncated {
         context: "block index",
     })?;
@@ -283,7 +273,7 @@ pub fn decode_index(input: &[u8], version: u16) -> Result<Vec<BlockMeta>> {
     }
     let mut blocks = Vec::with_capacity(count);
     for _ in 0..count {
-        let (meta, next) = BlockMeta::decode(input, pos, version)?;
+        let (meta, next) = BlockMeta::decode(input, pos)?;
         pos = next;
         blocks.push(meta);
     }
@@ -388,14 +378,16 @@ mod tests {
             })
         ));
 
-        let mut bad_version = good.clone();
-        bad_version[8] = 99;
-        // Version check happens before CRC so old readers give the clearer
-        // error on new files.
-        assert!(matches!(
-            Header::decode(&bad_version),
-            Err(ArchiveError::UnsupportedVersion { found: 99, .. })
-        ));
+        // Newer and older alike: no other layout ever shipped. The version
+        // check happens before the CRC so the clearer error wins.
+        for other in [99u8, 1] {
+            let mut bad_version = good.clone();
+            bad_version[8] = other;
+            assert!(matches!(
+                Header::decode(&bad_version),
+                Err(ArchiveError::UnsupportedVersion { found, .. }) if found == other as u16
+            ));
+        }
 
         let mut bad_crc = good.clone();
         bad_crc[10] ^= 0x40;
@@ -437,29 +429,7 @@ mod tests {
             },
         ];
         let bytes = encode_index(&blocks);
-        assert_eq!(decode_index(&bytes, VERSION).unwrap(), blocks);
-    }
-
-    #[test]
-    fn v1_index_decodes_with_zero_flagged_counts() {
-        // A v1 entry is the v2 layout minus the trailing flagged varint.
-        let v2 = BlockMeta {
-            codec_id: 3,
-            record_count: 12,
-            raw_len: 600,
-            file_offset: 32,
-            comp_len: 200,
-            crc: 9,
-            min_key: b"a".to_vec(),
-            max_key: b"z".to_vec(),
-            flagged_count: 0,
-        };
-        let mut v1_bytes = Vec::new();
-        varint::write_usize(&mut v1_bytes, 1);
-        v2.encode(&mut v1_bytes);
-        v1_bytes.pop(); // strip the flagged_count varint (value 0 = 1 byte)
-        let decoded = decode_index(&v1_bytes, 1).unwrap();
-        assert_eq!(decoded, vec![v2]);
+        assert_eq!(decode_index(&bytes).unwrap(), blocks);
     }
 
     #[test]
@@ -479,7 +449,7 @@ mod tests {
         }
         .encode(&mut bytes);
         assert!(matches!(
-            decode_index(&bytes, VERSION),
+            decode_index(&bytes),
             Err(ArchiveError::Corrupt { .. })
         ));
     }
@@ -498,11 +468,11 @@ mod tests {
             flagged_count: 1,
         }];
         let bytes = encode_index(&blocks);
-        assert!(decode_index(&bytes[..bytes.len() - 2], VERSION).is_err());
+        assert!(decode_index(&bytes[..bytes.len() - 2]).is_err());
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(matches!(
-            decode_index(&padded, VERSION),
+            decode_index(&padded),
             Err(ArchiveError::Corrupt { .. })
         ));
     }

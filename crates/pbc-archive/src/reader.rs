@@ -192,7 +192,7 @@ impl SegmentReader {
                 computed,
             });
         }
-        let blocks = decode_index(&index_bytes, header.version)?;
+        let blocks = decode_index(&index_bytes)?;
         drop(index_bytes);
 
         // Validate block geometry against the file before trusting offsets.
@@ -255,8 +255,7 @@ impl SegmentReader {
     }
 
     /// Total flagged records across all blocks (see
-    /// [`crate::SegmentWriter::append_flagged`]) — always 0 for v1 files,
-    /// which predate per-block flagged counts.
+    /// [`crate::SegmentWriter::append_flagged`]).
     pub fn flagged_count(&self) -> u64 {
         self.blocks.iter().map(|b| b.flagged_count).sum()
     }

@@ -6,8 +6,7 @@
 //!
 //! Experiments:
 //!   table2 table3 table4 table5 table6 table7 table8
-//!   fig5 fig6 fig7 fig8 fig9a fig9b archive tier compaction leveling scans obs wal readpath
-//!   serve
+//!   fig5 fig6 fig7 fig8 fig9a fig9b
 //!   all            run everything (takes several minutes)
 //!   quick          a reduced sanity pass over the main results
 //! ```
@@ -70,28 +69,8 @@ fn main() {
         .iter()
         .flat_map(|e| match e.as_str() {
             "all" => vec![
-                "table2",
-                "table3",
-                "fig5",
-                "table4",
-                "fig6",
-                "fig7",
-                "fig8",
-                "fig9a",
-                "fig9b",
-                "table5",
-                "table6",
-                "table7",
-                "table8",
-                "archive",
-                "tier",
-                "compaction",
-                "leveling",
-                "scans",
-                "obs",
-                "wal",
-                "readpath",
-                "serve",
+                "table2", "table3", "fig5", "table4", "fig6", "fig7", "fig8", "fig9a", "fig9b",
+                "table5", "table6", "table7", "table8",
             ]
             .into_iter()
             .map(String::from)
@@ -113,8 +92,7 @@ fn print_usage() {
     println!(
         "Usage: repro [--scale <f64>] [--smoke] [--experiment <name>] <experiment>...\n\
          Experiments: table2 table3 table4 table5 table6 table7 table8 \
-         fig5 fig6 fig7 fig8 fig9a fig9b archive tier compaction leveling scans obs wal \
-         readpath serve all quick"
+         fig5 fig6 fig7 fig8 fig9a fig9b all quick"
     );
 }
 
@@ -274,24 +252,6 @@ fn run_experiment(name: &str, scale: f64) {
             }
             println!("{}", table.render());
         }
-        "archive" => println!("{}", pbc_bench::archive::archive_throughput(scale).render()),
-        "tier" => println!("{}", pbc_bench::tier::tier_throughput(scale).render()),
-        "compaction" => println!(
-            "{}",
-            pbc_bench::compaction::compaction_throughput(scale).render()
-        ),
-        "leveling" => println!(
-            "{}",
-            pbc_bench::leveling::leveling_throughput(scale).render()
-        ),
-        "scans" => println!("{}", pbc_bench::scans::scans_throughput(scale).render()),
-        "obs" => println!("{}", pbc_bench::obs::obs_throughput(scale).render()),
-        "wal" => println!("{}", pbc_bench::wal::wal_throughput(scale).render()),
-        "serve" => println!("{}", pbc_bench::serve::serve_throughput(scale).render()),
-        "readpath" => println!(
-            "{}",
-            pbc_bench::readpath::readpath_throughput(scale).render()
-        ),
         other => die(&format!("unknown experiment '{other}'")),
     }
     eprintln!(

@@ -1,10 +1,10 @@
-//! # pbc-bench — experiment harness for the PBC reproduction
+//! # pbc-bench — the paper reproducer
 //!
 //! One function per table/figure of the paper's evaluation (Section 7),
-//! shared between the `repro` command-line binary, the Criterion benches and
-//! the cross-crate integration tests. Every function returns plain data
-//! (rows of named measurements) so callers can print, assert on, or plot the
-//! results.
+//! called by the `repro` command-line binary. Every function returns plain
+//! data (rows of named measurements) so callers can print, assert on, or
+//! plot the results. Engine performance (segments, tiered store, WAL,
+//! router) is not measured here: that is `pbc-perf` in `bench/`.
 //!
 //! | Paper artefact | Function |
 //! |---|---|
@@ -19,35 +19,17 @@
 //! | Table 5 (log compression) | [`experiments::table5`] |
 //! | Tables 6–7 (JSON compression) | [`experiments::table6`], [`experiments::table7`] |
 //! | Table 8 (production case study) | [`experiments::table8`] |
-//! | Archive ingest/lookups (beyond the paper) | [`archive::archive_throughput`] |
-//! | Tiered-store get latency (beyond the paper) | [`tier::tier_throughput`] |
-//! | Background compaction stalls (beyond the paper) | [`compaction::compaction_throughput`] |
-//! | L0/L1 leveling + concurrent drain (beyond the paper) | [`leveling::leveling_throughput`] |
-//! | Range-scan throughput + bytes/row (beyond the paper) | [`scans::scans_throughput`] |
-//! | Observability: exported percentiles + overhead (beyond the paper) | [`obs::obs_throughput`] |
-//! | WAL durability ladder + group commit (beyond the paper) | [`wal::wal_throughput`] |
-//! | Read path: pread vs mmap, LRU vs 2Q, decode tables (beyond the paper) | [`readpath::readpath_throughput`] |
-//! | Serving: sharded router, admission control, tenants (beyond the paper) | [`serve::serve_throughput`] |
 //!
 //! Record counts are laptop-scale by default and can be shrunk further with
 //! a scale factor (`repro --scale 0.25 ...`) for quick smoke runs.
 
 #![forbid(unsafe_code)]
 
-pub mod archive;
-pub mod compaction;
 pub mod data;
 pub mod experiments;
 pub mod figures;
-pub mod leveling;
 pub mod measure;
-pub mod obs;
-pub mod readpath;
 pub mod report;
-pub mod scans;
-pub mod serve;
-pub mod tier;
-pub mod wal;
 
 pub use data::{corpus, scaled_count, SEED};
 pub use measure::{time_per_byte, Throughput};

@@ -8,7 +8,7 @@
 //! The encoder limits code lengths to [`MAX_CODE_LEN`] bits so the decoder
 //! can use a single flat lookup table.
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::BitWriter;
 use crate::error::{CodecError, Result};
 use crate::varint;
 
@@ -226,35 +226,8 @@ fn canonical_codes(lengths: &[u8; ALPHABET]) -> [u16; ALPHABET] {
     codes
 }
 
-/// Flat decode table mapping [`MAX_CODE_LEN`]-bit prefixes to (symbol, length).
-struct DecodeTable {
-    entries: Vec<(u8, u8)>,
-}
-
-impl DecodeTable {
-    fn build(table: &HuffmanTable) -> Self {
-        let size = 1usize << MAX_CODE_LEN;
-        let mut entries = vec![(0u8, 0u8); size];
-        for symbol in 0..ALPHABET {
-            let len = table.lengths[symbol];
-            if len == 0 {
-                continue;
-            }
-            let code = table.codes[symbol] as usize;
-            let shift = MAX_CODE_LEN - len;
-            let start = code << shift;
-            let end = (code + 1) << shift;
-            for entry in entries.iter_mut().take(end).skip(start) {
-                *entry = (symbol as u8, len);
-            }
-        }
-        DecodeTable { entries }
-    }
-}
-
-/// First-level table bits for the table-driven decoder — chosen by the
-/// `readpath` repro sweep (`repro --experiment readpath` prints ns/byte for
-/// table sizes around this value): 11 bits covers every code the encoder
+/// First-level table bits for the table-driven decoder, chosen by sweeping
+/// table sizes around this value: 11 bits covers every code the encoder
 /// emits on realistic skew while keeping the table at 2K entries (4 KiB,
 /// comfortably L1-resident); larger tables measured no faster and evict
 /// more of the caller's working set.
@@ -564,45 +537,11 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
 }
 
 /// [`decompress`] with an explicit first-level table size (clamped to
-/// `1..=`[`MAX_CODE_LEN`]). Exposed so the `readpath` repro experiment can
-/// sweep table bits; every size decodes identically, only speed differs.
+/// `1..=`[`MAX_CODE_LEN`]). Every size decodes identically, only speed
+/// differs.
 pub fn decompress_with_table_bits(input: &[u8], table_bits: u8) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     Decoder::with_table_bits(table_bits).decompress_into(input, &mut out)?;
-    Ok(out)
-}
-
-/// The pre-table reference decoder: one flat [`MAX_CODE_LEN`]-bit lookup
-/// per symbol, peeking through a cloned [`BitReader`]. Kept as the
-/// differential-testing and benchmarking baseline for the table-driven
-/// fast path ([`decompress`] must produce byte-identical output).
-pub fn decompress_branchy(input: &[u8]) -> Result<Vec<u8>> {
-    let (raw_len, parsed) = parse_stream(input)?;
-    let Some((lengths, payload)) = parsed else {
-        return Ok(Vec::new());
-    };
-    let decode = DecodeTable::build(&HuffmanTable::from_lengths(lengths)?);
-    let mut out = Vec::with_capacity(raw_len);
-    let mut reader = BitReader::new(payload);
-    while out.len() < raw_len {
-        // Peek up to MAX_CODE_LEN bits (shorter near the end of the stream).
-        let available = reader.remaining_bits().min(MAX_CODE_LEN as usize) as u8;
-        if available == 0 {
-            return Err(CodecError::UnexpectedEof {
-                context: "huffman codes",
-            });
-        }
-        let peek = {
-            let mut clone = reader.clone();
-            clone.read_bits(available)? << (MAX_CODE_LEN - available)
-        };
-        let (symbol, len) = decode.entries[peek as usize];
-        if len == 0 || len > available {
-            return Err(CodecError::corrupt("invalid huffman code in stream"));
-        }
-        reader.read_bits(len)?;
-        out.push(symbol);
-    }
     Ok(out)
 }
 
@@ -632,6 +571,67 @@ pub fn empirical_entropy(input: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::BitReader;
+
+    /// Flat decode table mapping [`MAX_CODE_LEN`]-bit prefixes to (symbol, length).
+    struct DecodeTable {
+        entries: Vec<(u8, u8)>,
+    }
+
+    impl DecodeTable {
+        fn build(table: &HuffmanTable) -> Self {
+            let size = 1usize << MAX_CODE_LEN;
+            let mut entries = vec![(0u8, 0u8); size];
+            for symbol in 0..ALPHABET {
+                let len = table.lengths[symbol];
+                if len == 0 {
+                    continue;
+                }
+                let code = table.codes[symbol] as usize;
+                let shift = MAX_CODE_LEN - len;
+                let start = code << shift;
+                let end = (code + 1) << shift;
+                for entry in entries.iter_mut().take(end).skip(start) {
+                    *entry = (symbol as u8, len);
+                }
+            }
+            DecodeTable { entries }
+        }
+    }
+
+    /// The pre-table reference decoder: one flat [`MAX_CODE_LEN`]-bit lookup
+    /// per symbol, peeking through a cloned [`BitReader`]. The oracle the
+    /// table-driven fast path is differentially tested against: [`decompress`]
+    /// must produce byte-identical output.
+    fn decompress_branchy(input: &[u8]) -> Result<Vec<u8>> {
+        let (raw_len, parsed) = parse_stream(input)?;
+        let Some((lengths, payload)) = parsed else {
+            return Ok(Vec::new());
+        };
+        let decode = DecodeTable::build(&HuffmanTable::from_lengths(lengths)?);
+        let mut out = Vec::with_capacity(raw_len);
+        let mut reader = BitReader::new(payload);
+        while out.len() < raw_len {
+            // Peek up to MAX_CODE_LEN bits (shorter near the end of the stream).
+            let available = reader.remaining_bits().min(MAX_CODE_LEN as usize) as u8;
+            if available == 0 {
+                return Err(CodecError::UnexpectedEof {
+                    context: "huffman codes",
+                });
+            }
+            let peek = {
+                let mut clone = reader.clone();
+                clone.read_bits(available)? << (MAX_CODE_LEN - available)
+            };
+            let (symbol, len) = decode.entries[peek as usize];
+            if len == 0 || len > available {
+                return Err(CodecError::corrupt("invalid huffman code in stream"));
+            }
+            reader.read_bits(len)?;
+            out.push(symbol);
+        }
+        Ok(out)
+    }
 
     #[test]
     fn roundtrip_simple_text() {

@@ -6,9 +6,9 @@ use std::time::Duration;
 /// sizing, and the admission-control thresholds read against
 /// [`pbc_tier::WritePressure`].
 ///
-/// Defaults are sized for tests and moderate hardware; the serving
-/// benchmark (`repro --experiment serve`) drives both a nominal and a
-/// deliberately saturated configuration.
+/// Defaults are sized for tests and moderate hardware; `pbc-perf`'s
+/// `serve-mixed` and `durable-writes` workloads (`bench/`) drive them under
+/// load, and `tests/backpressure.rs` a deliberately saturated configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Router shards: one submission queue + one applier thread each.

@@ -21,9 +21,8 @@
 //!   admission.
 //!
 //! Everything observable is exported as `pbc_serve_*` metrics through
-//! the store's shared [`pbc_obs::MetricsRegistry`]; the repro harness's
-//! `serve` experiment drives nominal and saturated configurations
-//! end-to-end.
+//! the store's shared [`pbc_obs::MetricsRegistry`]; `pbc-perf` (`bench/`)
+//! reads them back as its `serve.*` per-layer metrics.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -13,8 +13,8 @@
 //! A pure LRU has a failure mode this store actively triggers: a wide
 //! `range_scan` streams every candidate block through the cache exactly
 //! once, and under LRU each of those single-use blocks lands at the MRU
-//! position — flushing the point-lookup working set. The default
-//! [`CachePolicy::TwoQ`] splits the budget into two recency queues:
+//! position — flushing the point-lookup working set. 2Q splits the budget
+//! into two recency queues:
 //!
 //! ```text
 //!   insert ──► [ probation (≤ ¼ capacity) ] ──evict──► gone
@@ -27,8 +27,7 @@
 //! by being referenced again while still resident. Capacity evictions take
 //! the probation LRU first, so a scan's one-touch blocks churn through the
 //! small probationary region and the re-referenced hot set in protected
-//! survives. [`CachePolicy::Lru`] (inserts go straight to protected, no
-//! promotion) is kept for comparison in the `readpath` repro experiment.
+//! survives.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -40,22 +39,8 @@ use pbc_obs::Counter;
 /// Cache key: `(segment id, block index)`.
 pub type BlockKey = (u64, usize);
 
-/// Replacement policy for a [`BlockCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Scan-resistant two-queue policy (the default): admissions are
-    /// probationary and must be re-referenced to reach the protected
-    /// region; evictions drain probation first.
-    #[default]
-    TwoQ,
-    /// Classic least-recently-used: every insert is immediately as
-    /// protected as a re-referenced block. A single wide scan evicts the
-    /// point-lookup working set — kept as the baseline policy.
-    Lru,
-}
-
-/// Fraction of capacity reserved for the probationary queue under
-/// [`CachePolicy::TwoQ`]: ¼, the classic 2Q "Kin" sizing.
+/// Fraction of capacity reserved for the probationary queue: ¼, the
+/// classic 2Q "Kin" sizing.
 const PROBATION_FRACTION: usize = 4;
 
 /// A decoded block kept by the cache.
@@ -127,14 +112,12 @@ impl CacheInner {
 }
 
 /// A shared, thread-safe cache of decoded blocks with byte-capacity
-/// eviction, a scan-resistant [`CachePolicy`], and
+/// eviction, scan-resistant 2Q replacement, and
 /// hit/miss/eviction/admission counters.
 pub struct BlockCache {
     capacity: usize,
-    /// Byte budget of the protected queue under 2Q; probation gets the
-    /// rest. Unused under [`CachePolicy::Lru`].
+    /// Byte budget of the protected queue; probation gets the rest.
     protected_target: usize,
-    policy: CachePolicy,
     inner: Mutex<CacheInner>,
     hits: Counter,
     misses: Counter,
@@ -157,7 +140,7 @@ pub struct CacheCounters {
     pub evictions: Counter,
     /// Blocks dropped because their segment was retired.
     pub invalidations: Counter,
-    /// Blocks admitted into the cache (2Q: into probation).
+    /// Blocks admitted into the cache (always into probation).
     pub admissions: Counter,
     /// Probationary blocks promoted to protected on re-reference.
     pub promotions: Counter,
@@ -187,7 +170,6 @@ impl std::fmt::Debug for BlockCache {
         let inner = self.inner.lock();
         f.debug_struct("BlockCache")
             .field("capacity", &self.capacity)
-            .field("policy", &self.policy)
             .field("cached_bytes", &inner.total_bytes())
             .field("probation_bytes", &inner.probation_bytes)
             .field("protected_bytes", &inner.protected_bytes)
@@ -212,15 +194,9 @@ impl BlockCache {
     /// Like [`BlockCache::new`], but recording into the given handles
     /// (typically obtained from a `pbc_obs::MetricsRegistry`).
     pub fn with_counters(capacity: usize, counters: CacheCounters) -> Self {
-        BlockCache::with_policy(capacity, CachePolicy::TwoQ, counters)
-    }
-
-    /// Full constructor: capacity, replacement policy, counter handles.
-    pub fn with_policy(capacity: usize, policy: CachePolicy, counters: CacheCounters) -> Self {
         BlockCache {
             capacity,
             protected_target: capacity - capacity / PROBATION_FRACTION,
-            policy,
             inner: Mutex::new(CacheInner::default()),
             hits: counters.hits,
             misses: counters.misses,
@@ -237,17 +213,12 @@ impl BlockCache {
         self.capacity
     }
 
-    /// The configured replacement policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
     /// Decoded bytes currently cached (always `<= capacity`).
     pub fn cached_bytes(&self) -> usize {
         self.inner.lock().total_bytes()
     }
 
-    /// Decoded bytes in the probationary queue (2Q; always 0 under LRU).
+    /// Decoded bytes in the probationary queue.
     pub fn probation_bytes(&self) -> usize {
         self.inner.lock().probation_bytes
     }
@@ -312,13 +283,11 @@ impl BlockCache {
         self.probation_evictions.value()
     }
 
-    /// Look a block up, refreshing its recency on a hit. Under 2Q a
-    /// probationary hit promotes the block to protected (demoting the
-    /// protected LRU back to probation if that overflows the protected
-    /// budget).
+    /// Look a block up, refreshing its recency on a hit. A probationary
+    /// hit promotes the block to protected (demoting the protected LRU
+    /// back to probation if that overflows the protected budget).
     pub fn get(&self, key: BlockKey) -> Option<Arc<DecodedBlock>> {
-        let mut promoted = false;
-        let block = {
+        let (block, promoted) = {
             let mut inner = self.inner.lock();
             let tick = inner.next_tick();
             let Some(slot) = inner.map.get_mut(&key) else {
@@ -327,41 +296,27 @@ impl BlockCache {
                 return None;
             };
             let old_tick = slot.tick;
-            let was_protected = slot.protected;
+            let promoted = !slot.protected;
             let bytes = slot.bytes;
             let block = Arc::clone(&slot.block);
             slot.tick = tick;
-            match self.policy {
-                _ if was_protected => {
-                    inner.protected.remove(&old_tick);
-                    inner.protected.insert(tick, key);
+            slot.protected = true;
+            if promoted {
+                // Probationary re-reference: promote.
+                inner.probation.remove(&old_tick);
+                inner.probation_bytes -= bytes;
+                inner.protected.insert(tick, key);
+                inner.protected_bytes += bytes;
+                // Promotion moves bytes between queues, never past total
+                // capacity; only the protected budget needs rebalancing.
+                while inner.protected_bytes > self.protected_target && !inner.protected.is_empty() {
+                    inner.demote_protected_lru();
                 }
-                CachePolicy::TwoQ => {
-                    // Probationary re-reference: promote.
-                    // pbc-allow(panic): presence established by the lookup above
-                    let slot = inner.map.get_mut(&key).expect("present above");
-                    slot.protected = true;
-                    inner.probation.remove(&old_tick);
-                    inner.probation_bytes -= bytes;
-                    inner.protected.insert(tick, key);
-                    inner.protected_bytes += bytes;
-                    promoted = true;
-                    // Promotion moves bytes between queues, never past total
-                    // capacity; only the protected budget needs rebalancing.
-                    while inner.protected_bytes > self.protected_target
-                        && !inner.protected.is_empty()
-                    {
-                        inner.demote_protected_lru();
-                    }
-                }
-                CachePolicy::Lru => {
-                    // LRU keeps everything in one (protected) queue; a
-                    // probationary slot can't exist, but stay robust.
-                    inner.probation.remove(&old_tick);
-                    inner.probation.insert(tick, key);
-                }
+            } else {
+                inner.protected.remove(&old_tick);
+                inner.protected.insert(tick, key);
             }
-            block
+            (block, promoted)
         };
         self.hits.inc();
         if promoted {
@@ -371,7 +326,7 @@ impl BlockCache {
     }
 
     /// Insert a decoded block, evicting blocks until the byte budget holds
-    /// (probation LRU first under 2Q). Blocks larger than the whole
+    /// (probation LRU first). Blocks larger than the whole
     /// capacity are not cached at all.
     pub fn insert(&self, key: BlockKey, block: Arc<DecodedBlock>) {
         let bytes = block.heap_bytes();
@@ -390,23 +345,16 @@ impl BlockCache {
             // Replacing an existing slot first keeps accounting exact.
             let replaced = inner.remove(&key);
             let tick = inner.next_tick();
-            // 2Q: all admissions are probationary. LRU: straight to the
-            // protected queue (one flat recency list, no promotion step).
-            let protected = matches!(self.policy, CachePolicy::Lru);
-            if protected {
-                inner.protected.insert(tick, key);
-                inner.protected_bytes += bytes;
-            } else {
-                inner.probation.insert(tick, key);
-                inner.probation_bytes += bytes;
-            }
+            // All admissions are probationary.
+            inner.probation.insert(tick, key);
+            inner.probation_bytes += bytes;
             inner.map.insert(
                 key,
                 Slot {
                     block,
                     bytes,
                     tick,
-                    protected,
+                    protected: false,
                 },
             );
             while inner.total_bytes() > self.capacity {
@@ -499,10 +447,6 @@ mod tests {
                 .decompress_block(&raw, n, raw.len())
                 .unwrap(),
         )
-    }
-
-    fn lru_cache(capacity: usize) -> BlockCache {
-        BlockCache::with_policy(capacity, CachePolicy::Lru, CacheCounters::standalone())
     }
 
     #[test]
@@ -684,21 +628,5 @@ mod tests {
             cache.evictions() + cache.block_count() as u64,
             "every admitted block is either resident or was evicted"
         );
-    }
-
-    #[test]
-    fn pure_lru_policy_promotes_nothing_and_scans_evict_hot_blocks() {
-        let one_block = block(0, 4, 100).heap_bytes();
-        let cache = lru_cache(one_block * 2 + 1);
-        cache.insert((1, 0), block(1, 4, 100));
-        assert!(cache.get((1, 0)).is_some());
-        assert_eq!(cache.promotions(), 0, "LRU has no promotion step");
-        assert_eq!(cache.probation_bytes(), 0, "LRU keeps one flat queue");
-        // A "scan" of one-touch blocks flushes the previously-hot block —
-        // the behaviour 2Q exists to prevent.
-        cache.insert((2, 0), block(2, 4, 100));
-        cache.insert((2, 1), block(3, 4, 100));
-        assert!(cache.get((1, 0)).is_none(), "LRU let the scan evict it");
-        assert_eq!(cache.probation_evictions(), 0);
     }
 }

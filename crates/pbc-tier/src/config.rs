@@ -7,7 +7,6 @@ use pbc_archive::{ReadMode, SegmentConfig};
 use pbc_store::ValueCodec;
 use pbc_wal::Durability;
 
-use crate::cache::CachePolicy;
 use crate::planner::PlannerConfig;
 
 /// Write-ahead-log knobs for a [`crate::TieredStore`] (see
@@ -68,14 +67,17 @@ impl WalOptions {
     }
 }
 
+/// After crossing the watermark, spilling drives hot-tier usage down to
+/// this fraction of it.
+const SPILL_TARGET_FRACTION: f64 = 0.5;
+
 /// Configuration for a [`crate::TieredStore`].
 ///
 /// The central knob is the **memory watermark** (the FRaZ-style budget): as
 /// soon as the hot tier's accounted bytes cross it, the coldest shards are
-/// spilled to segments until usage drops back to
-/// `memory_watermark_bytes * spill_target_fraction`. Spilling to a fraction
-/// rather than just below the watermark produces chunkier segments and
-/// fewer spill cycles.
+/// spilled to segments until usage drops back to half of it. Spilling to a
+/// fraction rather than just below the watermark produces chunkier segments
+/// and fewer spill cycles.
 #[derive(Debug, Clone)]
 pub struct TierConfig {
     /// Directory holding the manifest and every cold segment.
@@ -83,16 +85,8 @@ pub struct TierConfig {
     /// Hot-tier byte budget (stored keys + values + tombstones). `u64::MAX`
     /// disables spilling.
     pub memory_watermark_bytes: u64,
-    /// After crossing the watermark, spill until usage is at or below
-    /// `memory_watermark_bytes * spill_target_fraction` (clamped to 0..=1).
-    pub spill_target_fraction: f64,
     /// Byte capacity of the read-through block cache (0 disables caching).
     pub cache_capacity_bytes: usize,
-    /// Replacement policy of the block cache. The default
-    /// [`CachePolicy::TwoQ`] keeps the point-lookup working set resident
-    /// across wide range scans; [`CachePolicy::Lru`] is the pre-2Q
-    /// behavior, kept for comparison.
-    pub cache_policy: CachePolicy,
     /// How spill and compaction segments are written (block size, codec
     /// selection, workers).
     pub segment: SegmentConfig,
@@ -151,9 +145,7 @@ impl TierConfig {
         TierConfig {
             dir: dir.into(),
             memory_watermark_bytes: 64 * 1024 * 1024,
-            spill_target_fraction: 0.5,
             cache_capacity_bytes: 8 * 1024 * 1024,
-            cache_policy: CachePolicy::default(),
             segment: SegmentConfig::default(),
             hot_codec: ValueCodec::None,
             reuse_spill_codec: true,
@@ -179,24 +171,12 @@ impl TierConfig {
         self
     }
 
-    /// Set the block cache's replacement policy.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
-        self
-    }
-
     /// Set how segment files are read back: memory-mapped, positioned
     /// reads, or (the default) mmap with automatic pread fallback. Stored
     /// on [`TierConfig::segment`] and applied to every segment the store
     /// opens — spill outputs, compaction outputs, and the boot-time scan.
     pub fn with_read_mode(mut self, read_mode: ReadMode) -> Self {
         self.segment.read_mode = read_mode;
-        self
-    }
-
-    /// Set the post-spill usage target as a fraction of the watermark.
-    pub fn with_spill_target_fraction(mut self, fraction: f64) -> Self {
-        self.spill_target_fraction = fraction;
         self
     }
 
@@ -280,7 +260,6 @@ impl TierConfig {
 
     /// The usage target spilling drives down to.
     pub(crate) fn spill_target_bytes(&self) -> u64 {
-        let fraction = self.spill_target_fraction.clamp(0.0, 1.0);
-        (self.memory_watermark_bytes as f64 * fraction) as u64
+        (self.memory_watermark_bytes as f64 * SPILL_TARGET_FRACTION) as u64
     }
 }

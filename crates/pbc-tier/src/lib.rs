@@ -113,7 +113,7 @@ pub mod planner;
 pub mod scan;
 pub mod store;
 
-pub use cache::{BlockCache, BlockKey, CacheCounters, CachePolicy};
+pub use cache::{BlockCache, BlockKey, CacheCounters};
 pub use compact::{MergeOutcome, MergeOutput};
 pub use config::{TierConfig, WalOptions};
 pub use error::{Result, TierError};

@@ -417,7 +417,8 @@ pub struct TierStats {
     pub scan_blocks_decoded: u64,
     /// Decoded bytes those scan block reads produced — with the rows a
     /// scan yielded, this gauges bytes-decoded-per-row, the scan
-    /// efficiency measure the `scans` repro experiment reports.
+    /// efficiency measure `pbc-perf` reports as
+    /// `tier.scan_bytes_decoded_per_row`.
     pub scan_bytes_decoded: u64,
     /// Spill passes completed.
     pub spills: u64,
@@ -765,11 +766,7 @@ impl TieredStore {
             }
             None => (None, None),
         };
-        let cache = BlockCache::with_policy(
-            config.cache_capacity_bytes,
-            config.cache_policy,
-            obs.cache_counters(),
-        );
+        let cache = BlockCache::with_counters(config.cache_capacity_bytes, obs.cache_counters());
         let planner = CompactionPlanner::new(config.planner.clone());
         let background = config.background_compaction;
         let inner = Arc::new(TierInner {

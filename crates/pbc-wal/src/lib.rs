@@ -366,35 +366,53 @@ mod tests {
 
     #[test]
     fn group_commit_batches_concurrent_writers() {
-        let dir = temp_dir("group");
-        let config = WalConfig::new(&dir)
-            .with_shards(1)
-            .with_durability(Durability::PerBatch);
-        let (wal, _) = Wal::open(config.clone(), WalObs::default(), 0, |_| {}).unwrap();
-        let wal = Arc::new(wal);
         let per_thread = 40u32;
         let threads = 8usize;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let wal = Arc::clone(&wal);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        wal.append_put(format!("t{t}-{i}").as_bytes(), b"v")
-                            .unwrap();
-                    }
+        let writes = threads as u64 * per_thread as u64;
+        for durability in [Durability::PerBatch, Durability::PerWrite] {
+            let dir = temp_dir("group");
+            let config = WalConfig::new(&dir)
+                .with_shards(1)
+                .with_durability(durability);
+            let obs = WalObs::new(&pbc_obs::MetricsRegistry::new(), None);
+            let (wal, _) = Wal::open(config.clone(), obs.clone(), 0, |_| {}).unwrap();
+            let wal = Arc::new(wal);
+            let fsyncs_at_open = obs.fsyncs.value();
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let wal = Arc::clone(&wal);
+                    std::thread::spawn(move || {
+                        for i in 0..per_thread {
+                            wal.append_put(format!("t{t}-{i}").as_bytes(), b"v")
+                                .unwrap();
+                        }
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        drop(wal);
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            // Group commit shares syncs between the writers queued behind
+            // the one in flight; the per-write baseline never does.
+            let fsyncs = obs.fsyncs.value() - fsyncs_at_open;
+            assert_eq!(obs.appends.value(), writes);
+            match durability {
+                Durability::PerBatch => {
+                    assert!(fsyncs < writes, "{fsyncs} fsyncs: no batch formed")
+                }
+                _ => assert!(
+                    fsyncs >= writes,
+                    "{fsyncs} fsyncs for {writes} PerWrite acks"
+                ),
+            }
+            drop(wal);
 
-        let mut count = 0u64;
-        let (_wal, report) = Wal::open(config, WalObs::default(), 0, |_| count += 1).unwrap();
-        assert_eq!(report.records_replayed, threads as u64 * per_thread as u64);
-        assert_eq!(count, report.records_replayed);
-        std::fs::remove_dir_all(&dir).ok();
+            let mut count = 0u64;
+            let (_wal, report) = Wal::open(config, WalObs::default(), 0, |_| count += 1).unwrap();
+            assert_eq!(report.records_replayed, writes);
+            assert_eq!(count, report.records_replayed);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

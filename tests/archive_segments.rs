@@ -14,18 +14,8 @@ use pbc::archive::{ArchiveError, CodecSpec, SegmentConfig, SegmentReader, Segmen
 use pbc::core::PbcConfig;
 use pbc::datagen::Dataset;
 
-fn temp_segment(tag: &str) -> (PathBuf, TempGuard) {
-    let path = std::env::temp_dir().join(format!("pbc-e2e-{}-{tag}.seg", std::process::id()));
-    (path.clone(), TempGuard(path))
-}
-
-struct TempGuard(PathBuf);
-
-impl Drop for TempGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
+mod support;
+use support::{temp_dir, TempDir};
 
 /// ≥10k records mixing a log corpus and a JSON corpus, as the paper's
 /// datasets do.
@@ -66,7 +56,7 @@ fn ten_k_records_reopen_cold_and_serve_1k_random_lookups_for_three_codecs() {
         CodecSpec::Zstd { level: 3 },
         CodecSpec::Fsst,
     ] {
-        let (path, _guard) = temp_segment("accept");
+        let (path, _guard) = temp_dir("accept");
         write_records(&path, &records, codec.clone(), 1);
 
         // Reopen cold: a fresh reader re-hydrating everything from disk.
@@ -85,8 +75,8 @@ fn ten_k_records_reopen_cold_and_serve_1k_random_lookups_for_three_codecs() {
 #[test]
 fn four_worker_writer_is_byte_identical_to_single_threaded() {
     let records = mixed_corpus();
-    let (path_single, _g1) = temp_segment("workers-1");
-    let (path_multi, _g2) = temp_segment("workers-4");
+    let (path_single, _g1) = temp_dir("workers-1");
+    let (path_multi, _g2) = temp_dir("workers-4");
     let codec = CodecSpec::Pbc(PbcConfig::small());
     write_records(&path_single, &records, codec.clone(), 1);
     write_records(&path_multi, &records, codec, 4);
@@ -103,7 +93,7 @@ fn auto_codec_compresses_and_roundtrips_the_mixed_corpus() {
     // per-block raw fallback must still bound the segment below raw size.
     let records = mixed_corpus();
     let raw: usize = records.iter().map(|r| r.len()).sum();
-    let (path, _guard) = temp_segment("auto");
+    let (path, _guard) = temp_dir("auto");
     let mut writer = SegmentWriter::create(&path, SegmentConfig::default()).expect("create");
     for record in &records {
         writer.append_record(record).expect("append");
@@ -124,7 +114,7 @@ fn auto_codec_compresses_and_roundtrips_the_mixed_corpus() {
 fn auto_codec_halves_a_homogeneous_corpus() {
     let records = Dataset::Kv2.generate(10_000, 0xbeef);
     let raw: usize = records.iter().map(|r| r.len()).sum();
-    let (path, _guard) = temp_segment("auto-homog");
+    let (path, _guard) = temp_dir("auto-homog");
     let mut writer = SegmentWriter::create(&path, SegmentConfig::default()).expect("create");
     for record in &records {
         writer.append_record(record).expect("append");
@@ -144,8 +134,8 @@ fn auto_codec_halves_a_homogeneous_corpus() {
 
 // ---------------- corruption handling ----------------
 
-fn small_segment() -> (PathBuf, TempGuard) {
-    let (path, guard) = temp_segment("corrupt");
+fn small_segment() -> (PathBuf, TempDir) {
+    let (path, guard) = temp_dir("corrupt");
     let records = Dataset::Hdfs.generate(800, 0xc0de);
     write_records(&path, &records, CodecSpec::Zstd { level: 3 }, 1);
     (path, guard)
@@ -253,7 +243,7 @@ fn store_snapshot_restore_roundtrips_through_a_segment() {
         store.set(format!("user:{i:08}").as_bytes(), record);
     }
 
-    let (path, _guard) = temp_segment("store");
+    let (path, _guard) = temp_dir("store");
     let summary = store
         .snapshot_to_segment(&path, SegmentConfig::default())
         .expect("snapshot");

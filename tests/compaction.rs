@@ -3,25 +3,15 @@
 //! simulation between job commit steps, and pause/resume.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pbc::tier::{Manifest, PlannerConfig, TierConfig, TieredStore};
 
-struct TempDir(PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn temp_dir(tag: &str) -> (PathBuf, TempDir) {
-    let dir = std::env::temp_dir().join(format!("pbc-compaction-{tag}-{}", std::process::id()));
-    (dir.clone(), TempDir(dir))
-}
+mod support;
+use support::temp_dir;
 
 fn key(i: usize) -> Vec<u8> {
     format!("rec:{i:08}").into_bytes()
@@ -459,6 +449,28 @@ fn concurrent_disjoint_jobs_commit_interleaved_under_reads() {
         assert_eq!(store.get(key).unwrap().as_deref(), Some(val.as_slice()));
     }
     assert!(store.get(b"c:000000").unwrap().is_none());
+
+    // What leveling buys the read path: once L0 is empty, a cold get
+    // consults exactly one L1 partition, however many there are.
+    store.compact().unwrap();
+    assert_eq!(store.l0_segment_count(), 0);
+    assert!(store.l1_partition_count() >= 2);
+    assert_l1_invariant(store.as_ref());
+    let before = store.stats();
+    for (key, val) in &reference {
+        assert_eq!(store.get(key).unwrap().as_deref(), Some(val.as_slice()));
+    }
+    let after = store.stats();
+    assert_eq!(
+        after.cold_gets - before.cold_gets,
+        reference.len() as u64,
+        "nothing is hot: every get went cold"
+    );
+    assert_eq!(
+        after.cold_segments_scanned - before.cold_segments_scanned,
+        reference.len() as u64,
+        "one partition consulted per cold get"
+    );
 }
 
 /// Pausing stops new background jobs; resuming drains the backlog; drop

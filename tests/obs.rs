@@ -4,25 +4,14 @@
 //! structured trace ring, the background-error ring, and both export
 //! formats.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pbc::obs::Event;
 use pbc::tier::{PlannerConfig, TierConfig, TierStats, TieredStore};
 
-struct TempDir(PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn temp_dir(tag: &str) -> (PathBuf, TempDir) {
-    let dir = std::env::temp_dir().join(format!("pbc-obs-accept-{tag}-{}", std::process::id()));
-    (dir.clone(), TempDir(dir))
-}
+mod support;
+use support::temp_dir;
 
 fn key(i: usize) -> Vec<u8> {
     format!("obs:{i:07}").into_bytes()

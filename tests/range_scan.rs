@@ -12,7 +12,6 @@
 //! iterator creation are invisible.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use proptest::collection::vec;
@@ -20,22 +19,8 @@ use proptest::prelude::*;
 
 use pbc::tier::{PlannerConfig, TierConfig, TieredStore};
 
-fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "pbc-range-scan-{tag}-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-struct TempDir(std::path::PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod support;
+use support::temp_dir;
 
 fn key(k: usize) -> Vec<u8> {
     format!("key:{k:04}").into_bytes()
@@ -67,8 +52,7 @@ proptest! {
     fn range_scans_match_btreemap_model_under_concurrent_compaction(
         ops in vec((0u8..10, 0usize..64, 0usize..64, 0u32..100_000), 30..140)
     ) {
-        let dir = fresh_dir("model");
-        let _guard = TempDir(dir.clone());
+        let (dir, _guard) = temp_dir("model");
         let store = TieredStore::open(
             TierConfig::new(&dir)
                 .with_watermark(2 * 1024) // organic spills mid-sequence
@@ -135,8 +119,7 @@ proptest! {
 /// unlinked files) alive, and its generation stays the one it pinned.
 #[test]
 fn scan_pinned_before_a_job_commit_still_reads_retired_segments() {
-    let dir = fresh_dir("pinned");
-    let _guard = TempDir(dir.clone());
+    let (dir, _guard) = temp_dir("pinned");
     let store = TieredStore::open(
         TierConfig::new(&dir)
             .with_watermark(u64::MAX)
@@ -200,14 +183,31 @@ fn scan_pinned_before_a_job_commit_still_reads_retired_segments() {
     assert!(stats.scan_segments_opened >= 2);
     assert!(stats.scan_blocks_decoded >= 1);
     assert!(stats.scan_bytes_decoded > 0);
+
+    // A wide range amortizes the block decodes a narrow one pays for a
+    // few rows: decoded bytes per row must not grow with the range (no
+    // cache here, so every block a scan touches is decoded).
+    let bytes_decoded_per_row = |lo: usize, hi: usize| {
+        let before = store.stats().scan_bytes_decoded;
+        let rows = collect_scan(&store, &key(lo), &key(hi)).len();
+        assert_eq!(rows, model_range(&expected, &key(lo), &key(hi)).len());
+        (store.stats().scan_bytes_decoded - before) as f64 / rows as f64
+    };
+    let (narrow, wide) = (
+        bytes_decoded_per_row(300, 307),
+        bytes_decoded_per_row(0, 599),
+    );
+    assert!(
+        narrow > 0.0 && wide <= narrow,
+        "wide {wide} vs narrow {narrow}"
+    );
 }
 
 /// Writes issued after `range_scan` returns are never visible to that
 /// iterator — the snapshot is taken at creation.
 #[test]
 fn writes_after_iterator_creation_are_invisible() {
-    let dir = fresh_dir("isolation");
-    let _guard = TempDir(dir.clone());
+    let (dir, _guard) = temp_dir("isolation");
     let store = TieredStore::open(TierConfig::new(&dir)).unwrap();
     for i in 0..100usize {
         store.set(&key(i), b"original").unwrap();
@@ -243,8 +243,7 @@ fn writes_after_iterator_creation_are_invisible() {
 /// empty ranges all behave like the `BTreeMap` equivalents.
 #[test]
 fn every_bound_shape_matches_the_model() {
-    let dir = fresh_dir("bounds");
-    let _guard = TempDir(dir.clone());
+    let (dir, _guard) = temp_dir("bounds");
     let store = TieredStore::open(
         TierConfig::new(&dir).with_watermark(4 * 1024), // mixed hot/cold
     )

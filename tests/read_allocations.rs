@@ -11,7 +11,6 @@
 //! process-global, and a second concurrently-running test would pollute
 //! the count.
 
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
 use pbc::archive::{CodecSpec, SegmentConfig, SegmentReader};
@@ -21,16 +20,11 @@ use pbc::tier::{TierConfig, TieredStore};
 mod counting_alloc;
 use counting_alloc::{CountingAllocator, ALLOCATIONS};
 
+mod support;
+use support::temp_dir;
+
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-struct TempDir(PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn key(i: usize) -> Vec<u8> {
     format!("user:{i:08}").into_bytes()
@@ -53,8 +47,7 @@ fn value(i: usize) -> Vec<u8> {
 fn an_uncached_get_on_a_zstd_segment_allocates_a_handful_of_times() {
     const KEYS: usize = 4_000;
     const MAX_ALLOCATIONS_PER_MISS: usize = 12;
-    let dir = std::env::temp_dir().join(format!("pbc-read-allocations-{}", std::process::id()));
-    let _guard = TempDir(dir.clone());
+    let (dir, _guard) = temp_dir("read-allocations");
     // No maintenance thread, no WAL: this thread is the only one allocating.
     let config = TierConfig::new(&dir)
         .with_cache_capacity(64 * 1024)

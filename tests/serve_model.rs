@@ -12,7 +12,6 @@
 //! hot/cold boundary mid-run.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::collection::vec;
@@ -21,22 +20,8 @@ use proptest::prelude::*;
 use pbc::serve::{QuotaKind, Router, ServeConfig, ServeError, TenantQuota};
 use pbc::tier::{TierConfig, TieredStore};
 
-fn fresh_dir() -> std::path::PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "pbc-serve-model-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-struct TempDir(std::path::PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod support;
+use support::temp_dir;
 
 /// What a quota-checked op should do, per the oracle.
 #[derive(Debug, PartialEq, Eq)]
@@ -143,8 +128,7 @@ proptest! {
     fn router_matches_per_tenant_oracles(
         ops in vec((0usize..3, 0u8..8, 0usize..24, 0usize..120), 20..120)
     ) {
-        let dir = fresh_dir();
-        let _guard = TempDir(dir.clone());
+        let (dir, _guard) = temp_dir("serve-model");
         let store = Arc::new(
             TieredStore::open(
                 TierConfig::new(&dir).with_watermark(2 * 1024), // spills mid-sequence

@@ -21,6 +21,9 @@ use proptest::prelude::*;
 
 use pbc::tier::{PlannerConfig, TierConfig, TieredStore};
 
+mod support;
+use support::temp_dir;
+
 /// The leveling invariant: L1 sorted, pairwise non-overlapping, and
 /// tombstone-free (every leveled job drops tombstones on the way down).
 fn assert_l1_invariant(store: &TieredStore) {
@@ -39,23 +42,6 @@ fn assert_l1_invariant(store: &TieredStore) {
     );
 }
 
-fn fresh_dir() -> std::path::PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "pbc-tier-model-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-struct TempDir(std::path::PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -63,8 +49,7 @@ proptest! {
     fn tiered_store_matches_btreemap_model(
         ops in vec((0u8..9, 0usize..48, 0u32..100_000), 20..160)
     ) {
-        let dir = fresh_dir();
-        let _guard = TempDir(dir.clone());
+        let (dir, _guard) = temp_dir("tier-model");
         let store = TieredStore::open(
             TierConfig::new(&dir)
                 .with_watermark(2 * 1024) // tiny: organic spills mid-sequence
@@ -177,8 +162,7 @@ fn a_get_racing_a_delete_never_sees_an_older_spilled_version() {
     let key = b"contended-key";
 
     for iteration in 0..ITERATIONS {
-        let dir = fresh_dir();
-        let _guard = TempDir(dir.clone());
+        let (dir, _guard) = temp_dir("tier-model");
         // Default watermark: nothing spills on its own during the race.
         let store = TieredStore::open(TierConfig::new(&dir)).unwrap();
         store.set(key, &version(0)).unwrap();

@@ -8,23 +8,12 @@
 //! behind) with zero lost acknowledged writes.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use pbc::archive::SegmentConfig;
 use pbc::tier::{TierConfig, TieredStore};
 
-struct TempDir(PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn temp_dir(tag: &str) -> (PathBuf, TempDir) {
-    let dir = std::env::temp_dir().join(format!("pbc-acceptance-{tag}-{}", std::process::id()));
-    (dir.clone(), TempDir(dir))
-}
+mod support;
+use support::temp_dir;
 
 /// Mixed machine-generated corpus: KV-session, JSON-order, and access-log
 /// shaped records, interleaved.

@@ -13,22 +13,12 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use pbc::tier::{Durability, TierConfig, TieredStore, WalOptions};
 
-struct TempDir(PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn temp_dir(tag: &str) -> (PathBuf, TempDir) {
-    let dir = std::env::temp_dir().join(format!("pbc-wal-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    (dir.clone(), TempDir(dir))
-}
+mod support;
+use support::temp_dir;
 
 fn key(i: usize) -> Vec<u8> {
     format!("rec:{i:08}").into_bytes()
@@ -129,7 +119,8 @@ fn kill_after_spill_before_checkpoint_is_idempotent() {
 }
 
 /// Crash point 3: kill right after a checkpoint. The marker is durable,
-/// covered segments are gone, and reopen must replay nothing.
+/// covered segments are gone, and reopen must replay nothing — whether the
+/// checkpoint was called for or taken by the maintenance thread.
 #[test]
 fn kill_after_checkpoint_replays_nothing() {
     let (dir, _guard) = temp_dir("post-ckpt");
@@ -152,6 +143,47 @@ fn kill_after_checkpoint_replays_nothing() {
     }
     let store = TieredStore::open(wal_config(&dir, Durability::PerBatch)).unwrap();
     assert_eq!(store.wal_recovery().unwrap().records_replayed, 0);
+    assert_matches_model(&store, &model, n);
+    drop(store);
+
+    // The same crash point when the checkpoint is the maintenance thread's
+    // own: the log crossed `checkpoint_bytes` and nobody called
+    // `checkpoint_wal`. The log ends below the threshold however much was
+    // appended, and reopen replays only the uncovered suffix.
+    const CHECKPOINT_BYTES: u64 = 16 * 1024;
+    let (dir, _guard) = temp_dir("auto-ckpt");
+    let config = |background: bool| {
+        TierConfig::new(&dir)
+            .with_watermark(u64::MAX)
+            .with_wal(
+                WalOptions::with_durability(Durability::None)
+                    .shards(2)
+                    .segment_bytes(2 * 1024)
+                    .checkpoint_bytes(CHECKPOINT_BYTES),
+            )
+            .with_background_compaction(background)
+            .with_maintenance_tick(Duration::from_millis(1))
+    };
+    let mut model = BTreeMap::new();
+    let n = 2_000;
+    {
+        let store = TieredStore::open(config(true)).unwrap();
+        for i in 0..n {
+            apply_model(&mut model, &store, i);
+        }
+        let checkpoints = || store.metrics().snapshot().counters["pbc_wal_checkpoints_total"];
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while checkpoints() == 0 || store.wal_stats().unwrap().bytes >= CHECKPOINT_BYTES {
+            assert!(
+                Instant::now() < deadline,
+                "the maintenance thread never checkpointed the log"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(store.stats().background_errors, 0);
+    }
+    let store = TieredStore::open(config(false)).unwrap();
+    assert!(store.wal_recovery().unwrap().records_replayed < n as u64 / 2);
     assert_matches_model(&store, &model, n);
 }
 
@@ -318,10 +350,7 @@ fn concurrent_same_key_writes_replay_to_the_live_state() {
 fn every_durability_level_recovers_after_a_kill() {
     for (tag, durability) in [
         ("none", Durability::None),
-        (
-            "periodic",
-            Durability::Periodic(std::time::Duration::from_millis(5)),
-        ),
+        ("periodic", Durability::Periodic(Duration::from_millis(5))),
         ("batch", Durability::PerBatch),
         ("write", Durability::PerWrite),
     ] {

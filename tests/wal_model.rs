@@ -13,29 +13,14 @@
 //! from this model, the counts diverge and the test fails loudly.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use pbc::wal::{Durability, ReplayOp, Wal, WalConfig, WalObs};
 
-fn fresh_dir() -> std::path::PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "pbc-wal-model-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-struct TempDir(std::path::PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod support;
+use support::temp_dir;
 
 /// Segment rotation threshold; must exceed the writer's 64-byte floor so
 /// the modelled rule below matches exactly.
@@ -85,8 +70,7 @@ proptest! {
             })
             .collect();
 
-        let dir = fresh_dir();
-        let _guard = TempDir(dir.clone());
+        let (dir, _guard) = temp_dir("wal-model");
         let config = WalConfig::new(&dir)
             .with_shards(1)
             .with_segment_bytes(SEGMENT_BYTES)
