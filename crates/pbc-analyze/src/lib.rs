@@ -51,7 +51,15 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
         scan::collect_suppressions(file, &mut diags);
     }
 
+    // Pass 3's annotations come first, from every file of the configured
+    // crates: a `lock-wrapper` declared beside the lock's field must name
+    // that lock in sibling files scanned before its own.
     let mut lock_order = LockOrder::default();
+    let in_lock_order_crates =
+        |file: &SourceFile| config.lock_order_crates.contains(&file.crate_name);
+    for file in files.iter().filter(|f| in_lock_order_crates(f)) {
+        lock_order.collect_annotations(file, &mut diags);
+    }
     let mut registered = obsnames::NameSites::new();
     for file in &files {
         // Pass 1: unsafe confinement (every file, including test code —
@@ -66,18 +74,10 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
             passes::determinism::check(file, &mut diags);
         }
 
-        // Pass 3: lock-order, over the configured crates. Annotations
-        // are collected from every file; acquisitions only from
+        // Pass 3: lock-order acquisitions, over the configured crates'
         // production sources.
-        if config
-            .lock_order_crates
-            .iter()
-            .any(|c| c == &file.crate_name)
-        {
-            lock_order.collect_annotations(file, &mut diags);
-            if file.kind == FileKind::Src {
-                lock_order.scan_file(file, &mut diags);
-            }
+        if in_lock_order_crates(file) && file.kind == FileKind::Src {
+            lock_order.scan_file(file, &mut diags);
         }
 
         // Pass 4: panic-path and dropped-result audits, production

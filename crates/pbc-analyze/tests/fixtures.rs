@@ -61,6 +61,16 @@ fn fixture_path(name: &str) -> PathBuf {
 /// Assemble a one-crate workspace with the fixture as
 /// `crates/fix/src/lib.rs`, run the analyzer, and return its findings.
 fn run_fixture(name: &str, readme: &str) -> Vec<Diagnostic> {
+    run_fixture_with_sibling(name, readme, None)
+}
+
+/// [`run_fixture`], with a second fixture optionally mounted beside
+/// `lib.rs` as `crates/fix/src/<module>.rs`.
+fn run_fixture_with_sibling(
+    name: &str,
+    readme: &str,
+    sibling: Option<(&str, &str)>,
+) -> Vec<Diagnostic> {
     let root = std::env::temp_dir().join(format!(
         "pbc-analyze-fixture-{}-{}",
         name.trim_end_matches(".rs"),
@@ -76,6 +86,11 @@ fn run_fixture(name: &str, readme: &str) -> Vec<Diagnostic> {
     fs::write(root.join("README.md"), readme).expect("write fixture README");
     let snippet = fs::read_to_string(fixture_path(name)).expect("read fixture snippet");
     fs::write(root.join("crates/fix/src/lib.rs"), snippet).expect("write fixture source");
+    if let Some((module, fixture)) = sibling {
+        let snippet = fs::read_to_string(fixture_path(fixture)).expect("read sibling fixture");
+        fs::write(root.join(format!("crates/fix/src/{module}.rs")), snippet)
+            .expect("write sibling source");
+    }
 
     let cfg = config::parse(FIXTURE_CONFIG).expect("fixture config parses");
     let report = pbc_analyze::run(&root, &cfg).expect("analyzer runs");
@@ -159,6 +174,23 @@ fn lock_cycle_fixture_reports_both_nestings_and_the_cycle() {
 fn declared_lock_order_fixture_is_clean() {
     let diags = run_fixture("lock_declared.rs", DEFAULT_README);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn wrappers_declared_in_a_later_file_name_locks_in_an_earlier_one() {
+    let diags = run_fixture_with_sibling(
+        "lock_wrapper_user.rs",
+        DEFAULT_README,
+        Some(("owner", "lock_wrapper_owner.rs")),
+    );
+    // Line 12 of lib.rs: `lock_a` taken while `lock_b`'s guard is held.
+    assert!(
+        diags.iter().any(|d| d.lint == Lint::LockOrder
+            && d.file.ends_with("lib.rs")
+            && d.line == 12
+            && d.message.contains("declared order requires")),
+        "{diags:?}"
+    );
 }
 
 #[test]

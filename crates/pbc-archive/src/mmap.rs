@@ -211,22 +211,15 @@ mod imp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::temp_segment;
     use std::io::Write;
-
-    fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "pbc-archive-mmap-{}-{tag}-{:?}.bin",
-            std::process::id(),
-            std::thread::current().id()
-        ))
-    }
 
     #[test]
     fn maps_whole_file_contents() {
         if !MappedFile::supported() {
             return;
         }
-        let path = temp_path("contents");
+        let (path, _guard) = temp_segment("mmap-contents");
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         {
             let mut f = File::create(&path).unwrap();
@@ -236,18 +229,16 @@ mod tests {
         let map = MappedFile::map(&file, payload.len() as u64).unwrap();
         assert_eq!(map.as_slice(), payload.as_slice());
         assert_eq!(map.len(), payload.len());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn empty_file_maps_to_empty_slice() {
-        let path = temp_path("empty");
+        let (path, _guard) = temp_segment("mmap-empty");
         File::create(&path).unwrap();
         let file = File::open(&path).unwrap();
         let map = MappedFile::map(&file, 0).unwrap();
         assert!(map.is_empty());
         assert_eq!(map.as_slice(), &[] as &[u8]);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[cfg(unix)]
@@ -256,7 +247,7 @@ mod tests {
         if !MappedFile::supported() {
             return;
         }
-        let path = temp_path("unlink");
+        let (path, _guard) = temp_segment("mmap-unlink");
         std::fs::write(&path, b"still readable after unlink").unwrap();
         let file = File::open(&path).unwrap();
         let map = MappedFile::map(&file, 27).unwrap();
@@ -271,7 +262,7 @@ mod tests {
             return;
         }
         use std::sync::Arc;
-        let path = temp_path("threads");
+        let (path, _guard) = temp_segment("mmap-threads");
         let payload: Vec<u8> = (0..64 * 1024).map(|i| (i % 241) as u8).collect();
         std::fs::write(&path, &payload).unwrap();
         let file = File::open(&path).unwrap();
@@ -294,6 +285,5 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }

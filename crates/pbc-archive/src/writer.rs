@@ -7,8 +7,8 @@
 //! byte-identical to one written single-threaded.
 //!
 //! The block codec is fixed once: forced specs train on the first block as
-//! it closes, while [`CodecSpec::Auto`] buffers a window of blocks
-//! ([`SegmentConfig::auto_sample_window`]) and trial-selects over up to
+//! it closes, while [`CodecSpec::Auto`] buffers a window of
+//! `AUTO_SAMPLE_WINDOW` blocks and trial-selects over up to
 //! [`SegmentConfig::auto_sample_blocks`] samples spread across it, so a
 //! drifting corpus cannot commit the segment to whatever the first block
 //! alone suggested. Either way the header with the trained artifacts is
@@ -30,22 +30,24 @@ use crate::format::{
 };
 use crate::obs::WriterObs;
 
+/// Hard cap on records per block regardless of size.
+const MAX_BLOCK_RECORDS: usize = 4096;
+
+/// For [`CodecSpec::Auto`]: closed blocks buffered before committing to a
+/// codec, so selection can sample across the input instead of trusting the
+/// first block. Bounds the writer's extra memory to roughly
+/// `AUTO_SAMPLE_WINDOW * target_block_bytes`.
+const AUTO_SAMPLE_WINDOW: usize = 16;
+
 /// Tuning for [`SegmentWriter`].
 #[derive(Debug, Clone)]
 pub struct SegmentConfig {
     /// Close a block once its serialized payload reaches this many bytes.
     pub target_block_bytes: usize,
-    /// Hard cap on records per block regardless of size.
-    pub max_block_records: usize,
     /// Which codec to use (or how to pick one).
     pub codec: CodecSpec,
     /// Compression worker threads. `0` and `1` both mean inline (no pool).
     pub workers: usize,
-    /// For [`CodecSpec::Auto`]: buffer up to this many closed blocks before
-    /// committing to a codec, so selection can sample across the input
-    /// instead of trusting the first block. Bounds the writer's extra memory
-    /// to roughly `auto_sample_window * target_block_bytes`.
-    pub auto_sample_window: usize,
     /// For [`CodecSpec::Auto`]: how many blocks, spread evenly across the
     /// buffered window, the trial selection samples (at most 4 by default).
     pub auto_sample_blocks: usize,
@@ -59,10 +61,8 @@ impl Default for SegmentConfig {
     fn default() -> Self {
         SegmentConfig {
             target_block_bytes: 64 * 1024,
-            max_block_records: 4096,
             codec: CodecSpec::Auto,
             workers: 1,
-            auto_sample_window: 16,
             auto_sample_blocks: 4,
             read_mode: crate::ReadMode::Auto,
         }
@@ -96,7 +96,7 @@ impl SegmentConfig {
     /// spill payloads for codec selection) must use it rather than
     /// re-deriving the thresholds.
     pub fn block_is_full(&self, records: usize, bytes: usize) -> bool {
-        bytes >= self.target_block_bytes || records >= self.max_block_records
+        bytes >= self.target_block_bytes || records >= MAX_BLOCK_RECORDS
     }
 }
 
@@ -306,7 +306,7 @@ pub struct SegmentWriter {
     /// Flagged records in the current (open) block.
     current_flagged: u64,
     /// Closed blocks held back while [`CodecSpec::Auto`] waits for its
-    /// sampling window to fill (see [`SegmentConfig::auto_sample_window`]).
+    /// sampling window (`AUTO_SAMPLE_WINDOW` blocks) to fill.
     pending: Vec<BlockJob>,
     sorted: bool,
     last_key: Vec<u8>,
@@ -463,7 +463,7 @@ impl SegmentWriter {
         if self.codec.is_none() {
             if matches!(self.config.codec, CodecSpec::Auto) {
                 self.pending.push(job);
-                if self.pending.len() >= self.config.auto_sample_window.max(1) {
+                if self.pending.len() >= AUTO_SAMPLE_WINDOW {
                     self.commit_pending()?;
                 }
                 return Ok(());

@@ -28,9 +28,7 @@
 pub mod data;
 pub mod experiments;
 pub mod figures;
-pub mod measure;
 pub mod report;
 
 pub use data::{corpus, scaled_count, SEED};
-pub use measure::{time_per_byte, Throughput};
 pub use report::Table;

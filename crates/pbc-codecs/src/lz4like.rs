@@ -7,6 +7,9 @@
 //! match length nibbles with 255-extension bytes, little-endian 16-bit
 //! offsets — extended with varint offsets so the large-window profile also
 //! works.
+//!
+//! Called by `repro table3` (the LZ4(dict) per-record column) and
+//! `repro table4` (the LZ4 file column); `repro fig6` plots both.
 
 use crate::error::{CodecError, Result};
 use crate::lz77::{MatchFinder, MatchFinderConfig, MIN_MATCH};

@@ -6,6 +6,11 @@
 //! as a file-compression baseline (Table 4) and as the heavy backend of
 //! `PBC_L` and of the LogReducer-like log compressor (Table 5).
 //!
+//! Called by `repro table4` (the LZMA file column, plotted by `repro fig6`),
+//! `repro table6` and `repro table7` (the LZMA stage after each JSON
+//! encoding) and, through `PBC_L` and the LogReducer-like compressor, by
+//! `repro table5`.
+//!
 //! ## Model
 //!
 //! * one `is_match` bit per element, conditioned on the previous element kind;

@@ -4,6 +4,9 @@
 //! tuned for speed over ratio. The format mirrors Snappy's element types —
 //! literal tags with 2-bit length-size, copy tags with 1-, 2- and 4-byte
 //! offsets — behind a varint-encoded uncompressed length header.
+//!
+//! Called by `repro table4` (the Snappy file column), which `repro fig6`
+//! plots.
 
 use crate::error::{CodecError, Result};
 use crate::lz77::{MatchFinder, MatchFinderConfig, MIN_MATCH};

@@ -13,6 +13,8 @@
 //! schema captures co-occurrence at the *key* level, but not among values —
 //! which is why PBC can beat it on datasets like `github` despite having no
 //! schema knowledge at all.
+//!
+//! Called by `repro table6` and `repro table7` (the BP-D rows).
 
 use pbc_codecs::varint;
 

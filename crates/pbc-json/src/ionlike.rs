@@ -7,6 +7,8 @@
 //! document cost one byte after their first occurrence. Like the real
 //! Ion binary format (and unlike PBC), cross-document redundancy is not
 //! exploited — which is exactly the gap Table 6 demonstrates.
+//!
+//! Called by `repro table6` (the Ion-B rows).
 
 use pbc_codecs::varint;
 

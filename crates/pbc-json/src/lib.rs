@@ -13,9 +13,7 @@
 //! * [`schema`] + [`binpack`] — schema inference over sample documents and a
 //!   schema-driven encoding in the spirit of JSON BinPack's schema-driven
 //!   mode (field order fixed by the schema, keys never serialized, enum and
-//!   integer specialisations);
-//! * [`msgpack`] — a MessagePack-style encoding (the serialisation Redis
-//!   ecosystems commonly use), included as an additional reference point.
+//!   integer specialisations).
 //!
 //! All encoders work per record (document), which is what the paper's
 //! record-compression experiment (Table 6, left half) measures; file-level
@@ -27,7 +25,6 @@
 pub mod binpack;
 pub mod error;
 pub mod ionlike;
-pub mod msgpack;
 pub mod parser;
 pub mod schema;
 pub mod value;
@@ -36,7 +33,6 @@ pub mod writer;
 pub use binpack::BinPackCodec;
 pub use error::{JsonError, Result};
 pub use ionlike::IonLikeCodec;
-pub use msgpack::MsgPackCodec;
 pub use parser::parse;
 pub use schema::Schema;
 pub use value::{JsonValue, Number};

@@ -6,6 +6,9 @@
 //! from sample documents: a fixed, ordered field list for objects, element
 //! schemas for arrays, enumerations for low-cardinality strings, and
 //! specialised integer/float/boolean leaves.
+//!
+//! Reached only through [`crate::binpack`]'s training, so by `repro table6`
+//! and `repro table7`.
 
 use std::collections::BTreeSet;
 

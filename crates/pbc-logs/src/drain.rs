@@ -6,6 +6,8 @@
 //! matched against the bucket's templates with a token-similarity threshold.
 //! LogReducer and Logzip both rely on a parser of this family; this is the
 //! from-scratch substitute used by [`crate::logreducer`].
+//!
+//! Reached only through [`crate::logreducer`], so by `repro table5`.
 
 use std::collections::HashMap;
 

@@ -18,6 +18,8 @@
 //! The compressor is corpus-oriented (no random access) and only works on
 //! line-structured text — the two limitations the paper contrasts PBC
 //! against in Section 7.4.1.
+//!
+//! Called by `repro table5` (the LogReducer row).
 
 use pbc_codecs::traits::Codec;
 use pbc_codecs::varint;

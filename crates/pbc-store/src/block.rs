@@ -6,6 +6,8 @@
 //! path for an arbitrary block codec (Zstd-like in the experiment), while
 //! [`PerRecordStore`] models the per-record path (FSST or PBC/PBC_F), where
 //! a lookup touches exactly one compressed record.
+//!
+//! Called by `repro fig5` (both store shapes).
 
 use pbc_codecs::traits::Codec;
 use pbc_codecs::varint;

@@ -5,6 +5,8 @@
 //! into a [`TierStore`] (measuring SET throughput), then reads keys back in
 //! a pseudo-random order (measuring GET throughput), and reports the memory
 //! footprint relative to uncompressed storage.
+//!
+//! Called by `repro table8` (`run_workload` per workload × codec).
 
 use std::time::Instant;
 

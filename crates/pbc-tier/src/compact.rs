@@ -27,12 +27,13 @@
 use std::path::PathBuf;
 
 use pbc_archive::{
-    entry_size_estimate, select_codec_over_blocks, spread_sample_indices, BlockCodec, CodecSpec,
-    Entry, Scan, SegmentConfig, SegmentReader, SegmentSummary, SegmentWriter, WriterObs,
+    entry_size_estimate, BlockCodec, CodecSpec, Scan, SegmentConfig, SegmentReader, SegmentSummary,
+    SegmentWriter, WriterObs,
 };
 
+use crate::codec::retrained_codec;
+use crate::commit::{is_tombstone, UncommittedFiles};
 use crate::error::Result;
-use crate::store::is_tombstone;
 
 /// One materialized output partition of a merge.
 #[derive(Debug, Clone)]
@@ -83,30 +84,16 @@ struct OpenOutput {
     estimated_bytes: u64,
 }
 
-/// Train a codec for the merged output by sampling up to
-/// `config.auto_sample_blocks` blocks spread across the *combined* block
-/// count of all inputs — genuinely across the corpus, unlike the streaming
-/// writer which can only sample its buffered window.
-fn retrained_codec(readers: &[&SegmentReader], config: &SegmentConfig) -> Result<CodecSpec> {
-    let total_blocks: usize = readers.iter().map(|r| r.block_count()).sum();
-    if total_blocks == 0 {
-        return Ok(CodecSpec::Raw);
+impl OpenOutput {
+    fn finish(self) -> Result<MergeOutput> {
+        Ok(MergeOutput {
+            id: self.id,
+            file_name: self.file_name,
+            path: self.path,
+            summary: self.writer.finish()?,
+            tombstones_kept: self.tombstones_kept,
+        })
     }
-    let ordinals = spread_sample_indices(total_blocks, config.auto_sample_blocks.max(1));
-    let mut samples: Vec<Vec<Entry>> = Vec::with_capacity(ordinals.len());
-    for ordinal in ordinals {
-        // Map the global block ordinal onto (reader, local block).
-        let mut remaining = ordinal;
-        for reader in readers {
-            if remaining < reader.block_count() {
-                samples.push(reader.read_block(remaining)?.to_entries());
-                break;
-            }
-            remaining -= reader.block_count();
-        }
-    }
-    let refs: Vec<&[Entry]> = samples.iter().map(|b| b.as_slice()).collect();
-    Ok(CodecSpec::Pretrained(select_codec_over_blocks(&refs)))
 }
 
 /// Merge `readers` (newest first) into fresh segments allocated by
@@ -142,59 +129,16 @@ pub fn merge_segments(
     writer_obs: &WriterObs,
     next_output: &mut dyn FnMut() -> (u64, String, PathBuf),
 ) -> Result<MergeOutcome> {
-    let mut outputs: Vec<MergeOutput> = Vec::new();
+    // Every file this merge creates is unreachable (no manifest names it)
+    // until the caller commits; an error below removes them all.
+    let mut created = UncommittedFiles::default();
     let mut open: Option<OpenOutput> = None;
-    let result = merge_into(
-        readers,
-        config,
-        drop_tombstones,
-        codec,
-        split_bytes,
-        writer_obs,
-        next_output,
-        &mut outputs,
-        &mut open,
-    );
-    match result {
-        Ok(outcome) => Ok(outcome),
-        Err(e) => {
-            // Every file this merge created is unreachable (no manifest
-            // names it); remove them all so a failed job leaves no debris.
-            for output in &outputs {
-                // pbc-allow(drop-result): failed-merge cleanup; the outputs are unreachable debris no manifest names
-                let _ = std::fs::remove_file(&output.path);
-            }
-            if let Some(open) = open {
-                // pbc-allow(drop-result): failed-merge cleanup; the open partition is unreachable debris
-                let _ = std::fs::remove_file(&open.path);
-            }
-            Err(e)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn merge_into(
-    readers: &[&SegmentReader],
-    config: &SegmentConfig,
-    drop_tombstones: bool,
-    codec: Option<CodecSpec>,
-    split_bytes: Option<u64>,
-    writer_obs: &WriterObs,
-    next_output: &mut dyn FnMut() -> (u64, String, PathBuf),
-    outputs: &mut Vec<MergeOutput>,
-    open: &mut Option<OpenOutput>,
-) -> Result<MergeOutcome> {
     let (codec_spec, retrained) = match codec {
         Some(spec) => (spec, None),
-        None => {
-            let spec = retrained_codec(readers, config)?;
-            let trained = match &spec {
-                CodecSpec::Pretrained(codec) => Some(codec.clone()),
-                _ => None,
-            };
-            (spec, trained)
-        }
+        None => match retrained_codec(readers, config)? {
+            Some(codec) => (CodecSpec::Pretrained(codec.clone()), Some(codec)),
+            None => (CodecSpec::Raw, None),
+        },
     };
     // Each input is a cursor over flat decoded blocks; heads are compared
     // and written as borrowed slices, so a shadowed or dropped row is never
@@ -243,13 +187,14 @@ fn merge_into(
                     .is_some_and(|current| current.estimated_bytes >= limit)
             }) {
                 if let Some(finished) = open.take() {
-                    outputs.push(finish_or_remove(finished)?);
+                    outcome.outputs.push(finished.finish()?);
                 }
             }
             let current = match open.as_mut() {
                 Some(current) => current,
                 None => {
                     let (id, file_name, path) = next_output();
+                    created.push(path.clone());
                     let writer = SegmentWriter::create_with_obs(
                         &path,
                         SegmentConfig {
@@ -285,36 +230,62 @@ fn merge_into(
             }
         }
     }
-    if let Some(finished) = open.take() {
-        outputs.push(finish_or_remove(finished)?);
+    if let Some(finished) = open {
+        outcome.outputs.push(finished.finish()?);
     }
-    outcome.outputs = std::mem::take(outputs);
+    created.disarm();
     Ok(outcome)
 }
 
-/// Finish one output partition; a finish failure removes the partial file
-/// (its `OpenOutput` is consumed, so the outer cleanup cannot see it).
-fn finish_or_remove(open: OpenOutput) -> Result<MergeOutput> {
-    let OpenOutput {
-        id,
-        file_name,
-        path,
-        writer,
-        tombstones_kept,
-        ..
-    } = open;
-    match writer.finish() {
-        Ok(summary) => Ok(MergeOutput {
-            id,
-            file_name,
-            path,
-            summary,
-            tombstones_kept,
-        }),
-        Err(e) => {
-            // pbc-allow(drop-result): failed-partition cleanup; no manifest names the file
-            let _ = std::fs::remove_file(&path);
-            Err(e.into())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::commit::encode_live;
+    use crate::test_support::temp_dir;
+
+    #[test]
+    fn a_failed_merge_removes_every_output_it_created() {
+        let (dir, _guard) = temp_dir("merge-cleanup");
+        let input = dir.join("input.seg");
+        let mut writer = SegmentWriter::create(&input, SegmentConfig::default()).unwrap();
+        for i in 0..200u32 {
+            let value = encode_live(format!("value-{i:04}-padding-padding").as_bytes());
+            writer
+                .append(format!("key:{i:04}").as_bytes(), &value)
+                .unwrap();
         }
+        writer.finish().unwrap();
+        let reader = SegmentReader::open(&input).unwrap();
+
+        // The first output lands in `dir`; the second is handed a path
+        // under a directory that does not exist, so its create fails.
+        let mut next_id = 0u64;
+        let mut next_output = || {
+            next_id += 1;
+            let name = format!("seg-{next_id:06}.seg");
+            let parent = if next_id == 1 {
+                dir.clone()
+            } else {
+                dir.join("missing")
+            };
+            (next_id, name.clone(), parent.join(name))
+        };
+        let result = merge_segments(
+            &[&reader],
+            &SegmentConfig::default(),
+            true,
+            Some(CodecSpec::Raw),
+            Some(1024), // several partitions' worth of input
+            &WriterObs::noop(),
+            &mut next_output,
+        );
+        assert!(result.is_err(), "the second partition cannot be created");
+        assert!(next_id >= 2, "the merge reached its second output");
+        let leftovers: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("seg-"))
+            .collect();
+        assert!(leftovers.is_empty(), "outputs left behind: {leftovers:?}");
     }
 }

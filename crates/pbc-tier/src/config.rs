@@ -205,15 +205,6 @@ impl TierConfig {
         self
     }
 
-    /// Set the L1 partition split boundary: compaction outputs roll to a
-    /// new sorted, non-overlapping partition once the current one's
-    /// serialized payload reaches this many bytes (see
-    /// [`PlannerConfig::target_partition_bytes`]).
-    pub fn with_target_partition_bytes(mut self, bytes: u64) -> Self {
-        self.planner.target_partition_bytes = bytes;
-        self
-    }
-
     /// Enable or disable the background maintenance thread.
     pub fn with_background_compaction(mut self, enabled: bool) -> Self {
         self.background_compaction = enabled;

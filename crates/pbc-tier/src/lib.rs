@@ -103,55 +103,69 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+mod codec;
+mod commit;
 pub mod compact;
 pub mod config;
 pub mod error;
+mod jobs;
 mod maintenance;
 pub mod manifest;
 pub mod obs;
 pub mod planner;
+mod read;
+mod reservation;
 pub mod scan;
+mod spill;
 pub mod store;
+mod write;
 
 pub use cache::{BlockCache, BlockKey, CacheCounters};
 pub use compact::{MergeOutcome, MergeOutput};
 pub use config::{TierConfig, WalOptions};
 pub use error::{Result, TierError};
-pub use manifest::{Manifest, ManifestEntry, SegmentStatsRecord};
-pub use obs::BackgroundErrorRecord;
+pub use manifest::{Manifest, ManifestEntry};
+pub use obs::{BackgroundErrorRecord, TierStats};
 pub use pbc_archive::ReadMode;
 pub use pbc_wal::{CheckpointSummary, Durability, RecoveryReport, WalStats};
 pub use planner::{
     CompactionJob, CompactionPlanner, KeyRange, PlannerConfig, SegmentStats, LEVEL_L0, LEVEL_L1,
 };
 pub use scan::RangeScan;
-pub use store::{CompactionSummary, TierStats, TieredStore, WritePressure};
+pub use store::{CompactionSummary, TieredStore, WritePressure};
 
+/// The crate's unit-test temp directory: unique per call, created on the
+/// spot, removed when the guard drops.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BTreeMap;
+pub(crate) mod test_support {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Unique temp directory removed on drop.
-    fn temp_dir(tag: &str) -> (PathBuf, TempDir) {
+    pub(crate) fn temp_dir(tag: &str) -> (PathBuf, TempDir) {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "pbc-tier-test-{}-{tag}-{}",
             std::process::id(),
             COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
+        std::fs::create_dir_all(&dir).unwrap();
         (dir.clone(), TempDir(dir))
     }
 
-    struct TempDir(PathBuf);
+    pub(crate) struct TempDir(PathBuf);
 
     impl Drop for TempDir {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::temp_dir;
+    use std::collections::BTreeMap;
 
     fn value(i: usize) -> Vec<u8> {
         format!(
@@ -345,9 +359,10 @@ mod tests {
     #[test]
     fn compaction_splits_l1_into_sorted_non_overlapping_partitions() {
         let (dir, _guard) = temp_dir("split");
-        let store = TieredStore::open(
-            small_config(&dir).with_target_partition_bytes(8 * 1024), // force splits
-        )
+        let store = TieredStore::open(small_config(&dir).with_planner(PlannerConfig {
+            target_partition_bytes: 8 * 1024, // force splits
+            ..PlannerConfig::default()
+        }))
         .unwrap();
         for i in 0..1_200 {
             store.set(&key(i), &value(i)).unwrap();

@@ -22,12 +22,13 @@
 //! stops *new* jobs from starting while letting the current one finish.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Wakeup/shutdown/pause coordination between the store and its
 /// maintenance thread. Uses `std::sync` (not the `parking_lot` shim)
 /// because the loop needs a condvar with timeout.
+#[derive(Default)]
 pub(crate) struct MaintSignal {
     /// `(pending wakeups, shutdown requested)` under one mutex so a
     /// notification just before `wait` is never lost.
@@ -39,33 +40,30 @@ pub(crate) struct MaintSignal {
 }
 
 impl MaintSignal {
-    pub(crate) fn new() -> Self {
-        MaintSignal {
-            state: Mutex::new((0, false)),
-            cv: Condvar::new(),
-            pause_depth: AtomicUsize::new(0),
-        }
+    /// The state, recovered from a poisoned mutex: both fields are plain
+    /// scalars written in one store each, so a panicking holder cannot
+    /// leave them half-updated.
+    // lock-wrapper: lock_state = maintenance.state
+    fn lock_state(&self) -> MutexGuard<'_, (u64, bool)> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Wake the thread now (a spill just added a segment).
     pub(crate) fn notify(&self) {
-        // pbc-allow(panic): signal mutex poisoning only follows a panic elsewhere; maintenance aborts with it
-        let mut state = self.state.lock().expect("maintenance signal poisoned");
+        let mut state = self.lock_state();
         state.0 += 1;
         self.cv.notify_all();
     }
 
     /// Ask the thread to exit and wake it.
     pub(crate) fn request_shutdown(&self) {
-        // pbc-allow(panic): signal mutex poisoning only follows a panic elsewhere; maintenance aborts with it
-        let mut state = self.state.lock().expect("maintenance signal poisoned");
+        let mut state = self.lock_state();
         state.1 = true;
         self.cv.notify_all();
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
-        // pbc-allow(panic): signal mutex poisoning only follows a panic elsewhere; maintenance aborts with it
-        self.state.lock().expect("maintenance signal poisoned").1
+        self.lock_state().1
     }
 
     pub(crate) fn pause(&self) {
@@ -95,18 +93,13 @@ impl MaintSignal {
     /// Sleep until notified, shut down, or `tick` elapses. Returns whether
     /// shutdown was requested.
     fn wait(&self, tick: Duration) -> bool {
-        // pbc-allow(panic): signal mutex poisoning only follows a panic elsewhere; maintenance aborts with it
-        let mut state = self.state.lock().expect("maintenance signal poisoned");
+        let mut state = self.lock_state();
         if state.1 {
             return true;
         }
         if state.0 == 0 {
-            state = self
-                .cv
-                .wait_timeout(state, tick)
-                // pbc-allow(panic): signal mutex poisoning only follows a panic elsewhere; maintenance aborts with it
-                .expect("maintenance signal poisoned")
-                .0;
+            let waited = self.cv.wait_timeout(state, tick);
+            state = waited.unwrap_or_else(|e| e.into_inner()).0;
         }
         state.0 = 0; // consume pending wakeups; the pass below re-checks
         state.1
@@ -125,16 +118,16 @@ impl MaintSignal {
 /// new data may change the plan — and the first clean pass resets the
 /// backoff.
 pub(crate) fn maintenance_loop(inner: std::sync::Arc<crate::store::TierInner>) {
-    let tick = inner.config().maintenance_tick;
+    let tick = inner.config.maintenance_tick;
     let mut error_streak = 0u32;
     loop {
         let wait = tick
             .saturating_mul(1u32 << error_streak.min(8))
             .min(MAX_ERROR_BACKOFF.max(tick));
-        if inner.maint_signal().wait(wait) {
+        if inner.maint.wait(wait) {
             return;
         }
-        if inner.maint_signal().is_paused() {
+        if inner.maint.is_paused() {
             continue;
         }
         if inner.background_pass() {

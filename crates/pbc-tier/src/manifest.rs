@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use pbc_archive::format::crc32;
 
 use crate::error::{Result, TierError};
-use crate::planner::{LEVEL_L0, LEVEL_L1};
+use crate::planner::{SegmentStats, LEVEL_L0, LEVEL_L1};
 
 /// File name of the live manifest inside the store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -44,33 +44,15 @@ pub const MANIFEST_TMP_NAME: &str = "MANIFEST.tmp";
 const MAGIC_PREFIX: &str = "pbc-tier-manifest ";
 const VERSION: &str = "v3";
 
-/// Per-segment statistics recorded at commit time (spill or compaction).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SegmentStatsRecord {
-    /// Records stored in the segment (live entries + tombstones).
-    pub records: u64,
-    /// Tombstone records among them.
-    pub tombstones: u64,
-    /// Segment file size in bytes.
-    pub bytes: u64,
-    /// Smallest record key (empty for an empty segment).
-    pub min_key: Vec<u8>,
-    /// Largest record key.
-    pub max_key: Vec<u8>,
-}
-
 /// One live segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
-    /// Monotonic segment id (larger = newer).
-    pub id: u64,
     /// File name relative to the store directory.
     pub file_name: String,
-    /// Which level the segment lives on: [`LEVEL_L0`] (recency-ordered
-    /// spill segment) or [`LEVEL_L1`] (sorted, non-overlapping partition).
-    pub level: u8,
-    /// Per-segment stats, recorded by the commit that wrote the segment.
-    pub stats: SegmentStatsRecord,
+    /// Id, level ([`LEVEL_L0`] recency-ordered spill segment or
+    /// [`LEVEL_L1`] sorted, non-overlapping partition), counts, byte size
+    /// and key range, recorded by the commit that wrote the segment.
+    pub stats: SegmentStats,
 }
 
 /// The ordered set of live segments plus the generation this set was
@@ -127,9 +109,9 @@ impl Manifest {
             let stats = &entry.stats;
             body.push_str(&format!(
                 "segment {} {} {} {} {} {} {} {}\n",
-                entry.id,
+                stats.id,
                 entry.file_name,
-                entry.level,
+                stats.level,
                 stats.records,
                 stats.tombstones,
                 stats.bytes,
@@ -192,7 +174,12 @@ impl Manifest {
             if level != u64::from(LEVEL_L0) && level != u64::from(LEVEL_L1) {
                 return Err(corrupt(format!("bad level in {line:?}")));
             }
-            let stats = SegmentStatsRecord {
+            let id = id
+                .parse::<u64>()
+                .map_err(|_| corrupt(format!("bad segment id in {line:?}")))?;
+            let stats = SegmentStats {
+                id,
+                level: level as u8,
                 records: parse(records)?,
                 tombstones: parse(tombstones)?,
                 bytes: parse(bytes)?,
@@ -206,16 +193,11 @@ impl Manifest {
                     "segment claims more tombstones than records in {line:?}"
                 )));
             }
-            let id = id
-                .parse::<u64>()
-                .map_err(|_| corrupt(format!("bad segment id in {line:?}")))?;
             if file_name.is_empty() || file_name.contains(['/', '\\']) {
                 return Err(corrupt(format!("bad segment file name in {line:?}")));
             }
             segments.push(ManifestEntry {
-                id,
                 file_name: file_name.to_string(),
-                level: level as u8,
                 stats,
             });
         }
@@ -309,49 +291,27 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::temp_dir;
 
-    fn temp_dir(tag: &str) -> (PathBuf, TempDir) {
-        let dir =
-            std::env::temp_dir().join(format!("pbc-tier-manifest-{}-{tag}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        (dir.clone(), TempDir(dir))
-    }
-
-    struct TempDir(PathBuf);
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn stats(records: u64, tombstones: u64) -> SegmentStatsRecord {
-        SegmentStatsRecord {
-            records,
-            tombstones,
-            bytes: 4_096,
-            min_key: b"user:000001".to_vec(),
-            max_key: b"user:099999".to_vec(),
+    fn entry(id: u64, level: u8, records: u64, tombstones: u64) -> ManifestEntry {
+        ManifestEntry {
+            file_name: format!("seg-{id:06}.seg"),
+            stats: SegmentStats {
+                id,
+                level,
+                records,
+                tombstones,
+                bytes: 4_096,
+                min_key: b"user:000001".to_vec(),
+                max_key: b"user:099999".to_vec(),
+            },
         }
     }
 
     fn sample() -> Manifest {
         Manifest {
             generation: 12,
-            segments: vec![
-                ManifestEntry {
-                    id: 7,
-                    file_name: "seg-000007.seg".into(),
-                    level: LEVEL_L0,
-                    stats: stats(900, 45),
-                },
-                ManifestEntry {
-                    id: 3,
-                    file_name: "seg-000003.seg".into(),
-                    level: LEVEL_L1,
-                    stats: stats(1_200, 0),
-                },
-            ],
+            segments: vec![entry(7, LEVEL_L0, 900, 45), entry(3, LEVEL_L1, 1_200, 0)],
         }
     }
 
@@ -362,10 +322,10 @@ mod tests {
         let loaded = Manifest::load(&dir).unwrap().unwrap();
         assert_eq!(loaded, sample());
         assert_eq!(loaded.generation, 12);
-        assert_eq!(loaded.segments[0].id, 7, "L0 first");
-        assert_eq!(loaded.segments[0].level, LEVEL_L0);
-        assert_eq!(loaded.segments[1].level, LEVEL_L1);
         let s = &loaded.segments[0].stats;
+        assert_eq!(s.id, 7, "L0 first");
+        assert_eq!(s.level, LEVEL_L0);
+        assert_eq!(loaded.segments[1].stats.level, LEVEL_L1);
         assert_eq!((s.records, s.tombstones), (900, 45));
     }
 
@@ -375,10 +335,11 @@ mod tests {
         let manifest = Manifest {
             generation: 1,
             segments: vec![ManifestEntry {
-                id: 1,
                 file_name: "seg-000001.seg".into(),
-                level: LEVEL_L0,
-                stats: SegmentStatsRecord::default(),
+                stats: SegmentStats {
+                    id: 1,
+                    ..SegmentStats::default()
+                },
             }],
         };
         manifest.store(&dir).unwrap();
@@ -544,12 +505,7 @@ mod tests {
         sample().store(&dir).unwrap();
         let newer = Manifest {
             generation: 13,
-            segments: vec![ManifestEntry {
-                id: 9,
-                file_name: "seg-000009.seg".into(),
-                level: LEVEL_L1,
-                stats: stats(2_000, 10),
-            }],
+            segments: vec![entry(9, LEVEL_L1, 2_000, 10)],
         };
         newer.store(&dir).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap().unwrap(), newer);

@@ -15,6 +15,7 @@ use pbc_archive::{ReaderObs, WriterObs};
 use pbc_obs::{Counter, Event, Gauge, Histogram, MetricsRegistry, TraceEvent, TraceRing};
 
 use crate::cache::CacheCounters;
+use crate::commit::ColdTier;
 use crate::config::TierConfig;
 
 /// One retained background-maintenance failure; see
@@ -32,6 +33,91 @@ pub struct BackgroundErrorRecord {
 impl std::fmt::Display for BackgroundErrorRecord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{:>10}us] {}: {}", self.micros, self.job, self.message)
+    }
+}
+
+/// A snapshot of the store's counters and cold-tier gauges.
+///
+/// The cache-accounting invariant: every cold lookup that consulted at
+/// least one block is classified as exactly one of `cold_cache_hits`
+/// (every block it touched was cached) or `cold_cache_misses`, so
+/// `cold_cache_hits + cold_cache_misses == cold_gets` always holds.
+/// Lookups the footer indexes answered without touching any block are
+/// counted separately in `cold_index_only`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TierStats {
+    /// Gets answered by the hot tier.
+    pub hot_hits: u64,
+    /// Gets answered `None` by a hot tombstone.
+    pub tombstone_negatives: u64,
+    /// Gets answered by the in-flight spill staging area.
+    pub staging_hits: u64,
+    /// Lookups that reached the cold tier and consulted at least one
+    /// block.
+    pub cold_gets: u64,
+    /// Cold lookups the per-block key ranges answered with no block
+    /// fetch at all (absent keys outside every block's range).
+    pub cold_index_only: u64,
+    /// Cold lookups fully served from cached blocks.
+    pub cold_cache_hits: u64,
+    /// Cold lookups that had to read at least one block from disk.
+    pub cold_cache_misses: u64,
+    /// Segments whose footer indexes were consulted across all cold
+    /// lookups — the read-amplification gauge leveling shrinks: an L1
+    /// lookup consults at most one partition, an L0-only layout consults
+    /// every segment until it finds the key.
+    pub cold_segments_scanned: u64,
+    /// Range scans created ([`crate::TieredStore::range_scan`] calls).
+    pub range_scans: u64,
+    /// Cold segments whose footer indexes were consulted by range scans —
+    /// every intersecting L0 segment plus each covering L1 partition the
+    /// scan actually reached.
+    pub scan_segments_opened: u64,
+    /// Blocks range scans had to read and decode from disk (cache hits
+    /// are not decodes and are excluded).
+    pub scan_blocks_decoded: u64,
+    /// Decoded bytes those scan block reads produced — with the rows a
+    /// scan yielded, this gauges bytes-decoded-per-row, the scan
+    /// efficiency measure `pbc-perf` reports as
+    /// `tier.scan_bytes_decoded_per_row`.
+    pub scan_bytes_decoded: u64,
+    /// Spill passes completed.
+    pub spills: u64,
+    /// Records (entries + tombstones) written by spills.
+    pub spilled_entries: u64,
+    /// Compaction jobs completed (bounded background/planned jobs and
+    /// full [`crate::TieredStore::compact`] calls alike).
+    pub compactions: u64,
+    /// Segments retired by compaction over the store's lifetime.
+    pub segments_retired: u64,
+    /// Background maintenance passes that surfaced an error (the thread
+    /// keeps running; the next tick retries).
+    pub background_errors: u64,
+    /// Gauge: records currently stored across cold segments (live +
+    /// tombstones), from the per-segment stats recorded at spill time.
+    pub cold_records: u64,
+    /// Gauge: tombstones currently stored across cold segments (they only
+    /// ever live in L0 — every job drops them on the way into L1).
+    pub cold_tombstones: u64,
+    /// Gauge: live L0 spill segments.
+    pub l0_segments: u64,
+    /// Gauge: live L1 partitions.
+    pub l1_partitions: u64,
+    /// Gauge: the manifest generation the current segment set was
+    /// committed under.
+    pub generation: u64,
+}
+
+impl TierStats {
+    /// Cold tombstones as a fraction of cold records — the observable
+    /// dead-entry ratio the compaction planner triggers on (shadowed
+    /// duplicates across segments come on top of this lower bound).
+    pub fn cold_dead_ratio(&self) -> f64 {
+        if self.cold_records == 0 {
+            0.0
+        } else {
+            self.cold_tombstones as f64 / self.cold_records as f64
+        }
     }
 }
 
@@ -147,6 +233,37 @@ impl TierObs {
         }
     }
 
+    /// The typed view [`crate::TieredStore::stats`] returns: counters read
+    /// from their handles (all zero with metrics disabled), gauges derived
+    /// exactly from `cold`, the segment set committed under `generation`.
+    pub(crate) fn stats(&self, cold: &ColdTier, generation: u64) -> TierStats {
+        let (cold_records, cold_tombstones) = cold.record_totals();
+        TierStats {
+            hot_hits: self.hot_hits.value(),
+            tombstone_negatives: self.tombstone_negatives.value(),
+            staging_hits: self.staging_hits.value(),
+            cold_gets: self.cold_gets.value(),
+            cold_index_only: self.cold_index_only.value(),
+            cold_cache_hits: self.cold_cache_hits.value(),
+            cold_cache_misses: self.cold_cache_misses.value(),
+            cold_segments_scanned: self.cold_segments_scanned.value(),
+            range_scans: self.range_scans.value(),
+            scan_segments_opened: self.scan_segments_opened.value(),
+            scan_blocks_decoded: self.scan_blocks_decoded.value(),
+            scan_bytes_decoded: self.scan_bytes_decoded.value(),
+            spills: self.spills.value(),
+            spilled_entries: self.spilled_entries.value(),
+            compactions: self.compactions.value(),
+            segments_retired: self.segments_retired.value(),
+            background_errors: self.background_errors.value(),
+            cold_records,
+            cold_tombstones,
+            l0_segments: cold.l0.len() as u64,
+            l1_partitions: cold.l1.len() as u64,
+            generation,
+        }
+    }
+
     /// The registry behind every handle.
     pub(crate) fn registry(&self) -> &MetricsRegistry {
         &self.registry
@@ -184,10 +301,11 @@ impl TierObs {
         self.trace.snapshot()
     }
 
-    /// Record a background failure into the error ring **and** the main
-    /// trace, so it shows up both in the dedicated error log and in
-    /// context between the events around it.
+    /// Count a background failure and record it into the error ring
+    /// **and** the main trace, so it shows up both in the dedicated error
+    /// log and in context between the events around it.
     pub(crate) fn record_background_error(&self, job: String, message: String) {
+        self.background_errors.inc();
         let event = Event::BackgroundError { job, message };
         self.errors.record(event.clone());
         self.trace.record(event);

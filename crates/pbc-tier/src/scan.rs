@@ -47,11 +47,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pbc_archive::DecodedBlock;
-use pbc_obs::Timer;
+use pbc_obs::{Event, Timer};
 use pbc_store::RangeSnapshot;
 
+use crate::commit::{decode_marked, ColdList, ColdSegment};
 use crate::error::Result;
-use crate::store::{decode_marked, ColdList, ColdSegment, TierInner};
+use crate::store::TierInner;
 
 /// One key with its resolved value; `None` marks a tombstone.
 type Versioned = (Vec<u8>, Option<Vec<u8>>);
@@ -114,7 +115,7 @@ impl<'a> ColdCursor<'a> {
         decoded_blocks: Arc<AtomicU64>,
     ) -> Result<ColdCursor<'a>> {
         let blocks = segment.reader.candidate_blocks_for_range(start, end)?;
-        inner.note_scan_segment_opened();
+        inner.obs.scan_segments_opened.inc();
         Ok(ColdCursor {
             inner,
             segment,
@@ -274,7 +275,7 @@ impl Source<'_> {
             } => {
                 *current = match snapshot.get(*next) {
                     Some((key, stored)) => {
-                        let value = stored.map(|s| inner.decode_hot(s)).transpose()?;
+                        let value = stored.map(|s| inner.hot.codec().decode(s)).transpose()?;
                         Some((key.to_vec(), value))
                     }
                     None => None,
@@ -379,9 +380,9 @@ impl<'a> RangeScan<'a> {
             Bound::Unbounded => None,
         };
         let intersects = |segment: &ColdSegment| {
-            segment.records > 0
-                && segment.max_key.as_slice() >= start.as_slice()
-                && end_superset.is_none_or(|e| segment.min_key.as_slice() <= e)
+            segment.stats.records > 0
+                && segment.stats.max_key.as_slice() >= start.as_slice()
+                && end_superset.is_none_or(|e| segment.stats.min_key.as_slice() <= e)
         };
         let decoded_blocks = Arc::new(AtomicU64::new(0));
         let mut cold_sources = 0usize;
@@ -418,11 +419,11 @@ impl<'a> RangeScan<'a> {
         // opened only if the scan actually reaches them.
         let first = pinned
             .l1
-            .partition_point(|p| p.max_key.as_slice() < start.as_slice());
+            .partition_point(|p| p.stats.max_key.as_slice() < start.as_slice());
         let covering: VecDeque<Arc<ColdSegment>> = pinned.l1[first..]
             .iter()
-            .take_while(|p| end_superset.is_none_or(|e| p.min_key.as_slice() <= e))
-            .filter(|p| p.records > 0)
+            .take_while(|p| end_superset.is_none_or(|e| p.stats.min_key.as_slice() <= e))
+            .filter(|p| p.stats.records > 0)
             .cloned()
             .collect();
         if !covering.is_empty() {
@@ -437,7 +438,10 @@ impl<'a> RangeScan<'a> {
                 decoded_blocks: Arc::clone(&decoded_blocks),
             });
         }
-        let timer = inner.note_scan_opened(cold_sources);
+        inner.obs.trace(Event::ScanOpened {
+            segments: cold_sources,
+        });
+        let timer = inner.obs.scan_ns.start_timer();
         let mut scan = RangeScan {
             _pinned: Some(pinned),
             generation,
@@ -527,7 +531,10 @@ impl Drop for RangeScan<'_> {
         // Emit the close event first; the open-to-close timer field drops
         // right after this body, recording the scan's latency.
         if let Some(inner) = self.inner {
-            inner.note_scan_closed(self.rows, self.decoded_blocks.load(Ordering::Relaxed));
+            inner.obs.trace(Event::ScanClosed {
+                rows: self.rows,
+                blocks_decoded: self.decoded_blocks.load(Ordering::Relaxed),
+            });
         }
     }
 }

@@ -170,12 +170,12 @@ proptest! {
         prop_assert_eq!(reparsed, doc);
     }
 
+    // (The name predates the removal of the MessagePack-like codec; tier-1
+    // test ids stay stable.)
     #[test]
     fn ion_and_msgpack_roundtrip_generated_documents(doc in arb_json(3)) {
         let ion = pbc::json::IonLikeCodec::new();
-        prop_assert_eq!(ion.decode(&ion.encode(&doc)).unwrap(), doc.clone());
-        let mp = pbc::json::MsgPackCodec::new();
-        prop_assert_eq!(mp.decode(&mp.encode(&doc)).unwrap(), doc);
+        prop_assert_eq!(ion.decode(&ion.encode(&doc)).unwrap(), doc);
     }
 }
 

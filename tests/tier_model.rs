@@ -11,7 +11,10 @@
 //! is set tiny so the leveled read path exercises real multi-partition
 //! binary searches. After every compaction-shaped op, L1 must be sorted
 //! and pairwise non-overlapping and hold no tombstones; the manifest
-//! generation must only ever move forward.
+//! generation must only ever move forward. The hot tier runs both
+//! uncompressed and under a trained `PBC_F` value codec (the paper's
+//! in-memory case), so spill drains, point reads and the scan's lazily
+//! decoded hot rows all go through the codec too.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,6 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use pbc::core::PbcConfig;
+use pbc::store::ValueCodec;
 use pbc::tier::{PlannerConfig, TierConfig, TieredStore};
 
 mod support;
@@ -42,16 +47,37 @@ fn assert_l1_invariant(store: &TieredStore) {
     );
 }
 
+fn value(k: usize, v: u32) -> Vec<u8> {
+    format!("value|{k:03}|{v:08}|padding-to-make-spills-happen").into_bytes()
+}
+
+/// `PBC_F` trained once on a few hundred of the test's own values.
+fn pbc_f_codec() -> ValueCodec {
+    static CODEC: std::sync::OnceLock<ValueCodec> = std::sync::OnceLock::new();
+    CODEC
+        .get_or_init(|| {
+            let samples: Vec<Vec<u8>> = (0..300usize)
+                .map(|i| value(i % 48, (i as u32).wrapping_mul(2_654_435_761) % 100_000))
+                .collect();
+            let refs: Vec<&[u8]> = samples.iter().map(|s| s.as_slice()).collect();
+            ValueCodec::train_pbc_f(&refs, &PbcConfig::small())
+        })
+        .clone()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn tiered_store_matches_btreemap_model(
-        ops in vec((0u8..9, 0usize..48, 0u32..100_000), 20..160)
+        ops in vec((0u8..9, 0usize..48, 0u32..100_000), 20..160),
+        compressed_hot in any::<bool>(),
     ) {
         let (dir, _guard) = temp_dir("tier-model");
+        let hot_codec = if compressed_hot { pbc_f_codec() } else { ValueCodec::None };
         let store = TieredStore::open(
             TierConfig::new(&dir)
+                .with_hot_codec(hot_codec)
                 .with_watermark(2 * 1024) // tiny: organic spills mid-sequence
                 .with_cache_capacity(8 * 1024)
                 .with_planner(PlannerConfig {
@@ -70,8 +96,7 @@ proptest! {
             match op {
                 // Weight sets highest so state actually accumulates.
                 0..=2 => {
-                    let value = format!("value|{k:03}|{v:08}|padding-to-make-spills-happen")
-                        .into_bytes();
+                    let value = value(k, v);
                     store.set(&key, &value).unwrap();
                     model.insert(key.clone(), value);
                 }
@@ -111,6 +136,17 @@ proptest! {
             );
             last_generation = generation;
         }
+
+        // One ordered pass over every tier (hot rows decode lazily through
+        // the hot codec) is the model, row for row.
+        let scanned: Vec<(Vec<u8>, Vec<u8>)> = store
+            .range_scan::<&[u8], _>(..)
+            .unwrap()
+            .map(|row| row.unwrap())
+            .collect();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> =
+            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        prop_assert_eq!(scanned, expected, "full scan vs model");
 
         // Final sweep: the full keyspace (present and absent keys alike)
         // is observationally identical, through leveled jobs and a full
