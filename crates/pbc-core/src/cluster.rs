@@ -3,8 +3,11 @@
 //! While clustering, each cluster is summarised by its evolving *wildcard
 //! sequence* (the common subsequence of its members with gaps where they
 //! differ — the `cs` of the paper's `Pat(c) = {cs, L}`), the number of
-//! member records, and a 1-gram signature used for pruning.
+//! member records, and two summaries derived from the sequence once, when
+//! the cluster is built: its encoding for the merge kernel and a 1-gram
+//! signature (with its gap count) used for pruning.
 
+use crate::dp;
 use crate::onegram::OneGram;
 
 /// One element of a cluster's wildcard sequence: a shared literal byte or a
@@ -28,9 +31,22 @@ pub struct Cluster {
     pub weight: usize,
     /// 1-gram signature of the wildcard sequence's literal bytes.
     pub onegram: OneGram,
+    /// `cs` as the merge kernel reads it ([`dp::encode`]).
+    pub(crate) codes: Vec<u16>,
 }
 
 impl Cluster {
+    /// A cluster over `cs`, with the summaries derived from it.
+    pub fn new(cs: Vec<PatElem>, members: Vec<usize>, weight: usize) -> Self {
+        Cluster {
+            onegram: OneGram::from_elems(&cs),
+            codes: dp::encode(&cs),
+            cs,
+            members,
+            weight,
+        }
+    }
+
     /// Create a singleton cluster for one sample record.
     ///
     /// `max_cs_len` caps the number of leading bytes used as the wildcard
@@ -42,13 +58,7 @@ impl Cluster {
         if take < record.len() {
             cs.push(PatElem::Gap);
         }
-        let onegram = OneGram::from_elems(&cs);
-        Cluster {
-            cs,
-            members: vec![index],
-            weight,
-            onegram,
-        }
+        Cluster::new(cs, vec![index], weight)
     }
 
     /// Number of literal (non-gap) elements in the wildcard sequence.
@@ -77,19 +87,13 @@ impl Cluster {
         count
     }
 
-    /// Merge bookkeeping: combine members, weights and recompute the 1-gram
-    /// signature for a freshly merged wildcard sequence.
+    /// Merge bookkeeping: combine members and weights around a freshly
+    /// merged wildcard sequence.
     pub fn merged_from(a: &Cluster, b: &Cluster, cs: Vec<PatElem>) -> Self {
         let mut members = Vec::with_capacity(a.members.len() + b.members.len());
         members.extend_from_slice(&a.members);
         members.extend_from_slice(&b.members);
-        let onegram = OneGram::from_elems(&cs);
-        Cluster {
-            cs,
-            members,
-            weight: a.weight + b.weight,
-            onegram,
-        }
+        Cluster::new(cs, members, a.weight + b.weight)
     }
 
     /// Render the wildcard sequence in the paper's notation (`ab3*2`),
@@ -153,30 +157,23 @@ mod tests {
 
     #[test]
     fn display_coalesces_adjacent_gaps() {
-        let c = Cluster {
-            cs: vec![
+        let c = Cluster::new(
+            vec![
                 PatElem::Lit(b'a'),
                 PatElem::Gap,
                 PatElem::Gap,
                 PatElem::Lit(b'b'),
             ],
-            members: vec![0],
-            weight: 1,
-            onegram: OneGram::default(),
-        };
+            vec![0],
+            1,
+        );
         assert_eq!(c.display(), "a*b");
         assert_eq!(c.gap_count(), 1);
     }
 
     #[test]
     fn cs_from_str_roundtrips_through_display() {
-        let cs = Cluster::cs_from_str("ab3*2");
-        let c = Cluster {
-            onegram: OneGram::from_elems(&cs),
-            cs,
-            members: vec![0],
-            weight: 1,
-        };
+        let c = Cluster::new(Cluster::cs_from_str("ab3*2"), vec![0], 1);
         assert_eq!(c.display(), "ab3*2");
         assert_eq!(c.literal_len(), 4);
     }

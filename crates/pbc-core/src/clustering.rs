@@ -11,6 +11,20 @@
 //! when it reaches the front — the same work-avoidance idea as the paper's
 //! pruning strategy, organised so the result stays identical to the
 //! exhaustive computation.
+//!
+//! That identity rests on one property: [`OneGram::merge_lower_bound`]
+//! never exceeds the exact increment (argued in its doc comment, checked by
+//! a proptest against the DP). The queue orders entries by `(score, a, b)`,
+//! so when an exact entry is popped every other live pair has a bound —
+//! hence an exact score — that is no smaller, or an equal one with a later
+//! `(a, b)`: exactly the pair the exhaustive queue would pop. A bound that
+//! overshoots would let a more expensive pair be merged first.
+//!
+//! The exact evaluations are where training spends its time, so the scratch
+//! rows of the merge kernel (`dp::Rows`) are owned here and reused by
+//! every evaluation of one call.
+//!
+//! [`OneGram::merge_lower_bound`]: crate::onegram::OneGram::merge_lower_bound
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -69,9 +83,10 @@ pub struct ClusteringResult {
     /// Number of exact distance evaluations (dynamic programs / edit
     /// distances) that were run.
     pub exact_evaluations: usize,
-    /// Number of candidate pairs whose exact evaluation was avoided because
-    /// the pair never reached the front of the queue before its clusters
-    /// were merged away.
+    /// Number of candidate pairs whose exact evaluation was avoided: the
+    /// pair was still waiting behind its lower bound when one of its
+    /// clusters was merged away or merging stopped. With pruning on,
+    /// `exact_evaluations + pruned_pairs` is the number of pairs created.
     pub pruned_pairs: usize,
 }
 
@@ -154,13 +169,14 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
     }
 
     // --- Seed the candidate queue with all pairs. ---
+    let mut rows = dp::Rows::default();
     let mut heap: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
     let ids: Vec<u64> = active.keys().copied().collect();
     for (i, &a) in ids.iter().enumerate() {
         for &b in &ids[i + 1..] {
             let ca = &active[&a];
             let cb = &active[&b];
-            let candidate = seed_candidate(ca, cb, a, b, config, &mut result);
+            let candidate = seed_candidate(ca, cb, a, b, config, &mut result, &mut rows);
             heap.push(Reverse(candidate));
         }
     }
@@ -179,7 +195,7 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
         };
         if !cand.exact {
             // Lazily replace the lower bound with the exact value and requeue.
-            let exact = exact_score(ca, cb, config.criterion, &mut result);
+            let exact = exact_score(ca, cb, config.criterion, &mut result, &mut rows);
             heap.push(Reverse(Candidate {
                 score: exact,
                 a: cand.a,
@@ -190,8 +206,7 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
         }
 
         // Merge the pair.
-        let merged_cs = merge_cs(ca, cb);
-        let merged = Cluster::merged_from(ca, cb, merged_cs);
+        let merged = Cluster::merged_from(ca, cb, merge_cs(ca, cb, &mut rows));
         active.remove(&cand.a);
         active.remove(&cand.b);
         let new_id = stamps;
@@ -200,12 +215,22 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
 
         // New candidate pairs between the merged cluster and all survivors.
         for (&other_id, other) in active.iter() {
-            let candidate = seed_candidate(&merged, other, new_id, other_id, config, &mut result);
+            let candidate = seed_candidate(
+                &merged,
+                other,
+                new_id,
+                other_id,
+                config,
+                &mut result,
+                &mut rows,
+            );
             heap.push(Reverse(candidate));
         }
         active.insert(new_id, merged);
     }
 
+    // Pairs still queued behind their lower bound were never evaluated.
+    result.pruned_pairs += heap.iter().filter(|c| !c.0.exact).count();
     result.clusters = active.into_values().collect();
     result
 }
@@ -219,6 +244,7 @@ fn seed_candidate(
     b: u64,
     config: &ClusteringConfig,
     result: &mut ClusteringResult,
+    rows: &mut dp::Rows,
 ) -> Candidate {
     if config.use_onegram_pruning && config.criterion == Criterion::EncodingLength {
         let bound = ca
@@ -231,7 +257,7 @@ fn seed_candidate(
             exact: false,
         }
     } else {
-        let score = exact_score(ca, cb, config.criterion, result);
+        let score = exact_score(ca, cb, config.criterion, result, rows);
         Candidate {
             score,
             a,
@@ -247,17 +273,16 @@ fn exact_score(
     cb: &Cluster,
     criterion: Criterion,
     result: &mut ClusteringResult,
+    rows: &mut dp::Rows,
 ) -> i64 {
     result.exact_evaluations += 1;
     match criterion {
         Criterion::EncodingLength => {
-            dp::min_encoding_length_increment(&ca.cs, &cb.cs, ca.weight, cb.weight)
+            dp::increment(&ca.codes, &cb.codes, ca.weight, cb.weight, rows)
         }
         Criterion::EditDistance => edit_distance(&ca.cs, &cb.cs),
         Criterion::Entropy => {
-            let merged = dp::merge(&ca.cs, &cb.cs, ca.weight, cb.weight);
-            let merged_literal_len = merged
-                .cs
+            let merged_literal_len = merge_cs(ca, cb, rows)
                 .iter()
                 .filter(|e| matches!(e, PatElem::Lit(_)))
                 .count();
@@ -269,8 +294,8 @@ fn exact_score(
 /// Merged wildcard sequence of two clusters (always via the DP alignment, so
 /// all three criteria produce valid patterns and only the *selection* of
 /// pairs differs — which is what the ablation isolates).
-fn merge_cs(ca: &Cluster, cb: &Cluster) -> Vec<PatElem> {
-    dp::merge(&ca.cs, &cb.cs, ca.weight, cb.weight).cs
+fn merge_cs(ca: &Cluster, cb: &Cluster, rows: &mut dp::Rows) -> Vec<PatElem> {
+    dp::merge_encoded(&ca.codes, &cb.codes, ca.weight, cb.weight, rows).cs
 }
 
 /// Levenshtein distance between two wildcard sequences (gaps count as an
@@ -386,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_and_unpruned_clustering_agree_on_cluster_count_and_quality() {
+    fn pruned_and_unpruned_clustering_agree_on_the_clusters_themselves() {
         let samples = kv_like_samples();
         let base = ClusteringConfig {
             target_clusters: 3,
@@ -400,7 +425,14 @@ mod tests {
                 ..base
             },
         );
-        assert_eq!(pruned.clusters.len(), naive.clusters.len());
+        let summary = |r: &ClusteringResult| -> Vec<(Vec<PatElem>, Vec<usize>)> {
+            r.clusters
+                .iter()
+                .map(|c| (c.cs.clone(), c.members.clone()))
+                .collect()
+        };
+        assert_eq!(summary(&pruned), summary(&naive));
+        assert_eq!(pruned.merges, naive.merges);
         // Pruning must reduce the number of exact DP evaluations.
         assert!(
             pruned.exact_evaluations < naive.exact_evaluations,
@@ -408,6 +440,13 @@ mod tests {
             pruned.exact_evaluations,
             naive.exact_evaluations
         );
+        // Every pair created was either evaluated or pruned: all pairs of
+        // the unique records, then one per survivor after each merge.
+        let unique = samples.len() - duplicates(&samples);
+        let created =
+            unique * (unique - 1) / 2 + (1..=pruned.merges).map(|k| unique - k - 1).sum::<usize>();
+        assert_eq!(pruned.exact_evaluations + pruned.pruned_pairs, created);
+        assert_eq!((naive.exact_evaluations, naive.pruned_pairs), (created, 0));
     }
 
     #[test]

@@ -68,9 +68,8 @@ impl PbcCompressor {
     }
 
     fn train_with_mode(samples: &[&[u8]], config: &PbcConfig, fsst: bool) -> Self {
-        let owned: Vec<Vec<u8>> = samples.iter().map(|s| s.to_vec()).collect();
         let sampled = crate::sampling::sample_records(
-            &owned,
+            samples,
             config.max_sample_records,
             config.max_sample_bytes,
             config.sample_seed,

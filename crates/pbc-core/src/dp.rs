@@ -10,7 +10,40 @@
 //! each cell only consults its three neighbours, so the cost is `O(n·m)`
 //! instead of the `O(|F|·(N+M)·n²·m²)` of the general algorithm. A
 //! brute-force reference for the *general* formulation on tiny inputs lives
-//! in [`mod@reference`], and tests check the two agree where both apply.
+//! in [`mod@reference`]; tests check the two agree on the paper's example and
+//! other fixed cases, and that the DP — one state per cell, so not always
+//! the optimum once gaps are involved — never lands below it.
+//!
+//! ### One recurrence, two drivers
+//!
+//! A cell is the paper's `(state, type)` plus the number of literals kept
+//! in the pattern along the best path, which breaks cost ties in favour of
+//! the alignment that keeps the most literals (equal-cost alignments exist
+//! because a `VARCHAR` field's descriptor cost can exactly offset a demoted
+//! literal, and the literal-rich pattern compresses better). The three are
+//! packed into one `i64`, most significant first:
+//!
+//! ```text
+//! | cost: 43 bits, signed | KEPT_MAX − kept: 20 bits | type: 1 bit (0 = isPattern, 1 = isRS) |
+//! ```
+//!
+//! so the rule "lower cost, then more kept literals, and the diagonal wins
+//! a full tie" is one integer `min` over the three candidates: the kept
+//! field is stored complemented, and the diagonal is the only transition
+//! that produces `isPattern`. Both sideways candidates are `isRS`, so when
+//! they tie they are the same cell and only the traceback has to pick one
+//! (it keeps the x side, as the table version did). Demoting an element
+//! (Algorithm 2) adds a multiple of `COST_ONE` and sets the type bit;
+//! keeping one subtracts `KEPT_ONE` and clears it; the low fields never
+//! carry into the cost (`sweep` refuses inputs where they could).
+//!
+//! `cell` is that recurrence and `sweep` runs it row by row; a row needs
+//! only the one above. Scoring a pair — what clustering does ~10⁴ times per
+//! training — is a sweep over two rolling rows of `m + 1` cells (16 bytes
+//! per column) in a `Rows` scratch the caller reuses; [`merge`] is the same
+//! sweep, also recording one byte per interior cell (which neighbour won)
+//! for the traceback: `n·m` bytes, once per merge. No `(n+1)·(m+1)` table of
+//! states, kept counts or types exists outside the tests' oracle.
 //!
 //! ### Note on the paper's pseudo-code
 //!
@@ -42,16 +75,9 @@ enum CellType {
     IsRs,
 }
 
-/// Transition provenance for traceback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum From {
-    Start,
-    Diag,
-    ConsumeX,
-    ConsumeY,
-}
-
-/// Algorithm 2: the state transition.
+/// Algorithm 2, the state transition, in the paper's plain form: what
+/// [`demote`] packs, and what the brute-force [`mod@reference`] and the
+/// tests' table oracle are written against.
 ///
 /// `size_own` is the member count of the cluster whose element is being
 /// demoted to a residual; `size_other` is the other cluster's member count.
@@ -80,192 +106,221 @@ fn update_state(
     v
 }
 
+/// Kernel code of a gap; a literal byte encodes as itself.
+const GAP: u16 = 256;
+
+/// Encode a wildcard sequence for the kernel (one integer compare per cell
+/// instead of an enum match). Clusters do this once, when they are built.
+pub(crate) fn encode(cs: &[PatElem]) -> Vec<u16> {
+    cs.iter()
+        .map(|e| match e {
+            PatElem::Lit(b) => u16::from(*b),
+            PatElem::Gap => GAP,
+        })
+        .collect()
+}
+
+/// Type bit of a packed cell: set = `isRS`, clear = `isPattern`.
+const TYPE_RS: i64 = 1;
+/// One kept literal, in the complemented kept field above the type bit.
+const KEPT_ONE: i64 = 2;
+/// Most literals one alignment can keep (20 bits).
+const KEPT_MAX: usize = (1 << 20) - 1;
+/// The cost occupies the bits from here up.
+const COST_SHIFT: u32 = 21;
+const COST_ONE: i64 = 1 << COST_SHIFT;
+/// Cell (0, 0): cost 0, nothing kept, `isPattern`.
+const START: i64 = KEPT_MAX as i64 * KEPT_ONE;
+
+/// Which neighbour a cell took its value from; what the traceback stores.
+const DIAG: u8 = 0;
+const FROM_X: u8 = 1;
+const FROM_Y: u8 = 2;
+
+/// The two rolling rows of the recurrence. One instance serves any number
+/// of evaluations of any size; clustering keeps one per training.
+#[derive(Debug, Default)]
+pub(crate) struct Rows {
+    prev: Vec<i64>,
+    cur: Vec<i64>,
+}
+
+/// Algorithm 2 for one cluster's elements, as the amounts to add to a
+/// packed cell: `[element is a gap][cell is isRS]`.
+fn steps(size_own: i64, size_other: i64) -> [[i64; 2]; 2] {
+    // Leaving the pattern starts a residual region: every record of the
+    // merged cluster stores one more length descriptor, and the cell
+    // becomes `isRS` (its type bit is known to be clear).
+    let open = (size_own + size_other) * COST_ONE + TYPE_RS;
+    // A demoted literal is stored by each record of its own cluster; an
+    // absorbed wildcard refunds the descriptors that cluster had paid.
+    let own = size_own * COST_ONE;
+    [[open + own, own], [open - own, -own]]
+}
+
+/// Demote one element into a residual region: cost per `step`, kept
+/// literals unchanged, type `isRS`.
+#[inline(always)]
+fn demote(cell: i64, step: &[i64; 2]) -> i64 {
+    if cell & TYPE_RS == 0 {
+        cell + step[0]
+    } else {
+        cell + step[1]
+    }
+}
+
+/// The cell recurrence: the best of demoting x's element (from `up`),
+/// demoting y's (from `left`) and, where both are the same literal, keeping
+/// it in the pattern (from `diag`), with the neighbour that won.
+#[inline(always)]
+fn cell(up: i64, left: i64, diag: Option<i64>, step_x: &[i64; 2], step_y: &[i64; 2]) -> (i64, u8) {
+    // `left` is the one value carried from cell to cell along a row:
+    // everything that does not need it is settled first.
+    let from_x = demote(up, step_x);
+    let kept = diag.map_or(i64::MAX, |d| (d & !TYPE_RS) - KEPT_ONE);
+    let above = from_x.min(kept);
+    let from_y = demote(left, step_y);
+    let winner = if from_y < above {
+        FROM_Y
+    } else if kept < from_x {
+        DIAG
+    } else {
+        FROM_X
+    };
+    (from_y.min(above), winner)
+}
+
+/// Algorithm 1 over two rolling rows: returns cell `(n, m)` and reports the
+/// winning neighbour of every interior cell, row by row, to `from`.
+///
+/// # Panics
+///
+/// If the sequences or member counts are too large for the packed cell:
+/// more than `KEPT_MAX` elements on the shorter side, or a worst-case
+/// cost of 2⁴¹ or more (two 4097-element sequences at a million records a
+/// side reach about 2³⁵).
+fn sweep(
+    x: &[u16],
+    y: &[u16],
+    size_x: usize,
+    size_y: usize,
+    scratch: &mut Rows,
+    mut from: impl FnMut(u8),
+) -> i64 {
+    let (n, m) = (x.len(), y.len());
+    // No step moves the cost by more than twice the merged cluster's size
+    // (the extra step keeps the step table itself in range).
+    let worst = 2 * (size_x as u128 + size_y as u128) * (n as u128 + m as u128 + 1);
+    assert!(
+        n.min(m) <= KEPT_MAX && worst < 1 << (62 - COST_SHIFT),
+        "merge DP: {n} x {m} elements at sizes {size_x} + {size_y} overflow the packed cell"
+    );
+    let steps_x = steps(size_x as i64, size_y as i64);
+    let steps_y = steps(size_y as i64, size_x as i64);
+
+    // Row 0: consuming only y demotes its elements.
+    let Rows { prev, cur } = scratch;
+    prev.clear();
+    prev.push(START);
+    let mut left = START;
+    for &yc in y {
+        left = demote(left, &steps_y[usize::from(yc == GAP)]);
+        prev.push(left);
+    }
+    cur.clear();
+    cur.resize(m + 1, 0);
+
+    for &xc in x {
+        let step_x = &steps_x[usize::from(xc == GAP)];
+        left = demote(prev[0], step_x);
+        cur[0] = left;
+        for ((&yc, above), out) in y.iter().zip(prev.windows(2)).zip(&mut cur[1..]) {
+            let diag = (xc == yc && xc != GAP).then_some(above[0]);
+            let step_y = &steps_y[usize::from(yc == GAP)];
+            let (best, winner) = cell(above[1], left, diag, step_x, step_y);
+            from(winner);
+            *out = best;
+            left = best;
+        }
+        std::mem::swap(prev, cur);
+    }
+    prev[m]
+}
+
+/// Score-only driver: the increment of merging two encoded sequences.
+pub(crate) fn increment(
+    x: &[u16],
+    y: &[u16],
+    size_x: usize,
+    size_y: usize,
+    scratch: &mut Rows,
+) -> i64 {
+    sweep(x, y, size_x, size_y, scratch, |_| {}) >> COST_SHIFT
+}
+
+/// Traceback driver: the increment and the merged wildcard sequence.
+pub(crate) fn merge_encoded(
+    x: &[u16],
+    y: &[u16],
+    size_x: usize,
+    size_y: usize,
+    scratch: &mut Rows,
+) -> MergeOutcome {
+    let (n, m) = (x.len(), y.len());
+    let mut from = Vec::with_capacity(n * m);
+    let last = sweep(x, y, size_x, size_y, scratch, |winner| from.push(winner));
+
+    // Walk back from (n, m) to (0, 0); on a border only one side is left.
+    // Gaps are coalesced as they are emitted.
+    let mut cs = Vec::with_capacity(n.max(m));
+    let (mut i, mut j) = (n, m);
+    while i > 0 || j > 0 {
+        let winner = match (i, j) {
+            (_, 0) => FROM_X,
+            (0, _) => FROM_Y,
+            _ => from[(i - 1) * m + j - 1],
+        };
+        i -= usize::from(winner != FROM_Y);
+        j -= usize::from(winner != FROM_X);
+        if winner == DIAG {
+            cs.push(PatElem::Lit(x[i] as u8));
+        } else if cs.last() != Some(&PatElem::Gap) {
+            cs.push(PatElem::Gap);
+        }
+    }
+    cs.reverse();
+    MergeOutcome {
+        increment: last >> COST_SHIFT,
+        cs,
+    }
+}
+
 /// Algorithm 1: compute the minimal encoding-length increment of merging two
 /// clusters, without building the merged sequence.
+///
+/// # Panics
+///
+/// If the inputs overflow the packed cell: a million elements on the
+/// shorter side, or `2·(size_x + size_y)·(n + m + 1) ≥ 2⁴¹`.
 pub fn min_encoding_length_increment(
     cs_x: &[PatElem],
     cs_y: &[PatElem],
     size_x: usize,
     size_y: usize,
 ) -> i64 {
-    merge_impl(cs_x, cs_y, size_x, size_y, false, i64::MAX).0
-}
-
-/// Algorithm 1 with an early-termination bound: as soon as every cell of a
-/// DP anti-diagonal exceeds `bound`, the merge cannot beat the best known
-/// candidate and `i64::MAX` is returned (Section 5.1, pruning step 3).
-pub fn min_encoding_length_increment_bounded(
-    cs_x: &[PatElem],
-    cs_y: &[PatElem],
-    size_x: usize,
-    size_y: usize,
-    bound: i64,
-) -> i64 {
-    merge_impl(cs_x, cs_y, size_x, size_y, false, bound).0
+    let (x, y) = (encode(cs_x), encode(cs_y));
+    increment(&x, &y, size_x, size_y, &mut Rows::default())
 }
 
 /// Algorithm 1 plus traceback: compute the increment and the merged
 /// wildcard sequence.
+///
+/// # Panics
+///
+/// As [`min_encoding_length_increment`].
 pub fn merge(cs_x: &[PatElem], cs_y: &[PatElem], size_x: usize, size_y: usize) -> MergeOutcome {
-    let (increment, cs) = merge_impl(cs_x, cs_y, size_x, size_y, true, i64::MAX);
-    MergeOutcome { increment, cs }
-}
-
-fn merge_impl(
-    cs_x: &[PatElem],
-    cs_y: &[PatElem],
-    size_x: usize,
-    size_y: usize,
-    traceback: bool,
-    bound: i64,
-) -> (i64, Vec<PatElem>) {
-    let n = cs_x.len();
-    let m = cs_y.len();
-    let sx = size_x as i64;
-    let sy = size_y as i64;
-    let width = m + 1;
-
-    // Row-major (n+1) x (m+1) tables. `kept` counts retained pattern
-    // literals along the optimal path; it breaks cost ties in favour of the
-    // alignment that keeps the most literals (equal-cost alignments exist
-    // because a VARCHAR field's descriptor cost can exactly offset a
-    // demoted literal, and the literal-rich pattern compresses better).
-    let mut state = vec![0i64; (n + 1) * width];
-    let mut kept = vec![0u32; (n + 1) * width];
-    let mut cell_type = vec![CellType::IsPattern; (n + 1) * width];
-    let mut from = if traceback {
-        vec![From::Start; (n + 1) * width]
-    } else {
-        Vec::new()
-    };
-
-    // Initialization: consuming only one side demotes its elements.
-    for i in 1..=n {
-        let idx = i * width;
-        let prev = (i - 1) * width;
-        state[idx] = update_state(
-            state[prev],
-            cell_type[prev],
-            matches!(cs_x[i - 1], PatElem::Gap),
-            sx,
-            sy,
-        );
-        cell_type[idx] = CellType::IsRs;
-        if traceback {
-            from[idx] = From::ConsumeX;
-        }
-    }
-    for j in 1..=m {
-        state[j] = update_state(
-            state[j - 1],
-            cell_type[j - 1],
-            matches!(cs_y[j - 1], PatElem::Gap),
-            sy,
-            sx,
-        );
-        cell_type[j] = CellType::IsRs;
-        if traceback {
-            from[j] = From::ConsumeY;
-        }
-    }
-
-    for i in 1..=n {
-        let row = i * width;
-        let prev_row = (i - 1) * width;
-        let mut row_min = i64::MAX;
-        let x_elem = cs_x[i - 1];
-        let x_is_gap = matches!(x_elem, PatElem::Gap);
-        for j in 1..=m {
-            let y_elem = cs_y[j - 1];
-            let y_is_gap = matches!(y_elem, PatElem::Gap);
-
-            let from_x = update_state(
-                state[prev_row + j],
-                cell_type[prev_row + j],
-                x_is_gap,
-                sx,
-                sy,
-            );
-            let from_y = update_state(state[row + j - 1], cell_type[row + j - 1], y_is_gap, sy, sx);
-
-            let can_diag = !x_is_gap && !y_is_gap && x_elem == y_elem;
-            // Candidates as (cost, -kept) lexicographic minima.
-            let kept_x = kept[prev_row + j];
-            let kept_y = kept[row + j - 1];
-            let mut best = from_x;
-            let mut best_kept = kept_x;
-            let mut best_from = From::ConsumeX;
-            let mut best_type = CellType::IsRs;
-            if from_y < best || (from_y == best && kept_y > best_kept) {
-                best = from_y;
-                best_kept = kept_y;
-                best_from = From::ConsumeY;
-            }
-            if can_diag {
-                let diag = state[prev_row + j - 1];
-                let diag_kept = kept[prev_row + j - 1] + 1;
-                // Prefer the diagonal on ties: keeping shared literals in the
-                // pattern is what drives compression.
-                if diag < best || (diag == best && diag_kept >= best_kept) {
-                    best = diag;
-                    best_kept = diag_kept;
-                    best_from = From::Diag;
-                    best_type = CellType::IsPattern;
-                }
-            }
-            state[row + j] = best;
-            kept[row + j] = best_kept;
-            cell_type[row + j] = best_type;
-            if traceback {
-                from[row + j] = best_from;
-            }
-            if best < row_min {
-                row_min = best;
-            }
-        }
-        // Pruning: if the entire row already exceeds the bound, the final
-        // cell (which only grows along any path) cannot beat it.
-        if row_min > bound {
-            return (i64::MAX, Vec::new());
-        }
-    }
-
-    let final_state = state[n * width + m];
-    if !traceback {
-        return (final_state, Vec::new());
-    }
-
-    // Traceback from (n, m) to (0, 0).
-    let mut rev: Vec<PatElem> = Vec::with_capacity(n.max(m));
-    let (mut i, mut j) = (n, m);
-    while i > 0 || j > 0 {
-        match from[i * width + j] {
-            From::Diag => {
-                rev.push(cs_x[i - 1]);
-                i -= 1;
-                j -= 1;
-            }
-            From::ConsumeX => {
-                rev.push(PatElem::Gap);
-                i -= 1;
-            }
-            From::ConsumeY => {
-                rev.push(PatElem::Gap);
-                j -= 1;
-            }
-            From::Start => break,
-        }
-    }
-    rev.reverse();
-    // Coalesce adjacent gaps.
-    let mut cs = Vec::with_capacity(rev.len());
-    for e in rev {
-        if matches!(e, PatElem::Gap) && matches!(cs.last(), Some(PatElem::Gap)) {
-            continue;
-        }
-        cs.push(e);
-    }
-    (final_state, cs)
+    let (x, y) = (encode(cs_x), encode(cs_y));
+    merge_encoded(&x, &y, size_x, size_y, &mut Rows::default())
 }
 
 /// Brute-force reference implementations used to validate the DP on tiny
@@ -344,6 +399,8 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn cs(text: &str) -> Vec<PatElem> {
         Cluster::cs_from_str(text)
@@ -447,18 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_variant_prunes_expensive_merges() {
-        let a = cs("aaaaaaaaaaaaaaaaaaaaaa");
-        let b = cs("zzzzzzzzzzzzzzzzzzzzzz");
-        let exact = min_encoding_length_increment(&a, &b, 10, 10);
-        assert!(exact > 0);
-        let pruned = min_encoding_length_increment_bounded(&a, &b, 10, 10, exact / 4);
-        assert_eq!(pruned, i64::MAX, "bound below the true cost must prune");
-        let not_pruned = min_encoding_length_increment_bounded(&a, &b, 10, 10, exact + 1);
-        assert_eq!(not_pruned, exact);
-    }
-
-    #[test]
     fn empty_sequences_merge_trivially() {
         let out = merge(&cs(""), &cs(""), 3, 4);
         assert_eq!(out.increment, 0);
@@ -479,5 +524,234 @@ mod tests {
             );
         }
         assert_eq!(out.cs, cs("a*b*c"));
+    }
+
+    /// The table form of Algorithm 1 this module used before the packed
+    /// kernel: full `(n+1)·(m+1)` state, kept, type and provenance tables and
+    /// the tie-break spelled out. Kept as the oracle the kernel must
+    /// reproduce, increment and merged sequence alike.
+    fn table_merge(
+        cs_x: &[PatElem],
+        cs_y: &[PatElem],
+        size_x: usize,
+        size_y: usize,
+    ) -> (i64, Vec<PatElem>) {
+        #[derive(Clone, Copy)]
+        enum From {
+            Start,
+            Diag,
+            ConsumeX,
+            ConsumeY,
+        }
+        let n = cs_x.len();
+        let m = cs_y.len();
+        let sx = size_x as i64;
+        let sy = size_y as i64;
+        let width = m + 1;
+        let is_gap = |e: PatElem| matches!(e, PatElem::Gap);
+
+        let mut state = vec![0i64; (n + 1) * width];
+        let mut kept = vec![0u32; (n + 1) * width];
+        let mut cell_type = vec![CellType::IsPattern; (n + 1) * width];
+        let mut from = vec![From::Start; (n + 1) * width];
+
+        // Initialization: consuming only one side demotes its elements.
+        for i in 1..=n {
+            let (idx, prev) = (i * width, (i - 1) * width);
+            state[idx] = update_state(state[prev], cell_type[prev], is_gap(cs_x[i - 1]), sx, sy);
+            cell_type[idx] = CellType::IsRs;
+            from[idx] = From::ConsumeX;
+        }
+        for j in 1..=m {
+            state[j] = update_state(state[j - 1], cell_type[j - 1], is_gap(cs_y[j - 1]), sy, sx);
+            cell_type[j] = CellType::IsRs;
+            from[j] = From::ConsumeY;
+        }
+
+        for i in 1..=n {
+            let row = i * width;
+            let prev_row = (i - 1) * width;
+            let x_elem = cs_x[i - 1];
+            for j in 1..=m {
+                let y_elem = cs_y[j - 1];
+                let (up, left) = (prev_row + j, row + j - 1);
+                let from_x = update_state(state[up], cell_type[up], is_gap(x_elem), sx, sy);
+                let from_y = update_state(state[left], cell_type[left], is_gap(y_elem), sy, sx);
+
+                // Candidates as (cost, -kept) lexicographic minima.
+                let mut best = from_x;
+                let mut best_kept = kept[up];
+                let mut best_from = From::ConsumeX;
+                let mut best_type = CellType::IsRs;
+                if from_y < best || (from_y == best && kept[left] > best_kept) {
+                    best = from_y;
+                    best_kept = kept[left];
+                    best_from = From::ConsumeY;
+                }
+                if !is_gap(x_elem) && x_elem == y_elem {
+                    let diag = state[prev_row + j - 1];
+                    let diag_kept = kept[prev_row + j - 1] + 1;
+                    // Prefer the diagonal on ties: keeping shared literals in
+                    // the pattern is what drives compression.
+                    if diag < best || (diag == best && diag_kept >= best_kept) {
+                        best = diag;
+                        best_kept = diag_kept;
+                        best_from = From::Diag;
+                        best_type = CellType::IsPattern;
+                    }
+                }
+                state[row + j] = best;
+                kept[row + j] = best_kept;
+                cell_type[row + j] = best_type;
+                from[row + j] = best_from;
+            }
+        }
+
+        // Traceback from (n, m) to (0, 0).
+        let mut rev: Vec<PatElem> = Vec::with_capacity(n.max(m));
+        let (mut i, mut j) = (n, m);
+        while i > 0 || j > 0 {
+            match from[i * width + j] {
+                From::Diag => {
+                    rev.push(cs_x[i - 1]);
+                    i -= 1;
+                    j -= 1;
+                }
+                From::ConsumeX => {
+                    rev.push(PatElem::Gap);
+                    i -= 1;
+                }
+                From::ConsumeY => {
+                    rev.push(PatElem::Gap);
+                    j -= 1;
+                }
+                From::Start => break,
+            }
+        }
+        rev.reverse();
+        // Coalesce adjacent gaps.
+        let mut cs = Vec::with_capacity(rev.len());
+        for e in rev {
+            if is_gap(e) && matches!(cs.last(), Some(PatElem::Gap)) {
+                continue;
+            }
+            cs.push(e);
+        }
+        (state[n * width + m], cs)
+    }
+
+    /// A wildcard sequence as `merge` emits them: literals from a small
+    /// alphabet (so alignments and ties are plentiful), gaps never adjacent.
+    fn wildcard_sequence(max_len: usize) -> impl Strategy<Value = Vec<PatElem>> {
+        vec(0u8..5, 0..max_len + 1).prop_map(|codes| {
+            let mut cs: Vec<PatElem> = Vec::with_capacity(codes.len());
+            for code in codes {
+                match code {
+                    0 if cs.last() != Some(&PatElem::Gap) => cs.push(PatElem::Gap),
+                    0 => {}
+                    c => cs.push(PatElem::Lit(b'a' + c % 3)),
+                }
+            }
+            cs
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn kernel_reproduces_the_table_oracle(
+            x in wildcard_sequence(24),
+            y in wildcard_sequence(24),
+            size_x in 1usize..40,
+            size_y in 1usize..40,
+        ) {
+            let (increment, merged) = table_merge(&x, &y, size_x, size_y);
+            prop_assert_eq!(
+                min_encoding_length_increment(&x, &y, size_x, size_y),
+                increment,
+                "score-only driver, x={:?} y={:?} sizes=({}, {})", x, y, size_x, size_y
+            );
+            let out = merge(&x, &y, size_x, size_y);
+            prop_assert_eq!(
+                (out.increment, &out.cs),
+                (increment, &merged),
+                "traceback driver, x={:?} y={:?} sizes=({}, {})", x, y, size_x, size_y
+            );
+        }
+
+        #[test]
+        fn one_state_per_cell_never_undercuts_the_exhaustive_optimum(
+            x in wildcard_sequence(7),
+            y in wildcard_sequence(7),
+            size_x in 1usize..7,
+            size_y in 1usize..7,
+        ) {
+            // Algorithm 1 keeps the cheapest state of each cell, not one per
+            // type, so with gaps it can land above the optimum ("ac*babb" and
+            // "bb*cbc" at sizes 4 and 6: 54 against 44) but never below it,
+            // which is what lets a bound on the optimum bound the DP.
+            prop_assert!(
+                min_encoding_length_increment(&x, &y, size_x, size_y)
+                    >= reference::exhaustive_increment(&x, &y, size_x, size_y),
+                "x={:?} y={:?} sizes=({}, {})", x, y, size_x, size_y
+            );
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_gives_the_same_scores_as_a_fresh_one() {
+        // Clustering evaluates pairs of every size through one `Rows`.
+        let seqs = ["ab3*2", "", "user=alice action=login", "ab*12", "a", "*"];
+        let mut scratch = Rows::default();
+        for x in seqs {
+            for y in seqs {
+                let (ex, ey) = (encode(&cs(x)), encode(&cs(y)));
+                assert_eq!(
+                    increment(&ex, &ey, 3, 2, &mut scratch),
+                    min_encoding_length_increment(&cs(x), &cs(y), 3, 2),
+                    "x={x:?} y={y:?}"
+                );
+                assert_eq!(
+                    merge_encoded(&ex, &ey, 3, 2, &mut scratch),
+                    merge(&cs(x), &cs(y), 3, 2),
+                    "x={x:?} y={y:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_cells_hold_at_the_largest_sequences_and_weights_training_uses() {
+        // `max_cs_len` is capped at 4096 (plus the trailing gap of a
+        // truncated record) and a weight cannot exceed the sample size; a
+        // million is beyond any sample this crate can cluster. Tier-1 runs
+        // this with overflow checks on.
+        let weight = 1_000_000usize;
+        let w = weight as i64;
+        let long = |b: u8| {
+            let mut cs = vec![PatElem::Lit(b); 4096];
+            cs.push(PatElem::Gap);
+            cs
+        };
+        // Identical: every literal kept, the two trailing gaps share a field.
+        let same = merge(&long(b'a'), &long(b'a'), weight, weight);
+        assert_eq!(same.cs, long(b'a'));
+        assert_eq!(same.increment, 0);
+        // Disjoint: one field for everything, every literal demoted, both
+        // gaps refunded.
+        let apart = merge(&long(b'a'), &long(b'b'), weight, weight);
+        assert_eq!(apart.cs, cs("*"));
+        assert_eq!(apart.increment, 2 * w + 2 * 4096 * w - 2 * w);
+        assert_eq!(
+            min_encoding_length_increment(&long(b'a'), &long(b'b'), weight, weight),
+            apart.increment
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the packed cell")]
+    fn sizes_beyond_the_packed_cell_are_refused_not_wrapped() {
+        min_encoding_length_increment(&cs("abc"), &cs("abd"), usize::MAX / 2, 1);
     }
 }

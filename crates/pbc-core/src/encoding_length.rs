@@ -222,12 +222,7 @@ mod tests {
             b"item-002-ok".to_vec(),
             b"unrelated".to_vec(),
         ];
-        let cluster = Cluster {
-            cs: Cluster::cs_from_str("item-00*-ok"),
-            members: vec![0, 1],
-            weight: 2,
-            onegram: crate::onegram::OneGram::default(),
-        };
+        let cluster = Cluster::new(Cluster::cs_from_str("item-00*-ok"), vec![0, 1], 2);
         // Each member's residual is one digit → 2 bytes each with the header.
         assert_eq!(cluster_encoding_length(&cluster, &samples), 4);
     }

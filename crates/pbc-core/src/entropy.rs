@@ -136,16 +136,10 @@ pub fn entropy_discriminant(
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
-    use crate::onegram::OneGram;
 
     fn cluster_of(cs: &str, members: Vec<usize>) -> Cluster {
-        let cs = Cluster::cs_from_str(cs);
-        Cluster {
-            onegram: OneGram::from_elems(&cs),
-            cs,
-            weight: members.len(),
-            members,
-        }
+        let weight = members.len();
+        Cluster::new(Cluster::cs_from_str(cs), members, weight)
     }
 
     #[test]

@@ -11,8 +11,11 @@
 /// The returned records preserve no particular order guarantee beyond being
 /// a uniform-ish sample of the input (exact uniformity is unnecessary: the
 /// paper only needs the sample to cover the pattern population).
-pub fn sample_records(
-    records: &[Vec<u8>],
+///
+/// Records are borrowed in whatever form the caller holds them; only the
+/// sample is copied.
+pub fn sample_records<R: AsRef<[u8]>>(
+    records: &[R],
     max_records: usize,
     max_bytes: usize,
     seed: u64,
@@ -21,15 +24,15 @@ pub fn sample_records(
         return Vec::new();
     }
     // First pass: classic reservoir sampling by record count.
-    let mut reservoir: Vec<&Vec<u8>> = Vec::with_capacity(max_records.min(records.len()));
+    let mut reservoir: Vec<&[u8]> = Vec::with_capacity(max_records.min(records.len()));
     let mut rng = SplitMix64::new(seed);
     for (i, rec) in records.iter().enumerate() {
         if reservoir.len() < max_records {
-            reservoir.push(rec);
+            reservoir.push(rec.as_ref());
         } else {
             let j = (rng.next() % (i as u64 + 1)) as usize;
             if j < max_records {
-                reservoir[j] = rec;
+                reservoir[j] = rec.as_ref();
             }
         }
     }
@@ -41,7 +44,7 @@ pub fn sample_records(
             break;
         }
         used += rec.len();
-        out.push(rec.clone());
+        out.push(rec.to_vec());
     }
     out
 }
@@ -120,7 +123,7 @@ mod tests {
         let recs = records(10, 4);
         assert!(sample_records(&recs, 0, 100, 1).is_empty());
         assert!(sample_records(&recs, 10, 0, 1).is_empty());
-        assert!(sample_records(&[], 10, 100, 1).is_empty());
+        assert!(sample_records::<Vec<u8>>(&[], 10, 100, 1).is_empty());
     }
 
     #[test]

@@ -193,3 +193,41 @@ fn retraining_flow_recovers_compression_after_data_drift() {
         "retrained ratio {new_ratio:.3} should beat stale ratio {old_ratio:.3}"
     );
 }
+
+#[test]
+fn trained_dictionaries_are_pinned_byte_for_byte() {
+    // Training output is part of the segment format's determinism contract:
+    // a change to the clustering kernel, its pruning bound or the sampler
+    // must leave these four dictionaries exactly as they are (FNV-1a-64 of
+    // the serialized dictionary, and its length).
+    let config = PbcConfig {
+        max_sample_records: 128,
+        max_sample_bytes: 24 * 1024,
+        target_clusters: 16,
+        ..PbcConfig::default()
+    };
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    for (dataset, hash, len) in [
+        (Dataset::Kv2, 0x9dd6_a889_211c_9b12u64, 2_730usize),
+        (Dataset::Hdfs, 0x57d0_ec59_19ab_b565, 2_287),
+        (Dataset::Github, 0xea29_844d_576a_b5ef, 13_481),
+        (Dataset::Urls, 0x8c8c_0ee1_ae5b_c3da, 922),
+    ] {
+        let records = dataset.generate(4000, 2023);
+        let refs: Vec<&[u8]> = records.iter().map(|r| r.as_slice()).collect();
+        let serialized = PbcCompressor::train(&refs, &config)
+            .dictionary()
+            .serialize();
+        let found = fnv1a(&serialized);
+        assert_eq!(
+            (serialized.len(), found),
+            (len, hash),
+            "{}: dictionary {found:x}",
+            dataset.name()
+        );
+    }
+}
