@@ -18,8 +18,8 @@
 //!   cross-crate declarations; unqualified ids bind to the crate the
 //!   annotation lives in.
 //! * `lock-wrapper: method = <lock-id>` — `self.method()` in that
-//!   crate acquires `<lock-id>` (for helpers like pbc-wal's
-//!   `WalShard::lock`).
+//!   crate acquires `<lock-id>` (for accessors like pbc-tier's
+//!   `TierInner::commit_guard`).
 //!
 //! Failures: a cycle anywhere in declared ∪ observed edges (potential
 //! deadlock), an observed nesting that contradicts or is missing from

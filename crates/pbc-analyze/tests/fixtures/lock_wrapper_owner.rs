@@ -12,11 +12,11 @@ pub struct Pair {
 impl Pair {
     // lock-wrapper: lock_a = owner.a
     pub fn lock_a(&self) -> MutexGuard<'_, u32> {
-        self.a.lock().unwrap_or_else(|e| e.into_inner())
+        self.a.lock().unwrap()
     }
 
     // lock-wrapper: lock_b = owner.b
     pub fn lock_b(&self) -> MutexGuard<'_, u32> {
-        self.b.lock().unwrap_or_else(|e| e.into_inner())
+        self.b.lock().unwrap()
     }
 }

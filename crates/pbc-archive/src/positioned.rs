@@ -11,8 +11,9 @@ use std::fs::File;
 use std::io;
 #[cfg(not(unix))]
 use std::io::{Read, Seek, SeekFrom};
+
 #[cfg(not(unix))]
-use std::sync::Mutex;
+use parking_lot::Mutex;
 
 /// A read-only file supporting lock-free positional reads on unix, with a
 /// mutex-guarded seek fallback elsewhere. All methods take `&self`.
@@ -49,7 +50,7 @@ impl PositionedFile {
         }
         #[cfg(not(unix))]
         {
-            let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+            let mut file = self.file.lock();
             file.seek(SeekFrom::Start(offset))?;
             file.read_exact(buf)
         }

@@ -20,8 +20,10 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
+
+use parking_lot::Mutex;
 
 use crate::codec::{build_codec, serialized_len, BlockCodec, CodecSpec, Entry};
 use crate::error::{ArchiveError, Result};
@@ -248,8 +250,7 @@ impl Pool {
                 std::thread::Builder::new()
                     .name(format!("pbc-archive-compress-{worker}"))
                     .spawn(move || loop {
-                        // pbc-allow(panic): queue mutex poisoning means a sibling worker panicked; abort this one too
-                        let job = work_rx.lock().expect("worker queue poisoned").recv();
+                        let job = work_rx.lock().recv();
                         match job {
                             Ok((seq, block)) => {
                                 // A send error means the writer is gone; just

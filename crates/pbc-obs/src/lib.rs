@@ -1,6 +1,6 @@
 //! `pbc-obs` — lock-free observability for the PBC engine.
 //!
-//! Three pieces, deliberately dependency-free:
+//! Three pieces, with no dependency beyond the workspace's lock shim:
 //!
 //! 1. **[`MetricsRegistry`]** — named [`Counter`]s, [`Gauge`]s, and
 //!    log-linear (HDR-style) latency [`Histogram`]s. Handles are cheap

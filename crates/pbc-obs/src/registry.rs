@@ -10,8 +10,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
+
+use parking_lot::Mutex;
 
 use crate::histogram::{HistogramCore, HistogramSnapshot};
 
@@ -62,8 +64,7 @@ impl std::fmt::Debug for MetricsRegistry {
         match &self.metrics {
             None => write!(f, "MetricsRegistry(disabled)"),
             Some(m) => {
-                // pbc-allow(panic): registry mutex poisoning only follows a panic elsewhere; keep that panic primary
-                let names = m.lock().expect("metrics registry poisoned").len();
+                let names = m.lock().len();
                 write!(f, "MetricsRegistry({names} metrics)")
             }
         }
@@ -105,8 +106,7 @@ impl MetricsRegistry {
         get: impl FnOnce(&Metric) -> Option<T>,
     ) -> Option<T> {
         let metrics = self.metrics.as_ref()?;
-        // pbc-allow(panic): registry mutex poisoning only follows a panic elsewhere; keep that panic primary
-        let mut map = metrics.lock().expect("metrics registry poisoned");
+        let mut map = metrics.lock();
         let metric = map.entry(name.to_string()).or_insert_with(make);
         match get(metric) {
             Some(handle) => Some(handle),
@@ -166,8 +166,7 @@ impl MetricsRegistry {
         let Some(metrics) = self.metrics.as_ref() else {
             return snap;
         };
-        // pbc-allow(panic): registry mutex poisoning only follows a panic elsewhere; keep that panic primary
-        let map = metrics.lock().expect("metrics registry poisoned");
+        let map = metrics.lock();
         for (name, metric) in map.iter() {
             match metric {
                 Metric::Counter(c) => {

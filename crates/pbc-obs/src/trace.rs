@@ -8,8 +8,9 @@
 //! production without unbounded memory.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 use std::time::Instant;
+
+use parking_lot::Mutex;
 
 /// A structured trace event emitted by the engine's foreground and
 /// background paths.
@@ -243,8 +244,7 @@ pub struct TraceRing {
 
 impl std::fmt::Debug for TraceRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // pbc-allow(panic): trace ring mutex poisoning only follows a panic elsewhere
-        let inner = self.inner.lock().expect("trace ring poisoned");
+        let inner = self.inner.lock();
         write!(
             f,
             "TraceRing(len={}, capacity={}, dropped={})",
@@ -275,8 +275,7 @@ impl TraceRing {
             return;
         }
         let micros = self.origin.elapsed().as_micros() as u64;
-        // pbc-allow(panic): trace ring mutex poisoning only follows a panic elsewhere
-        let mut inner = self.inner.lock().expect("trace ring poisoned");
+        let mut inner = self.inner.lock();
         if inner.events.len() == self.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
@@ -286,21 +285,18 @@ impl TraceRing {
 
     /// The retained events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        // pbc-allow(panic): trace ring mutex poisoning only follows a panic elsewhere
-        let inner = self.inner.lock().expect("trace ring poisoned");
+        let inner = self.inner.lock();
         inner.events.iter().cloned().collect()
     }
 
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        // pbc-allow(panic): trace ring mutex poisoning only follows a panic elsewhere
-        self.inner.lock().expect("trace ring poisoned").dropped
+        self.inner.lock().dropped
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        // pbc-allow(panic): trace ring mutex poisoning only follows a panic elsewhere
-        self.inner.lock().expect("trace ring poisoned").events.len()
+        self.inner.lock().events.len()
     }
 
     /// Whether the ring holds no events.

@@ -37,9 +37,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
+use parking_lot::{Condvar, Mutex, RwLock};
 use pbc_obs::MetricsRegistry;
 use pbc_tier::TieredStore;
 
@@ -84,21 +85,18 @@ impl Waiter {
     }
 
     fn complete(&self, result: Result<WriteOutcome>) {
-        // pbc-allow(panic): slot mutex poisoning only follows a panic elsewhere; the waiter is then wedged anyway
-        let mut slot = self.slot.lock().expect("waiter slot poisoned");
+        let mut slot = self.slot.lock();
         *slot = Some(result);
         self.done.notify_one();
     }
 
     fn wait(&self) -> Result<WriteOutcome> {
-        // pbc-allow(panic): slot mutex poisoning only follows a panic elsewhere; the waiter is then wedged anyway
-        let mut slot = self.slot.lock().expect("waiter slot poisoned");
+        let mut slot = self.slot.lock();
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            // pbc-allow(panic): condvar re-locks the same slot mutex; poisoning only follows a panic elsewhere
-            slot = self.done.wait(slot).expect("waiter slot poisoned");
+            self.done.wait(&mut slot);
         }
     }
 }
@@ -186,15 +184,13 @@ fn fnv1a(key: &[u8]) -> u64 {
 
 impl Shared {
     fn tenants_len(&self) -> usize {
-        // pbc-allow(panic): tenant map poisoning only follows a panic elsewhere
-        self.tenants.read().expect("tenant map poisoned").len()
+        self.tenants.read().len()
     }
 
     /// Resolve a tenant by name (the read lock is released before this
     /// returns — nothing runs under it).
     fn tenant(&self, name: &str) -> Result<Arc<Tenant>> {
-        // pbc-allow(panic): tenant map poisoning only follows a panic elsewhere
-        let tenants = self.tenants.read().expect("tenant map poisoned");
+        let tenants = self.tenants.read();
         tenants
             .get(name)
             .cloned()
@@ -234,8 +230,7 @@ impl Shared {
         };
         let shard = self.shard_for(key);
         {
-            // pbc-allow(panic): queue mutex poisoning only follows a panic elsewhere; the shard is then wedged anyway
-            let mut state = shard.queue.lock().expect("shard queue poisoned");
+            let mut state = shard.queue.lock();
             if state.mode != RunMode::Run {
                 return Err(ServeError::Shutdown);
             }
@@ -262,8 +257,7 @@ impl Shared {
     /// what to do with it.
     fn next_batch(&self, index: usize) -> BatchAction {
         let shard = &self.shards[index];
-        // pbc-allow(panic): queue mutex poisoning only follows a panic elsewhere; the shard is then wedged anyway
-        let mut state = shard.queue.lock().expect("shard queue poisoned");
+        let mut state = shard.queue.lock();
         loop {
             match state.mode {
                 RunMode::Abort => {
@@ -287,8 +281,7 @@ impl Shared {
                     if state.mode == RunMode::Drain {
                         return BatchAction::Exit;
                     }
-                    // pbc-allow(panic): condvar re-locks the same queue mutex; poisoning only follows a panic elsewhere
-                    state = shard.work.wait(state).expect("shard queue poisoned");
+                    shard.work.wait(&mut state);
                 }
             }
         }
@@ -382,8 +375,7 @@ impl Router {
                     // leaking them parked on their condvars: the queues
                     // are still empty, so Drain makes each exit at once.
                     for shard in &shared.shards {
-                        // pbc-allow(panic): queue mutex poisoning only follows a panic elsewhere; the shard is then wedged anyway
-                        let mut state = shard.queue.lock().expect("shard queue poisoned");
+                        let mut state = shard.queue.lock();
                         state.mode = RunMode::Drain;
                         drop(state);
                         shard.work.notify_all();
@@ -405,8 +397,7 @@ impl Router {
     /// Register a tenant. Fails on duplicate or invalid names.
     pub fn create_tenant(&self, name: &str, quota: TenantQuota) -> Result<()> {
         validate_name(name)?;
-        // pbc-allow(panic): tenant map poisoning only follows a panic elsewhere
-        let mut tenants = self.shared.tenants.write().expect("tenant map poisoned");
+        let mut tenants = self.shared.tenants.write();
         if tenants.contains_key(name) {
             return Err(ServeError::TenantExists {
                 tenant: name.to_string(),
@@ -584,8 +575,7 @@ impl Router {
 
     fn finish(&self, mode: RunMode) {
         for shard in &self.shared.shards {
-            // pbc-allow(panic): queue mutex poisoning only follows a panic elsewhere; the shard is then wedged anyway
-            let mut state = shard.queue.lock().expect("shard queue poisoned");
+            let mut state = shard.queue.lock();
             if state.mode == RunMode::Run {
                 state.mode = mode;
             }
@@ -593,12 +583,11 @@ impl Router {
             shard.work.notify_all();
         }
         let handles: Vec<std::thread::JoinHandle<()>> = {
-            // pbc-allow(panic): worker-handle mutex poisoning only follows a panic elsewhere
-            let mut workers = self.workers.lock().expect("worker handles poisoned");
+            let mut workers = self.workers.lock();
             workers.drain(..).collect()
         };
         for worker in handles {
-            // pbc-allow(panic): an applier panic already poisoned the router; surfacing it beats hanging shutdown
+            // pbc-allow(panic): an applier panic left its shard's writers unanswered; surfacing it beats a silent shutdown
             worker.join().expect("router applier panicked");
         }
     }

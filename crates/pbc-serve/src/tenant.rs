@@ -27,7 +27,8 @@
 //! has.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+
+use parking_lot::Mutex;
 
 use crate::error::{QuotaKind, Result, ServeError};
 
@@ -152,11 +153,6 @@ impl Tenant {
         end
     }
 
-    fn lock_usage(&self) -> std::sync::MutexGuard<'_, UsageState> {
-        // pbc-allow(panic): usage mutex poisoning only follows a panic elsewhere; accounting is then undefined
-        self.usage.lock().expect("tenant usage poisoned")
-    }
-
     fn check_ops(&self, state: &UsageState) -> Result<()> {
         if let Some(max_ops) = self.quota.max_ops {
             if state.ops_admitted + 1 > max_ops {
@@ -173,7 +169,7 @@ impl Tenant {
 
     /// Admit a read-shaped op (get/scan): consumes one op credit.
     pub(crate) fn admit_read(&self) -> Result<()> {
-        let mut state = self.lock_usage();
+        let mut state = self.usage.lock();
         self.check_ops(&state)?;
         state.ops_admitted += 1;
         Ok(())
@@ -185,7 +181,7 @@ impl Tenant {
     /// the write.
     pub(crate) fn admit_put(&self, key: &[u8], value_len: usize) -> Result<PutCharge> {
         let charge = (key.len() + value_len) as u64;
-        let mut state = self.lock_usage();
+        let mut state = self.usage.lock();
         self.check_ops(&state)?;
         let previous = state.sizes.get(key).copied();
         // Saturating for the same reason as admit_delete below.
@@ -208,7 +204,7 @@ impl Tenant {
 
     /// Undo an [`admit_put`](Tenant::admit_put) whose store write failed.
     pub(crate) fn rollback_put(&self, key: &[u8], charge: PutCharge) {
-        let mut state = self.lock_usage();
+        let mut state = self.usage.lock();
         let charged = match charge.previous {
             Some(previous) => state.sizes.insert(key.to_vec(), previous),
             None => state.sizes.remove(key),
@@ -222,7 +218,7 @@ impl Tenant {
     /// key's charged size back. The returned [`DeleteCharge`] undoes it
     /// if the store fails the delete.
     pub(crate) fn admit_delete(&self, key: &[u8]) -> Result<DeleteCharge> {
-        let mut state = self.lock_usage();
+        let mut state = self.usage.lock();
         self.check_ops(&state)?;
         state.ops_admitted += 1;
         let freed = state.sizes.remove(key);
@@ -238,7 +234,7 @@ impl Tenant {
     /// Undo an [`admit_delete`](Tenant::admit_delete) whose store delete
     /// failed.
     pub(crate) fn rollback_delete(&self, key: &[u8], charge: DeleteCharge) {
-        let mut state = self.lock_usage();
+        let mut state = self.usage.lock();
         if let Some(freed) = charge.freed {
             state.sizes.insert(key.to_vec(), freed);
             state.live_bytes += freed;
@@ -248,7 +244,7 @@ impl Tenant {
 
     /// Current accounting.
     pub(crate) fn usage(&self) -> TenantUsage {
-        let state = self.lock_usage();
+        let state = self.usage.lock();
         TenantUsage {
             live_bytes: state.live_bytes,
             live_keys: state.sizes.len() as u64,
@@ -258,7 +254,7 @@ impl Tenant {
 
     /// Start a fresh op window (the external rate-limit driver's tick).
     pub(crate) fn reset_ops_window(&self) {
-        self.lock_usage().ops_admitted = 0;
+        self.usage.lock().ops_admitted = 0;
     }
 }
 

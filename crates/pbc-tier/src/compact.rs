@@ -14,15 +14,9 @@
 //! burned for partitions that actually materialize; on error every file
 //! this merge created is removed before returning.
 //!
-//! Tombstone handling depends on what lies *below* the inputs. A leveled
-//! job includes every segment that could hold an older version of its
-//! keys, so it passes `drop_tombstones = true` and the output is
-//! tombstone-free (L1 never stores tombstones). A merge over a run with
-//! older data still beneath it must keep its tombstones
-//! (`drop_tombstones = false`) — each one may still be the only thing
-//! standing between a read and a resurrected old version. Kept tombstones
-//! are written via [`SegmentWriter::append_flagged`], so each output's
-//! footer records its dead-entry count for the next planning round.
+//! Tombstones are dropped: a leveled job includes every segment that could
+//! hold an older version of its keys, so no tombstone has anything left
+//! to shadow and L1 never stores one.
 
 use std::path::PathBuf;
 
@@ -46,9 +40,6 @@ pub struct MergeOutput {
     pub path: PathBuf,
     /// Writer summary (record counts, byte totals, codec).
     pub summary: SegmentSummary,
-    /// Tombstones carried into this partition (0 whenever
-    /// `drop_tombstones` was set).
-    pub tombstones_kept: u64,
 }
 
 /// What a merge pass produced.
@@ -58,10 +49,8 @@ pub struct MergeOutcome {
     pub live_entries: u64,
     /// Entries dropped because a newer segment shadowed them.
     pub shadowed_dropped: u64,
-    /// Tombstones dropped (only when `drop_tombstones` was set).
+    /// Tombstones dropped.
     pub tombstones_dropped: u64,
-    /// Tombstones carried into the outputs.
-    pub tombstones_kept: u64,
     /// Output partitions, ascending by key range (the merge emits keys in
     /// sorted order, so consecutive outputs cover disjoint, increasing
     /// ranges). Empty when nothing survived.
@@ -78,7 +67,6 @@ struct OpenOutput {
     file_name: String,
     path: PathBuf,
     writer: SegmentWriter,
-    tombstones_kept: u64,
     /// Estimated serialized payload written so far (the writer's own
     /// per-entry estimate, so the split boundary tracks real blocks).
     estimated_bytes: u64,
@@ -91,7 +79,6 @@ impl OpenOutput {
             file_name: self.file_name,
             path: self.path,
             summary: self.writer.finish()?,
-            tombstones_kept: self.tombstones_kept,
         })
     }
 }
@@ -99,11 +86,11 @@ impl OpenOutput {
 /// Merge `readers` (newest first) into fresh segments allocated by
 /// `next_output`.
 ///
-/// Output keys are unique and ascending across the whole output sequence;
-/// values keep their tombstone marker encoding. With `drop_tombstones`
-/// every surviving record is live; without it, tombstones survive too
-/// (flagged in the output footers). When nothing survives, no file is
-/// written and `outputs` is empty.
+/// Output keys are unique and ascending across the whole output sequence,
+/// and every one is live: tombstones are dropped, so `readers` must
+/// include every segment that could hold an older version of their keys.
+/// Values keep their live-marker encoding. When nothing survives, no file
+/// is written and `outputs` is empty.
 ///
 /// `split_bytes` bounds each output partition's estimated serialized
 /// payload; `None` writes a single output regardless of size.
@@ -119,11 +106,9 @@ impl OpenOutput {
 /// `writer_obs` is cloned into every output writer so block-encode
 /// counters and latency land in the caller's metrics; pass
 /// [`WriterObs::noop`] when nothing is collecting.
-#[allow(clippy::too_many_arguments)]
 pub fn merge_segments(
     readers: &[&SegmentReader],
     config: &SegmentConfig,
-    drop_tombstones: bool,
     codec: Option<CodecSpec>,
     split_bytes: Option<u64>,
     writer_obs: &WriterObs,
@@ -152,7 +137,6 @@ pub fn merge_segments(
         live_entries: 0,
         shadowed_dropped: 0,
         tombstones_dropped: 0,
-        tombstones_kept: 0,
         outputs: Vec::new(),
         codec: retrained,
     };
@@ -176,8 +160,7 @@ pub fn merge_segments(
         };
         min_key.clear();
         min_key.extend_from_slice(key);
-        let tombstone = is_tombstone(value);
-        if tombstone && drop_tombstones {
+        if is_tombstone(value) {
             outcome.tombstones_dropped += 1;
         } else {
             // Roll to a new partition once the boundary is reached; the key
@@ -208,20 +191,13 @@ pub fn merge_segments(
                         file_name,
                         path,
                         writer,
-                        tombstones_kept: 0,
                         estimated_bytes: 0,
                     })
                 }
             };
             current.estimated_bytes += entry_size_estimate(key.len(), value.len()) as u64;
-            if tombstone {
-                current.writer.append_flagged(key, value)?;
-                current.tombstones_kept += 1;
-                outcome.tombstones_kept += 1;
-            } else {
-                current.writer.append(key, value)?;
-                outcome.live_entries += 1;
-            }
+            current.writer.append(key, value)?;
+            outcome.live_entries += 1;
         }
         for (i, source) in sources.iter_mut().enumerate() {
             if source.current().is_some_and(|(k, _)| k == min_key) {
@@ -273,7 +249,6 @@ mod tests {
         let result = merge_segments(
             &[&reader],
             &SegmentConfig::default(),
-            true,
             Some(CodecSpec::Raw),
             Some(1024), // several partitions' worth of input
             &WriterObs::noop(),

@@ -30,9 +30,6 @@ pub struct CompactionSummary {
     /// Tombstones dropped (leveled jobs include everything at or below
     /// their key range, so this is every input tombstone).
     pub tombstones_dropped: u64,
-    /// Tombstones carried into the output (always 0 for leveled jobs;
-    /// kept for the generic merge path).
-    pub tombstones_kept: u64,
 }
 
 impl TierInner {
@@ -178,7 +175,6 @@ impl TierInner {
         let outcome = merge_segments(
             readers,
             &self.config.segment,
-            job.drop_tombstones,
             codec,
             split_bytes,
             &self.obs.writer,
@@ -200,7 +196,6 @@ impl TierInner {
                         id: output.id,
                         level: LEVEL_L1,
                         records: output.summary.record_count,
-                        tombstones: output.tombstones_kept,
                         bytes: output.summary.file_bytes,
                         ..SegmentStats::default()
                     },
@@ -259,7 +254,6 @@ impl TierInner {
             live_entries: outcome.live_entries,
             shadowed_dropped: outcome.shadowed_dropped,
             tombstones_dropped: outcome.tombstones_dropped,
-            tombstones_kept: outcome.tombstones_kept,
         }))
     }
 
@@ -275,7 +269,6 @@ impl TierInner {
             l0_inputs: snapshot.l0.iter().map(|s| s.stats.id).collect(),
             l1_inputs: snapshot.l1.iter().map(|s| s.stats.id).collect(),
             range: KeyRange::everything(),
-            drop_tombstones: true,
             split_outputs: true,
             score: f64::INFINITY,
         };

@@ -22,12 +22,12 @@
 //! stops *new* jobs from starting while letting the current one finish.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
+use parking_lot::{Condvar, Mutex};
+
 /// Wakeup/shutdown/pause coordination between the store and its
-/// maintenance thread. Uses `std::sync` (not the `parking_lot` shim)
-/// because the loop needs a condvar with timeout.
+/// maintenance thread.
 #[derive(Default)]
 pub(crate) struct MaintSignal {
     /// `(pending wakeups, shutdown requested)` under one mutex so a
@@ -40,30 +40,22 @@ pub(crate) struct MaintSignal {
 }
 
 impl MaintSignal {
-    /// The state, recovered from a poisoned mutex: both fields are plain
-    /// scalars written in one store each, so a panicking holder cannot
-    /// leave them half-updated.
-    // lock-wrapper: lock_state = maintenance.state
-    fn lock_state(&self) -> MutexGuard<'_, (u64, bool)> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Wake the thread now (a spill just added a segment).
     pub(crate) fn notify(&self) {
-        let mut state = self.lock_state();
+        let mut state = self.state.lock();
         state.0 += 1;
         self.cv.notify_all();
     }
 
     /// Ask the thread to exit and wake it.
     pub(crate) fn request_shutdown(&self) {
-        let mut state = self.lock_state();
+        let mut state = self.state.lock();
         state.1 = true;
         self.cv.notify_all();
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
-        self.lock_state().1
+        self.state.lock().1
     }
 
     pub(crate) fn pause(&self) {
@@ -93,13 +85,12 @@ impl MaintSignal {
     /// Sleep until notified, shut down, or `tick` elapses. Returns whether
     /// shutdown was requested.
     fn wait(&self, tick: Duration) -> bool {
-        let mut state = self.lock_state();
+        let mut state = self.state.lock();
         if state.1 {
             return true;
         }
         if state.0 == 0 {
-            let waited = self.cv.wait_timeout(state, tick);
-            state = waited.unwrap_or_else(|e| e.into_inner()).0;
+            self.cv.wait_for(&mut state, tick);
         }
         state.0 = 0; // consume pending wakeups; the pass below re-checks
         state.1

@@ -220,10 +220,6 @@ pub struct CompactionJob {
     /// while the job is in flight. Outputs are confined to it, so jobs
     /// with disjoint ranges commute.
     pub range: KeyRange,
-    /// Always true under leveling: a job includes everything at or below
-    /// its key range, so no tombstone has anything left to shadow. Kept
-    /// explicit so the merge layer stays generic.
-    pub drop_tombstones: bool,
     /// Whether the output stream splits at
     /// [`PlannerConfig::target_partition_bytes`]. True for promotions
     /// (and full compactions); **false for consolidations**, which must
@@ -429,7 +425,6 @@ impl CompactionPlanner {
                         l0_inputs: run.iter().map(|s| s.id).collect(),
                         l1_inputs: l1_sel.iter().map(|s| s.id).collect(),
                         range,
-                        drop_tombstones: true,
                         split_outputs: true,
                         score: self.score(run, l1_sel),
                     });
@@ -455,7 +450,6 @@ impl CompactionPlanner {
                         l0_inputs: Vec::new(),
                         l1_inputs: run.iter().map(|s| s.id).collect(),
                         range,
-                        drop_tombstones: true,
                         split_outputs: false,
                         score: self.score(&[], run),
                     });
@@ -521,7 +515,6 @@ mod tests {
         let job = planner.plan(&l0, &[], &[]).unwrap();
         assert_eq!(job.l0_inputs, vec![6, 5], "bounded oldest suffix");
         assert!(job.l1_inputs.is_empty(), "no L1 yet");
-        assert!(job.drop_tombstones, "leveled jobs always drop tombstones");
     }
 
     #[test]

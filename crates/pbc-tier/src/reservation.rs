@@ -2,15 +2,14 @@
 //! time: active ranges and waiting claims exclude new overlapping work,
 //! and ticket order queues blocking waiters instead of deadlocking them.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 
 use crate::planner::KeyRange;
 
 /// In-flight compaction key-range reservations. A job reserves the union
 /// interval of its inputs (and therefore of its outputs) before merging;
 /// jobs with disjoint intervals touch disjoint segments, so they run and
-/// commit concurrently. Built on `std::sync` because releases must wake
-/// blocked full-compaction waiters through a condvar.
+/// commit concurrently.
 ///
 /// A blocking waiter registers its claim as **pending** before it waits:
 /// pending claims conflict with new `try_reserve` calls (so a stream of
@@ -66,7 +65,8 @@ pub(crate) struct ReservationGuard<'a> {
 impl Drop for ReservationGuard<'_> {
     fn drop(&mut self) {
         self.table
-            .lock_set()
+            .inner
+            .lock()
             .active
             .retain(|(ticket, _)| *ticket != self.ticket);
         self.table.released.notify_all();
@@ -74,18 +74,10 @@ impl Drop for ReservationGuard<'_> {
 }
 
 impl ReservationTable {
-    /// The set, recovered from a poisoned mutex: every update below is a
-    /// single `Vec` push or retain, so a panicking holder cannot leave it
-    /// half-updated.
-    // lock-wrapper: lock_set = reservation.inner
-    fn lock_set(&self) -> MutexGuard<'_, ReservedSet> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Reserve `range` if it conflicts with no in-flight reservation and
     /// no waiting claim (waiters would starve otherwise).
     pub(crate) fn try_reserve(&self, range: KeyRange) -> Option<ReservationGuard<'_>> {
-        let mut set = self.lock_set();
+        let mut set = self.inner.lock();
         if set.conflicts_any(&range) {
             return None;
         }
@@ -102,11 +94,11 @@ impl ReservationTable {
     /// whole key space). The claim is registered immediately, so new
     /// `try_reserve` calls over the range fail while this caller waits.
     pub(crate) fn reserve_blocking(&self, range: KeyRange) -> ReservationGuard<'_> {
-        let mut set = self.lock_set();
+        let mut set = self.inner.lock();
         let ticket = set.claim_ticket();
         set.pending.push((ticket, range.clone()));
         while set.blocks_pending(ticket, &range) {
-            set = self.released.wait(set).unwrap_or_else(|e| e.into_inner());
+            self.released.wait(&mut set);
         }
         set.pending.retain(|(t, _)| *t != ticket);
         set.active.push((ticket, range));
@@ -119,7 +111,7 @@ impl ReservationTable {
     /// Every claimed range, active and pending alike (what the planner
     /// must avoid proposing jobs over).
     pub(crate) fn snapshot(&self) -> Vec<KeyRange> {
-        let set = self.lock_set();
+        let set = self.inner.lock();
         set.active
             .iter()
             .chain(set.pending.iter())

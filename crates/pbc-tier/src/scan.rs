@@ -7,10 +7,12 @@
 //!    range, collected across all shards at creation time),
 //! 2. a snapshot of the **spill staging area** (entries mid-spill: drained
 //!    from hot, not yet durable in a segment),
-//! 3. one cursor per intersecting **L0 spill segment**, newest first,
-//! 4. the run of covering **L1 partitions**, chained in ascending key
-//!    order (they are sorted and disjoint, so at most one is open at a
-//!    time and later ones are only opened when the scan reaches them).
+//! 3. one chain per intersecting **L0 spill segment**, newest first,
+//!    holding that one segment (L0 segments may overlap each other, so
+//!    all must be merged at once),
+//! 4. one chain of the covering **L1 partitions**, in ascending key order
+//!    (they are sorted and disjoint, so at most one is open at a time and
+//!    later ones are only opened when the scan reaches them).
 //!
 //! Each merge round takes the smallest key held by any source; the
 //! **lowest-ranked** (newest) holder supplies the value and every other
@@ -220,10 +222,9 @@ enum Source<'a> {
         iter: std::vec::IntoIter<Versioned>,
         current: Option<Versioned>,
     },
-    /// One L0 segment's cursor.
-    Cold(ColdCursor<'a>),
-    /// The covering L1 partitions, opened lazily in ascending order
-    /// (they are disjoint, so at most one cursor is live at a time).
+    /// Cold segments opened lazily in order, at most one cursor live at
+    /// a time: one L0 segment, or the covering L1 partitions ascending
+    /// (they are disjoint).
     Chain {
         inner: &'a TierInner,
         generation: u64,
@@ -244,7 +245,6 @@ impl Source<'_> {
             Source::Hot { current, .. } | Source::Mem { current, .. } => {
                 current.as_ref().map(|(key, _)| key.as_slice())
             }
-            Source::Cold(cursor) => cursor.head().map(|(key, _)| key),
             Source::Chain { cursor, .. } => {
                 cursor.as_ref().and_then(|c| c.head()).map(|(key, _)| key)
             }
@@ -256,10 +256,10 @@ impl Source<'_> {
     fn take(&mut self) -> Result<Option<Versioned>> {
         let cursor = match self {
             Source::Hot { current, .. } | Source::Mem { current, .. } => return Ok(current.take()),
-            Source::Cold(cursor) => Some(&*cursor),
-            Source::Chain { cursor, .. } => cursor.as_ref(),
+            Source::Chain { cursor, .. } => cursor,
         };
         cursor
+            .as_ref()
             .and_then(|c| c.head())
             .map(|(key, stored)| Ok((key.to_vec(), decode_marked(stored)?)))
             .transpose()
@@ -283,7 +283,6 @@ impl Source<'_> {
                 *next += 1;
             }
             Source::Mem { iter, current } => *current = iter.next(),
-            Source::Cold(cursor) => cursor.advance()?,
             Source::Chain {
                 inner,
                 generation,
@@ -385,6 +384,15 @@ impl<'a> RangeScan<'a> {
                 && end_superset.is_none_or(|e| segment.stats.min_key.as_slice() <= e)
         };
         let decoded_blocks = Arc::new(AtomicU64::new(0));
+        let chain = |pending: VecDeque<Arc<ColdSegment>>| Source::Chain {
+            inner,
+            generation,
+            pending,
+            cursor: None,
+            start: start.clone(),
+            end: end_superset.map(<[u8]>::to_vec),
+            decoded_blocks: Arc::clone(&decoded_blocks),
+        };
         let mut cold_sources = 0usize;
         let mut sources: Vec<Source<'a>> = Vec::new();
         if !hot.is_empty() {
@@ -401,18 +409,11 @@ impl<'a> RangeScan<'a> {
                 current: None,
             });
         }
-        // L0 newest first: every intersecting segment gets its own cursor
+        // L0 newest first: every intersecting segment gets its own chain
         // (they may overlap each other, so all must be merged at once).
         for segment in pinned.l0.iter().filter(|s| intersects(s)) {
             cold_sources += 1;
-            sources.push(Source::Cold(ColdCursor::open(
-                inner,
-                Arc::clone(segment),
-                generation,
-                &start,
-                end_superset,
-                Arc::clone(&decoded_blocks),
-            )?));
+            sources.push(chain(VecDeque::from([Arc::clone(segment)])));
         }
         // L1: the covering run, located by binary search and chained in
         // ascending order — partitions are disjoint, so later ones are
@@ -428,15 +429,7 @@ impl<'a> RangeScan<'a> {
             .collect();
         if !covering.is_empty() {
             cold_sources += covering.len();
-            sources.push(Source::Chain {
-                inner,
-                generation,
-                pending: covering,
-                cursor: None,
-                start: start.clone(),
-                end: end_superset.map(|e| e.to_vec()),
-                decoded_blocks: Arc::clone(&decoded_blocks),
-            });
+            sources.push(chain(covering));
         }
         inner.obs.trace(Event::ScanOpened {
             segments: cold_sources,

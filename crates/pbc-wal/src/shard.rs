@@ -29,9 +29,10 @@
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use pbc_obs::Event;
 
 use crate::config::Durability;
@@ -181,12 +182,6 @@ impl WalShard {
         })
     }
 
-    // lock-wrapper: lock = shard.state
-    fn lock(&self) -> MutexGuard<'_, ShardState> {
-        // pbc-allow(panic): shard mutex poisoning only follows a panic elsewhere; WAL state is then undefined
-        self.state.lock().expect("wal shard poisoned")
-    }
-
     fn check_usable(&self, state: &ShardState) -> Result<()> {
         if state.poisoned {
             return Err(WalError::Poisoned { shard: self.index });
@@ -218,7 +213,7 @@ impl WalShard {
         apply: impl FnOnce() -> (T, bool),
         encode: impl FnOnce(u64) -> Vec<u8>,
     ) -> Result<(T, Option<u64>)> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         self.check_usable(&state)?;
         if state.file_bytes >= self.segment_bytes {
             self.rotate(&mut state)?;
@@ -300,8 +295,7 @@ impl WalShard {
             // succeed (fsyncgate) — report the failure instead.
             self.check_usable(&state)?;
             if state.sync_in_flight {
-                // pbc-allow(panic): condvar re-locks the same shard mutex; poisoning only follows a panic elsewhere
-                state = self.synced.wait(state).expect("wal shard poisoned");
+                self.synced.wait(&mut state);
                 continue;
             }
             state = self.lead_sync(state)?;
@@ -326,7 +320,7 @@ impl WalShard {
             for _ in 0..4 {
                 drop(state);
                 std::thread::yield_now();
-                state = self.lock();
+                state = self.state.lock();
                 if state.appended_lsn == seen {
                     break;
                 }
@@ -341,7 +335,7 @@ impl WalShard {
         let outcome = file.sync_data();
         timer.observe();
         self.obs.fsyncs.inc();
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         state.sync_in_flight = false;
         match outcome {
             Ok(()) => {
@@ -396,7 +390,7 @@ impl WalShard {
     /// append), which is what makes this a safe checkpoint mark to flush
     /// against.
     pub(crate) fn mark(&self) -> u64 {
-        self.lock().next_lsn - 1
+        self.state.lock().next_lsn - 1
     }
 
     /// Append a checkpoint marker `(mark, generation)`, fsync it (markers
@@ -405,7 +399,7 @@ impl WalShard {
     /// unlink. Skips the marker when `mark` adds nothing over the last one
     /// and no segment is deletable.
     pub(crate) fn checkpoint(&self, mark: u64, generation: u64) -> Result<Vec<(PathBuf, u64)>> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         self.check_usable(&state)?;
         let covered_any = state.sealed.iter().any(|s| s.max_lsn <= mark);
         if mark <= state.last_mark && !covered_any {
@@ -437,7 +431,7 @@ impl WalShard {
 
     /// Force everything appended so far durable (clean shutdown, tests).
     pub(crate) fn sync(&self) -> Result<()> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         self.check_usable(&state)?;
         if state.synced_lsn < state.appended_lsn && !state.sync_in_flight {
             self.sync_locked(&mut state)?;
@@ -451,7 +445,7 @@ impl WalShard {
         let Durability::Periodic(interval) = self.durability else {
             return Ok(());
         };
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         self.check_usable(&state)?;
         if state.synced_lsn < state.appended_lsn
             && !state.sync_in_flight
@@ -465,7 +459,7 @@ impl WalShard {
     /// `(total bytes, segment files, highest LSN, highest checkpoint
     /// mark)` for this shard.
     pub(crate) fn snapshot(&self) -> (u64, usize, u64, u64) {
-        let state = self.lock();
+        let state = self.state.lock();
         let bytes = state.file_bytes + state.sealed.iter().map(|s| s.bytes).sum::<u64>();
         (
             bytes,
