@@ -533,14 +533,11 @@ impl Router {
             return Err(e);
         }
         let range = tenant.full_key(start)..tenant.prefix_end();
-        let mut rows = Vec::new();
-        for row in shared.store.range_scan(range)? {
-            if rows.len() >= limit {
-                break;
-            }
-            let (key, value) = row?;
-            rows.push((key[tenant.prefix.len()..].to_vec(), value));
-        }
+        let rows = shared
+            .store
+            .range_scan_limited(range, limit)?
+            .map(|row| row.map(|(key, value)| (key[tenant.prefix.len()..].to_vec(), value)))
+            .collect::<pbc_tier::Result<_>>()?;
         shared.obs.scans.inc();
         Ok(rows)
     }

@@ -2,6 +2,7 @@
 //! engages, verify the discipline (typed `Busy`, bounded queues, no
 //! silent drops), drain the backlog, and verify writes flow again.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -9,36 +10,20 @@ use std::time::Duration;
 use pbc_serve::{BusyReason, Router, ServeConfig, ServeError, TenantQuota};
 use pbc_tier::{TierConfig, TieredStore};
 
-struct TempDir(std::path::PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "pbc-serve-bp-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+#[path = "../../../tests/support/mod.rs"]
+mod support;
+use support::temp_dir;
 
 const L0_LIMIT: u64 = 4;
 const SHARDS: usize = 2;
 const QUEUE_CAPACITY: usize = 64;
 
-fn saturating_router(dir: &TempDir) -> Router {
+fn saturating_router(dir: &Path) -> Router {
     // Tiny watermark so writes spill constantly; no background compaction,
     // so L0 segments pile up until the router's backlog gate trips.
     let store = Arc::new(
         TieredStore::open(
-            TierConfig::new(&dir.0)
+            TierConfig::new(dir)
                 .with_watermark(8 * 1024)
                 .with_background_compaction(false),
         )
@@ -55,7 +40,7 @@ fn saturating_router(dir: &TempDir) -> Router {
 
 #[test]
 fn saturation_engages_admission_then_recovers() {
-    let dir = TempDir::new("lifecycle");
+    let (dir, _guard) = temp_dir("lifecycle");
     let router = Arc::new(saturating_router(&dir));
     router
         .create_tenant("tenant", TenantQuota::unlimited())
@@ -181,7 +166,7 @@ fn saturation_engages_admission_then_recovers() {
 
 #[test]
 fn rejections_have_no_side_effects() {
-    let dir = TempDir::new("no-side-effects");
+    let (dir, _guard) = temp_dir("no-side-effects");
     let router = saturating_router(&dir);
     router
         .create_tenant("tenant", TenantQuota::unlimited())

@@ -3,65 +3,30 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pbc_archive::ArchiveError;
 use pbc_codecs::dict::Dictionary;
 use pbc_codecs::traits::DictCodec;
 use pbc_codecs::zstdlike::ZstdLike;
 use pbc_core::{PbcCompressor, PbcConfig};
 
 /// Errors surfaced by the store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// A stored value failed to decompress (corruption or codec mismatch).
     ValueCorrupt {
         /// Description of the failure.
         reason: String,
     },
-    /// A segment snapshot or restore failed. The original [`ArchiveError`]
-    /// is preserved (behind an `Arc` so `StoreError` stays `Clone`) and
-    /// reachable through [`std::error::Error::source`].
-    Archive(Arc<ArchiveError>),
 }
-
-impl PartialEq for StoreError {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (StoreError::ValueCorrupt { reason: a }, StoreError::ValueCorrupt { reason: b }) => {
-                a == b
-            }
-            // ArchiveError carries io::Error and is not PartialEq; compare
-            // the rendered failure, which is what callers match on in tests.
-            (StoreError::Archive(a), StoreError::Archive(b)) => a.to_string() == b.to_string(),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for StoreError {}
 
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::ValueCorrupt { reason } => write!(f, "stored value corrupt: {reason}"),
-            StoreError::Archive(e) => write!(f, "segment snapshot/restore failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StoreError::ValueCorrupt { .. } => None,
-            StoreError::Archive(e) => Some(e.as_ref()),
-        }
-    }
-}
-
-impl From<ArchiveError> for StoreError {
-    fn from(e: ArchiveError) -> Self {
-        StoreError::Archive(Arc::new(e))
-    }
-}
+impl std::error::Error for StoreError {}
 
 /// How values are compressed inside the store.
 #[derive(Clone)]
@@ -110,11 +75,6 @@ impl ValueCodec {
         ValueCodec::Pbc(Arc::new(PbcCompressor::train_fsst(samples, config)))
     }
 
-    /// Train the plain `PBC` codec on sampled values.
-    pub fn train_pbc(samples: &[&[u8]], config: &PbcConfig) -> Self {
-        ValueCodec::Pbc(Arc::new(PbcCompressor::train(samples, config)))
-    }
-
     /// Short name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -151,15 +111,6 @@ impl ValueCodec {
                 }),
         }
     }
-
-    /// Whether the underlying PBC compressor asks for re-training (always
-    /// `false` for the other codecs).
-    pub fn should_retrain(&self) -> bool {
-        match self {
-            ValueCodec::Pbc(pbc) => pbc.should_retrain(),
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +138,7 @@ mod tests {
         let codecs = [
             ValueCodec::None,
             ValueCodec::train_zstd_dict(&refs, 3),
-            ValueCodec::train_pbc(&refs, &PbcConfig::small()),
+            ValueCodec::Pbc(Arc::new(PbcCompressor::train(&refs, &PbcConfig::small()))),
             ValueCodec::train_pbc_f(&refs, &PbcConfig::small()),
         ];
         for codec in &codecs {

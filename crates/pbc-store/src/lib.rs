@@ -11,9 +11,10 @@
 //! This crate reproduces the storage-engine side of those experiments:
 //!
 //! * [`store`] — a sharded in-memory key-value store with pluggable value
-//!   compression and memory accounting;
+//!   compression and memory accounting, also the ordered hot tier of
+//!   `pbc-tier`;
 //! * [`engine`] — the value codecs (none / Zstd with a trained dictionary /
-//!   PBC / PBC_F) and the retraining monitor;
+//!   PBC / PBC_F);
 //! * [`block`] — block-wise storage used by the Figure 5 lookup experiment;
 //! * [`workload`] — a single-threaded SET/GET driver measuring throughput.
 

@@ -7,20 +7,23 @@
 //! "Memory Usage (%)" compares across codecs.
 //!
 //! Beyond the paper's experiment, the store is the hot tier of `pbc-tier`.
-//! Each shard is one map from key to slot — a live (encoded) value or a
-//! tombstone — so "stored and tombstoned at once" cannot be represented,
-//! and every transition a tiered engine needs is one step under one lock:
-//! [`TierStore::set`] (a live value replaces anything),
+//! Each shard is one ordered map from key to slot — a live (encoded) value
+//! or a tombstone — so "stored and tombstoned at once" cannot be
+//! represented, and every transition a tiered engine needs is one step
+//! under one lock: [`TierStore::set`] (a live value replaces anything),
 //! [`TierStore::tombstone`] (a delete that keeps shadowing colder copies),
 //! [`TierStore::restore`] (put back only what nothing newer has replaced),
 //! [`TierStore::take_shard`] (drain for a spill) and
-//! [`TierStore::range_snapshot_encoded`] (the sorted cut a range scan
+//! [`TierStore::range_snapshot_encoded`] (the bounded cut a range scan
 //! merges). Per-shard byte accounting and last-access epochs drive LRU
 //! shard selection.
 
+use std::borrow::Cow;
+use std::cmp::Ordering as KeyOrder;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -29,6 +32,84 @@ use crate::engine::{StoreError, ValueCodec};
 
 /// Number of shards (power of two).
 const SHARDS: usize = 16;
+
+/// Key bytes a [`HotKey`] holds inline.
+const INLINE: usize = 23;
+
+/// A hot-tier key, ordered exactly as its bytes are.
+///
+/// The first [`INLINE`] bytes sit in the tree node, zero-padded, as three
+/// big-endian words whose last byte is how many of them the key fills, so
+/// keys that differ there (every pair of keys of at most 23 bytes) compare
+/// as integers without leaving the node. A longer key keeps the rest in
+/// `tail`: borrowed by a probe (`HotKey<'a>`), owned by a stored key
+/// (`HotKey<'static>`). `BTreeMap` is covariant in its key, so a shared
+/// map coerces to a map of probes and reads never allocate.
+#[derive(Clone, PartialEq, Eq)]
+struct HotKey<'a> {
+    words: [u64; 3],
+    tail: Cow<'a, [u8]>,
+}
+
+impl<'a> HotKey<'a> {
+    fn new(key: &'a [u8]) -> Self {
+        let (head, tail) = key.split_at(key.len().min(INLINE));
+        let mut padded = [[0u8; 8]; 3];
+        padded.as_flattened_mut()[..head.len()].copy_from_slice(head);
+        padded.as_flattened_mut()[INLINE] = head.len() as u8;
+        let words = padded.map(u64::from_be_bytes);
+        HotKey {
+            words,
+            tail: Cow::Borrowed(tail),
+        }
+    }
+
+    /// The stored form. Allocates only for a key longer than [`INLINE`].
+    fn into_owned(self) -> HotKey<'static> {
+        HotKey {
+            words: self.words,
+            tail: Cow::Owned(self.tail.into_owned()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.words[2] as u8) + self.tail.len()
+    }
+
+    /// Append the key's bytes to `out`.
+    fn extend_into(&self, out: &mut Vec<u8>) {
+        let padded = self.words.map(u64::to_be_bytes);
+        let head = usize::from(self.words[2] as u8);
+        out.extend_from_slice(&padded.as_flattened()[..head]);
+        out.extend_from_slice(&self.tail);
+    }
+}
+
+/// Byte order. The words compare as the zero-padded heads do, and on equal
+/// heads the length byte puts a shorter head, which is then a prefix of
+/// the longer one, first. Two full heads are decided by their tails.
+impl Ord for HotKey<'_> {
+    fn cmp(&self, other: &Self) -> KeyOrder {
+        let [a0, a1, a2] = self.words;
+        let [b0, b1, b2] = other.words;
+        // One wide compare for the first 16 bytes, then the last word.
+        let wide = |high: u64, low: u64| u128::from(high) << 64 | u128::from(low);
+        let (a, b) = (wide(a0, a1), wide(b0, b1));
+        if a != b {
+            return a.cmp(&b);
+        }
+        if a2 != b2 {
+            return a2.cmp(&b2);
+        }
+        self.tail.cmp(&other.tail)
+    }
+}
+
+impl PartialOrd for HotKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<KeyOrder> {
+        Some(self.cmp(other))
+    }
+}
 
 /// What a shard holds for one key.
 enum Slot {
@@ -64,12 +145,21 @@ pub enum Lookup {
 /// atomically with respect to concurrent writers.
 #[derive(Default)]
 struct ShardState {
-    slots: HashMap<Vec<u8>, Slot>,
+    slots: BTreeMap<HotKey<'static>, Slot>,
     /// How many slots are live; the rest are tombstones.
     live_keys: usize,
     stored_value_bytes: u64,
     stored_key_bytes: u64,
     tombstone_bytes: u64,
+}
+
+/// A shared map coerces to a map of borrowed keys, so a probe borrows its
+/// tail and what it finds lives no longer than the probe.
+impl ShardState {
+    fn slot<'a>(&'a self, key: &'a [u8]) -> Option<&'a Slot> {
+        let slots: &'a BTreeMap<HotKey<'a>, Slot> = &self.slots;
+        slots.get(&HotKey::new(key))
+    }
 }
 
 #[derive(Default)]
@@ -80,19 +170,15 @@ struct Shard {
     last_access: AtomicU64,
 }
 
-/// One key with its decoded value as reported by [`TierStore::take_shard`]
-/// and [`TierStore::range_snapshot`]; `None` marks a tombstone.
+/// One key with its decoded value as reported by [`TierStore::take_shard`];
+/// `None` marks a tombstone.
 pub type RangeEntry = (Vec<u8>, Option<Vec<u8>>);
 
 /// What [`TierStore::range_snapshot_encoded`] returns: the slots of a key
 /// interval in ascending key order, values still codec-encoded.
 ///
 /// Rows are packed back to back in one buffer, so a snapshot costs two
-/// allocations however many rows it holds. A range scan snapshots every
-/// hot row up to the end of its interval and usually reads the first few;
-/// with a `Vec` per key and per value, cloning and freeing the rows it
-/// never read made a scan's cost follow the fill of the hot tier, which
-/// rises and falls with every spill.
+/// allocations however many rows it holds.
 #[derive(Debug, Default)]
 pub struct RangeSnapshot {
     /// Key, then encoded value, of every row.
@@ -133,9 +219,9 @@ impl RangeSnapshot {
         (&self.bytes[row.key..row.value], stored)
     }
 
-    fn push(&mut self, key: &[u8], slot: &Slot) {
+    fn push(&mut self, key: &HotKey<'_>, slot: &Slot) {
         let start = self.bytes.len();
-        self.bytes.extend_from_slice(key);
+        key.extend_into(&mut self.bytes);
         let value = self.bytes.len();
         self.bytes
             .extend_from_slice(slot.encoded().map_or(&[][..], Vec::as_slice));
@@ -146,16 +232,14 @@ impl RangeSnapshot {
             live: slot.encoded().is_some(),
         });
     }
-
-    fn sort(&mut self) {
-        let bytes = &self.bytes;
-        self.rows
-            .sort_unstable_by(|a, b| bytes[a.key..a.value].cmp(&bytes[b.key..b.value]));
-    }
 }
 
 /// A TierBase-like sharded key-value store with value compression.
 pub struct TierStore {
+    /// Lock order: a thread takes at most one shard's write lock and
+    /// holds no other shard lock while it does. Only
+    /// [`TierStore::range_snapshot_encoded`] holds several shard locks at
+    /// once: read locks only, taken in ascending index order.
     shards: Vec<Shard>,
     codec: ValueCodec,
     raw_value_bytes: AtomicU64,
@@ -226,11 +310,6 @@ impl TierStore {
         self.shards[idx].last_access.load(Ordering::Relaxed)
     }
 
-    /// Keys currently stored in shard `idx` (tombstones excluded).
-    pub fn shard_len(&self, idx: usize) -> usize {
-        self.shards[idx].state.read().live_keys
-    }
-
     /// Stored (compressed) value + key bytes held by shard `idx`, excluding
     /// tombstones.
     pub fn shard_memory_bytes(&self, idx: usize) -> u64 {
@@ -250,7 +329,12 @@ impl TierStore {
     /// per-shard counters, or a racing [`TierStore::take_shard`] (which
     /// subtracts the per-shard sums under that lock) could transiently
     /// wrap the u64 totals.
-    fn replace_slot(&self, shard: &mut ShardState, key: &[u8], new: Option<Slot>) -> Option<Slot> {
+    fn replace_slot(
+        &self,
+        shard: &mut ShardState,
+        key: HotKey<'_>,
+        new: Option<Slot>,
+    ) -> Option<Slot> {
         let key_bytes = key.len() as u64;
         match &new {
             Some(Slot::Live(stored)) => {
@@ -268,9 +352,11 @@ impl TierStore {
             }
             None => {}
         }
+        // A `&mut` map is invariant in its key: removal probes with the
+        // stored form, which allocates for keys past 23 bytes.
         let old = match new {
-            Some(slot) => shard.slots.insert(key.to_vec(), slot),
-            None => shard.slots.remove(key),
+            Some(slot) => shard.slots.insert(key.into_owned(), slot),
+            None => shard.slots.remove(&key.into_owned()),
         };
         match &old {
             Some(Slot::Live(stored)) => {
@@ -302,7 +388,7 @@ impl TierStore {
         let idx = self.shard_of_key(key);
         {
             let mut shard = self.shards[idx].state.write();
-            self.replace_slot(&mut shard, key, Some(Slot::Live(encoded)));
+            self.replace_slot(&mut shard, HotKey::new(key), Some(Slot::Live(encoded)));
             self.raw_value_bytes
                 .fetch_add(value.len() as u64, Ordering::Relaxed);
         }
@@ -317,8 +403,7 @@ impl TierStore {
         let slot = self.shards[idx]
             .state
             .read()
-            .slots
-            .get(key)
+            .slot(key)
             .map(|slot| slot.encoded().cloned());
         self.touch(idx);
         Ok(match slot {
@@ -343,9 +428,9 @@ impl TierStore {
         let idx = self.shard_of_key(key);
         let existed = {
             let mut shard = self.shards[idx].state.write();
-            let live = matches!(shard.slots.get(key), Some(Slot::Live(_)));
+            let live = matches!(shard.slot(key), Some(Slot::Live(_)));
             if live {
-                self.replace_slot(&mut shard, key, None);
+                self.replace_slot(&mut shard, HotKey::new(key), None);
             }
             live
         };
@@ -363,9 +448,9 @@ impl TierStore {
         let idx = self.shard_of_key(key);
         let changed = {
             let mut shard = self.shards[idx].state.write();
-            let changed = !matches!(shard.slots.get(key), Some(Slot::Tombstone));
+            let changed = !matches!(shard.slot(key), Some(Slot::Tombstone));
             if changed {
-                self.replace_slot(&mut shard, key, Some(Slot::Tombstone));
+                self.replace_slot(&mut shard, HotKey::new(key), Some(Slot::Tombstone));
             }
             changed
         };
@@ -382,7 +467,7 @@ impl TierStore {
     pub fn restore(&self, key: &[u8], value: Option<&[u8]>) -> bool {
         let idx = self.shard_of_key(key);
         let mut shard = self.shards[idx].state.write();
-        if shard.slots.contains_key(key) {
+        if shard.slot(key).is_some() {
             return false;
         }
         let slot = match value {
@@ -393,7 +478,7 @@ impl TierStore {
             }
             None => Slot::Tombstone,
         };
-        self.replace_slot(&mut shard, key, Some(slot));
+        self.replace_slot(&mut shard, HotKey::new(key), Some(slot));
         true
     }
 
@@ -404,86 +489,106 @@ impl TierStore {
         self.tombstone_bytes_total.load(Ordering::Relaxed)
     }
 
-    /// Drain shard `idx`: remove every slot and return them sorted by key,
-    /// values decoded, `None` for a tombstone. Decoding happens before
-    /// anything is removed, so a corrupt value leaves the shard untouched.
+    /// Drain shard `idx`: remove every slot and return them in key order,
+    /// values decoded, `None` for a tombstone. Only the map moves under the
+    /// write lock; decoding runs after it. If a value fails to decode, the
+    /// drained slots go back into every slot nothing has refilled since (as
+    /// [`TierStore::restore`] does), so a corrupt value costs the spill,
+    /// never data.
     pub fn take_shard(&self, idx: usize) -> Result<Vec<RangeEntry>, StoreError> {
-        let mut drained = {
+        let drained = {
             let mut shard = self.shards[idx].state.write();
-            let drained = shard
-                .slots
-                .iter()
-                .map(|(key, slot)| {
-                    let value = slot.encoded().map(|s| self.codec.decode(s)).transpose()?;
-                    Ok((key.clone(), value))
-                })
-                .collect::<Result<Vec<RangeEntry>, StoreError>>()?;
             // The totals move under the lock, in lockstep with the shard
-            // they mirror (see replace_slot). The drained values' raw
-            // bytes leave the memory-ratio denominator with them (and come
-            // back via restore if a failed spill puts them back).
+            // they mirror (see replace_slot).
             self.stored_bytes_total.fetch_sub(
                 shard.stored_value_bytes + shard.stored_key_bytes,
                 Ordering::Relaxed,
             );
             self.tombstone_bytes_total
                 .fetch_sub(shard.tombstone_bytes, Ordering::Relaxed);
-            let drained_raw: u64 = drained
-                .iter()
-                .filter_map(|(_, value)| value.as_ref())
-                .map(|value| value.len() as u64)
-                .sum();
-            self.raw_value_bytes
-                .fetch_sub(drained_raw, Ordering::Relaxed);
-            *shard = ShardState::default();
-            drained
+            std::mem::take(&mut *shard).slots
         };
-        drained.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(drained)
-    }
-
-    /// A sorted snapshot of every slot whose key falls in the closed
-    /// interval `[start, end]` (`end = None` means unbounded above), with
-    /// values still **codec-encoded** as stored. Keys are unique: a key has
-    /// one slot.
-    ///
-    /// This is the ordered-iteration hook a tiered range scan needs for
-    /// its hot source: shards hash the keyspace, so order only exists
-    /// after collecting across all of them. Only byte copies happen under
-    /// the per-shard locks — decoding (see [`TierStore::range_snapshot`])
-    /// is deliberately left to the caller, after every lock is released,
-    /// so a wide scan's snapshot never stalls concurrent writers for the
-    /// length of a decompression pass. The snapshot is taken shard by
-    /// shard and is not atomic across shards — writes concurrent with the
-    /// call may or may not be included, the same contract as
-    /// [`TierStore::snapshot_to_segment`].
-    pub fn range_snapshot_encoded(&self, start: &[u8], end: Option<&[u8]>) -> RangeSnapshot {
-        let in_range = |key: &[u8]| key >= start && end.is_none_or(|e| key <= e);
-        let mut snapshot = RangeSnapshot::default();
-        for shard in &self.shards {
-            let shard = shard.state.read();
-            for (key, slot) in shard.slots.iter().filter(|(key, _)| in_range(key)) {
-                snapshot.push(key, slot);
+        let decoded: Result<Vec<RangeEntry>, _> = drained
+            .iter()
+            .map(|(key, slot)| {
+                let mut bytes = Vec::with_capacity(key.len());
+                key.extend_into(&mut bytes);
+                Ok((
+                    bytes,
+                    slot.encoded().map(|s| self.codec.decode(s)).transpose()?,
+                ))
+            })
+            .collect();
+        match decoded {
+            Ok(entries) => {
+                // The drained values' raw bytes leave the memory-ratio
+                // denominator with them (restore puts them back).
+                let raw = entries.iter().filter_map(|(_, value)| value.as_ref());
+                let raw: u64 = raw.map(|value| value.len() as u64).sum();
+                self.raw_value_bytes.fetch_sub(raw, Ordering::Relaxed);
+                Ok(entries)
+            }
+            Err(e) => {
+                let mut shard = self.shards[idx].state.write();
+                for (key, slot) in drained {
+                    if !shard.slots.contains_key(&key) {
+                        self.replace_slot(&mut shard, key, Some(slot));
+                    }
+                }
+                Err(e)
             }
         }
-        snapshot.sort();
-        snapshot
     }
 
-    /// [`TierStore::range_snapshot_encoded`] with the values decoded —
-    /// the decode pass runs after every shard lock has been released.
-    pub fn range_snapshot(
+    /// The hot cut a range scan merges: the slots with keys in the closed
+    /// interval `[start, end]` (`end = None`: unbounded above; inverted
+    /// bounds: empty), ascending, tombstones included, up to and including
+    /// the `limit`-th live one. Values stay **codec-encoded**: decode after
+    /// the locks are released.
+    ///
+    /// The cut holds every shard's read lock at once, so it is atomic
+    /// across shards. It seeks each shard's map to `start` and
+    /// k-way-merges them, copying only the rows it returns. Past its last
+    /// key the interval is left out, but up to that key the cut is
+    /// complete: all a merge needs that yields at most `limit` rows and
+    /// lets hot rows shadow colder ones.
+    pub fn range_snapshot_encoded(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
-    ) -> Result<Vec<RangeEntry>, StoreError> {
-        self.range_snapshot_encoded(start, end)
+        limit: usize,
+    ) -> RangeSnapshot {
+        let mut snapshot = RangeSnapshot::default();
+        // `BTreeMap::range` panics on inverted bounds.
+        if end.is_some_and(|end| start > end) {
+            return snapshot;
+        }
+        let bounds = (
+            Bound::Included(HotKey::new(start)),
+            end.map_or(Bound::Unbounded, |end| Bound::Included(HotKey::new(end))),
+        );
+        let guards: Vec<_> = self.shards.iter().map(|shard| shard.state.read()).collect();
+        let mut cursors: Vec<_> = guards
             .iter()
-            .map(|(key, stored)| {
-                let value = stored.map(|s| self.codec.decode(s)).transpose()?;
-                Ok((key.to_vec(), value))
+            .map(|shard| {
+                let slots: &BTreeMap<HotKey<'_>, Slot> = &shard.slots;
+                slots.range(bounds.clone())
             })
-            .collect()
+            .collect();
+        let mut heads: Vec<_> = cursors.iter_mut().map(Iterator::next).collect();
+        let mut live = 0;
+        while live < limit {
+            let next = heads
+                .iter()
+                .enumerate()
+                .filter_map(|(i, head)| head.map(|(key, slot)| (i, key, slot)))
+                .min_by(|a, b| a.1.cmp(b.1));
+            let Some((i, key, slot)) = next else { break };
+            snapshot.push(key, slot);
+            live += usize::from(slot.encoded().is_some());
+            heads[i] = cursors[i].next();
+        }
+        snapshot
     }
 
     /// Number of stored keys.
@@ -502,70 +607,6 @@ impl TierStore {
     /// enough for per-write watermark checks on the hot path.
     pub fn memory_usage_bytes(&self) -> u64 {
         self.stored_bytes_total.load(Ordering::Relaxed)
-    }
-
-    /// Spill the whole store to a durable `pbc-archive` segment at `path`.
-    ///
-    /// Values are decoded to raw bytes first, so the segment is independent
-    /// of this store's [`ValueCodec`] (the segment writer re-compresses
-    /// blocks with its own codec choice). Entries are written in sorted key
-    /// order, which keeps the segment key-searchable via
-    /// [`pbc_archive::SegmentReader::get`] and makes snapshots of the same
-    /// contents byte-identical regardless of shard layout.
-    ///
-    /// The snapshot streams: only the key list is materialized up front;
-    /// values are fetched and decoded one at a time as the segment writer
-    /// consumes them, so peak extra allocation is bounded by the keys plus
-    /// one decoded value plus the writer's current block — not the decoded
-    /// corpus. Keys written or deleted concurrently with the snapshot may
-    /// or may not be included (the snapshot was never atomic).
-    pub fn snapshot_to_segment(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        config: pbc_archive::SegmentConfig,
-    ) -> Result<pbc_archive::SegmentSummary, StoreError> {
-        // Phase 1: every stored key with its shard, sorted. Values stay put.
-        let mut keys: Vec<(Vec<u8>, u16)> = Vec::with_capacity(self.len());
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let shard = shard.state.read();
-            keys.extend(
-                shard
-                    .slots
-                    .iter()
-                    .filter(|(_, slot)| slot.encoded().is_some())
-                    .map(|(key, _)| (key.clone(), idx as u16)),
-            );
-        }
-        keys.sort_unstable();
-        // Phase 2: stream values through the writer in key order.
-        let mut writer = pbc_archive::SegmentWriter::create(path, config)?;
-        for (key, idx) in &keys {
-            let stored = self.shards[*idx as usize]
-                .state
-                .read()
-                .slots
-                .get(key)
-                .and_then(|slot| slot.encoded().cloned());
-            if let Some(stored) = stored {
-                writer.append(key, &self.codec.decode(&stored)?)?;
-            }
-        }
-        Ok(writer.finish()?)
-    }
-
-    /// Load a segment written by [`TierStore::snapshot_to_segment`] into a
-    /// fresh store using the given value codec.
-    pub fn restore_from_segment(
-        path: impl AsRef<std::path::Path>,
-        codec: ValueCodec,
-    ) -> Result<TierStore, StoreError> {
-        let reader = pbc_archive::SegmentReader::open(path)?;
-        let store = TierStore::new(codec);
-        for entry in reader.scan() {
-            let (key, value) = entry?;
-            store.set(&key, &value);
-        }
-        Ok(store)
     }
 
     /// Memory usage relative to storing the same data uncompressed
@@ -588,6 +629,8 @@ impl TierStore {
 mod tests {
     use super::*;
     use pbc_core::PbcConfig;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn values(n: usize) -> Vec<Vec<u8>> {
         (0..n)
@@ -706,8 +749,6 @@ mod tests {
             .map(|s| store.shard_memory_bytes(s))
             .sum();
         assert_eq!(per_shard, store.memory_usage_bytes());
-        let per_shard_len: usize = (0..store.shard_count()).map(|s| store.shard_len(s)).sum();
-        assert_eq!(per_shard_len, store.len());
     }
 
     #[test]
@@ -737,11 +778,23 @@ mod tests {
         assert!(store.shard_access_epoch(shard_a) > store.shard_access_epoch(shard_b));
     }
 
-    /// The store's slots, re-counted from a full snapshot:
+    /// The whole-interval cut with its values decoded.
+    fn decoded_cut(store: &TierStore, start: &[u8], end: Option<&[u8]>) -> Vec<RangeEntry> {
+        store
+            .range_snapshot_encoded(start, end, usize::MAX)
+            .iter()
+            .map(|(key, stored)| {
+                let value = stored.map(|s| store.codec().decode(s).unwrap());
+                (key.to_vec(), value)
+            })
+            .collect()
+    }
+
+    /// The store's slots, re-counted from a full cut:
     /// `(stored key + value bytes, tombstone bytes)`.
     fn recount(store: &TierStore) -> (u64, u64) {
         let mut counted = (0, 0);
-        for (key, stored) in store.range_snapshot_encoded(b"", None).iter() {
+        for (key, stored) in store.range_snapshot_encoded(b"", None, usize::MAX).iter() {
             match stored {
                 Some(stored) => counted.0 += (key.len() + stored.len()) as u64,
                 None => counted.1 += key.len() as u64,
@@ -807,12 +860,12 @@ mod tests {
         let vals = values(64 + 2 * table.len());
         let refs: Vec<&[u8]> = vals[..64].iter().map(|v| v.as_slice()).collect();
         let store = TierStore::new(ValueCodec::train_pbc_f(&refs, &PbcConfig::small()));
-        let mut expected: std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>> =
-            std::collections::BTreeMap::new();
+        let mut expected: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
 
         for (row, &(before, op, returns, after, op_value_stored)) in table.iter().enumerate() {
-            // Keys of varying length, one per row, so rows share shards.
-            let key = format!("slot:{row:02}{}", "x".repeat(row)).into_bytes();
+            // Keys of varying length, one per row, so rows share shards
+            // and some keys run past the 23 inline bytes.
+            let key = format!("slot:{row:02}{}", "x".repeat(row * 2)).into_bytes();
             let (first, second) = (&vals[64 + 2 * row], &vals[65 + 2 * row]);
             let context = format!("row {row}: {before:?} x {op:?}");
             match before {
@@ -860,24 +913,23 @@ mod tests {
         let live = expected.values().filter(|v| v.is_some()).count();
         assert_eq!(store.len(), live, "len counts live slots only");
 
-        // Range snapshots: sorted, unique, closed bounds, tombstones as
-        // `None`, values decoded.
-        let everything = store.range_snapshot(b"", None).unwrap();
+        // Cuts: sorted, unique, closed bounds, tombstones as `None`.
+        let everything = decoded_cut(&store, b"", None);
         assert_eq!(
             everything,
             expected.clone().into_iter().collect::<Vec<_>>(),
-            "full snapshot is the model, in key order"
+            "full cut is the model, in key order"
         );
         let (lo, hi) = (&everything[3].0, &everything[9].0);
         assert_eq!(
-            store.range_snapshot(lo, Some(hi)).unwrap(),
+            decoded_cut(&store, lo, Some(hi)),
             everything[3..=9],
             "both bounds inclusive"
         );
-        assert_eq!(store.range_snapshot(hi, None).unwrap(), everything[9..]);
-        assert!(store.range_snapshot(b"zzz", None).unwrap().is_empty());
+        assert_eq!(decoded_cut(&store, hi, None), everything[9..]);
+        assert!(decoded_cut(&store, b"zzz", None).is_empty());
         assert!(
-            store.range_snapshot(hi, Some(lo)).unwrap().is_empty(),
+            decoded_cut(&store, hi, Some(lo)).is_empty(),
             "inverted bounds are an empty interval, not a panic"
         );
 
@@ -888,7 +940,7 @@ mod tests {
             let shard = store.take_shard(idx).unwrap();
             assert!(shard.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
             assert!(shard.iter().all(|(key, _)| store.shard_of_key(key) == idx));
-            assert_eq!(store.shard_len(idx), 0);
+            assert_eq!(store.shard_memory_bytes(idx), 0);
             assert_accounting(&store, &format!("after take_shard({idx})"));
             drained.extend(shard);
         }
@@ -902,13 +954,46 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_value_puts_the_whole_drain_back() {
+        let vals = values(60);
+        let refs: Vec<&[u8]> = vals.iter().map(|v| v.as_slice()).collect();
+        let store = TierStore::new(ValueCodec::train_zstd_dict(&refs, 3));
+        for (i, v) in vals.iter().enumerate() {
+            store.set(format!("drain:{i:03}").as_bytes(), v);
+        }
+        store.tombstone(b"drain:gone");
+        // Bytes the codec cannot decode, planted beside the good values.
+        let bad = b"drain:bad".as_slice();
+        let idx = store.shard_of_key(bad);
+        {
+            let mut shard = store.shards[idx].state.write();
+            let corrupt = Slot::Live(vec![0xff, 0x13, 0x88]);
+            store.replace_slot(&mut shard, HotKey::new(bad), Some(corrupt));
+        }
+        let before = store.range_snapshot_encoded(b"", None, usize::MAX);
+        let totals = (store.memory_usage_bytes(), store.tombstone_bytes());
+
+        assert!(store.take_shard(idx).is_err());
+        let after = store.range_snapshot_encoded(b"", None, usize::MAX);
+        assert_eq!(
+            after.iter().collect::<Vec<_>>(),
+            before.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            (store.memory_usage_bytes(), store.tombstone_bytes()),
+            totals
+        );
+        assert_accounting(&store, "after a failed drain");
+    }
+
+    #[test]
     fn range_snapshot_tells_an_empty_value_from_a_tombstone() {
         // Both rows occupy zero value bytes in the snapshot's buffer.
         let store = TierStore::new(ValueCodec::None);
         store.set(b"a", b"");
         store.tombstone(b"b");
         store.set(b"c", b"x");
-        let snapshot = store.range_snapshot_encoded(b"", None);
+        let snapshot = store.range_snapshot_encoded(b"", None, usize::MAX);
         assert_eq!(
             snapshot.iter().collect::<Vec<_>>(),
             [
@@ -919,104 +1004,137 @@ mod tests {
         );
         assert_eq!(snapshot.get(1), Some((&b"b"[..], None)));
         assert_eq!(snapshot.get(3), None);
-        assert!(store.range_snapshot_encoded(b"d", None).is_empty());
+        assert!(store
+            .range_snapshot_encoded(b"d", None, usize::MAX)
+            .is_empty());
     }
 
-    /// Unique temp path with a drop-guard, so failing tests don't leak
-    /// segment files (and parallel tests can't collide on a tag).
-    fn temp_segment(tag: &str) -> (std::path::PathBuf, TempSegment) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "pbc-store-test-{}-{tag}-{}.seg",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        (path.clone(), TempSegment(path))
+    /// Bytes that make prefix and zero-padding cases likely.
+    fn key_byte() -> impl Strategy<Value = u8> {
+        (0usize..4).prop_map(|i| [0x00, 0x01, b'k', 0xff][i])
     }
 
-    struct TempSegment(std::path::PathBuf);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
 
-    impl Drop for TempSegment {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
+        #[test]
+        fn hot_key_order_is_byte_order(
+            a in vec(key_byte(), 0..41),
+            b in vec(key_byte(), 0..41),
+            shared in 0usize..41,
+        ) {
+            // `b` often repeats a prefix of `a`: up to all 23 inline bytes
+            // and into the tail.
+            let shared = shared.min(a.len());
+            let b: Vec<u8> = a[..shared].iter().chain(&b).copied().take(40).collect();
+            let (ka, kb) = (HotKey::new(&a), HotKey::new(&b));
+            prop_assert_eq!(ka.cmp(&kb), a.cmp(&b), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(ka == kb, a == b);
+            let mut bytes = Vec::new();
+            ka.extend_into(&mut bytes);
+            prop_assert_eq!(bytes, a.clone());
+            prop_assert_eq!(ka.clone().into_owned().cmp(&kb), a.cmp(&b));
         }
     }
 
     #[test]
-    fn snapshot_and_restore_preserve_every_entry() {
-        use pbc_archive::{SegmentConfig, SegmentReader};
-        let vals = values(400);
-        let refs: Vec<&[u8]> = vals[..128].iter().map(|v| v.as_slice()).collect();
-        let store = TierStore::new(ValueCodec::train_pbc_f(&refs, &PbcConfig::small()));
-        for (i, v) in vals.iter().enumerate() {
-            store.set(format!("sess:{i:06}").as_bytes(), v);
-        }
-
-        let (path, _guard) = temp_segment("roundtrip");
-        let summary = store
-            .snapshot_to_segment(&path, SegmentConfig::default())
-            .unwrap();
-        assert_eq!(summary.record_count, 400);
-
-        // The segment itself is key-searchable (snapshot sorts by key).
-        let reader = SegmentReader::open(&path).unwrap();
-        assert!(reader.is_sorted());
-        assert_eq!(
-            reader.get(b"sess:000123").unwrap().as_deref(),
-            Some(vals[123].as_slice())
-        );
-        drop(reader);
-
-        // Restoring into a different codec still yields identical values.
-        let restored = TierStore::restore_from_segment(&path, ValueCodec::None).unwrap();
-        assert_eq!(restored.len(), 400);
-        for (i, v) in vals.iter().enumerate().step_by(29) {
-            let key = format!("sess:{i:06}");
-            assert_eq!(
-                restored.get(key.as_bytes()).unwrap().as_deref(),
-                Some(v.as_slice())
-            );
+    fn hot_key_order_edge_cases() {
+        let long = [b'k'; 30];
+        let cases: [&[u8]; 10] = [
+            b"",
+            b"\0",
+            b"ab",
+            b"ab\0",
+            b"ab\0\0",
+            &long[..22],
+            &long[..24],
+            &long[..23],
+            &long[..25],
+            &long,
+        ];
+        for a in cases {
+            for b in cases {
+                assert_eq!(
+                    HotKey::new(a).cmp(&HotKey::new(b)),
+                    a.cmp(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
         }
     }
 
-    #[test]
-    fn snapshots_are_deterministic_across_stores() {
-        use pbc_archive::SegmentConfig;
-        let vals = values(200);
-        let a = TierStore::new(ValueCodec::None);
-        let b = TierStore::new(ValueCodec::None);
-        // Insert in different orders; sorted snapshot must erase the
-        // difference.
-        for (i, v) in vals.iter().enumerate() {
-            a.set(format!("k:{i:05}").as_bytes(), v);
+    /// The rows a cut of `[start, end]` must hold: the model's, through the
+    /// `limit`-th live one, tombstones included.
+    fn model_cut(
+        model: &BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+    ) -> Vec<RangeEntry> {
+        let mut rows = Vec::new();
+        let mut live = 0;
+        let in_range = model
+            .iter()
+            .filter(|(key, _)| key.as_slice() >= start && end.is_none_or(|e| key.as_slice() <= e));
+        for (key, value) in in_range {
+            if live == limit {
+                break;
+            }
+            live += usize::from(value.is_some());
+            rows.push((key.clone(), value.clone()));
         }
-        for (i, v) in vals.iter().enumerate().rev() {
-            b.set(format!("k:{i:05}").as_bytes(), v);
-        }
-        let (path_a, _guard_a) = temp_segment("det-a");
-        let (path_b, _guard_b) = temp_segment("det-b");
-        a.snapshot_to_segment(&path_a, SegmentConfig::default())
-            .unwrap();
-        b.snapshot_to_segment(&path_b, SegmentConfig::default())
-            .unwrap();
-        assert_eq!(
-            std::fs::read(&path_a).unwrap(),
-            std::fs::read(&path_b).unwrap()
-        );
+        rows
     }
 
-    #[test]
-    fn restore_surfaces_archive_errors_with_source_chain() {
-        use std::error::Error;
-        let (missing, _guard) = temp_segment("missing-never-written");
-        let err = TierStore::restore_from_segment(&missing, ValueCodec::None).unwrap_err();
-        let StoreError::Archive(archive) = &err else {
-            panic!("expected StoreError::Archive, got {err:?}");
-        };
-        assert!(matches!(**archive, pbc_archive::ArchiveError::Io(_)));
-        // The chain stays non-lossy: StoreError -> ArchiveError -> io::Error.
-        let source = err.source().expect("archive source");
-        assert!(source.source().is_some(), "io::Error should be chained");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bounded_cuts_match_a_btreemap_model(
+            ops in vec((0u8..4, 0usize..48, 0u32..1_000), 1..160),
+            cuts in vec((0usize..48, 0usize..50, 0usize..14), 1..24),
+        ) {
+            // Short keys, and long ones sharing their first 24 bytes.
+            let key = |k: usize| {
+                let head = if k.is_multiple_of(3) { "cut:shared-inline-words:" } else { "cut:" };
+                format!("{head}{:02}", k / 2).into_bytes()
+            };
+            let store = TierStore::new(ValueCodec::None);
+            let mut model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+            for (op, k, v) in ops {
+                let key = key(k);
+                match op {
+                    0 | 1 => {
+                        let value = format!("v{v}").into_bytes();
+                        store.set(&key, &value);
+                        model.insert(key, Some(value));
+                    }
+                    2 => {
+                        store.tombstone(&key);
+                        model.insert(key, None);
+                    }
+                    _ => {
+                        let was_live = matches!(model.get(&key), Some(Some(_)));
+                        prop_assert_eq!(store.delete(&key), was_live);
+                        if was_live {
+                            model.remove(&key);
+                        }
+                    }
+                }
+            }
+            for (lo, hi, limit) in cuts {
+                // hi == 48 or 49: unbounded above; limit 13: unlimited.
+                let start = key(lo);
+                let end = (hi < 48).then(|| key(hi));
+                let limit = if limit == 13 { usize::MAX } else { limit };
+                let got: Vec<RangeEntry> = store
+                    .range_snapshot_encoded(&start, end.as_deref(), limit)
+                    .iter()
+                    .map(|(key, value)| (key.to_vec(), value.map(<[u8]>::to_vec)))
+                    .collect();
+                let want = model_cut(&model, &start, end.as_deref(), limit);
+                prop_assert_eq!(got, want, "[{:?}, {:?}] limit {}", lo, hi, limit);
+            }
+        }
     }
 }

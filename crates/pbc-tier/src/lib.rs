@@ -10,8 +10,8 @@
 //!        set/get/delete/range_scan
 //!                   │
 //!        ┌──────────▼──────────┐
-//!        │  hot: TierStore     │  sharded RAM, value codec; one slot
-//!        │  (watermark-bound)  │  per key: live value | tombstone
+//!        │  hot: TierStore     │  sharded RAM, one ordered map per
+//!        │  (watermark-bound)  │  shard: key → live value | tombstone
 //!        └──────────┬──────────┘
 //!      empty slot?  │    spill (coldest shards by access epoch)
 //!        ┌──────────▼──────────┐
@@ -43,10 +43,12 @@
 //! * **Range scans**: [`TieredStore::range_scan`] streams every live key
 //!   in a range, in order, via a k-way merge across hot + staging + L0 +
 //!   the covering L1 partitions with the same precedence as point
-//!   lookups. Scans are **snapshot-consistent under concurrent
-//!   compaction**: the cold tier snapshot (and its generation) is pinned
-//!   for the iterator's lifetime, and cold blocks stream through the
-//!   cache one footer-selected block at a time (see [`scan`]).
+//!   lookups. [`TieredStore::range_scan_limited`] stops at `limit` rows
+//!   and copies only the hot rows up to its `limit`-th live one. Scans
+//!   are **snapshot-consistent under concurrent compaction**: the cold
+//!   tier snapshot (and its generation) is pinned for the iterator's
+//!   lifetime, and cold blocks stream through the cache one
+//!   footer-selected block at a time (see [`scan`]).
 //! * **Crash safety**: durable state is the [`Manifest`] (v3: per-segment
 //!   level + stats) plus the segments it names, committed under a
 //!   monotonically increasing **generation**; segments are fsynced before
@@ -242,6 +244,31 @@ mod tests {
             store.get(&key(7)).unwrap().as_deref(),
             Some(value(7).as_slice())
         );
+    }
+
+    /// A spill writes its keys in order, whatever order they arrived in:
+    /// the same contents give byte-identical segments.
+    #[test]
+    fn spill_segments_do_not_depend_on_insertion_order() {
+        let spill = |tag: &str, order: &mut dyn Iterator<Item = usize>| {
+            let (dir, guard) = temp_dir(tag);
+            let store = TieredStore::open(TierConfig::new(&dir)).unwrap();
+            for i in order {
+                store.set(&key(i), &value(i)).unwrap();
+            }
+            store.delete(&key(7)).unwrap();
+            store.flush_all().unwrap();
+            assert_eq!(store.segment_count(), 1);
+            let segment = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .find(|path| path.extension().is_some_and(|ext| ext == "seg"))
+                .unwrap();
+            (std::fs::read(segment).unwrap(), guard)
+        };
+        let (forward, _a) = spill("order-fwd", &mut (0..300));
+        let (backward, _b) = spill("order-rev", &mut (0..300).rev());
+        assert!(forward == backward, "segments differ");
     }
 
     #[test]

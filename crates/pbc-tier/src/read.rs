@@ -146,7 +146,8 @@ impl TierInner {
         Ok(None)
     }
 
-    /// Build a [`RangeScan`] from `start` to `end`.
+    /// Build a [`RangeScan`] from `start` to `end` that yields at most
+    /// `limit` rows.
     ///
     /// Snapshot order is what makes the scan lose nothing to concurrent
     /// tier movement:
@@ -155,7 +156,9 @@ impl TierInner {
     ///    guard.** A spill drain (hot → staging) and a failed-spill
     ///    restore (staging → hot) both hold the staging *write* lock for
     ///    the whole move, so under our read guard no entry can cross the
-    ///    hot↔staging boundary between the two snapshots.
+    ///    hot↔staging boundary between the two snapshots. The hot cut
+    ///    stops at its `limit`-th live row; staging is copied whole (it
+    ///    is non-empty only mid-spill).
     /// 2. **Cold is snapshotted after staging.** Data leaves staging only
     ///    *after* its segment is published in the cold tier (spill step 5
     ///    clears staging after steps 3–4 commit), so an entry missing
@@ -167,6 +170,7 @@ impl TierInner {
         &self,
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
+        limit: usize,
     ) -> Result<RangeScan<'_>> {
         self.obs.range_scans.inc();
         // Normalize the lower bound to an inclusive key: for byte-string
@@ -178,14 +182,13 @@ impl TierInner {
             Bound::Unbounded => Vec::new(),
         };
         let end = end.map(<[u8]>::to_vec);
-        // A provably empty interval: nothing to snapshot (and BTreeMap's
-        // range would reject the inverted bounds).
+        // A provably empty scan: nothing to snapshot.
         let empty = match &end {
             Bound::Included(e) => start.as_slice() > e.as_slice(),
             Bound::Excluded(e) => start.as_slice() >= e.as_slice(),
             Bound::Unbounded => false,
         };
-        if empty {
+        if empty || limit == 0 {
             return Ok(RangeScan::empty(self.generation.load(Ordering::Relaxed)));
         }
         let end_superset: Option<&[u8]> = match &end {
@@ -199,7 +202,7 @@ impl TierInner {
             // lock) is released — a wide scan never stalls spill drains
             // or writers for the length of a decompression pass, and an
             // early-terminated scan decodes only what it yields.
-            let hot_encoded = self.hot.range_snapshot_encoded(&start, end_superset);
+            let hot_encoded = self.hot.range_snapshot_encoded(&start, end_superset, limit);
             let staged: Vec<(Vec<u8>, Option<Vec<u8>>)> = staging
                 .range::<[u8], _>((
                     Bound::Included(start.as_slice()),
@@ -212,8 +215,8 @@ impl TierInner {
                 .collect();
             (hot_encoded, staged)
         };
-        let (pinned, generation) = self.pinned_cold();
-        RangeScan::new(self, start, end, hot_encoded, staged, pinned, generation)
+        let pinned = self.pinned_cold();
+        RangeScan::new(self, start, end, limit, hot_encoded, staged, pinned)
     }
 
     /// The one cache read-through path: look the block up, decode it from

@@ -3,8 +3,10 @@
 //! A [`RangeScan`] is a k-way merge across four kinds of source, ranked by
 //! recency — exactly the precedence order point lookups use:
 //!
-//! 1. a sorted snapshot of the **hot tier** (entries and tombstones in
-//!    range, collected across all shards at creation time),
+//! 1. the **hot cut** ([`pbc_store::TierStore::range_snapshot_encoded`]):
+//!    the hot entries and tombstones in range, in key order, from the
+//!    start up to the scan's `limit`-th live one, taken under every
+//!    shard's read lock at once,
 //! 2. a snapshot of the **spill staging area** (entries mid-spill: drained
 //!    from hot, not yet durable in a segment),
 //! 3. one chain per intersecting **L0 spill segment**, newest first,
@@ -19,18 +21,24 @@
 //! holder of the same key is advanced past its shadowed version. A winning
 //! tombstone suppresses the key entirely, so deletes are invisible, never
 //! resurrected. The result: each live key exactly once, in ascending
-//! order.
+//! order, and at most `limit` of them.
+//!
+//! The limit is what makes the hot cut safe. Past the cut's last key the
+//! hot tier is missing from the merge, but every live hot row wins its
+//! merge round, so the cut's `limit` live rows are `limit` rows the scan
+//! yields at or before that key, and it stops there.
 //!
 //! ## Snapshot semantics
 //!
-//! The iterator pins the `Arc` cold-tier snapshot (and its manifest
-//! generation, exposed via [`RangeScan::generation`]) for its whole
-//! lifetime: a compaction job may retire and unlink segments mid-scan
-//! without invalidating it — the pinned readers (and their unlinked files,
-//! on unix) stay alive until the scan drops, and a merged output is
-//! observationally equal to its inputs, so the scan and the post-commit
-//! store agree. Writes issued after the scan was created are **not**
-//! visible; writes concurrent with its creation may or may not be.
+//! The hot cut is atomic across shards. The iterator pins the `Arc`
+//! cold-tier snapshot (and its manifest generation, exposed via
+//! [`RangeScan::generation`]) for its whole lifetime: a compaction job may
+//! retire and unlink segments mid-scan without invalidating it — the
+//! pinned readers (and their unlinked files, on unix) stay alive until the
+//! scan drops, and a merged output is observationally equal to its inputs,
+//! so the scan and the post-commit store agree. Writes issued after the
+//! scan was created are **not** visible; writes concurrent with its
+//! creation may or may not be.
 //!
 //! ## Cost model
 //!
@@ -205,10 +213,9 @@ impl<'a> ColdCursor<'a> {
 
 /// One ranked merge input, positioned on its current head entry.
 enum Source<'a> {
-    /// The hot-tier snapshot: presorted, unique, bounded, with values
-    /// still codec-encoded — a row is copied out and decoded only when the
-    /// merge actually reaches it, so an early-terminated scan pays for
-    /// what it yields.
+    /// The hot cut: presorted, unique, bounded, with values still
+    /// codec-encoded — a row is copied out and decoded only when the
+    /// merge actually reaches it.
     Hot {
         inner: &'a TierInner,
         snapshot: RangeSnapshot,
@@ -317,11 +324,13 @@ impl Source<'_> {
 }
 
 /// A snapshot-consistent, ordered iterator over the live keys in a range;
-/// see [`crate::TieredStore::range_scan`] and the [module docs](self).
+/// see [`crate::TieredStore::range_scan_limited`] and the
+/// [module docs](self).
 ///
 /// Yields `Result<(key, value)>` pairs in strictly ascending key order,
 /// each live key exactly once, with overwrites and tombstones resolved by
-/// tier/recency precedence. The first error ends the scan.
+/// tier/recency precedence, and at most the scan's limit of them. The
+/// first error ends the scan.
 pub struct RangeScan<'a> {
     /// The pinned cold-tier snapshot: keeps every segment the scan may
     /// read alive (readers and, on unix, unlinked files) even after a
@@ -329,6 +338,8 @@ pub struct RangeScan<'a> {
     _pinned: Option<ColdList>,
     generation: u64,
     end: Bound<Vec<u8>>,
+    /// Rows to yield at most: past them the hot cut is incomplete.
+    limit: u64,
     /// Merge inputs, ordered by precedence: hot, staging, L0 newest
     /// first, then the L1 chain.
     sources: Vec<Source<'a>>,
@@ -352,6 +363,7 @@ impl<'a> RangeScan<'a> {
             _pinned: None,
             generation,
             end: Bound::Unbounded,
+            limit: 0,
             sources: Vec::new(),
             done: true,
             inner: None,
@@ -361,18 +373,19 @@ impl<'a> RangeScan<'a> {
         }
     }
 
-    /// Assemble a scan from the snapshots the store prepared. `hot`
-    /// (values still codec-encoded; decoded lazily) and `staged` are
-    /// sorted, unique, and already bounded to the range; `pinned` is the
-    /// cold tier at creation time, `generation` its manifest generation.
+    /// Assemble a scan of at most `limit` rows from the snapshots the
+    /// store prepared. `hot` (the cut for `limit`; values still
+    /// codec-encoded, decoded lazily) and `staged` are sorted, unique, and
+    /// already bounded to the range; `pinned` is the cold tier at creation
+    /// time with its manifest generation.
     pub(crate) fn new(
         inner: &'a TierInner,
         start: Vec<u8>,
         end: Bound<Vec<u8>>,
+        limit: usize,
         hot: RangeSnapshot,
         staged: Vec<Versioned>,
-        pinned: ColdList,
-        generation: u64,
+        (pinned, generation): (ColdList, u64),
     ) -> Result<RangeScan<'a>> {
         let end_superset: Option<&[u8]> = match &end {
             Bound::Included(e) | Bound::Excluded(e) => Some(e.as_slice()),
@@ -439,6 +452,7 @@ impl<'a> RangeScan<'a> {
             _pinned: Some(pinned),
             generation,
             end,
+            limit: limit as u64,
             sources,
             done: false,
             inner: Some(inner),
@@ -509,7 +523,7 @@ impl Iterator for RangeScan<'_> {
     type Item = Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
+        if self.done || self.rows == self.limit {
             return None;
         }
         let row = self.next_row().transpose();

@@ -563,9 +563,25 @@ impl TieredStore {
         K: AsRef<[u8]>,
         R: RangeBounds<K>,
     {
+        self.range_scan_limited(range, usize::MAX)
+    }
+
+    /// [`TieredStore::range_scan`] for the first `limit` live keys of
+    /// `range` only. The hot tier is cut at its `limit`-th live row, so a
+    /// short scan copies a few rows however full the hot tier is.
+    pub fn range_scan_limited<K, R>(
+        &self,
+        range: R,
+        limit: usize,
+    ) -> Result<crate::scan::RangeScan<'_>>
+    where
+        K: AsRef<[u8]>,
+        R: RangeBounds<K>,
+    {
         self.inner.range_scan(
             range.start_bound().map(AsRef::as_ref),
             range.end_bound().map(AsRef::as_ref),
+            limit,
         )
     }
 

@@ -75,25 +75,18 @@ pub use format::shard_of;
 pub use obs::WalObs;
 pub use wal::{CheckpointSummary, RecoveryReport, ReplayOp, Wal, WalStats};
 
+/// The root integration tests' temp-dir helper, shared.
+#[cfg(test)]
+#[path = "../../../tests/support/mod.rs"]
+mod test_support;
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "pbc-wal-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
+    use crate::test_support::temp_dir;
 
     fn replay_into(map: &mut BTreeMap<Vec<u8>, Vec<u8>>) -> impl FnMut(ReplayOp<'_>) + '_ {
         move |op| match op {
@@ -108,7 +101,7 @@ mod tests {
 
     #[test]
     fn reopen_replays_acknowledged_writes() {
-        let dir = temp_dir("replay");
+        let (dir, _guard) = temp_dir("replay");
         let config = WalConfig::new(&dir).with_shards(3);
         let (wal, _) = Wal::open(config.clone(), WalObs::default(), 0, |_| {}).unwrap();
         for i in 0..50u32 {
@@ -125,12 +118,11 @@ mod tests {
         assert_eq!(state.len(), 49);
         assert!(!state.contains_key(b"k007".as_slice()));
         assert_eq!(state.get(b"k001".as_slice()).unwrap(), b"v1");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_tail_truncates_to_committed_prefix() {
-        let dir = temp_dir("torn");
+        let (dir, _guard) = temp_dir("torn");
         let config = WalConfig::new(&dir).with_shards(1);
         let (wal, _) = Wal::open(config.clone(), WalObs::default(), 0, |_| {}).unwrap();
         for i in 0..10u32 {
@@ -157,12 +149,11 @@ mod tests {
         assert!(report.truncated_bytes > 0);
         assert_eq!(state.len(), 9);
         assert!(!state.contains_key(b"k9".as_slice()));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_bounds_the_log_and_skips_covered_records() {
-        let dir = temp_dir("ckpt");
+        let (dir, _guard) = temp_dir("ckpt");
         // Tiny segments so rotation happens constantly.
         let config = WalConfig::new(&dir).with_shards(2).with_segment_bytes(256);
         let (wal, _) = Wal::open(config.clone(), WalObs::default(), 0, |_| {}).unwrap();
@@ -200,12 +191,11 @@ mod tests {
             Wal::open(config, WalObs::default(), 7, replay_into(&mut state)).unwrap();
         assert_eq!(report.records_replayed, 5);
         assert_eq!(state.len(), 5);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn shard_count_change_is_rejected() {
-        let dir = temp_dir("shards");
+        let (dir, _guard) = temp_dir("shards");
         let config = WalConfig::new(&dir).with_shards(4);
         let (wal, _) = Wal::open(config, WalObs::default(), 0, |_| {}).unwrap();
         wal.append_put(b"k", b"v").unwrap();
@@ -225,7 +215,6 @@ mod tests {
                 configured: 2
             }
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -234,7 +223,7 @@ mod tests {
         // empty segments) can leave a shard with no files at all. The
         // shard count in wal.meta is authoritative: the shard recovers
         // as empty instead of tripping ShardCountMismatch forever.
-        let dir = temp_dir("missing-shard");
+        let (dir, _guard) = temp_dir("missing-shard");
         let config = WalConfig::new(&dir).with_shards(4);
         let (wal, _) = Wal::open(config.clone(), WalObs::default(), 0, |_| {}).unwrap();
         for i in 0..64u32 {
@@ -269,12 +258,11 @@ mod tests {
         wal.append_put(b"post", b"v").unwrap();
         drop(wal);
         let (_wal, _) = Wal::open(config, WalObs::default(), 0, |_| {}).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn growing_the_shard_count_is_rejected_too() {
-        let dir = temp_dir("grow-shards");
+        let (dir, _guard) = temp_dir("grow-shards");
         let (wal, _) = Wal::open(
             WalConfig::new(&dir).with_shards(2),
             WalObs::default(),
@@ -298,7 +286,6 @@ mod tests {
                 configured: 8
             }
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -307,7 +294,7 @@ mod tests {
         // so a tear can only exist in the newest *non-empty* segment.
         // Recovery must accept exactly that shape — a torn segment
         // followed only by empty files — rather than calling it corrupt.
-        let dir = temp_dir("torn-rotate");
+        let (dir, _guard) = temp_dir("torn-rotate");
         let config = WalConfig::new(&dir).with_shards(1);
         let (wal, _) = Wal::open(config.clone(), WalObs::default(), 0, |_| {}).unwrap();
         for i in 0..10u32 {
@@ -333,12 +320,11 @@ mod tests {
         assert_eq!(report.records_replayed, 9);
         assert!(report.truncated_bytes > 0);
         assert!(!state.contains_key(b"k9".as_slice()));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn apply_under_the_shard_lock_returns_results_and_skips_unlogged_ops() {
-        let dir = temp_dir("apply");
+        let (dir, _guard) = temp_dir("apply");
         let config = WalConfig::new(&dir).with_shards(2);
         let (wal, _) = Wal::open(config.clone(), WalObs::default(), 0, |_| {}).unwrap();
         let (stored, lsn) = wal.append_put_with(b"k", b"v", || 42usize).unwrap();
@@ -361,7 +347,6 @@ mod tests {
             "the ghost delete never hit the log"
         );
         assert!(state.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -370,7 +355,7 @@ mod tests {
         let threads = 8usize;
         let writes = threads as u64 * per_thread as u64;
         for durability in [Durability::PerBatch, Durability::PerWrite] {
-            let dir = temp_dir("group");
+            let (dir, _guard) = temp_dir("group");
             let config = WalConfig::new(&dir)
                 .with_shards(1)
                 .with_durability(durability);
@@ -411,13 +396,12 @@ mod tests {
             let (_wal, report) = Wal::open(config, WalObs::default(), 0, |_| count += 1).unwrap();
             assert_eq!(report.records_replayed, writes);
             assert_eq!(count, report.records_replayed);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
     #[test]
     fn durability_none_still_recovers_after_clean_drop() {
-        let dir = temp_dir("none");
+        let (dir, _guard) = temp_dir("none");
         let config = WalConfig::new(&dir)
             .with_shards(2)
             .with_durability(Durability::None);
@@ -429,6 +413,5 @@ mod tests {
         let (_wal, report) =
             Wal::open(config, WalObs::default(), 0, replay_into(&mut state)).unwrap();
         assert_eq!(report.records_replayed, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

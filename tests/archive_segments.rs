@@ -232,30 +232,3 @@ fn unknown_codec_id_and_header_bitflips_are_typed_errors() {
         Err(ArchiveError::CrcMismatch { what: "header", .. })
     ));
 }
-
-#[test]
-fn store_snapshot_restore_roundtrips_through_a_segment() {
-    use pbc::store::{TierStore, ValueCodec};
-    let records = Dataset::Kv3.generate(1_500, 0xfeed);
-    let sample: Vec<&[u8]> = records[..256].iter().map(|r| r.as_slice()).collect();
-    let store = TierStore::new(ValueCodec::train_pbc_f(&sample, &PbcConfig::small()));
-    for (i, record) in records.iter().enumerate() {
-        store.set(format!("user:{i:08}").as_bytes(), record);
-    }
-
-    let (path, _guard) = temp_dir("store");
-    let summary = store
-        .snapshot_to_segment(&path, SegmentConfig::default())
-        .expect("snapshot");
-    assert_eq!(summary.record_count, records.len() as u64);
-
-    let restored = TierStore::restore_from_segment(&path, ValueCodec::None).expect("restore");
-    assert_eq!(restored.len(), store.len());
-    for (i, record) in records.iter().enumerate().step_by(61) {
-        let key = format!("user:{i:08}");
-        assert_eq!(
-            restored.get(key.as_bytes()).unwrap().as_deref(),
-            Some(record.as_slice())
-        );
-    }
-}

@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 use pbc::archive::{CodecSpec, SegmentConfig, SegmentReader};
 use pbc::tier::{TierConfig, TieredStore};
 
-#[path = "../crates/pbc-store/tests/support/counting_alloc.rs"]
+#[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::{CountingAllocator, ALLOCATIONS};
 
