@@ -4,6 +4,7 @@ use std::borrow::Cow;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::block::DecodedBlock;
 use crate::codec::{BlockCodec, Entry};
@@ -494,11 +495,11 @@ impl SegmentReader {
     /// Iterate every entry in storage order, decoding blocks lazily.
     pub fn scan(&self) -> Scan<'_> {
         Scan {
-            reader: self,
+            fetch: Box::new(|block| self.read_block(block).map(Arc::new)),
             blocks: 0..self.blocks.len(),
             start: Vec::new(),
             end: None,
-            decoded: DecodedBlock::default(),
+            decoded: None,
             next: 0,
         }
     }
@@ -544,12 +545,29 @@ impl SegmentReader {
     /// std::fs::remove_file(&path).unwrap();
     /// ```
     pub fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<RangeScan<'_>> {
+        self.scan_range_with(start, end, |block| self.read_block(block).map(Arc::new))
+    }
+
+    /// [`SegmentReader::scan_range`] with the blocks supplied by `fetch`
+    /// instead of decoded from the file: `fetch(b)` must return this
+    /// segment's block `b` decoded, typically from a block cache that
+    /// falls back to [`SegmentReader::read_block`]. The footer index still
+    /// picks the candidate blocks, and each is fetched once, in order.
+    ///
+    /// The scan borrows nothing from `self`; whatever `fetch` captures is
+    /// what it keeps alive.
+    pub fn scan_range_with<'f>(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        fetch: impl FnMut(usize) -> Result<Arc<DecodedBlock>> + Send + 'f,
+    ) -> Result<Scan<'f>> {
         Ok(Scan {
-            reader: self,
+            fetch: Box::new(fetch),
             blocks: self.candidate_blocks_for_range(start, end)?,
             start: start.to_vec(),
             end: end.map(|e| e.to_vec()),
-            decoded: DecodedBlock::default(),
+            decoded: None,
             next: 0,
         })
     }
@@ -558,23 +576,26 @@ impl SegmentReader {
 /// Streaming cursor over a segment's entries — all of them in storage
 /// order ([`SegmentReader::scan`]), or, on a sorted segment, those inside a
 /// key interval ([`SegmentReader::scan_range`]: only the candidate blocks
-/// the footer index selected are decoded, and the scan stops at the upper
-/// bound). One block is decoded at a time into a flat [`DecodedBlock`].
+/// the footer index selected are fetched, and the scan stops at the upper
+/// bound). One block is held at a time, as a shared flat [`DecodedBlock`]
+/// decoded from the file or supplied by the caller
+/// ([`SegmentReader::scan_range_with`]).
 ///
 /// Use it as an [`Iterator`] for owned rows, or step it with
 /// [`Scan::advance`] and borrow each row with [`Scan::current`] — a merge
 /// that drops most rows then copies only the ones it keeps.
 pub struct Scan<'a> {
-    reader: &'a SegmentReader,
-    /// Candidate blocks not yet decoded.
+    /// Where decoded blocks come from, by block index.
+    fetch: Box<dyn FnMut(usize) -> Result<Arc<DecodedBlock>> + Send + 'a>,
+    /// Candidate blocks not yet fetched.
     blocks: std::ops::Range<usize>,
-    /// Inclusive lower key bound, applied inside the first decoded block
+    /// Inclusive lower key bound, applied inside the first fetched block
     /// (empty for a full scan, where it skips nothing).
     start: Vec<u8>,
     /// Inclusive upper key bound; `None` = unbounded above.
     end: Option<Vec<u8>>,
     /// The block being drained.
-    decoded: DecodedBlock,
+    decoded: Option<Arc<DecodedBlock>>,
     /// One past the current record in `decoded` (0 = not yet on a record).
     next: usize,
 }
@@ -583,16 +604,16 @@ pub struct Scan<'a> {
 pub type RangeScan<'a> = Scan<'a>;
 
 impl Scan<'_> {
-    /// Step onto the next entry, decoding the next block when the current
+    /// Step onto the next entry, fetching the next block when the current
     /// one is drained. `Ok(false)` once the scan is over (past the last
     /// block or the upper bound); after an error the scan stays over.
     pub fn advance(&mut self) -> Result<bool> {
         loop {
-            if self.next < self.decoded.len() {
+            if let Some(decoded) = self.decoded.as_ref().filter(|d| self.next < d.len()) {
                 let beyond = self
                     .end
                     .as_deref()
-                    .is_some_and(|end| self.decoded.key(self.next) > end);
+                    .is_some_and(|end| decoded.key(self.next) > end);
                 if !beyond {
                     self.next += 1;
                     return Ok(true);
@@ -600,19 +621,17 @@ impl Scan<'_> {
                 // Keys are sorted: nothing further can qualify.
                 self.blocks = 0..0;
             }
-            // Drained (or cut off): let the block go before the next decode.
-            self.decoded = DecodedBlock::default();
+            // Drained (or cut off): let the block go before the next fetch.
+            self.decoded = None;
             self.next = 0;
             let Some(block) = self.blocks.next() else {
                 return Ok(false);
             };
-            self.decoded = self
-                .reader
-                .read_block(block)
-                .inspect_err(|_| self.blocks = 0..0)?;
+            let decoded = (self.fetch)(block).inspect_err(|_| self.blocks = 0..0)?;
             // Only the first candidate block can hold keys below the lower
             // bound; for later blocks this skip is 0.
-            self.next = self.decoded.lower_bound(&self.start);
+            self.next = decoded.lower_bound(&self.start);
+            self.decoded = Some(decoded);
         }
     }
 
@@ -620,7 +639,8 @@ impl Scan<'_> {
     /// the decoded block (`None` before the first step and once over).
     pub fn current(&self) -> Option<(&[u8], &[u8])> {
         let i = self.next.checked_sub(1)?;
-        Some((self.decoded.key(i), self.decoded.value(i)))
+        let decoded = self.decoded.as_ref()?;
+        Some((decoded.key(i), decoded.value(i)))
     }
 }
 

@@ -53,10 +53,6 @@ pub struct SegmentConfig {
     /// For [`CodecSpec::Auto`]: how many blocks, spread evenly across the
     /// buffered window, the trial selection samples (at most 4 by default).
     pub auto_sample_blocks: usize,
-    /// How readers opened against this segment fetch bytes (carried here so
-    /// hosts that embed a `SegmentConfig` — e.g. `pbc-tier` — pick one knob
-    /// for both writing and reopening). The writer itself ignores it.
-    pub read_mode: crate::ReadMode,
 }
 
 impl Default for SegmentConfig {
@@ -66,7 +62,6 @@ impl Default for SegmentConfig {
             codec: CodecSpec::Auto,
             workers: 1,
             auto_sample_blocks: 4,
-            read_mode: crate::ReadMode::Auto,
         }
     }
 }
@@ -83,12 +78,6 @@ impl SegmentConfig {
     /// Convenience: set the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Convenience: set the read mode used when reopening this segment.
-    pub fn with_read_mode(mut self, read_mode: crate::ReadMode) -> Self {
-        self.read_mode = read_mode;
         self
     }
 

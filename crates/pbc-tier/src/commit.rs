@@ -14,7 +14,7 @@ use crate::config::TierConfig;
 use crate::error::{Result, TierError};
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::obs::TierObs;
-use crate::planner::{SegmentStats, LEVEL_L1};
+use crate::planner::{Leveled, SegmentStats, LEVEL_L1};
 use crate::store::TierInner;
 
 /// Marker prefix for a live cold value.
@@ -114,6 +114,10 @@ impl Drop for UncommittedFiles {
 /// counts, byte size, key range) the manifest records and the compaction
 /// planner scores it by. Immutable once published; shared between the
 /// live tier and any in-flight read/scan snapshots via `Arc`.
+///
+/// Every segment holds each key at most once, in ascending order: a spill
+/// writes the staging `BTreeMap` and a merge emits each key once. Reads
+/// rely on it — a cold cursor never has a duplicate run to collapse.
 pub(crate) struct ColdSegment {
     file_name: String,
     pub(crate) reader: SegmentReader,
@@ -133,7 +137,7 @@ impl ColdSegment {
         stats: impl FnOnce(&SegmentReader) -> SegmentStats,
     ) -> Result<Arc<ColdSegment>> {
         let path = config.dir.join(&file_name);
-        let mut reader = SegmentReader::open_with(&path, config.segment.read_mode)?;
+        let mut reader = SegmentReader::open(&path)?;
         reader.set_obs(obs.reader.clone());
         let stats = stats(&reader);
         Ok(Arc::new(ColdSegment {
@@ -141,6 +145,12 @@ impl ColdSegment {
             reader,
             stats,
         }))
+    }
+}
+
+impl Leveled for Arc<ColdSegment> {
+    fn stats(&self) -> &SegmentStats {
+        &self.stats
     }
 }
 

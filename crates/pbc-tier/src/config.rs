@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use pbc_archive::{ReadMode, SegmentConfig};
+use pbc_archive::SegmentConfig;
 use pbc_store::ValueCodec;
 use pbc_wal::Durability;
 
@@ -168,15 +168,6 @@ impl TierConfig {
     /// Set the block cache capacity in bytes.
     pub fn with_cache_capacity(mut self, bytes: usize) -> Self {
         self.cache_capacity_bytes = bytes;
-        self
-    }
-
-    /// Set how segment files are read back: memory-mapped, positioned
-    /// reads, or (the default) mmap with automatic pread fallback. Stored
-    /// on [`TierConfig::segment`] and applied to every segment the store
-    /// opens — spill outputs, compaction outputs, and the boot-time scan.
-    pub fn with_read_mode(mut self, read_mode: ReadMode) -> Self {
-        self.segment.read_mode = read_mode;
         self
     }
 

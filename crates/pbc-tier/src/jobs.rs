@@ -12,7 +12,7 @@ use pbc_obs::Event;
 use crate::commit::{segment_file_name, ColdSegment, ColdTier, UncommittedFiles};
 use crate::compact::merge_segments;
 use crate::error::Result;
-use crate::planner::{CompactionJob, KeyRange, SegmentStats, LEVEL_L1};
+use crate::planner::{promotion_l1, CompactionJob, KeyRange, SegmentStats, LEVEL_L1};
 use crate::store::TierInner;
 
 /// What a compaction (full [`crate::TieredStore::compact`] or one planned
@@ -293,41 +293,15 @@ fn describe_job(job: &CompactionJob) -> String {
 
 /// Locate a job's inputs in the live tier: the L0 inputs as a contiguous
 /// newest-first run, the L1 inputs as a contiguous ascending run, and the
-/// leveling soundness conditions still holding. `None` means the plan went
-/// stale (another compactor got there first) — not an error.
+/// planner's soundness rules still holding for them. `None` means the plan
+/// went stale (another compactor got there first) — not an error.
 fn validate_job(tier: &ColdTier, job: &CompactionJob) -> Option<(Range<usize>, Range<usize>)> {
     let l0_run = locate_run(&tier.l0, &job.l0_inputs)?;
     let l1_run = locate_run(&tier.l1, &job.l1_inputs)?;
-    // Soundness rule 1: no L0 segment older than the run may overlap the
-    // run's own interval (the output lands in L1, below every remaining
-    // L0 segment). Checked against the run interval exactly — not the
-    // job's wider reservation — so a legal plan never re-fails here.
-    let run_range = tier.l0[l0_run.clone()]
-        .iter()
-        .filter_map(|s| s.stats.range())
-        .reduce(|mut acc, r| {
-            acc.merge(&r);
-            acc
-        });
-    if let Some(run_range) = &run_range {
-        let overlaps_run =
-            |s: &Arc<ColdSegment>| s.stats.range().is_some_and(|r| r.overlaps(run_range));
-        if tier.l0[l0_run.end..].iter().any(overlaps_run) {
-            return None;
-        }
-        // Soundness rule 2: every L1 partition intersecting the run's
-        // interval must be an input — otherwise tombstone drops and the
-        // output's position could resurrect or shadow versions in a
-        // partition the merge never saw.
-        if tier
-            .l1
-            .iter()
-            .any(|p| overlaps_run(p) && !job.l1_inputs.contains(&p.stats.id))
-        {
-            return None;
-        }
-    }
-    Some((l0_run, l1_run))
+    let required = promotion_l1(&tier.l0, l0_run.clone(), &tier.l1)?;
+    let included =
+        required.is_empty() || (l1_run.start <= required.start && required.end <= l1_run.end);
+    included.then_some((l0_run, l1_run))
 }
 
 /// Find `inputs` as a contiguous run of `list` (by id); `None` when any

@@ -128,7 +128,6 @@ pub use config::{TierConfig, WalOptions};
 pub use error::{Result, TierError};
 pub use manifest::{Manifest, ManifestEntry};
 pub use obs::{BackgroundErrorRecord, TierStats};
-pub use pbc_archive::ReadMode;
 pub use pbc_wal::{CheckpointSummary, Durability, RecoveryReport, WalStats};
 pub use planner::{
     CompactionJob, CompactionPlanner, KeyRange, PlannerConfig, SegmentStats, LEVEL_L0, LEVEL_L1,

@@ -36,8 +36,15 @@
 //! L1 itself is maintained by **consolidation jobs**: when partition count
 //! builds up, adjacent undersized partitions (combined bytes within
 //! `target_partition_bytes`) are merged pairwise-disjointly.
+//!
+//! This module is the one owner of that geometry: whether a segment
+//! intersects a key interval (`SegmentStats::intersects`), which L1
+//! partitions cover one (`covering_l1`), and the two rules above
+//! (`promotion_l1`). The planner, job validation, point gets and range
+//! scans all ask it rather than comparing keys themselves.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Level tag for an L0 (recency-ordered spill) segment.
 pub const LEVEL_L0: u8 = 0;
@@ -89,11 +96,73 @@ impl SegmentStats {
     /// Whether two segments' key ranges intersect (empty segments never
     /// overlap anything).
     pub fn overlaps(&self, other: &SegmentStats) -> bool {
-        if self.records == 0 || other.records == 0 {
-            return false;
-        }
-        self.min_key <= other.max_key && other.min_key <= self.max_key
+        other.records > 0 && self.intersects(&other.min_key, Some(&other.max_key))
     }
+
+    /// Whether this segment may hold a key in the closed interval
+    /// `[min, max]` (`max = None`: unbounded above). An empty segment
+    /// holds none.
+    pub(crate) fn intersects(&self, min: &[u8], max: Option<&[u8]>) -> bool {
+        self.records > 0
+            && self.max_key.as_slice() >= min
+            && max.is_none_or(|max| self.min_key.as_slice() <= max)
+    }
+}
+
+/// A segment as the leveling geometry sees it: its stats. The planner
+/// works on bare stats, reads and jobs on live segments.
+pub(crate) trait Leveled {
+    fn stats(&self) -> &SegmentStats;
+}
+
+impl Leveled for SegmentStats {
+    fn stats(&self) -> &SegmentStats {
+        self
+    }
+}
+
+/// The L1 partitions (indices into `l1`, sorted and pairwise disjoint)
+/// that intersect `[min, max]` — a contiguous run, found by two binary
+/// searches. A point lookup asks for `[key, key]` and gets at most one.
+pub(crate) fn covering_l1<S: Leveled>(l1: &[S], min: &[u8], max: Option<&[u8]>) -> Range<usize> {
+    let first = l1.partition_point(|p| p.stats().max_key.as_slice() < min);
+    let end = match max {
+        Some(max) => l1.partition_point(|p| p.stats().min_key.as_slice() <= max),
+        None => l1.len(),
+    };
+    first..end.max(first)
+}
+
+/// Soundness rules 1 and 2 (see the [module docs](self)) for promoting
+/// the L0 run `l0[run]`: `None` when an older L0 segment intersects the
+/// run's interval, else the L1 partitions the job must merge in. A run
+/// holding no key needs none.
+pub(crate) fn promotion_l1<S: Leveled>(
+    l0: &[S],
+    run: Range<usize>,
+    l1: &[S],
+) -> Option<Range<usize>> {
+    let Some((min, max)) = bounds(&l0[run.clone()]) else {
+        return Some(0..0);
+    };
+    let older = &l0[run.end..];
+    if older.iter().any(|s| s.stats().intersects(min, Some(max))) {
+        return None;
+    }
+    Some(covering_l1(l1, min, Some(max)))
+}
+
+/// The smallest closed interval holding every key of `segments`, borrowed
+/// from their stats (`None` if every segment is empty).
+fn bounds<'a, S: Leveled + 'a>(
+    segments: impl IntoIterator<Item = &'a S>,
+) -> Option<(&'a [u8], &'a [u8])> {
+    segments
+        .into_iter()
+        .map(Leveled::stats)
+        .filter(|s| s.records > 0)
+        .map(|s| (s.min_key.as_slice(), s.max_key.as_slice()))
+        .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)))
 }
 
 /// A closed key interval `[min, max]`; `max = None` means unbounded above
@@ -155,19 +224,10 @@ impl KeyRange {
     }
 }
 
-/// The union interval of a run of segment stats (`None` if every segment
+/// The union interval of some segments' stats (`None` if every segment
 /// is empty).
-fn range_of(run: &[SegmentStats]) -> Option<KeyRange> {
-    let mut range: Option<KeyRange> = None;
-    for stats in run {
-        if let Some(r) = stats.range() {
-            match &mut range {
-                Some(range) => range.merge(&r),
-                None => range = Some(r),
-            }
-        }
-    }
-    range
+fn range_of<'a>(segments: impl IntoIterator<Item = &'a SegmentStats>) -> Option<KeyRange> {
+    bounds(segments).map(|(min, max)| KeyRange::bounded(min.to_vec(), max.to_vec()))
 }
 
 /// Trigger thresholds and job bounds for the [`CompactionPlanner`].
@@ -359,24 +419,6 @@ impl CompactionPlanner {
         (2.0 * dead + overlap + relief) / cost
     }
 
-    /// The L1 partitions whose ranges intersect `range` — a contiguous
-    /// slice, since L1 is sorted and pairwise disjoint.
-    fn select_l1<'a>(l1: &'a [SegmentStats], range: &KeyRange) -> &'a [SegmentStats] {
-        let mut start = l1.len();
-        let mut end = 0usize;
-        for (i, partition) in l1.iter().enumerate() {
-            if partition.range().is_some_and(|r| r.overlaps(range)) {
-                start = start.min(i);
-                end = i + 1;
-            }
-        }
-        if start >= end {
-            &l1[0..0]
-        } else {
-            &l1[start..end]
-        }
-    }
-
     /// Pick the best job disjoint from every reserved range, or `None`
     /// when no threshold is crossed or nothing eligible remains.
     ///
@@ -404,23 +446,14 @@ impl CompactionPlanner {
             let cap = self.config.max_job_segments.max(1);
             for start in 0..l0.len() {
                 for len in 1..=cap.min(l0.len() - start) {
-                    let run = &l0[start..start + len];
-                    let Some(run_range) = range_of(run) else {
+                    let run = start..start + len;
+                    let Some(l1_sel) = promotion_l1(l0, run.clone(), l1) else {
                         continue;
                     };
-                    // Soundness rule 1: nothing older than the run may
-                    // hold a key the promoted output would cover.
-                    if l0[start + len..]
-                        .iter()
-                        .any(|older| older.range().is_some_and(|r| r.overlaps(&run_range)))
-                    {
+                    let (run, l1_sel) = (&l0[run], &l1[l1_sel]);
+                    let Some(range) = range_of(run.iter().chain(l1_sel)) else {
                         continue;
-                    }
-                    let l1_sel = Self::select_l1(l1, &run_range);
-                    let mut range = run_range;
-                    if let Some(r) = range_of(l1_sel) {
-                        range.merge(&r);
-                    }
+                    };
                     consider(CompactionJob {
                         l0_inputs: run.iter().map(|s| s.id).collect(),
                         l1_inputs: l1_sel.iter().map(|s| s.id).collect(),

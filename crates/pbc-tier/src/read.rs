@@ -11,6 +11,7 @@ use pbc_store::Lookup;
 
 use crate::commit::{decode_marked, ColdSegment, ColdTier};
 use crate::error::Result;
+use crate::planner::covering_l1;
 use crate::scan::RangeScan;
 use crate::store::TierInner;
 
@@ -120,23 +121,14 @@ impl TierInner {
         probes: &mut BlockProbes,
     ) -> Result<Option<Vec<u8>>> {
         // Searched only once the L0 walk came up empty.
-        let covering = || {
-            let idx = cold
-                .l1
-                .partition_point(|p| p.stats.max_key.as_slice() < key);
-            cold.l1
-                .get(idx)
-                .filter(|p| p.stats.min_key.as_slice() <= key)
-        };
+        let covering = || &cold.l1[covering_l1(&cold.l1, key, Some(key))];
         for segment in cold
             .l0
             .iter()
             .chain(std::iter::once_with(covering).flatten())
         {
             probes.segments += 1;
-            // Duplicate keys may straddle block borders; newest-wins means
-            // scanning candidates back to front.
-            for block in segment.reader.candidate_blocks_for_key(key)?.rev() {
+            for block in segment.reader.candidate_blocks_for_key(key)? {
                 let decoded = self.cached_block(segment, block, probes)?;
                 if let Some(stored) = decoded.find_last(key) {
                     return decode_marked(stored);
@@ -227,7 +219,7 @@ impl TierInner {
         segment: &ColdSegment,
         block: usize,
         publish: bool,
-    ) -> Result<(Arc<DecodedBlock>, bool)> {
+    ) -> pbc_archive::Result<(Arc<DecodedBlock>, bool)> {
         let cache_key = (segment.stats.id, block);
         if let Some(decoded) = self.cache.get(cache_key) {
             return Ok((decoded, false));
@@ -258,7 +250,7 @@ impl TierInner {
         segment: &ColdSegment,
         block: usize,
         pinned_generation: u64,
-    ) -> Result<(Arc<DecodedBlock>, bool)> {
+    ) -> pbc_archive::Result<(Arc<DecodedBlock>, bool)> {
         let live = self.generation.load(Ordering::Relaxed) == pinned_generation;
         let (decoded, from_disk) = self.lookup_or_decode_block(segment, block, live)?;
         if from_disk {

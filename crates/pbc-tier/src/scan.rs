@@ -42,26 +42,29 @@
 //!
 //! ## Cost model
 //!
-//! Cold segments are consulted via their footer indexes
-//! ([`pbc_archive::SegmentReader::candidate_blocks_for_range`]) and
-//! decoded **one block at a time** through the shared [`crate::BlockCache`]
-//! — a narrow scan touches one or two blocks per intersecting segment,
-//! never a whole file, and a re-scan of a hot range is served from cache.
-//! The `range_scans`, `scan_segments_opened`, `scan_blocks_decoded`, and
-//! `scan_bytes_decoded` counters in [`crate::TierStats`] gauge exactly
-//! this work.
+//! Each cold segment streams through a [`pbc_archive::Scan`] — the cursor
+//! compaction merges with too — opened by
+//! [`pbc_archive::SegmentReader::scan_range_with`] and fed by the shared
+//! [`crate::BlockCache`]: the footer index picks the candidate blocks,
+//! and they arrive **one block at a time**, decoded from disk only on a
+//! cache miss. A narrow scan touches one or two blocks per intersecting
+//! segment, never a whole file, and a re-scan of a hot range is served
+//! from cache. The `range_scans`, `scan_segments_opened`,
+//! `scan_blocks_decoded`, and `scan_bytes_decoded` counters in
+//! [`crate::TierStats`] gauge exactly this work.
 
 use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pbc_archive::DecodedBlock;
+use pbc_archive::Scan;
 use pbc_obs::{Event, Timer};
 use pbc_store::RangeSnapshot;
 
 use crate::commit::{decode_marked, ColdList, ColdSegment};
 use crate::error::Result;
+use crate::planner::covering_l1;
 use crate::store::TierInner;
 
 /// One key with its resolved value; `None` marks a tombstone.
@@ -73,141 +76,6 @@ fn beyond_end(key: &[u8], end: &Bound<Vec<u8>>) -> bool {
         Bound::Included(e) => key > e.as_slice(),
         Bound::Excluded(e) => key >= e.as_slice(),
         Bound::Unbounded => false,
-    }
-}
-
-/// A streaming cursor over one cold segment's entries inside
-/// `[start, end]`, feeding footer-selected candidate blocks through the
-/// store's block cache one at a time. Collapses consecutive duplicate
-/// keys within the segment to the **last** occurrence (later appends
-/// win), matching point-lookup semantics. The current entry is borrowed
-/// from its flat decoded block; nothing is copied until the merge takes it.
-struct ColdCursor<'a> {
-    inner: &'a TierInner,
-    segment: Arc<ColdSegment>,
-    /// The manifest generation the owning scan pinned — blocks decoded
-    /// after the live store moves past it are not published to the cache.
-    generation: u64,
-    /// Candidate blocks not yet fetched (footer-index selected).
-    blocks: std::ops::Range<usize>,
-    /// The decoded block currently being drained (shared with the cache).
-    block: Option<Arc<DecodedBlock>>,
-    /// Next undrained record of `block`.
-    next: usize,
-    /// Inclusive lower bound, applied inside the first fetched block.
-    start: Vec<u8>,
-    /// Inclusive upper *superset* bound; the merge loop enforces the
-    /// exact (possibly exclusive) bound.
-    end: Option<Vec<u8>>,
-    /// Index of the current entry (duplicates collapsed) — in `held` when
-    /// that is set, in `block` otherwise. `None` before the first
-    /// [`ColdCursor::advance`] and once the cursor is exhausted.
-    head: Option<usize>,
-    /// The previous block, kept only while the current entry is its last
-    /// record and the cursor has already moved on to look past it.
-    held: Option<Arc<DecodedBlock>>,
-    exhausted: bool,
-    /// Disk decodes performed on this scan's behalf, shared across all of
-    /// the scan's cursors (reported in its close trace event).
-    decoded_blocks: Arc<AtomicU64>,
-}
-
-impl<'a> ColdCursor<'a> {
-    /// Open a cursor, consulting the segment's footer index once to
-    /// select the candidate blocks (counted in `scan_segments_opened`).
-    /// It starts before its first entry: call [`ColdCursor::advance`].
-    fn open(
-        inner: &'a TierInner,
-        segment: Arc<ColdSegment>,
-        generation: u64,
-        start: &[u8],
-        end: Option<&[u8]>,
-        decoded_blocks: Arc<AtomicU64>,
-    ) -> Result<ColdCursor<'a>> {
-        let blocks = segment.reader.candidate_blocks_for_range(start, end)?;
-        inner.obs.scan_segments_opened.inc();
-        Ok(ColdCursor {
-            inner,
-            segment,
-            generation,
-            blocks,
-            block: None,
-            next: 0,
-            start: start.to_vec(),
-            end: end.map(|e| e.to_vec()),
-            head: None,
-            held: None,
-            exhausted: false,
-            decoded_blocks,
-        })
-    }
-
-    /// Put `next` on an in-range record, fetching blocks as needed;
-    /// `false` once the cursor ran past its blocks or its upper bound.
-    fn seek(&mut self) -> Result<bool> {
-        while !self.exhausted {
-            if let Some(block) = self.block.as_ref().filter(|b| self.next < b.len()) {
-                self.exhausted = self
-                    .end
-                    .as_deref()
-                    .is_some_and(|end| block.key(self.next) > end);
-                return Ok(!self.exhausted);
-            }
-            let Some(index) = self.blocks.next() else {
-                self.exhausted = true;
-                break;
-            };
-            let (block, from_disk) =
-                self.inner
-                    .scan_block(&self.segment, index, self.generation)?;
-            if from_disk {
-                self.decoded_blocks.fetch_add(1, Ordering::Relaxed);
-            }
-            // Only the first candidate block can hold keys below the
-            // lower bound; for every later block this skip is 0.
-            self.next = block.lower_bound(&self.start);
-            self.block = Some(block);
-        }
-        Ok(false)
-    }
-
-    /// Step to the next in-range key, duplicates collapsed last-wins.
-    fn advance(&mut self) -> Result<()> {
-        self.head = None;
-        while self.seek()? {
-            self.held = None;
-            let Some(block) = &self.block else { break };
-            // The run of duplicates inside this block: its last one wins.
-            let mut idx = self.next;
-            while idx + 1 < block.len() && block.key(idx + 1) == block.key(idx) {
-                idx += 1;
-            }
-            self.next = idx + 1;
-            self.head = Some(idx);
-            if self.next < block.len() {
-                return Ok(());
-            }
-            // The run reached the block's last record, so it may carry on
-            // in the next block: keep this one alive and look.
-            let held = Arc::clone(block);
-            let carries_on = self.seek()?
-                && self
-                    .block
-                    .as_ref()
-                    .is_some_and(|next| next.key(self.next) == held.key(idx));
-            if !carries_on {
-                self.held = Some(held);
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    /// The current entry (stored value, marker still encoded), borrowed.
-    fn head(&self) -> Option<(&[u8], &[u8])> {
-        let idx = self.head?;
-        let block = self.held.as_ref().or(self.block.as_ref())?;
-        Some((block.key(idx), block.value(idx)))
     }
 }
 
@@ -236,13 +104,34 @@ enum Source<'a> {
         inner: &'a TierInner,
         generation: u64,
         pending: VecDeque<Arc<ColdSegment>>,
-        cursor: Option<ColdCursor<'a>>,
+        cursor: Option<Scan<'a>>,
         start: Vec<u8>,
         end: Option<Vec<u8>>,
         /// The owning scan's shared decode counter, handed to each
         /// lazily-opened partition cursor.
         decoded_blocks: Arc<AtomicU64>,
     },
+}
+
+/// Open a cursor over `segment`'s entries in `[start, end]` whose blocks
+/// come through the store's cache ([`TierInner::scan_block`]), counting
+/// disk decodes into `decoded_blocks`.
+fn open_cursor<'a>(
+    inner: &'a TierInner,
+    segment: Arc<ColdSegment>,
+    generation: u64,
+    start: &[u8],
+    end: Option<&[u8]>,
+    decoded_blocks: Arc<AtomicU64>,
+) -> Result<Scan<'a>> {
+    let fetched = Arc::clone(&segment);
+    let cursor = segment.reader.scan_range_with(start, end, move |block| {
+        let (decoded, from_disk) = inner.scan_block(&fetched, block, generation)?;
+        decoded_blocks.fetch_add(u64::from(from_disk), Ordering::Relaxed);
+        Ok(decoded)
+    })?;
+    inner.obs.scan_segments_opened.inc();
+    Ok(cursor)
 }
 
 impl Source<'_> {
@@ -252,9 +141,10 @@ impl Source<'_> {
             Source::Hot { current, .. } | Source::Mem { current, .. } => {
                 current.as_ref().map(|(key, _)| key.as_slice())
             }
-            Source::Chain { cursor, .. } => {
-                cursor.as_ref().and_then(|c| c.head()).map(|(key, _)| key)
-            }
+            Source::Chain { cursor, .. } => cursor
+                .as_ref()
+                .and_then(|c| c.current())
+                .map(|(key, _)| key),
         }
     }
 
@@ -267,7 +157,7 @@ impl Source<'_> {
         };
         cursor
             .as_ref()
-            .and_then(|c| c.head())
+            .and_then(|c| c.current())
             .map(|(key, stored)| Ok((key.to_vec(), decode_marked(stored)?)))
             .transpose()
     }
@@ -300,8 +190,7 @@ impl Source<'_> {
                 decoded_blocks,
             } => loop {
                 if let Some(open) = cursor {
-                    open.advance()?;
-                    if open.head().is_some() {
+                    if open.advance()? {
                         break;
                     }
                     *cursor = None;
@@ -309,7 +198,7 @@ impl Source<'_> {
                 let Some(segment) = pending.pop_front() else {
                     break;
                 };
-                *cursor = Some(ColdCursor::open(
+                *cursor = Some(open_cursor(
                     inner,
                     segment,
                     *generation,
@@ -391,11 +280,6 @@ impl<'a> RangeScan<'a> {
             Bound::Included(e) | Bound::Excluded(e) => Some(e.as_slice()),
             Bound::Unbounded => None,
         };
-        let intersects = |segment: &ColdSegment| {
-            segment.stats.records > 0
-                && segment.stats.max_key.as_slice() >= start.as_slice()
-                && end_superset.is_none_or(|e| segment.stats.min_key.as_slice() <= e)
-        };
         let decoded_blocks = Arc::new(AtomicU64::new(0));
         let chain = |pending: VecDeque<Arc<ColdSegment>>| Source::Chain {
             inner,
@@ -424,22 +308,19 @@ impl<'a> RangeScan<'a> {
         }
         // L0 newest first: every intersecting segment gets its own chain
         // (they may overlap each other, so all must be merged at once).
-        for segment in pinned.l0.iter().filter(|s| intersects(s)) {
+        for segment in pinned
+            .l0
+            .iter()
+            .filter(|s| s.stats.intersects(&start, end_superset))
+        {
             cold_sources += 1;
             sources.push(chain(VecDeque::from([Arc::clone(segment)])));
         }
-        // L1: the covering run, located by binary search and chained in
-        // ascending order — partitions are disjoint, so later ones are
-        // opened only if the scan actually reaches them.
-        let first = pinned
-            .l1
-            .partition_point(|p| p.stats.max_key.as_slice() < start.as_slice());
-        let covering: VecDeque<Arc<ColdSegment>> = pinned.l1[first..]
-            .iter()
-            .take_while(|p| end_superset.is_none_or(|e| p.stats.min_key.as_slice() <= e))
-            .filter(|p| p.stats.records > 0)
-            .cloned()
-            .collect();
+        // L1: the covering run, chained in ascending order — partitions
+        // are disjoint, so later ones are opened only if the scan actually
+        // reaches them.
+        let l1_run = covering_l1(&pinned.l1, &start, end_superset);
+        let covering: VecDeque<Arc<ColdSegment>> = pinned.l1[l1_run].iter().cloned().collect();
         if !covering.is_empty() {
             cold_sources += covering.len();
             sources.push(chain(covering));

@@ -21,14 +21,10 @@ pub enum Durability {
     Periodic(Duration),
     /// Group commit: the write acknowledges only after a `sync_data`
     /// covering its record completes, but concurrent writers share one
-    /// fsync per batch. Full durability at a fraction of `PerWrite`'s
-    /// cost under concurrency. The default.
+    /// fsync per batch — full durability without an fsync per record.
+    /// The default.
     #[default]
     PerBatch,
-    /// One `sync_data` per record, serialized under the shard lock. The
-    /// strictest — and slowest — level; exists mostly as the baseline
-    /// group commit is measured against.
-    PerWrite,
 }
 
 /// Configuration for [`crate::Wal::open`].

@@ -58,7 +58,7 @@ impl fmt::Display for WalError {
                 f,
                 "wal shard {shard} is disabled after a failed fsync; reopen the store to \
                  recover what reached disk (writes acknowledged at durability levels below \
-                 PerBatch/PerWrite since the last successful sync may be lost)"
+                 PerBatch since the last successful sync may be lost)"
             ),
         }
     }

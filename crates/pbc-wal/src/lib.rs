@@ -5,10 +5,9 @@
 //! independent **shards**; each shard is a sequence of append-only
 //! segment files of CRC-framed records (`put` / `delete` / `checkpoint
 //! marker`) with monotonically increasing LSNs. Durability is a dial
-//! ([`Durability`]): from `None` (page cache only) through
-//! `Periodic` and the default **group commit** (`PerBatch` — N
-//! concurrent writers share one `sync_data`) to `PerWrite` (one fsync
-//! per record).
+//! ([`Durability`]): from `None` (page cache only) through `Periodic` to
+//! the default **group commit** (`PerBatch` — an acknowledged write is
+//! fsynced, and N concurrent writers share one `sync_data`).
 //!
 //! On [`Wal::open`] the log is recovered: each shard's newest non-empty
 //! segment has its torn tail truncated at the first bad CRC, and every
@@ -354,49 +353,39 @@ mod tests {
         let per_thread = 40u32;
         let threads = 8usize;
         let writes = threads as u64 * per_thread as u64;
-        for durability in [Durability::PerBatch, Durability::PerWrite] {
-            let (dir, _guard) = temp_dir("group");
-            let config = WalConfig::new(&dir)
-                .with_shards(1)
-                .with_durability(durability);
-            let obs = WalObs::new(&pbc_obs::MetricsRegistry::new(), None);
-            let (wal, _) = Wal::open(config.clone(), obs.clone(), 0, |_| {}).unwrap();
-            let wal = Arc::new(wal);
-            let fsyncs_at_open = obs.fsyncs.value();
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let wal = Arc::clone(&wal);
-                    std::thread::spawn(move || {
-                        for i in 0..per_thread {
-                            wal.append_put(format!("t{t}-{i}").as_bytes(), b"v")
-                                .unwrap();
-                        }
-                    })
+        let (dir, _guard) = temp_dir("group");
+        let config = WalConfig::new(&dir)
+            .with_shards(1)
+            .with_durability(Durability::PerBatch);
+        let obs = WalObs::new(&pbc_obs::MetricsRegistry::new(), None);
+        let (wal, _) = Wal::open(config.clone(), obs.clone(), 0, |_| {}).unwrap();
+        let wal = Arc::new(wal);
+        let fsyncs_at_open = obs.fsyncs.value();
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let wal = Arc::clone(&wal);
+                std::thread::spawn(move || {
+                    for i in 0..per_thread {
+                        wal.append_put(format!("t{t}-{i}").as_bytes(), b"v")
+                            .unwrap();
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            // Group commit shares syncs between the writers queued behind
-            // the one in flight; the per-write baseline never does.
-            let fsyncs = obs.fsyncs.value() - fsyncs_at_open;
-            assert_eq!(obs.appends.value(), writes);
-            match durability {
-                Durability::PerBatch => {
-                    assert!(fsyncs < writes, "{fsyncs} fsyncs: no batch formed")
-                }
-                _ => assert!(
-                    fsyncs >= writes,
-                    "{fsyncs} fsyncs for {writes} PerWrite acks"
-                ),
-            }
-            drop(wal);
-
-            let mut count = 0u64;
-            let (_wal, report) = Wal::open(config, WalObs::default(), 0, |_| count += 1).unwrap();
-            assert_eq!(report.records_replayed, writes);
-            assert_eq!(count, report.records_replayed);
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        // Group commit shares syncs between the writers queued behind the
+        // one in flight.
+        let fsyncs = obs.fsyncs.value() - fsyncs_at_open;
+        assert_eq!(obs.appends.value(), writes);
+        assert!(fsyncs < writes, "{fsyncs} fsyncs: no batch formed");
+        drop(wal);
+
+        let mut count = 0u64;
+        let (_wal, report) = Wal::open(config, WalObs::default(), 0, |_| count += 1).unwrap();
+        assert_eq!(report.records_replayed, writes);
+        assert_eq!(count, report.records_replayed);
     }
 
     #[test]

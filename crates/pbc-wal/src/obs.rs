@@ -39,7 +39,7 @@ pub struct WalObs {
     pub fsync_ns: Histogram,
     /// Records each group-commit fsync made durable — the batch size N
     /// writers shared one `sync_data` across. Meaningful under
-    /// [`crate::Durability::PerBatch`]; under `PerWrite` it records 1.
+    /// [`crate::Durability::PerBatch`].
     pub batch_records: Histogram,
     /// Structured trace ring (rotation, checkpoint, recovery events).
     /// `None` disables tracing without disabling metrics.

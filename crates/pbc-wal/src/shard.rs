@@ -14,9 +14,7 @@
 //! behind the next sync. When the leader returns it publishes the new
 //! `synced_lsn` and wakes everyone; writers whose records the batch
 //! covered return, and one of the rest becomes the next leader. N writers
-//! therefore share one `sync_data` per batch instead of paying one each —
-//! the difference between `PerBatch` and `PerWrite` throughput under
-//! concurrency.
+//! therefore share one `sync_data` per batch instead of paying one each.
 //!
 //! ## Positioned writes
 //!
@@ -232,12 +230,6 @@ impl WalShard {
         self.obs.appends.inc();
         match self.durability {
             Durability::None => {}
-            Durability::PerWrite => {
-                // Deliberately naive — one fsync per record, serialized
-                // under the shard lock. This is the baseline group commit
-                // is measured against.
-                self.sync_locked(&mut state)?;
-            }
             Durability::PerBatch => {
                 self.group_commit(state, lsn)?;
                 return Ok((result, Some(lsn)));

@@ -23,9 +23,6 @@ fn config(dir: &std::path::Path) -> TierConfig {
         //   Durability::PerBatch      — group commit: acknowledged writes
         //                               survive a crash, concurrent
         //                               writers share each fsync
-        //   Durability::PerWrite      — one fsync per write; the naive
-        //                               baseline PerBatch is measured
-        //                               against
         .with_wal(
             WalOptions::with_durability(Durability::PerBatch)
                 .shards(2)

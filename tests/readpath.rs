@@ -205,12 +205,8 @@ fn corruption_surfaces_identical_typed_errors_in_both_modes() {
 fn pinned_scan_survives_compaction_unlinking_mapped_segments() {
     const N: usize = 6_000;
     let (dir, _guard) = temp_dir("unlink");
-    let store = TieredStore::open(
-        TierConfig::new(&dir)
-            .with_watermark(64 * 1024)
-            .with_read_mode(ReadMode::Auto),
-    )
-    .expect("open store");
+    let store =
+        TieredStore::open(TierConfig::new(&dir).with_watermark(64 * 1024)).expect("open store");
     for i in 0..N {
         store.set(&key(i), &value(i)).expect("set");
     }

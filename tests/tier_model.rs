@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use pbc::archive::SegmentReader;
 use pbc::core::PbcConfig;
 use pbc::store::ValueCodec;
 use pbc::tier::{PlannerConfig, TierConfig, TieredStore};
@@ -31,8 +32,20 @@ use support::temp_dir;
 
 /// The leveling invariant: L1 sorted, pairwise non-overlapping, and
 /// tombstone-free (every leveled job drops tombstones on the way down).
+/// And the one range scans rely on: every live segment, L0 or L1, holds
+/// each key once, in strictly ascending order.
 fn assert_l1_invariant(store: &TieredStore) {
-    let (_, l1) = store.leveled_stats();
+    let (l0, l1) = store.leveled_stats();
+    for stats in l0.iter().chain(&l1) {
+        let path = store.config().dir.join(format!("seg-{:06}.seg", stats.id));
+        let reader = SegmentReader::open(&path).unwrap();
+        let keys: Vec<Vec<u8>> = reader.scan().map(|entry| entry.unwrap().0).collect();
+        assert!(
+            keys.windows(2).all(|pair| pair[0] < pair[1]),
+            "segment {} repeats a key or is out of order",
+            stats.id
+        );
+    }
     for pair in l1.windows(2) {
         assert!(
             pair[0].max_key < pair[1].min_key,

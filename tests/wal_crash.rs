@@ -352,7 +352,6 @@ fn every_durability_level_recovers_after_a_kill() {
         ("none", Durability::None),
         ("periodic", Durability::Periodic(Duration::from_millis(5))),
         ("batch", Durability::PerBatch),
-        ("write", Durability::PerWrite),
     ] {
         let (dir, _guard) = temp_dir(&format!("ladder-{tag}"));
         let mut model = BTreeMap::new();
