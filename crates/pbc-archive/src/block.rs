@@ -50,14 +50,14 @@ impl DecodedBlock {
     }
 
     /// Decode a per-record block (`varint key_len, key, varint len,
-    /// compressed value`, repeated), appending each key and each value
-    /// `decode` returns to one buffer. `raw_len` — the footer's serialized
-    /// payload length — bounds the decoded bytes.
+    /// compressed value`, repeated), appending each key to one buffer and
+    /// having `decode` append each value to it. `raw_len` — the footer's
+    /// serialized payload length — bounds the decoded bytes.
     pub(crate) fn decode_per_record(
         block: &[u8],
         record_count: usize,
         raw_len: usize,
-        decode: impl Fn(&[u8]) -> Result<Vec<u8>>,
+        decode: impl Fn(&[u8], &mut Vec<u8>) -> Result<()>,
     ) -> Result<Self> {
         let mut bounds = bounds_table(record_count, block.len(), raw_len)?;
         // Reserve what the footer promises, capped by the block actually in
@@ -71,7 +71,7 @@ impl DecodedBlock {
             let key_start = bytes.len();
             bytes.extend_from_slice(&block[key]);
             let value_start = bytes.len();
-            bytes.extend_from_slice(&decode(&block[value])?);
+            decode(&block[value], &mut bytes)?;
             if bytes.len() > raw_len {
                 return Err(ArchiveError::Corrupt {
                     context: format!("block decodes past the {raw_len} bytes its index promises"),

@@ -264,14 +264,9 @@ impl BlockCodec {
                 }
                 DecodedBlock::index_serialized(payload, record_count)
             }
-            BlockCodec::Pbc { compressor, .. } => {
-                DecodedBlock::decode_per_record(block, record_count, raw_len, |value| {
-                    Ok(compressor.decompress(value)?)
-                })
-            }
-            BlockCodec::Fsst { codec } => {
-                DecodedBlock::decode_per_record(block, record_count, raw_len, |value| {
-                    Ok(codec.decode(value)?)
+            BlockCodec::Pbc { .. } | BlockCodec::Fsst { .. } => {
+                DecodedBlock::decode_per_record(block, record_count, raw_len, |value, out| {
+                    self.decode_value_into(value, out)
                 })
             }
         }
@@ -311,12 +306,20 @@ impl BlockCodec {
     /// Decode one per-record-compressed value. Only meaningful for codecs
     /// where [`BlockCodec::is_per_record`] is true.
     fn decode_value(&self, value: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.decode_value_into(value, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`BlockCodec::decode_value`], appending to `out`.
+    fn decode_value_into(&self, value: &[u8], out: &mut Vec<u8>) -> Result<()> {
         match self {
-            BlockCodec::Raw => Ok(value.to_vec()),
-            BlockCodec::Pbc { compressor, .. } => Ok(compressor.decompress(value)?),
-            BlockCodec::Fsst { codec } => Ok(codec.decode(value)?),
+            BlockCodec::Raw => out.extend_from_slice(value),
+            BlockCodec::Pbc { compressor, .. } => compressor.decompress_into(value, out)?,
+            BlockCodec::Fsst { codec } => codec.decode_into(value, out)?,
             BlockCodec::Zstd { .. } => unreachable!("whole-block codecs have no per-record values"),
         }
+        Ok(())
     }
 
     /// Find the **last** entry with `key` in the block, preserving the
@@ -460,16 +463,30 @@ pub fn select_codec_over_blocks(sample_blocks: &[&[Entry]]) -> BlockCodec {
     if training.is_empty() {
         return BlockCodec::Raw;
     }
+    // `PBC` and `PBC_F` extract the same pattern dictionary from the same
+    // sample: extract it once, for `PBC_F`, and build `PBC` on it.
+    let config = PbcConfig::default();
+    let values: Vec<&[u8]> = training.iter().map(|(_, v)| v.as_slice()).collect();
+    let pbc_f = Arc::new(PbcCompressor::train_fsst(&values, &config));
+    let pbc = Arc::new(PbcCompressor::from_dictionary(
+        pbc_f.dictionary().clone(),
+        &config,
+    ));
     let candidates = [
-        CodecSpec::Pbc(PbcConfig::default()),
-        CodecSpec::PbcF(PbcConfig::default()),
-        CodecSpec::Zstd { level: 3 },
-        CodecSpec::Fsst,
-        CodecSpec::Raw,
+        BlockCodec::Pbc {
+            compressor: pbc,
+            fsst: false,
+        },
+        BlockCodec::Pbc {
+            compressor: pbc_f,
+            fsst: true,
+        },
+        build_codec(&CodecSpec::Zstd { level: 3 }, training),
+        build_codec(&CodecSpec::Fsst, training),
+        BlockCodec::Raw,
     ];
     let mut best: Option<(usize, BlockCodec)> = None;
-    for spec in &candidates {
-        let codec = build_codec(spec, training);
+    for codec in candidates {
         let size = sample_blocks
             .iter()
             .map(|block| codec.compress_block(block).len())
@@ -549,6 +566,28 @@ mod tests {
                 "{}",
                 codec.name()
             );
+        }
+    }
+
+    #[test]
+    fn per_record_blocks_decode_inside_the_reserved_buffer() {
+        // Values decode straight into the block buffer, which is reserved
+        // once for the footer's `raw_len`: no value may grow it.
+        let entries = sample_entries(120);
+        let raw_len = serialized_len(&entries);
+        for spec in [
+            CodecSpec::Pbc(PbcConfig::small()),
+            CodecSpec::PbcF(PbcConfig::small()),
+            CodecSpec::Fsst,
+        ] {
+            let codec = build_codec(&spec, &entries);
+            let block = codec.compress_block(&entries);
+            assert!(raw_len <= block.len() * 16, "{}", codec.name());
+            let decoded = codec
+                .decompress_block(&block, entries.len(), raw_len)
+                .unwrap();
+            let offsets = entries.len() * std::mem::size_of::<[u32; 4]>();
+            assert_eq!(decoded.heap_bytes(), raw_len + offsets, "{}", codec.name());
         }
     }
 

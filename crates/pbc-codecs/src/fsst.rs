@@ -14,6 +14,25 @@
 //! The symbol table is trained offline on sample strings with the iterative
 //! "generate candidates from adjacent symbol pairs, keep the highest-gain
 //! 255" procedure of the FSST paper.
+//!
+//! The encoder is greedy: at each position it emits the longest symbol the
+//! input starts with (the lowest code among equals), else an escape. Like
+//! the reference implementation it finds that symbol in O(1) from flat
+//! tables built once per codec rather than by walking the symbol list:
+//!
+//! * each code's symbol is packed little-endian into a `u64`;
+//! * symbols of two or more bytes sit in a 1 Ki-bucket table hashed on
+//!   their first two bytes, each bucket longest first, as
+//!   `(word, mask, len, code)` entries. The encoder loads the next eight
+//!   input bytes as one word (zero-padded at the tail) and takes the first
+//!   entry with `word & mask == entry.word` that fits the input left;
+//! * a 256-entry table names the 1-byte symbol for each byte, the
+//!   fallback before an escape.
+//!
+//! The decoder sizes its output from the code lengths first, so a corrupt
+//! stream is refused before anything is written, then copies each symbol
+//! with one fixed-size 8-byte store (a shorter copy only where the value
+//! ends), advancing by the symbol's length.
 
 use std::collections::HashMap;
 
@@ -28,14 +47,105 @@ pub const MAX_SYMBOLS: usize = 255;
 pub const MAX_SYMBOL_LEN: usize = 8;
 /// Number of training iterations (the FSST paper uses 5).
 const TRAIN_ITERATIONS: usize = 5;
+/// Buckets of the two-byte hash table, as a power of two.
+const BUCKET_BITS: u32 = 10;
+const BUCKETS: usize = 1 << BUCKET_BITS;
 
 /// A trained FSST symbol table plus the greedy encoder/decoder.
 #[derive(Debug, Clone)]
 pub struct FsstCodec {
     /// Symbol byte strings indexed by code.
     symbols: Vec<Vec<u8>>,
-    /// Lookup from first byte to candidate codes, longest symbol first.
-    index: Vec<Vec<u16>>,
+    /// The flat lookup tables built from `symbols` (boxed: ≈ 10 KB).
+    table: Box<SymbolTable>,
+}
+
+/// The flat encode/decode tables of one symbol list; see the module docs.
+#[derive(Debug, Clone)]
+struct SymbolTable {
+    /// Per code: the symbol packed little-endian, zero past its length.
+    word: [u64; 256],
+    /// Per code: the symbol's length; 0 for codes with no symbol.
+    len: [u8; 256],
+    /// Per byte: the lowest code whose symbol is that byte alone, else
+    /// [`ESCAPE`].
+    single: [u8; 256],
+    /// Bucket `b` of the two-byte table is `long[start[b]..start[b + 1]]`.
+    start: [u16; BUCKETS + 1],
+    /// Symbols of 2+ bytes grouped by bucket, each group longest first and
+    /// lowest code first among equal lengths.
+    long: Vec<LongSymbol>,
+}
+
+/// One entry of the two-byte hash table.
+#[derive(Debug, Clone, Copy)]
+struct LongSymbol {
+    word: u64,
+    mask: u64,
+    len: u8,
+    code: u8,
+}
+
+impl SymbolTable {
+    fn new(symbols: &[Vec<u8>]) -> Self {
+        let mut table = SymbolTable {
+            word: [0; 256],
+            len: [0; 256],
+            single: [ESCAPE; 256],
+            start: [0; BUCKETS + 1],
+            long: Vec::new(),
+        };
+        let mut long: Vec<(usize, LongSymbol)> = Vec::new();
+        for (code, sym) in symbols.iter().enumerate() {
+            let word = load_word(sym);
+            table.word[code] = word;
+            table.len[code] = sym.len() as u8;
+            if sym.len() == 1 {
+                if table.single[sym[0] as usize] == ESCAPE {
+                    table.single[sym[0] as usize] = code as u8;
+                }
+            } else {
+                let entry = LongSymbol {
+                    word,
+                    mask: u64::MAX >> (64 - 8 * sym.len()),
+                    len: sym.len() as u8,
+                    code: code as u8,
+                };
+                long.push((bucket_of(word), entry));
+            }
+        }
+        // Codes ascend already, so a stable sort keeps the lowest code
+        // first among equal lengths: the greedy encoder's tie-break.
+        long.sort_by_key(|&(bucket, entry)| (bucket, std::cmp::Reverse(entry.len)));
+        for &(bucket, _) in &long {
+            table.start[bucket + 1] += 1;
+        }
+        for b in 0..BUCKETS {
+            table.start[b + 1] += table.start[b];
+        }
+        table.long = long.into_iter().map(|(_, entry)| entry).collect();
+        table
+    }
+}
+
+/// Up to eight bytes of `bytes` packed little-endian, zero-padded.
+#[inline]
+fn load_word(bytes: &[u8]) -> u64 {
+    match bytes.first_chunk::<8>() {
+        Some(chunk) => u64::from_le_bytes(*chunk),
+        None => {
+            let mut padded = [0u8; 8];
+            padded[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(padded)
+        }
+    }
+}
+
+/// The two-byte hash bucket of a word: a multiplicative hash of its low
+/// two bytes.
+#[inline]
+fn bucket_of(word: u64) -> usize {
+    ((word as u32 & 0xffff).wrapping_mul(0x9e37_79b1) >> (32 - BUCKET_BITS)) as usize
 }
 
 impl Default for FsstCodec {
@@ -54,15 +164,8 @@ impl FsstCodec {
             .filter(|s| !s.is_empty() && s.len() <= MAX_SYMBOL_LEN)
             .take(MAX_SYMBOLS)
             .collect();
-        let mut index = vec![Vec::new(); 256];
-        for (code, sym) in symbols.iter().enumerate() {
-            index[sym[0] as usize].push(code as u16);
-        }
-        // Longest-first so the greedy encoder prefers maximal symbols.
-        for bucket in &mut index {
-            bucket.sort_by(|&a, &b| symbols[b as usize].len().cmp(&symbols[a as usize].len()));
-        }
-        FsstCodec { symbols, index }
+        let table = Box::new(SymbolTable::new(&symbols));
+        FsstCodec { symbols, table }
     }
 
     /// The trained symbols (exposed for inspection / persistence).
@@ -73,59 +176,100 @@ impl FsstCodec {
     /// Encode one string with the trained table (no header, random access).
     pub fn encode(&self, input: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len());
+        self.encode_into(input, &mut out);
+        out
+    }
+
+    /// Append the encoding of `input` to `out` (what [`FsstCodec::encode`]
+    /// returns).
+    pub fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
         let mut pos = 0;
         while pos < input.len() {
-            match self.longest_symbol_at(input, pos) {
+            let rest = &input[pos..];
+            match self.longest_symbol_at(rest) {
                 Some((code, len)) => {
                     out.push(code);
                     pos += len;
                 }
                 None => {
-                    out.push(ESCAPE);
-                    out.push(input[pos]);
+                    out.extend_from_slice(&[ESCAPE, rest[0]]);
                     pos += 1;
                 }
             }
         }
-        out
     }
 
     /// Decode a string produced by [`FsstCodec::encode`] with the same table.
     pub fn decode(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(input.len() * 2);
-        let mut pos = 0;
-        while pos < input.len() {
-            let code = input[pos];
-            pos += 1;
-            if code == ESCAPE {
-                let b = *input.get(pos).ok_or(CodecError::UnexpectedEof {
-                    context: "fsst escape byte",
-                })?;
-                out.push(b);
-                pos += 1;
-            } else {
-                let sym = self
-                    .symbols
-                    .get(code as usize)
-                    .ok_or_else(|| CodecError::corrupt("fsst code not in symbol table"))?;
-                out.extend_from_slice(sym);
-            }
-        }
-        Ok(out)
+        let mut out = Vec::new();
+        self.decode_into(input, &mut out).map(|()| out)
     }
 
-    /// Find the longest symbol matching `input[pos..]`, returning its code
-    /// and length.
-    #[inline]
-    fn longest_symbol_at(&self, input: &[u8], pos: usize) -> Option<(u8, usize)> {
-        let rest = &input[pos..];
-        for &code in &self.index[rest[0] as usize] {
-            let sym = &self.symbols[code as usize];
-            if rest.len() >= sym.len() && &rest[..sym.len()] == sym.as_slice() {
-                return Some((code as u8, sym.len()));
+    /// Append the decoding of `input` to `out`. On error `out` is left as
+    /// it was: the stream is checked and sized before anything is written.
+    pub fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        let table = &*self.table;
+        let mut decoded_len = 0usize;
+        let mut pos = 0;
+        while let Some(&code) = input.get(pos) {
+            if code == ESCAPE {
+                if pos + 1 == input.len() {
+                    return Err(CodecError::UnexpectedEof {
+                        context: "fsst escape byte",
+                    });
+                }
+                decoded_len += 1;
+                pos += 2;
+            } else {
+                let len = table.len[code as usize];
+                if len == 0 {
+                    return Err(CodecError::corrupt("fsst code not in symbol table"));
+                }
+                decoded_len += len as usize;
+                pos += 1;
             }
         }
-        None
+        let start = out.len();
+        out.resize(start + decoded_len, 0);
+        let dst = &mut out[start..];
+        let (mut pos, mut at) = (0, 0);
+        while let Some(&code) = input.get(pos) {
+            if code == ESCAPE {
+                dst[at] = input[pos + 1];
+                at += 1;
+                pos += 2;
+            } else {
+                let word = table.word[code as usize].to_le_bytes();
+                let len = table.len[code as usize] as usize;
+                match dst.get_mut(at..at + 8) {
+                    Some(slot) => slot.copy_from_slice(&word),
+                    None => dst[at..at + len].copy_from_slice(&word[..len]),
+                }
+                at += len;
+                pos += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The longest symbol `rest` starts with (lowest code among equals), as
+    /// its code and length; `None` when only an escape will do.
+    #[inline]
+    fn longest_symbol_at(&self, rest: &[u8]) -> Option<(u8, usize)> {
+        let table = &*self.table;
+        if rest.len() >= 2 {
+            let word = load_word(rest);
+            let bucket = bucket_of(word);
+            let entries =
+                &table.long[table.start[bucket] as usize..table.start[bucket + 1] as usize];
+            for entry in entries {
+                if word & entry.mask == entry.word && entry.len as usize <= rest.len() {
+                    return Some((entry.code, entry.len as usize));
+                }
+            }
+        }
+        let code = table.single[rest[0] as usize];
+        (code != ESCAPE).then_some((code, 1))
     }
 
     /// Serialize the symbol table (count, then length-prefixed symbols).
@@ -195,7 +339,7 @@ impl TrainableCodec for FsstCodec {
                 let mut pos = 0;
                 let mut prev: Option<(usize, usize)> = None; // (start, len)
                 while pos < sample.len() {
-                    let len = match codec.longest_symbol_at(sample, pos) {
+                    let len = match codec.longest_symbol_at(&sample[pos..]) {
                         Some((_, l)) => l,
                         None => 1,
                     };
@@ -334,6 +478,49 @@ mod tests {
         assert!(codec.decode(&[200]).is_err());
         // Escape with no following byte.
         assert!(codec.decode(&[ESCAPE]).is_err());
+    }
+
+    #[test]
+    fn longest_symbol_wins_and_the_lowest_code_breaks_ties() {
+        let codec = FsstCodec::from_symbols(vec![
+            b"a".to_vec(),
+            b"ab".to_vec(),
+            b"abc".to_vec(),
+            b"ab".to_vec(),   // duplicate: code 1 keeps winning
+            b"a".to_vec(),    // duplicate 1-byte symbol: code 0 keeps winning
+            b"\0\0".to_vec(), // symbols may hold zero bytes ...
+            b"x\0".to_vec(),  // ... that the zero-padded tail must not fake
+            b"12345678".to_vec(),
+        ]);
+        assert_eq!(codec.encode(b"abcab"), [2, 1]);
+        assert_eq!(codec.encode(b"aab"), [0, 1]);
+        assert_eq!(codec.encode(b"\0\0\0"), [5, ESCAPE, 0]);
+        assert_eq!(codec.encode(b"x"), [ESCAPE, b'x']);
+        assert_eq!(codec.encode(b"x\0"), [6]);
+        // An 8-byte symbol, then a 7-byte tail it cannot cover.
+        let mut expected = vec![7];
+        for &b in b"1234567" {
+            expected.extend_from_slice(&[ESCAPE, b]);
+        }
+        assert_eq!(codec.encode(b"123456781234567"), expected);
+        for input in [&b"abcab"[..], b"\0\0\0x", b"12345678abc\0"] {
+            assert_eq!(codec.decode(&codec.encode(input)).unwrap(), input);
+        }
+    }
+
+    #[test]
+    fn decode_into_appends_and_leaves_the_buffer_alone_on_error() {
+        let codec = FsstCodec::from_symbols(vec![b"abcdefgh".to_vec(), b"xy".to_vec()]);
+        let mut out = b"kept".to_vec();
+        codec
+            .decode_into(&[0, 1, 0, ESCAPE, b'!'], &mut out)
+            .unwrap();
+        assert_eq!(out, b"keptabcdefghxyabcdefgh!");
+        for corrupt in [&[0, 1, 7][..], &[0, 0, ESCAPE]] {
+            let mut out = b"kept".to_vec();
+            assert!(codec.decode_into(corrupt, &mut out).is_err());
+            assert_eq!(out, b"kept");
+        }
     }
 
     #[test]

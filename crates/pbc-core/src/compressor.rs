@@ -14,6 +14,8 @@
 //! additionally passed through a trained FSST symbol table, trading a little
 //! speed for a better ratio while keeping per-record random access.
 
+use std::cell::RefCell;
+
 use pbc_codecs::fsst::FsstCodec;
 use pbc_codecs::traits::{Codec, TrainableCodec};
 use pbc_codecs::varint;
@@ -23,10 +25,18 @@ use crate::dictionary::{PatternDictionary, OUTLIER_ID};
 use crate::encoders::FieldEncoder;
 use crate::error::{PbcError, Result};
 use crate::extraction::{extract_from_samples, ExtractionReport};
-use crate::matching::reassemble;
 use crate::multimatch::MultiMatcher;
-use crate::pattern::Segment;
+use crate::pattern::{Pattern, Segment};
 use crate::stats::{CompressionStats, StatsSnapshot};
+
+/// Most bytes a thread's encode buffer keeps between calls: plenty for
+/// records, while one huge outlier does not pin its high-water mark.
+const RETAINED_ENCODE_BYTES: usize = 1 << 16;
+
+thread_local! {
+    /// Where [`PbcCompressor::compress`] encodes before copying out.
+    static ENCODE_BUFFER: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// How residual values are serialized.
 #[derive(Debug, Clone)]
@@ -162,62 +172,89 @@ impl PbcCompressor {
     /// Compress one record. Records matching no pattern (or violating a
     /// field-encoder constraint) are stored as outliers in raw form.
     pub fn compress(&self, record: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(record.len() / 2 + 4);
-        let matched = self.matcher.best_match(record);
-        match matched {
-            Some((id, m)) => {
-                varint::write_u32(&mut out, id);
-                let pattern = self
-                    .dictionary
-                    .get(id)
-                    // pbc-allow(panic): the matcher only returns ids minted by this dictionary
-                    .expect("matcher only returns dictionary ids");
-                let encoders = pattern.field_encoders();
-                for (enc, &(s, e)) in encoders.iter().zip(m.field_spans.iter()) {
-                    self.encode_field(enc, &record[s..e], &mut out);
-                }
-                self.stats.record(record.len(), out.len(), false);
+        // Encode into the thread's buffer and return an exact-size copy: the
+        // output is allocated once and carries no slack.
+        ENCODE_BUFFER.with_borrow_mut(|out| {
+            out.clear();
+            let outlier = self.encode_record(record, out);
+            self.stats.record(record.len(), out.len(), outlier);
+            let compressed = out.to_vec();
+            if out.capacity() > RETAINED_ENCODE_BYTES {
+                *out = Vec::new();
             }
-            None => {
-                varint::write_u32(&mut out, OUTLIER_ID);
-                self.encode_outlier(record, &mut out);
-                self.stats.record(record.len(), out.len(), true);
-            }
+            compressed
+        })
+    }
+
+    /// Append the compressed form of `record` to `out`; returns whether it
+    /// is an outlier.
+    fn encode_record(&self, record: &[u8], out: &mut Vec<u8>) -> bool {
+        let Some((id, m)) = self.matcher.best_match(record) else {
+            varint::write_u32(out, OUTLIER_ID);
+            self.encode_outlier(record, out);
+            return true;
+        };
+        varint::write_u32(out, id);
+        let pattern = self
+            .dictionary
+            .get(id)
+            // pbc-allow(panic): the matcher only returns ids minted by this dictionary
+            .expect("matcher only returns dictionary ids");
+        for (enc, &(s, e)) in pattern.fields().zip(&m.field_spans) {
+            self.encode_field(enc, &record[s..e], out);
         }
-        out
+        false
     }
 
     /// Decompress one record produced by [`PbcCompressor::compress`].
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>> {
         let (id, pos) = varint::read_u32(data, 0)?;
+        let literals = self.dictionary.get(id).map_or(0, Pattern::literal_len);
+        let mut out = Vec::with_capacity(literals + data.len() - pos);
+        self.decompress_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// Append the record `data` decompresses to (see
+    /// [`PbcCompressor::decompress`]) to `out`, writing each literal and
+    /// field straight into it. On error `out` holds what it held on entry.
+    pub fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        let start = out.len();
+        let decoded = self.decode_record(data, out);
+        if decoded.is_err() {
+            out.truncate(start);
+        }
+        decoded
+    }
+
+    fn decode_record(&self, data: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        let (id, mut pos) = varint::read_u32(data, 0)?;
         if id == OUTLIER_ID {
-            return self.decode_outlier(&data[pos..]);
+            match &self.residual {
+                ResidualMode::Fsst(fsst) => fsst.decode_into(&data[pos..], out)?,
+                ResidualMode::Plain => out.extend_from_slice(&data[pos..]),
+            }
+            return Ok(());
         }
         let pattern = self.dictionary.get_or_err(id)?;
-        let mut pos = pos;
-        let mut field_values: Vec<Vec<u8>> = Vec::with_capacity(pattern.field_count());
-        for (field_idx, seg) in pattern
-            .segments()
-            .iter()
-            .filter(|s| matches!(s, Segment::Field(_)))
-            .enumerate()
-        {
-            let Segment::Field(enc) = seg else {
-                unreachable!()
-            };
-            let mut value = Vec::new();
-            pos = self
-                .decode_field(enc, data, pos, &mut value)
-                .map_err(|e| match e {
-                    PbcError::FieldDecode { reason, .. } => PbcError::FieldDecode {
-                        field: field_idx,
-                        reason,
-                    },
-                    other => other,
-                })?;
-            field_values.push(value);
+        let mut field = 0;
+        for seg in pattern.segments() {
+            match seg {
+                Segment::Literal(lit) => out.extend_from_slice(lit),
+                Segment::Field(enc) => {
+                    pos = self
+                        .decode_field(enc, data, pos, out)
+                        .map_err(|e| match e {
+                            PbcError::FieldDecode { reason, .. } => {
+                                PbcError::FieldDecode { field, reason }
+                            }
+                            other => other,
+                        })?;
+                    field += 1;
+                }
+            }
         }
-        Ok(reassemble(pattern, &field_values))
+        Ok(())
     }
 
     /// Share of compressed records that were outliers so far exceeds the
@@ -241,9 +278,13 @@ impl PbcCompressor {
     fn encode_field(&self, enc: &FieldEncoder, value: &[u8], out: &mut Vec<u8>) {
         match (&self.residual, enc) {
             (ResidualMode::Fsst(fsst), FieldEncoder::Varchar) => {
-                let encoded = fsst.encode(value);
-                varint::write_usize(out, encoded.len());
-                out.extend_from_slice(&encoded);
+                // Encode in place, then rotate the varint length (one byte
+                // below 128) in front of it.
+                let start = out.len();
+                fsst.encode_into(value, out);
+                let encoded_len = out.len() - start;
+                let header = varint::write_usize(out, encoded_len);
+                out[start..].rotate_right(header);
             }
             _ => {
                 enc.encode(value, out)
@@ -263,12 +304,13 @@ impl PbcCompressor {
         match (&self.residual, enc) {
             (ResidualMode::Fsst(fsst), FieldEncoder::Varchar) => {
                 let (len, pos) = varint::read_usize(data, pos)?;
-                if pos + len > data.len() {
-                    return Err(PbcError::Truncated {
+                let value = pos
+                    .checked_add(len)
+                    .and_then(|end| data.get(pos..end))
+                    .ok_or(PbcError::Truncated {
                         context: "FSST residual",
-                    });
-                }
-                out.extend_from_slice(&fsst.decode(&data[pos..pos + len])?);
+                    })?;
+                fsst.decode_into(value, out)?;
                 Ok(pos + len)
             }
             _ => enc.decode(data, pos, out),
@@ -277,18 +319,8 @@ impl PbcCompressor {
 
     fn encode_outlier(&self, record: &[u8], out: &mut Vec<u8>) {
         match &self.residual {
-            ResidualMode::Fsst(fsst) => {
-                let encoded = fsst.compress(record);
-                out.extend_from_slice(&encoded);
-            }
+            ResidualMode::Fsst(fsst) => fsst.encode_into(record, out),
             ResidualMode::Plain => out.extend_from_slice(record),
-        }
-    }
-
-    fn decode_outlier(&self, payload: &[u8]) -> Result<Vec<u8>> {
-        match &self.residual {
-            ResidualMode::Fsst(fsst) => Ok(fsst.decompress(payload)?),
-            ResidualMode::Plain => Ok(payload.to_vec()),
         }
     }
 }

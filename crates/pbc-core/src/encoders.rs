@@ -184,19 +184,21 @@ impl FieldEncoder {
                 let mut le = [0u8; 8];
                 le[..bytes].copy_from_slice(&input[pos..pos + bytes]);
                 let v = u64::from_le_bytes(le);
-                let s = format!("{:0width$}", v, width = digits as usize);
-                if s.len() != digits as usize {
+                let mut buf = [0u8; 20];
+                let value = decimal(v, &mut buf);
+                let Some(padding) = (digits as usize).checked_sub(value.len()) else {
                     return Err(PbcError::FieldDecode {
                         field: usize::MAX,
                         reason: format!("INT value {v} does not fit {digits} digits"),
                     });
-                }
-                out.extend_from_slice(s.as_bytes());
+                };
+                out.resize(out.len() + padding, b'0');
+                out.extend_from_slice(value);
                 Ok(pos + bytes)
             }
             FieldEncoder::Varint => {
                 let (v, p) = varint::read_u64(input, pos).map_err(PbcError::from)?;
-                out.extend_from_slice(v.to_string().as_bytes());
+                out.extend_from_slice(decimal(v, &mut [0u8; 20]));
                 Ok(p)
             }
         }
@@ -303,6 +305,20 @@ pub fn infer_encoder(values: &[&[u8]]) -> FieldEncoder {
         .filter(|enc| values.iter().all(|v| enc.accepts(v)))
         .min_by_key(|enc| values.iter().map(|v| enc.encoded_len(v)).sum::<usize>())
         .unwrap_or(FieldEncoder::Varchar)
+}
+
+/// The decimal digits of `v` (no leading zeros), written into the tail of
+/// `buf`: a `u64` has at most 20.
+fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return &buf[start..];
+        }
+    }
 }
 
 /// Parse an ASCII digit string into a `u64`. Returns `None` on overflow or

@@ -40,65 +40,59 @@ impl MatchResult {
 /// Match `record` against `pattern` structurally (ignoring field encoder
 /// constraints). Returns the field spans if the record matches.
 pub fn match_structure(pattern: &Pattern, record: &[u8]) -> Option<MatchResult> {
-    let segs = pattern.segments();
-    let field_count = pattern.field_count();
-    let mut spans = vec![(0usize, 0usize); field_count];
+    let mut spans = Vec::new();
+    match_structure_into(pattern, record, &mut spans).then_some(MatchResult { field_spans: spans })
+}
 
-    // Map each segment index to its field index (for span bookkeeping).
-    let mut field_index_of_segment = vec![usize::MAX; segs.len()];
-    {
-        let mut k = 0;
-        for (i, s) in segs.iter().enumerate() {
-            if matches!(s, Segment::Field(_)) {
-                field_index_of_segment[i] = k;
-                k += 1;
-            }
-        }
-    }
+/// [`match_structure`] into a caller-owned span buffer: on a match `spans`
+/// holds one `(start, end)` per field and the result is `true`.
+fn match_structure_into(pattern: &Pattern, record: &[u8], spans: &mut Vec<(usize, usize)>) -> bool {
+    let segs = pattern.segments();
+    spans.clear();
+    spans.resize(pattern.field_count(), (0, 0));
 
     let mut si = 0usize; // segment index
+    let mut field = 0usize; // field index of segment `si`, if it is a field
     let mut pos = 0usize; // record position
-    let mut last_star: Option<usize> = None; // segment index of most recent field
+    let mut last_star: Option<(usize, usize)> = None; // (segment, field) of most recent field
     let mut star_end = 0usize; // current end of that field's span
 
     loop {
         if si < segs.len() {
             match &segs[si] {
                 Segment::Literal(lit) => {
-                    if record.len() >= pos + lit.len()
-                        && &record[pos..pos + lit.len()] == lit.as_slice()
-                    {
+                    if record[pos..].starts_with(lit) {
                         pos += lit.len();
                         si += 1;
                         continue;
                     }
                 }
                 Segment::Field(_) => {
-                    let k = field_index_of_segment[si];
-                    spans[k] = (pos, pos);
-                    last_star = Some(si);
+                    spans[field] = (pos, pos);
+                    last_star = Some((si, field));
                     star_end = pos;
                     si += 1;
+                    field += 1;
                     continue;
                 }
             }
         } else if pos == record.len() {
-            return Some(MatchResult { field_spans: spans });
+            return true;
         }
         // Mismatch (or trailing record bytes): grow the most recent field by
         // one byte and retry the segments after it.
         match last_star {
-            Some(star_si) => {
+            Some((star_si, star_field)) => {
                 star_end += 1;
                 if star_end > record.len() {
-                    return None;
+                    return false;
                 }
-                let k = field_index_of_segment[star_si];
-                spans[k] = (spans[k].0, star_end);
+                spans[star_field].1 = star_end;
                 pos = star_end;
                 si = star_si + 1;
+                field = star_field + 1;
             }
-            None => return None,
+            None => return false,
         }
     }
 }
@@ -110,15 +104,23 @@ pub fn match_structure(pattern: &Pattern, record: &[u8]) -> Option<MatchResult> 
 /// structurally but violates an encoder constraint is treated as not
 /// matching this pattern (and ultimately as an outlier if no pattern fits).
 pub fn match_record(pattern: &Pattern, record: &[u8]) -> Option<MatchResult> {
-    let result = match_structure(pattern, record)?;
-    let encoders = pattern.field_encoders();
-    debug_assert_eq!(encoders.len(), result.field_spans.len());
-    for (enc, &(s, e)) in encoders.iter().zip(result.field_spans.iter()) {
-        if !enc.accepts(&record[s..e]) {
-            return None;
-        }
-    }
-    Some(result)
+    let mut spans = Vec::new();
+    match_record_into(pattern, record, &mut spans).then_some(MatchResult { field_spans: spans })
+}
+
+/// [`match_record`] into a caller-owned span buffer, so one buffer serves
+/// every candidate pattern of a record: on a match `spans` holds one
+/// `(start, end)` per field and the result is `true`.
+pub fn match_record_into(
+    pattern: &Pattern,
+    record: &[u8],
+    spans: &mut Vec<(usize, usize)>,
+) -> bool {
+    match_structure_into(pattern, record, spans)
+        && pattern
+            .fields()
+            .zip(spans.iter())
+            .all(|(enc, &(s, e))| enc.accepts(&record[s..e]))
 }
 
 /// Reassemble a record from a pattern and decoded field values; the inverse

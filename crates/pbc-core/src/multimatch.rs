@@ -9,7 +9,7 @@
 //! descending literal-length order so the first hit is the longest pattern.
 
 use crate::dictionary::PatternDictionary;
-use crate::matching::{match_record, MatchResult};
+use crate::matching::{match_record_into, MatchResult};
 use crate::pattern::{Pattern, Segment};
 
 /// Length of the literal prefix used as a hash anchor.
@@ -22,6 +22,9 @@ pub struct MultiMatcher {
     /// descending (so the first match found is the longest pattern).
     anchored: Vec<PatternEntry>,
     floating: Vec<PatternEntry>,
+    /// Most fields of any pattern: a span buffer this long serves every
+    /// candidate.
+    max_fields: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -79,7 +82,16 @@ impl MultiMatcher {
         }
         anchored.sort_by_key(|e| std::cmp::Reverse(e.literal_len));
         floating.sort_by_key(|e| std::cmp::Reverse(e.literal_len));
-        MultiMatcher { anchored, floating }
+        let max_fields = dictionary
+            .iter()
+            .map(|(_, pattern)| pattern.field_count())
+            .max()
+            .unwrap_or(0);
+        MultiMatcher {
+            anchored,
+            floating,
+            max_fields,
+        }
     }
 
     /// Number of patterns the matcher screens.
@@ -91,50 +103,40 @@ impl MultiMatcher {
     /// constraints). Returns `(pattern id, match result)`.
     pub fn best_match(&self, record: &[u8]) -> Option<(u32, MatchResult)> {
         let record_sig = signature_of(record.iter().copied());
-        let mut best: Option<(u32, usize, MatchResult)> = None;
-
-        let consider = |entry: &PatternEntry, best: &mut Option<(u32, usize, MatchResult)>| {
-            if let Some((_, best_len, _)) = best {
-                if entry.literal_len <= *best_len {
-                    return;
-                }
-            }
-            if entry.literal_len > record.len() {
-                return;
-            }
-            if !signature_subset(&entry.signature, &record_sig) {
-                return;
-            }
-            if !entry.anchor.is_empty() && !record.starts_with(&entry.anchor) {
-                return;
-            }
-            if let Some(m) = match_record(&entry.pattern, record) {
-                *best = Some((entry.id, entry.literal_len, m));
-            }
-        };
+        // `(id, literal length)` of the best match so far; its spans are in
+        // `best_spans`, and every candidate is matched into `spans`.
+        let mut best: Option<(u32, usize)> = None;
+        let mut best_spans = Vec::new();
+        let mut spans = Vec::with_capacity(self.max_fields);
 
         // Entries are sorted by literal length descending, so the first
         // accepted anchored entry is the best anchored one; likewise for
         // floating entries. We still compare across both lists.
-        for entry in &self.anchored {
-            if best
-                .as_ref()
-                .is_some_and(|(_, l, _)| entry.literal_len <= *l)
-            {
-                break;
+        for entries in [&self.anchored, &self.floating] {
+            for entry in entries {
+                if best.is_some_and(|(_, len)| entry.literal_len <= len) {
+                    break;
+                }
+                if entry.literal_len > record.len()
+                    || !signature_subset(&entry.signature, &record_sig)
+                    || !record.starts_with(&entry.anchor)
+                {
+                    continue;
+                }
+                if match_record_into(&entry.pattern, record, &mut spans) {
+                    best = Some((entry.id, entry.literal_len));
+                    std::mem::swap(&mut spans, &mut best_spans);
+                }
             }
-            consider(entry, &mut best);
         }
-        for entry in &self.floating {
-            if best
-                .as_ref()
-                .is_some_and(|(_, l, _)| entry.literal_len <= *l)
-            {
-                break;
-            }
-            consider(entry, &mut best);
-        }
-        best.map(|(id, _, m)| (id, m))
+        best.map(|(id, _)| {
+            (
+                id,
+                MatchResult {
+                    field_spans: best_spans,
+                },
+            )
+        })
     }
 
     /// Look up the pattern for an id (used by tests and diagnostics).

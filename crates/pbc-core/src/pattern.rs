@@ -105,21 +105,20 @@ impl Pattern {
 
     /// Number of wildcard fields.
     pub fn field_count(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| matches!(s, Segment::Field(_)))
-            .count()
+        self.fields().count()
     }
 
     /// The field encoders in order.
     pub fn field_encoders(&self) -> Vec<FieldEncoder> {
-        self.segments
-            .iter()
-            .filter_map(|s| match s {
-                Segment::Field(e) => Some(*e),
-                Segment::Literal(_) => None,
-            })
-            .collect()
+        self.fields().copied().collect()
+    }
+
+    /// The field encoders in order, borrowed.
+    pub(crate) fn fields(&self) -> impl Iterator<Item = &FieldEncoder> {
+        self.segments.iter().filter_map(|s| match s {
+            Segment::Field(e) => Some(e),
+            Segment::Literal(_) => None,
+        })
     }
 
     /// Replace the field encoders (in order) with the supplied ones; used

@@ -1,5 +1,7 @@
 //! Property-based tests over the core data structures and codecs.
 
+use std::sync::OnceLock;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -8,9 +10,10 @@ use pbc::archive::{
     build_codec, ArchiveError, CodecSpec, Entry, SegmentConfig, SegmentReader, SegmentWriter,
 };
 use pbc::codecs::traits::{Codec, TrainableCodec};
-use pbc::codecs::{huffman, varint, FsstCodec, Lz4Like, LzmaLike, SnappyLike, ZstdLike};
+use pbc::codecs::{fsst, huffman, varint, FsstCodec, Lz4Like, LzmaLike, SnappyLike, ZstdLike};
 use pbc::core::matching::{match_record, reassemble};
 use pbc::core::{FieldEncoder, Pattern, PbcCompressor, PbcConfig};
+use pbc::datagen::Dataset;
 use pbc::json::{parse, to_string, JsonValue, Number};
 
 proptest! {
@@ -177,6 +180,114 @@ proptest! {
         let ion = pbc::json::IonLikeCodec::new();
         prop_assert_eq!(ion.decode(&ion.encode(&doc)).unwrap(), doc);
     }
+}
+
+// ---------------- record-codec kernels ----------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn codec_kernel_fsst_encoder_matches_the_reference(
+        // A four-byte alphabet with 0x00 in it: duplicate symbols, shared
+        // prefixes and zero bytes are all common.
+        symbols in vec(vec(0u8..4, 1..9), 0..256),
+        input in vec(0u8..5, 0..48),
+    ) {
+        let codec = FsstCodec::from_symbols(symbols);
+        let encoded = codec.encode(&input);
+        prop_assert_eq!(&encoded, &reference_fsst_encode(codec.symbols(), &input));
+        prop_assert_eq!(codec.decode(&encoded).unwrap(), input);
+    }
+
+    #[test]
+    fn codec_kernel_decoders_survive_arbitrary_bytes(
+        pick in any::<usize>(),
+        flips in vec((any::<usize>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+        junk in vec(any::<u8>(), 0..12),
+        prefix in vec(any::<u8>(), 0..8),
+    ) {
+        // A real compressed record, damaged: bytes flipped, cut short and
+        // extended with junk — or, when `pick` says so, nothing but junk.
+        let kernels = trained_kernels();
+        for (codec, compressed) in [&kernels.pbc, &kernels.pbc_f].into_iter().zip(&kernels.compressed) {
+            let mut data = if pick.is_multiple_of(5) {
+                Vec::new()
+            } else {
+                compressed[pick % compressed.len()].clone()
+            };
+            for &(at, bits) in &flips {
+                if !data.is_empty() {
+                    let at = at % data.len();
+                    data[at] ^= bits;
+                }
+            }
+            data.truncate(cut % (data.len() + 1));
+            data.extend_from_slice(&junk);
+            let mut out = prefix.clone();
+            match codec.decompress_into(&data, &mut out) {
+                Ok(()) => prop_assert!(out.starts_with(&prefix)),
+                Err(_) => prop_assert_eq!(&out, &prefix),
+            }
+            let fsst = kernels.pbc_f.residual_fsst().unwrap();
+            let mut out = prefix.clone();
+            match fsst.decode_into(&data, &mut out) {
+                Ok(()) => prop_assert!(out.starts_with(&prefix)),
+                Err(_) => prop_assert_eq!(&out, &prefix),
+            }
+        }
+    }
+}
+
+/// The greedy FSST encoder as first written: symbols bucketed by first
+/// byte, each bucket scanned longest first (lowest code first on ties).
+fn reference_fsst_encode(symbols: &[Vec<u8>], input: &[u8]) -> Vec<u8> {
+    let mut buckets = vec![Vec::new(); 256];
+    for (code, symbol) in symbols.iter().enumerate() {
+        buckets[symbol[0] as usize].push(code);
+    }
+    for bucket in &mut buckets {
+        bucket.sort_by_key(|&code| std::cmp::Reverse(symbols[code].len()));
+    }
+    let (mut out, mut pos) = (Vec::new(), 0);
+    while let Some(&first) = input.get(pos) {
+        let hit = buckets[first as usize]
+            .iter()
+            .find(|&&c| input[pos..].starts_with(&symbols[c]));
+        match hit {
+            Some(&code) => out.push(code as u8),
+            None => out.extend_from_slice(&[fsst::ESCAPE, first]),
+        }
+        pos += hit.map_or(1, |&code| symbols[code].len());
+    }
+    out
+}
+
+/// `PBC` and `PBC_F` trained once on `kv2` records, with every record
+/// compressed by each (the first of them outliers).
+struct TrainedKernels {
+    pbc: PbcCompressor,
+    pbc_f: PbcCompressor,
+    compressed: [Vec<Vec<u8>>; 2],
+}
+
+fn trained_kernels() -> &'static TrainedKernels {
+    static KERNELS: OnceLock<TrainedKernels> = OnceLock::new();
+    KERNELS.get_or_init(|| {
+        let mut records = vec![b"no pattern has this shape \x00\xff".to_vec()];
+        records.extend(Dataset::Kv2.generate(300, 7));
+        let refs: Vec<&[u8]> = records.iter().map(|r| r.as_slice()).collect();
+        let pbc_f = PbcCompressor::train_fsst(&refs, &PbcConfig::small());
+        let pbc = PbcCompressor::from_dictionary(pbc_f.dictionary().clone(), &PbcConfig::small());
+        let compressed =
+            [&pbc, &pbc_f].map(|codec| records.iter().map(|r| codec.compress(r)).collect());
+        TrainedKernels {
+            pbc,
+            pbc_f,
+            compressed,
+        }
+    })
 }
 
 // ---------------- archive segments ----------------
