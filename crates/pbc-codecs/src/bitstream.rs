@@ -6,13 +6,17 @@
 
 use crate::error::{CodecError, Result};
 
-/// Writes bits most-significant-bit first into a growable byte buffer.
+/// Writes bits most-significant-bit first into a growable byte buffer,
+/// through a 64-bit accumulator that is flushed a whole number of bytes at
+/// a time.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits already used in the final byte of `buf` (0..8). 0 means the last
-    /// byte is full (or the buffer is empty).
-    bit_pos: u8,
+    /// Pending bits in the low `pending` bits, oldest first (higher bits
+    /// are stale and ignored).
+    acc: u64,
+    /// Number of pending bits in `acc` (0..=64).
+    pending: u32,
 }
 
 impl BitWriter {
@@ -25,17 +29,14 @@ impl BitWriter {
     pub fn with_capacity(bytes: usize) -> Self {
         BitWriter {
             buf: Vec::with_capacity(bytes),
-            bit_pos: 0,
+            acc: 0,
+            pending: 0,
         }
     }
 
     /// Total number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.buf.len() * 8
-        } else {
-            (self.buf.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.buf.len() * 8 + self.pending as usize
     }
 
     /// Append the `count` low bits of `value`, MSB first. `count` ≤ 57 keeps
@@ -45,28 +46,25 @@ impl BitWriter {
         if count == 0 {
             return;
         }
-        let mut remaining = count;
-        // Mask off anything above `count` bits so callers can pass raw words.
-        let value = if count == 64 {
-            value
-        } else {
-            value & ((1u64 << count) - 1)
-        };
-        while remaining > 0 {
-            if self.bit_pos == 0 {
-                // Previous byte is full (or buffer is empty): start a new byte.
-                self.buf.push(0);
-            }
-            let free = 8 - self.bit_pos;
-            let take = free.min(remaining);
-            let shift = remaining - take;
-            let chunk = ((value >> shift) & ((1u64 << take) - 1)) as u8;
-            // pbc-allow(panic): a byte is pushed before any partial-bit write; buf is never empty here
-            let last = self.buf.last_mut().expect("buffer has a current byte");
-            *last |= chunk << (free - take);
-            self.bit_pos = (self.bit_pos + take) % 8;
-            remaining -= take;
+        let count = u32::from(count);
+        if self.pending + count > 64 {
+            // At least 8 bits are pending (count ≤ 57): flush the whole
+            // bytes, leaving fewer than 8.
+            let whole = self.pending / 8;
+            self.buf
+                .extend_from_slice(&self.pending_bytes()[..whole as usize]);
+            self.pending -= whole * 8;
         }
+        // Mask off anything above `count` bits so callers can pass raw words.
+        let value = value & ((1u64 << count) - 1);
+        self.acc = self.acc << count | value;
+        self.pending += count;
+    }
+
+    /// The pending bits left-aligned, zero-filled below, in byte order.
+    /// Callers ensure at least one bit is pending.
+    fn pending_bytes(&self) -> [u8; 8] {
+        (self.acc << (64 - self.pending)).to_be_bytes()
     }
 
     /// Append a single bit.
@@ -75,7 +73,11 @@ impl BitWriter {
     }
 
     /// Pad the final byte with zero bits and return the underlying buffer.
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            let bytes = self.pending.div_ceil(8) as usize;
+            self.buf.extend_from_slice(&self.pending_bytes()[..bytes]);
+        }
         self.buf
     }
 }
@@ -208,6 +210,34 @@ mod tests {
         assert_eq!(w.bit_len(), 8);
         w.write_bits(3, 2);
         assert_eq!(w.bit_len(), 10);
+    }
+
+    #[test]
+    fn accumulator_output_matches_bit_at_a_time_packing() {
+        let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            lcg >> 7
+        };
+        for _ in 0..50 {
+            let mut w = BitWriter::new();
+            let mut bits = Vec::new();
+            for _ in 0..next() % 200 {
+                let (value, count) = (next(), (next() % 58) as u8);
+                w.write_bits(value, count);
+                bits.extend((0..count).rev().map(|i| value >> i & 1 == 1));
+                assert_eq!(w.bit_len(), bits.len());
+            }
+            let packed: Vec<u8> = bits
+                .chunks(8)
+                .map(|byte| {
+                    byte.iter()
+                        .enumerate()
+                        .fold(0u8, |acc, (i, &b)| acc | u8::from(b) << (7 - i))
+                })
+                .collect();
+            assert_eq!(w.finish(), packed);
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! optional residual-subsequence entropy encoding (Section 5.2, option 1 of
 //! the paper) can reuse it.
 //!
-//! The encoder limits code lengths to [`MAX_CODE_LEN`] bits so the decoder
-//! can use a single flat lookup table.
+//! The encoder limits code lengths to [`MAX_CODE_LEN`] bits. The decoder
+//! builds one lookup table per stream, sized to that stream's longest code
+//! (capped at [`DEFAULT_DECODE_BITS`]), and escapes longer codes to a
+//! canonical per-length search.
 
 use crate::bitstream::BitWriter;
 use crate::error::{CodecError, Result};
@@ -226,23 +228,33 @@ fn canonical_codes(lengths: &[u8; ALPHABET]) -> [u16; ALPHABET] {
     codes
 }
 
-/// First-level table bits for the table-driven decoder, chosen by sweeping
-/// table sizes around this value: 11 bits covers every code the encoder
-/// emits on realistic skew while keeping the table at 2K entries (4 KiB,
-/// comfortably L1-resident); larger tables measured no faster and evict
-/// more of the caller's working set.
+/// Most first-level table bits a decoder uses: each stream's table has
+/// `min(longest code, 11)` bits, so streams whose codes all fit (every
+/// block the store writes) resolve each symbol in one probe, and the
+/// largest table is 2 Ki entries (4 KiB, L1-resident). Longer codes take a
+/// canonical per-length slow path.
 pub const DEFAULT_DECODE_BITS: u8 = 11;
+
+/// Entries of the largest first-level table.
+const TABLE_LEN: usize = 1 << DEFAULT_DECODE_BITS;
+
+/// Bits every word refill leaves buffered (see [`FastBits::refill_word`]).
+const REFILL_BITS: u32 = 56;
 
 /// Two-level decode structure for the table-driven fast path: a
 /// `2^bits`-entry first-level table resolves every code of ≤ `bits` bits in
 /// one lookup; rarer longer codes escape to a canonical per-length search.
 /// Rebuilt in place for each stream, so a reused table costs no allocation.
 struct FastDecodeTable {
-    /// First-level table size in bits (1..=[`MAX_CODE_LEN`]).
+    /// First-level table size in bits: the stream's longest code, capped at
+    /// [`DEFAULT_DECODE_BITS`] (at least 1).
     bits: u8,
-    /// `entries[prefix] = (symbol, len)`; `len == 0` marks an escape —
-    /// either a code longer than `bits` or an invalid prefix.
-    entries: Vec<(u8, u8)>,
+    /// Symbols every word refill decodes: [`REFILL_BITS`] / longest code.
+    per_refill: usize,
+    /// `entries[prefix] = len | symbol << 8` over the first `2^bits`
+    /// entries; `len == 0` marks an escape — either a code longer than
+    /// `bits` or an invalid prefix.
+    entries: Box<[u16; TABLE_LEN]>,
     /// `first_code[len]` = canonical code value of the first code of each
     /// length (the canonical construction assigns codes in (length, symbol)
     /// order, so codes of one length form one contiguous value range).
@@ -252,75 +264,100 @@ struct FastDecodeTable {
     /// `offset[len]` = index into `symbols` of the first symbol of `len`.
     offset: [u32; MAX_CODE_LEN as usize + 1],
     /// All coded symbols in canonical (length, symbol) order.
-    symbols: Vec<u8>,
+    symbols: [u8; ALPHABET],
 }
 
-impl FastDecodeTable {
-    fn new(bits: u8) -> Self {
+impl Default for FastDecodeTable {
+    fn default() -> Self {
         FastDecodeTable {
-            bits: bits.clamp(1, MAX_CODE_LEN),
-            entries: Vec::new(),
+            bits: 1,
+            per_refill: 0,
+            entries: Box::new([0; TABLE_LEN]),
             first_code: [0; MAX_CODE_LEN as usize + 1],
             count: [0; MAX_CODE_LEN as usize + 1],
             offset: [0; MAX_CODE_LEN as usize + 1],
-            symbols: Vec::new(),
+            symbols: [0; ALPHABET],
         }
     }
+}
 
+impl FastDecodeTable {
     /// Load the canonical code described by (validated) `lengths`. Codes
     /// are assigned exactly as [`canonical_codes`] does — shorter first,
     /// ties by symbol — but by counting per length instead of sorting.
     fn rebuild(&mut self, lengths: &[u8; ALPHABET]) {
-        let bits = self.bits;
-        self.entries.clear();
-        self.entries.resize(1usize << bits, (0, 0));
-        self.count = [0; MAX_CODE_LEN as usize + 1];
-        for &len in lengths {
-            self.count[len as usize] += 1;
+        // One pass over the lengths: four interleaved histograms, so the
+        // long runs of absent symbols do not serialise on one counter, and
+        // the present symbols compacted in ascending order without a branch.
+        const LENS: usize = MAX_CODE_LEN as usize + 1;
+        let mut histograms = [[0u32; LENS]; 4];
+        let mut present = [0u8; ALPHABET];
+        let mut n = 0usize;
+        let mut longest = 0u8;
+        for (quad, lens) in lengths.chunks_exact(4).enumerate() {
+            for (lane, &len) in lens.iter().enumerate() {
+                histograms[lane][usize::from(len) & (LENS - 1)] += 1;
+                present[n & (ALPHABET - 1)] = (quad * 4 + lane) as u8;
+                n += usize::from(len != 0);
+                longest = longest.max(len);
+            }
         }
+        let bits = longest.clamp(1, DEFAULT_DECODE_BITS);
+        self.bits = bits;
+        self.per_refill = (REFILL_BITS / u32::from(longest.max(1))) as usize;
         let mut code = 0u32;
         let mut total = 0u32;
-        for len in 1..=MAX_CODE_LEN as usize {
+        for len in 1..LENS {
+            let count = histograms.iter().map(|h| h[len]).sum();
+            self.count[len] = count;
             self.first_code[len] = code;
             self.offset[len] = total;
-            code = (code + self.count[len]) << 1;
-            total += self.count[len];
+            code = (code + count) << 1;
+            total += count;
         }
-        self.symbols.clear();
-        self.symbols.resize(total as usize, 0);
-        // Symbols ascend within each length, so handing out the next code
-        // and the next `symbols` slot of that length keeps canonical order.
-        let mut issued = [0u32; MAX_CODE_LEN as usize + 1];
-        for (symbol, &len) in lengths.iter().enumerate() {
-            if len == 0 {
-                continue;
+        // Symbols ascend within each length, so handing out the next
+        // `symbols` slot of that length keeps canonical order.
+        let mut issued = self.offset;
+        for &symbol in &present[..n] {
+            let len = usize::from(lengths[usize::from(symbol)]);
+            self.symbols[issued[len] as usize] = symbol;
+            issued[len] += 1;
+        }
+        // Codes of one length are consecutive, so each length fills one
+        // stretch of the table, `2^(bits - len)` entries per symbol.
+        for len in 1..=bits {
+            let first = self.offset[usize::from(len)] as usize;
+            let symbols = &self.symbols[first..first + self.count[usize::from(len)] as usize];
+            let shift = bits - len;
+            let from = (self.first_code[usize::from(len)] as usize) << shift;
+            let stretch = &mut self.entries[from..from + (symbols.len() << shift)];
+            match shift {
+                0 => fill_runs::<1>(stretch, symbols, len),
+                1 => fill_runs::<2>(stretch, symbols, len),
+                2 => fill_runs::<4>(stretch, symbols, len),
+                _ => fill_runs::<8>(stretch, symbols, len),
             }
-            let nth = issued[len as usize];
-            issued[len as usize] += 1;
-            self.symbols[(self.offset[len as usize] + nth) as usize] = symbol as u8;
-            if len <= bits {
-                let code = (self.first_code[len as usize] + nth) as usize;
-                let shift = bits - len;
-                self.entries[code << shift..(code + 1) << shift].fill((symbol as u8, len));
-            }
+        }
+        // Codes of ≤ `bits` bits cover one prefix of the table; the rest
+        // escapes.
+        let covered = (self.first_code[usize::from(bits)] + self.count[usize::from(bits)]) as usize;
+        self.entries[covered.min(1 << bits)..1 << bits].fill(0);
+    }
+
+    /// The loaded table as the decode loops use it.
+    fn lookup(&self) -> Lookup<'_> {
+        Lookup {
+            entries: &self.entries,
+            shift: 64 - u32::from(self.bits),
+            table: self,
         }
     }
 
-    /// Resolve the code at the head of a [`MAX_CODE_LEN`]-bit `peek`
-    /// (zero-padded past the end of the stream) to `(symbol, length)`.
-    #[inline]
-    fn decode(&self, peek: u32) -> Result<(u8, u8)> {
-        let (symbol, len) = self.entries[(peek >> (MAX_CODE_LEN - self.bits)) as usize];
-        if len != 0 {
-            Ok((symbol, len))
-        } else {
-            self.decode_long(peek)
-        }
-    }
-
-    /// Resolve a code longer than `self.bits` from a [`MAX_CODE_LEN`]-bit
-    /// peek via the canonical per-length ranges.
-    fn decode_long(&self, peek: u32) -> Result<(u8, u8)> {
+    /// Resolve a code longer than `self.bits` via the canonical per-length
+    /// ranges.
+    #[cold]
+    fn decode_long(&self, bitbuf: u64) -> Result<(u8, u8)> {
+        let peek = (bitbuf >> (64 - u32::from(MAX_CODE_LEN))) as u32;
         for len in (self.bits + 1)..=MAX_CODE_LEN {
             let code = peek >> (MAX_CODE_LEN - len);
             let first = self.first_code[len as usize];
@@ -330,6 +367,46 @@ impl FastDecodeTable {
             }
         }
         Err(CodecError::corrupt("invalid huffman code in stream"))
+    }
+}
+
+/// A loaded [`FastDecodeTable`] as the decode loops use it: the entry
+/// array and the shift that indexes it held in registers, the rest of the
+/// table for the slow path.
+#[derive(Clone, Copy)]
+struct Lookup<'t> {
+    entries: &'t [u16; TABLE_LEN],
+    /// `64 - bits`: shifts the head of a bit buffer down to a table index.
+    shift: u32,
+    table: &'t FastDecodeTable,
+}
+
+impl Lookup<'_> {
+    /// Resolve the code at the head of `bitbuf` (the next stream bits,
+    /// zero-padded past its end) to `(symbol, length)`.
+    #[inline(always)]
+    fn decode(self, bitbuf: u64) -> Result<(u8, u8)> {
+        let entry = self.entries[(bitbuf >> self.shift) as usize & (TABLE_LEN - 1)];
+        if entry as u8 != 0 {
+            Ok(((entry >> 8) as u8, entry as u8))
+        } else {
+            self.table.decode_long(bitbuf)
+        }
+    }
+}
+
+/// Fill `stretch` with the entries of `symbols`, all codes of `len` bits:
+/// each symbol owns `stretch.len() / symbols.len()` consecutive entries (a
+/// power of two, at least `N`), written `N` at a time.
+fn fill_runs<const N: usize>(stretch: &mut [u16], symbols: &[u8], len: u8) {
+    let Some(per_symbol) = stretch.len().checked_div(symbols.len()) else {
+        return;
+    };
+    for (run, &symbol) in stretch.chunks_exact_mut(per_symbol).zip(symbols) {
+        let entries = [u16::from(len) | u16::from(symbol) << 8; N];
+        for chunk in run.chunks_exact_mut(N) {
+            chunk.copy_from_slice(&entries);
+        }
     }
 }
 
@@ -357,39 +434,168 @@ impl<'a> FastBits<'a> {
         }
     }
 
-    /// Top up the bit buffer to ≥ 56 valid bits (or the end of the stream).
+    /// Top up the bit buffer to ≥ [`REFILL_BITS`] valid bits with one
+    /// word load; `false` (and nothing loaded) once fewer than eight bytes
+    /// remain.
+    #[inline(always)]
+    fn refill_word(&mut self) -> bool {
+        let Some(word) = self.buf[self.next..].first_chunk::<8>() else {
+            return false;
+        };
+        // Count only the whole bytes that fit. `nbits` stays ≤ 63 on this
+        // path (it only reaches 64 in `refill`'s byte loop, after which
+        // fewer than eight bytes remain for good).
+        self.bitbuf |= u64::from_be_bytes(*word) >> self.nbits;
+        let whole = (63 - self.nbits) / 8;
+        self.next += whole as usize;
+        self.nbits += whole * 8;
+        true
+    }
+
+    /// Top up the bit buffer to ≥ [`REFILL_BITS`] valid bits (or the end of
+    /// the stream).
     #[inline]
     fn refill(&mut self) {
-        if let Some(word) = self.buf[self.next..].first_chunk::<8>() {
-            // One load; count only the whole bytes that fit. `nbits` stays
-            // ≤ 63 on this path (it only reaches 64 in the byte loop
-            // below, after which fewer than eight bytes remain for good).
-            self.bitbuf |= u64::from_be_bytes(*word) >> self.nbits;
-            let whole = (63 - self.nbits) / 8;
-            self.next += whole as usize;
-            self.nbits += whole * 8;
+        if self.refill_word() {
             return;
         }
-        while self.nbits <= 56 && self.next < self.buf.len() {
+        while self.nbits <= REFILL_BITS && self.next < self.buf.len() {
             self.bitbuf |= u64::from(self.buf[self.next]) << (56 - self.nbits);
             self.next += 1;
             self.nbits += 8;
         }
     }
 
-    /// The next [`MAX_CODE_LEN`] bits, zero-padded past the end of the
-    /// stream.
-    #[inline]
-    fn peek(&self) -> u32 {
-        (self.bitbuf >> (64 - MAX_CODE_LEN as u32)) as u32
-    }
-
     /// Drop `n` buffered bits. Callers guarantee `n <= self.nbits`.
-    #[inline]
+    #[inline(always)]
     fn consume(&mut self, n: u8) {
         self.bitbuf <<= n;
         self.nbits -= u32::from(n);
     }
+
+    /// Decode one symbol with no length check: the caller has made sure
+    /// at least the table's longest code is buffered.
+    #[inline(always)]
+    fn decode_buffered(&mut self, lookup: Lookup<'_>) -> Result<u8> {
+        let (symbol, len) = lookup.decode(self.bitbuf)?;
+        self.consume(len);
+        Ok(symbol)
+    }
+}
+
+/// One stream being decoded: its table, bit cursor and output.
+struct Stream<'t, 'a, 'o> {
+    lookup: Lookup<'t>,
+    bits: FastBits<'a>,
+    dst: &'o mut [u8],
+    /// Symbols of `dst` decoded so far.
+    done: usize,
+}
+
+impl<'t, 'a, 'o> Stream<'t, 'a, 'o> {
+    /// Parse a [`compress`] buffer's header, load its code into `table` and
+    /// grow `out` by its symbol count; `None` for an empty stream.
+    fn open(
+        table: &'t mut FastDecodeTable,
+        input: &'a [u8],
+        out: &'o mut Vec<u8>,
+    ) -> Result<Option<Self>> {
+        let (raw_len, parsed) = parse_stream(input)?;
+        let Some((lengths, payload)) = parsed else {
+            return Ok(None);
+        };
+        table.rebuild(&lengths);
+        let start = out.len();
+        out.resize(start + raw_len, 0);
+        Ok(Some(Stream {
+            lookup: table.lookup(),
+            bits: FastBits::new(payload),
+            dst: &mut out[start..],
+            done: 0,
+        }))
+    }
+
+    /// Refill with one word load if the input has a word left and the
+    /// output room for a whole batch: then [`FastDecodeTable::per_refill`]
+    /// symbols decode with no per-symbol length check.
+    #[inline(always)]
+    fn batch_ready(&mut self) -> bool {
+        self.done + self.lookup.table.per_refill <= self.dst.len() && self.bits.refill_word()
+    }
+
+    /// Decode the rest of `dst`: whole batches while they fit, then one
+    /// symbol at a time, checking each code against the bits that remain.
+    fn finish(mut self) -> Result<()> {
+        let lookup = self.lookup;
+        while self.batch_ready() {
+            let end = self.done + lookup.table.per_refill;
+            for slot in &mut self.dst[self.done..end] {
+                *slot = self.bits.decode_buffered(lookup)?;
+            }
+            self.done = end;
+        }
+        let bits = &mut self.bits;
+        let mut slots = self.dst[self.done..].iter_mut();
+        loop {
+            bits.refill();
+            // With a whole code's worth of real bits buffered, whatever
+            // length the table reports is really there.
+            while bits.nbits >= u32::from(MAX_CODE_LEN) {
+                let Some(slot) = slots.next() else {
+                    return Ok(());
+                };
+                *slot = bits.decode_buffered(lookup)?;
+            }
+            if bits.next < bits.buf.len() {
+                continue;
+            }
+            // Tail: fewer than MAX_CODE_LEN real bits remain and the peek
+            // is zero-padded, so a decoded length must fit in what is left.
+            for slot in slots {
+                if bits.nbits == 0 {
+                    return Err(CodecError::UnexpectedEof {
+                        context: "huffman codes",
+                    });
+                }
+                let (symbol, len) = lookup.decode(bits.bitbuf)?;
+                if u32::from(len) > bits.nbits {
+                    return Err(CodecError::corrupt("invalid huffman code in stream"));
+                }
+                bits.consume(len);
+                *slot = symbol;
+            }
+            return Ok(());
+        }
+    }
+}
+
+/// Decode `a` and `b` in one loop, a batch of each per refill, so the two
+/// streams' table-load chains overlap; each finishes alone once either
+/// runs short of input or output.
+fn decode_interleaved(mut a: Stream<'_, '_, '_>, mut b: Stream<'_, '_, '_>) -> Result<()> {
+    let (lookup_a, lookup_b) = (a.lookup, b.lookup);
+    let (per_a, per_b) = (lookup_a.table.per_refill, lookup_b.table.per_refill);
+    let both = per_a.min(per_b);
+    while a.batch_ready() && b.batch_ready() {
+        let dst_a = &mut a.dst[a.done..a.done + per_a];
+        let dst_b = &mut b.dst[b.done..b.done + per_b];
+        let (head_a, tail_a) = dst_a.split_at_mut(both);
+        let (head_b, tail_b) = dst_b.split_at_mut(both);
+        for (slot_a, slot_b) in head_a.iter_mut().zip(head_b) {
+            *slot_a = a.bits.decode_buffered(lookup_a)?;
+            *slot_b = b.bits.decode_buffered(lookup_b)?;
+        }
+        for slot in tail_a {
+            *slot = a.bits.decode_buffered(lookup_a)?;
+        }
+        for slot in tail_b {
+            *slot = b.bits.decode_buffered(lookup_b)?;
+        }
+        a.done += per_a;
+        b.done += per_b;
+    }
+    a.finish()?;
+    b.finish()
 }
 
 /// Compress `input` with a canonical Huffman code trained on its own byte
@@ -453,95 +659,62 @@ fn parse_stream(input: &[u8]) -> Result<ParsedStream<'_>> {
 /// A reusable table-driven decoder: the decode tables live in the value
 /// and are rebuilt in place per stream, so a long-lived `Decoder` (one per
 /// thread in [`crate::zstdlike`]) decodes without allocating.
+#[derive(Default)]
 pub struct Decoder {
-    table: FastDecodeTable,
-}
-
-impl Default for Decoder {
-    fn default() -> Self {
-        Decoder::with_table_bits(DEFAULT_DECODE_BITS)
-    }
+    /// One table per stream of a [`Decoder::decompress_pair_into`] call.
+    tables: [FastDecodeTable; 2],
 }
 
 impl Decoder {
-    /// A decoder with an explicit first-level table size (clamped to
-    /// `1..=`[`MAX_CODE_LEN`]); every size decodes identically, only speed
-    /// differs.
-    pub fn with_table_bits(table_bits: u8) -> Self {
-        Decoder {
-            table: FastDecodeTable::new(table_bits),
-        }
-    }
-
     /// Decode a buffer produced by [`compress`], appending to `out`. On
     /// error `out` is left as it was.
     pub fn decompress_into(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        let (raw_len, parsed) = parse_stream(input)?;
-        let Some((lengths, payload)) = parsed else {
-            return Ok(());
-        };
-        self.table.rebuild(&lengths);
         let start = out.len();
-        out.resize(start + raw_len, 0);
-        let decoded = self.decode_symbols(payload, &mut out[start..]);
+        let decoded = match Stream::open(&mut self.tables[0], input, out) {
+            Ok(Some(stream)) => stream.finish(),
+            other => other.map(|_| ()),
+        };
         if decoded.is_err() {
             out.truncate(start);
         }
         decoded
     }
 
-    /// Fill `dst` with the next `dst.len()` symbols of `payload`.
-    fn decode_symbols(&self, payload: &[u8], dst: &mut [u8]) -> Result<()> {
-        let table = &self.table;
-        let mut bits = FastBits::new(payload);
-        let mut slots = dst.iter_mut();
-        loop {
-            bits.refill();
-            // With a whole code's worth of real bits buffered, whatever
-            // length the table reports is really there.
-            while bits.nbits >= u32::from(MAX_CODE_LEN) {
-                let Some(slot) = slots.next() else {
-                    return Ok(());
-                };
-                let (symbol, len) = table.decode(bits.peek())?;
-                bits.consume(len);
-                *slot = symbol;
+    /// Decode two independent [`compress`] buffers, appending each to its
+    /// own output, in one loop: each symbol waits on the previous one's
+    /// table load and shift, so interleaving the streams overlaps the two
+    /// dependency chains. The result equals two
+    /// [`Decoder::decompress_into`] calls; on error both outputs are left
+    /// as they were.
+    pub(crate) fn decompress_pair_into(
+        &mut self,
+        inputs: [&[u8]; 2],
+        outs: [&mut Vec<u8>; 2],
+    ) -> Result<()> {
+        let [out_a, out_b] = outs;
+        let starts = (out_a.len(), out_b.len());
+        let [table_a, table_b] = &mut self.tables;
+        let decoded = (|| {
+            let a = Stream::open(table_a, inputs[0], out_a)?;
+            let b = Stream::open(table_b, inputs[1], out_b)?;
+            match (a, b) {
+                (Some(a), Some(b)) => decode_interleaved(a, b),
+                (a, b) => a.into_iter().chain(b).try_for_each(Stream::finish),
             }
-            if bits.next < payload.len() {
-                continue;
-            }
-            // Tail: fewer than MAX_CODE_LEN real bits remain and the peek
-            // is zero-padded, so a decoded length must fit in what is left.
-            for slot in slots {
-                if bits.nbits == 0 {
-                    return Err(CodecError::UnexpectedEof {
-                        context: "huffman codes",
-                    });
-                }
-                let (symbol, len) = table.decode(bits.peek())?;
-                if u32::from(len) > bits.nbits {
-                    return Err(CodecError::corrupt("invalid huffman code in stream"));
-                }
-                bits.consume(len);
-                *slot = symbol;
-            }
-            return Ok(());
+        })();
+        if decoded.is_err() {
+            out_a.truncate(starts.0);
+            out_b.truncate(starts.1);
         }
+        decoded
     }
 }
 
-/// Decompress a buffer produced by [`compress`] — the table-driven fast
-/// path at [`DEFAULT_DECODE_BITS`].
+/// Decompress a buffer produced by [`compress`] with the table-driven
+/// decoder.
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
-    decompress_with_table_bits(input, DEFAULT_DECODE_BITS)
-}
-
-/// [`decompress`] with an explicit first-level table size (clamped to
-/// `1..=`[`MAX_CODE_LEN`]). Every size decodes identically, only speed
-/// differs.
-pub fn decompress_with_table_bits(input: &[u8], table_bits: u8) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    Decoder::with_table_bits(table_bits).decompress_into(input, &mut out)?;
+    Decoder::default().decompress_into(input, &mut out)?;
     Ok(out)
 }
 
@@ -750,8 +923,29 @@ mod tests {
         assert_eq!(decompress(&compressed).unwrap(), data);
     }
 
-    /// A few corpora with very different code-length shapes: flat 8-bit
-    /// codes, extreme skew (1-bit hot symbol + long tails), and mixed text.
+    /// Symbol `i` repeated `fib(i)` times for the first `symbols` symbols of
+    /// the alphabet (then shuffled): Fibonacci frequencies give the
+    /// deepest Huffman tree there is, `symbols - 1` levels, so from 17
+    /// symbols on the codes are length-limited at [`MAX_CODE_LEN`] and the
+    /// first-level table escapes to the slow path.
+    fn fibonacci_corpus(symbols: usize, seed: u64) -> Vec<u8> {
+        let (mut a, mut b) = (1usize, 1usize);
+        let mut data = Vec::new();
+        for symbol in 0..symbols {
+            data.extend(std::iter::repeat_n(symbol as u8, a));
+            (a, b) = (b, a + b);
+        }
+        let mut lcg = seed;
+        for i in (1..data.len()).rev() {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            data.swap(i, (lcg >> 33) as usize % (i + 1));
+        }
+        data
+    }
+
+    /// Corpora with very different code-length shapes: flat 8-bit codes,
+    /// extreme skew (1-bit hot symbol + long tails), Fibonacci skew whose
+    /// codes reach [`MAX_CODE_LEN`], and mixed text.
     fn differential_corpora() -> Vec<Vec<u8>> {
         let mut skewed = vec![b'a'; 20_000];
         for i in 0..ALPHABET {
@@ -771,50 +965,105 @@ mod tests {
             (0..=255u8).cycle().take(4_096).collect(),
             b"x".repeat(3_000),
             b"ab".repeat(1_500),
+            fibonacci_corpus(12, 1),
+            fibonacci_corpus(18, 2),
+            fibonacci_corpus(24, 3),
         ]
     }
 
     #[test]
-    fn table_driven_decoders_agree_with_branchy_at_every_table_size() {
+    fn fibonacci_corpora_reach_the_longest_code() {
+        for (symbols, want) in [(12, 11), (18, MAX_CODE_LEN), (24, MAX_CODE_LEN)] {
+            let data = fibonacci_corpus(symbols, 0);
+            let compressed = compress(&data);
+            let (_, parsed) = parse_stream(&compressed).unwrap();
+            let (lengths, _) = parsed.unwrap();
+            assert_eq!(lengths.iter().max(), Some(&want), "{symbols} symbols");
+        }
+    }
+
+    #[test]
+    fn table_driven_decoders_agree_with_branchy() {
+        let mut decoder = Decoder::default();
         for data in differential_corpora() {
             let compressed = compress(&data);
             let branchy = decompress_branchy(&compressed).unwrap();
             assert_eq!(branchy, data);
-            for bits in 1..=MAX_CODE_LEN {
-                assert_eq!(
-                    decompress_with_table_bits(&compressed, bits).unwrap(),
-                    branchy,
-                    "table bits {bits}"
-                );
+            assert_eq!(decompress(&compressed).unwrap(), branchy);
+            // A reused decoder, appending after what is already there.
+            let mut out = b"prefix".to_vec();
+            decoder.decompress_into(&compressed, &mut out).unwrap();
+            assert_eq!(&out[6..], branchy.as_slice());
+        }
+    }
+
+    #[test]
+    fn pair_decode_equals_two_single_decodes() {
+        let corpora = differential_corpora();
+        let streams: Vec<Vec<u8>> = corpora.iter().map(|d| compress(d)).collect();
+        let empty = compress(b"");
+        let mut decoder = Decoder::default();
+        for (a, data_a) in streams.iter().zip(&corpora) {
+            for (b, data_b) in streams.iter().zip(&corpora).chain([(&empty, &Vec::new())]) {
+                let (mut out_a, mut out_b) = (b"A".to_vec(), b"BB".to_vec());
+                decoder
+                    .decompress_pair_into([a, b], [&mut out_a, &mut out_b])
+                    .unwrap();
+                assert_eq!(&out_a[1..], data_a.as_slice());
+                assert_eq!(&out_b[2..], data_b.as_slice());
             }
         }
     }
 
     #[test]
     fn table_and_branchy_decoders_reject_the_same_corrupt_streams() {
-        let data = b"hello hello hello hello hello hello hello".to_vec();
-        let good = compress(&data);
         // Truncations at every point of the payload, plus single bit flips:
-        // the two decoders must agree that each stream is bad (the exact
-        // error message may differ, failing at all must not).
-        for cut in (good.len() - 6)..good.len() {
-            let mut bad = good.clone();
-            bad.truncate(cut);
-            assert_eq!(
-                decompress_branchy(&bad).is_err(),
-                decompress(&bad).is_err(),
-                "truncation at {cut}"
-            );
-        }
-        for byte in 0..good.len() {
-            for bit in [0u8, 4] {
-                let mut bad = good.clone();
-                bad[byte] ^= 1 << bit;
-                let (a, b) = (decompress_branchy(&bad), decompress(&bad));
-                match (a, b) {
-                    (Ok(x), Ok(y)) => assert_eq!(x, y, "flip {byte}/{bit}"),
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!("decoders disagree on flip {byte}/{bit}: {a:?} vs {b:?}"),
+        // the decoders must agree that each stream is bad (the exact error
+        // message may differ, failing at all must not), the pair decoder
+        // too, and a failed decode leaves both outputs as they were.
+        let partner = compress(&fibonacci_corpus(14, 9));
+        let mut decoder = Decoder::default();
+        let mut check = |bad: &[u8], what: &str| {
+            let branchy = decompress_branchy(bad);
+            match (&branchy, decompress(bad)) {
+                (Ok(x), Ok(y)) => assert_eq!(x, &y, "{what}"),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("decoders disagree on {what}: {a:?} vs {b:?}"),
+            }
+            for swap in [false, true] {
+                let (mut first, mut second) = (b"1".to_vec(), b"2".to_vec());
+                let inputs = if swap {
+                    [&partner[..], bad]
+                } else {
+                    [bad, &partner[..]]
+                };
+                let paired = decoder.decompress_pair_into(inputs, [&mut first, &mut second]);
+                assert_eq!(paired.is_err(), branchy.is_err(), "pair on {what}");
+                if paired.is_err() {
+                    assert_eq!(
+                        (first.as_slice(), second.as_slice()),
+                        (&b"1"[..], &b"2"[..])
+                    );
+                } else if let Ok(expected) = &branchy {
+                    let got = if swap { &second[1..] } else { &first[1..] };
+                    assert_eq!(got, expected.as_slice(), "pair on {what}");
+                }
+            }
+        };
+        let corpora = [
+            b"hello hello hello hello hello hello hello".to_vec(),
+            fibonacci_corpus(17, 4),
+        ];
+        for data in corpora {
+            let good = compress(&data);
+            for cut in (good.len().saturating_sub(40))..good.len() {
+                check(&good[..cut], &format!("truncation at {cut}"));
+            }
+            for byte in 0..good.len() {
+                for bit in [0u8, 4] {
+                    let mut bad = good.clone();
+                    bad[byte] ^= 1 << bit;
+                    check(&bad, &format!("flip {byte}/{bit}"));
                 }
             }
         }

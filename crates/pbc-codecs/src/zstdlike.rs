@@ -19,6 +19,21 @@
 //!
 //! Each block starts with a flag byte (0 = raw, 1 = Huffman) and a varint
 //! payload length, mirroring Zstd's per-block entropy mode selection.
+//!
+//! ## Decode kernel
+//!
+//! Every cold point read of a `Zstd(dict)` segment decodes one whole block
+//! here, so the decoder is built for block-sized streams:
+//!
+//! * when both streams are Huffman-coded they decode together in one loop
+//!   (`huffman::Decoder::decompress_pair_into`), so the two per-symbol
+//!   table-load chains overlap; a raw stream is borrowed from the input;
+//! * the sequences are parsed and checked to produce exactly `raw_len`
+//!   bytes from the literals available before the output is touched;
+//! * execution then grows the output once, by `raw_len` plus 16 bytes of
+//!   slack, and copies literal runs and matches at least 16 bytes back in
+//!   16-byte chunks ("wild copies"); overlapping matches and dictionary
+//!   copies without room copy exactly.
 
 use crate::error::{CodecError, Result};
 use crate::huffman;
@@ -136,15 +151,32 @@ impl ZstdLike {
                 huffman,
             } = scratch;
             let (token_count, pos) = varint::read_usize(input, pos)?;
-            let (literals, pos) = read_block(input, pos, literals, huffman)?;
-            let (sequences, _pos) = read_block(input, pos, sequences, huffman)?;
-            parse_sequences(sequences, token_count, literals.len(), raw_len, seqs)?;
-            let base = out.len();
-            out.reserve(raw_len);
-            let executed = execute_sequences(seqs, literals, dict, base, out);
-            if executed.is_err() {
-                out.truncate(base);
+            let (literal_block, pos) = read_block(input, pos)?;
+            let (sequence_block, _pos) = read_block(input, pos)?;
+            literals.clear();
+            sequences.clear();
+            match (literal_block, sequence_block) {
+                (Block::Huffman(l), Block::Huffman(s)) => {
+                    huffman.decompress_pair_into([l, s], [literals, sequences])?;
+                }
+                (l, s) => {
+                    for (block, scratch) in [(l, &mut *literals), (s, &mut *sequences)] {
+                        if let Block::Huffman(payload) = block {
+                            huffman.decompress_into(payload, scratch)?;
+                        }
+                    }
+                }
             }
+            let sequences = sequence_block.bytes(sequences);
+            let literal_len = literal_block.bytes(literals).len();
+            parse_sequences(sequences, token_count, literal_len, raw_len, seqs)?;
+            // Decoded literals get `WILD` bytes of padding, so every literal
+            // run can be copied in whole chunks.
+            if let Block::Huffman(_) = literal_block {
+                literals.resize(literal_len + WILD, 0);
+            }
+            let executed =
+                execute_sequences(seqs, literal_block.bytes(literals), dict, raw_len, out);
             scratch.release_oversized();
             executed
         })
@@ -211,8 +243,8 @@ fn parse_sequences(
     // `token_count` is untrusted: every token consumes sequence bytes, so
     // the loop ends with the stream, and nothing is reserved from the count.
     for i in 0..token_count {
-        let (lit_len, p) = varint::read_usize(sequences, pos)?;
-        let (offset, p) = varint::read_usize(sequences, p)?;
+        let (lit_len, p) = read_len(sequences, pos)?;
+        let (offset, p) = read_len(sequences, p)?;
         pos = p;
         lit_total = lit_total.saturating_add(lit_len);
         let mut seq = Seq {
@@ -226,7 +258,7 @@ fn parse_sequences(
                 return Err(CodecError::corrupt("zstd terminal token before end"));
             }
         } else {
-            let (len_code, p) = varint::read_usize(sequences, pos)?;
+            let (len_code, p) = read_len(sequences, pos)?;
             pos = p;
             seq.match_len = narrow(len_code.saturating_add(MIN_MATCH))?;
         }
@@ -248,55 +280,125 @@ fn parse_sequences(
     Ok(())
 }
 
-/// Run parsed sequences, appending to `out`; `base` is where this stream's
-/// output starts, so a match reaching back past it reads the tail of
-/// `dict`. [`parse_sequences`] already bounded the literal runs.
+/// A sequence-stream varint, with the single-byte case (nearly every
+/// length and offset of a block) inline.
+#[inline(always)]
+fn read_len(sequences: &[u8], pos: usize) -> Result<(usize, usize)> {
+    match sequences.get(pos) {
+        Some(&byte) if byte < 0x80 => Ok((usize::from(byte), pos + 1)),
+        _ => varint::read_usize(sequences, pos),
+    }
+}
+
+/// Chunk size of the wild copies in [`execute_sequences`], and the slack
+/// they need past the end of what they copy.
+const WILD: usize = 16;
+
+/// Run parsed sequences, appending exactly `raw_len` bytes to `out` (on
+/// error `out` is left as it was). A match reaching back past the start of
+/// this stream's output reads the tail of `dict`. [`parse_sequences`]
+/// already proved the sequences produce `raw_len` bytes from the literals
+/// available, so `out` grows once, by `raw_len` plus [`WILD`] bytes of
+/// slack, and literal runs and matches at least [`WILD`] bytes back copy
+/// in whole [`WILD`]-byte chunks that may overrun into bytes the next
+/// sequence (or the final truncation) overwrites. `literals` may carry
+/// padding past the literal stream; runs too close to its end, dictionary
+/// copies without room, and overlapping matches copy exactly.
 fn execute_sequences(
     seqs: &[Seq],
     literals: &[u8],
     dict: &[u8],
-    base: usize,
+    raw_len: usize,
     out: &mut Vec<u8>,
 ) -> Result<()> {
+    let base = out.len();
+    out.resize(base + raw_len + WILD, 0);
+    let executed = execute_into(seqs, literals, dict, &mut out[base..]);
+    out.truncate(if executed.is_ok() {
+        base + raw_len
+    } else {
+        base
+    });
+    executed
+}
+
+/// [`execute_sequences`] over the stream's own output, `raw_len` bytes
+/// plus [`WILD`] of slack.
+fn execute_into(seqs: &[Seq], literals: &[u8], dict: &[u8], buf: &mut [u8]) -> Result<()> {
     let mut lit_pos = 0usize;
+    let mut op = 0usize;
     for seq in seqs {
-        let lit_end = lit_pos + seq.lit_len as usize;
-        out.extend_from_slice(&literals[lit_pos..lit_end]);
-        lit_pos = lit_end;
+        let lit_len = seq.lit_len as usize;
+        if lit_pos + lit_len + WILD <= literals.len() {
+            wild_copy(&literals[lit_pos..], &mut buf[op..], lit_len);
+        } else {
+            buf[op..op + lit_len].copy_from_slice(&literals[lit_pos..lit_pos + lit_len]);
+        }
+        lit_pos += lit_len;
+        op += lit_len;
         if seq.offset == 0 {
             break;
         }
         let offset = seq.offset as usize;
         let mut remaining = seq.match_len as usize;
-        let produced = out.len() - base;
-        if offset > produced {
+        if offset > op {
             // The match starts in the dictionary (and may run on into the
             // output, which then continues `offset` bytes back as usual).
-            let back = offset - produced;
+            let back = offset - op;
             let start = dict
                 .len()
                 .checked_sub(back)
                 .ok_or(CodecError::InvalidOffset {
                     offset,
-                    position: dict.len() + produced,
+                    position: dict.len() + op,
                 })?;
             let n = remaining.min(back);
-            out.extend_from_slice(&dict[start..start + n]);
+            if n + WILD <= back {
+                wild_copy(&dict[start..], &mut buf[op..], n);
+            } else {
+                buf[op..op + n].copy_from_slice(&dict[start..start + n]);
+            }
+            op += n;
             remaining -= n;
             if remaining == 0 {
                 continue;
             }
         }
-        // Chunked copy; when the source overlaps the bytes being written
-        // (offset < length) each pass doubles the repeated run.
-        let start = out.len() - offset;
-        while remaining > 0 {
-            let n = remaining.min(out.len() - start);
-            out.extend_from_within(start..start + n);
-            remaining -= n;
+        if offset >= WILD {
+            // Each chunk reads bytes at least `WILD` behind the one it
+            // writes, all of them already final.
+            let mut from = op - offset;
+            let end = op + remaining;
+            while op < end {
+                buf.copy_within(from..from + WILD, op);
+                from += WILD;
+                op += WILD;
+            }
+            op = end;
+        } else {
+            // Overlapping run (offset < length): each pass doubles the
+            // repeated run.
+            let start = op - offset;
+            while remaining > 0 {
+                let n = remaining.min(op - start);
+                buf.copy_within(start..start + n, op);
+                op += n;
+                remaining -= n;
+            }
         }
     }
     Ok(())
+}
+
+/// Copy `len` bytes of `src` to `dst` in whole [`WILD`]-byte chunks: up to
+/// `WILD - 1` bytes past `len` are read and written too.
+#[inline(always)]
+fn wild_copy(src: &[u8], dst: &mut [u8], len: usize) {
+    let mut at = 0;
+    while at < len {
+        dst[at..at + WILD].copy_from_slice(&src[at..at + WILD]);
+        at += WILD;
+    }
 }
 
 /// Write an entropy-coded block: pick raw or Huffman, whichever is smaller.
@@ -313,14 +415,27 @@ fn write_block(out: &mut Vec<u8>, payload: &[u8]) {
     }
 }
 
-/// Read a block written by [`write_block`]: a raw payload is borrowed from
-/// `input`, an entropy-coded one is decoded into `scratch`.
-fn read_block<'a>(
-    input: &'a [u8],
-    pos: usize,
-    scratch: &'a mut Vec<u8>,
-    huffman: &mut huffman::Decoder,
-) -> Result<(&'a [u8], usize)> {
+/// A block written by [`write_block`]: a raw payload, or an entropy-coded
+/// one still to be decoded.
+#[derive(Clone, Copy)]
+enum Block<'a> {
+    Raw(&'a [u8]),
+    Huffman(&'a [u8]),
+}
+
+impl<'a> Block<'a> {
+    /// The block's bytes: a raw payload borrowed from the input, or
+    /// `decoded` — where an entropy-coded payload was decoded to.
+    fn bytes(self, decoded: &'a [u8]) -> &'a [u8] {
+        match self {
+            Block::Raw(payload) => payload,
+            Block::Huffman(_) => decoded,
+        }
+    }
+}
+
+/// Read the framing of a block written by [`write_block`].
+fn read_block(input: &[u8], pos: usize) -> Result<(Block<'_>, usize)> {
     let flag = *input.get(pos).ok_or(CodecError::UnexpectedEof {
         context: "zstd block flag",
     })?;
@@ -332,16 +447,12 @@ fn read_block<'a>(
             context: "zstd block payload",
         })?;
     let payload = &input[pos..end];
-    let data = match flag {
-        0 => payload,
-        1 => {
-            scratch.clear();
-            huffman.decompress_into(payload, scratch)?;
-            scratch.as_slice()
-        }
+    let block = match flag {
+        0 => Block::Raw(payload),
+        1 => Block::Huffman(payload),
         _ => return Err(CodecError::corrupt("unknown zstd block flag")),
     };
-    Ok((data, end))
+    Ok((block, end))
 }
 
 impl Codec for ZstdLike {
@@ -472,13 +583,32 @@ mod tests {
             .decompress_with_dict_into(&compressed, &dict, record.len(), &mut out)
             .unwrap();
         assert_eq!(out, [b"already here".as_slice(), &record].concat());
-        // Overlapping runs (offset < length) without a dictionary.
-        for run in [b"a".repeat(1000), b"abc".repeat(333), b"ab".repeat(7)] {
-            let mut out = vec![0xEE; 3];
-            codec
-                .decompress_with_dict_into(&codec.compress(&run), &[], usize::MAX, &mut out)
-                .unwrap();
-            assert_eq!(&out[3..], run);
+        // Runs of every period around the wild-copy chunk: overlapping
+        // (offset < length) and not, without a dictionary.
+        for period in 1..=40u8 {
+            for len in [7, 100, 1000] {
+                let run: Vec<u8> = (0..period).cycle().take(len).collect();
+                let mut out = vec![0xEE; 3];
+                codec
+                    .decompress_with_dict_into(&codec.compress(&run), &[], usize::MAX, &mut out)
+                    .unwrap();
+                assert_eq!(&out[3..], run, "period {period}, length {len}");
+            }
+        }
+        // Matches that start in the dictionary and end anywhere in or
+        // just past it, of lengths around the wild-copy chunk.
+        let dict: Vec<u8> = (0..64u8).map(|i| b'A' + i % 58).collect();
+        for start in 0..dict.len() - 4 {
+            for len in [4, 15, 16, 17, 31, 33] {
+                let end = (start + len).min(dict.len());
+                let record = [&dict[start..end], b"|tail|".as_slice(), &dict[start..end]].concat();
+                let compressed = codec.compress_with_dict(&record, &dict);
+                assert_eq!(
+                    codec.decompress_with_dict(&compressed, &dict).unwrap(),
+                    record,
+                    "dictionary match at {start}, length {len}"
+                );
+            }
         }
     }
 

@@ -7,8 +7,10 @@ use proptest::prelude::*;
 
 use pbc::archive::codec::serialized_len;
 use pbc::archive::{
-    build_codec, ArchiveError, CodecSpec, Entry, SegmentConfig, SegmentReader, SegmentWriter,
+    build_codec, ArchiveError, BlockCodec, CodecSpec, Entry, SegmentConfig, SegmentReader,
+    SegmentWriter,
 };
+use pbc::codecs::lz77::MIN_MATCH;
 use pbc::codecs::traits::{Codec, TrainableCodec};
 use pbc::codecs::{fsst, huffman, varint, FsstCodec, Lz4Like, LzmaLike, SnappyLike, ZstdLike};
 use pbc::core::matching::{match_record, reassemble};
@@ -288,6 +290,183 @@ fn trained_kernels() -> &'static TrainedKernels {
             compressed,
         }
     })
+}
+
+// ---------------- Zstd(dict) block decode kernel ----------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn zstd_decode_kernel_agrees_with_the_reference_on_damaged_blocks(
+        pick in any::<usize>(),
+        raw_block in 0usize..3,
+        flips in vec((any::<usize>(), any::<u8>()), 0..3),
+        cut in any::<usize>(),
+        junk in vec(any::<u8>(), 0..12),
+        prefix in vec(any::<u8>(), 0..8),
+    ) {
+        // A real `Zstd(dict)` block — as written, or rebuilt with its
+        // literal (1) or sequence (2) stream in a raw-flag block — damaged:
+        // bytes flipped, cut short when `cut` is even, extended with junk;
+        // or, when `pick` says so, nothing but junk.
+        let blocks = zstd_blocks();
+        let mut data = if pick.is_multiple_of(5) {
+            Vec::new()
+        } else {
+            let block = &blocks.compressed[pick % blocks.compressed.len()];
+            if raw_block == 0 { block.clone() } else { with_raw_stream(block, raw_block - 1) }
+        };
+        for &(at, bits) in &flips {
+            if !data.is_empty() {
+                let at = at % data.len();
+                data[at] ^= bits;
+            }
+        }
+        if cut.is_multiple_of(2) {
+            data.truncate(cut / 2 % (data.len() + 1));
+        }
+        data.extend_from_slice(&junk);
+        let max_len = 64 * 1024;
+        let expected = reference_zstd_decode(&data, &blocks.dictionary, max_len);
+        let mut out = prefix.clone();
+        let got = blocks.codec.decompress_with_dict_into(&data, &blocks.dictionary, max_len, &mut out);
+        match (got, expected) {
+            (Ok(()), Some(expected)) => {
+                prop_assert_eq!(&out[..prefix.len()], prefix.as_slice());
+                prop_assert_eq!(&out[prefix.len()..], expected.as_slice());
+            }
+            (Err(_), None) => prop_assert_eq!(&out, &prefix),
+            (got, expected) => prop_assert!(
+                false,
+                "kernel {:?}, reference {}",
+                got,
+                if expected.is_some() { "Ok" } else { "Err" }
+            ),
+        }
+    }
+}
+
+/// `kv2` in 8 KiB `Zstd(dict)` blocks: the codec, its dictionary, and
+/// every block compressed.
+struct ZstdBlocks {
+    codec: ZstdLike,
+    dictionary: Vec<u8>,
+    compressed: Vec<Vec<u8>>,
+}
+
+fn zstd_blocks() -> &'static ZstdBlocks {
+    static BLOCKS: OnceLock<ZstdBlocks> = OnceLock::new();
+    BLOCKS.get_or_init(|| {
+        let entries: Vec<Entry> = Dataset::Kv2
+            .generate(600, 11)
+            .into_iter()
+            .enumerate()
+            .map(|(i, value)| (format!("key:{i:06}").into_bytes(), value))
+            .collect();
+        let blocks: Vec<&[Entry]> = entries.chunks(80).collect();
+        let codec = build_codec(&CodecSpec::Zstd { level: 3 }, blocks[0]);
+        let compressed = blocks.iter().map(|b| codec.compress_block(b)).collect();
+        let BlockCodec::Zstd { codec, dictionary } = codec else {
+            unreachable!("a Zstd spec builds a Zstd codec")
+        };
+        ZstdBlocks {
+            codec,
+            dictionary: dictionary.to_vec(),
+            compressed,
+        }
+    })
+}
+
+/// `block` rebuilt with its literal (`which == 0`) or sequence stream
+/// stored in a raw-flag block and the other Huffman-coded.
+fn with_raw_stream(block: &[u8], which: usize) -> Vec<u8> {
+    let (raw_len, tokens, streams, _) = reference_streams(block).expect("a well-formed block");
+    let mut out = Vec::new();
+    varint::write_usize(&mut out, raw_len);
+    varint::write_usize(&mut out, tokens);
+    for (i, stream) in streams.iter().enumerate() {
+        let payload = if i == which {
+            stream.clone()
+        } else {
+            huffman::compress(stream)
+        };
+        out.push(u8::from(i != which));
+        varint::write_usize(&mut out, payload.len());
+        out.extend_from_slice(&payload);
+    }
+    out
+}
+
+/// The framing of a `ZstdLike` stream, read plainly: declared length,
+/// token count, and the literal and sequence streams, one at a time.
+fn reference_streams(input: &[u8]) -> Option<(usize, usize, [Vec<u8>; 2], usize)> {
+    let (raw_len, pos) = varint::read_usize(input, 0).ok()?;
+    if raw_len == 0 {
+        return Some((0, 0, [Vec::new(), Vec::new()], pos));
+    }
+    let (tokens, mut pos) = varint::read_usize(input, pos).ok()?;
+    let mut streams = [Vec::new(), Vec::new()];
+    for stream in &mut streams {
+        let flag = *input.get(pos)?;
+        let (len, start) = varint::read_usize(input, pos + 1).ok()?;
+        pos = start.checked_add(len)?;
+        let payload = input.get(start..pos)?;
+        match flag {
+            0 => stream.extend_from_slice(payload),
+            1 => huffman::Decoder::default()
+                .decompress_into(payload, stream)
+                .ok()?,
+            _ => return None,
+        }
+    }
+    Some((raw_len, tokens, streams, pos))
+}
+
+/// The `Zstd(dict)` decoder as first written: streams decoded one at a
+/// time, sequences parsed with every check, literals appended with
+/// `extend_from_slice` and matches copied a byte at a time through the
+/// dictionary-then-output window. `None` on any error.
+fn reference_zstd_decode(input: &[u8], dict: &[u8], max_len: usize) -> Option<Vec<u8>> {
+    let (raw_len, _) = varint::read_usize(input, 0).ok()?;
+    if raw_len > max_len {
+        return None;
+    }
+    let (raw_len, tokens, [literals, sequences], _) = reference_streams(input)?;
+    let (mut pos, mut lit_total, mut total, mut parsed) = (0, 0usize, 0usize, Vec::new());
+    let read = |pos: &mut usize| -> Option<usize> {
+        let (value, next) = varint::read_usize(&sequences, *pos).ok()?;
+        *pos = next;
+        u32::try_from(value).ok().map(|v| v as usize)
+    };
+    for i in 0..tokens {
+        let (lit_len, offset) = (read(&mut pos)?, read(&mut pos)?);
+        let match_len = match offset {
+            0 if i + 1 != tokens => return None,
+            0 => 0,
+            _ => u32::try_from(read(&mut pos)? + MIN_MATCH).ok()? as usize,
+        };
+        lit_total = lit_total.saturating_add(lit_len);
+        total = total.saturating_add(lit_len + match_len);
+        parsed.push((lit_len, offset, match_len));
+    }
+    if lit_total > literals.len() || total != raw_len {
+        return None;
+    }
+    let (mut out, mut lit_pos) = (Vec::new(), 0);
+    for (lit_len, offset, match_len) in parsed {
+        out.extend_from_slice(&literals[lit_pos..lit_pos + lit_len]);
+        lit_pos += lit_len;
+        for _ in 0..match_len {
+            let at = (dict.len() + out.len()).checked_sub(offset)?;
+            out.push(if at < dict.len() {
+                dict[at]
+            } else {
+                out[at - dict.len()]
+            });
+        }
+    }
+    Some(out)
 }
 
 // ---------------- archive segments ----------------
