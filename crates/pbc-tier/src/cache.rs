@@ -1,12 +1,32 @@
-//! Scan-resistant block cache for cold reads.
+//! The cold read path's one cache: records for point gets, blocks for
+//! scans, one 2Q policy over one byte budget.
 //!
-//! LeCo's lesson (PAPERS.md) is that lightweight per-block codecs pay off
-//! when random access stays cheap through a block-granular cache: a cold
-//! `get` decodes a whole ~64 KiB block anyway, so keeping the decoded block
-//! around makes the next hit on it free. Capacity is accounted in decoded
-//! **bytes**, not block count, so mixed block sizes cannot blow the budget:
-//! each block is charged its [`DecodedBlock::heap_bytes`] — the flat byte
-//! buffer plus the offsets table, i.e. what the cache really pins.
+//! A block-granular cache pays off when accesses cluster inside blocks, the
+//! access pattern LeCo (PAPERS.md) assumes. A hashed or zipfian key space
+//! has no such locality: the hot key of an 8 KiB block sits among ~40 cold
+//! neighbours, so caching the whole decoded block spends ~9 KiB of budget
+//! to keep one record. The paper's case for per-record compression is
+//! exactly this lookup pattern. So the cache holds two kinds of entry:
+//!
+//! * a **record** — `(segment id, key) →` the key's stored bytes in that
+//!   segment, or a *negative* entry saying the segment does not hold the
+//!   key. Segments are immutable and ids are never reused, so a record
+//!   entry cannot go stale; it leaves with its segment
+//!   ([`BlockCache::evict_segments`]) or under capacity pressure;
+//! * a **block** — `(segment id, block index) → Arc<DecodedBlock>`, what
+//!   range scans read through.
+//!
+//! Admission follows one rule: **never evict for bytes nobody asked for.**
+//! A point get that had to decode admits the record it resolved (evicting
+//! if it must) and offers the decoded block to the *free* budget only: the
+//! block is kept when it fits without evicting anything. A cache with room
+//! to spare (the whole cold set fits) therefore still fills with blocks
+//! and serves neighbours of a missed key; a full cache converges to the
+//! records that are actually read. Scans admit blocks as before.
+//!
+//! Every entry is charged what it pins: a block its
+//! [`DecodedBlock::heap_bytes`], a record its key and stored bytes plus
+//! [`RECORD_OVERHEAD`] for its slab and map slots and its allocations.
 //!
 //! # Replacement policy: 2Q
 //!
@@ -14,7 +34,7 @@
 //! `range_scan` streams every candidate block through the cache exactly
 //! once, and under LRU each of those single-use blocks lands at the MRU
 //! position — flushing the point-lookup working set. 2Q splits the budget
-//! into two recency queues:
+//! into two recency queues, shared by both entry kinds:
 //!
 //! ```text
 //!   insert ──► [ probation (≤ ¼ capacity) ] ──evict──► gone
@@ -23,103 +43,66 @@
 //!              [ protected (rest) ] ──over target──► demoted to probation MRU
 //! ```
 //!
-//! Every admission enters **probation**; a block only reaches **protected**
-//! by being referenced again while still resident. Capacity evictions take
-//! the probation LRU first, so a scan's one-touch blocks churn through the
-//! small probationary region and the re-referenced hot set in protected
-//! survives.
+//! Every admission enters **probation**; an entry only reaches
+//! **protected** by being referenced again while still resident. Capacity
+//! evictions take the probation LRU first, so a scan's one-touch blocks
+//! churn through the small probationary region and the re-referenced hot
+//! set in protected survives.
+//!
+//! Entries are filed per segment, so retiring a segment costs its own
+//! entries, not a walk over the whole cache under the lock.
 
-use std::collections::{BTreeMap, HashMap};
+use std::mem::size_of;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pbc_archive::DecodedBlock;
 use pbc_obs::Counter;
 
-/// Cache key: `(segment id, block index)`.
+use crate::twoq::{Entry, EntryName, Node, SegmentSlots, TwoQ};
+
+/// Cache key of a block entry: `(segment id, block index)`.
 pub type BlockKey = (u64, usize);
 
 /// Fraction of capacity reserved for the probationary queue: ¼, the
 /// classic 2Q "Kin" sizing.
 const PROBATION_FRACTION: usize = 4;
 
-/// A decoded block kept by the cache.
-struct Slot {
-    block: Arc<DecodedBlock>,
-    bytes: usize,
-    /// Recency tick of the most recent touch; also this slot's key in its
-    /// queue's recency index.
-    tick: u64,
-    /// Which queue the slot currently lives in.
-    protected: bool,
+/// Heap bytes a record entry pins beyond its key and stored bytes: its
+/// slab slot and its segment-map slot, each doubled for slack (a slab or
+/// hash table runs between half and fully used), plus two
+/// reference-counted allocations (key and stored bytes), each with its
+/// two counts and an allocator header.
+pub const RECORD_OVERHEAD: usize = 2
+    * (size_of::<(Node, Option<Entry>)>() + size_of::<(Arc<[u8]>, u32)>() + 1)
+    + 2 * (2 * size_of::<usize>() + 16);
+
+/// What a cache entry holds, as a lookup returns it
+/// ([`BlockCache::point_get`]).
+#[derive(Debug, Clone)]
+pub enum Cached {
+    /// A record entry: the key's stored bytes in that segment, or `None`
+    /// when the segment does not hold the key.
+    Record(Option<Arc<[u8]>>),
+    /// The block entry of the key's candidate block, for the caller to
+    /// search.
+    Block(Arc<DecodedBlock>),
 }
 
-#[derive(Default)]
-struct CacheInner {
-    map: HashMap<BlockKey, Slot>,
-    /// Probationary recency index: tick -> block. Ticks are unique, so the
-    /// smallest entry is always the least recently used block.
-    probation: BTreeMap<u64, BlockKey>,
-    /// Protected recency index.
-    protected: BTreeMap<u64, BlockKey>,
-    probation_bytes: usize,
-    protected_bytes: usize,
-    tick: u64,
+/// The bytes a record entry is charged (see [`RECORD_OVERHEAD`]).
+fn record_charge(key: &[u8], stored: Option<&[u8]>) -> usize {
+    RECORD_OVERHEAD + key.len() + stored.map_or(0, <[u8]>::len)
 }
 
-impl CacheInner {
-    fn total_bytes(&self) -> usize {
-        self.probation_bytes + self.protected_bytes
-    }
-
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Remove `key` wherever it lives, fixing queue byte accounting.
-    fn remove(&mut self, key: &BlockKey) -> Option<Slot> {
-        let slot = self.map.remove(key)?;
-        if slot.protected {
-            self.protected.remove(&slot.tick);
-            self.protected_bytes -= slot.bytes;
-        } else {
-            self.probation.remove(&slot.tick);
-            self.probation_bytes -= slot.bytes;
-        }
-        Some(slot)
-    }
-
-    /// Demote the protected LRU block to the probation MRU position.
-    fn demote_protected_lru(&mut self) {
-        let (&lru_tick, &lru_key) = self
-            .protected
-            .iter()
-            .next()
-            // pbc-allow(panic): caller checked protected is non-empty
-            .expect("caller checked protected is non-empty");
-        self.protected.remove(&lru_tick);
-        let tick = self.next_tick();
-        // pbc-allow(panic): the protected index and the map are updated together
-        let slot = self.map.get_mut(&lru_key).expect("index and map agree");
-        slot.protected = false;
-        slot.tick = tick;
-        let bytes = slot.bytes;
-        self.protected_bytes -= bytes;
-        self.probation_bytes += bytes;
-        self.probation.insert(tick, lru_key);
-    }
-}
-
-/// A shared, thread-safe cache of decoded blocks with byte-capacity
-/// eviction, scan-resistant 2Q replacement, and
-/// hit/miss/eviction/admission counters.
+/// A shared, thread-safe 2Q cache of records and decoded blocks with
+/// byte-capacity eviction and hit/miss/eviction/admission counters.
 pub struct BlockCache {
     capacity: usize,
     /// Byte budget of the protected queue; probation gets the rest.
     protected_target: usize,
-    inner: Mutex<CacheInner>,
+    inner: Mutex<TwoQ>,
     hits: Counter,
+    record_hits: Counter,
     misses: Counter,
     evictions: Counter,
     invalidations: Counter,
@@ -132,19 +115,21 @@ pub struct BlockCache {
 /// registry can hand the cache registry-backed handles.
 #[derive(Clone, Debug, Default)]
 pub struct CacheCounters {
-    /// Lookups that found the block cached.
+    /// Lookups a cached record or block answered.
     pub hits: Counter,
-    /// Lookups that did not.
+    /// The share of `hits` a record entry answered.
+    pub record_hits: Counter,
+    /// Lookups nothing cached answered.
     pub misses: Counter,
-    /// Blocks evicted under capacity pressure (either queue).
+    /// Entries evicted under capacity pressure (either queue).
     pub evictions: Counter,
-    /// Blocks dropped because their segment was retired.
+    /// Entries dropped because their segment was retired.
     pub invalidations: Counter,
-    /// Blocks admitted into the cache (always into probation).
+    /// Entries admitted into the cache (always into probation).
     pub admissions: Counter,
-    /// Probationary blocks promoted to protected on re-reference.
+    /// Probationary entries promoted to protected on re-reference.
     pub promotions: Counter,
-    /// Capacity evictions that took a probationary block — the scan-churn
+    /// Capacity evictions that took a probationary entry — the scan-churn
     /// share of `evictions`.
     pub probation_evictions: Counter,
 }
@@ -155,6 +140,7 @@ impl CacheCounters {
     pub fn standalone() -> Self {
         CacheCounters {
             hits: Counter::standalone(),
+            record_hits: Counter::standalone(),
             misses: Counter::standalone(),
             evictions: Counter::standalone(),
             invalidations: Counter::standalone(),
@@ -168,13 +154,16 @@ impl CacheCounters {
 impl std::fmt::Debug for BlockCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
+        let (blocks, records) = inner.entry_counts();
         f.debug_struct("BlockCache")
             .field("capacity", &self.capacity)
             .field("cached_bytes", &inner.total_bytes())
-            .field("probation_bytes", &inner.probation_bytes)
-            .field("protected_bytes", &inner.protected_bytes)
-            .field("blocks", &inner.map.len())
+            .field("probation_bytes", &inner.probation_bytes())
+            .field("protected_bytes", &inner.protected_bytes())
+            .field("blocks", &blocks)
+            .field("records", &records)
             .field("hits", &self.hits.value())
+            .field("record_hits", &self.record_hits.value())
             .field("misses", &self.misses.value())
             .field("evictions", &self.evictions.value())
             .field("invalidations", &self.invalidations.value())
@@ -183,10 +172,10 @@ impl std::fmt::Debug for BlockCache {
 }
 
 impl BlockCache {
-    /// Create a 2Q cache bounded to `capacity` decoded bytes (0 disables
-    /// caching: every get misses and nothing is kept). Counts into
-    /// standalone counters; use [`BlockCache::with_counters`] to count
-    /// into registry-backed handles instead.
+    /// Create a 2Q cache bounded to `capacity` bytes (0 disables caching:
+    /// every get misses and nothing is kept). Counts into standalone
+    /// counters; use [`BlockCache::with_counters`] to count into
+    /// registry-backed handles instead.
     pub fn new(capacity: usize) -> Self {
         BlockCache::with_counters(capacity, CacheCounters::standalone())
     }
@@ -197,8 +186,9 @@ impl BlockCache {
         BlockCache {
             capacity,
             protected_target: capacity - capacity / PROBATION_FRACTION,
-            inner: Mutex::new(CacheInner::default()),
+            inner: Mutex::new(TwoQ::default()),
             hits: counters.hits,
+            record_hits: counters.record_hits,
             misses: counters.misses,
             evictions: counters.evictions,
             invalidations: counters.invalidations,
@@ -213,32 +203,51 @@ impl BlockCache {
         self.capacity
     }
 
-    /// Decoded bytes currently cached (always `<= capacity`).
+    /// Bytes currently charged to cached entries (always `<= capacity`).
     pub fn cached_bytes(&self) -> usize {
         self.inner.lock().total_bytes()
     }
 
-    /// Decoded bytes in the probationary queue.
+    /// Bytes in the probationary queue.
     pub fn probation_bytes(&self) -> usize {
-        self.inner.lock().probation_bytes
+        self.inner.lock().probation_bytes()
     }
 
-    /// Decoded bytes in the protected queue.
+    /// Bytes in the protected queue.
     pub fn protected_bytes(&self) -> usize {
-        self.inner.lock().protected_bytes
+        self.inner.lock().protected_bytes()
     }
 
-    /// Cached blocks.
+    /// Cached block entries.
     pub fn block_count(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().entry_counts().0
     }
 
-    /// Block lookups that found the block cached.
+    /// Cached record entries, negative ones included.
+    pub fn record_count(&self) -> usize {
+        self.inner.lock().entry_counts().1
+    }
+
+    /// Cached entries, records and blocks, filed under `segment`.
+    pub fn segment_entries(&self, segment: u64) -> usize {
+        self.inner
+            .lock()
+            .segments
+            .get(&segment)
+            .map_or(0, SegmentSlots::len)
+    }
+
+    /// Lookups a cached record or block answered.
     pub fn hits(&self) -> u64 {
         self.hits.value()
     }
 
-    /// Block lookups that did not.
+    /// The share of [`BlockCache::hits`] a record entry answered.
+    pub fn record_hits(&self) -> u64 {
+        self.record_hits.value()
+    }
+
+    /// Lookups nothing cached answered.
     pub fn misses(&self) -> u64 {
         self.misses.value()
     }
@@ -255,12 +264,12 @@ impl BlockCache {
         }
     }
 
-    /// Blocks evicted to make room.
+    /// Entries evicted to make room.
     pub fn evictions(&self) -> u64 {
         self.evictions.value()
     }
 
-    /// Blocks dropped by [`BlockCache::evict_segment`] because their
+    /// Entries dropped by [`BlockCache::evict_segments`] because their
     /// segment was retired by compaction — distinct from capacity
     /// `evictions`, so cache-pressure and retirement churn stay separately
     /// observable.
@@ -268,68 +277,75 @@ impl BlockCache {
         self.invalidations.value()
     }
 
-    /// Blocks admitted into the cache.
+    /// Entries admitted into the cache.
     pub fn admissions(&self) -> u64 {
         self.admissions.value()
     }
 
-    /// Probationary blocks promoted to protected on re-reference.
+    /// Probationary entries promoted to protected on re-reference.
     pub fn promotions(&self) -> u64 {
         self.promotions.value()
     }
 
-    /// Capacity evictions that took a probationary block.
+    /// Capacity evictions that took a probationary entry.
     pub fn probation_evictions(&self) -> u64 {
         self.probation_evictions.value()
     }
 
-    /// Look a block up, refreshing its recency on a hit. A probationary
-    /// hit promotes the block to protected (demoting the protected LRU
-    /// back to probation if that overflows the protected budget).
-    pub fn get(&self, key: BlockKey) -> Option<Arc<DecodedBlock>> {
-        let (block, promoted) = {
+    /// Look a block up, refreshing its recency on a hit.
+    pub fn get(&self, (segment, block): BlockKey) -> Option<Arc<DecodedBlock>> {
+        match self.lookup(segment, |slots| slots.blocks.get(&block).copied())? {
+            Cached::Block(block) => Some(block),
+            Cached::Record(_) => None,
+        }
+    }
+
+    /// A point get's probe of one segment, under one lock: the record
+    /// entry for `key` first, then the block entry of its candidate
+    /// `block`. Counts one hit (a record hit too, when a record answered)
+    /// or one miss.
+    pub fn point_get(&self, segment: u64, key: &[u8], block: usize) -> Option<Cached> {
+        self.lookup(segment, |slots| {
+            slots
+                .records
+                .get(key)
+                .or_else(|| slots.blocks.get(&block))
+                .copied()
+        })
+    }
+
+    /// One lookup under the lock. `probe` picks the entry out of the
+    /// segment's maps; a hit moves it to the protected MRU position (see
+    /// [`TwoQ::hit`]).
+    fn lookup(
+        &self,
+        segment: u64,
+        probe: impl FnOnce(&SegmentSlots) -> Option<u32>,
+    ) -> Option<Cached> {
+        let found = {
             let mut inner = self.inner.lock();
-            let tick = inner.next_tick();
-            let Some(slot) = inner.map.get_mut(&key) else {
-                drop(inner);
-                self.misses.inc();
-                return None;
-            };
-            let old_tick = slot.tick;
-            let promoted = !slot.protected;
-            let bytes = slot.bytes;
-            let block = Arc::clone(&slot.block);
-            slot.tick = tick;
-            slot.protected = true;
-            if promoted {
-                // Probationary re-reference: promote.
-                inner.probation.remove(&old_tick);
-                inner.probation_bytes -= bytes;
-                inner.protected.insert(tick, key);
-                inner.protected_bytes += bytes;
-                // Promotion moves bytes between queues, never past total
-                // capacity; only the protected budget needs rebalancing.
-                while inner.protected_bytes > self.protected_target && !inner.protected.is_empty() {
-                    inner.demote_protected_lru();
-                }
-            } else {
-                inner.protected.remove(&old_tick);
-                inner.protected.insert(tick, key);
-            }
-            (block, promoted)
+            let index = inner.segments.get(&segment).and_then(probe);
+            index.and_then(|i| inner.hit(i, self.protected_target))
+        };
+        let Some((hit, promoted)) = found else {
+            self.misses.inc();
+            return None;
         };
         self.hits.inc();
+        if matches!(hit, Cached::Record(_)) {
+            self.record_hits.inc();
+        }
         if promoted {
             self.promotions.inc();
         }
-        Some(block)
+        Some(hit)
     }
 
-    /// Insert a decoded block, evicting blocks until the byte budget holds
-    /// (probation LRU first). Blocks larger than the whole
-    /// capacity are not cached at all.
-    pub fn insert(&self, key: BlockKey, block: Arc<DecodedBlock>) {
-        let bytes = block.heap_bytes();
+    /// Insert a decoded block, evicting entries until the byte budget
+    /// holds (probation LRU first). Blocks larger than the whole capacity
+    /// are not cached at all. This is a scan's admission.
+    pub fn insert(&self, (segment, block): BlockKey, decoded: Arc<DecodedBlock>) {
+        let bytes = decoded.heap_bytes();
         if bytes > self.capacity {
             return;
         }
@@ -338,96 +354,123 @@ impl BlockCache {
         // work no other lookup should wait behind. The list is sized before
         // the lock for the same reason; one eviction per admission is the
         // norm.
-        let mut evicted: Vec<Slot> = Vec::with_capacity(2);
-        let mut evicted_probation = 0u64;
-        let replaced = {
+        let mut evicted = Vec::with_capacity(2);
+        let (replaced, from_probation) = {
             let mut inner = self.inner.lock();
-            // Replacing an existing slot first keeps accounting exact.
-            let replaced = inner.remove(&key);
-            let tick = inner.next_tick();
-            // All admissions are probationary.
-            inner.probation.insert(tick, key);
-            inner.probation_bytes += bytes;
-            inner.map.insert(
-                key,
-                Slot {
-                    block,
-                    bytes,
-                    tick,
-                    protected: false,
-                },
+            let replaced = inner.admit(
+                segment,
+                EntryName::Block(block),
+                Cached::Block(decoded),
+                bytes,
             );
-            while inner.total_bytes() > self.capacity {
-                let from_probation = !inner.probation.is_empty();
-                let (_, &lru_key) = if from_probation {
-                    inner.probation.iter().next()
-                } else {
-                    inner.protected.iter().next()
-                }
-                // pbc-allow(panic): bytes > 0 implies a resident block in one of the queues
-                .expect("bytes > 0 implies a resident block");
-                // pbc-allow(panic): the queue indexes and the map are updated together
-                evicted.push(inner.remove(&lru_key).expect("index and map agree"));
-                evicted_probation += u64::from(from_probation);
-            }
-            replaced
+            (replaced, inner.evict_to(self.capacity, &mut evicted))
         };
-        self.admissions.inc();
-        if !evicted.is_empty() {
-            self.evictions.add(evicted.len() as u64);
-        }
-        if evicted_probation > 0 {
-            self.probation_evictions.add(evicted_probation);
-        }
+        self.count_admissions(1, evicted.len(), from_probation);
         drop((replaced, evicted));
     }
 
-    /// Drop every cached block of `segment` (the segment was retired by
-    /// compaction). Returns how many blocks were dropped. Called on every
-    /// retirement so a retired segment's decoded blocks stop occupying
+    /// Admit what a point get that had to decode resolved in `segment`:
+    /// the record for `key` — its `stored` bytes, or a negative entry when
+    /// the segment does not hold the key — evicting entries if it must;
+    /// then the `decoded` block `(index, block)`, but only into free
+    /// budget: it is kept when it fits without evicting anything and is
+    /// not already resident.
+    pub fn admit_point(
+        &self,
+        segment: u64,
+        key: &[u8],
+        stored: Option<&[u8]>,
+        decoded: Option<(usize, Arc<DecodedBlock>)>,
+    ) {
+        let record_bytes = record_charge(key, stored);
+        // Allocated before the lock, like the eviction list.
+        let record = (record_bytes <= self.capacity)
+            .then(|| (Arc::<[u8]>::from(key), stored.map(Arc::from)));
+        let mut evicted = Vec::with_capacity(2);
+        let mut admitted = 0;
+        let (replaced, from_probation) = {
+            let mut inner = self.inner.lock();
+            let mut replaced = None;
+            let mut from_probation = 0;
+            if let Some((key, stored)) = record {
+                replaced = inner.admit(
+                    segment,
+                    EntryName::Record(key),
+                    Cached::Record(stored),
+                    record_bytes,
+                );
+                from_probation = inner.evict_to(self.capacity, &mut evicted);
+                admitted += 1;
+            }
+            if let Some((block, decoded)) = decoded {
+                let bytes = decoded.heap_bytes();
+                let resident = inner
+                    .segments
+                    .get(&segment)
+                    .is_some_and(|slots| slots.blocks.contains_key(&block));
+                if !resident && inner.total_bytes() + bytes <= self.capacity {
+                    inner.admit(
+                        segment,
+                        EntryName::Block(block),
+                        Cached::Block(decoded),
+                        bytes,
+                    );
+                    admitted += 1;
+                }
+            }
+            (replaced, from_probation)
+        };
+        self.count_admissions(admitted, evicted.len(), from_probation);
+        drop((replaced, evicted));
+    }
+
+    fn count_admissions(&self, admitted: u64, evicted: usize, from_probation: u64) {
+        if admitted > 0 {
+            self.admissions.add(admitted);
+        }
+        if evicted > 0 {
+            self.evictions.add(evicted as u64);
+        }
+        if from_probation > 0 {
+            self.probation_evictions.add(from_probation);
+        }
+    }
+
+    /// Drop every cached entry of `segment` (the segment was retired by
+    /// compaction). Returns how many entries were dropped. Called on every
+    /// retirement so a retired segment's records and blocks stop occupying
     /// budget the moment it leaves the manifest, instead of lingering
     /// until natural eviction.
     pub fn evict_segment(&self, segment: u64) -> usize {
         self.evict_segments(std::slice::from_ref(&segment))
     }
 
-    /// Drop every cached block of all of `segments` in one pass under the
-    /// lock — a compaction job retires its whole input set (an L0 run plus
-    /// the L1 partitions it pulled in) at a single commit, so its cache
-    /// invalidation is one sweep, not one per segment.
+    /// Drop every cached entry of all of `segments` under one lock — a
+    /// compaction job retires its whole input set (an L0 run plus the L1
+    /// partitions it pulled in) at a single commit. Entries are filed per
+    /// segment, so this costs the retired segments' own entries, not a
+    /// walk over the cache.
     pub fn evict_segments(&self, segments: &[u64]) -> usize {
         // Collected under the lock, dropped after it (see `insert`).
-        let dropped: Vec<Slot> = {
+        let dropped = {
             let mut inner = self.inner.lock();
-            let doomed: Vec<BlockKey> = inner
-                .map
-                .keys()
-                .filter(|(seg, _)| segments.contains(seg))
-                .copied()
-                .collect();
-            doomed
-                .iter()
-                // pbc-allow(panic): keys were collected from the map just above
-                .map(|key| inner.remove(key).expect("listed above"))
-                .collect()
+            let mut dropped = Vec::new();
+            for &segment in segments {
+                inner.remove_segment(segment, &mut dropped);
+            }
+            dropped
         };
-        if !dropped.is_empty() {
-            self.invalidations.add(dropped.len() as u64);
+        let count = dropped.len();
+        if count > 0 {
+            self.invalidations.add(count as u64);
         }
-        dropped.len()
+        count
     }
 
     /// Drop everything (counters are kept).
     pub fn clear(&self) {
         // Swapped out under the lock, dropped after it (see `insert`).
-        let dropped = {
-            let mut inner = self.inner.lock();
-            inner.probation.clear();
-            inner.protected.clear();
-            inner.probation_bytes = 0;
-            inner.protected_bytes = 0;
-            std::mem::take(&mut inner.map)
-        };
+        let dropped = std::mem::take(&mut *self.inner.lock());
         drop(dropped);
     }
 }
@@ -628,5 +671,193 @@ mod tests {
             cache.evictions() + cache.block_count() as u64,
             "every admitted block is either resident or was evicted"
         );
+    }
+
+    fn record(tag: u8, len: usize) -> Vec<u8> {
+        vec![tag; len]
+    }
+
+    #[test]
+    fn mixed_record_and_block_accounting_balances_under_churn() {
+        let one_block = block(0, 4, 64).heap_bytes();
+        let cache = BlockCache::new(6 * one_block);
+        for round in 0..8u64 {
+            for i in 0..12usize {
+                let key = [round as u8, i as u8];
+                if i % 2 == 0 {
+                    cache.insert((round, i), block(i as u8, 4, 64));
+                } else {
+                    // Every third record is negative; each comes with a
+                    // decoded block offered to the free budget.
+                    let stored = (i % 3 != 0).then(|| record(i as u8, 40 + i));
+                    cache.admit_point(
+                        round,
+                        &key,
+                        stored.as_deref(),
+                        Some((100 + i, block(i as u8, 4, 64))),
+                    );
+                }
+                if i % 3 == 0 {
+                    let _ = cache.point_get(round, &key, i);
+                }
+            }
+        }
+        assert!(cache.record_count() > 0 && cache.block_count() > 0);
+        assert!(cache.record_hits() > 0 && cache.hits() > cache.record_hits());
+        assert_eq!(
+            cache.probation_bytes() + cache.protected_bytes(),
+            cache.cached_bytes()
+        );
+        assert!(cache.cached_bytes() <= cache.capacity());
+        assert_eq!(
+            cache.admissions(),
+            cache.evictions() + (cache.block_count() + cache.record_count()) as u64,
+            "every admitted entry is either resident or was evicted"
+        );
+    }
+
+    #[test]
+    fn a_record_is_charged_its_key_value_and_overhead() {
+        let cache = BlockCache::new(1 << 20);
+        cache.admit_point(1, b"key", Some(&record(7, 100)), None);
+        assert_eq!(cache.cached_bytes(), RECORD_OVERHEAD + 3 + 100);
+        cache.admit_point(1, b"gone", None, None);
+        assert_eq!(cache.cached_bytes(), 2 * RECORD_OVERHEAD + 3 + 100 + 4);
+        // Re-admitting a resident record replaces it.
+        cache.admit_point(1, b"key", Some(&record(7, 10)), None);
+        assert_eq!(cache.cached_bytes(), 2 * RECORD_OVERHEAD + 3 + 10 + 4);
+        assert_eq!(cache.record_count(), 2);
+    }
+
+    #[test]
+    fn a_negative_record_answers_absent_without_a_block() {
+        let cache = BlockCache::new(1 << 20);
+        cache.admit_point(4, b"absent", None, None);
+        assert_eq!(cache.block_count(), 0, "nothing to decode from");
+        match cache.point_get(4, b"absent", 0) {
+            Some(Cached::Record(None)) => {}
+            other => panic!("want a negative record hit, got {other:?}"),
+        }
+        assert_eq!(
+            (cache.hits(), cache.record_hits(), cache.misses()),
+            (1, 1, 0)
+        );
+        // Negative for segment 4 only.
+        assert!(cache.point_get(5, b"absent", 0).is_none());
+        assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn a_point_probe_prefers_the_record_then_the_block() {
+        let cache = BlockCache::new(1 << 20);
+        let stored = record(9, 20);
+        cache.admit_point(2, b"k", Some(&stored), Some((0, block(9, 4, 20))));
+        assert_eq!((cache.record_count(), cache.block_count()), (1, 1));
+        match cache.point_get(2, b"k", 0) {
+            Some(Cached::Record(Some(bytes))) => assert_eq!(&bytes[..], &stored[..]),
+            other => panic!("want the record, got {other:?}"),
+        }
+        match cache.point_get(2, b"neighbour", 0) {
+            Some(Cached::Block(_)) => {}
+            other => panic!("want the block, got {other:?}"),
+        }
+        assert!(cache.point_get(2, b"elsewhere", 1).is_none());
+        assert_eq!(
+            (cache.hits(), cache.record_hits(), cache.misses()),
+            (2, 1, 1)
+        );
+        // The block entry is the scans' block entry.
+        assert!(cache.get((2, 0)).is_some());
+    }
+
+    #[test]
+    fn a_point_miss_admits_its_block_only_into_free_budget() {
+        let one_block = block(1, 4, 100).heap_bytes();
+        let one_record = RECORD_OVERHEAD + 1 + 50;
+        let cache = BlockCache::new(one_block + 3 * one_record);
+        // Empty cache: the record and its block both fit.
+        cache.admit_point(1, b"a", Some(&record(1, 50)), Some((0, block(1, 4, 100))));
+        assert_eq!((cache.record_count(), cache.block_count()), (1, 1));
+        // Room for records only: the block is not kept, nothing evicted.
+        cache.admit_point(1, b"b", Some(&record(2, 50)), Some((1, block(2, 4, 100))));
+        assert_eq!((cache.record_count(), cache.block_count()), (2, 1));
+        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.admissions(), 3);
+        // A resident block is not admitted twice.
+        cache.admit_point(1, b"c", Some(&record(3, 50)), Some((0, block(1, 4, 100))));
+        assert_eq!((cache.record_count(), cache.block_count()), (3, 1));
+        assert_eq!(cache.admissions(), 4);
+        // Promote the records: the block is left as the probation LRU.
+        for key in [b"a", b"b", b"c"] {
+            assert!(matches!(
+                cache.point_get(1, key, 9),
+                Some(Cached::Record(Some(_)))
+            ));
+        }
+        // Full: the next record evicts the block; its own block still only
+        // takes what is left over.
+        cache.admit_point(1, b"d", Some(&record(4, 50)), Some((2, block(3, 4, 100))));
+        assert_eq!(cache.record_count(), 4);
+        assert_eq!(cache.evictions(), 1);
+        assert!(
+            cache.get((1, 0)).is_none(),
+            "LRU block evicted for a record"
+        );
+        assert!(
+            cache.get((1, 2)).is_none(),
+            "no room left for the new block"
+        );
+        assert!(cache.cached_bytes() <= cache.capacity());
+        // A scan's insert evicts for its block as before.
+        cache.insert((1, 2), block(3, 4, 100));
+        assert!(cache.get((1, 2)).is_some());
+    }
+
+    #[test]
+    fn evict_segments_drops_both_kinds_for_the_listed_segments_only() {
+        let cache = BlockCache::new(1 << 20);
+        for segment in 1..=3u64 {
+            cache.insert((segment, 0), block(segment as u8, 4, 10));
+            cache.admit_point(segment, b"live", Some(&record(1, 30)), None);
+            cache.admit_point(segment, b"absent", None, None);
+        }
+        let survivor = cache.cached_bytes() / 3;
+        assert_eq!(cache.evict_segments(&[1, 3, 3, 99]), 6);
+        assert_eq!(cache.invalidations(), 6);
+        assert_eq!(cache.evictions(), 0, "retirement is not capacity pressure");
+        assert_eq!(cache.cached_bytes(), survivor);
+        assert_eq!(
+            cache.probation_bytes() + cache.protected_bytes(),
+            cache.cached_bytes()
+        );
+        assert_eq!((cache.block_count(), cache.record_count()), (1, 2));
+        for gone in [1, 3] {
+            assert!(cache.get((gone, 0)).is_none());
+            assert!(cache.point_get(gone, b"live", 5).is_none());
+            assert!(cache.point_get(gone, b"absent", 5).is_none());
+        }
+        assert!(cache.get((2, 0)).is_some());
+        assert!(matches!(
+            cache.point_get(2, b"live", 5),
+            Some(Cached::Record(Some(_)))
+        ));
+        assert!(matches!(
+            cache.point_get(2, b"absent", 5),
+            Some(Cached::Record(None))
+        ));
+        // Promoted entries leave from the protected queue just the same.
+        assert!(cache.protected_bytes() > 0);
+        assert_eq!(cache.evict_segment(2), 3);
+        assert_eq!(cache.cached_bytes(), 0);
+        assert_eq!((cache.probation_bytes(), cache.protected_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn zero_capacity_admits_no_records_either() {
+        let cache = BlockCache::new(0);
+        cache.admit_point(1, b"k", Some(b"v"), Some((0, block(1, 1, 1))));
+        assert_eq!((cache.record_count(), cache.block_count()), (0, 0));
+        assert_eq!(cache.admissions(), 0);
+        assert!(cache.point_get(1, b"k", 0).is_none());
     }
 }

@@ -85,7 +85,8 @@ pub struct TierConfig {
     /// Hot-tier byte budget (stored keys + values + tombstones). `u64::MAX`
     /// disables spilling.
     pub memory_watermark_bytes: u64,
-    /// Byte capacity of the read-through block cache (0 disables caching).
+    /// Byte capacity of the read-through cache of records and decoded
+    /// blocks (0 disables caching).
     pub cache_capacity_bytes: usize,
     /// How spill and compaction segments are written (block size, codec
     /// selection, workers).
@@ -165,7 +166,7 @@ impl TierConfig {
         self
     }
 
-    /// Set the block cache capacity in bytes.
+    /// Set the record and block cache capacity in bytes.
     pub fn with_cache_capacity(mut self, bytes: usize) -> Self {
         self.cache_capacity_bytes = bytes;
         self

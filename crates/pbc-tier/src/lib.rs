@@ -19,8 +19,8 @@
 //!        │  spill overflow)    │
 //!        └──────────┬──────────┘
 //!        ┌──────────▼──────────┐
-//!        │  BlockCache (2Q,    │  decoded blocks, hit/miss/eviction
-//!        │  bounded by bytes)  │  counters
+//!        │  BlockCache (2Q,    │  records for point gets, decoded
+//!        │  bounded by bytes)  │  blocks for scans, one budget
 //!        └──────────┬──────────┘
 //!        ┌──────────▼──────────┐
 //!        │  L0 spill segments  │  recency order, may overlap; walked
@@ -120,6 +120,7 @@ mod reservation;
 pub mod scan;
 mod spill;
 pub mod store;
+mod twoq;
 mod write;
 
 pub use cache::{BlockCache, BlockKey, CacheCounters};
@@ -304,6 +305,33 @@ mod tests {
             "cached bytes within capacity"
         );
         assert!(store.cache().evictions() > 0, "small cache must evict");
+    }
+
+    #[test]
+    fn a_repeated_cold_get_is_a_record_hit_and_decodes_nothing() {
+        let (dir, _guard) = temp_dir("record-hit");
+        // A cache smaller than a block: only records fit in it.
+        let store = TieredStore::open(small_config(&dir).with_cache_capacity(4 * 1024)).unwrap();
+        // Even keys only: odd ones fall inside the blocks' key ranges.
+        for i in (0..600).step_by(2) {
+            store.set(&key(i), &value(i)).unwrap();
+        }
+        store.flush_all().unwrap();
+        // One L1 partition covers each key.
+        store.compact().unwrap();
+        let decoded = || store.metrics().snapshot().counters["pbc_archive_blocks_decoded_total"];
+        for (i, want) in [(300, Some(value(300))), (301, None)] {
+            assert_eq!(store.get(&key(i)).unwrap(), want);
+            let (before, stats) = (decoded(), store.stats());
+            assert_eq!(store.get(&key(i)).unwrap(), want, "key {i}");
+            assert_eq!(
+                decoded(),
+                before,
+                "key {i}: the record answered, no block decoded"
+            );
+            assert_eq!(store.stats().cold_cache_hits, stats.cold_cache_hits + 1);
+        }
+        assert_eq!(store.cache().record_hits(), 2, "one positive, one negative");
     }
 
     #[test]

@@ -38,11 +38,12 @@ impl std::fmt::Display for BackgroundErrorRecord {
 
 /// A snapshot of the store's counters and cold-tier gauges.
 ///
-/// The cache-accounting invariant: every cold lookup that consulted at
-/// least one block is classified as exactly one of `cold_cache_hits`
-/// (every block it touched was cached) or `cold_cache_misses`, so
+/// The cache-accounting invariant: every cold lookup that consulted the
+/// cache for at least one segment is classified as exactly one of
+/// `cold_cache_hits` (every segment it consulted was answered from a
+/// cached record or block) or `cold_cache_misses`, so
 /// `cold_cache_hits + cold_cache_misses == cold_gets` always holds.
-/// Lookups the footer indexes answered without touching any block are
+/// Lookups the footer indexes answered without consulting the cache are
 /// counted separately in `cold_index_only`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TierStats {
@@ -52,13 +53,13 @@ pub struct TierStats {
     pub tombstone_negatives: u64,
     /// Gets answered by the in-flight spill staging area.
     pub staging_hits: u64,
-    /// Lookups that reached the cold tier and consulted at least one
-    /// block.
+    /// Lookups that reached the cold tier and consulted the cache for at
+    /// least one segment whose blocks could hold the key.
     pub cold_gets: u64,
     /// Cold lookups the per-block key ranges answered with no block
     /// fetch at all (absent keys outside every block's range).
     pub cold_index_only: u64,
-    /// Cold lookups fully served from cached blocks.
+    /// Cold lookups answered from cached records or blocks alone.
     pub cold_cache_hits: u64,
     /// Cold lookups that had to read at least one block from disk.
     pub cold_cache_misses: u64,
@@ -276,10 +277,11 @@ impl TierObs {
         pbc_wal::WalObs::new(&self.registry, Some(Arc::clone(&self.trace)))
     }
 
-    /// Registry-backed handles for the block cache's counters.
+    /// Registry-backed handles for the cache's counters.
     pub(crate) fn cache_counters(&self) -> CacheCounters {
         CacheCounters {
             hits: self.registry.counter("pbc_tier_cache_hits_total"),
+            record_hits: self.registry.counter("pbc_tier_cache_record_hits_total"),
             misses: self.registry.counter("pbc_tier_cache_misses_total"),
             evictions: self.registry.counter("pbc_tier_cache_evictions_total"),
             invalidations: self.registry.counter("pbc_tier_cache_invalidations_total"),

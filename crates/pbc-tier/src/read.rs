@@ -1,14 +1,16 @@
 //! The read path. Owns lookup precedence (hot → staging → cache → L0 →
-//! L1), the one cache read-through, and the snapshot order that makes a
-//! range scan lose nothing to concurrent tier movement.
+//! L1), what a point get and a scan read through and admit to the cache,
+//! and the snapshot order that makes a range scan lose nothing to
+//! concurrent tier movement.
 
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use pbc_archive::DecodedBlock;
 use pbc_store::Lookup;
 
+use crate::cache::Cached;
 use crate::commit::{decode_marked, ColdSegment, ColdTier};
 use crate::error::Result;
 use crate::planner::covering_l1;
@@ -26,12 +28,13 @@ pub(crate) enum InMemory {
     Absent,
 }
 
-/// What one cold lookup did at the segment and block level.
+/// What one cold lookup did at the segment level.
 #[derive(Default)]
 struct BlockProbes {
     /// Segments whose footer indexes were consulted.
     segments: usize,
-    /// Blocks consulted (cache lookups attempted).
+    /// Segments whose cache entries were consulted (the footer named a
+    /// candidate block).
     probed: usize,
     /// Whether any consulted block had to be read from disk.
     missed: bool,
@@ -83,7 +86,7 @@ impl TierInner {
         }
     }
 
-    /// Cold lookup through the block cache over a lock-free snapshot of
+    /// Cold lookup through the cache over a lock-free snapshot of
     /// the cold tier (concurrent compaction may retire segments out from
     /// under us; our snapshot keeps their readers alive and answers
     /// identically, since a merged output is observationally equal to its
@@ -99,7 +102,8 @@ impl TierInner {
         if probes.probed == 0 {
             // Answered by the footer indexes alone (key outside every
             // block's range) — the cache was never consulted, so this is
-            // neither a cache hit nor a miss.
+            // neither a cache hit nor a miss. Index-only answers stay
+            // index-only: nothing is probed or admitted for them.
             self.obs.cold_index_only.inc();
         } else {
             self.obs.cold_gets.inc();
@@ -128,12 +132,76 @@ impl TierInner {
             .chain(std::iter::once_with(covering).flatten())
         {
             probes.segments += 1;
-            for block in segment.reader.candidate_blocks_for_key(key)? {
-                let decoded = self.cached_block(segment, block, probes)?;
-                if let Some(stored) = decoded.find_last(key) {
-                    return decode_marked(stored);
-                }
+            let blocks = segment.reader.candidate_blocks_for_key(key)?;
+            if blocks.is_empty() {
+                continue;
             }
+            probes.probed += 1;
+            if let Some(found) = self.segment_lookup(segment, blocks, key, probes)? {
+                return Ok(found);
+            }
+        }
+        Ok(None)
+    }
+
+    /// Resolve `key` in one segment whose candidate `blocks` are known:
+    /// `None` when the segment does not hold the key, else its live value
+    /// or `Some(None)` for a tombstone.
+    ///
+    /// One cache probe asks for the key's record entry, then for its
+    /// block. A record hit answers with no block at all. A lookup that
+    /// had to decode admits the record it resolved (a negative one when
+    /// the segment lacks the key) and offers the decoded block to the
+    /// cache's free budget only ([`crate::BlockCache::admit_point`]).
+    fn segment_lookup(
+        &self,
+        segment: &ColdSegment,
+        blocks: Range<usize>,
+        key: &[u8],
+        probes: &mut BlockProbes,
+    ) -> Result<Option<Option<Vec<u8>>>> {
+        let id = segment.stats.id;
+        let mut cached = match self.cache.point_get(id, key, blocks.start) {
+            Some(Cached::Record(stored)) => {
+                return stored.as_deref().map(decode_marked).transpose();
+            }
+            Some(Cached::Block(block)) => Some(block),
+            None => None,
+        };
+        // The probed block, when it had to be decoded: offered to the
+        // cache's free budget.
+        let mut decoded = None;
+        let mut missed = false;
+        // Tier segments hold each key once, so one candidate block is the
+        // norm; a key straddling blocks reads the rest through the block
+        // read-through.
+        for index in blocks.clone() {
+            let block = match cached.take() {
+                Some(block) => block,
+                None if index == blocks.start => {
+                    missed = true;
+                    let block = self.decode_block(segment, index)?;
+                    decoded = Some((index, Arc::clone(&block)));
+                    block
+                }
+                None => {
+                    let (block, from_disk) = self.lookup_or_decode_block(segment, index, true)?;
+                    missed |= from_disk;
+                    block
+                }
+            };
+            if let Some(stored) = block.find_last(key) {
+                let found = decode_marked(stored)?;
+                if missed {
+                    probes.missed = true;
+                    self.cache.admit_point(id, key, Some(stored), decoded);
+                }
+                return Ok(Some(found));
+            }
+        }
+        if missed {
+            probes.missed = true;
+            self.cache.admit_point(id, key, None, decoded);
         }
         Ok(None)
     }
@@ -211,9 +279,9 @@ impl TierInner {
         RangeScan::new(self, start, end, limit, hot_encoded, staged, pinned)
     }
 
-    /// The one cache read-through path: look the block up, decode it from
-    /// disk on a miss, and publish it to the cache when `publish` is set.
-    /// Returns the block and whether a disk decode happened.
+    /// The block read-through: look the block up, decode it from disk on
+    /// a miss, and publish it to the cache when `publish` is set. Returns
+    /// the block and whether a disk decode happened.
     fn lookup_or_decode_block(
         &self,
         segment: &ColdSegment,
@@ -224,16 +292,23 @@ impl TierInner {
         if let Some(decoded) = self.cache.get(cache_key) {
             return Ok((decoded, false));
         }
-        // Fetch latency is miss-path only: a hit costs one map lookup and
-        // timing it would drown the histogram in nanosecond noise.
-        let decoded = {
-            let _timer = self.obs.cache_fetch_ns.start_timer();
-            Arc::new(segment.reader.read_block(block)?)
-        };
+        let decoded = self.decode_block(segment, block)?;
         if publish {
             self.cache.insert(cache_key, Arc::clone(&decoded));
         }
         Ok((decoded, true))
+    }
+
+    /// Read and decode one block from disk.
+    fn decode_block(
+        &self,
+        segment: &ColdSegment,
+        block: usize,
+    ) -> pbc_archive::Result<Arc<DecodedBlock>> {
+        // Fetch latency is miss-path only: a hit costs one map lookup and
+        // timing it would drown the histogram in nanosecond noise.
+        let _timer = self.obs.cache_fetch_ns.start_timer();
+        Ok(Arc::new(segment.reader.read_block(block)?))
     }
 
     /// Fetch one decoded block for a range scan pinned at
@@ -258,21 +333,5 @@ impl TierInner {
             self.obs.scan_bytes_decoded.add(decoded.heap_bytes() as u64);
         }
         Ok((decoded, from_disk))
-    }
-
-    /// Fetch one decoded block for a point lookup, consulting the cache
-    /// first.
-    fn cached_block(
-        &self,
-        segment: &ColdSegment,
-        block: usize,
-        probes: &mut BlockProbes,
-    ) -> Result<Arc<DecodedBlock>> {
-        probes.probed += 1;
-        let (decoded, from_disk) = self.lookup_or_decode_block(segment, block, true)?;
-        if from_disk {
-            probes.missed = true;
-        }
-        Ok(decoded)
     }
 }

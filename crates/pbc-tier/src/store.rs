@@ -5,9 +5,9 @@
 //! drained, merged, and written to a `pbc-archive` segment, then the
 //! manifest is swapped atomically. Reads go hot (a live value or a
 //! tombstone answers; only an empty slot falls through) → in-flight spill
-//! staging → block cache → **L0** spill segments newest-first → the single
-//! **L1** partition covering the key, so overwrites and deletes always win
-//! over older spilled state.
+//! staging → record/block cache → **L0** spill segments newest-first →
+//! the single **L1** partition covering the key, so overwrites and deletes
+//! always win over older spilled state.
 //!
 //! ## Levels
 //!
@@ -367,7 +367,7 @@ impl TieredStore {
         &self.inner.config
     }
 
-    /// The read-through block cache (counters, capacity).
+    /// The read-through cache of records and blocks (counters, capacity).
     pub fn cache(&self) -> &BlockCache {
         &self.inner.cache
     }
@@ -497,7 +497,7 @@ impl TieredStore {
     }
 
     /// Fetch a value, reading through hot memory, the spill staging area,
-    /// the block cache, L0 segments (newest first), and finally the one
+    /// the cache, L0 segments (newest first), and finally the one
     /// L1 partition covering the key.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.inner.get(key)

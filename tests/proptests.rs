@@ -17,6 +17,10 @@ use pbc::core::matching::{match_record, reassemble};
 use pbc::core::{FieldEncoder, Pattern, PbcCompressor, PbcConfig};
 use pbc::datagen::Dataset;
 use pbc::json::{parse, to_string, JsonValue, Number};
+use pbc::tier::{Manifest, ManifestEntry, SegmentStats, TierError, LEVEL_L0, LEVEL_L1};
+
+mod support;
+use support::temp_dir;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -719,4 +723,131 @@ fn arb_json(depth: u32) -> impl Strategy<Value = JsonValue> {
             }),
         ]
     })
+}
+
+// ---------------- manifest ----------------
+
+/// Manifest-shaped tokens: field values that parse, and ones that do not.
+const MANIFEST_TOKENS: [&str; 16] = [
+    "segment",
+    "segment",
+    "0",
+    "1",
+    "2",
+    "7",
+    "900",
+    "18446744073709551615",
+    "99999999999999999999",
+    "seg-000001.seg",
+    "a/b",
+    "-",
+    "00ff",
+    "0g",
+    "\u{e9}",
+    "\n",
+];
+
+/// `body` under the CRC line a manifest ends with.
+fn seal_manifest(mut body: String) -> Vec<u8> {
+    if !body.ends_with('\n') {
+        body.push('\n');
+    }
+    let crc = pbc::archive::format::crc32(body.as_bytes());
+    body.push_str(&format!("crc {crc:08x}\n"));
+    body.into_bytes()
+}
+
+/// A store directory's manifest, written by the store's own encoder.
+fn valid_manifest_bytes() -> Vec<u8> {
+    let (dir, _guard) = temp_dir("manifest-seed");
+    std::fs::create_dir_all(&dir).unwrap();
+    let entry = |id: u64, level: u8, min: &[u8], max: &[u8]| ManifestEntry {
+        file_name: format!("seg-{id:06}.seg"),
+        stats: SegmentStats {
+            id,
+            level,
+            records: 900,
+            tombstones: if level == LEVEL_L0 { 45 } else { 0 },
+            bytes: 4_096,
+            min_key: min.to_vec(),
+            max_key: max.to_vec(),
+        },
+    };
+    let manifest = Manifest {
+        generation: 12,
+        segments: vec![
+            entry(9, LEVEL_L0, b"", b"user:5"),
+            entry(4, LEVEL_L1, b"user:0", b"user:4"),
+            entry(5, LEVEL_L1, b"user:5", b"user:9"),
+        ],
+    };
+    manifest.store(&dir).unwrap();
+    std::fs::read(Manifest::path_in(&dir)).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Manifest::load` over whatever a crash, a bad disk or a hand edit
+    /// can leave behind: random bytes, a valid manifest with one byte
+    /// damaged, and manifest-shaped text sealed under a valid CRC (so the
+    /// line parser behind the CRC check sees it). Each is a manifest or a typed
+    /// error, never a panic. The format is line text with no length
+    /// fields, so nothing is allocated past the file's own size.
+    #[test]
+    fn manifest_load_survives_arbitrary_bytes(
+        shape in 0u8..4,
+        junk in vec(any::<u8>(), 0..600),
+        at in any::<usize>(),
+        bits in any::<u8>(),
+    ) {
+        let (dir, _guard) = temp_dir("manifest-fuzz");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bytes = match shape {
+            0 => junk,
+            1 => {
+                let mut bytes = valid_manifest_bytes();
+                let at = at % bytes.len();
+                bytes[at] ^= bits.max(1);
+                bytes
+            }
+            2 => {
+                // Lines of manifest-shaped tokens: each line fails, if it
+                // does, at a different field.
+                let mut body = String::from("pbc-tier-manifest v3\ngeneration 3\n");
+                for &b in &junk {
+                    body.push_str(MANIFEST_TOKENS[b as usize % MANIFEST_TOKENS.len()]);
+                    if b >= 128 {
+                        body.push(' ');
+                    }
+                }
+                seal_manifest(body)
+            }
+            _ => {
+                // A valid manifest with one field swapped: often still a
+                // manifest, sometimes a typed error.
+                let text = String::from_utf8(valid_manifest_bytes()).unwrap();
+                let (body, _crc) = text.trim_end().rsplit_once('\n').unwrap();
+                let mut fields: Vec<&str> = body.split(' ').collect();
+                let i = at % fields.len();
+                fields[i] = MANIFEST_TOKENS[bits as usize % MANIFEST_TOKENS.len()];
+                seal_manifest(fields.join(" "))
+            }
+        };
+        std::fs::write(Manifest::path_in(&dir), &bytes).unwrap();
+        match Manifest::load(&dir) {
+            Ok(Some(manifest)) => {
+                // Whatever parsed names only plausible segment files.
+                for entry in &manifest.segments {
+                    prop_assert!(!entry.file_name.is_empty());
+                    prop_assert!(!entry.file_name.contains(['/', '\\']));
+                    prop_assert!(entry.stats.tombstones <= entry.stats.records);
+                    prop_assert!(entry.stats.level == LEVEL_L0 || entry.stats.level == LEVEL_L1);
+                }
+            }
+            Ok(None) => prop_assert!(false, "a manifest file exists"),
+            Err(TierError::ManifestCorrupt { .. } | TierError::UnsupportedVersion { .. }) => {}
+            Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
+        }
+    }
 }

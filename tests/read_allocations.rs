@@ -1,4 +1,5 @@
-//! Allocation bound for an uncached cold point read (ISSUE 15).
+//! Allocation bounds for cold point reads: an uncached get (ISSUE 15)
+//! and a get the cache answers from a record entry.
 //!
 //! A block decodes into one flat `DecodedBlock` — a byte buffer and an
 //! offsets table — with the codec's scratch reused per thread, so a cache
@@ -6,6 +7,9 @@
 //! holds. Decoding into a `Vec` of owned key/value pairs cost two per
 //! record (~85 for an 8 KiB block), and freeing them across threads on
 //! eviction is what kept cold reads from scaling past one client.
+//!
+//! A miss also admits the record it resolved, and a later get of the same
+//! key is answered from that record: it allocates only the returned value.
 //!
 //! This file holds exactly one test: the counting allocator is a
 //! process-global, and a second concurrently-running test would pollute
@@ -84,7 +88,10 @@ fn an_uncached_get_on_a_zstd_segment_allocates_a_handful_of_times() {
     // touched, and the cache holds only a few blocks anyway.
     let mut worst = 0usize;
     let mut probes = 0u64;
-    for i in (0..KEYS - records_per_block).step_by(3 * records_per_block) {
+    let probed: Vec<usize> = (0..KEYS - records_per_block)
+        .step_by(3 * records_per_block)
+        .collect();
+    for &i in &probed {
         let (probe, expected) = (key(i), value(i));
         let misses_before = store.stats().cold_cache_misses;
         let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -104,5 +111,32 @@ fn an_uncached_get_on_a_zstd_segment_allocates_a_handful_of_times() {
         worst <= MAX_ALLOCATIONS_PER_MISS,
         "an uncached get made {worst} allocations (limit {MAX_ALLOCATIONS_PER_MISS}) \
          on blocks of ~{records_per_block} records"
+    );
+
+    // Again, newest first: each miss above admitted its record, and the
+    // cache evicts least recently used entries first.
+    const MAX_ALLOCATIONS_PER_RECORD_HIT: usize = 1;
+    let cache = store.cache();
+    let mut worst = 0usize;
+    let mut record_hits = 0u64;
+    for &i in probed.iter().rev() {
+        let (probe, expected) = (key(i), value(i));
+        let hits_before = cache.record_hits();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let got = store.get(&probe).unwrap();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(got, Some(expected));
+        if cache.record_hits() == hits_before + 1 {
+            worst = worst.max(allocations);
+            record_hits += 1;
+        }
+    }
+    assert!(
+        record_hits >= probes / 2,
+        "only {record_hits} of {probes} repeated gets were record hits: {cache:?}"
+    );
+    assert!(
+        worst <= MAX_ALLOCATIONS_PER_RECORD_HIT,
+        "a record hit made {worst} allocations (limit {MAX_ALLOCATIONS_PER_RECORD_HIT})"
     );
 }

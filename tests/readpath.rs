@@ -11,7 +11,12 @@
 //! * two readers churning a cache much smaller than the data (ISSUE 15:
 //!   blocks are shared as flat `Arc<DecodedBlock>`s and evicted ones are
 //!   freed off the cache lock) read correct values and every cold get is
-//!   counted as exactly one hit or one miss.
+//!   counted as exactly one hit or one miss;
+//! * under scrambled-zipfian point reads, a cache 1/40 of the decoded
+//!   data answers most gets, because it keeps the records gets ask for
+//!   rather than the blocks they sit in;
+//! * a record entry never outlives its segment: overwrites, spills and
+//!   compactions never let a get see an older value.
 
 use pbc::archive::{
     ArchiveError, MappedFile, ReadMode, ReaderObs, SegmentConfig, SegmentReader, SegmentWriter,
@@ -341,4 +346,163 @@ fn two_readers_churning_a_small_cache_read_correctly_and_account_every_get() {
     );
     assert!(store.cache().evictions() > 0);
     assert!(store.cache().cached_bytes() <= store.cache().capacity());
+}
+
+/// Zipfian (θ 0.99) ranks scattered over the keyspace by an odd
+/// multiplier, so each hot key sits in a block of cold neighbours — the
+/// access pattern a block-granular cache serves worst.
+struct ScrambledZipf {
+    cdf: Vec<f64>,
+    state: u64,
+}
+
+impl ScrambledZipf {
+    fn new(keys: usize, seed: u64) -> Self {
+        let weights: Vec<f64> = (1..=keys).map(|r| (r as f64).powf(-0.99)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut acc = 0.0;
+        let cdf = weights
+            .iter()
+            .map(|w| {
+                acc += w / total;
+                acc
+            })
+            .collect();
+        ScrambledZipf { cdf, state: seed }
+    }
+
+    fn next(&mut self) -> usize {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let u = (self.state >> 11) as f64 / (1u64 << 53) as f64;
+        let keys = self.cdf.len();
+        let rank = self.cdf.partition_point(|&c| c < u).min(keys - 1);
+        // `keys` is a power of two, so an odd multiplier is a bijection.
+        rank.wrapping_mul(0x9e37_79b1) % keys
+    }
+}
+
+#[test]
+fn scrambled_zipf_reads_hit_a_cache_a_fortieth_of_the_data() {
+    const KEYS: usize = 1 << 16;
+    const GETS: usize = 60_000;
+    let (dir, _guard) = temp_dir("zipf");
+    let values = pbc::datagen::Dataset::Kv2.generate(KEYS, 2023);
+    // What the blocks decode to: key, marked value and an offsets entry.
+    let decoded: usize = (0..KEYS)
+        .map(|i| key(i).len() + 1 + values[i].len() + 16)
+        .sum();
+    let store = TieredStore::open(
+        TierConfig::new(&dir)
+            .with_cache_capacity(decoded / 40)
+            .with_segment_config(SegmentConfig {
+                target_block_bytes: 8 * 1024,
+                ..SegmentConfig::default()
+            }),
+    )
+    .expect("open store");
+    for (i, value) in values.iter().enumerate() {
+        store.set(&key(i), value).expect("set");
+    }
+    store.flush_all().expect("flush");
+    store.compact().expect("compact");
+    assert_eq!(store.hot_len(), 0, "every get below must go cold");
+
+    let mut zipf = ScrambledZipf::new(KEYS, 0x5eed);
+    let mut read = |gets: usize| {
+        for _ in 0..gets {
+            let i = zipf.next();
+            assert_eq!(store.get(&key(i)).expect("get").as_ref(), Some(&values[i]));
+        }
+    };
+    // Warm up, then count what the full cache answers.
+    read(GETS / 2);
+    let before = store.stats();
+    read(GETS);
+    let after = store.stats();
+    let gets = after.cold_gets - before.cold_gets;
+    let hits = after.cold_cache_hits - before.cold_cache_hits;
+    assert_eq!(gets, GETS as u64);
+    let hit_rate = hits as f64 / gets as f64;
+    let cache = store.cache();
+    assert!(
+        hit_rate >= 0.5,
+        "hit rate {hit_rate:.3} with a {} B cache over {decoded} decoded bytes: {cache:?}",
+        cache.capacity()
+    );
+    assert!(
+        cache.record_hits() > cache.hits() / 2,
+        "records answer: {cache:?}"
+    );
+    assert!(cache.cached_bytes() <= cache.capacity());
+}
+
+/// Every get returns what the model holds.
+fn check_all(store: &TieredStore, model: &[Option<Vec<u8>>]) {
+    for (i, want) in model.iter().enumerate() {
+        assert_eq!(&store.get(&key(i)).expect("get"), want, "key {i}");
+    }
+}
+
+#[test]
+fn records_of_retired_segments_are_never_served() {
+    const KEYS: usize = 3_000;
+    let (dir, _guard) = temp_dir("stale-records");
+    let store =
+        TieredStore::open(TierConfig::new(&dir).with_cache_capacity(8 << 20)).expect("open store");
+    let cache = store.cache();
+    let mut model: Vec<Option<Vec<u8>>> = vec![None; KEYS];
+    for round in 0..4usize {
+        // Overwrite a different stride of keys each round and delete a
+        // few: every round's spill shadows part of the segments below it.
+        for i in (round..KEYS).step_by(round + 2) {
+            let v = [value(i), format!("|round{round}").into_bytes()].concat();
+            store.set(&key(i), &v).expect("set");
+            model[i] = Some(v);
+        }
+        for i in (round * 7..KEYS).step_by(97) {
+            store.delete(&key(i)).expect("delete");
+            model[i] = None;
+        }
+        store.flush_all().expect("flush");
+        assert_eq!(store.hot_len(), 0);
+        // The first pass admits records (negative ones for keys a newer
+        // segment lacks); the second is answered from them.
+        let record_hits = cache.record_hits();
+        check_all(&store, &model);
+        check_all(&store, &model);
+        assert!(
+            cache.record_hits() > record_hits,
+            "round {round}: no record hits"
+        );
+
+        let live_before: Vec<u64> = store.segment_stats().iter().map(|s| s.id).collect();
+        let entries: Vec<usize> = live_before
+            .iter()
+            .map(|&id| cache.segment_entries(id))
+            .collect();
+        let invalidations = cache.invalidations();
+        store.compact().expect("compact");
+        let live_after: Vec<u64> = store.segment_stats().iter().map(|s| s.id).collect();
+        let mut retired_entries = 0;
+        for (id, entries) in live_before.iter().zip(entries) {
+            if !live_after.contains(id) {
+                assert_eq!(cache.segment_entries(*id), 0, "segment {id} retired");
+                retired_entries += entries;
+            }
+        }
+        assert!(
+            retired_entries > 0,
+            "round {round}: compaction retired nothing cached"
+        );
+        assert_eq!(
+            cache.invalidations() - invalidations,
+            retired_entries as u64,
+            "every entry of a retired segment is counted as invalidated"
+        );
+        check_all(&store, &model);
+    }
+    assert!(cache.cached_bytes() <= cache.capacity());
 }
