@@ -17,9 +17,10 @@ pub struct ServeConfig {
     /// Bounded depth of each shard's submission queue. A write arriving
     /// at a full queue is refused with [`crate::BusyReason::QueueFull`].
     pub queue_capacity: usize,
-    /// Most writes one applier drains per batch. Each batch is applied
-    /// back-to-back, so concurrent shards' WAL appends share group
-    /// commits, and the batch-size histogram shows the amortization.
+    /// Most writes one applier drains per batch. A batch's writes are
+    /// applied one after another, each acknowledged on its own (they
+    /// share the queue hand-off, not an fsync); the batch-size histogram
+    /// shows how deep the queues ran.
     pub max_batch: usize,
     /// Refuse writes while the committed L0 segment count is at or above
     /// this ([`crate::BusyReason::ColdBacklog`]): compaction has fallen

@@ -3,14 +3,14 @@
 //! ## Shape
 //!
 //! Writes hash by key onto one of [`ServeConfig::shards`] submission
-//! queues; a dedicated applier thread per shard drains up to
-//! [`ServeConfig::max_batch`] writes at a time and applies them
-//! back-to-back to the shared [`TieredStore`]. Batching is what
-//! amortizes the engine's write-side costs: concurrent shard appliers
-//! issue WAL appends in tight succession, so under
-//! [`pbc_tier::Durability::PerBatch`] their records ride the same group
-//! commit instead of each write electing its own fsync leader. Reads
-//! and scans bypass the queues entirely — they take the store's
+//! queues, placed by the WAL's own key hash ([`pbc_tier::shard_of`]); a
+//! dedicated applier thread per shard drains up to
+//! [`ServeConfig::max_batch`] writes at a time and applies them one after
+//! another to the shared [`TieredStore`]. A batch shares the queue
+//! hand-off, not an fsync: under [`pbc_tier::Durability::PerBatch`] each
+//! `set` waits for its own record to be durable, and with as many router
+//! shards as WAL shards applier *i* is the only writer of WAL shard *i*.
+//! Reads and scans bypass the queues entirely — they take the store's
 //! lock-free read path directly.
 //!
 //! ## Acknowledgement contract
@@ -55,42 +55,71 @@ use crate::tenant::{validate_name, Tenant, TenantQuota, TenantUsage};
 // shard's submission queue, then a single write's completion slot.
 // lock-order: router.tenants < tenant.usage < router.queue < router.slot
 
-/// A queued write, full (tenant-prefixed) key.
+/// A queued write: its full (tenant-prefixed) key and the slot its
+/// submitter waits on for the store's answer.
 #[derive(Debug)]
 enum WriteOp {
-    Put { key: Vec<u8>, value: Vec<u8> },
-    Delete { key: Vec<u8> },
+    Put {
+        key: Vec<u8>,
+        value: Vec<u8>,
+        waiter: Arc<Waiter<usize>>,
+    },
+    Delete {
+        key: Vec<u8>,
+        waiter: Arc<Waiter<bool>>,
+    },
 }
 
-/// What an acknowledged write reports back.
-#[derive(Debug)]
-enum WriteOutcome {
-    Put { stored: usize },
-    Delete { existed: bool },
+impl WriteOp {
+    fn key(&self) -> &[u8] {
+        match self {
+            WriteOp::Put { key, .. } | WriteOp::Delete { key, .. } => key,
+        }
+    }
+
+    /// Apply the write to `store` and acknowledge it.
+    fn apply(self, store: &TieredStore) {
+        match self {
+            WriteOp::Put { key, value, waiter } => {
+                waiter.complete(store.set(&key, &value).map_err(ServeError::from));
+            }
+            WriteOp::Delete { key, waiter } => {
+                waiter.complete(store.delete(&key).map_err(ServeError::from));
+            }
+        }
+    }
+
+    /// Fail the write with [`ServeError::Shutdown`].
+    fn fail(self) {
+        match self {
+            WriteOp::Put { waiter, .. } => waiter.complete(Err(ServeError::Shutdown)),
+            WriteOp::Delete { waiter, .. } => waiter.complete(Err(ServeError::Shutdown)),
+        }
+    }
 }
 
 /// One submitter's completion slot.
 #[derive(Debug)]
-struct Waiter {
-    slot: Mutex<Option<Result<WriteOutcome>>>,
+struct Waiter<T> {
+    slot: Mutex<Option<Result<T>>>,
     done: Condvar,
 }
 
-impl Waiter {
-    fn new() -> Arc<Waiter> {
+impl<T> Waiter<T> {
+    fn new() -> Arc<Waiter<T>> {
         Arc::new(Waiter {
             slot: Mutex::new(None),
             done: Condvar::new(),
         })
     }
 
-    fn complete(&self, result: Result<WriteOutcome>) {
+    fn complete(&self, result: Result<T>) {
         let mut slot = self.slot.lock();
         *slot = Some(result);
         self.done.notify_one();
     }
 
-    fn wait(&self) -> Result<WriteOutcome> {
+    fn wait(&self) -> Result<T> {
         let mut slot = self.slot.lock();
         loop {
             if let Some(result) = slot.take() {
@@ -113,14 +142,8 @@ enum RunMode {
 
 #[derive(Debug)]
 struct QueueState {
-    pending: VecDeque<PendingWrite>,
+    pending: VecDeque<WriteOp>,
     mode: RunMode,
-}
-
-#[derive(Debug)]
-struct PendingWrite {
-    op: WriteOp,
-    waiter: Arc<Waiter>,
 }
 
 /// One shard: a bounded submission queue and its applier's wakeup.
@@ -132,8 +155,8 @@ struct ShardQueue {
 
 /// What the applier should do with one drained batch.
 enum BatchAction {
-    Apply(Vec<PendingWrite>),
-    Fail(Vec<PendingWrite>),
+    Apply(Vec<WriteOp>),
+    Fail(Vec<WriteOp>),
     Exit,
 }
 
@@ -170,18 +193,6 @@ impl std::fmt::Debug for Router {
     }
 }
 
-/// FNV-1a over the full key — deterministic shard placement (the shard
-/// count is a router-lifetime constant, so placement only needs to be
-/// stable within one router's life).
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl Shared {
     fn tenants_len(&self) -> usize {
         self.tenants.read().len()
@@ -200,8 +211,7 @@ impl Shared {
     }
 
     fn shard_for(&self, key: &[u8]) -> &ShardQueue {
-        let index = (fnv1a(key) % self.shards.len() as u64) as usize;
-        &self.shards[index]
+        &self.shards[pbc_tier::shard_of(key, self.shards.len())]
     }
 
     /// The lock-free backpressure gate every write passes first.
@@ -223,12 +233,8 @@ impl Shared {
     }
 
     /// Enqueue a write on its shard, enforcing the queue bound exactly.
-    fn try_enqueue(&self, op: WriteOp, waiter: Arc<Waiter>) -> Result<()> {
-        let key = match &op {
-            WriteOp::Put { key, .. } => key.as_slice(),
-            WriteOp::Delete { key } => key.as_slice(),
-        };
-        let shard = self.shard_for(key);
+    fn try_enqueue(&self, op: WriteOp) -> Result<()> {
+        let shard = self.shard_for(op.key());
         {
             let mut state = shard.queue.lock();
             if state.mode != RunMode::Run {
@@ -240,7 +246,7 @@ impl Shared {
                     retry_after: self.config.retry_after,
                 });
             }
-            state.pending.push_back(PendingWrite { op, waiter });
+            state.pending.push_back(op);
             // Still under the queue lock: the applier drains (and
             // decrements) under this same mutex, so every decrement is
             // covered by an increment that happened-before it and the
@@ -261,7 +267,7 @@ impl Shared {
         loop {
             match state.mode {
                 RunMode::Abort => {
-                    let drained: Vec<PendingWrite> = state.pending.drain(..).collect();
+                    let drained: Vec<WriteOp> = state.pending.drain(..).collect();
                     self.note_drained(drained.len());
                     drop(state);
                     return if drained.is_empty() {
@@ -273,7 +279,7 @@ impl Shared {
                 RunMode::Run | RunMode::Drain => {
                     if !state.pending.is_empty() {
                         let take = state.pending.len().min(self.config.max_batch);
-                        let drained: Vec<PendingWrite> = state.pending.drain(..take).collect();
+                        let drained: Vec<WriteOp> = state.pending.drain(..take).collect();
                         self.note_drained(drained.len());
                         drop(state);
                         return BatchAction::Apply(drained);
@@ -304,29 +310,11 @@ impl Shared {
     }
 
     /// Apply one drained batch back-to-back and acknowledge each write.
-    fn apply_batch(&self, batch: Vec<PendingWrite>) {
+    fn apply_batch(&self, batch: Vec<WriteOp>) {
         self.obs.batches.inc();
         self.obs.batch_records.record(batch.len() as u64);
-        for pending in batch {
-            let result = match &pending.op {
-                WriteOp::Put { key, value } => self
-                    .store
-                    .set(key, value)
-                    .map(|stored| WriteOutcome::Put { stored })
-                    .map_err(ServeError::from),
-                WriteOp::Delete { key } => self
-                    .store
-                    .delete(key)
-                    .map(|existed| WriteOutcome::Delete { existed })
-                    .map_err(ServeError::from),
-            };
-            pending.waiter.complete(result);
-        }
-    }
-
-    fn fail_batch(&self, batch: Vec<PendingWrite>) {
-        for pending in batch {
-            pending.waiter.complete(Err(ServeError::Shutdown));
+        for op in batch {
+            op.apply(&self.store);
         }
     }
 
@@ -334,7 +322,7 @@ impl Shared {
         loop {
             match self.next_batch(index) {
                 BatchAction::Apply(batch) => self.apply_batch(batch),
-                BatchAction::Fail(batch) => self.fail_batch(batch),
+                BatchAction::Fail(batch) => batch.into_iter().for_each(WriteOp::fail),
                 BatchAction::Exit => return,
             }
         }
@@ -413,59 +401,45 @@ impl Router {
     /// hot-tier stored size. See the module docs for the
     /// rejection and acknowledgement contract.
     pub fn put(&self, tenant: &str, key: &[u8], value: &[u8]) -> Result<usize> {
-        let shared = &self.shared;
-        let tenant = shared.tenant(tenant)?;
-        if let Err(busy) = shared.check_pressure() {
-            shared.obs.admission_rejections.inc();
-            return Err(busy);
-        }
-        let charge = match tenant.admit_put(key, value.len()) {
-            Ok(charge) => charge,
-            Err(e) => {
-                shared.obs.quota_rejections.inc();
-                return Err(e);
-            }
-        };
-        let waiter = Waiter::new();
-        let started = Instant::now();
-        let op = WriteOp::Put {
-            key: tenant.full_key(key),
+        self.submit(tenant, key, Some(value), |key, waiter| WriteOp::Put {
+            key,
             value: value.to_vec(),
-        };
-        if let Err(refused) = shared.try_enqueue(op, Arc::clone(&waiter)) {
-            tenant.rollback_put(key, charge);
-            if matches!(refused, ServeError::Busy { .. }) {
-                shared.obs.admission_rejections.inc();
-            }
-            return Err(refused);
-        }
-        match waiter.wait() {
-            Ok(WriteOutcome::Put { stored }) => {
-                shared
-                    .obs
-                    .write_wait_ns
-                    .record(started.elapsed().as_nanos() as u64);
-                shared.obs.puts.inc();
-                Ok(stored)
-            }
-            Ok(WriteOutcome::Delete { .. }) => unreachable!("put acked as delete"),
-            Err(e) => {
-                tenant.rollback_put(key, charge);
-                Err(e)
-            }
-        }
+            waiter,
+        })
     }
 
     /// Delete a key for `tenant`; returns whether it existed. Queued and
     /// acknowledged exactly like [`Router::put`].
     pub fn delete(&self, tenant: &str, key: &[u8]) -> Result<bool> {
+        self.submit(tenant, key, None, |key, waiter| WriteOp::Delete {
+            key,
+            waiter,
+        })
+    }
+
+    /// The one write path behind [`Router::put`] (`value` is `Some`) and
+    /// [`Router::delete`]: resolve the tenant, pass the pressure gate,
+    /// charge the tenant, enqueue the write `op` builds from the full key
+    /// and a fresh waiter, and block for its acknowledgement. A write the
+    /// queue refuses or the store fails has its charge rolled back.
+    fn submit<T>(
+        &self,
+        tenant: &str,
+        key: &[u8],
+        value: Option<&[u8]>,
+        op: impl FnOnce(Vec<u8>, Arc<Waiter<T>>) -> WriteOp,
+    ) -> Result<T> {
         let shared = &self.shared;
         let tenant = shared.tenant(tenant)?;
         if let Err(busy) = shared.check_pressure() {
             shared.obs.admission_rejections.inc();
             return Err(busy);
         }
-        let charge = match tenant.admit_delete(key) {
+        let admitted = match value {
+            Some(value) => tenant.admit_put(key, value.len()),
+            None => tenant.admit_delete(key),
+        };
+        let charge = match admitted {
             Ok(charge) => charge,
             Err(e) => {
                 shared.obs.quota_rejections.inc();
@@ -474,28 +448,27 @@ impl Router {
         };
         let waiter = Waiter::new();
         let started = Instant::now();
-        let op = WriteOp::Delete {
-            key: tenant.full_key(key),
-        };
-        if let Err(refused) = shared.try_enqueue(op, Arc::clone(&waiter)) {
-            tenant.rollback_delete(key, charge);
+        if let Err(refused) = shared.try_enqueue(op(tenant.full_key(key), Arc::clone(&waiter))) {
+            tenant.rollback(key, charge);
             if matches!(refused, ServeError::Busy { .. }) {
                 shared.obs.admission_rejections.inc();
             }
             return Err(refused);
         }
         match waiter.wait() {
-            Ok(WriteOutcome::Delete { existed }) => {
+            Ok(acked) => {
                 shared
                     .obs
                     .write_wait_ns
                     .record(started.elapsed().as_nanos() as u64);
-                shared.obs.deletes.inc();
-                Ok(existed)
+                match value {
+                    Some(_) => shared.obs.puts.inc(),
+                    None => shared.obs.deletes.inc(),
+                }
+                Ok(acked)
             }
-            Ok(WriteOutcome::Put { .. }) => unreachable!("delete acked as put"),
             Err(e) => {
-                tenant.rollback_delete(key, charge);
+                tenant.rollback(key, charge);
                 Err(e)
             }
         }

@@ -84,18 +84,13 @@ struct UsageState {
     sizes: BTreeMap<Vec<u8>, u64>,
 }
 
-/// Undo information for a charged-but-not-yet-applied put.
+/// Undo information for a charged-but-not-yet-applied write.
 #[derive(Debug)]
-pub(crate) struct PutCharge {
-    /// The key's previous charged size (`None` = the key was new).
-    previous: Option<u64>,
-}
-
-/// Undo information for a charged-but-not-yet-applied delete.
-#[derive(Debug)]
-pub(crate) struct DeleteCharge {
-    /// The size the delete credited back (`None` = the key was absent).
-    freed: Option<u64>,
+pub(crate) enum WriteCharge {
+    /// A put: the key's previous charged size (`None` = the key was new).
+    Put { previous: Option<u64> },
+    /// A delete: the size it credited back (`None` = the key was absent).
+    Delete { freed: Option<u64> },
 }
 
 /// One registered tenant: its namespace prefix, quota, and accounting.
@@ -177,9 +172,9 @@ impl Tenant {
 
     /// Admit a put of `key` with `value_len` value bytes: checks the op
     /// budget, then the projected live-bytes total, then charges both.
-    /// The returned [`PutCharge`] undoes the charge if the store fails
-    /// the write.
-    pub(crate) fn admit_put(&self, key: &[u8], value_len: usize) -> Result<PutCharge> {
+    /// The returned charge undoes it ([`Tenant::rollback`]) if the store
+    /// fails the write.
+    pub(crate) fn admit_put(&self, key: &[u8], value_len: usize) -> Result<WriteCharge> {
         let charge = (key.len() + value_len) as u64;
         let mut state = self.usage.lock();
         self.check_ops(&state)?;
@@ -199,25 +194,13 @@ impl Tenant {
         state.ops_admitted += 1;
         state.live_bytes = projected;
         state.sizes.insert(key.to_vec(), charge);
-        Ok(PutCharge { previous })
-    }
-
-    /// Undo an [`admit_put`](Tenant::admit_put) whose store write failed.
-    pub(crate) fn rollback_put(&self, key: &[u8], charge: PutCharge) {
-        let mut state = self.usage.lock();
-        let charged = match charge.previous {
-            Some(previous) => state.sizes.insert(key.to_vec(), previous),
-            None => state.sizes.remove(key),
-        };
-        state.live_bytes =
-            state.live_bytes.saturating_sub(charged.unwrap_or(0)) + charge.previous.unwrap_or(0);
-        state.ops_admitted = state.ops_admitted.saturating_sub(1);
+        Ok(WriteCharge::Put { previous })
     }
 
     /// Admit a delete of `key`: checks the op budget, then credits the
-    /// key's charged size back. The returned [`DeleteCharge`] undoes it
-    /// if the store fails the delete.
-    pub(crate) fn admit_delete(&self, key: &[u8]) -> Result<DeleteCharge> {
+    /// key's charged size back. The returned charge undoes it
+    /// ([`Tenant::rollback`]) if the store fails the delete.
+    pub(crate) fn admit_delete(&self, key: &[u8]) -> Result<WriteCharge> {
         let mut state = self.usage.lock();
         self.check_ops(&state)?;
         state.ops_admitted += 1;
@@ -228,16 +211,26 @@ impl Tenant {
         // below the sum of tracked sizes, and that misaccounting must
         // stay misaccounting rather than escalate to an underflow panic.
         state.live_bytes = state.live_bytes.saturating_sub(freed.unwrap_or(0));
-        Ok(DeleteCharge { freed })
+        Ok(WriteCharge::Delete { freed })
     }
 
-    /// Undo an [`admit_delete`](Tenant::admit_delete) whose store delete
-    /// failed.
-    pub(crate) fn rollback_delete(&self, key: &[u8], charge: DeleteCharge) {
+    /// Undo an admitted put or delete whose store write failed.
+    pub(crate) fn rollback(&self, key: &[u8], charge: WriteCharge) {
         let mut state = self.usage.lock();
-        if let Some(freed) = charge.freed {
-            state.sizes.insert(key.to_vec(), freed);
-            state.live_bytes += freed;
+        match charge {
+            WriteCharge::Put { previous } => {
+                let charged = match previous {
+                    Some(previous) => state.sizes.insert(key.to_vec(), previous),
+                    None => state.sizes.remove(key),
+                };
+                state.live_bytes =
+                    state.live_bytes.saturating_sub(charged.unwrap_or(0)) + previous.unwrap_or(0);
+            }
+            WriteCharge::Delete { freed: Some(freed) } => {
+                state.sizes.insert(key.to_vec(), freed);
+                state.live_bytes += freed;
+            }
+            WriteCharge::Delete { freed: None } => {}
         }
         state.ops_admitted = state.ops_admitted.saturating_sub(1);
     }
@@ -306,10 +299,10 @@ mod tests {
         let first = t.admit_put(b"k", 10).unwrap();
         assert_eq!(t.usage().live_bytes, 11);
         let second = t.admit_put(b"k", 20).unwrap();
-        t.rollback_put(b"k", second);
+        t.rollback(b"k", second);
         assert_eq!(t.usage().live_bytes, 11);
         assert_eq!(t.usage().ops_admitted, 1);
-        t.rollback_put(b"k", first);
+        t.rollback(b"k", first);
         assert_eq!(
             t.usage(),
             TenantUsage {
@@ -321,7 +314,7 @@ mod tests {
 
         let _committed = t.admit_put(b"k", 10).unwrap();
         let del = t.admit_delete(b"k").unwrap();
-        t.rollback_delete(b"k", del);
+        t.rollback(b"k", del);
         assert_eq!(t.usage().live_bytes, 11);
     }
 

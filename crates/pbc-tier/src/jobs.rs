@@ -40,16 +40,18 @@ impl TierInner {
         self.planner.plan(&l0, &l1, &reserved)
     }
 
-    /// One background maintenance pass: WAL upkeep (periodic fsync,
-    /// threshold checkpoint), then planned compaction jobs until no
-    /// trigger remains or shutdown/pause intervenes. Returns `false` when
+    /// One background maintenance pass: planned compaction jobs until no
+    /// trigger remains or shutdown/pause intervenes, with WAL upkeep
+    /// (periodic fsync, threshold checkpoint) before each one — under
+    /// steady writes the planner keeps finding jobs, and the log must
+    /// stay near its checkpoint threshold meanwhile. Returns `false` when
     /// anything errored (counted; the maintenance loop backs off before
     /// retrying).
     pub(crate) fn background_pass(&self) -> bool {
-        if !self.wal_pass() {
-            return false;
-        }
         while !self.maint.is_shutdown() && !self.maint.is_paused() {
+            if !self.wal_pass() {
+                return false;
+            }
             let Some(job) = self.plan_next() else {
                 return true;
             };

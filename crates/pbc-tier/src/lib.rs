@@ -129,7 +129,7 @@ pub use config::{TierConfig, WalOptions};
 pub use error::{Result, TierError};
 pub use manifest::{Manifest, ManifestEntry};
 pub use obs::{BackgroundErrorRecord, TierStats};
-pub use pbc_wal::{CheckpointSummary, Durability, RecoveryReport, WalStats};
+pub use pbc_wal::{shard_of, CheckpointSummary, Durability, RecoveryReport, WalStats};
 pub use planner::{
     CompactionJob, CompactionPlanner, KeyRange, PlannerConfig, SegmentStats, LEVEL_L0, LEVEL_L1,
 };

@@ -9,6 +9,16 @@
 //! the default **group commit** (`PerBatch` — an acknowledged write is
 //! fsynced, and N concurrent writers share one `sync_data`).
 //!
+//! Each shard has one durable point: a caller that needs its records on
+//! disk waits until the shard's synced LSN covers them, and when no fsync
+//! is in flight it leads the next one, running `sync_data` with the
+//! shard's mutex released while later appends queue up behind it. The
+//! `PerBatch` ack, a due `Periodic` sync, [`Wal::sync`], checkpoint
+//! markers and the seal before a segment rotates all go through it, so no
+//! segment fsync ever blocks appenders on the lock, and there is no
+//! batching window to tune: a batch is whatever was appended by the time
+//! its leader started.
+//!
 //! On [`Wal::open`] the log is recovered: each shard's newest non-empty
 //! segment has its torn tail truncated at the first bad CRC, and every
 //! record past the last *visible* checkpoint mark (one whose manifest
@@ -23,13 +33,14 @@
 //! **poisons** its shard — every later append/sync errors with
 //! [`WalError::Poisoned`] until reopen, because retrying `sync_data` on
 //! the same fd can falsely succeed (fsyncgate); and the shard count is
-//! recorded in a `wal.meta` file, so a shard whose segment files are all
-//! gone recovers as empty instead of tripping the
-//! [`WalError::ShardCountMismatch`] guard. Callers that mirror the log
-//! into a store of their own should mutate through
-//! [`Wal::append_put_with`] / [`Wal::append_delete_with`], which run the
-//! mutation under the same lock that assigns the LSN — making replay
-//! order identical to application order for same-key operations.
+//! recorded in a `wal.meta` file, fsynced before the first segment, so a
+//! shard whose segment files are all gone recovers as empty instead of
+//! tripping the [`WalError::ShardCountMismatch`] guard, and segment files
+//! with no `wal.meta` beside them are reported as [`WalError::Corrupt`].
+//! Callers that mirror the log into a store of their own should mutate
+//! through [`Wal::append_put_with`] / [`Wal::append_delete_with`], which
+//! run the mutation under the same lock that assigns the LSN — making
+//! replay order identical to application order for same-key operations.
 //!
 //! ```
 //! use pbc_wal::{Durability, ReplayOp, Wal, WalConfig, WalObs};
@@ -260,6 +271,21 @@ mod tests {
     }
 
     #[test]
+    fn segments_without_wal_meta_are_corrupt() {
+        // `wal.meta` is fsynced before the first segment exists, so
+        // segments without it are damage, not a layout to infer.
+        let (dir, _guard) = temp_dir("no-meta");
+        let config = WalConfig::new(&dir).with_shards(2);
+        let (wal, _) = Wal::open(config.clone(), WalObs::default(), 0, |_| {}).unwrap();
+        wal.append_put(b"k", b"v").unwrap();
+        drop(wal);
+        std::fs::remove_file(dir.join("wal.meta")).unwrap();
+
+        let err = Wal::open(config, WalObs::default(), 0, |_| {}).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { .. }), "{err:?}");
+    }
+
+    #[test]
     fn growing_the_shard_count_is_rejected_too() {
         let (dir, _guard) = temp_dir("grow-shards");
         let (wal, _) = Wal::open(
@@ -386,6 +412,56 @@ mod tests {
         let (_wal, report) = Wal::open(config, WalObs::default(), 0, |_| count += 1).unwrap();
         assert_eq!(report.records_replayed, writes);
         assert_eq!(count, report.records_replayed);
+    }
+
+    #[test]
+    fn group_commit_across_constant_rotation_keeps_every_ack() {
+        // Three 28-byte frames fill a 64-byte segment, so every third
+        // append seals a segment while other writers wait on, or lead, a
+        // sync.
+        let per_thread = 40u32;
+        let threads = 8usize;
+        let writes = threads as u64 * per_thread as u64;
+        let (dir, _guard) = temp_dir("group-rotate");
+        let config = WalConfig::new(&dir)
+            .with_shards(1)
+            .with_segment_bytes(64)
+            .with_durability(Durability::PerBatch);
+        let obs = WalObs::new(&pbc_obs::MetricsRegistry::new(), None);
+        let (wal, _) = Wal::open(config.clone(), obs.clone(), 0, |_| {}).unwrap();
+        let wal = Arc::new(wal);
+        let fsyncs_at_open = obs.fsyncs.value();
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let wal = Arc::clone(&wal);
+                std::thread::spawn(move || {
+                    for i in 0..per_thread {
+                        wal.append_put(format!("{t}{i:02}").as_bytes(), b"")
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let fsyncs = obs.fsyncs.value() - fsyncs_at_open;
+        assert!(obs.rotations.value() >= writes / 3 - 1);
+        assert!(fsyncs < writes, "{fsyncs} fsyncs for {writes} appends");
+        drop(wal);
+
+        // Every sealed segment replays whole: a bad frame there would be
+        // reported as corrupt, and only the newest one may be torn.
+        let mut state = BTreeMap::new();
+        let (_wal, report) =
+            Wal::open(config, WalObs::default(), 0, replay_into(&mut state)).unwrap();
+        assert_eq!(report.truncated_bytes, 0);
+        assert_eq!(report.records_replayed, writes);
+        for t in 0..threads {
+            for i in 0..per_thread {
+                assert!(state.contains_key(format!("{t}{i:02}").as_bytes()));
+            }
+        }
     }
 
     #[test]

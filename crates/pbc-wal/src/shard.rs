@@ -1,20 +1,24 @@
 //! One log shard: an active append segment, sealed predecessors, and the
-//! group-commit core.
+//! shard's one durable point.
 //!
-//! ## Group commit
+//! ## One durable point
 //!
-//! Under [`Durability::PerBatch`], concurrent writers form an implicit
-//! commit queue on the shard's mutex: each appends its frame (cheap — a
-//! positioned write into the OS page cache), then waits until
-//! `synced_lsn` covers its record. The first waiter to find no sync in
-//! flight elects itself **leader**, yields briefly while appends keep
-//! arriving (the batching window), snapshots the current `appended_lsn`
-//! as its target, and runs `sync_data` *outside the lock* — so while the
-//! leader's fsync is in flight, more writers keep appending and queue up
-//! behind the next sync. When the leader returns it publishes the new
-//! `synced_lsn` and wakes everyone; writers whose records the batch
-//! covered return, and one of the rest becomes the next leader. N writers
-//! therefore share one `sync_data` per batch instead of paying one each.
+//! A record becomes durable in exactly one place, `WalShard::sync_to`: it
+//! returns once `synced_lsn` covers a target LSN. A caller that finds a
+//! sync in flight waits for it; one that finds none becomes the
+//! **leader** — it snapshots `appended_lsn` as its batch, runs the shard's
+//! only `sync_data` *with the mutex released*, then re-takes the mutex to
+//! publish `synced_lsn` (or poison the shard) and wake every waiter.
+//! Waiters whose records the batch covered return; one of the rest leads
+//! the next sync. Appends keep landing while a leader's fsync is out, so
+//! N concurrent writers share one `sync_data` per batch. There is no
+//! batching window: a batch is whatever was appended by the time the
+//! leader took its snapshot.
+//!
+//! Every durability need goes through it: the `PerBatch` ack, a due
+//! `Periodic` sync (from an append or `tick`; it never waits behind an
+//! in-flight sync), `sync`, the checkpoint marker, and the rotation seal.
+//! So no fsync on a segment ever runs under the shard mutex.
 //!
 //! ## Positioned writes
 //!
@@ -98,8 +102,8 @@ pub(crate) struct SealedSegment {
 
 #[derive(Debug)]
 pub(crate) struct ShardState {
-    /// Active segment. `Arc` so a group-commit leader can `sync_data`
-    /// outside the lock while rotation swaps in a successor.
+    /// Active segment. `Arc` so the sync leader can `sync_data` it with
+    /// the mutex released.
     file: Arc<File>,
     seq: u64,
     /// Bytes of complete frames in the active segment — the next append
@@ -113,7 +117,7 @@ pub(crate) struct ShardState {
     appended_lsn: u64,
     /// Highest LSN covered by a completed `sync_data`.
     synced_lsn: u64,
-    /// A group-commit leader is fsyncing outside the lock.
+    /// A leader is running `sync_data` with the mutex released.
     sync_in_flight: bool,
     last_sync: Instant,
     /// Highest mark any checkpoint marker on this shard has recorded —
@@ -127,6 +131,21 @@ pub(crate) struct ShardState {
     /// is reopened (recovery reads what actually reached disk).
     poisoned: bool,
     sealed: Vec<SealedSegment>,
+}
+
+impl ShardState {
+    /// Write the frame `encode` builds for the next LSN at the end of the
+    /// active segment and account for it. Returns that LSN.
+    fn append_frame(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64> {
+        let lsn = self.next_lsn;
+        let frame = encode(lsn);
+        write_all_at(&self.file, &frame, self.file_bytes)?;
+        self.file_bytes += frame.len() as u64;
+        self.next_lsn += 1;
+        self.appended_lsn = lsn;
+        self.active_max_lsn = lsn;
+        Ok(lsn)
+    }
 }
 
 #[derive(Debug)]
@@ -187,14 +206,6 @@ impl WalShard {
         Ok(())
     }
 
-    /// Mark the shard unusable after a failed fsync and wake every
-    /// group-commit waiter so it observes the poison instead of electing
-    /// itself leader and retrying `sync_data` on the same fd.
-    fn poison(&self, state: &mut ShardState) {
-        state.poisoned = true;
-        self.synced.notify_all();
-    }
-
     /// Run the caller's mutation and append its record as one atomic
     /// step under the shard lock, then honor the shard's durability
     /// level before returning. `apply` returns `(result, log)`; when
@@ -211,77 +222,32 @@ impl WalShard {
         apply: impl FnOnce() -> (T, bool),
         encode: impl FnOnce(u64) -> Vec<u8>,
     ) -> Result<(T, Option<u64>)> {
-        let mut state = self.state.lock();
-        self.check_usable(&state)?;
-        if state.file_bytes >= self.segment_bytes {
-            self.rotate(&mut state)?;
-        }
+        let mut state = self.make_room(self.state.lock())?;
         let (result, log) = apply();
         if !log {
             return Ok((result, None));
         }
-        let lsn = state.next_lsn;
-        let frame = encode(lsn);
-        write_all_at(&state.file, &frame, state.file_bytes)?;
-        state.file_bytes += frame.len() as u64;
-        state.next_lsn += 1;
-        state.appended_lsn = lsn;
-        state.active_max_lsn = lsn;
+        let lsn = state.append_frame(encode)?;
         self.obs.appends.inc();
-        match self.durability {
-            Durability::None => {}
-            Durability::PerBatch => {
-                self.group_commit(state, lsn)?;
-                return Ok((result, Some(lsn)));
-            }
-            Durability::Periodic(interval) => {
-                if !state.sync_in_flight
-                    && state.synced_lsn < state.appended_lsn
-                    && state.last_sync.elapsed() >= interval
-                {
-                    // Leader-style sync, but nobody waits on the result:
-                    // Periodic acknowledges before durability.
-                    drop(self.lead_sync(state)?);
-                    return Ok((result, Some(lsn)));
-                }
-            }
+        // A due Periodic sync finds none in flight, so this appender
+        // leads it and returns; Periodic acknowledges before durability.
+        if self.durability == Durability::PerBatch || self.periodic_due(&state) {
+            drop(self.sync_to(state, lsn)?);
         }
         Ok((result, Some(lsn)))
     }
 
-    /// `sync_data` while holding the lock; publishes `synced_lsn`. A
-    /// failure poisons the shard (see [`ShardState::poisoned`]).
-    fn sync_locked(&self, state: &mut ShardState) -> Result<()> {
-        let timer = self.obs.fsync_ns.start_timer();
-        let outcome = state.file.sync_data();
-        timer.observe();
-        self.obs.fsyncs.inc();
-        if let Err(e) = outcome {
-            self.poison(state);
-            return Err(e.into());
-        }
-        self.obs
-            .batch_records
-            .record(state.appended_lsn - state.synced_lsn);
-        state.synced_lsn = state.appended_lsn;
-        state.last_sync = Instant::now();
-        self.synced.notify_all();
-        Ok(())
-    }
-
-    /// Group commit: wait until `my_lsn` is durable, electing a leader to
-    /// batch the fsync whenever none is in flight (see the module docs).
-    fn group_commit<'a>(
+    /// The shard's one durable point (see the module docs): return, with
+    /// the lock re-held, once `synced_lsn >= target` — waiting for an
+    /// in-flight sync, or leading the next one when none is.
+    fn sync_to<'a>(
         &'a self,
         mut state: MutexGuard<'a, ShardState>,
-        my_lsn: u64,
-    ) -> Result<()> {
-        loop {
-            if state.synced_lsn >= my_lsn {
-                // A completed sync covered us — a truthful ack even if a
-                // later fsync failed and poisoned the shard.
-                return Ok(());
-            }
+        target: u64,
+    ) -> Result<MutexGuard<'a, ShardState>> {
+        // A completed sync that covered `target` is a truthful ack even if
+        // a later fsync failed and poisoned the shard.
+        while state.synced_lsn < target {
             // A leader's fsync failed while we waited: our record may or
             // may not have hit disk, and retrying the fsync could falsely
             // succeed (fsyncgate) — report the failure instead.
@@ -290,72 +256,78 @@ impl WalShard {
                 self.synced.wait(&mut state);
                 continue;
             }
-            state = self.lead_sync(state)?;
+            state.sync_in_flight = true;
+            let batch_end = state.appended_lsn;
+            let batch = batch_end - state.synced_lsn;
+            let file = Arc::clone(&state.file);
+            drop(state);
+            let timer = self.obs.fsync_ns.start_timer();
+            let outcome = file.sync_data();
+            timer.observe();
+            self.obs.fsyncs.inc();
+            state = self.state.lock();
+            state.sync_in_flight = false;
+            // Waiters wake once this guard is released, so they see what
+            // is published below.
+            self.synced.notify_all();
+            if let Err(e) = outcome {
+                // A failed fsync may have dropped the dirty pages and
+                // cleared the fd's error flag (fsyncgate): a waiter
+                // retrying `sync_data` could report success without the
+                // data being durable. Poison the shard — the woken
+                // waiters and all future appends fail until reopen.
+                state.poisoned = true;
+                return Err(e.into());
+            }
+            self.obs.batch_records.record(batch);
+            state.synced_lsn = batch_end;
+            state.last_sync = Instant::now();
+        }
+        Ok(state)
+    }
+
+    /// Whether a `Periodic` shard owes a sync: its interval has elapsed
+    /// with unsynced records and no sync is in flight (a periodic sync
+    /// never waits behind one). Always false at the other levels.
+    fn periodic_due(&self, state: &ShardState) -> bool {
+        match self.durability {
+            Durability::Periodic(interval) => {
+                !state.sync_in_flight
+                    && state.synced_lsn < state.appended_lsn
+                    && state.last_sync.elapsed() >= interval
+            }
+            Durability::None | Durability::PerBatch => false,
         }
     }
 
-    /// Become the sync leader: snapshot the target, fsync outside the
-    /// lock, publish, wake waiters. Returns with the lock re-held.
-    fn lead_sync<'a>(
+    /// Return, lock held and shard usable, with room in the active
+    /// segment. While it is full: make its tail durable, then open the
+    /// successor once `synced_lsn` covers that tail. Recovery truncates a
+    /// torn tail only in the newest non-empty segment, so the old tail
+    /// must be durable before a newer segment can appear on disk. The
+    /// lock is released while the tail syncs, and another caller may
+    /// rotate meanwhile, so every pass re-reads the state.
+    fn make_room<'a>(
         &'a self,
         mut state: MutexGuard<'a, ShardState>,
     ) -> Result<MutexGuard<'a, ShardState>> {
-        state.sync_in_flight = true;
-        if self.durability == Durability::PerBatch {
-            // Batching window: with the leader elected (no second sync can
-            // start), release the lock and yield so writers already racing
-            // for the shard append their frames before the target is
-            // snapshotted — they ride this fsync instead of the next.
-            // Scheduler yields while appends keep arriving (bounded), not
-            // a timed delay: a lone writer breaks out on the first probe.
-            let mut seen = state.appended_lsn;
-            for _ in 0..4 {
-                drop(state);
-                std::thread::yield_now();
-                state = self.state.lock();
-                if state.appended_lsn == seen {
-                    break;
-                }
-                seen = state.appended_lsn;
+        loop {
+            self.check_usable(&state)?;
+            if state.file_bytes < self.segment_bytes {
+                return Ok(state);
             }
-        }
-        let target = state.appended_lsn;
-        let batch = target - state.synced_lsn;
-        let file = Arc::clone(&state.file);
-        drop(state);
-        let timer = self.obs.fsync_ns.start_timer();
-        let outcome = file.sync_data();
-        timer.observe();
-        self.obs.fsyncs.inc();
-        let mut state = self.state.lock();
-        state.sync_in_flight = false;
-        match outcome {
-            Ok(()) => {
-                self.obs.batch_records.record(batch);
-                state.synced_lsn = state.synced_lsn.max(target);
-                state.last_sync = Instant::now();
-                self.synced.notify_all();
-                Ok(state)
-            }
-            Err(e) => {
-                // A failed fsync may have dropped the dirty pages and
-                // cleared the fd's error flag (fsyncgate): a waiter
-                // retrying `sync_data` here could report success without
-                // the data being durable. Poison the shard — waiters and
-                // all future appends fail until reopen.
-                self.poison(&mut state);
-                Err(e.into())
+            if state.synced_lsn >= state.active_max_lsn {
+                self.rotate(&mut state)?;
+            } else {
+                let tail = state.active_max_lsn;
+                state = self.sync_to(state, tail)?;
             }
         }
     }
 
-    /// Seal the active segment (fsync — so its max LSN is final and every
-    /// group-commit waiter is satisfied) and open a successor.
+    /// Seal the active segment, whose tail `synced_lsn` already covers,
+    /// and open its successor.
     fn rotate(&self, state: &mut ShardState) -> Result<()> {
-        // Seal *before* the successor exists: recovery only truncates a
-        // torn tail in the newest non-empty segment, so the old tail must
-        // be durably complete before a newer segment can appear on disk.
-        self.sync_locked(state)?;
         let next_seq = state.seq + 1;
         let next_file = create_segment(&self.dir, self.index, next_seq)?;
         let sealed = SealedSegment {
@@ -391,25 +363,20 @@ impl WalShard {
     /// unlink. Skips the marker when `mark` adds nothing over the last one
     /// and no segment is deletable.
     pub(crate) fn checkpoint(&self, mark: u64, generation: u64) -> Result<Vec<(PathBuf, u64)>> {
-        let mut state = self.state.lock();
+        let state = self.state.lock();
         self.check_usable(&state)?;
         let covered_any = state.sealed.iter().any(|s| s.max_lsn <= mark);
         if mark <= state.last_mark && !covered_any {
             return Ok(Vec::new());
         }
-        if state.file_bytes >= self.segment_bytes {
-            self.rotate(&mut state)?;
-        }
+        let mut state = self.make_room(state)?;
         if mark > state.last_mark {
-            let lsn = state.next_lsn;
-            let frame = format::encode_checkpoint(lsn, mark, generation);
-            write_all_at(&state.file, &frame, state.file_bytes)?;
-            state.file_bytes += frame.len() as u64;
-            state.next_lsn += 1;
-            state.appended_lsn = lsn;
-            state.active_max_lsn = lsn;
-            state.last_mark = mark;
-            self.sync_locked(&mut state)?;
+            let lsn = state.append_frame(|lsn| format::encode_checkpoint(lsn, mark, generation))?;
+            state = self.sync_to(state, lsn)?;
+            // Recorded only once the marker is durable: a concurrent
+            // checkpoint at the same mark must not skip its own marker
+            // and hand out segments while this one's is still in flight.
+            state.last_mark = state.last_mark.max(mark);
         }
         let (covered, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut state.sealed)
             .into_iter()
@@ -421,29 +388,27 @@ impl WalShard {
             .collect())
     }
 
-    /// Force everything appended so far durable (clean shutdown, tests).
+    /// Force everything appended so far durable (clean shutdown, tests),
+    /// waiting for an in-flight sync first if there is one.
     pub(crate) fn sync(&self) -> Result<()> {
-        let mut state = self.state.lock();
+        let state = self.state.lock();
         self.check_usable(&state)?;
-        if state.synced_lsn < state.appended_lsn && !state.sync_in_flight {
-            self.sync_locked(&mut state)?;
-        }
+        let target = state.appended_lsn;
+        drop(self.sync_to(state, target)?);
         Ok(())
     }
 
     /// Periodic-durability tick: fsync if the interval elapsed with dirty
     /// records. A no-op for every other durability level.
     pub(crate) fn tick(&self) -> Result<()> {
-        let Durability::Periodic(interval) = self.durability else {
+        if !matches!(self.durability, Durability::Periodic(_)) {
             return Ok(());
-        };
-        let mut state = self.state.lock();
+        }
+        let state = self.state.lock();
         self.check_usable(&state)?;
-        if state.synced_lsn < state.appended_lsn
-            && !state.sync_in_flight
-            && state.last_sync.elapsed() >= interval
-        {
-            self.sync_locked(&mut state)?;
+        if self.periodic_due(&state) {
+            let target = state.appended_lsn;
+            drop(self.sync_to(state, target)?);
         }
         Ok(())
     }
@@ -474,4 +439,46 @@ fn create_segment(dir: &Path, shard: usize, seq: u64) -> Result<File> {
     // lands in this file — `sync_data` on the file does not cover it.
     sync_dir(dir)?;
     Ok(file)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use super::*;
+    use crate::test_support::temp_dir;
+
+    #[test]
+    fn sync_waits_for_an_in_flight_leader_and_covers_every_append() {
+        let (dir, _guard) = temp_dir("sync-in-flight");
+        std::fs::create_dir_all(&dir).unwrap();
+        let shard = WalShard::open(
+            0,
+            &dir,
+            Durability::None,
+            1 << 20,
+            WalObs::default(),
+            0,
+            0,
+            0,
+            Vec::new(),
+        )
+        .unwrap();
+        // A leader's fsync is out, snapshotted before the append below.
+        shard.state.lock().sync_in_flight = true;
+        let ((), lsn) = shard
+            .append_with(|| ((), true), |lsn| format::encode_put(lsn, b"k", b"v"))
+            .unwrap();
+        let appended = lsn.unwrap();
+        std::thread::scope(|scope| {
+            let syncer = scope.spawn(|| shard.sync());
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!syncer.is_finished(), "sync returned under a leader");
+            // The leader finishes without covering the append.
+            shard.state.lock().sync_in_flight = false;
+            shard.synced.notify_all();
+            syncer.join().unwrap().unwrap();
+        });
+        assert!(shard.state.lock().synced_lsn >= appended);
+    }
 }

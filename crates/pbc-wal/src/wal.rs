@@ -20,7 +20,7 @@ use crate::shard::{parse_segment_name, sync_dir, SealedSegment, WalShard};
 const META_FILE: &str = "wal.meta";
 
 /// Read the shard count from `wal.meta`, `None` when the file does not
-/// exist (fresh directory, or one written before the meta file existed).
+/// exist.
 fn read_shard_meta(dir: &Path) -> Result<Option<usize>> {
     let raw = match fs::read_to_string(dir.join(META_FILE)) {
         Ok(raw) => raw,
@@ -147,37 +147,29 @@ impl Wal {
             };
             max_shard_seen = Some(max_shard_seen.map_or(shard, |m| m.max(shard)));
             if shard >= shards {
-                continue; // counted above; the mismatch checks below fire
+                continue; // counted above; the stray check below fires
             }
             files[shard].push((seq, entry.path()));
         }
-        // The shard count lives in `wal.meta`, written before the first
-        // segment: a shard whose files are all gone (crash mid-open, or
-        // recovery swept its empty segments) recovers as empty rather
-        // than bricking the log with a count mismatch. Directories from
-        // before the meta file fall back to inferring the count from the
-        // segment files, where every shard index must be present.
+        // The shard count lives in `wal.meta`, written and fsynced before
+        // the first segment: a shard whose files are all gone (crash
+        // mid-open, or recovery swept its empty segments) recovers as
+        // empty rather than bricking the log with a count mismatch.
+        // Segments without the meta file came from outside damage.
         match read_shard_meta(&config.dir)? {
-            Some(on_disk) => {
-                if on_disk != shards {
-                    return Err(WalError::ShardCountMismatch {
-                        on_disk,
-                        configured: shards,
-                    });
-                }
+            Some(on_disk) if on_disk != shards => {
+                return Err(WalError::ShardCountMismatch {
+                    on_disk,
+                    configured: shards,
+                });
             }
-            None => {
-                if let Some(max_shard) = max_shard_seen {
-                    let on_disk = max_shard + 1;
-                    if on_disk != shards {
-                        return Err(WalError::ShardCountMismatch {
-                            on_disk,
-                            configured: shards,
-                        });
-                    }
-                }
-                write_shard_meta(&config.dir, shards)?;
+            Some(_) => {}
+            None if max_shard_seen.is_some() => {
+                return Err(WalError::Corrupt {
+                    context: format!("segment files but no {META_FILE}"),
+                });
             }
+            None => write_shard_meta(&config.dir, shards)?,
         }
         if let Some(max_shard) = max_shard_seen {
             if max_shard >= shards {
