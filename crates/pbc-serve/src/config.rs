@@ -2,8 +2,8 @@
 
 use std::time::Duration;
 
-/// Tuning for a [`crate::Router`]: shard fan-out, queue bounds, batch
-/// sizing, and the admission-control thresholds read against
+/// Tuning for a [`crate::Router`]: the in-flight bound per shard and the
+/// admission-control thresholds read against
 /// [`pbc_tier::WritePressure`].
 ///
 /// Defaults are sized for tests and moderate hardware; `pbc-perf`'s
@@ -11,17 +11,13 @@ use std::time::Duration;
 /// load, and `tests/backpressure.rs` a deliberately saturated configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Router shards: one submission queue + one applier thread each.
-    /// Writes hash to a shard by key, so per-key order is preserved.
+    /// Router shards: one in-flight write count each. Writes hash to a
+    /// shard by key with the WAL's own hash.
     pub shards: usize,
-    /// Bounded depth of each shard's submission queue. A write arriving
-    /// at a full queue is refused with [`crate::BusyReason::QueueFull`].
+    /// Most writes in flight on one shard at once, from admission until
+    /// they return. A write arriving at a full shard is refused with
+    /// [`crate::BusyReason::QueueFull`].
     pub queue_capacity: usize,
-    /// Most writes one applier drains per batch. A batch's writes are
-    /// applied one after another, each acknowledged on its own (they
-    /// share the queue hand-off, not an fsync); the batch-size histogram
-    /// shows how deep the queues ran.
-    pub max_batch: usize,
     /// Refuse writes while the committed L0 segment count is at or above
     /// this ([`crate::BusyReason::ColdBacklog`]): compaction has fallen
     /// behind and admission pauses until the backlog drains.
@@ -33,7 +29,7 @@ pub struct ServeConfig {
     pub memory_slack: f64,
     /// Base retry hint carried by [`crate::ServeError::Busy`]. Queue-full
     /// rejections use it as-is; backlog/memory rejections scale it up,
-    /// since draining takes longer than one batch.
+    /// since draining them takes longer than one write.
     pub retry_after: Duration,
 }
 
@@ -42,7 +38,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 4,
             queue_capacity: 256,
-            max_batch: 64,
             l0_backpressure: 64,
             memory_slack: 4.0,
             retry_after: Duration::from_millis(1),
@@ -57,15 +52,9 @@ impl ServeConfig {
         self
     }
 
-    /// Set the per-shard queue bound (clamped to at least 1).
+    /// Set the per-shard in-flight bound (clamped to at least 1).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Set the per-batch drain limit (clamped to at least 1).
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
         self
     }
 

@@ -9,7 +9,6 @@
 //! exact guarantee).
 
 use std::fmt;
-use std::io;
 use std::time::Duration;
 
 use pbc_tier::TierError;
@@ -17,8 +16,8 @@ use pbc_tier::TierError;
 /// Which backpressure signal refused admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusyReason {
-    /// The write's router shard queue is at capacity — appliers are not
-    /// keeping up with the offered load.
+    /// The write's router shard already has
+    /// [`crate::ServeConfig::queue_capacity`] writes in flight.
     QueueFull,
     /// Committed L0 spill segments exceed the configured limit:
     /// compaction is falling behind and more writes would only deepen
@@ -61,7 +60,7 @@ impl fmt::Display for QuotaKind {
 #[derive(Debug)]
 pub enum ServeError {
     /// Admission control refused the request; retry after the hint.
-    /// Guarantee: the operation was **not** applied and **not** queued —
+    /// Guarantee: the operation was **not** applied —
     /// a `Busy` rejection has no side effects on the store or on the
     /// tenant's quota accounting.
     Busy {
@@ -71,7 +70,7 @@ pub enum ServeError {
         retry_after: Duration,
     },
     /// The request would exceed one of the tenant's budgets. Not applied,
-    /// not queued, no accounting change.
+    /// no accounting change.
     QuotaExceeded {
         /// The tenant that ran out of budget.
         tenant: String,
@@ -98,11 +97,9 @@ pub enum ServeError {
         /// The rejected name.
         tenant: String,
     },
-    /// The router is shutting down; queued-but-unapplied writes fail
-    /// with this rather than being silently dropped.
+    /// The router was shut down or aborted before the write was
+    /// admitted. Not applied, no accounting change.
     Shutdown,
-    /// Spawning a router worker thread failed.
-    Io(io::Error),
     /// The underlying tiered store failed.
     Tier(TierError),
 }
@@ -136,7 +133,6 @@ impl fmt::Display for ServeError {
                 )
             }
             ServeError::Shutdown => write!(f, "router is shutting down"),
-            ServeError::Io(e) => write!(f, "router i/o failed: {e}"),
             ServeError::Tier(e) => write!(f, "store failed: {e}"),
         }
     }
@@ -145,7 +141,6 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::Io(e) => Some(e),
             ServeError::Tier(e) => Some(e),
             _ => None,
         }
@@ -155,12 +150,6 @@ impl std::error::Error for ServeError {
 impl From<TierError> for ServeError {
     fn from(e: TierError) -> Self {
         ServeError::Tier(e)
-    }
-}
-
-impl From<io::Error> for ServeError {
-    fn from(e: io::Error) -> Self {
-        ServeError::Io(e)
     }
 }
 

@@ -6,15 +6,14 @@
 //! full cost. This crate adds the serving discipline a shared deployment
 //! needs, without changing the engine:
 //!
-//! * **Sharded write batching** ([`Router`]) — writes hash onto
-//!   per-shard submission queues; one applier thread per shard drains
-//!   them in batches, so concurrent writers' WAL appends share group
-//!   commits instead of fsyncing one by one.
-//! * **Admission control** ([`ServeError::Busy`]) — bounded queues plus
-//!   lock-free backpressure read from
+//! * **Caller-thread writes** ([`Router`]) — `put`/`delete` call the
+//!   store on the caller's thread; concurrent writers share fsyncs in
+//!   the WAL's group commit, with no router queue or thread in between.
+//! * **Admission control** ([`ServeError::Busy`]) — a per-shard bound
+//!   on writes in flight plus lock-free backpressure read from
 //!   [`pbc_tier::TieredStore::write_pressure`]: when spill or compaction
 //!   falls behind, writes are refused with a typed retry hint rather
-//!   than queueing without bound. Never a silent drop.
+//!   than waiting without bound. Never a silent drop.
 //! * **Multi-tenant namespaces** ([`TenantQuota`]) — per-tenant key
 //!   prefixes over one shared store (one cold tier, one block cache),
 //!   with exact live-byte and per-window op budgets enforced at

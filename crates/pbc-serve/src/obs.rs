@@ -21,16 +21,12 @@ pub(crate) struct ServeObs {
     pub(crate) admission_rejections: Counter,
     /// Requests refused by a tenant quota.
     pub(crate) quota_rejections: Counter,
-    /// Batches the shard appliers drained.
-    pub(crate) batches: Counter,
-    /// Writes currently queued across all shards.
+    /// Writes in flight across all shards.
     pub(crate) queue_depth: Gauge,
     /// Registered tenants.
     pub(crate) tenants: Gauge,
-    /// Writes per drained batch.
-    pub(crate) batch_records: Histogram,
-    /// Submit-to-ack latency of acknowledged writes — puts and deletes
-    /// both (queue wait + batch application, nanoseconds).
+    /// Admission-to-ack latency of acknowledged writes, puts and deletes
+    /// both (the store call, nanoseconds).
     pub(crate) write_wait_ns: Histogram,
     /// Whole-call router get latency (nanoseconds).
     pub(crate) get_ns: Histogram,
@@ -45,10 +41,8 @@ impl ServeObs {
             scans: registry.counter("pbc_serve_scans_total"),
             admission_rejections: registry.counter("pbc_serve_admission_rejections_total"),
             quota_rejections: registry.counter("pbc_serve_quota_rejections_total"),
-            batches: registry.counter("pbc_serve_batches_total"),
             queue_depth: registry.gauge("pbc_serve_queue_depth"),
             tenants: registry.gauge("pbc_serve_tenants"),
-            batch_records: registry.histogram("pbc_serve_batch_records"),
             write_wait_ns: registry.histogram("pbc_serve_write_wait_ns"),
             get_ns: registry.histogram("pbc_serve_get_latency_ns"),
         }

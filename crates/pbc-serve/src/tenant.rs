@@ -6,8 +6,8 @@
 //! tenant's keys contiguous and in user-key order — range scans over a
 //! tenant are range scans over the store.
 //!
-//! Quotas are budgets, checked and charged *before* a request is queued
-//! so a rejected request has zero side effects:
+//! Quotas are budgets, checked and charged *before* a request reaches
+//! the store, so a rejected request has zero side effects:
 //!
 //! * **bytes** — live stored bytes (user key + value, summed over the
 //!   tenant's live keys). Overwrites re-charge the delta; deletes credit
@@ -19,9 +19,9 @@
 //!   driver tops it up or resets it ([`crate::Router::reset_ops_window`]);
 //!   with no driver it is simply a hard cap.
 //!
-//! Accounting is charged at admission (before the write is queued) and
-//! rolled back if the store later fails the write, so under per-key
-//! serial submission usage always equals the live state. Two clients
+//! Accounting is charged at admission (before the store call) and
+//! rolled back if the store fails the write, so under per-key serial
+//! writes usage always equals the live state. Two clients
 //! racing *the same key* of the same tenant may transiently record the
 //! loser's size — the same last-writer-wins ambiguity the store itself
 //! has.

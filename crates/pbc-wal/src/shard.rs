@@ -133,15 +133,24 @@ pub(crate) struct ShardState {
     sealed: Vec<SealedSegment>,
 }
 
+/// The LSN after `lsn`. Only a damaged or forged log gets near the top
+/// of the range; reaching it is reported, never wrapped or overflowed.
+fn after_lsn(lsn: u64) -> Result<u64> {
+    lsn.checked_add(1).ok_or_else(|| WalError::Corrupt {
+        context: format!("LSN {lsn} leaves no LSN to assign"),
+    })
+}
+
 impl ShardState {
     /// Write the frame `encode` builds for the next LSN at the end of the
     /// active segment and account for it. Returns that LSN.
     fn append_frame(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64> {
         let lsn = self.next_lsn;
+        let next_lsn = after_lsn(lsn)?;
         let frame = encode(lsn);
         write_all_at(&self.file, &frame, self.file_bytes)?;
         self.file_bytes += frame.len() as u64;
-        self.next_lsn += 1;
+        self.next_lsn = next_lsn;
         self.appended_lsn = lsn;
         self.active_max_lsn = lsn;
         Ok(lsn)
@@ -174,6 +183,7 @@ impl WalShard {
         last_mark: u64,
         sealed: Vec<SealedSegment>,
     ) -> Result<WalShard> {
+        let next_lsn = after_lsn(max_lsn_seen)?;
         let file = create_segment(dir, index, seq)?;
         Ok(WalShard {
             index,
@@ -186,7 +196,7 @@ impl WalShard {
                 seq,
                 file_bytes: 0,
                 active_max_lsn: 0,
-                next_lsn: max_lsn_seen + 1,
+                next_lsn,
                 appended_lsn: max_lsn_seen,
                 synced_lsn: max_lsn_seen,
                 sync_in_flight: false,

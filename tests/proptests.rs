@@ -18,6 +18,7 @@ use pbc::core::{FieldEncoder, Pattern, PbcCompressor, PbcConfig};
 use pbc::datagen::Dataset;
 use pbc::json::{parse, to_string, JsonValue, Number};
 use pbc::tier::{Manifest, ManifestEntry, SegmentStats, TierError, LEVEL_L0, LEVEL_L1};
+use pbc::wal::{ReplayOp, Wal, WalConfig, WalError, WalObs};
 
 mod support;
 use support::temp_dir;
@@ -848,6 +849,354 @@ proptest! {
             Ok(None) => prop_assert!(false, "a manifest file exists"),
             Err(TierError::ManifestCorrupt { .. } | TierError::UnsupportedVersion { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
+        }
+    }
+}
+
+/// One WAL record as the reference reader below sees it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum WalRecord {
+    Put {
+        lsn: u64,
+        key: Vec<u8>,
+        value: Vec<u8>,
+    },
+    Delete {
+        lsn: u64,
+        key: Vec<u8>,
+    },
+    Checkpoint {
+        lsn: u64,
+        mark: u64,
+        generation: u64,
+    },
+}
+
+impl WalRecord {
+    fn lsn(&self) -> u64 {
+        match self {
+            WalRecord::Put { lsn, .. }
+            | WalRecord::Delete { lsn, .. }
+            | WalRecord::Checkpoint { lsn, .. } => *lsn,
+        }
+    }
+
+    /// The record's payload as the WAL frames it (`lsn u64 | op u8 |
+    /// body`, little-endian).
+    fn payload(&self) -> Vec<u8> {
+        let mut out = self.lsn().to_le_bytes().to_vec();
+        match self {
+            WalRecord::Put { key, value, .. } => {
+                out.push(1);
+                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+                out.extend_from_slice(key);
+                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                out.extend_from_slice(value);
+            }
+            WalRecord::Delete { key, .. } => {
+                out.push(2);
+                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+                out.extend_from_slice(key);
+            }
+            WalRecord::Checkpoint {
+                mark, generation, ..
+            } => {
+                out.push(3);
+                out.extend_from_slice(&mark.to_le_bytes());
+                out.extend_from_slice(&generation.to_le_bytes());
+            }
+        }
+        out
+    }
+}
+
+/// `payload` under a frame header: `len u32 | crc32 u32`.
+fn seal_wal_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&pbc::archive::format::crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// The reference reading of one WAL segment: the records of its longest
+/// prefix of whole, CRC-valid, well-formed frames, and that prefix's
+/// length in bytes.
+fn wal_valid_prefix(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+    fn u32_at(buf: &[u8], at: usize) -> Option<usize> {
+        Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?) as usize)
+    }
+    fn u64_at(buf: &[u8], at: usize) -> Option<u64> {
+        Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
+    }
+    fn record(payload: &[u8]) -> Option<WalRecord> {
+        let lsn = u64_at(payload, 0)?;
+        let body = payload.get(9..)?;
+        let bytes = |from: usize, len: usize| body.get(from..from + len).map(<[u8]>::to_vec);
+        let (record, used) = match payload[8] {
+            1 => {
+                let key_len = u32_at(body, 0)?;
+                let value_len = u32_at(body, 4 + key_len)?;
+                let key = bytes(4, key_len)?;
+                let value = bytes(8 + key_len, value_len)?;
+                (WalRecord::Put { lsn, key, value }, 8 + key_len + value_len)
+            }
+            2 => {
+                let key_len = u32_at(body, 0)?;
+                let key = bytes(4, key_len)?;
+                (WalRecord::Delete { lsn, key }, 4 + key_len)
+            }
+            3 => {
+                let (mark, generation) = (u64_at(body, 0)?, u64_at(body, 8)?);
+                (
+                    WalRecord::Checkpoint {
+                        lsn,
+                        mark,
+                        generation,
+                    },
+                    16,
+                )
+            }
+            _ => return None,
+        };
+        (used == body.len()).then_some(record)
+    }
+    let mut records = Vec::new();
+    let mut at = 0;
+    while let Some(len) = u32_at(bytes, at) {
+        let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
+            break;
+        };
+        if u32_at(bytes, at + 4) != Some(pbc::archive::format::crc32(payload) as usize) {
+            break;
+        }
+        let Some(record) = record(payload) else {
+            break;
+        };
+        records.push(record);
+        at += 8 + len;
+    }
+    (records, at)
+}
+
+/// Real frames for records derived from `seed`: puts, deletes and
+/// checkpoint markers with ascending LSNs.
+fn real_wal_frames(seed: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (i, chunk) in seed.chunks(6).enumerate() {
+        let lsn = i as u64 + 1;
+        let key = chunk[..chunk.len().min(3)].to_vec();
+        let record = match chunk[0] % 4 {
+            0 => WalRecord::Delete { lsn, key },
+            1 => WalRecord::Checkpoint {
+                lsn,
+                mark: u64::from(chunk[chunk.len() - 1] % 16),
+                generation: u64::from(chunk[0] % 5),
+            },
+            _ => WalRecord::Put {
+                lsn,
+                key,
+                value: chunk.to_vec(),
+            },
+        };
+        out.extend(seal_wal_frame(&record.payload()));
+    }
+    out
+}
+
+/// A payload of WAL-shaped fields driven by six bytes of `seed`: mostly
+/// well-formed records, with the extremes of each field mixed in — LSNs
+/// next to `u64::MAX`, unknown op bytes, length fields up to `u32::MAX`
+/// that disagree with the bytes behind them, and a stray trailing byte.
+fn wal_field_soup(seed: &[u8]) -> Vec<u8> {
+    let at = |i: usize| seed.get(i).copied().unwrap_or(0);
+    let wide = [0u64, 1, 2, 7, 1 << 40, u64::MAX - 1, u64::MAX];
+    let lengths = [0u32, 1, 3, 8, 255, 1 << 20, 0x8000_0000, u32::MAX];
+    let length_field = |actual: usize, choice: u8| -> [u8; 4] {
+        let len = if choice < 240 {
+            actual as u32
+        } else {
+            lengths[choice as usize % lengths.len()]
+        };
+        len.to_le_bytes()
+    };
+    let lsn = match at(0) {
+        0xf8.. => u64::MAX,
+        0xf0.. => u64::MAX - 1,
+        b => u64::from(b % 8),
+    };
+    let key = &b"key-value"[..at(2) as usize % 10];
+    let value = &b"key-value"[..at(4) as usize % 10];
+    let mut out = lsn.to_le_bytes().to_vec();
+    let op = match at(1) {
+        0xf0.. => [0, 4, 0xff][at(1) as usize % 3],
+        b => b % 3 + 1,
+    };
+    out.push(op);
+    match op {
+        1 | 2 => {
+            out.extend_from_slice(&length_field(key.len(), at(3)));
+            out.extend_from_slice(key);
+            if op == 1 {
+                out.extend_from_slice(&length_field(value.len(), at(5)));
+                out.extend_from_slice(value);
+            }
+        }
+        _ => {
+            out.extend_from_slice(&wide[at(3) as usize % wide.len()].to_le_bytes());
+            out.extend_from_slice(&u64::from(at(5) % 5).to_le_bytes());
+        }
+    }
+    if at(2) >= 248 {
+        out.push(at(4));
+    }
+    out
+}
+
+/// Write `segments` as shard 0's segment files in a fresh one-shard WAL
+/// directory.
+fn write_wal_segments(dir: &std::path::Path, segments: &[&[u8]]) -> Vec<std::path::PathBuf> {
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("wal.meta"), b"1\n").unwrap();
+    segments
+        .iter()
+        .enumerate()
+        .map(|(seq, bytes)| {
+            let path = dir.join(format!("wal-000-{seq:010}.log"));
+            std::fs::write(&path, bytes).unwrap();
+            path
+        })
+        .collect()
+}
+
+/// Open the one-shard WAL in `dir`, collecting what it replays.
+fn open_wal(
+    dir: &std::path::Path,
+    generation: u64,
+) -> Result<(Vec<WalRecord>, pbc::wal::RecoveryReport), WalError> {
+    let mut replayed = Vec::new();
+    let config = WalConfig::new(dir).with_shards(1);
+    let (_wal, report) = Wal::open(config, WalObs::default(), generation, |op| {
+        replayed.push(match op {
+            ReplayOp::Put { key, value } => WalRecord::Put {
+                lsn: 0,
+                key: key.to_vec(),
+                value: value.to_vec(),
+            },
+            ReplayOp::Delete { key } => WalRecord::Delete {
+                lsn: 0,
+                key: key.to_vec(),
+            },
+        })
+    })?;
+    Ok((replayed, report))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Wal::open` over WAL segments holding whatever a crash or a bad
+    /// disk can leave: random bytes, real frames cut short or with one
+    /// bit flipped, and frames of payload-field soup sealed under valid
+    /// CRCs (so the payload parser behind the CRC check sees extreme
+    /// LSNs, unknown ops and lengths up to `u32::MAX`). Recovery must
+    /// match a reference reader exactly: replay the valid frame prefix
+    /// past the visible checkpoint mark and truncate the rest, or — when
+    /// a bad frame sits before a newer non-empty segment, or the log has
+    /// used up its LSNs — return `WalError::Corrupt`. Never a panic, and
+    /// no allocation sized by a length field (a 4 GiB one would abort).
+    #[test]
+    fn wal_recovery_replays_exactly_the_valid_prefix_of_arbitrary_bytes(
+        shape in 0u8..3,
+        junk in vec(any::<u8>(), 0..600),
+        at in any::<usize>(),
+        bits in any::<u8>(),
+        split in any::<usize>(),
+        generation in 0u64..5,
+    ) {
+        let (dir, _guard) = temp_dir("wal-frame-fuzz");
+        let bytes = match shape {
+            0 => junk,
+            1 => {
+                let mut bytes = real_wal_frames(&junk);
+                if !bytes.is_empty() {
+                    let at = at % bytes.len();
+                    if bits & 1 == 0 {
+                        bytes.truncate(at);
+                    } else {
+                        bytes[at] ^= 1 << (bits >> 5);
+                    }
+                }
+                bytes
+            }
+            _ => junk
+                .chunks(6)
+                .flat_map(|seed| seal_wal_frame(&wal_field_soup(seed)))
+                .collect(),
+        };
+        // One segment, or the same bytes split over two.
+        let segments: Vec<&[u8]> = if split.is_multiple_of(3) {
+            vec![&bytes]
+        } else {
+            let (older, newer) = bytes.split_at(split % (bytes.len() + 1));
+            vec![older, newer]
+        };
+        let paths = write_wal_segments(&dir, &segments);
+
+        let prefixes: Vec<(Vec<WalRecord>, usize)> =
+            segments.iter().map(|s| wal_valid_prefix(s)).collect();
+        let newest = segments.iter().rposition(|s| !s.is_empty());
+        let torn_before_newest = prefixes
+            .iter()
+            .zip(&segments)
+            .enumerate()
+            .any(|(i, ((_, valid), s))| *valid < s.len() && Some(i) != newest);
+        let records: Vec<&WalRecord> = prefixes.iter().flat_map(|(r, _)| r).collect();
+        let exhausted = records.iter().any(|r| r.lsn() == u64::MAX);
+        let mark = records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::Checkpoint { mark, generation: g, .. } if *g <= generation => Some(*mark),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let (replay, skipped): (Vec<&WalRecord>, Vec<&WalRecord>) = records
+            .iter()
+            .filter(|r| !matches!(r, WalRecord::Checkpoint { .. }))
+            .partition(|r| r.lsn() > mark);
+        let expected: Vec<WalRecord> = replay
+            .into_iter()
+            .map(|r| match r.clone() {
+                WalRecord::Put { key, value, .. } => WalRecord::Put { lsn: 0, key, value },
+                WalRecord::Delete { key, .. } => WalRecord::Delete { lsn: 0, key },
+                checkpoint => checkpoint,
+            })
+            .collect();
+
+        match open_wal(&dir, generation) {
+            Err(WalError::Corrupt { .. }) => {
+                prop_assert!(torn_before_newest || exhausted, "recovery refused a recoverable log");
+            }
+            Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
+            Ok((replayed, report)) => {
+                prop_assert!(!torn_before_newest && !exhausted, "recovery accepted a corrupt log");
+                prop_assert_eq!(&replayed, &expected);
+                prop_assert_eq!(report.records_replayed, expected.len() as u64);
+                prop_assert_eq!(report.records_skipped, skipped.len() as u64);
+                let torn: usize = newest.map_or(0, |i| segments[i].len() - prefixes[i].1);
+                prop_assert_eq!(report.truncated_bytes, torn as u64);
+                // What is left on disk is exactly the valid prefix of each
+                // segment; a segment left empty is removed.
+                for (path, (_, valid)) in paths.iter().zip(&prefixes) {
+                    let len = std::fs::metadata(path).map(|m| m.len() as usize).ok();
+                    prop_assert_eq!(len, (*valid > 0).then_some(*valid));
+                }
+                // Recovery is idempotent: a second open replays the same
+                // records and truncates nothing.
+                let (again, report) = open_wal(&dir, generation).unwrap();
+                prop_assert_eq!(&again, &expected);
+                prop_assert_eq!(report.truncated_bytes, 0);
+            }
         }
     }
 }

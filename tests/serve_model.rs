@@ -137,12 +137,11 @@ proptest! {
         );
         // Generous admission thresholds: this test isolates tenant/quota
         // semantics, so backpressure must never fire (ops are sequential,
-        // so queues hold at most one write anyway).
+        // so at most one write is ever in flight).
         let router = Router::start(
             Arc::clone(&store),
             ServeConfig::default()
                 .with_shards(3)
-                .with_max_batch(4)
                 .with_l0_backpressure(10_000)
                 .with_memory_slack(1_000.0),
         )

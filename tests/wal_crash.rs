@@ -368,11 +368,11 @@ fn every_durability_level_recovers_after_a_kill() {
     }
 }
 
-/// Batch equivalence: writes batched through the router's shard appliers,
+/// Router equivalence: concurrent clients' writes through the router,
 /// replayed from the WAL after a kill, land on exactly the state that
-/// applying each client's sequence directly would have produced. Batching
-/// is an amortization, never a reordering — per-key order is client
-/// order, and the log preserves it.
+/// applying each client's sequence directly would have produced. Sharing
+/// group commits is an amortization, never a reordering — per-key order
+/// is client order, and the log preserves it.
 #[test]
 fn router_batches_replay_to_sequential_state() {
     use std::sync::{Arc, Mutex};
@@ -384,11 +384,7 @@ fn router_batches_replay_to_sequential_state() {
     let model: BTreeMap<(usize, Vec<u8>), Option<Vec<u8>>> = {
         let store = Arc::new(TieredStore::open(wal_config(&dir, Durability::PerBatch)).unwrap());
         let router = Arc::new(
-            Router::start(
-                Arc::clone(&store),
-                ServeConfig::default().with_shards(3).with_max_batch(8),
-            )
-            .unwrap(),
+            Router::start(Arc::clone(&store), ServeConfig::default().with_shards(3)).unwrap(),
         );
         for tenant in tenants {
             router
@@ -398,7 +394,7 @@ fn router_batches_replay_to_sequential_state() {
         // 4 clients × 2 tenants, disjoint key slices per client, with
         // overwrites and deletes inside each slice. Every write blocks for
         // its ack, so each client's slice has a definite sequential
-        // history; the appliers batch them arbitrarily across clients.
+        // history; the clients' fsyncs group arbitrarily in the WAL.
         let model = Arc::new(Mutex::new(BTreeMap::new()));
         let handles: Vec<_> = (0..4usize)
             .map(|t| {
@@ -449,9 +445,9 @@ fn router_batches_replay_to_sequential_state() {
     }
 }
 
-/// Crash with a router batch in flight: clients hammer the router while
-/// the main thread aborts it mid-stream (queued writes fail with
-/// `Shutdown`, appliers stop, nothing is flushed). After recovery, the
+/// Crash with router writes in flight: clients hammer the router while
+/// the main thread aborts it mid-stream (later writes fail with
+/// `Shutdown`, nothing is flushed). After recovery, the
 /// tenant's recovered keys must be exactly the acknowledged set — every
 /// acked write present with its acked value, every unacknowledged write
 /// absent (it was refused, not half-applied).
@@ -465,11 +461,7 @@ fn abort_with_inflight_batch_recovers_exactly_the_acked_writes() {
     let acked: BTreeMap<Vec<u8>, Vec<u8>> = {
         let store = Arc::new(TieredStore::open(wal_config(&dir, Durability::PerBatch)).unwrap());
         let router = Arc::new(
-            Router::start(
-                Arc::clone(&store),
-                ServeConfig::default().with_shards(2).with_max_batch(4),
-            )
-            .unwrap(),
+            Router::start(Arc::clone(&store), ServeConfig::default().with_shards(2)).unwrap(),
         );
         router
             .create_tenant("tenant", TenantQuota::unlimited())
@@ -495,7 +487,7 @@ fn abort_with_inflight_batch_recovers_exactly_the_acked_writes() {
             })
             .collect();
         // Let the clients get well into their run, then pull the plug
-        // with their batches in flight.
+        // with their writes in flight.
         while acked.lock().unwrap().len() < 200 {
             std::thread::yield_now();
         }
@@ -529,4 +521,77 @@ fn abort_with_inflight_batch_recovers_exactly_the_acked_writes() {
         acked.len(),
         "recovered a write that was never acknowledged"
     );
+}
+
+/// Group commit through the router: eight clients on one router shard
+/// over a one-shard WAL call the store on their own threads, so their
+/// `PerBatch` acks meet at the shard's one durable point and share
+/// fsyncs — fewer fsyncs than acked writes — and after a kill every
+/// acked write replays with its acked value.
+#[test]
+fn router_writers_share_wal_fsyncs_and_every_ack_replays() {
+    use std::sync::Arc;
+
+    use pbc::serve::{Router, ServeConfig, TenantQuota};
+
+    let (dir, _guard) = temp_dir("router-group-commit");
+    let config = || {
+        TierConfig::new(&dir)
+            .with_watermark(u64::MAX)
+            .with_wal(WalOptions::with_durability(Durability::PerBatch).shards(1))
+    };
+    let fsyncs = |store: &TieredStore| store.metrics().snapshot().counters["pbc_wal_fsyncs_total"];
+    let (acked, synced) = {
+        let store = Arc::new(TieredStore::open(config()).unwrap());
+        let router =
+            Router::start(Arc::clone(&store), ServeConfig::default().with_shards(1)).unwrap();
+        router
+            .create_tenant("tenant", TenantQuota::unlimited())
+            .unwrap();
+        let before = fsyncs(&store);
+        let router = &router;
+        let acked: Vec<(Vec<u8>, Vec<u8>)> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..8usize)
+                .map(|t| {
+                    scope.spawn(move || {
+                        (0..100usize)
+                            .map(|i| {
+                                let (k, v) = (key(t * 1_000 + i), value(i));
+                                router.put("tenant", &k, &v).unwrap();
+                                (k, v)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|client| client.join().unwrap())
+                .collect()
+        });
+        router.shutdown();
+        (acked, fsyncs(&store) - before)
+    };
+    assert_eq!(acked.len(), 800);
+    assert!(
+        synced < acked.len() as u64,
+        "{synced} fsyncs for {} acked writes: concurrent router writers must share group commits",
+        acked.len()
+    );
+
+    // Kill (the store was dropped unflushed) and recover.
+    let store = Arc::new(TieredStore::open(config()).unwrap());
+    assert_eq!(store.segment_count(), 0, "nothing spilled before the kill");
+    let router = Router::start(Arc::clone(&store), ServeConfig::default()).unwrap();
+    router
+        .create_tenant("tenant", TenantQuota::unlimited())
+        .unwrap();
+    for (k, v) in &acked {
+        assert_eq!(
+            router.get("tenant", k).unwrap().as_ref(),
+            Some(v),
+            "acked key {:?} lost in the crash",
+            String::from_utf8_lossy(k)
+        );
+    }
 }
