@@ -49,8 +49,9 @@ pub mod codec_id {
 /// Which codec a [`crate::SegmentWriter`] should use.
 #[derive(Debug, Clone, Default)]
 pub enum CodecSpec {
-    /// Train every candidate on the first block and keep whichever
-    /// trial-compresses it smallest.
+    /// Train every candidate on sample blocks of the writer's first window
+    /// (see [`crate::SegmentConfig::auto_sample_blocks`]) and keep
+    /// whichever trial-compresses them smallest.
     #[default]
     Auto,
     /// Store blocks uncompressed.
@@ -415,7 +416,7 @@ fn fsst_table(compressor: &PbcCompressor) -> Vec<u8> {
 pub fn build_codec(spec: &CodecSpec, samples: &[Entry]) -> BlockCodec {
     let values: Vec<&[u8]> = samples.iter().map(|(_, v)| v.as_slice()).collect();
     match spec {
-        CodecSpec::Auto => select_codec(samples),
+        CodecSpec::Auto => select_codec_over_blocks(&[samples]),
         CodecSpec::Raw => BlockCodec::Raw,
         CodecSpec::Pbc(config) => BlockCodec::Pbc {
             compressor: Arc::new(PbcCompressor::train(&values, config)),
@@ -436,12 +437,6 @@ pub fn build_codec(spec: &CodecSpec, samples: &[Entry]) -> BlockCodec {
     }
 }
 
-/// Trial-compress one sample block with every candidate codec and keep the
-/// one producing the fewest bytes.
-fn select_codec(samples: &[Entry]) -> BlockCodec {
-    select_codec_over_blocks(&[samples])
-}
-
 /// Trial-select a codec over several sample blocks spread across the input.
 ///
 /// Candidates train on the concatenation of all samples and are scored by
@@ -450,7 +445,7 @@ fn select_codec(samples: &[Entry]) -> BlockCodec {
 /// candidate, so selection is deterministic). Sampling blocks spread across
 /// the input — rather than the first block only — keeps drifting corpora
 /// from committing to a codec that raw-fallbacks on the whole tail.
-pub fn select_codec_over_blocks(sample_blocks: &[&[Entry]]) -> BlockCodec {
+pub(crate) fn select_codec_over_blocks(sample_blocks: &[&[Entry]]) -> BlockCodec {
     let concatenated: Vec<Entry>;
     let training: &[Entry] = match sample_blocks {
         [] => &[],

@@ -6,7 +6,7 @@
 //! self-describing on-disk **segment** format where records are grouped
 //! into fixed-target-size blocks, each block independently compressed with
 //! a per-segment codec choice (PBC / PBC_F / Zstd-like / FSST / raw —
-//! trial-selected on the first block or forced via [`CodecSpec`]), with the
+//! trial-selected on sample blocks or forced via [`CodecSpec`]), with the
 //! trained PBC pattern dictionary, FSST symbol table, and Zstd dictionary
 //! embedded once in the segment header.
 //!
@@ -56,14 +56,12 @@ pub mod reader;
 pub mod writer;
 
 pub use block::DecodedBlock;
-pub use codec::{build_codec, select_codec_over_blocks, BlockCodec, CodecSpec, Entry};
+pub use codec::{build_codec, BlockCodec, CodecSpec, Entry};
 pub use error::{ArchiveError, Result};
 pub use mmap::MappedFile;
 pub use obs::{ReaderObs, WriterObs};
 pub use reader::{RangeScan, ReadMode, Scan, SegmentReader};
-pub use writer::{
-    entry_size_estimate, spread_sample_indices, SegmentConfig, SegmentSummary, SegmentWriter,
-};
+pub use writer::{entry_size_estimate, SegmentConfig, SegmentSummary, SegmentWriter};
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,9 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use crate::codec::{build_codec, serialized_len, BlockCodec, CodecSpec, Entry};
+use crate::codec::{
+    build_codec, select_codec_over_blocks, serialized_len, BlockCodec, CodecSpec, Entry,
+};
 use crate::error::{ArchiveError, Result};
 use crate::format::{
     crc32, encode_index, encode_trailer, BlockMeta, Header, FLAG_SORTED_KEYS, VERSION,
@@ -82,18 +84,17 @@ impl SegmentConfig {
     }
 
     /// Whether a block holding `records` entries of `bytes` estimated
-    /// payload is due to close under this config. This is **the** blocking
-    /// rule — callers predicting writer block boundaries (e.g. to sample
-    /// spill payloads for codec selection) must use it rather than
-    /// re-deriving the thresholds.
+    /// payload is due to close under this config: the rule
+    /// [`SegmentWriter::append`] closes blocks by, for callers that lay out
+    /// the same blocks without writing a segment.
     pub fn block_is_full(&self, records: usize, bytes: usize) -> bool {
         bytes >= self.target_block_bytes || records >= MAX_BLOCK_RECORDS
     }
 }
 
 /// The writer's per-entry size estimate used to close blocks: key and
-/// value bytes plus ~10 bytes of varint framing. Shared so external block
-/// predictions stay in sync with [`SegmentWriter::append`].
+/// value bytes plus ~10 bytes of varint framing (see
+/// [`SegmentConfig::block_is_full`]).
 pub fn entry_size_estimate(key_len: usize, value_len: usize) -> usize {
     key_len + value_len + 10
 }
@@ -113,6 +114,10 @@ pub struct SegmentSummary {
     pub compressed_bytes: u64,
     /// Name of the codec the segment committed to.
     pub codec: &'static str,
+    /// The codec itself, trained artifacts included: another writer given
+    /// it as [`CodecSpec::Pretrained`] writes the same codec without
+    /// training.
+    pub block_codec: BlockCodec,
     /// Records appended via [`SegmentWriter::append_flagged`] (tombstones,
     /// for the tiered store).
     pub flagged_count: u64,
@@ -206,10 +211,9 @@ fn compress_one(codec: &BlockCodec, job: BlockJob, obs: &WriterObs) -> Compresse
 }
 
 /// Up to `k` strictly increasing indices spread evenly over `0..n` (first
-/// and last always included when `n > 1`) — the shared sampling rule for
-/// codec selection, used by this writer's `Auto` window and by callers
-/// sampling whole segments or spill payloads.
-pub fn spread_sample_indices(n: usize, k: usize) -> Vec<usize> {
+/// and last always included when `n > 1`): which blocks of the `Auto`
+/// window the codec selection samples.
+fn spread_sample_indices(n: usize, k: usize) -> Vec<usize> {
     if n <= k {
         return (0..n).collect();
     }
@@ -512,7 +516,7 @@ impl SegmentWriter {
             .iter()
             .map(|&i| pending[i].entries.as_slice())
             .collect();
-        let codec = crate::codec::select_codec_over_blocks(&sample_blocks);
+        let codec = select_codec_over_blocks(&sample_blocks);
         self.commit_codec(codec)?;
         for job in pending {
             self.dispatch_block(job)?;
@@ -655,14 +659,16 @@ impl SegmentWriter {
         self.file.write_all(&trailer)?;
         self.file.flush()?;
         self.file.get_ref().sync_all()?;
+        // pbc-allow(panic): stats are read after commit_codec
+        let codec = self.codec.as_deref().expect("codec committed above");
         Ok(SegmentSummary {
             path: self.path.clone(),
             record_count: self.record_count,
             block_count: self.index.len(),
             raw_bytes: self.raw_bytes,
             compressed_bytes: self.compressed_bytes,
-            // pbc-allow(panic): stats are read after commit_codec
-            codec: self.codec.as_ref().expect("codec committed above").name(),
+            codec: codec.name(),
+            block_codec: codec.clone(),
             flagged_count: self.flagged_count,
             file_bytes: index_offset + index.len() as u64 + trailer.len() as u64,
         })

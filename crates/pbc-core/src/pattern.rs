@@ -216,14 +216,13 @@ impl Pattern {
             match tag {
                 0 => {
                     let (len, p) = pbc_codecs::varint::read_usize(input, pos)?;
-                    pos = p;
-                    if pos + len > input.len() {
-                        return Err(PbcError::Truncated {
+                    let end = p.checked_add(len).filter(|&end| end <= input.len()).ok_or(
+                        PbcError::Truncated {
                             context: "pattern literal",
-                        });
-                    }
-                    segments.push(Segment::Literal(input[pos..pos + len].to_vec()));
-                    pos += len;
+                        },
+                    )?;
+                    segments.push(Segment::Literal(input[p..end].to_vec()));
+                    pos = end;
                 }
                 1 => {
                     let (enc, p) = FieldEncoder::deserialize(input, pos)?;
@@ -356,6 +355,11 @@ mod tests {
         assert!(Pattern::deserialize(&[3], 0).is_err());
         // Unknown segment tag.
         assert!(Pattern::deserialize(&[1, 7], 0).is_err());
+        // A literal length that overflows the read position.
+        let mut huge = vec![1, 0];
+        huge.extend_from_slice(&[0xff; 9]);
+        huge.push(0x01);
+        assert!(Pattern::deserialize(&huge, 0).is_err());
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! burned for partitions that actually materialize; on error every file
 //! this merge created is removed before returning.
 //!
+//! One merge, one codec: the first output is written with the spec the
+//! caller configured (under [`CodecSpec::Auto`] its writer selects and
+//! trains one), and every later output reuses the codec the first
+//! committed to, as [`CodecSpec::Pretrained`].
+//!
 //! Tombstones are dropped: a leveled job includes every segment that could
 //! hold an older version of its keys, so no tombstone has anything left
 //! to shadow and L1 never stores one.
@@ -21,11 +26,10 @@
 use std::path::PathBuf;
 
 use pbc_archive::{
-    entry_size_estimate, BlockCodec, CodecSpec, Scan, SegmentConfig, SegmentReader, SegmentSummary,
+    entry_size_estimate, CodecSpec, Scan, SegmentConfig, SegmentReader, SegmentSummary,
     SegmentWriter, WriterObs,
 };
 
-use crate::codec::retrained_codec;
 use crate::commit::{is_tombstone, UncommittedFiles};
 use crate::error::Result;
 
@@ -53,12 +57,9 @@ pub struct MergeOutcome {
     pub tombstones_dropped: u64,
     /// Output partitions, ascending by key range (the merge emits keys in
     /// sorted order, so consecutive outputs cover disjoint, increasing
-    /// ranges). Empty when nothing survived.
+    /// ranges). Empty when nothing survived. All share the first one's
+    /// codec ([`SegmentSummary::block_codec`]).
     pub outputs: Vec<MergeOutput>,
-    /// The codec retrained on the merged corpus — callers reuse it for
-    /// subsequent spills. Absent when the caller supplied a codec (no
-    /// retraining ran) or the inputs were empty.
-    pub codec: Option<BlockCodec>,
 }
 
 /// An output partition currently being written.
@@ -95,13 +96,9 @@ impl OpenOutput {
 /// `split_bytes` bounds each output partition's estimated serialized
 /// payload; `None` writes a single output regardless of size.
 ///
-/// `codec` controls training cost: `Some(spec)` writes the outputs with
-/// that codec and trains nothing (`outcome.codec` stays `None`); `None`
-/// retrains by sampling blocks across all inputs and reports the trained
-/// codec for the caller to reuse. Retraining runs full candidate
-/// selection — seconds of CPU for PBC pattern extraction — so callers
-/// reserve it for large, stable runs and reuse a shared codec for small
-/// incremental jobs, where the per-block raw fallback bounds any drift.
+/// `config.codec` is the spec the first output is written with; later
+/// outputs write the codec it committed to (see the [module docs](self)).
+/// Pass [`CodecSpec::Pretrained`] to train nothing.
 ///
 /// `writer_obs` is cloned into every output writer so block-encode
 /// counters and latency land in the caller's metrics; pass
@@ -109,7 +106,6 @@ impl OpenOutput {
 pub fn merge_segments(
     readers: &[&SegmentReader],
     config: &SegmentConfig,
-    codec: Option<CodecSpec>,
     split_bytes: Option<u64>,
     writer_obs: &WriterObs,
     next_output: &mut dyn FnMut() -> (u64, String, PathBuf),
@@ -118,13 +114,7 @@ pub fn merge_segments(
     // until the caller commits; an error below removes them all.
     let mut created = UncommittedFiles::default();
     let mut open: Option<OpenOutput> = None;
-    let (codec_spec, retrained) = match codec {
-        Some(spec) => (spec, None),
-        None => match retrained_codec(readers, config)? {
-            Some(codec) => (CodecSpec::Pretrained(codec.clone()), Some(codec)),
-            None => (CodecSpec::Raw, None),
-        },
-    };
+    let mut config = config.clone();
     // Each input is a cursor over flat decoded blocks; heads are compared
     // and written as borrowed slices, so a shadowed or dropped row is never
     // copied out of its block.
@@ -138,7 +128,6 @@ pub fn merge_segments(
         shadowed_dropped: 0,
         tombstones_dropped: 0,
         outputs: Vec::new(),
-        codec: retrained,
     };
     // The round's key, copied once into a reused buffer so the holders can
     // be stepped while it is compared against.
@@ -170,7 +159,9 @@ pub fn merge_segments(
                     .is_some_and(|current| current.estimated_bytes >= limit)
             }) {
                 if let Some(finished) = open.take() {
-                    outcome.outputs.push(finished.finish()?);
+                    let finished = finished.finish()?;
+                    config.codec = CodecSpec::Pretrained(finished.summary.block_codec.clone());
+                    outcome.outputs.push(finished);
                 }
             }
             let current = match open.as_mut() {
@@ -178,14 +169,8 @@ pub fn merge_segments(
                 None => {
                     let (id, file_name, path) = next_output();
                     created.push(path.clone());
-                    let writer = SegmentWriter::create_with_obs(
-                        &path,
-                        SegmentConfig {
-                            codec: codec_spec.clone(),
-                            ..config.clone()
-                        },
-                        writer_obs.clone(),
-                    )?;
+                    let writer =
+                        SegmentWriter::create_with_obs(&path, config.clone(), writer_obs.clone())?;
                     open.insert(OpenOutput {
                         id,
                         file_name,
@@ -248,8 +233,7 @@ mod tests {
         };
         let result = merge_segments(
             &[&reader],
-            &SegmentConfig::default(),
-            Some(CodecSpec::Raw),
+            &SegmentConfig::with_codec(CodecSpec::Raw),
             Some(1024), // several partitions' worth of input
             &WriterObs::noop(),
             &mut next_output,

@@ -88,17 +88,19 @@ pub struct TierConfig {
     /// Byte capacity of the read-through cache of records and decoded
     /// blocks (0 disables caching).
     pub cache_capacity_bytes: usize,
-    /// How spill and compaction segments are written (block size, codec
-    /// selection, workers).
+    /// How spill and compaction segments are written (block size, sample
+    /// blocks, workers). The tier picks each write's codec itself: a
+    /// [`CodecSpec::Pretrained`] codec here is its codec from the first
+    /// spill on; any other spec means the first spill selects one (as
+    /// [`CodecSpec::Auto`]). Spills and small jobs then reuse the codec the
+    /// last selecting write committed to, and jobs that rewrite the
+    /// majority of cold records select afresh.
+    ///
+    /// [`CodecSpec::Pretrained`]: pbc_archive::CodecSpec::Pretrained
+    /// [`CodecSpec::Auto`]: pbc_archive::CodecSpec::Auto
     pub segment: SegmentConfig,
     /// Codec for values while they sit in the hot tier.
     pub hot_codec: ValueCodec,
-    /// Select the spill codec once (on the first spill) and reuse it for
-    /// every later spill — the paper's "train offline, ship the dictionary"
-    /// flow, avoiding a retraining pass per spill. Compaction still
-    /// retrains on the merged corpus and refreshes the shared codec; the
-    /// per-block raw fallback bounds any drift in between.
-    pub reuse_spill_codec: bool,
     /// Trigger thresholds (segment count, dead-entry ratio), the per-job
     /// L0 input bound, and the L1 partition split size for the compaction
     /// planner. Used by both the background maintenance thread and
@@ -149,7 +151,6 @@ impl TierConfig {
             cache_capacity_bytes: 8 * 1024 * 1024,
             segment: SegmentConfig::default(),
             hot_codec: ValueCodec::None,
-            reuse_spill_codec: true,
             planner: PlannerConfig::default(),
             background_compaction: false,
             maintenance_tick: Duration::from_millis(20),
@@ -181,13 +182,6 @@ impl TierConfig {
     /// Set the hot-tier value codec.
     pub fn with_hot_codec(mut self, codec: ValueCodec) -> Self {
         self.hot_codec = codec;
-        self
-    }
-
-    /// Set whether spills reuse one shared trained codec (see the field
-    /// docs).
-    pub fn with_reuse_spill_codec(mut self, reuse: bool) -> Self {
-        self.reuse_spill_codec = reuse;
         self
     }
 

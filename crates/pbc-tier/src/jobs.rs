@@ -6,7 +6,7 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use pbc_archive::{CodecSpec, SegmentReader};
+use pbc_archive::{CodecSpec, SegmentConfig, SegmentReader};
 use pbc_obs::Event;
 
 use crate::commit::{segment_file_name, ColdSegment, ColdTier, UncommittedFiles};
@@ -138,8 +138,7 @@ impl TierInner {
                 .chain(&snapshot.l1[l1_run.clone()])
         };
         let readers: Vec<&SegmentReader> = run().map(|s| &s.reader).collect();
-        let codec = self.spill_codec.for_job(
-            &self.config,
+        let codec = self.codec.job_spec(
             run().map(|s| s.stats.records).sum(),
             snapshot.iter().map(|s| s.stats.records).sum(),
         );
@@ -159,7 +158,7 @@ impl TierInner {
         &self,
         job: &CompactionJob,
         readers: &[&SegmentReader],
-        codec: Option<CodecSpec>,
+        codec: CodecSpec,
     ) -> Result<Option<CompactionSummary>> {
         let mut next_output = || {
             let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
@@ -176,8 +175,10 @@ impl TierInner {
             .then(|| self.config.planner.target_partition_bytes.max(1));
         let outcome = merge_segments(
             readers,
-            &self.config.segment,
-            codec,
+            &SegmentConfig {
+                codec: codec.clone(),
+                ..self.config.segment.clone()
+            },
             split_bytes,
             &self.obs.writer,
             &mut next_output,
@@ -240,7 +241,9 @@ impl TierInner {
 
         self.unlink_retired(&retired);
         self.obs.segments_retired.add(retired.len() as u64);
-        self.spill_codec.refresh(outcome.codec.as_ref());
+        if let Some(first) = outcome.outputs.first() {
+            self.codec.adopt(&codec, &first.summary.block_codec);
+        }
         self.obs.compactions.inc();
         self.obs.trace(Event::CompactionCommitted {
             generation,

@@ -73,11 +73,12 @@
 //!   disjoint ranges run and commit concurrently — from the background
 //!   maintenance thread ([`TierConfig::background_compaction`]) and any
 //!   number of [`TieredStore::run_pending_compactions`] callers at once.
-//!   Jobs that rewrite the majority of cold records retrain the block
-//!   codec on samples of their merged run and refresh the shared spill
-//!   codec; smaller incremental jobs reuse it, with the per-block raw
-//!   fallback bounding drift. [`TieredStore::compact`] remains as the
-//!   full merge (whole-key-space reservation) for offline reorganization.
+//!   The first spill, and any job that rewrites the majority of cold
+//!   records, selects a block codec over its own first blocks; every
+//!   other spill and job reuses the codec the last of those committed to,
+//!   with the per-block raw fallback bounding drift.
+//!   [`TieredStore::compact`] remains as the full merge (whole-key-space
+//!   reservation) for offline reorganization.
 //!
 //! ## Example
 //!

@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pbc_archive::{SegmentConfig, SegmentSummary, SegmentWriter};
+use pbc_archive::{CodecSpec, SegmentConfig, SegmentSummary, SegmentWriter};
 use pbc_obs::Event;
 
 use crate::commit::{
@@ -179,7 +179,8 @@ impl TierInner {
         uncommitted.push(path.clone());
         // (2) Write and fsync the segment, streaming from staging under a
         // read guard (concurrent gets still read staging freely).
-        let summary = self.write_spill_segment(&path, &self.staging_read())?;
+        let codec = self.codec.spill_spec();
+        let summary = self.write_spill_segment(&path, codec.clone(), &self.staging_read())?;
         let segment = self.open_written(
             file_name,
             SegmentStats {
@@ -205,12 +206,18 @@ impl TierInner {
             l1: current.l1.clone(),
         }))?;
         uncommitted.disarm();
+        self.codec.adopt(&codec, &summary.block_codec);
         Ok(segment)
     }
 
-    fn write_spill_segment(&self, path: &Path, merged: &Staging) -> Result<SegmentSummary> {
+    fn write_spill_segment(
+        &self,
+        path: &Path,
+        codec: CodecSpec,
+        merged: &Staging,
+    ) -> Result<SegmentSummary> {
         let config = SegmentConfig {
-            codec: self.spill_codec.for_spill(&self.config, merged),
+            codec,
             ..self.config.segment.clone()
         };
         let mut writer = SegmentWriter::create_with_obs(path, config, self.obs.writer.clone())?;

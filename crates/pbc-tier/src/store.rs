@@ -69,7 +69,7 @@ use pbc_store::TierStore;
 use pbc_wal::{CheckpointSummary, RecoveryReport, Wal, WalStats};
 
 use crate::cache::BlockCache;
-use crate::codec::SpillCodec;
+use crate::codec::TierCodec;
 use crate::commit::{sweep_orphans, ColdList, ColdSegment, ColdTier};
 use crate::config::TierConfig;
 use crate::error::{Result, TierError};
@@ -155,7 +155,7 @@ pub(crate) struct TierInner {
     /// the lock-order check knows it by.
     // lock-order: store.spill_lock < store.staging < store.commit_lock < store.cold
     commit_lock: Mutex<()>,
-    pub(crate) spill_codec: SpillCodec,
+    pub(crate) codec: TierCodec,
     pub(crate) next_segment_id: AtomicU64,
     /// Generation of the currently committed manifest; every segment-set
     /// commit writes `generation + 1`.
@@ -330,7 +330,7 @@ impl TieredStore {
             spill_lock: Mutex::new(()),
             reservations: ReservationTable::default(),
             commit_lock: Mutex::new(()),
-            spill_codec: SpillCodec::default(),
+            codec: TierCodec::new(&config.segment),
             next_segment_id: AtomicU64::new(max_id + 1),
             generation: AtomicU64::new(manifest.generation),
             planner,

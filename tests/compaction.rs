@@ -8,6 +8,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pbc::archive::format::Header;
+use pbc::archive::{build_codec, CodecSpec, Entry, SegmentConfig};
+use pbc::datagen::Dataset;
 use pbc::tier::{Manifest, PlannerConfig, TierConfig, TieredStore};
 
 mod support;
@@ -522,4 +525,248 @@ fn pause_and_resume_gate_the_maintenance_thread() {
     // Drop while paused must still join cleanly (shutdown wins).
     store.pause_compaction();
     drop(store);
+}
+
+// ---------------- codec lifecycle ----------------
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The live segment set, in manifest order: file name and file bytes
+/// (none before the first commit).
+fn live_segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let manifest = Manifest::load(dir).unwrap();
+    manifest
+        .map(|m| m.segments)
+        .unwrap_or_default()
+        .iter()
+        .map(|entry| {
+            let bytes = std::fs::read(dir.join(&entry.file_name)).unwrap();
+            (entry.file_name.clone(), bytes)
+        })
+        .collect()
+}
+
+/// A codec as a segment header stores it: its id and an FNV-1a hash of
+/// its trained artifacts.
+type CodecPrint = (u8, u64);
+
+/// The codec each live segment committed to, by file name.
+fn live_codecs(dir: &Path) -> BTreeMap<String, CodecPrint> {
+    live_segment_files(dir)
+        .into_iter()
+        .map(|(name, bytes)| {
+            let (header, _) = Header::decode(&bytes).unwrap();
+            (
+                name,
+                (header.codec_id, fnv1a(FNV_OFFSET, &header.artifacts)),
+            )
+        })
+        .collect()
+}
+
+/// The codecs of segments that went live since `before`.
+fn new_codecs(dir: &Path, before: &BTreeMap<String, CodecPrint>) -> Vec<(String, CodecPrint)> {
+    live_codecs(dir)
+        .into_iter()
+        .filter(|(name, _)| !before.contains_key(name))
+        .collect()
+}
+
+/// Segments the way the benchmark's stores write them: 8 KiB blocks, one
+/// sample block, the default (selecting) codec spec.
+fn small_block_segments() -> SegmentConfig {
+    SegmentConfig {
+        target_block_bytes: 8 * 1024,
+        auto_sample_blocks: 1,
+        workers: 1,
+        ..SegmentConfig::default()
+    }
+}
+
+/// The benchmark's `cold-point-reads` set-up in miniature — `kv2` values
+/// at the benchmark's segment geometry; preload, `flush_all`, `compact` —
+/// pinned by an FNV-1a hash over the spill segment and over every L1
+/// partition the full merge leaves. A change to how the tier picks or
+/// trains its codec that moves one stored byte of this flow fails here.
+#[test]
+fn codec_lifecycle_bench_flow_writes_pinned_bytes() {
+    const RECORDS: usize = 6_000;
+    let (dir, _guard) = temp_dir("codec-pin");
+    let store = TieredStore::open(
+        TierConfig::new(&dir)
+            .with_watermark(u64::MAX)
+            .with_segment_config(small_block_segments())
+            .with_planner(PlannerConfig {
+                target_partition_bytes: 256 * 1024,
+                ..PlannerConfig::default()
+            }),
+    )
+    .unwrap();
+    for (i, value) in Dataset::Kv2.generate(RECORDS, 2023).iter().enumerate() {
+        store.set(&key(i), value).unwrap();
+    }
+    let hash_live = || {
+        live_segment_files(&dir)
+            .iter()
+            .fold(FNV_OFFSET, |hash, (name, bytes)| {
+                fnv1a(fnv1a(hash, name.as_bytes()), bytes)
+            })
+    };
+
+    store.flush_all().unwrap();
+    assert_eq!(store.l0_segment_count(), 1);
+    assert_eq!(
+        hash_live(),
+        0x4773_3110_d279_c895,
+        "spill segment bytes moved"
+    );
+
+    store.compact().unwrap();
+    assert_eq!(store.l0_segment_count(), 0);
+    assert!(
+        store.l1_partition_count() > 1,
+        "the full merge splits, so later partitions are pinned too"
+    );
+    assert_eq!(
+        hash_live(),
+        0x298e_d64c_7434_76ed,
+        "L1 partition bytes moved"
+    );
+}
+
+/// The tier's codec lifecycle, step by step: the first spill selects a
+/// codec; later spills reuse it byte for byte; a job rewriting the
+/// majority of cold records retrains, every partition it splits into
+/// shares the one codec it chose, and the next spill adopts it; a job
+/// rewriting a minority writes the remembered codec; and a `Pretrained`
+/// spec is used from the first spill on.
+#[test]
+fn codec_lifecycle_selects_reuses_retrains_and_adopts() {
+    let (dir, _guard) = temp_dir("codec-lifecycle");
+    let store = TieredStore::open(
+        TierConfig::new(&dir)
+            .with_watermark(u64::MAX)
+            .with_segment_config(small_block_segments())
+            // One L0 segment per job, and any L0 segment next to L1
+            // partitions triggers one: a job runs exactly when asked.
+            .with_planner(PlannerConfig {
+                max_segments: 1,
+                max_job_segments: 1,
+                target_partition_bytes: 24 * 1024,
+                ..PlannerConfig::default()
+            }),
+    )
+    .unwrap();
+    let spill = |keys: std::ops::Range<usize>, values: Vec<Vec<u8>>| {
+        let before = live_codecs(&dir);
+        for (i, value) in keys.zip(values) {
+            store.set(&key(i), &value).unwrap();
+        }
+        store.flush_all().unwrap();
+        let mut spilled = new_codecs(&dir, &before);
+        assert_eq!(spilled.len(), 1, "one spill, one segment");
+        spilled.remove(0).1
+    };
+
+    // The first spill selects; the second reuses the selection.
+    let first = spill(5_000..6_000, Dataset::Kv2.generate(1_000, 1));
+    assert_ne!(first.0, 0, "selection over kv2 picks a compressing codec");
+    assert_eq!(spill(6_000..7_000, Dataset::Kv2.generate(1_000, 2)), first);
+    // Keys that sort first, from another corpus: they lead the full
+    // merge's output, so its retrained codec differs from the first one.
+    assert_eq!(spill(0..1_000, Dataset::Hdfs.generate(1_000, 3)), first);
+
+    // A full merge rewrites every cold record: it retrains, and all of
+    // its partitions carry the one codec it chose.
+    let before = live_codecs(&dir);
+    store.compact().unwrap();
+    let partitions = new_codecs(&dir, &before);
+    assert!(
+        partitions.len() > 2,
+        "the merge split: {}",
+        partitions.len()
+    );
+    let retrained = partitions[0].1;
+    assert_ne!(retrained, first, "the merge trained on its own output");
+    for (name, codec) in &partitions {
+        assert_eq!(codec, &retrained, "{name} left the job's codec");
+    }
+
+    // The next spill adopts the retrained codec.
+    assert_eq!(
+        spill(5_000..5_050, Dataset::Kv2.generate(50, 4)),
+        retrained,
+        "the spill after a retraining job writes the adopted codec"
+    );
+
+    // Promoting that small spill rewrites a minority of cold records: the
+    // job writes the remembered codec, it does not retrain.
+    let before = live_codecs(&dir);
+    assert_eq!(store.run_pending_compactions().unwrap(), 1);
+    let outputs = new_codecs(&dir, &before);
+    assert!(!outputs.is_empty());
+    let (_, l1) = store.leveled_stats();
+    let rewritten: u64 = l1
+        .iter()
+        .filter(|s| {
+            outputs
+                .iter()
+                .any(|(name, _)| name.contains(&format!("{:06}", s.id)))
+        })
+        .map(|s| s.records)
+        .sum();
+    let total: u64 = l1.iter().map(|s| s.records).sum();
+    assert!(
+        rewritten * 2 < total,
+        "a minority job: {rewritten} of {total}"
+    );
+    for (name, codec) in &outputs {
+        assert_eq!(codec, &retrained, "minority job output {name} retrained");
+    }
+    drop(store);
+
+    // A pretrained spec is the remembered codec from the first spill on.
+    let (dir, _guard) = temp_dir("codec-pretrained");
+    let sample: Vec<Entry> = Dataset::Kv2
+        .generate(200, 5)
+        .into_iter()
+        .enumerate()
+        .map(|(i, value)| (key(i), value))
+        .collect();
+    let pretrained = build_codec(&CodecSpec::Zstd { level: 3 }, &sample);
+    let store = TieredStore::open(
+        TierConfig::new(&dir)
+            .with_watermark(u64::MAX)
+            .with_segment_config(SegmentConfig {
+                codec: CodecSpec::Pretrained(pretrained.clone()),
+                ..small_block_segments()
+            }),
+    )
+    .unwrap();
+    for round in 0..2 {
+        let before = live_codecs(&dir);
+        for (i, value) in Dataset::Kv2
+            .generate(500, 6 + round)
+            .into_iter()
+            .enumerate()
+        {
+            store.set(&key(i + 1_000 * round as usize), &value).unwrap();
+        }
+        store.flush_all().unwrap();
+        for (name, codec) in new_codecs(&dir, &before) {
+            assert_eq!(
+                codec,
+                (pretrained.id(), fnv1a(FNV_OFFSET, &pretrained.artifacts())),
+                "spill {round} ({name}) did not write the pretrained codec"
+            );
+        }
+    }
 }

@@ -6,6 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use pbc::archive::codec::serialized_len;
+use pbc::archive::format::{crc32, decode_trailer, Header, TRAILER_LEN};
 use pbc::archive::{
     build_codec, ArchiveError, BlockCodec, CodecSpec, Entry, SegmentConfig, SegmentReader,
     SegmentWriter,
@@ -632,6 +633,165 @@ proptest! {
                 // fine); what it may not do is panic or escape the type.
                 match codec.decompress_block(&damaged, entries.len(), raw_len) {
                     Ok(decoded) => prop_assert_eq!(decoded.len(), entries.len()),
+                    Err(e) => { let _: ArchiveError = e; }
+                }
+            }
+        }
+    }
+}
+
+// ---------------- segment header / footer ----------------
+
+/// One real segment per codec of [`segment_codecs`]: `kv2` values under
+/// ascending keys, in several blocks, with one flagged record.
+fn real_segments() -> &'static [Vec<u8>] {
+    static SEGMENTS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    SEGMENTS.get_or_init(|| {
+        let values = Dataset::Kv2.generate(120, 34);
+        segment_codecs()
+            .into_iter()
+            .map(|codec| {
+                let (path, _guard) = segment_path();
+                let config = SegmentConfig {
+                    target_block_bytes: 2048,
+                    ..SegmentConfig::with_codec(codec)
+                };
+                let mut writer = SegmentWriter::create(&path, config).unwrap();
+                for (i, value) in values.iter().enumerate() {
+                    let key = format!("key:{i:05}");
+                    if i == 7 {
+                        writer.append_flagged(key.as_bytes(), &[]).unwrap();
+                    } else {
+                        writer.append(key.as_bytes(), value).unwrap();
+                    }
+                }
+                writer.finish().unwrap();
+                std::fs::read(&path).unwrap()
+            })
+            .collect()
+    })
+}
+
+/// Pieces of trained artifacts: tag and count bytes, and varint lengths
+/// from one byte to past `usize::MAX` on 64-bit targets.
+const ARTIFACT_TOKENS: [&[u8]; 10] = [
+    &[0],
+    &[1],
+    &[2],
+    &[3],
+    &[0x7f],
+    &[0x80, 0x01],
+    &[0x80, 0x80, 0x80, 0x80, 0x10],
+    &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+    &[0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+    b"key:",
+];
+
+/// `bytes` with its header replaced by `header`, CRC resealed.
+fn reseal_header(bytes: &[u8], header: &Header) -> Vec<u8> {
+    let (_, used) = Header::decode(bytes).unwrap();
+    let mut out = header.encode();
+    out.extend_from_slice(&bytes[used..]);
+    out
+}
+
+proptest! {
+    // Cases are cheap (the segments are written once); 8192 is what it
+    // takes to reach the pattern-literal overflow `Pattern::deserialize`
+    // once panicked on.
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    /// `SegmentReader::open` and `read_block` over a real segment of every
+    /// codec after what a bad disk, a torn copy or a hostile writer can
+    /// do to it: one damaged byte, a cut, junk appended; headers that pass
+    /// their CRC but carry random, damaged, token-spliced or mislabelled
+    /// trained artifacts, so the junk reaches `BlockCodec::from_parts` and,
+    /// with the footer intact, the block decoders; and a footer index
+    /// damaged under a resealed CRC. Each is a reader or a typed
+    /// `ArchiveError`, each block a block or a typed error: never a panic,
+    /// an allocation sized by an unchecked length, or an out-of-bounds
+    /// slice.
+    #[test]
+    fn segment_header_and_footer_survive_arbitrary_bytes(
+        codec_pick in 0usize..5,
+        shape in 0u8..10,
+        at in any::<usize>(),
+        bits in any::<u8>(),
+        junk in vec(any::<u8>(), 0..768),
+    ) {
+        let real = &real_segments()[codec_pick];
+        let (header, _) = Header::decode(real).unwrap();
+        let bytes = match shape {
+            0 => {
+                let mut bytes = real.clone();
+                bytes[at % real.len()] ^= bits.max(1);
+                bytes
+            }
+            1 => real[..at % real.len()].to_vec(),
+            2 => [real.as_slice(), &junk].concat(),
+            3 => {
+                // Random artifacts of the real length: the footer still
+                // locates every block, so the blocks decode under them.
+                let artifacts = (0..header.artifacts.len())
+                    .map(|i| junk.get(i % junk.len().max(1)).copied().unwrap_or(0) ^ i as u8)
+                    .collect();
+                reseal_header(real, &Header { artifacts, ..header.clone() })
+            }
+            4 => reseal_header(real, &Header { artifacts: junk, ..header.clone() }),
+            5 => {
+                // The real artifacts with one byte damaged: parsing gets
+                // as deep as the damage.
+                let mut artifacts = header.artifacts.clone();
+                if !artifacts.is_empty() {
+                    let i = at % artifacts.len();
+                    artifacts[i] ^= bits.max(1);
+                }
+                reseal_header(real, &Header { artifacts, ..header.clone() })
+            }
+            6 => {
+                // Artifact-shaped tokens: varint counts and lengths,
+                // small, huge and overflowing, between tag bytes.
+                let mut artifacts = Vec::new();
+                for &b in &junk {
+                    artifacts.extend_from_slice(ARTIFACT_TOKENS[b as usize % ARTIFACT_TOKENS.len()]);
+                }
+                reseal_header(real, &Header { artifacts, ..header.clone() })
+            }
+            7 => {
+                // The real artifacts with one token spliced in over a
+                // byte: a count or length field turned huge, mid-parse.
+                let mut artifacts = header.artifacts.clone();
+                let token = ARTIFACT_TOKENS[bits as usize % ARTIFACT_TOKENS.len()];
+                let i = at % (artifacts.len() + 1);
+                artifacts.splice(i..(i + 1).min(artifacts.len()), token.iter().copied());
+                reseal_header(real, &Header { artifacts, ..header.clone() })
+            }
+            8 => {
+                // Another codec's id over these artifacts.
+                let codec_id = bits % 6;
+                reseal_header(real, &Header { codec_id, ..header.clone() })
+            }
+            _ => {
+                // One footer byte damaged under a resealed index CRC:
+                // record counts, lengths and offsets the reader must
+                // check before it trusts them.
+                let mut bytes = real.clone();
+                let trailer = bytes.len() - TRAILER_LEN;
+                let (index_offset, index_len, _) =
+                    decode_trailer(bytes[trailer..].try_into().unwrap()).unwrap();
+                let index = index_offset as usize..index_offset as usize + index_len as usize;
+                bytes[index.start + at % index.len()] ^= bits.max(1);
+                let crc = crc32(&bytes[index]);
+                bytes[trailer + 12..trailer + 16].copy_from_slice(&crc.to_le_bytes());
+                bytes
+            }
+        };
+        let (path, _guard) = segment_path();
+        std::fs::write(&path, &bytes).unwrap();
+        if let Ok(reader) = SegmentReader::open(&path) {
+            for block in 0..reader.block_count() {
+                match reader.read_block(block) {
+                    Ok(decoded) => prop_assert!(decoded.len() as u64 <= reader.record_count()),
                     Err(e) => { let _: ArchiveError = e; }
                 }
             }

@@ -17,7 +17,7 @@
 
 use std::sync::atomic::Ordering;
 
-use pbc::archive::{CodecSpec, SegmentConfig, SegmentReader};
+use pbc::archive::{build_codec, CodecSpec, Entry, SegmentConfig, SegmentReader};
 use pbc::tier::{TierConfig, TieredStore};
 
 #[path = "support/counting_alloc.rs"]
@@ -53,12 +53,15 @@ fn an_uncached_get_on_a_zstd_segment_allocates_a_handful_of_times() {
     const MAX_ALLOCATIONS_PER_MISS: usize = 12;
     let (dir, _guard) = temp_dir("read-allocations");
     // No maintenance thread, no WAL: this thread is the only one allocating.
+    // A pretrained codec is what every spill writes, so the segment is
+    // `Zstd(dict)` whatever selection would have picked.
+    let sample: Vec<Entry> = (0..64).map(|i| (key(i), value(i))).collect();
+    let zstd = build_codec(&CodecSpec::Zstd { level: 3 }, &sample);
     let config = TierConfig::new(&dir)
         .with_cache_capacity(64 * 1024)
-        .with_reuse_spill_codec(false)
         .with_segment_config(SegmentConfig {
             target_block_bytes: 8 * 1024,
-            ..SegmentConfig::with_codec(CodecSpec::Zstd { level: 3 })
+            ..SegmentConfig::with_codec(CodecSpec::Pretrained(zstd))
         });
     let store = TieredStore::open(config).unwrap();
     for i in 0..KEYS {
