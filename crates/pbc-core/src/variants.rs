@@ -88,14 +88,14 @@ impl PbcBlockCompressor {
         let mut records = Vec::with_capacity(count);
         for _ in 0..count {
             let (len, p) = varint::read_usize(&intermediate, pos)?;
-            pos = p;
-            if pos + len > intermediate.len() {
-                return Err(PbcError::Truncated {
+            let end = p
+                .checked_add(len)
+                .filter(|&end| end <= intermediate.len())
+                .ok_or(PbcError::Truncated {
                     context: "block record payload",
-                });
-            }
-            records.push(self.pbc.decompress(&intermediate[pos..pos + len])?);
-            pos += len;
+                })?;
+            records.push(self.pbc.decompress(&intermediate[p..end])?);
+            pos = end;
         }
         Ok(records)
     }

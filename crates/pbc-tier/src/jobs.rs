@@ -73,8 +73,8 @@ impl TierInner {
     pub(crate) fn run_pending_compactions(&self) -> Result<usize> {
         let mut jobs = 0usize;
         let mut lost_races = 0usize;
-        // Every job shrinks the segment count or drains tombstones, so
-        // planning converges; the caps are backstops against planner
+        // Every promotion shrinks L0 and every consolidation shrinks L1,
+        // so planning converges; the caps are backstops against planner
         // bugs, not tuning knobs.
         while jobs < 1_000 && lost_races < 1_000 {
             let Some(job) = self.plan_next() else {

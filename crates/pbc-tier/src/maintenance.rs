@@ -19,7 +19,8 @@
 //! `Drop`) wakes the thread and makes it exit after at most one in-flight
 //! job; the store then joins the handle, so dropping a `TieredStore` never
 //! leaks the thread. Pausing ([`crate::TieredStore::pause_compaction`])
-//! stops *new* jobs from starting while letting the current one finish.
+//! stops *new* jobs from starting and returns once the current one, if
+//! any, has committed: after it returns the generation holds still.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -30,36 +31,61 @@ use parking_lot::{Condvar, Mutex};
 /// maintenance thread.
 #[derive(Default)]
 pub(crate) struct MaintSignal {
-    /// `(pending wakeups, shutdown requested)` under one mutex so a
-    /// notification just before `wait` is never lost.
-    state: Mutex<(u64, bool)>,
+    /// Under one mutex, so a notification just before `wait` is never
+    /// lost and a pause never misses a pass that is starting.
+    state: Mutex<MaintState>,
     cv: Condvar,
     /// Pause depth: jobs only start at 0. A counter (not a flag) lets
     /// nested pause/resume pairs compose.
     pause_depth: AtomicUsize,
 }
 
+#[derive(Default)]
+struct MaintState {
+    /// Wakeups since the thread last looked.
+    pending: u64,
+    shutdown: bool,
+    /// A background pass is running (see [`MaintSignal::start_pass`]).
+    busy: bool,
+}
+
 impl MaintSignal {
     /// Wake the thread now (a spill just added a segment).
     pub(crate) fn notify(&self) {
         let mut state = self.state.lock();
-        state.0 += 1;
+        state.pending += 1;
         self.cv.notify_all();
     }
 
     /// Ask the thread to exit and wake it.
     pub(crate) fn request_shutdown(&self) {
         let mut state = self.state.lock();
-        state.1 = true;
+        state.shutdown = true;
         self.cv.notify_all();
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
-        self.state.lock().1
+        self.state.lock().shutdown
     }
 
+    /// Stop new passes, then wait for the running one (its current job
+    /// included) to end.
     pub(crate) fn pause(&self) {
         self.pause_depth.fetch_add(1, Ordering::SeqCst);
+        let mut state = self.state.lock();
+        while state.busy {
+            self.cv.wait(&mut state);
+        }
+    }
+
+    /// Mark a background pass as running, unless paused. The pass ends
+    /// when the guard drops. `busy` is set before the pause check and
+    /// read after the pause count rises, so [`Self::pause`] either waits
+    /// for this pass or this pass sees the pause.
+    fn start_pass(&self) -> Option<PassGuard<'_>> {
+        self.state.lock().busy = true;
+        let guard = PassGuard(self);
+        (!self.is_paused()).then_some(guard)
     }
 
     pub(crate) fn resume(&self) {
@@ -86,14 +112,24 @@ impl MaintSignal {
     /// shutdown was requested.
     fn wait(&self, tick: Duration) -> bool {
         let mut state = self.state.lock();
-        if state.1 {
+        if state.shutdown {
             return true;
         }
-        if state.0 == 0 {
+        if state.pending == 0 {
             self.cv.wait_for(&mut state, tick);
         }
-        state.0 = 0; // consume pending wakeups; the pass below re-checks
-        state.1
+        state.pending = 0; // consume pending wakeups; the pass below re-checks
+        state.shutdown
+    }
+}
+
+/// A running background pass; dropping it wakes any waiting pause.
+struct PassGuard<'a>(&'a MaintSignal);
+
+impl Drop for PassGuard<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().busy = false;
+        self.0.cv.notify_all();
     }
 }
 
@@ -118,9 +154,9 @@ pub(crate) fn maintenance_loop(inner: std::sync::Arc<crate::store::TierInner>) {
         if inner.maint.wait(wait) {
             return;
         }
-        if inner.maint.is_paused() {
+        let Some(_pass) = inner.maint.start_pass() else {
             continue;
-        }
+        };
         if inner.background_pass() {
             error_streak = 0;
         } else {

@@ -33,9 +33,18 @@
 //! reserved ranges and only proposes jobs disjoint from all of them; the
 //! store enforces the same exclusion with a range-reservation table.
 //!
-//! L1 itself is maintained by **consolidation jobs**: when partition count
-//! builds up, adjacent undersized partitions (combined bytes within
-//! `target_partition_bytes`) are merged pairwise-disjointly.
+//! **Promotion is bounded by bytes, not by segment count.** Promotions
+//! run once L0 holds at least as many bytes as the L1 partitions its key
+//! range intersects, once L0 holds a full `max_job_segments` batch, or
+//! once cold dead weight crosses `max_dead_ratio`. The byte rule keeps a
+//! store whose spills each cover the whole key space at an L0 depth of
+//! one or two, while a promotion rewrites at most about twice what it
+//! promotes; the batch rule covers large stores, where one spill is small
+//! against the L1 bytes it intersects.
+//!
+//! L1 itself is maintained by **consolidation jobs**: when the partition
+//! count exceeds `max_segments`, adjacent undersized partitions (combined
+//! bytes within `target_partition_bytes`) are merged pairwise-disjointly.
 //!
 //! This module is the one owner of that geometry: whether a segment
 //! intersects a key interval (`SegmentStats::intersects`), which L1
@@ -233,9 +242,10 @@ fn range_of<'a>(segments: impl IntoIterator<Item = &'a SegmentStats>) -> Option<
 /// Trigger thresholds and job bounds for the [`CompactionPlanner`].
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Plan promotion jobs while the live segment count (L0 + L1) exceeds
-    /// this, and consolidation jobs while the L1 partition count alone
-    /// does.
+    /// Plan L1 consolidation jobs while the L1 partition count exceeds
+    /// this. Promotions do not read it: they trigger on L0 bytes against
+    /// the L1 bytes L0 intersects, on a full `max_job_segments` batch, or
+    /// on `max_dead_ratio`.
     pub max_segments: usize,
     /// Plan a job once cold tombstones exceed this fraction of cold
     /// records. Tombstones only ever live in L0 (every job drops them on
@@ -244,7 +254,8 @@ pub struct PlannerConfig {
     /// Hard cap on L0 segments merged per job (the "incremental" bound:
     /// one job rewrites a bounded run, never the whole store). The L1
     /// partitions a run's range intersects come on top — correctness
-    /// requires all of them.
+    /// requires all of them. Also the batch trigger: an L0 holding this
+    /// many segments promotes whatever its bytes.
     pub max_job_segments: usize,
     /// Split L1 outputs at this boundary: a job's merged stream rolls to a
     /// new partition once the current one's serialized payload reaches
@@ -356,37 +367,40 @@ impl CompactionPlanner {
         }
     }
 
-    /// Whether promotion jobs should run: segment-count pressure or dead
-    /// weight, and at least one L0 segment to promote.
+    /// Whether promotion jobs should run. L0 must hold a key, and one of
+    /// three triggers must hold:
     ///
-    /// When the count pressure comes from **L1 alone** — the steady state
-    /// of any store whose cold data spans more than
-    /// `max_segments * target_partition_bytes` — promotions additionally
-    /// wait for a full L0 batch (`max_job_segments` spill segments).
-    /// Without that gate, every single spill would immediately trigger a
-    /// promotion that must pull in every intersecting L1 partition
-    /// (soundness rule 2 is uncappable), rewriting O(L1) bytes per spill;
-    /// batching amortizes that fan-in across `max_job_segments` spills.
-    /// The dead-ratio trigger is exempt: tombstones only drain by
-    /// promotion, so dead weight must never be gated behind batching.
+    /// * **bytes** — L0 holds at least as many bytes as the L1 partitions
+    ///   its key range intersects (all of L1 when L1 is empty: the first
+    ///   spill promotes at once). A promotion then rewrites at most about
+    ///   twice what it promotes, and L0 stays shallow however many
+    ///   overlapping spills a workload makes: each one is a merge source
+    ///   for every scan and a probe for every cold get;
+    /// * **batch** — L0 holds a full `max_job_segments` batch. In a large
+    ///   store one spill's bytes are small against the L1 partitions it
+    ///   intersects, and soundness rule 2 makes that fan-in uncappable;
+    ///   batching amortizes it across `max_job_segments` spills;
+    /// * **dead weight** — cold tombstones exceed `max_dead_ratio`.
+    ///   Tombstones only drain by promotion, so this one never waits.
     fn promotion_triggered(&self, l0: &[SegmentStats], l1: &[SegmentStats]) -> bool {
-        if l0.is_empty() {
+        let Some((min, max)) = bounds(l0) else {
             return false;
-        }
-        if l0.len() + l1.len() > self.config.max_segments {
-            let l0_batched = l1.len() <= self.config.max_segments
-                || l0.len() >= self.config.max_job_segments.max(1);
-            if l0_batched {
-                return true;
-            }
+        };
+        let l0_bytes: u64 = l0.iter().map(|s| s.bytes).sum();
+        let l1_bytes: u64 = l1[covering_l1(l1, min, Some(max))]
+            .iter()
+            .map(|s| s.bytes)
+            .sum();
+        if l0_bytes >= l1_bytes || l0.len() >= self.config.max_job_segments.max(1) {
+            return true;
         }
         let records: u64 = l0.iter().chain(l1).map(|s| s.records).sum();
         let tombstones: u64 = l0.iter().chain(l1).map(|s| s.tombstones).sum();
         records > 0 && tombstones as f64 / records as f64 > self.config.max_dead_ratio
     }
 
-    /// Whether the current two-level segment set crosses a trigger
-    /// threshold.
+    /// Whether the current two-level segment set crosses a trigger: a
+    /// promotion trigger, or more than `max_segments` L1 partitions.
     pub fn should_compact(&self, l0: &[SegmentStats], l1: &[SegmentStats]) -> bool {
         self.promotion_triggered(l0, l1) || l1.len() > self.config.max_segments
     }
@@ -520,6 +534,8 @@ mod tests {
 
     #[test]
     fn no_trigger_no_job() {
+        // L0 is lighter than the L1 it intersects, short of a batch, and
+        // barely dead.
         let planner = CompactionPlanner::new(PlannerConfig {
             max_segments: 4,
             ..PlannerConfig::default()
@@ -528,33 +544,70 @@ mod tests {
             seg(3, 100, 0, 1_000, (0, 50)),
             seg(2, 100, 5, 1_000, (51, 99)),
         ];
-        assert!(!planner.should_compact(&l0, &[]));
-        assert_eq!(planner.plan(&l0, &[], &[]), None);
+        let l1 = vec![part(1, 1_000, 10_000, (0, 99))];
+        assert!(!planner.should_compact(&l0, &l1));
+        assert_eq!(planner.plan(&l0, &l1, &[]), None);
     }
 
     #[test]
-    fn count_trigger_promotes_a_bounded_oldest_run() {
+    fn l0_bytes_reaching_the_intersected_l1_bytes_promote() {
+        // One L1 partition of B bytes and two overlapping spills of the
+        // whole key space totalling B: far below any segment count, but
+        // every scan already merges three sources.
         let planner = CompactionPlanner::new(PlannerConfig {
-            max_segments: 3,
+            max_segments: 8,
+            ..PlannerConfig::default()
+        });
+        let l1 = vec![part(1, 1_000, 10_000, (0, 99))];
+        let l0 = vec![
+            seg(3, 400, 0, 6_000, (0, 99)),
+            seg(2, 300, 0, 4_000, (0, 99)),
+        ];
+        assert!(planner.should_compact(&l0, &l1));
+        let job = planner.plan(&l0, &l1, &[]).unwrap();
+        assert_eq!(job.l0_inputs, vec![3, 2], "both spills in one job");
+        assert_eq!(job.l1_inputs, vec![1]);
+        // One byte short of B: nothing yet.
+        let lighter = vec![
+            seg(3, 400, 0, 6_000, (0, 99)),
+            seg(2, 300, 0, 3_999, (0, 99)),
+        ];
+        assert!(!planner.should_compact(&lighter, &l1));
+        // Only the L1 bytes L0's range intersects count: a heavy partition
+        // beside it does not hold the promotion back.
+        let beside = vec![
+            part(1, 1_000, 10_000, (0, 99)),
+            part(4, 9_000, 90_000, (120, 200)),
+        ];
+        assert!(planner.should_compact(&l0, &beside));
+        // With L1 empty, the first spill promotes at once.
+        assert!(planner.should_compact(&l0[1..], &[]));
+    }
+
+    #[test]
+    fn batch_trigger_promotes_a_bounded_oldest_run() {
+        let planner = CompactionPlanner::new(PlannerConfig {
             max_job_segments: 2,
             ..PlannerConfig::default()
         });
         // All segments cover the same range, so only oldest-suffix runs
-        // are sound promotion candidates.
+        // are sound promotion candidates. L1 outweighs L0, so only the
+        // full batch triggers.
         let l0: Vec<SegmentStats> = (0..6)
             .map(|i| seg(10 - i as u64, 100, 0, 1_000, (0, 99)))
             .collect();
-        assert!(planner.should_compact(&l0, &[]));
-        let job = planner.plan(&l0, &[], &[]).unwrap();
+        let l1 = vec![part(1, 1_000, 100_000, (0, 99))];
+        assert!(!planner.should_compact(&l0[..1], &l1), "short of a batch");
+        assert!(planner.should_compact(&l0, &l1));
+        let job = planner.plan(&l0, &l1, &[]).unwrap();
         assert_eq!(job.l0_inputs, vec![6, 5], "bounded oldest suffix");
-        assert!(job.l1_inputs.is_empty(), "no L1 yet");
+        assert_eq!(job.l1_inputs, vec![1], "the intersected partition");
     }
 
     #[test]
     fn promotion_selects_exactly_the_overlapping_l1_partitions() {
         let planner = CompactionPlanner::new(PlannerConfig {
-            max_segments: 0, // always triggered
-            max_job_segments: 1,
+            max_job_segments: 1, // a batch of one: always triggered
             ..PlannerConfig::default()
         });
         let l0 = vec![seg(9, 100, 0, 1_000, (30, 60))];
@@ -577,7 +630,6 @@ mod tests {
     #[test]
     fn runs_with_an_older_overlapping_l0_segment_are_never_planned() {
         let planner = CompactionPlanner::new(PlannerConfig {
-            max_segments: 0,
             max_job_segments: 1,
             ..PlannerConfig::default()
         });
@@ -596,7 +648,6 @@ mod tests {
     #[test]
     fn reserved_ranges_exclude_conflicting_jobs_so_disjoint_work_proceeds() {
         let planner = CompactionPlanner::new(PlannerConfig {
-            max_segments: 0,
             max_job_segments: 2,
             ..PlannerConfig::default()
         });
@@ -619,9 +670,8 @@ mod tests {
     #[test]
     fn dead_ratio_trigger_prefers_the_tombstone_heavy_run() {
         let planner = CompactionPlanner::new(PlannerConfig {
-            max_segments: 100, // never trigger on count
             max_dead_ratio: 0.2,
-            max_job_segments: 2,
+            max_job_segments: 8, // never a full batch
             ..PlannerConfig::default()
         });
         let l0 = vec![
@@ -630,14 +680,23 @@ mod tests {
             seg(7, 100, 80, 1_000, (41, 60)),
             seg(6, 100, 70, 1_000, (61, 80)),
         ];
-        let job = planner.plan(&l0, &[], &[]).unwrap();
+        // L1 outweighs L0: only dead weight triggers.
+        let l1 = vec![part(1, 100, 100_000, (0, 99))];
+        let live: Vec<SegmentStats> = l0
+            .iter()
+            .map(|s| SegmentStats {
+                tombstones: 0,
+                ..s.clone()
+            })
+            .collect();
+        assert!(!planner.should_compact(&live, &l1));
+        let job = planner.plan(&l0, &l1, &[]).unwrap();
         assert_eq!(job.l0_inputs, vec![7, 6], "the dead run wins");
     }
 
     #[test]
     fn smaller_runs_win_at_equal_benefit() {
         let planner = CompactionPlanner::new(PlannerConfig {
-            max_segments: 1,
             max_dead_ratio: 0.9,
             max_job_segments: 2,
             ..PlannerConfig::default()
@@ -679,14 +738,13 @@ mod tests {
     }
 
     #[test]
-    fn l1_only_count_pressure_waits_for_a_full_l0_batch() {
-        // A large store's L1 partition count alone exceeds max_segments
-        // permanently. A single fresh spill must NOT trigger a promotion
-        // (each promotion has to pull in every intersecting L1 partition,
-        // so per-spill promotion would rewrite O(L1) bytes per spill);
-        // only a full batch of max_job_segments L0 segments does.
+    fn a_lone_spill_against_a_larger_l1_waits_for_a_full_batch() {
+        // In a large store one spill is small against the L1 partitions
+        // it intersects. It must NOT trigger a promotion on its own (each
+        // promotion has to pull in every intersecting L1 partition, so
+        // per-spill promotion would rewrite O(L1) bytes per spill); only
+        // a full batch of max_job_segments L0 segments does.
         let planner = CompactionPlanner::new(PlannerConfig {
-            max_segments: 2,
             max_job_segments: 3,
             ..PlannerConfig::default()
         });

@@ -628,9 +628,9 @@ impl TieredStore {
         self.inner.run_pending_compactions()
     }
 
-    /// Stop the background thread from *starting* new compaction jobs (an
-    /// in-flight job still finishes). Pairs with
-    /// [`TieredStore::resume_compaction`]; calls nest.
+    /// Stop the background thread from *starting* new compaction jobs,
+    /// and return once an in-flight job, if any, has committed. Pairs
+    /// with [`TieredStore::resume_compaction`]; calls nest.
     pub fn pause_compaction(&self) {
         self.inner.maint.pause();
     }

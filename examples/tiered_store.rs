@@ -15,9 +15,9 @@ fn main() {
         .with_cache_capacity(512 * 1024)
         .with_segment_config(SegmentConfig::default())
         .with_planner(PlannerConfig {
-            max_segments: 4,            // compact once more than 4 segments are live
-            max_dead_ratio: 0.25,       // ... or tombstones pass a quarter of cold records
-            max_job_segments: 3,        // each job promotes at most 3 L0 segments
+            max_segments: 4,            // consolidate L1 once more than 4 partitions are live
+            max_dead_ratio: 0.25,       // promote once tombstones pass a quarter of cold records
+            max_job_segments: 3,        // ... or 3 L0 segments wait (at most 3 per job)
             ..PlannerConfig::default()  // default L1 partition split size
         });
     let store = TieredStore::open(config.clone()).expect("open tiered store");
@@ -72,9 +72,11 @@ fn main() {
     assert_eq!(store.get(b"user:000003").expect("get"), None);
     println!("overwrite and tombstone shadow the spilled versions");
 
-    // 4a. Leveled compaction: the planner promotes bounded L0 runs into
-    // sorted, non-overlapping L1 partitions, pulling in exactly the
-    // partitions each run's key range intersects — never the whole store.
+    // 4a. Leveled compaction: once L0 holds as many bytes as the L1
+    // partitions its key range intersects (or a full batch of segments),
+    // the planner promotes bounded L0 runs into sorted, non-overlapping
+    // L1 partitions, pulling in exactly the partitions each run's key
+    // range intersects — never the whole store.
     // (A background thread does the same when opened with
     // `.with_background_compaction(true)`, and jobs over disjoint key
     // ranges commit concurrently.)

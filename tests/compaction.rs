@@ -364,7 +364,7 @@ fn concurrent_disjoint_jobs_commit_interleaved_under_reads() {
     let store = Arc::new(
         TieredStore::open(TierConfig::new(&dir).with_watermark(u64::MAX).with_planner(
             PlannerConfig {
-                max_segments: 1, // backlog stays triggered to the end
+                max_segments: 1,
                 max_dead_ratio: 0.25,
                 max_job_segments: 2,
                 target_partition_bytes: 32 * 1024,
@@ -425,8 +425,8 @@ fn concurrent_disjoint_jobs_commit_interleaved_under_reads() {
     let probes = reader.join().unwrap();
 
     // The backlog drains: at most one unbatched L0 segment may remain
-    // (L1 partition-count pressure gates lone spills behind a full
-    // max_job_segments batch, so the planner stops at l0 < 2 by design).
+    // (a lone spill lighter than the L1 it intersects waits for a full
+    // max_job_segments batch, so the planner may stop at l0 < 2).
     assert!(
         jobs >= 2,
         "the backlog takes multiple bounded jobs, got {jobs}"
@@ -525,6 +525,54 @@ fn pause_and_resume_gate_the_maintenance_thread() {
     // Drop while paused must still join cleanly (shutdown wins).
     store.pause_compaction();
     drop(store);
+}
+
+/// The `serve-mixed` shape: every spill covers the whole key space. Each
+/// round overwrites (or deletes) every key, spills, and runs what the
+/// planner asks for. L0 stays shallow, because two whole-range spills
+/// already outweigh the one L1 partition they intersect; a segment-count
+/// trigger would let it climb round after round, adding a merge source
+/// to every scan and a probe to every cold get.
+#[test]
+fn l0_depth_bounded_under_whole_range_overwrites() {
+    const KEYS: usize = 2_000;
+    const ROUNDS: usize = 10;
+    let (dir, _guard) = temp_dir("l0-depth");
+    let store = TieredStore::open(
+        TierConfig::new(&dir)
+            .with_watermark(u64::MAX)
+            .with_segment_config(small_block_segments()),
+    )
+    .unwrap();
+    let mut reference: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for round in 0..ROUNDS {
+        for i in 0..KEYS {
+            if (i + round) % 50 == 0 {
+                store.delete(&key(i)).unwrap();
+                reference.remove(&key(i));
+            } else {
+                let v = value(i + round * KEYS);
+                store.set(&key(i), &v).unwrap();
+                reference.insert(key(i), v);
+            }
+        }
+        store.flush_all().unwrap();
+        store.run_pending_compactions().unwrap();
+        assert!(
+            store.l0_segment_count() <= 2,
+            "round {round}: L0 holds {} segments",
+            store.l0_segment_count()
+        );
+        for i in 0..KEYS {
+            assert_eq!(
+                store.get(&key(i)).unwrap(),
+                reference.get(&key(i)).cloned(),
+                "round {round} key {i}"
+            );
+        }
+    }
+    assert!(store.stats().compactions > 0, "the planner promoted");
+    assert_l1_invariant(&store);
 }
 
 // ---------------- codec lifecycle ----------------
@@ -655,8 +703,8 @@ fn codec_lifecycle_selects_reuses_retrains_and_adopts() {
         TierConfig::new(&dir)
             .with_watermark(u64::MAX)
             .with_segment_config(small_block_segments())
-            // One L0 segment per job, and any L0 segment next to L1
-            // partitions triggers one: a job runs exactly when asked.
+            // One L0 segment per job, and one L0 segment is a full
+            // batch: a job runs exactly when asked.
             .with_planner(PlannerConfig {
                 max_segments: 1,
                 max_job_segments: 1,

@@ -15,7 +15,7 @@ use pbc::codecs::lz77::MIN_MATCH;
 use pbc::codecs::traits::{Codec, TrainableCodec};
 use pbc::codecs::{fsst, huffman, varint, FsstCodec, Lz4Like, LzmaLike, SnappyLike, ZstdLike};
 use pbc::core::matching::{match_record, reassemble};
-use pbc::core::{FieldEncoder, Pattern, PbcCompressor, PbcConfig};
+use pbc::core::{FieldEncoder, Pattern, PbcBlockCompressor, PbcCompressor, PbcConfig};
 use pbc::datagen::Dataset;
 use pbc::json::{parse, to_string, JsonValue, Number};
 use pbc::tier::{Manifest, ManifestEntry, SegmentStats, TierError, LEVEL_L0, LEVEL_L1};
@@ -246,6 +246,62 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `PbcBlockCompressor::decompress_block` over whatever the backend
+    /// decompresses to: a record count, then frames of a length — the
+    /// payload's own, a small one, or one within 256 of `u64::MAX` that
+    /// overflows `pos + len` — and a payload that is a real compressed
+    /// record or junk; or junk alone. It returns the claimed records or a
+    /// typed error, never a panic or an out-of-bounds slice.
+    #[test]
+    fn pbc_block_decoder_survives_arbitrary_intermediate_bytes(
+        count in 0u64..8,
+        frames in vec((any::<usize>(), 0u64..256, vec(any::<u8>(), 0..24)), 0..6),
+        junk in vec(any::<u8>(), 0..64),
+        only_junk in any::<bool>(),
+    ) {
+        let kernels = trained_kernels();
+        let mut intermediate = Vec::new();
+        if !only_junk {
+            varint::write_u64(&mut intermediate, count);
+            for &(pick, small, ref junk_payload) in &frames {
+                let payload = if (pick / 3).is_multiple_of(2) {
+                    &kernels.compressed[0][pick % kernels.compressed[0].len()]
+                } else {
+                    junk_payload
+                };
+                let len = match pick % 3 {
+                    0 => payload.len() as u64,
+                    1 => small,
+                    _ => u64::MAX - small,
+                };
+                varint::write_u64(&mut intermediate, len);
+                intermediate.extend_from_slice(payload);
+            }
+        }
+        intermediate.extend_from_slice(&junk);
+        let block = ZstdLike::new(3).compress(&intermediate);
+        if let Ok(records) = pbc_block().decompress_block(&block) {
+            prop_assert_eq!(records.len() as u64, count);
+        }
+    }
+}
+
+/// `PBC_Z` over the `PBC` dictionary of [`trained_kernels`], so the real
+/// records in [`TrainedKernels::compressed`] decode.
+fn pbc_block() -> &'static PbcBlockCompressor {
+    static BLOCK: OnceLock<PbcBlockCompressor> = OnceLock::new();
+    BLOCK.get_or_init(|| {
+        let pbc = PbcCompressor::from_dictionary(
+            trained_kernels().pbc.dictionary().clone(),
+            &PbcConfig::small(),
+        );
+        PbcBlockCompressor::with_backend(pbc, Box::new(ZstdLike::new(3)), "PBC_Z")
+    })
 }
 
 /// The greedy FSST encoder as first written: symbols bucketed by first
