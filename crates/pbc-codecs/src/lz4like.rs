@@ -77,9 +77,14 @@ impl Lz4Like {
 
     fn decompress_internal(&self, input: &[u8], dict: &[u8]) -> Result<Vec<u8>> {
         let (raw_len, mut pos) = varint::read_usize(input, 0)?;
-        let mut out = Vec::with_capacity(dict.len() + raw_len);
+        let target = dict
+            .len()
+            .checked_add(raw_len)
+            .ok_or(CodecError::corrupt("lz4 declared length overflows"))?;
+        // A length extension byte adds at most 255 output bytes.
+        let mut out =
+            Vec::with_capacity(dict.len() + varint::reservation(raw_len, input.len(), 255));
         out.extend_from_slice(dict);
-        let target = dict.len() + raw_len;
         while out.len() < target {
             let token = *input.get(pos).ok_or(CodecError::UnexpectedEof {
                 context: "lz4 token",
@@ -91,13 +96,17 @@ impl Lz4Like {
                 lit_len += ext;
                 pos = p;
             }
-            if pos + lit_len > input.len() {
-                return Err(CodecError::UnexpectedEof {
+            let lit_end = pos
+                .checked_add(lit_len)
+                .filter(|&end| end <= input.len())
+                .ok_or(CodecError::UnexpectedEof {
                     context: "lz4 literals",
-                });
+                })?;
+            if lit_len > target - out.len() {
+                return Err(CodecError::corrupt("lz4 literals overrun declared size"));
             }
-            out.extend_from_slice(&input[pos..pos + lit_len]);
-            pos += lit_len;
+            out.extend_from_slice(&input[pos..lit_end]);
+            pos = lit_end;
             if out.len() >= target {
                 break;
             }
@@ -115,6 +124,9 @@ impl Lz4Like {
                     offset,
                     position: out.len(),
                 });
+            }
+            if match_len > target - out.len() {
+                return Err(CodecError::corrupt("lz4 match overruns declared size"));
             }
             let start = out.len() - offset;
             for i in 0..match_len {

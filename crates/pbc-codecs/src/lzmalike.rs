@@ -120,17 +120,19 @@ impl LzmaLike {
         }
     }
 
-    fn decode_offset(dec: &mut RangeDecoder<'_>, model: &mut Model) -> usize {
+    fn decode_offset(dec: &mut RangeDecoder<'_>, model: &mut Model) -> Result<usize> {
         let slot = dec.decode_bittree(&mut model.slot_tree, 6);
         let value = match slot {
             0 => 0u32,
             1 => 1u32,
-            _ => {
+            // A `u32` distance has at most 32 significant bits.
+            2..=32 => {
                 let extra_bits = slot - 1;
                 (1 << extra_bits) | dec.decode_direct(extra_bits)
             }
+            _ => return Err(CodecError::corrupt("lzma distance slot out of range")),
         };
-        value as usize + 1
+        Ok(value as usize + 1)
     }
 }
 
@@ -180,7 +182,10 @@ impl Codec for LzmaLike {
         let payload = &input[pos..];
         let mut dec = RangeDecoder::new(payload)?;
         let mut model = Model::new();
-        let mut out: Vec<u8> = Vec::with_capacity(raw_len);
+        // The range coder can spend well under a bit on a likely symbol, so
+        // no expansion bound is exact: reserve for a generous one and let
+        // denser streams grow the buffer.
+        let mut out: Vec<u8> = Vec::with_capacity(varint::reservation(raw_len, input.len(), 64));
         let mut prev_byte = 0u8;
         while out.len() < raw_len {
             if dec.decode_bit(&mut model.is_match[0]) == 0 {
@@ -190,14 +195,14 @@ impl Codec for LzmaLike {
                 prev_byte = b;
             } else {
                 let len = Self::decode_length(&mut dec, &mut model);
-                let offset = Self::decode_offset(&mut dec, &mut model);
+                let offset = Self::decode_offset(&mut dec, &mut model)?;
                 if offset > out.len() {
                     return Err(CodecError::InvalidOffset {
                         offset,
                         position: out.len(),
                     });
                 }
-                if out.len() + len > raw_len + 64 {
+                if len > raw_len - out.len() {
                     return Err(CodecError::corrupt("lzma match overruns declared size"));
                 }
                 let start = out.len() - offset;

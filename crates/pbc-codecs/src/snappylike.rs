@@ -118,7 +118,8 @@ impl Codec for SnappyLike {
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
         let (raw_len, mut pos) = varint::read_usize(input, 0)?;
-        let mut out = Vec::with_capacity(raw_len);
+        // The densest element, a three-byte copy, decodes to 64 bytes.
+        let mut out = Vec::with_capacity(varint::reservation(raw_len, input.len(), 32));
         while out.len() < raw_len {
             let tag = *input.get(pos).ok_or(CodecError::UnexpectedEof {
                 context: "snappy tag",
@@ -143,13 +144,17 @@ impl Codec for SnappyLike {
                         pos += extra;
                         v + 1
                     };
-                    if pos + len > input.len() {
-                        return Err(CodecError::UnexpectedEof {
+                    let end = pos
+                        .checked_add(len)
+                        .filter(|&end| end <= input.len())
+                        .ok_or(CodecError::UnexpectedEof {
                             context: "snappy literal bytes",
-                        });
+                        })?;
+                    if len > raw_len - out.len() {
+                        return Err(CodecError::corrupt("snappy literal overruns declared size"));
                     }
-                    out.extend_from_slice(&input[pos..pos + len]);
-                    pos += len;
+                    out.extend_from_slice(&input[pos..end]);
+                    pos = end;
                 }
                 kind @ (TAG_COPY1 | TAG_COPY2 | TAG_COPY4) => {
                     let (len, offset) = match kind {
@@ -195,6 +200,9 @@ impl Codec for SnappyLike {
                             offset,
                             position: out.len(),
                         });
+                    }
+                    if len > raw_len - out.len() {
+                        return Err(CodecError::corrupt("snappy copy overruns declared size"));
                     }
                     let start = out.len() - offset;
                     for i in 0..len {

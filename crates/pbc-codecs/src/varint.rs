@@ -84,6 +84,16 @@ pub fn read_usize(input: &[u8], pos: usize) -> Result<(usize, usize)> {
     Ok((v as usize, p))
 }
 
+/// The output capacity a decoder may reserve for a stream whose header
+/// declares `declared` bytes: the declaration, but no more than the
+/// `input_len` bytes of the stream could decode to at `max_expansion`
+/// output bytes per input byte. A damaged header then cannot request an
+/// allocation the stream does not back; output past the reservation only
+/// grows the buffer as it is decoded.
+pub(crate) fn reservation(declared: usize, input_len: usize, max_expansion: usize) -> usize {
+    declared.min(input_len.saturating_mul(max_expansion))
+}
+
 /// Read a varint and narrow it to `u32`, rejecting overflow.
 pub fn read_u32(input: &[u8], pos: usize) -> Result<(u32, usize)> {
     let (v, p) = read_u64(input, pos)?;

@@ -27,5 +27,5 @@ pub mod workload;
 
 pub use block::{BlockStore, PerRecordStore};
 pub use engine::{StoreError, ValueCodec};
-pub use store::{Lookup, RangeEntry, RangeSnapshot, TierStore};
+pub use store::{Lookup, RangeSnapshot, TierStore};
 pub use workload::{WorkloadReport, WorkloadSpec};

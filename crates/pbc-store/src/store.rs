@@ -12,11 +12,12 @@
 //! represented, and every transition a tiered engine needs is one step
 //! under one lock: [`TierStore::set`] (a live value replaces anything),
 //! [`TierStore::tombstone`] (a delete that keeps shadowing colder copies),
-//! [`TierStore::restore`] (put back only what nothing newer has replaced),
-//! [`TierStore::take_shard`] (drain for a spill) and
-//! [`TierStore::range_snapshot_encoded`] (the bounded cut a range scan
-//! merges). Per-shard byte accounting and last-access epochs drive LRU
-//! shard selection.
+//! [`TierStore::range_snapshot_encoded`] / [`TierStore::snapshot_shards`]
+//! (the cut a range scan merges and a spill writes) and
+//! [`TierStore::evict_unchanged`] (drop what a spill wrote, unless a write
+//! replaced it since). Live values are shared (`Arc`), so a cut copies
+//! keys and pointers, never values. Per-shard byte accounting and
+//! last-access epochs drive LRU shard selection.
 
 use std::borrow::Cow;
 use std::cmp::Ordering as KeyOrder;
@@ -25,6 +26,7 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -113,15 +115,17 @@ impl PartialOrd for HotKey<'_> {
 
 /// What a shard holds for one key.
 enum Slot {
-    /// The codec-encoded value.
-    Live(Vec<u8>),
+    /// The codec-encoded value, shared with any cut that copied it. A write
+    /// always stores a fresh `Arc`, so pointer equality tells whether the
+    /// slot still holds the copied version.
+    Live(Arc<[u8]>),
     /// Deleted here while colder storage may still hold an older version.
     Tombstone,
 }
 
 impl Slot {
     /// The encoded value, `None` for a tombstone.
-    fn encoded(&self) -> Option<&Vec<u8>> {
+    fn encoded(&self) -> Option<&Arc<[u8]>> {
         match self {
             Slot::Live(stored) => Some(stored),
             Slot::Tombstone => None,
@@ -140,9 +144,8 @@ pub enum Lookup {
     Absent,
 }
 
-/// One shard's slots plus their byte accounting. The accounting lives
-/// inside the lock so [`TierStore::take_shard`] can drain and zero it
-/// atomically with respect to concurrent writers.
+/// One shard's slots plus their byte accounting, kept under the same lock
+/// so every slot change moves its bytes in the same step.
 #[derive(Default)]
 struct ShardState {
     slots: BTreeMap<HotKey<'static>, Slot>,
@@ -170,31 +173,26 @@ struct Shard {
     last_access: AtomicU64,
 }
 
-/// One key with its decoded value as reported by [`TierStore::take_shard`];
-/// `None` marks a tombstone.
-pub type RangeEntry = (Vec<u8>, Option<Vec<u8>>);
-
-/// What [`TierStore::range_snapshot_encoded`] returns: the slots of a key
-/// interval in ascending key order, values still codec-encoded.
+/// What [`TierStore::range_snapshot_encoded`] and
+/// [`TierStore::snapshot_shards`] return: slots in ascending key order,
+/// values still codec-encoded.
 ///
-/// Rows are packed back to back in one buffer, so a snapshot costs two
-/// allocations however many rows it holds.
+/// Keys are packed back to back in one buffer; a live row shares the
+/// slot's value (`Arc`) rather than copying it, so a snapshot costs its key
+/// bytes plus a pointer per row, and keeps every value it copied alive.
 #[derive(Debug, Default)]
 pub struct RangeSnapshot {
-    /// Key, then encoded value, of every row.
-    bytes: Vec<u8>,
+    /// Every row's key, back to back.
+    keys: Vec<u8>,
     rows: Vec<SnapshotRow>,
 }
 
-/// Where one row lies in [`RangeSnapshot::bytes`]: the key is
-/// `key..value`, the encoded value `value..end`.
+/// One row of a [`RangeSnapshot`]: its key is `keys[previous end..end]`.
 #[derive(Debug)]
 struct SnapshotRow {
-    key: usize,
-    value: usize,
-    end: usize,
-    /// `false` marks a tombstone (its value range is empty).
-    live: bool,
+    key_end: usize,
+    /// The encoded value, `None` for a tombstone.
+    value: Option<Arc<[u8]>>,
 }
 
 impl RangeSnapshot {
@@ -203,33 +201,53 @@ impl RangeSnapshot {
         self.rows.is_empty()
     }
 
+    /// How many rows (live and tombstones) the snapshot holds.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The hot-tier bytes the snapshot's rows account for: every key, plus
+    /// every live value ([`TierStore::memory_usage_bytes`] plus
+    /// [`TierStore::tombstone_bytes`], for these rows).
+    pub fn accounted_bytes(&self) -> u64 {
+        let values: usize = self
+            .rows
+            .iter()
+            .filter_map(|row| row.value.as_ref())
+            .map(|v| v.len())
+            .sum();
+        (self.keys.len() + values) as u64
+    }
+
     /// Row `idx` in key order: its key and its encoded value, `None` for a
     /// tombstone. `None` past the last row.
     pub fn get(&self, idx: usize) -> Option<(&[u8], Option<&[u8]>)> {
-        self.rows.get(idx).map(|row| self.row(row))
+        let row = self.rows.get(idx)?;
+        let start = idx.checked_sub(1).map_or(0, |prev| self.rows[prev].key_end);
+        Some((&self.keys[start..row.key_end], row.value.as_deref()))
     }
 
     /// Every row in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
-        self.rows.iter().map(|row| self.row(row))
+        self.shared_rows()
+            .map(|(key, value)| (key, value.map(|v| &**v)))
     }
 
-    fn row(&self, row: &SnapshotRow) -> (&[u8], Option<&[u8]>) {
-        let stored = row.live.then(|| &self.bytes[row.value..row.end]);
-        (&self.bytes[row.key..row.value], stored)
+    /// Every row in key order, with the shared value itself.
+    fn shared_rows(&self) -> impl Iterator<Item = (&[u8], Option<&Arc<[u8]>>)> {
+        let mut start = 0;
+        self.rows.iter().map(move |row| {
+            let key = &self.keys[start..row.key_end];
+            start = row.key_end;
+            (key, row.value.as_ref())
+        })
     }
 
     fn push(&mut self, key: &HotKey<'_>, slot: &Slot) {
-        let start = self.bytes.len();
-        key.extend_into(&mut self.bytes);
-        let value = self.bytes.len();
-        self.bytes
-            .extend_from_slice(slot.encoded().map_or(&[][..], Vec::as_slice));
+        key.extend_into(&mut self.keys);
         self.rows.push(SnapshotRow {
-            key: start,
-            value,
-            end: self.bytes.len(),
-            live: slot.encoded().is_some(),
+            key_end: self.keys.len(),
+            value: slot.encoded().cloned(),
         });
     }
 }
@@ -237,9 +255,10 @@ impl RangeSnapshot {
 /// A TierBase-like sharded key-value store with value compression.
 pub struct TierStore {
     /// Lock order: a thread takes at most one shard's write lock and
-    /// holds no other shard lock while it does. Only
-    /// [`TierStore::range_snapshot_encoded`] holds several shard locks at
-    /// once: read locks only, taken in ascending index order.
+    /// holds no other shard lock while it does. Only a cut
+    /// ([`TierStore::range_snapshot_encoded`],
+    /// [`TierStore::snapshot_shards`]) holds several shard locks at once:
+    /// read locks only, taken in ascending index order.
     shards: Vec<Shard>,
     codec: ValueCodec,
     raw_value_bytes: AtomicU64,
@@ -250,7 +269,7 @@ pub struct TierStore {
     /// updated with every per-shard delta. Watermark checks on the write
     /// path read this with two atomic loads instead of taking every shard
     /// lock; the per-shard counters stay the exact source of truth for
-    /// [`TierStore::shard_memory_bytes`] and [`TierStore::take_shard`].
+    /// [`TierStore::shard_memory_bytes`].
     stored_bytes_total: AtomicU64,
     /// Running total of tombstone key bytes, mirroring the per-shard
     /// tombstone accounting the same way.
@@ -325,10 +344,7 @@ impl TierStore {
     /// Put `new` into `key`'s slot (`None` empties it) and return what was
     /// there. Every mutation goes through here, so this is the one place
     /// the byte counters move. The global totals update under the shard
-    /// lock the caller holds: they must move in lockstep with the
-    /// per-shard counters, or a racing [`TierStore::take_shard`] (which
-    /// subtracts the per-shard sums under that lock) could transiently
-    /// wrap the u64 totals.
+    /// lock the caller holds, in lockstep with the per-shard counters.
     fn replace_slot(
         &self,
         shard: &mut ShardState,
@@ -383,7 +399,11 @@ impl TierStore {
     /// concurrent [`TierStore::tombstone`] lands wholly before or wholly
     /// after it and can never be half-erased.
     pub fn set(&self, key: &[u8], value: &[u8]) -> usize {
-        let encoded = self.codec.encode(value);
+        // Unencoded values go straight into their shared allocation.
+        let encoded: Arc<[u8]> = match &self.codec {
+            ValueCodec::None => Arc::from(value),
+            codec => Arc::from(codec.encode(value)),
+        };
         let encoded_len = encoded.len();
         let idx = self.shard_of_key(key);
         {
@@ -404,7 +424,7 @@ impl TierStore {
             .state
             .read()
             .slot(key)
-            .map(|slot| slot.encoded().cloned());
+            .map(|slot| slot.encoded().map(|stored| stored.to_vec()));
         self.touch(idx);
         Ok(match slot {
             Some(Some(stored)) => Lookup::Live(self.codec.decode(&stored)?),
@@ -458,86 +478,11 @@ impl TierStore {
         changed
     }
 
-    /// Put a drained entry (`None` = tombstone) back, only if the store
-    /// holds nothing for `key`. Returns whether it went in.
-    ///
-    /// This is the rollback for a failed spill: whatever was written to
-    /// the slot while the spill ran — a value or a tombstone — was
-    /// acknowledged after the drained copy and must win over it.
-    pub fn restore(&self, key: &[u8], value: Option<&[u8]>) -> bool {
-        let idx = self.shard_of_key(key);
-        let mut shard = self.shards[idx].state.write();
-        if shard.slot(key).is_some() {
-            return false;
-        }
-        let slot = match value {
-            Some(value) => {
-                self.raw_value_bytes
-                    .fetch_add(value.len() as u64, Ordering::Relaxed);
-                Slot::Live(self.codec.encode(value))
-            }
-            None => Slot::Tombstone,
-        };
-        self.replace_slot(&mut shard, HotKey::new(key), Some(slot));
-        true
-    }
-
     /// Bytes held by tombstoned keys (not part of
     /// [`TierStore::memory_usage_bytes`], which keeps Table 8 semantics).
     /// A single atomic load — cheap enough for per-write watermark checks.
     pub fn tombstone_bytes(&self) -> u64 {
         self.tombstone_bytes_total.load(Ordering::Relaxed)
-    }
-
-    /// Drain shard `idx`: remove every slot and return them in key order,
-    /// values decoded, `None` for a tombstone. Only the map moves under the
-    /// write lock; decoding runs after it. If a value fails to decode, the
-    /// drained slots go back into every slot nothing has refilled since (as
-    /// [`TierStore::restore`] does), so a corrupt value costs the spill,
-    /// never data.
-    pub fn take_shard(&self, idx: usize) -> Result<Vec<RangeEntry>, StoreError> {
-        let drained = {
-            let mut shard = self.shards[idx].state.write();
-            // The totals move under the lock, in lockstep with the shard
-            // they mirror (see replace_slot).
-            self.stored_bytes_total.fetch_sub(
-                shard.stored_value_bytes + shard.stored_key_bytes,
-                Ordering::Relaxed,
-            );
-            self.tombstone_bytes_total
-                .fetch_sub(shard.tombstone_bytes, Ordering::Relaxed);
-            std::mem::take(&mut *shard).slots
-        };
-        let decoded: Result<Vec<RangeEntry>, _> = drained
-            .iter()
-            .map(|(key, slot)| {
-                let mut bytes = Vec::with_capacity(key.len());
-                key.extend_into(&mut bytes);
-                Ok((
-                    bytes,
-                    slot.encoded().map(|s| self.codec.decode(s)).transpose()?,
-                ))
-            })
-            .collect();
-        match decoded {
-            Ok(entries) => {
-                // The drained values' raw bytes leave the memory-ratio
-                // denominator with them (restore puts them back).
-                let raw = entries.iter().filter_map(|(_, value)| value.as_ref());
-                let raw: u64 = raw.map(|value| value.len() as u64).sum();
-                self.raw_value_bytes.fetch_sub(raw, Ordering::Relaxed);
-                Ok(entries)
-            }
-            Err(e) => {
-                let mut shard = self.shards[idx].state.write();
-                for (key, slot) in drained {
-                    if !shard.slots.contains_key(&key) {
-                        self.replace_slot(&mut shard, key, Some(slot));
-                    }
-                }
-                Err(e)
-            }
-        }
     }
 
     /// The hot cut a range scan merges: the slots with keys in the closed
@@ -558,16 +503,39 @@ impl TierStore {
         end: Option<&[u8]>,
         limit: usize,
     ) -> RangeSnapshot {
-        let mut snapshot = RangeSnapshot::default();
         // `BTreeMap::range` panics on inverted bounds.
         if end.is_some_and(|end| start > end) {
-            return snapshot;
+            return RangeSnapshot::default();
         }
         let bounds = (
             Bound::Included(HotKey::new(start)),
             end.map_or(Bound::Unbounded, |end| Bound::Included(HotKey::new(end))),
         );
-        let guards: Vec<_> = self.shards.iter().map(|shard| shard.state.read()).collect();
+        self.cut(0..self.shards.len(), bounds, limit)
+    }
+
+    /// Every slot of `shards`, the same cut with an unbounded range and no
+    /// limit: what a spill writes, and then hands to
+    /// [`TierStore::evict_unchanged`].
+    pub fn snapshot_shards(&self, shards: &[usize]) -> RangeSnapshot {
+        let mut shards = shards.to_vec();
+        shards.sort_unstable();
+        shards.dedup();
+        self.cut(shards, (Bound::Unbounded, Bound::Unbounded), usize::MAX)
+    }
+
+    /// The k-way merge behind both cuts, over `shards` in ascending order.
+    fn cut(
+        &self,
+        shards: impl IntoIterator<Item = usize>,
+        bounds: (Bound<HotKey<'_>>, Bound<HotKey<'_>>),
+        limit: usize,
+    ) -> RangeSnapshot {
+        let mut snapshot = RangeSnapshot::default();
+        let guards: Vec<_> = shards
+            .into_iter()
+            .map(|idx| self.shards[idx].state.read())
+            .collect();
         let mut cursors: Vec<_> = guards
             .iter()
             .map(|shard| {
@@ -589,6 +557,60 @@ impl TierStore {
             heads[i] = cursors[i].next();
         }
         snapshot
+    }
+
+    /// Remove every slot of `copied` that still holds what the cut copied:
+    /// the very same value (`Arc::ptr_eq`), or a tombstone where the cut
+    /// had one. A slot written since — a new value, a tombstone over a
+    /// copied value, a value over a copied tombstone — stays, because it
+    /// is newer than the copy. Returns how many slots went.
+    ///
+    /// `copied` keeps every value it shares alive, so no new value can
+    /// reuse a copied one's address. Each shard is visited once, under its
+    /// write lock.
+    pub fn evict_unchanged(&self, copied: &RangeSnapshot) -> usize {
+        let mut by_shard = vec![Vec::new(); SHARDS];
+        for (key, value) in copied.shared_rows() {
+            by_shard[self.shard_of_key(key)].push((key, value));
+        }
+        let mut evicted = 0;
+        for (idx, rows) in by_shard
+            .iter()
+            .enumerate()
+            .filter(|(_, rows)| !rows.is_empty())
+        {
+            // Raw lengths leave the memory-ratio denominator with their
+            // values; decoding (for a compressing codec) runs unlocked.
+            let raw: Vec<u64> = rows
+                .iter()
+                .map(|(_, value)| value.map_or(0, |v| self.raw_len(v)))
+                .collect();
+            let mut raw_evicted = 0;
+            let mut shard = self.shards[idx].state.write();
+            for (&(key, copied), raw) in rows.iter().zip(raw) {
+                let unchanged = match (shard.slot(key), copied) {
+                    (Some(Slot::Live(now)), Some(copied)) => Arc::ptr_eq(now, copied),
+                    (Some(Slot::Tombstone), None) => true,
+                    _ => false,
+                };
+                if unchanged {
+                    self.replace_slot(&mut shard, HotKey::new(key), None);
+                    raw_evicted += raw;
+                    evicted += 1;
+                }
+            }
+            self.raw_value_bytes
+                .fetch_sub(raw_evicted, Ordering::Relaxed);
+        }
+        evicted
+    }
+
+    /// The decoded length of a stored value (0 if it does not decode).
+    fn raw_len(&self, stored: &[u8]) -> u64 {
+        match &self.codec {
+            ValueCodec::None => stored.len() as u64,
+            codec => codec.decode(stored).map_or(0, |value| value.len() as u64),
+        }
     }
 
     /// Number of stored keys.
@@ -778,8 +800,11 @@ mod tests {
         assert!(store.shard_access_epoch(shard_a) > store.shard_access_epoch(shard_b));
     }
 
+    /// One key with its decoded value; `None` marks a tombstone.
+    type Row = (Vec<u8>, Option<Vec<u8>>);
+
     /// The whole-interval cut with its values decoded.
-    fn decoded_cut(store: &TierStore, start: &[u8], end: Option<&[u8]>) -> Vec<RangeEntry> {
+    fn decoded_cut(store: &TierStore, start: &[u8], end: Option<&[u8]>) -> Vec<Row> {
         store
             .range_snapshot_encoded(start, end, usize::MAX)
             .iter()
@@ -827,16 +852,13 @@ mod tests {
             Set,
             Tombstone,
             Delete,
-            RestoreLive,
-            RestoreTombstone,
         }
         use Op::*;
         use State::*;
         // (before, op, what the op returns, after, whether the op's value
         // is the one stored afterwards). `set` always wins; `tombstone`
         // always leaves a tombstone and reports a change unless one was
-        // there; `delete` only removes a live value; `restore` only fills
-        // an empty slot.
+        // there; `delete` only removes a live value.
         let table = [
             (Absent, Set, true, Live, true),
             (Live, Set, true, Live, true),
@@ -847,22 +869,18 @@ mod tests {
             (Absent, Delete, false, Absent, false),
             (Live, Delete, true, Absent, false),
             (Dead, Delete, false, Dead, false),
-            (Absent, RestoreLive, true, Live, true),
-            (Live, RestoreLive, false, Live, false),
-            (Dead, RestoreLive, false, Dead, false),
-            (Absent, RestoreTombstone, true, Dead, false),
-            (Live, RestoreTombstone, false, Live, false),
-            (Dead, RestoreTombstone, false, Dead, false),
         ];
 
         // A compressing codec, so stored bytes differ from raw bytes and a
         // wrong length in the accounting cannot cancel out.
-        let vals = values(64 + 2 * table.len());
+        let vals = values(64 + 4 * table.len());
         let refs: Vec<&[u8]> = vals[..64].iter().map(|v| v.as_slice()).collect();
         let store = TierStore::new(ValueCodec::train_pbc_f(&refs, &PbcConfig::small()));
         let mut expected: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
 
-        for (row, &(before, op, returns, after, op_value_stored)) in table.iter().enumerate() {
+        // The table twice over, so enough slots survive for the cuts below.
+        let rows = table.iter().chain(&table).enumerate();
+        for (row, &(before, op, returns, after, op_value_stored)) in rows {
             // Keys of varying length, one per row, so rows share shards
             // and some keys run past the 23 inline bytes.
             let key = format!("slot:{row:02}{}", "x".repeat(row * 2)).into_bytes();
@@ -883,8 +901,6 @@ mod tests {
                 Set => store.set(&key, second) > 0,
                 Tombstone => store.tombstone(&key),
                 Delete => store.delete(&key),
-                RestoreLive => store.restore(&key, Some(second)),
-                RestoreTombstone => store.restore(&key, None),
             };
             assert_eq!(returned, returns, "{context}: return value");
             let value = if op_value_stored { second } else { first };
@@ -933,57 +949,83 @@ mod tests {
             "inverted bounds are an empty interval, not a panic"
         );
 
-        // Draining: each shard hands back exactly its own slots, sorted
-        // and decoded, and every counter returns to zero with them.
-        let mut drained = Vec::new();
+        // Copy, race, evict. A spill copies the shards it writes; writes
+        // land while it runs; then it evicts. Exactly the slots that still
+        // hold what was copied go, so every racing write stays.
+        let spared = store.shard_of_key(&everything[0].0);
+        let victims: Vec<usize> = (0..store.shard_count())
+            .filter(|&idx| idx != spared)
+            .collect();
+        let copy = store.snapshot_shards(&victims);
+        let copied: Vec<Row> = decoded_cut(&store, b"", None)
+            .into_iter()
+            .filter(|(key, _)| victims.contains(&store.shard_of_key(key)))
+            .collect();
+        let decoded_copy: Vec<Row> = copy
+            .iter()
+            .map(|(key, stored)| {
+                let value = stored.map(|s| store.codec().decode(s).unwrap());
+                (key.to_vec(), value)
+            })
+            .collect();
+        assert_eq!(decoded_copy, copied, "the copy is the victims' cut");
+        let (live_rows, dead_rows): (Vec<&Row>, Vec<&Row>) =
+            copied.iter().partition(|(_, value)| value.is_some());
+        assert!(
+            live_rows.len() >= 3 && !dead_rows.is_empty(),
+            "a race for every kind"
+        );
+        let mut raced = BTreeMap::new();
+        // The same bytes again are still a new version.
+        let (rewritten, same) = live_rows[0];
+        store.set(rewritten, same.as_ref().unwrap());
+        raced.insert(rewritten.clone(), same.clone());
+        // A tombstone over a copied value.
+        store.tombstone(&live_rows[1].0);
+        raced.insert(live_rows[1].0.clone(), None);
+        // Set after delete: a value back over a copied tombstone, and a
+        // copied value deleted then set again.
+        store.set(&dead_rows[0].0, &vals[0]);
+        raced.insert(dead_rows[0].0.clone(), Some(vals[0].clone()));
+        store.delete(&live_rows[2].0);
+        store.set(&live_rows[2].0, &vals[1]);
+        raced.insert(live_rows[2].0.clone(), Some(vals[1].clone()));
+        // A key the copy never saw.
+        let fresh = b"slot:fresh".to_vec();
+        store.set(&fresh, &vals[2]);
+        raced.insert(fresh, Some(vals[2].clone()));
+        assert_accounting(&store, "after the racing writes");
+
+        let evicted = store.evict_unchanged(&copy);
+        assert_eq!(
+            evicted,
+            copied.len() - 4,
+            "every unchanged copied slot went"
+        );
+        assert_accounting(&store, "after evict_unchanged");
+        let mut want: BTreeMap<Vec<u8>, Option<Vec<u8>>> = expected
+            .into_iter()
+            .filter(|(key, _)| !victims.contains(&store.shard_of_key(key)))
+            .collect();
+        want.extend(raced);
+        assert_eq!(
+            decoded_cut(&store, b"", None),
+            want.into_iter().collect::<Vec<_>>(),
+            "the other shards and the racing writes stay, nothing else"
+        );
+        assert_eq!(
+            store.evict_unchanged(&copy),
+            0,
+            "a second evict finds nothing"
+        );
         for idx in 0..store.shard_count() {
-            let shard = store.take_shard(idx).unwrap();
-            assert!(shard.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-            assert!(shard.iter().all(|(key, _)| store.shard_of_key(key) == idx));
-            assert_eq!(store.shard_memory_bytes(idx), 0);
-            assert_accounting(&store, &format!("after take_shard({idx})"));
-            drained.extend(shard);
+            store.evict_unchanged(&store.snapshot_shards(&[idx]));
         }
-        drained.sort();
-        assert_eq!(drained, everything, "nothing lost, nothing invented");
         assert!(store.is_empty());
         assert_eq!(
             (store.memory_usage_bytes(), store.tombstone_bytes()),
             (0, 0)
         );
-    }
-
-    #[test]
-    fn a_corrupt_value_puts_the_whole_drain_back() {
-        let vals = values(60);
-        let refs: Vec<&[u8]> = vals.iter().map(|v| v.as_slice()).collect();
-        let store = TierStore::new(ValueCodec::train_zstd_dict(&refs, 3));
-        for (i, v) in vals.iter().enumerate() {
-            store.set(format!("drain:{i:03}").as_bytes(), v);
-        }
-        store.tombstone(b"drain:gone");
-        // Bytes the codec cannot decode, planted beside the good values.
-        let bad = b"drain:bad".as_slice();
-        let idx = store.shard_of_key(bad);
-        {
-            let mut shard = store.shards[idx].state.write();
-            let corrupt = Slot::Live(vec![0xff, 0x13, 0x88]);
-            store.replace_slot(&mut shard, HotKey::new(bad), Some(corrupt));
-        }
-        let before = store.range_snapshot_encoded(b"", None, usize::MAX);
-        let totals = (store.memory_usage_bytes(), store.tombstone_bytes());
-
-        assert!(store.take_shard(idx).is_err());
-        let after = store.range_snapshot_encoded(b"", None, usize::MAX);
-        assert_eq!(
-            after.iter().collect::<Vec<_>>(),
-            before.iter().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            (store.memory_usage_bytes(), store.tombstone_bytes()),
-            totals
-        );
-        assert_accounting(&store, "after a failed drain");
     }
 
     #[test]
@@ -1070,7 +1112,7 @@ mod tests {
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
-    ) -> Vec<RangeEntry> {
+    ) -> Vec<Row> {
         let mut rows = Vec::new();
         let mut live = 0;
         let in_range = model
@@ -1127,7 +1169,7 @@ mod tests {
                 let start = key(lo);
                 let end = (hi < 48).then(|| key(hi));
                 let limit = if limit == 13 { usize::MAX } else { limit };
-                let got: Vec<RangeEntry> = store
+                let got: Vec<Row> = store
                     .range_snapshot_encoded(&start, end.as_deref(), limit)
                     .iter()
                     .map(|(key, value)| (key.to_vec(), value.map(<[u8]>::to_vec)))

@@ -116,7 +116,7 @@ impl Drop for UncommittedFiles {
 /// live tier and any in-flight read/scan snapshots via `Arc`.
 ///
 /// Every segment holds each key at most once, in ascending order: a spill
-/// writes the staging `BTreeMap` and a merge emits each key once. Reads
+/// writes one sorted hot cut and a merge emits each key once. Reads
 /// rely on it — a cold cursor never has a duplicate run to collapse.
 pub(crate) struct ColdSegment {
     file_name: String,

@@ -15,10 +15,6 @@
 //!        └──────────┬──────────┘
 //!      empty slot?  │    spill (coldest shards by access epoch)
 //!        ┌──────────▼──────────┐
-//!        │  staging (in-flight │  readable while a spill is mid-write
-//!        │  spill overflow)    │
-//!        └──────────┬──────────┘
-//!        ┌──────────▼──────────┐
 //!        │  BlockCache (2Q,    │  records for point gets, decoded
 //!        │  bounded by bytes)  │  blocks for scans, one budget
 //!        └──────────┬──────────┘
@@ -33,15 +29,16 @@
 //! ```
 //!
 //! * **Spilling**: when hot bytes cross [`TierConfig::memory_watermark_bytes`],
-//!   the coldest shards (LRU by last-access epoch) are drained, merged and
-//!   written as one sorted L0 segment, then evicted from RAM.
-//! * **Read-through**: `get` falls from hot memory through the staging area
-//!   and the byte-bounded 2Q [`BlockCache`] to L0 (newest first), then
+//!   the coldest shards (LRU by last-access epoch) are copied and written
+//!   as one sorted L0 segment; once it is published, every copied slot no
+//!   write has replaced since is evicted from RAM.
+//! * **Read-through**: `get` falls from hot memory through the
+//!   byte-bounded 2Q [`BlockCache`] to L0 (newest first), then
 //!   binary-searches the one L1 partition covering the key — so overwrites
 //!   and tombstones always shadow older spilled state and worst-case cold
 //!   lookups cost O(L0) + O(log L1), not O(segments).
 //! * **Range scans**: [`TieredStore::range_scan`] streams every live key
-//!   in a range, in order, via a k-way merge across hot + staging + L0 +
+//!   in a range, in order, via a k-way merge across hot + L0 +
 //!   the covering L1 partitions with the same precedence as point
 //!   lookups. [`TieredStore::range_scan_limited`] stops at `limit` rows
 //!   and copies only the hot rows up to its `limit`-th live one. Scans
@@ -214,6 +211,64 @@ mod tests {
             );
         }
         assert!(store.get(b"user:999999").unwrap().is_none());
+    }
+
+    /// A spill whose segment cannot be written returns the error and
+    /// leaves the hot tier exactly as it was: the same keys and bytes, no
+    /// new generation. The next spill writes everything.
+    #[test]
+    fn a_failed_spill_loses_nothing() {
+        let (dir, _guard) = temp_dir("failed-spill");
+        let store = TieredStore::open(TierConfig::new(&dir)).unwrap();
+        let n = 300;
+        for i in 0..n {
+            store.set(&key(i), &value(i)).unwrap();
+        }
+        for i in (0..n).step_by(7) {
+            store.delete(&key(i)).unwrap();
+        }
+        let expected = |i: usize| (!i.is_multiple_of(7)).then(|| value(i));
+        let hot_state = |store: &TieredStore| {
+            (
+                store.hot_len(),
+                store.memory_usage_bytes(),
+                store.write_pressure().memory_bytes,
+                store.generation(),
+            )
+        };
+        let before = hot_state(&store);
+
+        // A directory where the next segment goes: the writer cannot
+        // create its file.
+        let id = store
+            .inner
+            .next_segment_id
+            .load(std::sync::atomic::Ordering::Relaxed);
+        let obstruction = dir.join(crate::commit::segment_file_name(id));
+        std::fs::create_dir(&obstruction).unwrap();
+        assert!(store.flush_all().is_err());
+        assert_eq!(hot_state(&store), before, "the hot tier is untouched");
+        assert_eq!(store.segment_count(), 0);
+        for i in 0..n {
+            assert_eq!(store.get(&key(i)).unwrap(), expected(i), "key {i}");
+        }
+
+        std::fs::remove_dir(&obstruction).unwrap();
+        store.flush_all().unwrap();
+        assert_eq!((store.hot_len(), store.memory_usage_bytes()), (0, 0));
+        let hot_answers = |store: &TieredStore| {
+            let stats = store.stats();
+            stats.hot_hits + stats.tombstone_negatives
+        };
+        let answered_hot = hot_answers(&store);
+        for i in 0..n {
+            assert_eq!(store.get(&key(i)).unwrap(), expected(i), "key {i}");
+        }
+        assert_eq!(
+            hot_answers(&store),
+            answered_hot,
+            "every key read from cold"
+        );
     }
 
     #[test]

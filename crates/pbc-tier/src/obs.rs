@@ -51,7 +51,9 @@ pub struct TierStats {
     pub hot_hits: u64,
     /// Gets answered `None` by a hot tombstone.
     pub tombstone_negatives: u64,
-    /// Gets answered by the in-flight spill staging area.
+    /// Always 0: every get is answered by the hot tier or the cold tier.
+    /// The field stays so that code building a `TierStats` field by
+    /// field (the `pbc-perf` benchmark does) still compiles.
     pub staging_hits: u64,
     /// Lookups that reached the cold tier and consulted the cache for at
     /// least one segment whose blocks could hold the key.
@@ -137,7 +139,6 @@ pub(crate) struct TierObs {
     // Counters mirrored into `TierStats`.
     pub(crate) hot_hits: Counter,
     pub(crate) tombstone_negatives: Counter,
-    pub(crate) staging_hits: Counter,
     pub(crate) cold_gets: Counter,
     pub(crate) cold_index_only: Counter,
     pub(crate) cold_cache_hits: Counter,
@@ -194,7 +195,6 @@ impl TierObs {
             errors: TraceRing::new(config.error_log_capacity),
             hot_hits: counter("pbc_tier_hot_hits_total"),
             tombstone_negatives: counter("pbc_tier_tombstone_negatives_total"),
-            staging_hits: counter("pbc_tier_staging_hits_total"),
             cold_gets: counter("pbc_tier_cold_gets_total"),
             cold_index_only: counter("pbc_tier_cold_index_only_total"),
             cold_cache_hits: counter("pbc_tier_cold_cache_hits_total"),
@@ -242,7 +242,7 @@ impl TierObs {
         TierStats {
             hot_hits: self.hot_hits.value(),
             tombstone_negatives: self.tombstone_negatives.value(),
-            staging_hits: self.staging_hits.value(),
+            staging_hits: 0,
             cold_gets: self.cold_gets.value(),
             cold_index_only: self.cold_index_only.value(),
             cold_cache_hits: self.cold_cache_hits.value(),

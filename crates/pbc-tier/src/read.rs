@@ -1,7 +1,7 @@
-//! The read path. Owns lookup precedence (hot → staging → cache → L0 →
-//! L1), what a point get and a scan read through and admit to the cache,
-//! and the snapshot order that makes a range scan lose nothing to
-//! concurrent tier movement.
+//! The read path. Owns lookup precedence (hot → cache → L0 → L1), what a
+//! point get and a scan read through and admit to the cache, and the
+//! snapshot order that makes a range scan lose nothing to concurrent tier
+//! movement.
 
 use std::ops::{Bound, Range};
 use std::sync::atomic::Ordering;
@@ -17,17 +17,6 @@ use crate::planner::covering_l1;
 use crate::scan::RangeScan;
 use crate::store::TierInner;
 
-/// Where [`TierInner::memory_lookup`] found the newest in-memory version
-/// of a key; an inner `None` is a tombstone.
-pub(crate) enum InMemory {
-    /// The hot tier holds it.
-    Hot(Option<Vec<u8>>),
-    /// The in-flight spill's staging area holds it.
-    Staged(Option<Vec<u8>>),
-    /// Neither does: the cold tier decides.
-    Absent,
-}
-
 /// What one cold lookup did at the segment level.
 #[derive(Default)]
 struct BlockProbes {
@@ -41,48 +30,20 @@ struct BlockProbes {
 }
 
 impl TierInner {
-    /// The newest version of `key` held in memory: the hot slot, else the
-    /// in-flight spill's staged copy.
-    ///
-    /// Data normally moves *down* (hot → staging → cold), the direction
-    /// this probes, but a failed spill moves staged entries back *up*
-    /// into the hot tier. So the hot slot is consulted again after a
-    /// staging miss, or a racing reader could fall through to cold and
-    /// see an older version (or a stale `None`).
-    pub(crate) fn memory_lookup(&self, key: &[u8]) -> Result<InMemory> {
-        let hot = || -> Result<InMemory> {
-            Ok(match self.hot.lookup(key)? {
-                Lookup::Live(value) => InMemory::Hot(Some(value)),
-                Lookup::Tombstone => InMemory::Hot(None),
-                Lookup::Absent => InMemory::Absent,
-            })
-        };
-        match hot()? {
-            InMemory::Absent => {}
-            found => return Ok(found),
-        }
-        if let Some(staged) = self.staging_read().get(key) {
-            return Ok(InMemory::Staged(staged.clone()));
-        }
-        hot()
-    }
-
     pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _timer = self.obs.get_ns.start_timer();
-        match self.memory_lookup(key)? {
-            InMemory::Hot(Some(value)) => {
+        match self.hot.lookup(key)? {
+            Lookup::Live(value) => {
                 self.obs.hot_hits.inc();
                 Ok(Some(value))
             }
-            InMemory::Hot(None) => {
+            Lookup::Tombstone => {
                 self.obs.tombstone_negatives.inc();
                 Ok(None)
             }
-            InMemory::Staged(staged) => {
-                self.obs.staging_hits.inc();
-                Ok(staged)
-            }
-            InMemory::Absent => self.cold_get(key),
+            // A spill evicts a key only after publishing the segment that
+            // holds it, so a hot miss finds the key cold.
+            Lookup::Absent => self.cold_get(key),
         }
     }
 
@@ -210,22 +171,13 @@ impl TierInner {
     /// `limit` rows.
     ///
     /// Snapshot order is what makes the scan lose nothing to concurrent
-    /// tier movement:
-    ///
-    /// 1. **Hot and staging are snapshotted under one staging read
-    ///    guard.** A spill drain (hot → staging) and a failed-spill
-    ///    restore (staging → hot) both hold the staging *write* lock for
-    ///    the whole move, so under our read guard no entry can cross the
-    ///    hot↔staging boundary between the two snapshots. The hot cut
-    ///    stops at its `limit`-th live row; staging is copied whole (it
-    ///    is non-empty only mid-spill).
-    /// 2. **Cold is snapshotted after staging.** Data leaves staging only
-    ///    *after* its segment is published in the cold tier (spill step 5
-    ///    clears staging after steps 3–4 commit), so an entry missing
-    ///    from our staging snapshot is already in the cold snapshot we
-    ///    take next. The duplicate case (published cold while still
-    ///    staged) is harmless: staging outranks cold in the merge and
-    ///    both copies are identical.
+    /// tier movement: **the hot cut first, the cold tier second.** A spill
+    /// evicts a key from the hot tier only after the segment holding it
+    /// is published (spill step 4 follows step 3), so a key missing from
+    /// our hot cut is already in the cold snapshot we take next. The
+    /// duplicate case (published cold while still hot) is harmless: hot
+    /// outranks cold in the merge, and its version is the same or newer.
+    /// The hot cut stops at its `limit`-th live row.
     pub(crate) fn range_scan(
         &self,
         start: Bound<&[u8]>,
@@ -255,28 +207,13 @@ impl TierInner {
             Bound::Included(e) | Bound::Excluded(e) => Some(e.as_slice()),
             Bound::Unbounded => None,
         };
-        let (hot_encoded, staged) = {
-            let staging = self.staging_read();
-            // Encoded clones only: hot values are decoded lazily by the
-            // scan's hot source, after the staging guard (and every shard
-            // lock) is released — a wide scan never stalls spill drains
-            // or writers for the length of a decompression pass, and an
-            // early-terminated scan decodes only what it yields.
-            let hot_encoded = self.hot.range_snapshot_encoded(&start, end_superset, limit);
-            let staged: Vec<(Vec<u8>, Option<Vec<u8>>)> = staging
-                .range::<[u8], _>((
-                    Bound::Included(start.as_slice()),
-                    match end_superset {
-                        Some(e) => Bound::Included(e),
-                        None => Bound::Unbounded,
-                    },
-                ))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            (hot_encoded, staged)
-        };
+        // Encoded values only: the scan's hot source decodes them lazily,
+        // after every shard lock is released — a wide scan never stalls
+        // writers for the length of a decompression pass, and an
+        // early-terminated scan decodes only what it yields.
+        let hot = self.hot.range_snapshot_encoded(&start, end_superset, limit);
         let pinned = self.pinned_cold();
-        RangeScan::new(self, start, end, limit, hot_encoded, staged, pinned)
+        RangeScan::new(self, start, end, limit, hot, pinned)
     }
 
     /// The block read-through: look the block up, decode it from disk on

@@ -1,18 +1,16 @@
 //! Snapshot-consistent range scans: one ordered pass over every tier.
 //!
-//! A [`RangeScan`] is a k-way merge across four kinds of source, ranked by
+//! A [`RangeScan`] is a k-way merge across three kinds of source, ranked by
 //! recency — exactly the precedence order point lookups use:
 //!
 //! 1. the **hot cut** ([`pbc_store::TierStore::range_snapshot_encoded`]):
 //!    the hot entries and tombstones in range, in key order, from the
 //!    start up to the scan's `limit`-th live one, taken under every
 //!    shard's read lock at once,
-//! 2. a snapshot of the **spill staging area** (entries mid-spill: drained
-//!    from hot, not yet durable in a segment),
-//! 3. one chain per intersecting **L0 spill segment**, newest first,
+//! 2. one chain per intersecting **L0 spill segment**, newest first,
 //!    holding that one segment (L0 segments may overlap each other, so
 //!    all must be merged at once),
-//! 4. one chain of the covering **L1 partitions**, in ascending key order
+//! 3. one chain of the covering **L1 partitions**, in ascending key order
 //!    (they are sorted and disjoint, so at most one is open at a time and
 //!    later ones are only opened when the scan reaches them).
 //!
@@ -30,7 +28,10 @@
 //!
 //! ## Snapshot semantics
 //!
-//! The hot cut is atomic across shards. The iterator pins the `Arc`
+//! The hot cut is atomic across shards, and it is taken before the cold
+//! tier is pinned: a spill evicts a key from the hot tier only after the
+//! segment holding it is published, so a key the cut missed is in the
+//! pinned tier. The iterator pins the `Arc`
 //! cold-tier snapshot (and its manifest generation, exposed via
 //! [`RangeScan::generation`]) for its whole lifetime: a compaction job may
 //! retire and unlink segments mid-scan without invalidating it — the
@@ -91,12 +92,6 @@ enum Source<'a> {
         next: usize,
         current: Option<Versioned>,
     },
-    /// A presorted, unique, bounded in-memory snapshot whose values are
-    /// already decoded (the staging area stores plain bytes).
-    Mem {
-        iter: std::vec::IntoIter<Versioned>,
-        current: Option<Versioned>,
-    },
     /// Cold segments opened lazily in order, at most one cursor live at
     /// a time: one L0 segment, or the covering L1 partitions ascending
     /// (they are disjoint).
@@ -138,9 +133,7 @@ impl Source<'_> {
     /// Key of the head entry; `None` once the source is drained.
     fn key(&self) -> Option<&[u8]> {
         match self {
-            Source::Hot { current, .. } | Source::Mem { current, .. } => {
-                current.as_ref().map(|(key, _)| key.as_slice())
-            }
+            Source::Hot { current, .. } => current.as_ref().map(|(key, _)| key.as_slice()),
             Source::Chain { cursor, .. } => cursor
                 .as_ref()
                 .and_then(|c| c.current())
@@ -152,7 +145,7 @@ impl Source<'_> {
     /// of its block, so rows shadowed by a newer source never are.
     fn take(&mut self) -> Result<Option<Versioned>> {
         let cursor = match self {
-            Source::Hot { current, .. } | Source::Mem { current, .. } => return Ok(current.take()),
+            Source::Hot { current, .. } => return Ok(current.take()),
             Source::Chain { cursor, .. } => cursor,
         };
         cursor
@@ -179,7 +172,6 @@ impl Source<'_> {
                 };
                 *next += 1;
             }
-            Source::Mem { iter, current } => *current = iter.next(),
             Source::Chain {
                 inner,
                 generation,
@@ -229,8 +221,8 @@ pub struct RangeScan<'a> {
     end: Bound<Vec<u8>>,
     /// Rows to yield at most: past them the hot cut is incomplete.
     limit: u64,
-    /// Merge inputs, ordered by precedence: hot, staging, L0 newest
-    /// first, then the L1 chain.
+    /// Merge inputs, ordered by precedence: hot, L0 newest first, then the
+    /// L1 chain.
     sources: Vec<Source<'a>>,
     done: bool,
     /// The store, for the close trace event (`None` for provably empty
@@ -264,16 +256,15 @@ impl<'a> RangeScan<'a> {
 
     /// Assemble a scan of at most `limit` rows from the snapshots the
     /// store prepared. `hot` (the cut for `limit`; values still
-    /// codec-encoded, decoded lazily) and `staged` are sorted, unique, and
-    /// already bounded to the range; `pinned` is the cold tier at creation
-    /// time with its manifest generation.
+    /// codec-encoded, decoded lazily) is sorted, unique, and already
+    /// bounded to the range; `pinned` is the cold tier, pinned after `hot`
+    /// was cut, with its manifest generation.
     pub(crate) fn new(
         inner: &'a TierInner,
         start: Vec<u8>,
         end: Bound<Vec<u8>>,
         limit: usize,
         hot: RangeSnapshot,
-        staged: Vec<Versioned>,
         (pinned, generation): (ColdList, u64),
     ) -> Result<RangeScan<'a>> {
         let end_superset: Option<&[u8]> = match &end {
@@ -297,12 +288,6 @@ impl<'a> RangeScan<'a> {
                 inner,
                 snapshot: hot,
                 next: 0,
-                current: None,
-            });
-        }
-        if !staged.is_empty() {
-            sources.push(Source::Mem {
-                iter: staged.into_iter(),
                 current: None,
             });
         }

@@ -1,6 +1,8 @@
-//! Spilling. Owns victim choice (coldest shards by access epoch), the five
-//! ordered steps that move them into one new L0 segment with no window
-//! where acknowledged data is unreadable, and the failed-spill restore.
+//! Spilling. Owns victim choice (coldest shards by access epoch) and the
+//! four ordered steps that write them into one new L0 segment: copy, write,
+//! publish, then evict what did not change. The hot tier is never touched
+//! before the segment is published, so there is no window where
+//! acknowledged data is unreadable and nothing to put back on failure.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -8,13 +10,14 @@ use std::sync::Arc;
 
 use pbc_archive::{CodecSpec, SegmentConfig, SegmentSummary, SegmentWriter};
 use pbc_obs::Event;
+use pbc_store::RangeSnapshot;
 
 use crate::commit::{
     encode_live, encode_tombstone, segment_file_name, ColdSegment, ColdTier, UncommittedFiles,
 };
 use crate::error::Result;
 use crate::planner::{SegmentStats, LEVEL_L0};
-use crate::store::{Staging, TierInner};
+use crate::store::TierInner;
 
 /// How much one [`TierInner::spill`] call evicts.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -48,7 +51,7 @@ impl Drop for SpillActiveGuard<'_> {
 impl TierInner {
     /// Evict the coldest shards (by last-access epoch) into a segment, as
     /// far as `scope` says. The one spill entry point: every caller
-    /// serializes on `spill_lock` here (staging is a single shared area).
+    /// serializes on `spill_lock` here (one in-flight copy at a time).
     pub(crate) fn spill(&self, scope: SpillScope) -> Result<()> {
         let over = || self.memory_usage_bytes() > self.config.memory_watermark_bytes;
         if scope == SpillScope::ToTarget && !over() {
@@ -100,14 +103,18 @@ impl TierInner {
         victims
     }
 
-    /// Drain `victims` into one new L0 segment and commit it.
+    /// Write `victims` into one new L0 segment, commit it, and evict what
+    /// it wrote.
     ///
-    /// Ordering is what makes this crash-safe: (1) drained entries become
-    /// readable via staging before the shard locks release, (2) the segment
-    /// is written and fsynced, (3) the manifest swaps atomically under the
-    /// next generation, (4) the reader is published, (5) staging clears. A
-    /// failure after (1) puts the drained data back into the hot tier. A
-    /// no-op when there are no victims (the hot tier is empty).
+    /// Ordering is what makes this crash-safe and loses nothing: (1) copy
+    /// the victims (the hot cut; values shared, not copied) and count its
+    /// bytes as in flight, (2) write and fsync the segment from the copy,
+    /// (3) swap the manifest under the next generation and publish the
+    /// reader, (4) evict every copied slot no write has replaced since. A
+    /// key leaves the hot tier only once a published segment holds it, so
+    /// a reader that misses hot finds it cold. A failure before (4)
+    /// leaves the hot tier as it was. A no-op when there are no victims
+    /// (the hot tier is empty).
     fn spill_shards(&self, victims: &[usize]) -> Result<()> {
         if victims.is_empty() {
             return Ok(());
@@ -116,49 +123,32 @@ impl TierInner {
         self.obs.trace(Event::SpillStarted {
             shards: victims.len(),
         });
-        // (1) Drain *into* staging under its write lock: a concurrent
-        // reader that missed the hot tier blocks on staging until the
-        // drain finishes. Staging (a sorted map) is the one and only copy
-        // of the drained data — the segment writer streams straight from
-        // it, so a spill never doubles the memory it is trying to free.
-        let (staged_count, tombstones) = {
-            let mut staging = self.staging_write();
-            debug_assert!(staging.is_empty(), "spills are serialized");
-            let drained = victims
-                .iter()
-                .try_for_each(|&idx| self.hot.take_shard(idx).map(|slots| staging.extend(slots)));
-            if let Err(e) = drained {
-                drop(staging);
-                self.restore_staging_to_hot();
-                return Err(e.into());
-            }
-            // A slot is a value or a tombstone, never both, so the `None`s
-            // are exactly this segment's tombstone count.
-            let tombstones = staging.values().filter(|v| v.is_none()).count();
-            (staging.len() as u64, tombstones as u64)
-        };
-        if staged_count == 0 {
+        // (1) The copy. Its bytes stop counting toward the watermark: a
+        // writer that crosses it now must not wait for this spill.
+        let copy = self.hot.snapshot_shards(victims);
+        if copy.is_empty() {
             timer.cancel();
             return Ok(());
         }
+        let records = copy.len() as u64;
+        let tombstones = copy.iter().filter(|(_, value)| value.is_none()).count() as u64;
+        self.spilling_bytes
+            .store(copy.accounted_bytes(), Ordering::Relaxed);
 
-        // (2)–(4), or the data goes back where it came from.
+        // (2) + (3), then (4) only once the segment is published.
         let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
-        let segment = match self.commit_staged(id, staged_count, tombstones) {
-            Ok(segment) => segment,
-            Err(e) => {
-                self.restore_staging_to_hot();
-                return Err(e);
-            }
-        };
+        let committed = self.commit_copy(id, &copy, records, tombstones);
+        if committed.is_ok() {
+            self.hot.evict_unchanged(&copy);
+        }
+        self.spilling_bytes.store(0, Ordering::Relaxed);
+        let segment = committed?;
 
-        // (5) The data is durable and readable from cold; staging retires.
-        self.staging_write().clear();
         self.obs.spills.inc();
-        self.obs.spilled_entries.add(staged_count);
+        self.obs.spilled_entries.add(records);
         self.obs.trace(Event::SpillFinished {
             segment_id: id,
-            records: staged_count - tombstones,
+            records: records - tombstones,
             tombstones,
             bytes: segment.stats.bytes,
         });
@@ -169,18 +159,23 @@ impl TierInner {
         Ok(())
     }
 
-    /// Spill steps (2)–(4): write staging out as segment `id`, open it,
-    /// and commit it as the newest L0 segment. On `Err` the file is gone
-    /// and nothing was published.
-    fn commit_staged(&self, id: u64, records: u64, tombstones: u64) -> Result<Arc<ColdSegment>> {
+    /// Spill steps (2)–(3): write `copy` out as segment `id`, open it, and
+    /// commit it as the newest L0 segment. On `Err` the file is gone and
+    /// nothing was published.
+    fn commit_copy(
+        &self,
+        id: u64,
+        copy: &RangeSnapshot,
+        records: u64,
+        tombstones: u64,
+    ) -> Result<Arc<ColdSegment>> {
         let file_name = segment_file_name(id);
         let path = self.config.dir.join(&file_name);
         let mut uncommitted = UncommittedFiles::default();
         uncommitted.push(path.clone());
-        // (2) Write and fsync the segment, streaming from staging under a
-        // read guard (concurrent gets still read staging freely).
+        // (2) Write and fsync the segment, streaming from the copy.
         let codec = self.codec.spill_spec();
-        let summary = self.write_spill_segment(&path, codec.clone(), &self.staging_read())?;
+        let summary = self.write_spill_segment(&path, codec.clone(), copy)?;
         let segment = self.open_written(
             file_name,
             SegmentStats {
@@ -192,11 +187,11 @@ impl TierInner {
                 ..SegmentStats::default()
             },
         )?;
-        // (3) + (4) Swap the manifest under the next generation, then
-        // publish the new tier. The commit lock (not the cold write lock)
-        // covers the slow manifest fsync; the successor tier cannot go
-        // stale in between because every segment-set mutation commits
-        // under this same lock.
+        // (3) Swap the manifest under the next generation, then publish
+        // the new tier. The commit lock (not the cold write lock) covers
+        // the slow manifest fsync; the successor tier cannot go stale in
+        // between because every segment-set mutation commits under this
+        // same lock.
         let _commit = self.commit_guard();
         let current = self.cold_snapshot();
         let mut l0 = vec![Arc::clone(&segment)];
@@ -210,37 +205,30 @@ impl TierInner {
         Ok(segment)
     }
 
+    /// Stream `copy` into a new segment at `path`, decoding hot-codec
+    /// values as it goes.
     fn write_spill_segment(
         &self,
         path: &Path,
         codec: CodecSpec,
-        merged: &Staging,
+        copy: &RangeSnapshot,
     ) -> Result<SegmentSummary> {
         let config = SegmentConfig {
             codec,
             ..self.config.segment.clone()
         };
         let mut writer = SegmentWriter::create_with_obs(path, config, self.obs.writer.clone())?;
-        for (key, value) in merged {
-            match value {
-                Some(value) => writer.append(key, &encode_live(value))?,
+        for (key, stored) in copy.iter() {
+            match stored {
+                Some(stored) => {
+                    let value = self.hot.codec().decode(stored)?;
+                    writer.append(key, &encode_live(&value))?;
+                }
                 // Flagged, so the footer (and from it the planner) can
                 // count this segment's dead entries without decoding.
                 None => writer.append_flagged(key, &encode_tombstone())?,
             }
         }
         Ok(writer.finish()?)
-    }
-
-    /// Undo a failed spill: move staged entries and tombstones back into
-    /// the hot tier, each only into a slot that is still empty — a value
-    /// or a tombstone written *while* the spill ran was acknowledged after
-    /// the drained copy and must be neither overwritten nor resurrected
-    /// over.
-    fn restore_staging_to_hot(&self) {
-        let mut staging = self.staging_write();
-        for (key, value) in std::mem::take(&mut *staging) {
-            self.hot.restore(&key, value.as_deref());
-        }
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! Writes land in a hot [`TierStore`]; when its accounted bytes cross the
 //! configured watermark, the coldest shards (by last-access epoch) are
-//! drained, merged, and written to a `pbc-archive` segment, then the
-//! manifest is swapped atomically. Reads go hot (a live value or a
-//! tombstone answers; only an empty slot falls through) → in-flight spill
-//! staging → record/block cache → **L0** spill segments newest-first →
-//! the single **L1** partition covering the key, so overwrites and deletes
-//! always win over older spilled state.
+//! copied and written to a `pbc-archive` segment, the manifest is swapped
+//! atomically, and only then are the copied slots no write has replaced
+//! evicted. Reads go hot (a live value or a tombstone answers; only an
+//! empty slot falls through) → record/block cache → **L0** spill segments
+//! newest-first → the single **L1** partition covering the key, so
+//! overwrites and deletes always win over older spilled state.
 //!
 //! ## Levels
 //!
@@ -51,19 +51,19 @@
 //!
 //! * `read.rs` — lookup precedence, the cache read-through, scan snapshots;
 //!   `write.rs` — `set`/`delete` atomic with their WAL append, checkpoints.
-//! * `spill.rs` — victim choice, the five spill steps, the staging area.
+//! * `spill.rs` — victim choice, the four spill steps (copy, write,
+//!   publish, evict what did not change).
 //! * `jobs.rs` — planning, plan staleness, merge + commit of one job;
 //!   `reservation.rs` — which jobs may run together.
 //! * `commit.rs` — what a segment is, the `MANIFEST` + `cold` swap, the
 //!   value marker, cleanup of files no manifest names; `codec.rs` — which
 //!   block codec spills and jobs write with.
 
-use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use pbc_obs::{MetricsRegistry, TraceEvent};
 use pbc_store::TierStore;
 use pbc_wal::{CheckpointSummary, RecoveryReport, Wal, WalStats};
@@ -93,7 +93,8 @@ use crate::write::open_wal;
 /// with a commit's pointer swap.
 #[derive(Debug, Clone, Copy)]
 pub struct WritePressure {
-    /// Hot-tier bytes the watermark governs (keys + values + tombstones).
+    /// Hot-tier bytes the watermark governs (keys + values + tombstones,
+    /// less what a running spill is about to evict).
     pub memory_bytes: u64,
     /// The configured spill watermark ([`TierConfig::with_watermark`]).
     pub watermark_bytes: u64,
@@ -101,7 +102,7 @@ pub struct WritePressure {
     /// has not yet promoted into L1. Grows when spills outpace
     /// compaction; the canonical "cold tier is falling behind" signal.
     pub l0_segments: u64,
-    /// Whether a spill pass (watermark drain, explicit spill, or flush)
+    /// Whether a spill pass (watermark spill, explicit spill, or flush)
     /// is running right now.
     pub spill_active: bool,
 }
@@ -128,16 +129,15 @@ pub(crate) struct TierInner {
     /// The live cold tier, published as an immutable snapshot (see the
     /// [module docs](self)).
     cold: RwLock<ColdList>,
-    /// Entries mid-spill: drained from hot, not yet durable in a manifest
-    /// segment. `None` marks a tombstone. Reads consult this between the
-    /// hot tier and the segments, so a spill in progress is never a window
-    /// where acknowledged data is unreadable. Sorted so the spill writer
-    /// can stream it straight into a segment without a second copy.
-    staging: RwLock<Staging>,
-    /// Serializes spills and flushes (staging is a single shared area).
+    /// Serializes spills and flushes (one in-flight copy at a time).
     /// Deliberately not shared with the compaction machinery: a running
     /// compaction job must never stall a watermark spill.
     spill_lock: Mutex<()>,
+    /// Hot bytes the running spill has copied and will evict once its
+    /// segment is published (0 between spills). [`TierInner::memory_usage_bytes`]
+    /// leaves them out, so a writer crossing the watermark mid-spill does
+    /// not queue behind it for bytes already on their way out.
+    pub(crate) spilling_bytes: AtomicU64,
     /// In-flight compaction key-range reservations: jobs over disjoint
     /// key ranges run and commit concurrently; only overlapping work
     /// excludes itself.
@@ -150,10 +150,10 @@ pub(crate) struct TierInner {
     /// `commit_lock` before `cold`; nothing takes `commit_lock` while
     /// holding `cold`.
     ///
-    /// The four ordered locks are private to this file: the other modules
+    /// The three ordered locks are private to this file: the other modules
     /// take them through the accessors below, so each keeps the one name
     /// the lock-order check knows it by.
-    // lock-order: store.spill_lock < store.staging < store.commit_lock < store.cold
+    // lock-order: store.spill_lock < store.commit_lock < store.cold
     commit_lock: Mutex<()>,
     pub(crate) codec: TierCodec,
     pub(crate) next_segment_id: AtomicU64,
@@ -181,7 +181,7 @@ pub(crate) struct TierInner {
     /// on every front-end write — never touches the `cold` read lock and
     /// so never contends with a commit's pointer swap.
     pub(crate) l0_count_hint: AtomicU64,
-    /// Whether a spill pass (watermark drain, explicit spill, or flush)
+    /// Whether a spill pass (watermark spill, explicit spill, or flush)
     /// is currently running. Advisory, for backpressure: admission
     /// control can distinguish "over the watermark and draining" from
     /// "over the watermark and stuck behind a cold backlog".
@@ -194,23 +194,10 @@ pub(crate) struct TierInner {
     _dir_lock: std::fs::File,
 }
 
-/// The in-flight spill's drained entries; `None` marks a tombstone.
-pub(crate) type Staging = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
-
 impl TierInner {
     // lock-wrapper: spill_guard = store.spill_lock
     pub(crate) fn spill_guard(&self) -> MutexGuard<'_, ()> {
         self.spill_lock.lock()
-    }
-
-    // lock-wrapper: staging_read = store.staging
-    pub(crate) fn staging_read(&self) -> RwLockReadGuard<'_, Staging> {
-        self.staging.read()
-    }
-
-    // lock-wrapper: staging_write = store.staging
-    pub(crate) fn staging_write(&self) -> RwLockWriteGuard<'_, Staging> {
-        self.staging.write()
     }
 
     // lock-wrapper: commit_guard = store.commit_lock
@@ -238,8 +225,12 @@ impl TierInner {
         (Arc::clone(&cold), self.generation.load(Ordering::Relaxed))
     }
 
+    /// Hot bytes the watermark governs: keys, values and tombstones,
+    /// less what the running spill is about to evict. Saturating, because
+    /// writes racing the spill may already have replaced copied slots.
     pub(crate) fn memory_usage_bytes(&self) -> u64 {
-        self.hot.memory_usage_bytes() + self.hot.tombstone_bytes()
+        (self.hot.memory_usage_bytes() + self.hot.tombstone_bytes())
+            .saturating_sub(self.spilling_bytes.load(Ordering::Relaxed))
     }
 
     pub(crate) fn leveled_stats(&self) -> (Vec<SegmentStats>, Vec<SegmentStats>) {
@@ -255,7 +246,7 @@ impl TierInner {
 /// `Arc<TieredStore>`. Dropping the store shuts down and joins the
 /// background maintenance thread (if one was configured).
 pub struct TieredStore {
-    inner: Arc<TierInner>,
+    pub(crate) inner: Arc<TierInner>,
     maintenance: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -326,8 +317,8 @@ impl TieredStore {
             hot,
             cache,
             cold: RwLock::new(Arc::new(tier)),
-            staging: RwLock::new(BTreeMap::new()),
             spill_lock: Mutex::new(()),
+            spilling_bytes: AtomicU64::new(0),
             reservations: ReservationTable::default(),
             commit_lock: Mutex::new(()),
             codec: TierCodec::new(&config.segment),
@@ -373,7 +364,8 @@ impl TieredStore {
     }
 
     /// Hot-tier bytes the watermark governs: stored keys + values +
-    /// tombstones.
+    /// tombstones, less what a running spill has copied and is about to
+    /// evict.
     pub fn memory_usage_bytes(&self) -> u64 {
         self.inner.memory_usage_bytes()
     }
@@ -496,22 +488,21 @@ impl TieredStore {
         self.inner.set(key, value)
     }
 
-    /// Fetch a value, reading through hot memory, the spill staging area,
-    /// the cache, L0 segments (newest first), and finally the one
-    /// L1 partition covering the key.
+    /// Fetch a value, reading through hot memory, the cache, L0 segments
+    /// (newest first), and finally the one L1 partition covering the key.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.inner.get(key)
     }
 
-    /// Delete a key everywhere. Returns whether it existed (hot, staged, or
-    /// cold and not already deleted).
+    /// Delete a key everywhere. Returns whether it existed (hot, or cold
+    /// and not already deleted).
     pub fn delete(&self, key: &[u8]) -> Result<bool> {
         self.inner.delete(key)
     }
 
     /// Stream every live key in `range`, in ascending order, each exactly
-    /// once — a k-way merge across the hot tier, the spill staging area,
-    /// every intersecting L0 segment (newest first), and the covering L1
+    /// once — a k-way merge across the hot tier, every intersecting L0
+    /// segment (newest first), and the covering L1
     /// partitions, with overwrites and tombstones resolved by tier/recency
     /// precedence. See the [`crate::scan`] module docs for the full
     /// semantics.

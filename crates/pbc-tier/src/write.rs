@@ -4,13 +4,12 @@
 
 use std::sync::atomic::Ordering;
 
-use pbc_store::TierStore;
+use pbc_store::{Lookup, TierStore};
 use pbc_wal::{CheckpointSummary, RecoveryReport, ReplayOp, Wal, WalConfig};
 
 use crate::config::TierConfig;
 use crate::error::Result;
 use crate::obs::TierObs;
-use crate::read::InMemory;
 use crate::spill::SpillScope;
 use crate::store::TierInner;
 
@@ -79,12 +78,14 @@ impl TierInner {
     pub(crate) fn delete(&self, key: &[u8]) -> Result<bool> {
         let _timer = self.obs.delete_ns.start_timer();
         // Read-only probe first: is there a live version anywhere? The
-        // staging read and the cold lookup can do I/O, so none of this
-        // runs under the WAL shard lock taken for the step below. A delete
-        // that finds nothing removes nothing and is not logged.
-        let exists = match self.memory_lookup(key)? {
-            InMemory::Hot(newest) | InMemory::Staged(newest) => newest.is_some(),
-            InMemory::Absent => self.cold_get(key)?.is_some(),
+        // cold lookup can do I/O, so none of this runs under the WAL shard
+        // lock taken for the step below. A delete that finds nothing
+        // removes nothing and is not logged. A spill evicts a key only
+        // after publishing its segment, so a hot miss finds it cold.
+        let exists = match self.hot.lookup(key)? {
+            Lookup::Live(_) => true,
+            Lookup::Tombstone => false,
+            Lookup::Absent => self.cold_get(key)?.is_some(),
         };
         if !exists {
             return Ok(false);
@@ -94,9 +95,9 @@ impl TierInner {
         // place, so a racing get sees the value or the tombstone, never an
         // empty slot it would fall through to an older cold version. The
         // tombstone is unconditional — if the probe saw the key in hot and
-        // a spill drained it meanwhile, the staged or cold copy still has
-        // to be shadowed — and only a racing delete that got there first
-        // (the slot already is a tombstone) makes this one a no-op.
+        // a spill evicted it meanwhile, the cold copy still has to be
+        // shadowed — and only a racing delete that got there first (the
+        // slot already is a tombstone) makes this one a no-op.
         //
         // With a WAL, the step and the append run as one atomic step
         // under the key's WAL shard lock (same reasoning as `set`:

@@ -291,6 +291,104 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The LZ-family and JSON binary decoders, each fed one of its own real
+    /// outputs damaged — its leading length varint replaced by any `u64`,
+    /// bytes flipped, cut short, extended with junk — return their value
+    /// or a typed error: never a panic, and never an allocation sized by a
+    /// damaged header alone.
+    #[test]
+    fn damaged_lz_and_json_streams_decode_or_fail_typed(
+        pick in any::<usize>(),
+        replace_header in any::<bool>(),
+        declared in any::<u64>(),
+        flips in vec((any::<usize>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+        junk in vec(any::<u8>(), 0..12),
+    ) {
+        let damage = |real: &[u8]| {
+            let mut data = real.to_vec();
+            if let (true, Ok((_, body))) = (replace_header, varint::read_u64(real, 0)) {
+                data.clear();
+                varint::write_u64(&mut data, declared);
+                data.extend_from_slice(&real[body..]);
+            }
+            for &(at, bits) in &flips {
+                if !data.is_empty() {
+                    let at = at % data.len();
+                    data[at] ^= bits;
+                }
+            }
+            data.truncate(cut % (data.len() + 1));
+            data.extend_from_slice(&junk);
+            data
+        };
+        let corpus = damage_corpus();
+        let lz: [&dyn Codec; 3] = [&Lz4Like::new(), &SnappyLike::new(), &LzmaLike::default()];
+        for (codec, real) in lz.into_iter().zip(&corpus.lz) {
+            let data = damage(real);
+            match codec.decompress(&data) {
+                Ok(decoded) if data == *real => prop_assert_eq!(&decoded, &corpus.text),
+                Ok(_) | Err(_) => {}
+            }
+        }
+        let at = pick % corpus.docs.len();
+        let (binpack, ion) = (&corpus.binpack, pbc::json::IonLikeCodec::new());
+        for (real, decoded) in [
+            (&corpus.binpacked[at], binpack.decode(&damage(&corpus.binpacked[at]))),
+            (&corpus.ion[at], ion.decode(&damage(&corpus.ion[at]))),
+        ] {
+            if damage(real) == *real {
+                prop_assert_eq!(decoded.unwrap(), corpus.docs[at].clone());
+            }
+        }
+    }
+}
+
+/// Real outputs for [`damaged_lz_and_json_streams_decode_or_fail_typed`]:
+/// one `hdfs` text under each LZ codec, and `github` documents under
+/// BinPack and IonLike.
+struct DamageCorpus {
+    text: Vec<u8>,
+    /// `text` compressed by `Lz4Like`, `SnappyLike` and `LzmaLike`.
+    lz: [Vec<u8>; 3],
+    docs: Vec<JsonValue>,
+    binpack: pbc::json::BinPackCodec,
+    binpacked: Vec<Vec<u8>>,
+    ion: Vec<Vec<u8>>,
+}
+
+fn damage_corpus() -> &'static DamageCorpus {
+    static CORPUS: OnceLock<DamageCorpus> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let text = Dataset::Hdfs.generate(200, 2023).concat();
+        let lz = [
+            Lz4Like::new().compress(&text),
+            SnappyLike::new().compress(&text),
+            LzmaLike::default().compress(&text),
+        ];
+        let docs: Vec<JsonValue> = Dataset::Github
+            .generate(32, 2023)
+            .iter()
+            .map(|record| parse(std::str::from_utf8(record).unwrap()).unwrap())
+            .collect();
+        let binpack = pbc::json::BinPackCodec::train(&docs.iter().collect::<Vec<_>>());
+        let binpacked = docs.iter().map(|doc| binpack.encode(doc)).collect();
+        let ion = pbc::json::IonLikeCodec::new();
+        let ion = docs.iter().map(|doc| ion.encode(doc)).collect();
+        DamageCorpus {
+            text,
+            lz,
+            docs,
+            binpack,
+            binpacked,
+            ion,
+        }
+    })
+}
+
 /// `PBC_Z` over the `PBC` dictionary of [`trained_kernels`], so the real
 /// records in [`TrainedKernels::compressed`] decode.
 fn pbc_block() -> &'static PbcBlockCompressor {

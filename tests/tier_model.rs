@@ -13,7 +13,7 @@
 //! and pairwise non-overlapping and hold no tombstones; the manifest
 //! generation must only ever move forward. The hot tier runs both
 //! uncompressed and under a trained `PBC_F` value codec (the paper's
-//! in-memory case), so spill drains, point reads and the scan's lazily
+//! in-memory case), so spill writes, point reads and the scan's lazily
 //! decoded hot rows all go through the codec too.
 
 use std::collections::BTreeMap;
@@ -199,18 +199,27 @@ proptest! {
 /// saw set `floor` complete before its get began may observe `None` (a
 /// delete landed) or any version `>= floor` — never an older one, and in
 /// particular never the spilled version 0 once set 1 has completed.
+///
+/// The second input adds a thread that calls `flush_all` in a loop, so
+/// spills copy, write and evict the key while the sets and deletes race
+/// them: a spill may evict only a slot no write has replaced since its
+/// copy, or a get (or a delete's probe) falls through to an older version.
 #[test]
 fn a_get_racing_a_delete_never_sees_an_older_spilled_version() {
+    race_gets_and_deletes(200, false);
+    race_gets_and_deletes(100, true);
+}
+
+fn race_gets_and_deletes(iterations: u64, flushing: bool) {
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
 
-    const ITERATIONS: u64 = 200;
     const ROUNDS_PER_ITERATION: u64 = 500;
     const READERS: usize = 2;
     let version = |n: u64| format!("version:{n:012}").into_bytes();
     let key = b"contended-key";
 
-    for iteration in 0..ITERATIONS {
+    for iteration in 0..iterations {
         let (dir, _guard) = temp_dir("tier-model");
         // Default watermark: nothing spills on its own during the race.
         let store = TieredStore::open(TierConfig::new(&dir)).unwrap();
@@ -220,7 +229,8 @@ fn a_get_racing_a_delete_never_sees_an_older_spilled_version() {
 
         let last_completed_set = AtomicU64::new(0);
         let done = AtomicBool::new(false);
-        let start = Barrier::new(READERS + 1);
+        let threads = READERS + usize::from(flushing);
+        let start = Barrier::new(threads + 1);
         std::thread::scope(|scope| {
             for _ in 0..READERS {
                 scope.spawn(|| {
@@ -237,16 +247,27 @@ fn a_get_racing_a_delete_never_sees_an_older_spilled_version() {
                     }
                 });
             }
+            if flushing {
+                scope.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::Acquire) {
+                        store.flush_all().unwrap();
+                    }
+                });
+            }
             start.wait();
             // Judged after `done` is set, so a failure cannot strand the
-            // readers.
+            // other threads.
             let every_delete_found_its_value = (1..=ROUNDS_PER_ITERATION).all(|n| {
                 store.set(key, &version(n)).unwrap();
                 last_completed_set.store(n, Ordering::Release);
                 store.delete(key).unwrap()
             });
             done.store(true, Ordering::Release);
-            assert!(every_delete_found_its_value);
+            assert!(
+                every_delete_found_its_value,
+                "iteration {iteration}: a delete missed its value"
+            );
         });
         assert_eq!(store.get(key).unwrap(), None, "the last op was a delete");
     }
