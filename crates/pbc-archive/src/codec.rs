@@ -7,13 +7,16 @@
 //!
 //! Two block shapes exist:
 //!
-//! * **Whole-block** codecs (`Raw`, `Zstd`) serialize all entries into one
-//!   payload and compress it as a unit — best ratio, but a point lookup
+//! * The **whole-block** codec (`Zstd`) serializes all entries into one
+//!   payload and compresses it as a unit — best ratio, but a point lookup
 //!   decompresses the whole block.
 //! * **Per-record** codecs (`Pbc`, `PbcF`, `Fsst`) compress each value
 //!   independently inside the block, so a point lookup walks entry headers
 //!   and decodes only the requested value (the paper's random-access
-//!   property, Figure 5).
+//!   property, Figure 5; `repro fig5` measures it on
+//!   [`BlockCodec::entry_at`]). `Raw` is per-record too: its block is the
+//!   same frames with every value stored verbatim, so lookups walk it the
+//!   same way.
 
 use std::sync::Arc;
 
@@ -518,12 +521,19 @@ mod tests {
     }
 
     fn all_trained_codecs(entries: &[Entry]) -> Vec<BlockCodec> {
+        // Plain block Zstd, with no dictionary: the codec `repro fig5`
+        // measures against.
+        let plain_zstd = BlockCodec::Zstd {
+            codec: ZstdLike::new(1),
+            dictionary: Arc::default(),
+        };
         [
             CodecSpec::Raw,
             CodecSpec::Pbc(PbcConfig::small()),
             CodecSpec::PbcF(PbcConfig::small()),
             CodecSpec::Zstd { level: 3 },
             CodecSpec::Fsst,
+            CodecSpec::Pretrained(plain_zstd),
         ]
         .iter()
         .map(|spec| build_codec(spec, entries))
@@ -625,18 +635,25 @@ mod tests {
     #[test]
     fn entry_at_matches_full_decompression() {
         let entries = sample_entries(64);
+        let (count, raw_len) = (entries.len(), serialized_len(&entries));
         for codec in all_trained_codecs(&entries) {
             let block = codec.compress_block(&entries);
-            for idx in [0usize, 1, 31, 63] {
+            for (idx, entry) in entries.iter().enumerate() {
                 assert_eq!(
-                    codec
-                        .entry_at(&block, idx, entries.len(), serialized_len(&entries))
-                        .unwrap(),
-                    entries[idx],
-                    "{}",
+                    &codec.entry_at(&block, idx, count, raw_len).unwrap(),
+                    entry,
+                    "{} entry {idx}",
                     codec.name()
                 );
             }
+            assert!(
+                matches!(
+                    codec.entry_at(&block, count, count, raw_len),
+                    Err(ArchiveError::Corrupt { .. })
+                ),
+                "{}: one past the last entry is a typed error",
+                codec.name()
+            );
         }
     }
 

@@ -154,7 +154,7 @@ fn run_experiment(name: &str, scale: f64) {
             println!("{}", table.render());
         }
         "table8" => {
-            let rows = table8(scale);
+            let rows = table8(scale).unwrap_or_else(|e| die(&format!("table8: {e}")));
             let mut table = Table::new(
                 "Table 8: production case study (TierBase-like store)",
                 &["workload", "codec", "memory %", "SET qps", "GET qps"],

@@ -9,7 +9,7 @@ use pbc_core::{PbcBlockCompressor, PbcCompressor, PbcConfig};
 use pbc_datagen::{Dataset, DatasetKind};
 use pbc_json::{BinPackCodec, IonLikeCodec, JsonValue};
 use pbc_logs::LogReducer;
-use pbc_store::{ValueCodec, WorkloadSpec};
+use pbc_store::{ValueCodec, WorkloadError, WorkloadSpec};
 
 use crate::data::{corpus, corpus_bytes, training_refs, SEED};
 use crate::report::{ratio, speed, Table};
@@ -501,8 +501,9 @@ pub struct Table8Row {
 
 /// Table 8: production case study. Workload A uses KV2-shaped values,
 /// workload B uses KV3-shaped values; each runs under Uncompressed,
-/// dictionary-Zstd and PBC_F.
-pub fn table8(scale: f64) -> Vec<Table8Row> {
+/// dictionary-Zstd and PBC_F. A GET that fails, misses or reads wrong
+/// bytes fails the table.
+pub fn table8(scale: f64) -> Result<Vec<Table8Row>, WorkloadError> {
     let workloads = [("Workload A", Dataset::Kv2), ("Workload B", Dataset::Kv3)];
     let mut rows = Vec::new();
     for (name, dataset) in workloads {
@@ -515,7 +516,7 @@ pub fn table8(scale: f64) -> Vec<Table8Row> {
         ];
         for codec in codecs {
             let spec = WorkloadSpec::new(name, records.len(), SEED);
-            let report = pbc_store::workload::run_workload(&spec, codec, &records);
+            let report = pbc_store::workload::run_workload(&spec, codec, &records)?;
             rows.push(Table8Row {
                 workload: name.to_string(),
                 codec: report.codec,
@@ -525,7 +526,7 @@ pub fn table8(scale: f64) -> Vec<Table8Row> {
             });
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Render Table 3/4-style rows as a text table.
@@ -597,7 +598,7 @@ mod tests {
 
     #[test]
     fn table8_reports_all_rows() {
-        let rows = table8(0.03);
+        let rows = table8(0.03).unwrap();
         assert_eq!(rows.len(), 6);
         let pbc_a = rows
             .iter()

@@ -1,13 +1,15 @@
 //! Figure experiments (Figures 5–9 of the paper).
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use pbc_codecs::traits::{Codec, TrainableCodec};
+use pbc_archive::codec::serialized_len;
+use pbc_archive::{BlockCodec, Entry};
+use pbc_codecs::traits::TrainableCodec;
 use pbc_codecs::{FsstCodec, ZstdLike};
 use pbc_core::clustering::{cluster_records, ClusteringConfig};
 use pbc_core::{Criterion, PbcCompressor, PbcConfig};
 use pbc_datagen::Dataset;
-use pbc_store::{BlockStore, PerRecordStore};
 
 use crate::data::{ablation_datasets, corpus, corpus_bytes, training_refs};
 use crate::experiments::{table3, table4};
@@ -18,9 +20,11 @@ use crate::report::{ratio, Table};
 pub struct Fig5Point {
     /// Dataset name.
     pub dataset: String,
-    /// Method name ("Zstd", "FSST", "PBC_F").
+    /// Method name ("FSST", "PBC_F", "Zstd").
     pub method: &'static str,
-    /// Records per block (1 for the per-record methods, which ignore it).
+    /// Records per block. Zstd compresses a block as a unit; the
+    /// per-record methods frame each record inside it, so their ratio does
+    /// not depend on it but their lookups walk the frames before theirs.
     pub block_size: usize,
     /// Compression ratio at this block size.
     pub ratio: f64,
@@ -28,60 +32,87 @@ pub struct Fig5Point {
     pub lookups_per_sec: f64,
 }
 
-/// Figure 5: random-access performance. Block-compressed Zstd is swept over
-/// block sizes 4⁰..4⁷ while FSST and PBC_F compress per record; 1% of
-/// records are looked up at random.
+/// Figure 5: random-access performance, measured on the archive's block
+/// codecs. The corpus is cut into blocks of 4⁰..4⁷ keyless records, each
+/// compressed with [`BlockCodec::compress_block`]; a lookup is the
+/// [`BlockCodec::entry_at`] call a segment reader makes once it has fetched
+/// the block. Plain Zstd decompresses the whole block per lookup, while
+/// FSST and PBC_F decode only the requested record. 1% of records are
+/// looked up at random: once untimed, each compared with its original,
+/// then timed.
 pub fn fig5(scale: f64) -> Vec<Fig5Point> {
     let mut points = Vec::new();
     for dataset in [Dataset::Kv2, Dataset::Unece] {
         let records = corpus(dataset, scale);
+        let raw = corpus_bytes(&records);
         let sample = training_refs(&records, 256);
         let lookups: Vec<usize> = (0..records.len().div_ceil(100).max(16))
             .map(|i| (i * 977 + 13) % records.len())
             .collect();
-
-        // Per-record methods: ratio and lookup speed are independent of the
-        // block size.
-        let fsst = FsstCodec::train(&sample);
-        let pbc_f = PbcCompressor::train_fsst(&sample, &PbcConfig::default());
-        let per_record: Vec<(&'static str, Box<dyn Codec + Send + Sync>)> =
-            vec![("FSST", Box::new(fsst)), ("PBC_F", Box::new(pbc_f))];
-        for (name, codec) in per_record {
-            let store = PerRecordStore::build(&records, codec);
-            let start = Instant::now();
-            let mut bytes = 0usize;
-            for &idx in &lookups {
-                bytes += store.lookup(idx).expect("per-record lookup").len();
+        let methods = [
+            (
+                "FSST",
+                BlockCodec::Fsst {
+                    codec: FsstCodec::train(&sample),
+                },
+            ),
+            (
+                "PBC_F",
+                BlockCodec::Pbc {
+                    compressor: Arc::new(PbcCompressor::train_fsst(&sample, &PbcConfig::default())),
+                    fsst: true,
+                },
+            ),
+            (
+                "Zstd",
+                BlockCodec::Zstd {
+                    codec: ZstdLike::new(1),
+                    dictionary: Arc::default(),
+                },
+            ),
+        ];
+        for (method, codec) in &methods {
+            for exp in 0..=7u32 {
+                let block_size = 4usize.pow(exp);
+                // (compressed block, record count, serialized length)
+                let blocks: Vec<(Vec<u8>, usize, usize)> = records
+                    .chunks(block_size)
+                    .map(|chunk| {
+                        let entries: Vec<Entry> =
+                            chunk.iter().map(|r| (Vec::new(), r.clone())).collect();
+                        let block = codec.compress_block(&entries);
+                        (block, entries.len(), serialized_len(&entries))
+                    })
+                    .collect();
+                let lookup = |idx: usize| {
+                    let (block, count, raw_len) = &blocks[idx / block_size];
+                    let (_, value) = codec
+                        .entry_at(block, idx % block_size, *count, *raw_len)
+                        .unwrap_or_else(|e| panic!("{method} lookup of record {idx}: {e}"));
+                    value
+                };
+                for &idx in &lookups {
+                    assert!(
+                        lookup(idx) == records[idx],
+                        "{method} at block size {block_size} returned a wrong record {idx}"
+                    );
+                }
+                let start = Instant::now();
+                let mut bytes = 0usize;
+                for &idx in &lookups {
+                    bytes += lookup(idx).len();
+                }
+                let secs = start.elapsed().as_secs_f64();
+                std::hint::black_box(bytes);
+                let compressed: usize = blocks.iter().map(|(block, ..)| block.len()).sum();
+                points.push(Fig5Point {
+                    dataset: dataset.name().to_string(),
+                    method,
+                    block_size,
+                    ratio: compressed as f64 / raw as f64,
+                    lookups_per_sec: lookups.len() as f64 / secs.max(1e-9),
+                });
             }
-            let secs = start.elapsed().as_secs_f64();
-            assert!(bytes > 0);
-            points.push(Fig5Point {
-                dataset: dataset.name().to_string(),
-                method: name,
-                block_size: 1,
-                ratio: store.ratio(),
-                lookups_per_sec: lookups.len() as f64 / secs.max(1e-9),
-            });
-        }
-
-        // Block-compressed Zstd at block sizes 4^0 .. 4^7.
-        for exp in 0..=7u32 {
-            let block_size = 4usize.pow(exp);
-            let store = BlockStore::build(&records, block_size, Box::new(ZstdLike::new(1)));
-            let start = Instant::now();
-            let mut bytes = 0usize;
-            for &idx in &lookups {
-                bytes += store.lookup(idx).expect("block lookup").len();
-            }
-            let secs = start.elapsed().as_secs_f64();
-            assert!(bytes > 0);
-            points.push(Fig5Point {
-                dataset: dataset.name().to_string(),
-                method: "Zstd",
-                block_size,
-                ratio: store.ratio(),
-                lookups_per_sec: lookups.len() as f64 / secs.max(1e-9),
-            });
         }
     }
     points
@@ -349,23 +380,45 @@ mod tests {
     }
 
     #[test]
-    fn fig5_points_cover_both_paths() {
+    fn fig5_block_codecs_trade_lookups_for_ratio_and_per_record_ones_do_not() {
         let points = fig5(0.02);
-        assert!(points
-            .iter()
-            .any(|p| p.method == "Zstd" && p.block_size == 64));
-        assert!(points.iter().any(|p| p.method == "PBC_F"));
-        // Block compression at large block sizes must beat block size 1.
-        let kv2_small = points
-            .iter()
-            .find(|p| p.dataset == "kv2" && p.method == "Zstd" && p.block_size == 1)
-            .unwrap();
-        let kv2_large = points
-            .iter()
-            .find(|p| p.dataset == "kv2" && p.method == "Zstd" && p.block_size == 4096)
-            .unwrap();
-        assert!(kv2_large.ratio < kv2_small.ratio);
-        assert!(kv2_large.lookups_per_sec < kv2_small.lookups_per_sec);
+        let block_sizes: Vec<usize> = (0..=7u32).map(|exp| 4usize.pow(exp)).collect();
+        for dataset in ["kv2", "unece"] {
+            let at = |method: &str, block_size: usize| {
+                points
+                    .iter()
+                    .find(|p| {
+                        p.dataset == dataset && p.method == method && p.block_size == block_size
+                    })
+                    .unwrap_or_else(|| panic!("{dataset} {method} at {block_size}"))
+            };
+            for method in ["FSST", "PBC_F"] {
+                let ratio = at(method, 1).ratio;
+                for &block_size in &block_sizes {
+                    assert_eq!(
+                        at(method, block_size).ratio,
+                        ratio,
+                        "{dataset} {method}: the per-record ratio is the same at every block size"
+                    );
+                }
+            }
+            let (zstd_small, zstd_large) = (at("Zstd", 1), at("Zstd", 4usize.pow(7)));
+            assert!(zstd_large.ratio < zstd_small.ratio, "{dataset}");
+            assert!(
+                zstd_large.lookups_per_sec < zstd_small.lookups_per_sec,
+                "{dataset}"
+            );
+            for &block_size in block_sizes.iter().filter(|&&b| b >= 64) {
+                let zstd = at("Zstd", block_size).lookups_per_sec;
+                for method in ["FSST", "PBC_F"] {
+                    let per_record = at(method, block_size).lookups_per_sec;
+                    assert!(
+                        per_record > zstd,
+                        "{dataset} at {block_size}: {method} {per_record:.0}/s vs Zstd {zstd:.0}/s"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

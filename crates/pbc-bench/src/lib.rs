@@ -4,7 +4,10 @@
 //! called by the `repro` command-line binary. Every function returns plain
 //! data (rows of named measurements) so callers can print, assert on, or
 //! plot the results. Engine performance (segments, tiered store, WAL,
-//! router) is not measured here: that is `pbc-perf` in `bench/`.
+//! router) is not measured here: that is `pbc-perf` in `bench/`. Figure 5
+//! is the one experiment that runs engine code, and only its codec layer:
+//! `pbc-archive`'s block codecs, called directly. Every lookup it times,
+//! and every Table 8 GET, is checked against the record it should return.
 //!
 //! | Paper artefact | Function |
 //! |---|---|

@@ -261,6 +261,10 @@ pub struct TierStore {
     /// read locks only, taken in ascending index order.
     shards: Vec<Shard>,
     codec: ValueCodec,
+    /// Decoded bytes of every live value, the denominator of
+    /// [`TierStore::memory_usage_ratio`]: added under the shard lock by
+    /// the put that stores a value, taken out after whatever replaced or
+    /// removed it has released the lock.
     raw_value_bytes: AtomicU64,
     /// Global access counter; each shard access stamps the shard with the
     /// next value.
@@ -406,13 +410,14 @@ impl TierStore {
         };
         let encoded_len = encoded.len();
         let idx = self.shard_of_key(key);
-        {
+        let replaced = {
             let mut shard = self.shards[idx].state.write();
-            self.replace_slot(&mut shard, HotKey::new(key), Some(Slot::Live(encoded)));
             self.raw_value_bytes
                 .fetch_add(value.len() as u64, Ordering::Relaxed);
-        }
+            self.replace_slot(&mut shard, HotKey::new(key), Some(Slot::Live(encoded)))
+        };
         self.touch(idx);
+        self.release_raw(replaced);
         encoded_len
     }
 
@@ -446,15 +451,15 @@ impl TierStore {
     /// underneath delete with [`TierStore::tombstone`] instead.)
     pub fn delete(&self, key: &[u8]) -> bool {
         let idx = self.shard_of_key(key);
-        let existed = {
+        let removed = {
             let mut shard = self.shards[idx].state.write();
             let live = matches!(shard.slot(key), Some(Slot::Live(_)));
-            if live {
-                self.replace_slot(&mut shard, HotKey::new(key), None);
-            }
-            live
+            live.then(|| self.replace_slot(&mut shard, HotKey::new(key), None))
+                .flatten()
         };
         self.touch(idx);
+        let existed = removed.is_some();
+        self.release_raw(removed);
         existed
     }
 
@@ -466,15 +471,16 @@ impl TierStore {
     /// tombstone.
     pub fn tombstone(&self, key: &[u8]) -> bool {
         let idx = self.shard_of_key(key);
-        let changed = {
+        let (changed, replaced) = {
             let mut shard = self.shards[idx].state.write();
             let changed = !matches!(shard.slot(key), Some(Slot::Tombstone));
-            if changed {
-                self.replace_slot(&mut shard, HotKey::new(key), Some(Slot::Tombstone));
-            }
-            changed
+            let replaced = changed
+                .then(|| self.replace_slot(&mut shard, HotKey::new(key), Some(Slot::Tombstone)))
+                .flatten();
+            (changed, replaced)
         };
         self.touch(idx);
+        self.release_raw(replaced);
         changed
     }
 
@@ -579,37 +585,42 @@ impl TierStore {
             .enumerate()
             .filter(|(_, rows)| !rows.is_empty())
         {
-            // Raw lengths leave the memory-ratio denominator with their
-            // values; decoding (for a compressing codec) runs unlocked.
-            let raw: Vec<u64> = rows
-                .iter()
-                .map(|(_, value)| value.map_or(0, |v| self.raw_len(v)))
-                .collect();
-            let mut raw_evicted = 0;
+            let mut removed = Vec::new();
             let mut shard = self.shards[idx].state.write();
-            for (&(key, copied), raw) in rows.iter().zip(raw) {
+            for &(key, copied) in rows {
                 let unchanged = match (shard.slot(key), copied) {
                     (Some(Slot::Live(now)), Some(copied)) => Arc::ptr_eq(now, copied),
                     (Some(Slot::Tombstone), None) => true,
                     _ => false,
                 };
                 if unchanged {
-                    self.replace_slot(&mut shard, HotKey::new(key), None);
-                    raw_evicted += raw;
-                    evicted += 1;
+                    removed.extend(self.replace_slot(&mut shard, HotKey::new(key), None));
                 }
             }
-            self.raw_value_bytes
-                .fetch_sub(raw_evicted, Ordering::Relaxed);
+            drop(shard);
+            evicted += removed.len();
+            self.release_raw(removed);
         }
         evicted
     }
 
-    /// The decoded length of a stored value (0 if it does not decode).
-    fn raw_len(&self, stored: &[u8]) -> u64 {
-        match &self.codec {
-            ValueCodec::None => stored.len() as u64,
-            codec => codec.decode(stored).map_or(0, |value| value.len() as u64),
+    /// Take the raw lengths of values that left their slots out of the
+    /// memory-ratio denominator. Called with the shard lock released: a
+    /// compressing codec decodes each value to learn its length, while
+    /// `ValueCodec::None` reads the stored length.
+    fn release_raw(&self, replaced: impl IntoIterator<Item = Slot>) {
+        let raw: u64 = replaced
+            .into_iter()
+            .filter_map(|slot| match slot {
+                Slot::Live(stored) => Some(match &self.codec {
+                    ValueCodec::None => stored.len() as u64,
+                    codec => codec.decode(&stored).map_or(0, |value| value.len() as u64),
+                }),
+                Slot::Tombstone => None,
+            })
+            .sum();
+        if raw > 0 {
+            self.raw_value_bytes.fetch_sub(raw, Ordering::Relaxed);
         }
     }
 
@@ -837,10 +848,36 @@ mod tests {
             shards.map(|s| store.shard_tombstone_bytes(s)).sum(),
         );
         assert_eq!(totals, per_shard, "totals vs per-shard sums, {context}");
+        // The ratio's denominator is every live slot's key and decoded value.
+        let raw: u64 = store
+            .range_snapshot_encoded(b"", None, usize::MAX)
+            .iter()
+            .filter_map(|(key, stored)| {
+                stored.map(|s| (key.len() + store.codec().decode(s).unwrap().len()) as u64)
+            })
+            .sum();
+        let ratio = store.memory_usage_ratio();
+        let want = if raw == 0 {
+            1.0
+        } else {
+            totals.0 as f64 / raw as f64
+        };
+        assert_eq!(ratio, want, "memory ratio vs recount, {context}");
+        if matches!(store.codec(), ValueCodec::None) {
+            assert_eq!(ratio, 1.0, "uncompressed memory ratio, {context}");
+        }
     }
 
     #[test]
     fn slot_transitions_keep_state_and_accounting_exact() {
+        // A compressing codec, so stored bytes differ from raw bytes and a
+        // wrong length in the accounting cannot cancel out; and no codec,
+        // whose memory ratio must read exactly 1.0 after every transition.
+        slot_transitions(|sample| ValueCodec::train_pbc_f(sample, &PbcConfig::small()));
+        slot_transitions(|_| ValueCodec::None);
+    }
+
+    fn slot_transitions(codec: impl Fn(&[&[u8]]) -> ValueCodec) {
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum State {
             Absent,
@@ -871,11 +908,9 @@ mod tests {
             (Dead, Delete, false, Dead, false),
         ];
 
-        // A compressing codec, so stored bytes differ from raw bytes and a
-        // wrong length in the accounting cannot cancel out.
         let vals = values(64 + 4 * table.len());
         let refs: Vec<&[u8]> = vals[..64].iter().map(|v| v.as_slice()).collect();
-        let store = TierStore::new(ValueCodec::train_pbc_f(&refs, &PbcConfig::small()));
+        let store = TierStore::new(codec(&refs));
         let mut expected: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
 
         // The table twice over, so enough slots survive for the cuts below.
@@ -1026,6 +1061,7 @@ mod tests {
             (store.memory_usage_bytes(), store.tombstone_bytes()),
             (0, 0)
         );
+        assert_accounting(&store, "emptied");
     }
 
     #[test]

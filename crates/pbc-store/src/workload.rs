@@ -4,7 +4,8 @@
 //! each single-threaded instance". The driver here loads a record corpus
 //! into a [`TierStore`] (measuring SET throughput), then reads keys back in
 //! a pseudo-random order (measuring GET throughput), and reports the memory
-//! footprint relative to uncompressed storage.
+//! footprint relative to uncompressed storage. A read that fails to
+//! decode, misses, or returns the wrong bytes fails the run.
 //!
 //! Called by `repro table8` (`run_workload` per workload × codec).
 
@@ -14,7 +15,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::engine::ValueCodec;
+use crate::engine::{StoreError, ValueCodec};
 use crate::store::TierStore;
 
 /// Parameters of a workload run.
@@ -57,8 +58,64 @@ pub struct WorkloadReport {
     pub records: usize,
 }
 
+/// Why a workload run failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WorkloadError {
+    /// GETs were asked of an empty corpus: there is no key to read.
+    EmptyCorpus {
+        /// The GETs asked for.
+        get_ops: usize,
+    },
+    /// A GET failed to decode its value.
+    Store(StoreError),
+    /// A GET found nothing under a key the load stored.
+    Miss {
+        /// Index of the record whose key missed.
+        record: usize,
+    },
+    /// The GETs returned a different number of bytes than the load stored.
+    WrongBytes {
+        /// Value bytes the GETs should have returned.
+        expected: usize,
+        /// Value bytes they did return.
+        read: usize,
+    },
+}
+
+impl std::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkloadError::EmptyCorpus { get_ops } => {
+                write!(f, "{get_ops} GETs asked of an empty corpus")
+            }
+            WorkloadError::Store(e) => write!(f, "GET failed: {e}"),
+            WorkloadError::Miss { record } => write!(f, "GET of record {record} missed"),
+            WorkloadError::WrongBytes { expected, read } => {
+                write!(f, "GETs read {read} value bytes, {expected} were stored")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WorkloadError {}
+
+impl From<StoreError> for WorkloadError {
+    fn from(e: StoreError) -> Self {
+        WorkloadError::Store(e)
+    }
+}
+
 /// Run one workload: load all records, then issue GETs, timing both phases.
-pub fn run_workload(spec: &WorkloadSpec, codec: ValueCodec, records: &[Vec<u8>]) -> WorkloadReport {
+pub fn run_workload(
+    spec: &WorkloadSpec,
+    codec: ValueCodec,
+    records: &[Vec<u8>],
+) -> Result<WorkloadReport, WorkloadError> {
+    if records.is_empty() && spec.get_ops > 0 {
+        return Err(WorkloadError::EmptyCorpus {
+            get_ops: spec.get_ops,
+        });
+    }
     let store = TierStore::new(codec);
     let keys: Vec<Vec<u8>> = (0..records.len())
         .map(|i| format!("{}:{:010}", spec.name, i).into_bytes())
@@ -77,16 +134,25 @@ pub fn run_workload(spec: &WorkloadSpec, codec: ValueCodec, records: &[Vec<u8>])
     let get_start = Instant::now();
     let mut checksum = 0usize;
     for op in 0..spec.get_ops {
-        let idx = order[op % order.len().max(1)];
-        if let Ok(Some(value)) = store.get(&keys[idx]) {
-            checksum = checksum.wrapping_add(value.len());
-        }
+        let idx = order[op % order.len()];
+        let Some(value) = store.get(&keys[idx])? else {
+            return Err(WorkloadError::Miss { record: idx });
+        };
+        checksum = checksum.wrapping_add(value.len());
     }
     let get_elapsed = get_start.elapsed().as_secs_f64();
-    // Keep the checksum alive so the reads are not optimised away.
-    std::hint::black_box(checksum);
+    // The checksum also keeps the reads from being optimised away.
+    let expected = (0..spec.get_ops)
+        .map(|op| records[order[op % order.len()]].len())
+        .fold(0usize, usize::wrapping_add);
+    if checksum != expected {
+        return Err(WorkloadError::WrongBytes {
+            expected,
+            read: checksum,
+        });
+    }
 
-    WorkloadReport {
+    Ok(WorkloadReport {
         workload: spec.name.clone(),
         codec: store.codec().name(),
         memory_ratio: store.memory_usage_ratio(),
@@ -101,7 +167,7 @@ pub fn run_workload(spec: &WorkloadSpec, codec: ValueCodec, records: &[Vec<u8>])
             f64::INFINITY
         },
         records: records.len(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -127,7 +193,7 @@ mod tests {
     fn workload_reports_throughput_and_memory() {
         let records = corpus(500);
         let spec = WorkloadSpec::new("Workload T", 500, 42);
-        let report = run_workload(&spec, ValueCodec::None, &records);
+        let report = run_workload(&spec, ValueCodec::None, &records).unwrap();
         assert_eq!(report.records, 500);
         assert!(report.set_qps > 0.0);
         assert!(report.get_qps > 0.0);
@@ -141,7 +207,7 @@ mod tests {
         let sample: Vec<&[u8]> = records[..128].iter().map(|r| r.as_slice()).collect();
         let codec = ValueCodec::train_pbc_f(&sample, &PbcConfig::small());
         let spec = WorkloadSpec::new("Workload A", 800, 7);
-        let report = run_workload(&spec, codec, &records);
+        let report = run_workload(&spec, codec, &records).unwrap();
         assert!(
             report.memory_ratio < 0.8,
             "memory ratio {:.3}",
@@ -155,7 +221,18 @@ mod tests {
     fn get_ops_can_exceed_corpus_size() {
         let records = corpus(50);
         let spec = WorkloadSpec::new("Wrap", 200, 3);
-        let report = run_workload(&spec, ValueCodec::None, &records);
+        let report = run_workload(&spec, ValueCodec::None, &records).unwrap();
         assert!(report.get_qps > 0.0);
+    }
+
+    #[test]
+    fn gets_over_an_empty_corpus_are_a_typed_error() {
+        let spec = WorkloadSpec::new("Empty", 10, 1);
+        assert_eq!(
+            run_workload(&spec, ValueCodec::None, &[]).unwrap_err(),
+            WorkloadError::EmptyCorpus { get_ops: 10 }
+        );
+        let report = run_workload(&WorkloadSpec::new("Empty", 0, 1), ValueCodec::None, &[]);
+        assert_eq!(report.unwrap().records, 0, "no GETs, nothing to read");
     }
 }

@@ -30,7 +30,7 @@ fn main() {
     );
     for codec in codecs {
         let spec = WorkloadSpec::new("cache-demo", records.len(), 99);
-        let report = run_workload(&spec, codec, &records);
+        let report = run_workload(&spec, codec, &records).expect("every GET reads what was SET");
         println!(
             "{:<14} {:>9.1}% {:>12.0} {:>12.0}",
             report.codec,
