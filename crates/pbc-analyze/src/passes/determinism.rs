@@ -4,7 +4,7 @@
 //! modules`) the output must be a pure function of the input bytes —
 //! the PBC standing constraint is that pattern extraction, codec
 //! training, planning, and segment writing are byte-identical across
-//! writer thread counts and process runs. Flags, with `BTreeMap`/
+//! threads and process runs. Flags, with `BTreeMap`/
 //! explicit tie-breaks as the prescribed fix:
 //!
 //! * `HashMap` / `HashSet` — randomized iteration order. Flagged on
@@ -72,7 +72,7 @@ pub fn check(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
             flag(
                 t.line,
                 "`thread::current`",
-                "thread identity must not influence output (byte-determinism across writer thread counts)",
+                "thread identity must not influence output (byte-determinism across threads and runs)",
                 diags,
             );
         }

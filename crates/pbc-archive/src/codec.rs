@@ -84,7 +84,7 @@ pub enum BlockCodec {
     /// Per-record PBC (plain or FSST residuals — `fsst` distinguishes them
     /// for the header codec id).
     Pbc {
-        /// The trained compressor, shared between writer workers.
+        /// The trained compressor, shared by every clone of the codec.
         compressor: Arc<PbcCompressor>,
         /// Whether residuals are FSST-compressed (`PBC_F`).
         fsst: bool,

@@ -58,7 +58,9 @@ pub enum ArchiveError {
         /// Records in the segment.
         count: u64,
     },
-    /// `get(key)` on a segment whose records were not appended in key order.
+    /// A key appended below the previous one, or a segment header without
+    /// the sorted-keys flag: segments hold records in non-decreasing key
+    /// order.
     UnsortedKeys,
     /// PBC dictionary or record decoding failed.
     Pbc(PbcError),
@@ -93,10 +95,7 @@ impl fmt::Display for ArchiveError {
                 write!(f, "record {index} out of range (segment holds {count})")
             }
             ArchiveError::UnsortedKeys => {
-                write!(
-                    f,
-                    "key lookup requires records appended in sorted key order"
-                )
+                write!(f, "keys out of order: a segment holds non-decreasing keys")
             }
             ArchiveError::Pbc(e) => write!(f, "pbc decode failed: {e}"),
             ArchiveError::Codec(e) => write!(f, "block codec failed: {e}"),

@@ -17,10 +17,9 @@
 //! also what `repro fig5` measures: it compresses blocks of 4⁰..4⁷ records
 //! with [`BlockCodec::compress_block`] and looks records up with
 //! [`BlockCodec::entry_at`], the call a reader makes once it has fetched a
-//! block. [`SegmentWriter`] fans block
-//! compression out across a `std::thread` worker pool (sequence-numbered
-//! results reassembled in order), so ingest scales with cores while the
-//! produced file stays byte-identical to the single-threaded one.
+//! block. [`SegmentWriter`] takes records in non-decreasing key order and
+//! compresses each block on the calling thread as it closes; parallelism
+//! belongs to the caller, which can write disjoint segments at once.
 //!
 //! See `format.rs` for the byte-level layout and versioning rules.
 //!
@@ -133,7 +132,6 @@ mod tests {
 
         let reader = SegmentReader::open(&path).unwrap();
         assert_eq!(reader.record_count(), 2_000);
-        assert!(reader.is_sorted());
         for i in [0u64, 1, 999, 1_234, 1_999] {
             let (key, value) = reader.get_entry(i).unwrap();
             assert_eq!((key, value), records[i as usize]);
@@ -153,39 +151,35 @@ mod tests {
     }
 
     #[test]
-    fn flagged_counts_survive_the_footer_across_worker_counts() {
+    fn flagged_counts_survive_the_footer() {
         let records = keyed_records(2_400);
-        for workers in [1usize, 4] {
-            let (path, _guard) = temp_segment("flagged");
-            let mut writer =
-                SegmentWriter::create(&path, SegmentConfig::default().with_workers(workers))
-                    .unwrap();
-            let mut flagged = 0u64;
-            for (i, (key, value)) in records.iter().enumerate() {
-                if i % 7 == 0 {
-                    writer.append_flagged(key, value).unwrap();
-                    flagged += 1;
-                } else {
-                    writer.append(key, value).unwrap();
-                }
+        let (path, _guard) = temp_segment("flagged");
+        let mut writer = SegmentWriter::create(&path, SegmentConfig::default()).unwrap();
+        let mut flagged = 0u64;
+        for (i, (key, value)) in records.iter().enumerate() {
+            if i % 7 == 0 {
+                writer.append_flagged(key, value).unwrap();
+                flagged += 1;
+            } else {
+                writer.append(key, value).unwrap();
             }
-            let summary = writer.finish().unwrap();
-            assert_eq!(summary.flagged_count, flagged);
-
-            let reader = SegmentReader::open(&path).unwrap();
-            assert_eq!(reader.flagged_count(), flagged, "workers={workers}");
-            let per_block: u64 = (0..reader.block_count())
-                .map(|b| reader.block_flagged_count(b))
-                .sum();
-            assert_eq!(per_block, flagged);
-            // Flagging changes nothing about the stored records.
-            assert_eq!(reader.get_entry(0).unwrap(), records[0]);
-            assert_eq!(reader.min_key().unwrap(), records[0].0.as_slice());
-            assert_eq!(
-                reader.max_key().unwrap(),
-                records.last().unwrap().0.as_slice()
-            );
         }
+        let summary = writer.finish().unwrap();
+        assert_eq!(summary.flagged_count, flagged);
+
+        let reader = SegmentReader::open(&path).unwrap();
+        assert_eq!(reader.flagged_count(), flagged);
+        let per_block: u64 = (0..reader.block_count())
+            .map(|b| reader.block_flagged_count(b))
+            .sum();
+        assert_eq!(per_block, flagged);
+        // Flagging changes nothing about the stored records.
+        assert_eq!(reader.get_entry(0).unwrap(), records[0]);
+        assert_eq!(reader.min_key().unwrap(), records[0].0.as_slice());
+        assert_eq!(
+            reader.max_key().unwrap(),
+            records.last().unwrap().0.as_slice()
+        );
     }
 
     #[test]
@@ -273,24 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_writer_produces_byte_identical_segments() {
-        let records = keyed_records(3_000);
-        let (path_single, _g1) = temp_segment("single");
-        let (path_parallel, _g2) = temp_segment("parallel");
-        write_segment(&path_single, &records, SegmentConfig::default());
-        write_segment(
-            &path_parallel,
-            &records,
-            SegmentConfig::default().with_workers(4),
-        );
-        let single = std::fs::read(&path_single).unwrap();
-        let parallel = std::fs::read(&path_parallel).unwrap();
-        assert_eq!(single, parallel, "worker count must not change the file");
-    }
-
-    #[test]
-    fn unsorted_appends_clear_the_sorted_flag_even_after_header_write() {
-        let (path, _guard) = temp_segment("unsorted");
+    fn an_out_of_order_append_is_a_typed_error() {
+        let (path, _guard) = temp_segment("out-of-order");
         let mut writer = SegmentWriter::create(
             &path,
             SegmentConfig {
@@ -299,24 +277,43 @@ mod tests {
             },
         )
         .unwrap();
-        // Plenty of sorted records first, so the header (with the sorted
-        // flag) is already on disk...
-        for i in 0..200u32 {
-            writer
-                .append(format!("k{i:06}").as_bytes(), b"value")
-                .unwrap();
+        // Plenty of ascending records first, so the header is already on
+        // disk...
+        let mut accepted: Vec<Entry> = (0..200u32)
+            .map(|i| (format!("k{i:06}").into_bytes(), b"value".to_vec()))
+            .collect();
+        for (key, value) in &accepted {
+            writer.append(key, value).unwrap();
         }
-        // ...then one key out of order.
-        writer.append(b"a-first", b"late").unwrap();
-        writer.finish().unwrap();
-        let reader = SegmentReader::open(&path).unwrap();
-        assert!(!reader.is_sorted());
+        // ...then one key below the last: refused, and nothing appended.
         assert!(matches!(
-            reader.get(b"k000001"),
+            writer.append(b"a-first", b"late"),
             Err(ArchiveError::UnsortedKeys)
         ));
-        // Ordinal access still works.
-        assert_eq!(reader.get_record(200).unwrap(), b"late");
+        assert!(matches!(
+            writer.append_flagged(b"k000100", b"late"),
+            Err(ArchiveError::UnsortedKeys)
+        ));
+        assert_eq!(writer.record_count(), 200);
+        // A key at or above the last one is still accepted.
+        accepted.push((b"k000199".to_vec(), b"again".to_vec()));
+        accepted.push((b"k999999".to_vec(), b"tail".to_vec()));
+        for (key, value) in &accepted[200..] {
+            writer.append(key, value).unwrap();
+        }
+        let summary = writer.finish().unwrap();
+        assert_eq!(summary.record_count, accepted.len() as u64);
+
+        let reader = SegmentReader::open(&path).unwrap();
+        let scanned: Vec<Entry> = reader.scan().map(|e| e.unwrap()).collect();
+        assert_eq!(scanned, accepted);
+        for (key, value) in &accepted[..199] {
+            assert_eq!(reader.get(key).unwrap().as_ref(), Some(value));
+        }
+        // Later appends win for a repeated key.
+        assert_eq!(reader.get(b"k000199").unwrap().unwrap(), b"again");
+        assert_eq!(reader.get(b"k999999").unwrap().unwrap(), b"tail");
+        assert_eq!(reader.get(b"a-first").unwrap(), None);
     }
 
     #[test]

@@ -36,8 +36,7 @@ pub struct WriterObs {
     /// Incremented once per block handed to a codec (including raw
     /// fallbacks).
     pub blocks_encoded: Counter,
-    /// Nanoseconds per block compression (codec work only, measured on
-    /// whichever thread ran it — inline or pool worker).
+    /// Nanoseconds per block compression (codec work only).
     pub encode_ns: Histogram,
 }
 

@@ -80,7 +80,6 @@ impl BlockSource {
 pub struct SegmentReader {
     path: PathBuf,
     source: BlockSource,
-    header: Header,
     codec: BlockCodec,
     /// Shared instance backing the per-block raw-fallback path.
     raw_codec: BlockCodec,
@@ -113,8 +112,9 @@ impl std::fmt::Debug for SegmentReader {
 
 impl SegmentReader {
     /// Open and verify a segment with [`ReadMode::Auto`] backend
-    /// selection: header magic/version/CRC, trailer magic, index CRC.
-    /// Block payloads are verified lazily as they are read.
+    /// selection: header magic/version/CRC and sorted-keys flag, trailer
+    /// magic, index CRC. Block payloads are verified lazily as they are
+    /// read.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         Self::open_with(path, ReadMode::Auto)
     }
@@ -160,6 +160,11 @@ impl SegmentReader {
             source.bytes_at(0, header_len, "header")?
         };
         let (header, _) = Header::decode(&header_bytes)?;
+        // Every segment this code writes holds ascending keys; a header
+        // without the flag came from somewhere else.
+        if header.flags & FLAG_SORTED_KEYS == 0 {
+            return Err(ArchiveError::UnsortedKeys);
+        }
         let codec = BlockCodec::from_parts(header.codec_id, &header.artifacts)?;
         drop(header_bytes);
         drop(prefix);
@@ -220,7 +225,6 @@ impl SegmentReader {
         Ok(SegmentReader {
             path,
             source,
-            header,
             codec,
             raw_codec: BlockCodec::Raw,
             blocks,
@@ -266,23 +270,15 @@ impl SegmentReader {
         self.blocks.get(block).map_or(0, |b| b.flagged_count)
     }
 
-    /// Smallest key across all blocks (`None` for an empty segment).
-    /// Footer-only: no block is decoded. On a sorted segment it is the
-    /// first block's minimum; only an unsorted one needs every block's.
+    /// Smallest key (`None` for an empty segment): the first block's
+    /// minimum, read from the footer; no block is decoded.
     pub fn min_key(&self) -> Option<&[u8]> {
-        if self.is_sorted() {
-            return self.blocks.first().map(|b| b.min_key.as_slice());
-        }
-        self.blocks.iter().map(|b| b.min_key.as_slice()).min()
+        self.blocks.first().map(|b| b.min_key.as_slice())
     }
 
-    /// Largest key across all blocks (`None` for an empty segment): the
-    /// last block's maximum on a sorted segment.
+    /// Largest key (`None` for an empty segment): the last block's maximum.
     pub fn max_key(&self) -> Option<&[u8]> {
-        if self.is_sorted() {
-            return self.blocks.last().map(|b| b.max_key.as_slice());
-        }
-        self.blocks.iter().map(|b| b.max_key.as_slice()).max()
+        self.blocks.last().map(|b| b.max_key.as_slice())
     }
 
     /// On-disk file size in bytes, captured when the segment was opened —
@@ -310,11 +306,6 @@ impl SegmentReader {
     /// Name of the codec the segment was written with.
     pub fn codec_name(&self) -> &'static str {
         self.codec.name()
-    }
-
-    /// Whether the writer observed non-decreasing keys (enables [`Self::get`]).
-    pub fn is_sorted(&self) -> bool {
-        self.header.flags & FLAG_SORTED_KEYS != 0
     }
 
     /// Whether point lookups avoid whole-block decompression.
@@ -434,9 +425,9 @@ impl SegmentReader {
     }
 
     /// The contiguous range of blocks whose `[min_key, max_key]` interval
-    /// contains `key` — the blocks a point lookup must inspect. Requires a
-    /// sorted segment. External block caches use this to fetch and cache
-    /// exactly the blocks a `get` would touch.
+    /// contains `key` — the blocks a point lookup must inspect. External
+    /// block caches use this to fetch and cache exactly the blocks a `get`
+    /// would touch.
     pub fn candidate_blocks_for_key(&self, key: &[u8]) -> Result<std::ops::Range<usize>> {
         self.candidate_blocks_for_range(key, Some(key))
     }
@@ -444,7 +435,7 @@ impl SegmentReader {
     /// The contiguous range of blocks whose `[min_key, max_key]` footer
     /// intervals intersect the closed key interval `[min, max]`
     /// (`max = None` means unbounded above) — one binary search per bound
-    /// over the footer index, no block decoded. Requires a sorted segment.
+    /// over the footer index, no block decoded.
     ///
     /// This is the single bounds helper behind both
     /// [`SegmentReader::candidate_blocks_for_key`] (a point lookup is the
@@ -456,9 +447,6 @@ impl SegmentReader {
         min: &[u8],
         max: Option<&[u8]>,
     ) -> Result<std::ops::Range<usize>> {
-        if !self.is_sorted() {
-            return Err(ArchiveError::UnsortedKeys);
-        }
         let lo = self
             .blocks
             .partition_point(|meta| meta.max_key.as_slice() < min);
@@ -472,9 +460,9 @@ impl SegmentReader {
         Ok(lo..hi.max(lo))
     }
 
-    /// Key lookup over a sorted segment: binary-search the block index by
-    /// min/max key, then search inside the single candidate block. Returns
-    /// the value of the **last** entry with the key (later appends win).
+    /// Key lookup: binary-search the block index by min/max key, then
+    /// search inside the single candidate block. Returns the value of the
+    /// **last** entry with the key (later appends win).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         // Candidate blocks form the contiguous range whose [min, max] key
         // interval contains the key; duplicates may straddle block borders,
@@ -504,9 +492,8 @@ impl SegmentReader {
         }
     }
 
-    /// Stream the entries of a **sorted** segment whose keys fall in the
-    /// closed interval `[start, end]` (`end = None` means unbounded
-    /// above), in key order.
+    /// Stream the entries whose keys fall in the closed interval
+    /// `[start, end]` (`end = None` means unbounded above), in key order.
     ///
     /// The scan seeks via the footer index
     /// ([`SegmentReader::candidate_blocks_for_range`]): only blocks whose
@@ -574,12 +561,11 @@ impl SegmentReader {
 }
 
 /// Streaming cursor over a segment's entries — all of them in storage
-/// order ([`SegmentReader::scan`]), or, on a sorted segment, those inside a
-/// key interval ([`SegmentReader::scan_range`]: only the candidate blocks
-/// the footer index selected are fetched, and the scan stops at the upper
-/// bound). One block is held at a time, as a shared flat [`DecodedBlock`]
-/// decoded from the file or supplied by the caller
-/// ([`SegmentReader::scan_range_with`]).
+/// order ([`SegmentReader::scan`]), or those inside a key interval
+/// ([`SegmentReader::scan_range`]: only the candidate blocks the footer
+/// index selected are fetched, and the scan stops at the upper bound). One
+/// block is held at a time, as a shared flat [`DecodedBlock`] decoded from
+/// the file or supplied by the caller ([`SegmentReader::scan_range_with`]).
 ///
 /// Use it as an [`Iterator`] for owned rows, or step it with
 /// [`Scan::advance`] and borrow each row with [`Scan::current`] — a merge

@@ -253,10 +253,12 @@ pub fn common_prefix(a: &[u8], b: &[u8], max: usize) -> usize {
     i
 }
 
-/// Reconstruct the original bytes from a token stream (used by tests and by
-/// codecs that keep the tokens in memory).
-pub fn reconstruct(tokens: &[Token], data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Replay a token stream parsed from `data` with its input at
+/// `input_start` (see [`MatchFinder::new`]) and return the input region it
+/// encodes. Replay starts from the dictionary prefix `data[..input_start]`,
+/// so matches may reach back into it.
+pub fn reconstruct(tokens: &[Token], data: &[u8], input_start: usize) -> Vec<u8> {
+    let mut out = data[..input_start].to_vec();
     for t in tokens {
         out.extend_from_slice(&data[t.literal_start..t.literal_start + t.literal_len]);
         if let Some(m) = t.match_ {
@@ -267,7 +269,7 @@ pub fn reconstruct(tokens: &[Token], data: &[u8]) -> Vec<u8> {
             }
         }
     }
-    out
+    out.split_off(input_start)
 }
 
 #[cfg(test)]
@@ -284,7 +286,7 @@ mod tests {
                 assert!(m.offset >= 1);
             }
         }
-        assert_eq!(reconstruct(&tokens, data), data);
+        assert_eq!(reconstruct(&tokens, data, 0), data);
     }
 
     #[test]
@@ -356,19 +358,7 @@ mod tests {
             first_match.is_some(),
             "record prefix matches the dictionary"
         );
-        // Reconstruction of the input region only.
-        let mut out = dict.to_vec();
-        for t in &tokens {
-            out.extend_from_slice(&data[t.literal_start..t.literal_start + t.literal_len]);
-            if let Some(m) = t.match_ {
-                let start = out.len() - m.offset;
-                for i in 0..m.len {
-                    let b = out[start + i];
-                    out.push(b);
-                }
-            }
-        }
-        assert_eq!(&out[input_start..], record);
+        assert_eq!(reconstruct(&tokens, &data, input_start), record);
     }
 
     #[test]
@@ -392,6 +382,6 @@ mod tests {
             tokens.len() < 50,
             "a constant run should parse into few tokens"
         );
-        assert_eq!(reconstruct(&tokens, &data), data);
+        assert_eq!(reconstruct(&tokens, &data, 0), data);
     }
 }

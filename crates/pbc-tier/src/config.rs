@@ -89,7 +89,7 @@ pub struct TierConfig {
     /// blocks (0 disables caching).
     pub cache_capacity_bytes: usize,
     /// How spill and compaction segments are written (block size, sample
-    /// blocks, workers). The tier picks each write's codec itself: a
+    /// blocks). The tier picks each write's codec itself: a
     /// [`CodecSpec::Pretrained`] codec here is its codec from the first
     /// spill on; any other spec means the first spill selects one (as
     /// [`CodecSpec::Auto`]). Spills and small jobs then reuse the codec the
@@ -128,10 +128,6 @@ pub struct TierConfig {
     /// Capacity of the structured trace-event ring (spill, compaction,
     /// manifest, and scan lifecycle events). `0` disables tracing.
     pub trace_capacity: usize,
-    /// How many recent background-maintenance errors to retain (message,
-    /// job description, and monotonic timestamp). `0` disables retention;
-    /// the `background_errors` counter still counts.
-    pub error_log_capacity: usize,
     /// Write-ahead logging. `None` (the default) keeps the pre-WAL
     /// behavior: acknowledged writes live only in the hot tier until a
     /// spill, and a crash loses them. `Some(options)` logs every put and
@@ -156,7 +152,6 @@ impl TierConfig {
             maintenance_tick: Duration::from_millis(20),
             metrics: true,
             trace_capacity: 256,
-            error_log_capacity: 32,
             wal: None,
         }
     }
@@ -212,12 +207,6 @@ impl TierConfig {
     /// Set the trace-event ring capacity (`0` disables tracing).
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Set how many recent background errors are retained.
-    pub fn with_error_log_capacity(mut self, capacity: usize) -> Self {
-        self.error_log_capacity = capacity;
         self
     }
 

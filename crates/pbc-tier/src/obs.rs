@@ -18,6 +18,11 @@ use crate::cache::CacheCounters;
 use crate::commit::ColdTier;
 use crate::config::TierConfig;
 
+/// How many recent background-maintenance errors the store retains
+/// (message, job description, monotonic timestamp); the
+/// `background_errors` counter counts every one.
+pub(crate) const ERROR_LOG_CAPACITY: usize = 32;
+
 /// One retained background-maintenance failure; see
 /// [`crate::TieredStore::recent_background_errors`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,7 +184,7 @@ pub(crate) struct TierObs {
 impl TierObs {
     /// Build the bundle for `config`: an enabled registry unless
     /// [`TierConfig::metrics`] is off, plus the two event rings sized by
-    /// [`TierConfig::trace_capacity`] / [`TierConfig::error_log_capacity`].
+    /// [`TierConfig::trace_capacity`] / [`ERROR_LOG_CAPACITY`].
     pub(crate) fn new(config: &TierConfig) -> TierObs {
         let registry = Arc::new(if config.metrics {
             MetricsRegistry::new()
@@ -192,7 +197,7 @@ impl TierObs {
         let histogram = |name: &str| r.histogram(name);
         TierObs {
             trace: Arc::new(TraceRing::new(config.trace_capacity)),
-            errors: TraceRing::new(config.error_log_capacity),
+            errors: TraceRing::new(ERROR_LOG_CAPACITY),
             hot_hits: counter("pbc_tier_hot_hits_total"),
             tombstone_negatives: counter("pbc_tier_tombstone_negatives_total"),
             cold_gets: counter("pbc_tier_cold_gets_total"),

@@ -476,8 +476,7 @@ impl TieredStore {
     /// The last few background-maintenance failures (actual error string,
     /// job description, monotonic timestamp), oldest first — the detail
     /// behind the `background_errors` counter, which on its own only says
-    /// *that* something failed. Bounded by
-    /// [`TierConfig::with_error_log_capacity`].
+    /// *that* something failed. The last 32 are kept.
     pub fn recent_background_errors(&self) -> Vec<BackgroundErrorRecord> {
         self.inner.obs.background_error_snapshot()
     }

@@ -16,10 +16,10 @@ fn main() {
     let raw_bytes: usize = records.iter().map(|r| r.len()).sum();
     let path = std::env::temp_dir().join(format!("pbc-example-{}.seg", std::process::id()));
 
-    // Write: records are grouped into ~64 KiB blocks, the codec is
-    // trial-selected on the first block, and 4 worker threads compress
-    // blocks in parallel.
-    let config = SegmentConfig::with_codec(CodecSpec::Auto).with_workers(4);
+    // Write: records are grouped into ~64 KiB blocks; the codec is
+    // trial-selected over up to 4 sample blocks spread across the first 16,
+    // and every block is compressed as it closes.
+    let config = SegmentConfig::with_codec(CodecSpec::Auto);
     let started = Instant::now();
     let mut writer = SegmentWriter::create(&path, config).expect("create segment");
     for record in &records {

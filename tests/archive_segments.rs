@@ -3,8 +3,6 @@
 //! * a segment written from ≥10k datagen records (logs + JSON corpora)
 //!   reopens cold and serves 1k random `get_record(i)` lookups
 //!   byte-identical to the originals, for multiple codec choices;
-//! * the multi-threaded `SegmentWriter` produces byte-identical files to
-//!   the single-threaded path;
 //! * corrupted files (truncated footer, bit-flipped block, wrong magic)
 //!   surface typed `ArchiveError`s instead of panicking.
 
@@ -26,10 +24,9 @@ fn mixed_corpus() -> Vec<Vec<u8>> {
     records
 }
 
-fn write_records(path: &std::path::Path, records: &[Vec<u8>], codec: CodecSpec, workers: usize) {
+fn write_records(path: &std::path::Path, records: &[Vec<u8>], codec: CodecSpec) {
     let mut writer =
-        SegmentWriter::create(path, SegmentConfig::with_codec(codec).with_workers(workers))
-            .expect("create segment");
+        SegmentWriter::create(path, SegmentConfig::with_codec(codec)).expect("create segment");
     for record in records {
         writer.append_record(record).expect("append record");
     }
@@ -57,7 +54,7 @@ fn ten_k_records_reopen_cold_and_serve_1k_random_lookups_for_three_codecs() {
         CodecSpec::Fsst,
     ] {
         let (path, _guard) = temp_dir("accept");
-        write_records(&path, &records, codec.clone(), 1);
+        write_records(&path, &records, codec.clone());
 
         // Reopen cold: a fresh reader re-hydrating everything from disk.
         let reader = SegmentReader::open(&path).expect("reopen segment");
@@ -70,20 +67,6 @@ fn ten_k_records_reopen_cold_and_serve_1k_random_lookups_for_three_codecs() {
             );
         }
     }
-}
-
-#[test]
-fn four_worker_writer_is_byte_identical_to_single_threaded() {
-    let records = mixed_corpus();
-    let (path_single, _g1) = temp_dir("workers-1");
-    let (path_multi, _g2) = temp_dir("workers-4");
-    let codec = CodecSpec::Pbc(PbcConfig::small());
-    write_records(&path_single, &records, codec.clone(), 1);
-    write_records(&path_multi, &records, codec, 4);
-    let single = std::fs::read(&path_single).unwrap();
-    let multi = std::fs::read(&path_multi).unwrap();
-    assert!(!single.is_empty());
-    assert_eq!(single, multi, "worker count must not change the bytes");
 }
 
 #[test]
@@ -137,7 +120,7 @@ fn auto_codec_halves_a_homogeneous_corpus() {
 fn small_segment() -> (PathBuf, TempDir) {
     let (path, guard) = temp_dir("corrupt");
     let records = Dataset::Hdfs.generate(800, 0xc0de);
-    write_records(&path, &records, CodecSpec::Zstd { level: 3 }, 1);
+    write_records(&path, &records, CodecSpec::Zstd { level: 3 });
     (path, guard)
 }
 

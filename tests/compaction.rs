@@ -634,7 +634,6 @@ fn small_block_segments() -> SegmentConfig {
     SegmentConfig {
         target_block_bytes: 8 * 1024,
         auto_sample_blocks: 1,
-        workers: 1,
         ..SegmentConfig::default()
     }
 }

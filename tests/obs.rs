@@ -386,7 +386,6 @@ fn background_error_ring_retains_job_and_message() {
     let store = TieredStore::open(
         TierConfig::new(&dir)
             .with_watermark(u64::MAX)
-            .with_error_log_capacity(8)
             .with_planner(PlannerConfig {
                 max_segments: 2,
                 max_dead_ratio: 0.2,

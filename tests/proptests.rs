@@ -11,7 +11,7 @@ use pbc::archive::{
     build_codec, ArchiveError, BlockCodec, CodecSpec, Entry, SegmentConfig, SegmentReader,
     SegmentWriter,
 };
-use pbc::codecs::lz77::MIN_MATCH;
+use pbc::codecs::lz77::{self, MatchFinder, MatchFinderConfig, MIN_MATCH};
 use pbc::codecs::traits::{Codec, TrainableCodec};
 use pbc::codecs::{fsst, huffman, varint, FsstCodec, Lz4Like, LzmaLike, SnappyLike, ZstdLike};
 use pbc::core::matching::{match_record, reassemble};
@@ -61,6 +61,55 @@ proptest! {
         let lzma = LzmaLike::new(3);
         prop_assert_eq!(lzma.decompress(&lzma.compress(&data)).unwrap(), data.clone());
         prop_assert_eq!(huffman::decompress(&huffman::compress(&data)).unwrap(), data);
+    }
+
+    /// The match finder under every profile, over an arbitrary dictionary
+    /// and an input that repeats itself and pieces of the dictionary (a
+    /// small alphabet, one dictionary slice spliced in): every match is at
+    /// least `MIN_MATCH` long and reaches back no further than the window
+    /// or the buffer start, literal runs tile the input, only the last
+    /// token lacks a match, and replaying the tokens gives the input back.
+    #[test]
+    fn lz77_parse_replays_arbitrary_input_over_any_dictionary(
+        dictionary in vec(any::<u8>(), 0..512),
+        input in vec(any::<u8>(), 0..2048),
+        alphabet in 1u16..257,
+        from in any::<usize>(),
+        len in any::<usize>(),
+        at in any::<usize>(),
+    ) {
+        let mut input: Vec<u8> = input.iter().map(|&b| (b as u16 % alphabet) as u8).collect();
+        if !dictionary.is_empty() {
+            let from = from % dictionary.len();
+            let piece = &dictionary[from..from + len % (dictionary.len() - from + 1)];
+            let at = at % (input.len() + 1);
+            input.splice(at..at, piece.iter().copied());
+        }
+        let data = [dictionary.as_slice(), &input].concat();
+        let input_start = dictionary.len();
+        for config in [
+            MatchFinderConfig::fast(),
+            MatchFinderConfig::balanced(),
+            MatchFinderConfig::thorough(),
+        ] {
+            let tokens = MatchFinder::new(&data, input_start, config).parse();
+            let mut pos = input_start;
+            for (i, token) in tokens.iter().enumerate() {
+                prop_assert_eq!(token.literal_start, pos);
+                pos += token.literal_len;
+                match token.match_ {
+                    Some(m) => {
+                        prop_assert!(i + 1 < tokens.len(), "the last token carries a match");
+                        prop_assert!(m.len >= MIN_MATCH);
+                        prop_assert!(m.offset >= 1 && m.offset <= config.window.min(pos));
+                        pos += m.len;
+                    }
+                    None => prop_assert_eq!(i + 1, tokens.len(), "a match-less token mid-stream"),
+                }
+            }
+            prop_assert_eq!(pos, data.len());
+            prop_assert_eq!(lz77::reconstruct(&tokens, &data, input_start), input.clone());
+        }
     }
 
     #[test]
@@ -691,7 +740,6 @@ proptest! {
         writer.finish().unwrap();
 
         let reader = SegmentReader::open(&path).unwrap();
-        prop_assert!(reader.is_sorted());
         for key in keys.iter().step_by(7) {
             let mut expected = b"v=".to_vec();
             expected.extend_from_slice(key);
@@ -860,15 +908,16 @@ proptest! {
     /// do to it: one damaged byte, a cut, junk appended; headers that pass
     /// their CRC but carry random, damaged, token-spliced or mislabelled
     /// trained artifacts, so the junk reaches `BlockCodec::from_parts` and,
-    /// with the footer intact, the block decoders; and a footer index
-    /// damaged under a resealed CRC. Each is a reader or a typed
+    /// with the footer intact, the block decoders; a footer index damaged
+    /// under a resealed CRC; and a header resealed without the sorted-keys
+    /// flag, which must not open. Each is a reader or a typed
     /// `ArchiveError`, each block a block or a typed error: never a panic,
     /// an allocation sized by an unchecked length, or an out-of-bounds
     /// slice.
     #[test]
     fn segment_header_and_footer_survive_arbitrary_bytes(
         codec_pick in 0usize..5,
-        shape in 0u8..10,
+        shape in 0u8..11,
         at in any::<usize>(),
         bits in any::<u8>(),
         junk in vec(any::<u8>(), 0..768),
@@ -925,6 +974,7 @@ proptest! {
                 let codec_id = bits % 6;
                 reseal_header(real, &Header { codec_id, ..header.clone() })
             }
+            9 => reseal_header(real, &Header { flags: 0, ..header.clone() }),
             _ => {
                 // One footer byte damaged under a resealed index CRC:
                 // record counts, lengths and offsets the reader must
@@ -942,6 +992,9 @@ proptest! {
         };
         let (path, _guard) = segment_path();
         std::fs::write(&path, &bytes).unwrap();
+        if shape == 9 {
+            prop_assert!(matches!(SegmentReader::open(&path), Err(ArchiveError::UnsortedKeys)));
+        }
         if let Ok(reader) = SegmentReader::open(&path) {
             for block in 0..reader.block_count() {
                 match reader.read_block(block) {
