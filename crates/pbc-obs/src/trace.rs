@@ -39,9 +39,9 @@ pub enum Event {
         l0_inputs: usize,
         /// L1 partitions feeding the merge.
         l1_inputs: usize,
-        /// Inclusive lower bound of the reserved key range.
+        /// Inclusive lower bound of the job's key range.
         min_key: Vec<u8>,
-        /// Inclusive upper bound of the reserved key range; `None` = +inf.
+        /// Inclusive upper bound of the job's key range; `None` = +inf.
         max_key: Option<Vec<u8>>,
     },
     /// A compaction job committed a new manifest generation.
@@ -58,11 +58,6 @@ pub enum Event {
         output_bytes: u64,
         /// Live entries surviving the merge.
         live_entries: u64,
-    },
-    /// A compaction job stopped without committing.
-    CompactionAborted {
-        /// Why the job aborted (reservation race, stale plan, ...).
-        reason: String,
     },
     /// The manifest advanced to a new generation (spill or compaction).
     ManifestGeneration {
@@ -167,7 +162,6 @@ impl std::fmt::Display for Event {
                      {live_entries} live entries"
                 )
             }
-            Event::CompactionAborted { reason } => write!(f, "compaction aborted: {reason}"),
             Event::ManifestGeneration { generation } => {
                 write!(f, "manifest generation -> {generation}")
             }

@@ -190,6 +190,12 @@ impl ColdTier {
         self.l0.iter().chain(self.l1.iter())
     }
 
+    /// Per-level statistics: `(L0 newest first, L1 ascending by key)`.
+    pub(crate) fn leveled_stats(&self) -> (Vec<SegmentStats>, Vec<SegmentStats>) {
+        let stats = |level: &[Arc<ColdSegment>]| level.iter().map(|s| s.stats.clone()).collect();
+        (stats(&self.l0), stats(&self.l1))
+    }
+
     /// `(records, tombstones)` stored across every segment.
     pub(crate) fn record_totals(&self) -> (u64, u64) {
         self.iter().fold((0, 0), |(records, tombstones), s| {

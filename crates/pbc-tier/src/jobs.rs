@@ -1,6 +1,6 @@
-//! Compaction jobs: plan, reserve, validate against the live tier, merge,
-//! commit as one generation bump. Owns the staleness rules (a plan that
-//! lost a race is replanned, never an error) and the background pass.
+//! Compaction jobs: plan and merge from one snapshot, commit as one
+//! generation bump, all under the one `compactor` lock; and the
+//! background pass that runs them.
 
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -11,7 +11,7 @@ use pbc_obs::Event;
 
 use crate::commit::{segment_file_name, ColdSegment, ColdTier, UncommittedFiles};
 use crate::compact::merge_segments;
-use crate::error::Result;
+use crate::error::{Result, TierError};
 use crate::planner::{promotion_l1, CompactionJob, KeyRange, SegmentStats, LEVEL_L1};
 use crate::store::TierInner;
 
@@ -33,33 +33,34 @@ pub struct CompactionSummary {
 }
 
 impl TierInner {
-    /// Plan the best job against current stats and reservations.
-    fn plan_next(&self) -> Option<CompactionJob> {
-        let (l0, l1) = self.leveled_stats();
-        let reserved = self.reservations.snapshot();
-        self.planner.plan(&l0, &l1, &reserved)
+    /// Plan the best job over `cold`, the snapshot the job will merge.
+    fn plan_next(&self, cold: &ColdTier) -> Option<CompactionJob> {
+        let (l0, l1) = cold.leveled_stats();
+        self.planner.plan(&l0, &l1)
     }
 
     /// One background maintenance pass: planned compaction jobs until no
     /// trigger remains or shutdown/pause intervenes, with WAL upkeep
     /// (periodic fsync, threshold checkpoint) before each one — under
     /// steady writes the planner keeps finding jobs, and the log must
-    /// stay near its checkpoint threshold meanwhile. Returns `false` when
-    /// anything errored (counted; the maintenance loop backs off before
-    /// retrying).
+    /// stay near its checkpoint threshold meanwhile. Each round holds the
+    /// `compactor` lock and checks the pause under it (see
+    /// [`crate::maintenance`]). Returns `false` when anything errored
+    /// (counted; the maintenance loop backs off before retrying).
     pub(crate) fn background_pass(&self) -> bool {
-        while !self.maint.is_shutdown() && !self.maint.is_paused() {
+        loop {
+            let _compactor = self.compactor_guard();
+            if self.maint.is_shutdown() || self.maint.is_paused() {
+                return true;
+            }
             if !self.wal_pass() {
                 return false;
             }
-            let Some(job) = self.plan_next() else {
+            let cold = self.cold_snapshot();
+            let Some(job) = self.plan_next(&cold) else {
                 return true;
             };
-            // On a lost reservation race (`Ok(None)`), replan right away:
-            // the planner sees the now-claimed range and either proposes
-            // disjoint work or returns `None`, so this never spins against
-            // the winning compactor.
-            if let Err(e) = self.run_job(&job) {
+            if let Err(e) = self.run_job(&cold, &job) {
                 // Keep the actual error, not just the count: the ring
                 // retains what failed and why for later inspection.
                 self.obs
@@ -67,62 +68,34 @@ impl TierInner {
                 return false;
             }
         }
-        true
     }
 
     pub(crate) fn run_pending_compactions(&self) -> Result<usize> {
+        // A running compactor works through the same triggers; waiting
+        // out its job would only delay the caller.
+        let Some(_compactor) = self.try_compactor_guard() else {
+            return Ok(0);
+        };
         let mut jobs = 0usize;
-        let mut lost_races = 0usize;
         // Every promotion shrinks L0 and every consolidation shrinks L1,
-        // so planning converges; the caps are backstops against planner
-        // bugs, not tuning knobs.
-        while jobs < 1_000 && lost_races < 1_000 {
-            let Some(job) = self.plan_next() else {
+        // so planning converges; the cap is a backstop against planner
+        // bugs, not a tuning knob.
+        while jobs < 1_000 {
+            let cold = self.cold_snapshot();
+            let Some(job) = self.plan_next(&cold) else {
                 break;
             };
-            if self.run_job(&job)?.is_none() {
-                // Another compactor reserved this range or retired these
-                // inputs between our plan and our reservation. Replan:
-                // the next pass sees the claimed range (and the updated
-                // tier), so it finds disjoint work or cleanly runs out —
-                // the documented contract is to drain every crossed
-                // trigger, not to stop at the first lost race.
-                lost_races += 1;
-                continue;
-            }
+            self.run_job(&cold, &job)?;
             jobs += 1;
         }
         Ok(jobs)
     }
 
-    /// Run one planned job under a key-range reservation. Returns
-    /// `Ok(None)` when the job went stale — its range is reserved by a
-    /// concurrent job, or its inputs no longer match the live tier —
-    /// which is not an error: the caller simply replans against current
-    /// state.
-    fn run_job(&self, job: &CompactionJob) -> Result<Option<CompactionSummary>> {
-        let Some(_reservation) = self.reservations.try_reserve(job.range.clone()) else {
-            self.obs.trace(Event::CompactionAborted {
-                reason: "key range reserved by a concurrent job".into(),
-            });
-            return Ok(None);
-        };
-        self.run_job_reserved(job)
-    }
-
-    /// The reserved body of [`TierInner::run_job`]: validate the plan
-    /// against the live tier, merge, and commit "retire inputs, add
-    /// output partitions" as one generation bump. Caller holds the job's
-    /// key-range reservation, which is what licenses every unsynchronized
-    /// step here: no concurrent job can touch segments inside the range.
-    fn run_job_reserved(&self, job: &CompactionJob) -> Result<Option<CompactionSummary>> {
-        let snapshot = self.cold_snapshot();
-        let Some((l0_run, l1_run)) = validate_job(&snapshot, job) else {
-            self.obs.trace(Event::CompactionAborted {
-                reason: "plan went stale: inputs no longer contiguous in the live tier".into(),
-            });
-            return Ok(None);
-        };
+    /// Merge `job`'s inputs, taken from `cold` (the snapshot it was
+    /// planned from), and commit "retire inputs, add output partitions"
+    /// as one generation bump. Caller holds the `compactor` lock, so no
+    /// other job can have touched the inputs since the plan.
+    fn run_job(&self, cold: &ColdTier, job: &CompactionJob) -> Result<CompactionSummary> {
         self.obs.trace(Event::CompactionPlanned {
             l0_inputs: job.l0_inputs.len(),
             l1_inputs: job.l1_inputs.len(),
@@ -131,24 +104,24 @@ impl TierInner {
         });
         // Newest-first merge rank: the L0 run in recency order, then the
         // L1 partitions (their versions are older than any L0 version of
-        // the same key — the leveling invariant).
-        let run = || {
-            snapshot.l0[l0_run.clone()]
-                .iter()
-                .chain(&snapshot.l1[l1_run.clone()])
-        };
-        let readers: Vec<&SegmentReader> = run().map(|s| &s.reader).collect();
+        // the same key — the leveling invariant). `cold.iter()` walks
+        // exactly that order.
+        let inputs: Vec<&Arc<ColdSegment>> = cold
+            .iter()
+            .filter(|s| job.input_ids().any(|id| id == s.stats.id))
+            .collect();
+        let readers: Vec<&SegmentReader> = inputs.iter().map(|s| &s.reader).collect();
         let codec = self.codec.job_spec(
-            run().map(|s| s.stats.records).sum(),
-            snapshot.iter().map(|s| s.stats.records).sum(),
+            inputs.iter().map(|s| s.stats.records).sum(),
+            cold.iter().map(|s| s.stats.records).sum(),
         );
-        // Only committed jobs land in the histogram — aborted and failed
-        // ones would skew it with durations of work that produced nothing.
+        // Only committed jobs land in the histogram — failed ones would
+        // skew it with durations of work that produced nothing.
         let timer = self.obs.compaction_ns.start_timer();
         let result = self.merge_and_commit(job, &readers, codec);
         match &result {
-            Ok(Some(_)) => timer.observe(),
-            _ => timer.cancel(),
+            Ok(_) => timer.observe(),
+            Err(_) => timer.cancel(),
         }
         result
     }
@@ -159,7 +132,7 @@ impl TierInner {
         job: &CompactionJob,
         readers: &[&SegmentReader],
         codec: CodecSpec,
-    ) -> Result<Option<CompactionSummary>> {
+    ) -> Result<CompactionSummary> {
         let mut next_output = || {
             let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
             let name = segment_file_name(id);
@@ -207,22 +180,17 @@ impl TierInner {
             .collect::<Result<Vec<_>>>()?;
 
         // Commit: rebuild the tier with the inputs replaced by the output
-        // partitions. Concurrent spills may have prepended L0 segments and
-        // disjoint jobs may have rewritten other ranges since our snapshot
-        // — relocate the inputs in the *current* tier (inside our reserved
-        // range nothing can have touched them; if they are gone anyway,
-        // the plan was stale before we reserved). The commit lock covers
-        // the slow manifest fsync; the cold write lock is held only for
-        // the pointer swap, so readers never wait on the fsync.
+        // partitions. Spills may have prepended L0 segments since our
+        // snapshot, so relocate the inputs in the *current* tier; nothing
+        // else changes the segment set while we hold the `compactor`
+        // lock, so inputs that cannot be found are a broken invariant.
+        // The commit lock covers the slow manifest fsync; the cold write
+        // lock is held only for the pointer swap, so readers never wait
+        // on the fsync.
         let (retired, generation): (Vec<Arc<ColdSegment>>, u64) = {
             let _commit = self.commit_guard();
             let current = self.cold_snapshot();
-            let Some((l0_run, l1_run)) = validate_job(&current, job) else {
-                self.obs.trace(Event::CompactionAborted {
-                    reason: "plan went stale at commit: inputs already retired".into(),
-                });
-                return Ok(None);
-            };
+            let (l0_run, l1_run) = locate_inputs(&current, job)?;
             let (mut l0, mut l1) = (current.l0.clone(), current.l1.clone());
             let retired: Vec<Arc<ColdSegment>> = l0.drain(l0_run).chain(l1.drain(l1_run)).collect();
             // The merge emits keys in ascending order, so `replacements`
@@ -253,31 +221,31 @@ impl TierInner {
             output_bytes: outcome.outputs.iter().map(|o| o.summary.file_bytes).sum(),
             live_entries: outcome.live_entries,
         });
-        Ok(Some(CompactionSummary {
+        Ok(CompactionSummary {
             merged_segments: retired.len(),
             output_partitions: outcome.outputs.len(),
             live_entries: outcome.live_entries,
             shadowed_dropped: outcome.shadowed_dropped,
             tombstones_dropped: outcome.tombstones_dropped,
-        }))
+        })
     }
 
     /// Full merge: every segment on both levels into fresh L1 partitions,
-    /// under a whole-key-space reservation (waits for in-flight jobs).
+    /// with the maintenance thread paused (waits for an in-flight job).
     pub(crate) fn compact(&self) -> Result<CompactionSummary> {
-        let _reservation = self.reservations.reserve_blocking(KeyRange::everything());
-        let snapshot = self.cold_snapshot();
-        if snapshot.is_empty() {
+        let _compactor = self.caller_compactor();
+        let cold = self.cold_snapshot();
+        if cold.is_empty() {
             return Ok(CompactionSummary::default());
         }
         let job = CompactionJob {
-            l0_inputs: snapshot.l0.iter().map(|s| s.stats.id).collect(),
-            l1_inputs: snapshot.l1.iter().map(|s| s.stats.id).collect(),
+            l0_inputs: cold.l0.iter().map(|s| s.stats.id).collect(),
+            l1_inputs: cold.l1.iter().map(|s| s.stats.id).collect(),
             range: KeyRange::everything(),
             split_outputs: true,
             score: f64::INFINITY,
         };
-        Ok(self.run_job_reserved(&job)?.unwrap_or_default())
+        self.run_job(&cold, &job)
     }
 }
 
@@ -298,15 +266,20 @@ fn describe_job(job: &CompactionJob) -> String {
 
 /// Locate a job's inputs in the live tier: the L0 inputs as a contiguous
 /// newest-first run, the L1 inputs as a contiguous ascending run, and the
-/// planner's soundness rules still holding for them. `None` means the plan
-/// went stale (another compactor got there first) — not an error.
-fn validate_job(tier: &ColdTier, job: &CompactionJob) -> Option<(Range<usize>, Range<usize>)> {
-    let l0_run = locate_run(&tier.l0, &job.l0_inputs)?;
-    let l1_run = locate_run(&tier.l1, &job.l1_inputs)?;
-    let required = promotion_l1(&tier.l0, l0_run.clone(), &tier.l1)?;
-    let included =
-        required.is_empty() || (l1_run.start <= required.start && required.end <= l1_run.end);
-    included.then_some((l0_run, l1_run))
+/// planner's soundness rules still holding for them. Spills only prepend
+/// L0 segments, so this fails only on a broken invariant.
+fn locate_inputs(tier: &ColdTier, job: &CompactionJob) -> Result<(Range<usize>, Range<usize>)> {
+    let located = || {
+        let l0_run = locate_run(&tier.l0, &job.l0_inputs)?;
+        let l1_run = locate_run(&tier.l1, &job.l1_inputs)?;
+        let required = promotion_l1(&tier.l0, l0_run.clone(), &tier.l1)?;
+        let included =
+            required.is_empty() || (l1_run.start <= required.start && required.end <= l1_run.end);
+        included.then_some((l0_run, l1_run))
+    };
+    located().ok_or_else(|| TierError::ManifestCorrupt {
+        context: format!("compaction inputs no longer in place at commit: {job}"),
+    })
 }
 
 /// Find `inputs` as a contiguous run of `list` (by id); `None` when any

@@ -65,17 +65,20 @@
 //!   adjacent L1 partitions — whose outputs are written back to L1 split
 //!   at [`PlannerConfig::target_partition_bytes`] boundaries. Every job
 //!   includes everything at or below its key range, so every job drops
-//!   tombstones: L1 never stores one. Jobs reserve their key interval in
-//!   a **range-reservation table** instead of a global lock, so jobs over
-//!   disjoint ranges run and commit concurrently — from the background
-//!   maintenance thread ([`TierConfig::background_compaction`]) and any
-//!   number of [`TieredStore::run_pending_compactions`] callers at once.
+//!   tombstones: L1 never stores one. **One compactor runs at a time**:
+//!   the background maintenance thread
+//!   ([`TierConfig::background_compaction`]),
+//!   [`TieredStore::run_pending_compactions`] and [`TieredStore::compact`]
+//!   each hold one lock from plan through merge to commit. `compact`
+//!   pauses the thread first so it cannot starve; a drain that finds the
+//!   lock taken leaves the work to its holder. Spills commit beside a
+//!   running job.
 //!   The first spill, and any job that rewrites the majority of cold
 //!   records, selects a block codec over its own first blocks; every
 //!   other spill and job reuses the codec the last of those committed to,
 //!   with the per-block raw fallback bounding drift.
-//!   [`TieredStore::compact`] remains as the full merge (whole-key-space
-//!   reservation) for offline reorganization.
+//!   [`TieredStore::compact`] remains as the full merge of both levels
+//!   for offline reorganization.
 //!
 //! ## Example
 //!
@@ -114,7 +117,6 @@ pub mod manifest;
 pub mod obs;
 pub mod planner;
 mod read;
-mod reservation;
 pub mod scan;
 mod spill;
 pub mod store;

@@ -8,31 +8,36 @@
 //! threshold is crossed, and runs the planned jobs one bounded merge at a
 //! time — reads and spills continue throughout, because jobs operate on a
 //! snapshot of the segment set and commit through the same
-//! generation-stamped manifest swap as everything else. Jobs reserve
-//! their key range rather than holding a global compaction lock, so the
-//! thread composes with concurrent
-//! [`crate::TieredStore::run_pending_compactions`] callers: work over
-//! disjoint key ranges runs and commits in parallel, and a plan that
-//! loses the reservation race is simply replanned on the next pass.
+//! generation-stamped manifest swap as everything else. There is one
+//! compactor at a time: each job runs under the store's `compactor` lock.
+//! [`crate::TieredStore::compact`] pauses the thread before it takes that
+//! lock, so a busy thread cannot starve it;
+//! [`crate::TieredStore::run_pending_compactions`] takes the lock only
+//! when it is free.
 //!
 //! Lifecycle: [`MaintSignal::request_shutdown`] (called from the store's
 //! `Drop`) wakes the thread and makes it exit after at most one in-flight
 //! job; the store then joins the handle, so dropping a `TieredStore` never
 //! leaks the thread. Pausing ([`crate::TieredStore::pause_compaction`])
-//! stops *new* jobs from starting and returns once the current one, if
-//! any, has committed: after it returns the generation holds still.
+//! raises the pause depth, then takes and drops the `compactor` lock. The
+//! thread checks the depth under that lock before every job, so new jobs
+//! stop and the pause returns once the current one, if any, has
+//! committed: after it returns no background job commits until the
+//! matching resume.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+
+use crate::store::TierInner;
 
 /// Wakeup/shutdown/pause coordination between the store and its
 /// maintenance thread.
 #[derive(Default)]
 pub(crate) struct MaintSignal {
     /// Under one mutex, so a notification just before `wait` is never
-    /// lost and a pause never misses a pass that is starting.
+    /// lost.
     state: Mutex<MaintState>,
     cv: Condvar,
     /// Pause depth: jobs only start at 0. A counter (not a flag) lets
@@ -45,8 +50,6 @@ struct MaintState {
     /// Wakeups since the thread last looked.
     pending: u64,
     shutdown: bool,
-    /// A background pass is running (see [`MaintSignal::start_pass`]).
-    busy: bool,
 }
 
 impl MaintSignal {
@@ -66,26 +69,6 @@ impl MaintSignal {
 
     pub(crate) fn is_shutdown(&self) -> bool {
         self.state.lock().shutdown
-    }
-
-    /// Stop new passes, then wait for the running one (its current job
-    /// included) to end.
-    pub(crate) fn pause(&self) {
-        self.pause_depth.fetch_add(1, Ordering::SeqCst);
-        let mut state = self.state.lock();
-        while state.busy {
-            self.cv.wait(&mut state);
-        }
-    }
-
-    /// Mark a background pass as running, unless paused. The pass ends
-    /// when the guard drops. `busy` is set before the pause check and
-    /// read after the pause count rises, so [`Self::pause`] either waits
-    /// for this pass or this pass sees the pause.
-    fn start_pass(&self) -> Option<PassGuard<'_>> {
-        self.state.lock().busy = true;
-        let guard = PassGuard(self);
-        (!self.is_paused()).then_some(guard)
     }
 
     pub(crate) fn resume(&self) {
@@ -123,13 +106,37 @@ impl MaintSignal {
     }
 }
 
-/// A running background pass; dropping it wakes any waiting pause.
-struct PassGuard<'a>(&'a MaintSignal);
+/// The `compactor` lock held on the caller's thread with the maintenance
+/// thread paused; dropping it resumes the thread, on error paths too.
+pub(crate) struct CallerCompactor<'a> {
+    maint: &'a MaintSignal,
+    _compactor: MutexGuard<'a, ()>,
+}
 
-impl Drop for PassGuard<'_> {
+impl Drop for CallerCompactor<'_> {
     fn drop(&mut self) {
-        self.0.state.lock().busy = false;
-        self.0.cv.notify_all();
+        self.maint.resume();
+    }
+}
+
+impl TierInner {
+    /// Stop the maintenance thread from starting new jobs, and return
+    /// once its running job, if any, has committed (see the
+    /// [module docs](self)).
+    pub(crate) fn pause_maintenance(&self) {
+        self.maint.pause_depth.fetch_add(1, Ordering::SeqCst);
+        drop(self.compactor_guard());
+    }
+
+    /// Pause the maintenance thread and take the `compactor` lock, for
+    /// [`crate::TieredStore::compact`].
+    // lock-wrapper: caller_compactor = store.compactor
+    pub(crate) fn caller_compactor(&self) -> CallerCompactor<'_> {
+        self.pause_maintenance();
+        CallerCompactor {
+            maint: &self.maint,
+            _compactor: self.compactor_guard(),
+        }
     }
 }
 
@@ -144,7 +151,7 @@ impl Drop for PassGuard<'_> {
 /// struggling disk. A spill notification still wakes the thread early —
 /// new data may change the plan — and the first clean pass resets the
 /// backoff.
-pub(crate) fn maintenance_loop(inner: std::sync::Arc<crate::store::TierInner>) {
+pub(crate) fn maintenance_loop(inner: std::sync::Arc<TierInner>) {
     let tick = inner.config.maintenance_tick;
     let mut error_streak = 0u32;
     loop {
@@ -154,9 +161,11 @@ pub(crate) fn maintenance_loop(inner: std::sync::Arc<crate::store::TierInner>) {
         if inner.maint.wait(wait) {
             return;
         }
-        let Some(_pass) = inner.maint.start_pass() else {
+        // Paused: leave the `compactor` lock alone, so a drain that finds
+        // it taken is never turned away by a pass that would do nothing.
+        if inner.maint.is_paused() {
             continue;
-        };
+        }
         if inner.background_pass() {
             error_streak = 0;
         } else {

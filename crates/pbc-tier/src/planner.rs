@@ -26,13 +26,6 @@
 //!    any key the output covers — so **every job drops tombstones**: L1,
 //!    the bottom level, never stores a tombstone.
 //!
-//! Because each job's inputs and outputs all live inside one connected key
-//! interval (every selected L1 partition touches the run's interval), jobs
-//! whose intervals are disjoint touch disjoint segments and may run —
-//! and commit — **concurrently**. The planner takes the set of currently
-//! reserved ranges and only proposes jobs disjoint from all of them; the
-//! store enforces the same exclusion with a range-reservation table.
-//!
 //! **Promotion is bounded by bytes, not by segment count.** Promotions
 //! run once L0 holds at least as many bytes as the L1 partitions its key
 //! range intersects, once L0 holds a full `max_job_segments` batch, or
@@ -175,7 +168,7 @@ fn bounds<'a, S: Leveled + 'a>(
 }
 
 /// A closed key interval `[min, max]`; `max = None` means unbounded above
-/// (only the full-compaction reservation uses that). The empty byte string
+/// (only a full compaction's job uses that). The empty byte string
 /// is the smallest possible key, so `min: vec![]` reaches all the way down.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyRange {
@@ -200,35 +193,6 @@ impl KeyRange {
         KeyRange {
             min,
             max: Some(max),
-        }
-    }
-
-    /// Whether the two ranges share any key.
-    pub fn overlaps(&self, other: &KeyRange) -> bool {
-        let self_below = match &self.max {
-            Some(max) => other.min.as_slice() <= max.as_slice(),
-            None => true,
-        };
-        let other_below = match &other.max {
-            Some(max) => self.min.as_slice() <= max.as_slice(),
-            None => true,
-        };
-        self_below && other_below
-    }
-
-    /// Grow this range to also cover `other`.
-    pub fn merge(&mut self, other: &KeyRange) {
-        if other.min < self.min {
-            self.min = other.min.clone();
-        }
-        match (&mut self.max, &other.max) {
-            (Some(mine), Some(theirs)) => {
-                if theirs > mine {
-                    *mine = theirs.clone();
-                }
-            }
-            (max @ Some(_), None) => *max = None,
-            (None, _) => {}
         }
     }
 }
@@ -287,9 +251,8 @@ pub struct CompactionJob {
     /// this is every partition intersecting the L0 run's range; for a
     /// consolidation, an adjacent run of partitions.
     pub l1_inputs: Vec<u64>,
-    /// The union key interval of every input — what the store reserves
-    /// while the job is in flight. Outputs are confined to it, so jobs
-    /// with disjoint ranges commute.
+    /// The union key interval of every input; the outputs are confined
+    /// to it. Traced with the job and named in its error reports.
     pub range: KeyRange,
     /// Whether the output stream splits at
     /// [`PlannerConfig::target_partition_bytes`]. True for promotions
@@ -338,8 +301,8 @@ impl fmt::Display for CompactionJob {
     }
 }
 
-/// Scores leveled candidate jobs and emits the best one disjoint from all
-/// reserved ranges; see the [module docs](self).
+/// Scores leveled candidate jobs and emits the best one; see the
+/// [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct CompactionPlanner {
     config: PlannerConfig,
@@ -433,24 +396,16 @@ impl CompactionPlanner {
         (2.0 * dead + overlap + relief) / cost
     }
 
-    /// Pick the best job disjoint from every reserved range, or `None`
-    /// when no threshold is crossed or nothing eligible remains.
+    /// Pick the best job, or `None` when no threshold is crossed or
+    /// nothing eligible remains.
     ///
     /// `l0` is newest first (the store's L0 order), `l1` ascending by key
     /// range. Candidate L0 runs must satisfy soundness rule 1 (no older
     /// L0 segment overlapping the run's interval); ties prefer older runs
     /// so the tail — and its tombstones — drains first.
-    pub fn plan(
-        &self,
-        l0: &[SegmentStats],
-        l1: &[SegmentStats],
-        reserved: &[KeyRange],
-    ) -> Option<CompactionJob> {
+    pub fn plan(&self, l0: &[SegmentStats], l1: &[SegmentStats]) -> Option<CompactionJob> {
         let mut best: Option<CompactionJob> = None;
         let mut consider = |candidate: CompactionJob| {
-            if reserved.iter().any(|r| r.overlaps(&candidate.range)) {
-                return;
-            }
             if best.as_ref().is_none_or(|b| candidate.score >= b.score) {
                 best = Some(candidate);
             }
@@ -546,7 +501,7 @@ mod tests {
         ];
         let l1 = vec![part(1, 1_000, 10_000, (0, 99))];
         assert!(!planner.should_compact(&l0, &l1));
-        assert_eq!(planner.plan(&l0, &l1, &[]), None);
+        assert_eq!(planner.plan(&l0, &l1), None);
     }
 
     #[test]
@@ -564,7 +519,7 @@ mod tests {
             seg(2, 300, 0, 4_000, (0, 99)),
         ];
         assert!(planner.should_compact(&l0, &l1));
-        let job = planner.plan(&l0, &l1, &[]).unwrap();
+        let job = planner.plan(&l0, &l1).unwrap();
         assert_eq!(job.l0_inputs, vec![3, 2], "both spills in one job");
         assert_eq!(job.l1_inputs, vec![1]);
         // One byte short of B: nothing yet.
@@ -599,7 +554,7 @@ mod tests {
         let l1 = vec![part(1, 1_000, 100_000, (0, 99))];
         assert!(!planner.should_compact(&l0[..1], &l1), "short of a batch");
         assert!(planner.should_compact(&l0, &l1));
-        let job = planner.plan(&l0, &l1, &[]).unwrap();
+        let job = planner.plan(&l0, &l1).unwrap();
         assert_eq!(job.l0_inputs, vec![6, 5], "bounded oldest suffix");
         assert_eq!(job.l1_inputs, vec![1], "the intersected partition");
     }
@@ -617,13 +572,13 @@ mod tests {
             part(3, 100, 1_000, (50, 70)),
             part(4, 100, 1_000, (80, 99)),
         ];
-        let job = planner.plan(&l0, &l1, &[]).unwrap();
+        let job = planner.plan(&l0, &l1).unwrap();
         assert_eq!(job.l0_inputs, vec![9]);
         assert_eq!(job.l1_inputs, vec![2, 3], "range-selected partitions");
         assert_eq!(
             job.range,
             KeyRange::bounded(vec![b'k', 20], vec![b'k', 70]),
-            "reservation covers the L1 extension"
+            "the job range covers the L1 extension"
         );
     }
 
@@ -641,30 +596,8 @@ mod tests {
             seg(8, 100, 0, 1_000, (40, 60)),
             seg(7, 100, 0, 1_000, (10, 20)),
         ];
-        let job = planner.plan(&l0, &[], &[]).unwrap();
+        let job = planner.plan(&l0, &[]).unwrap();
         assert_ne!(job.l0_inputs, vec![9], "9 is blocked by older 7");
-    }
-
-    #[test]
-    fn reserved_ranges_exclude_conflicting_jobs_so_disjoint_work_proceeds() {
-        let planner = CompactionPlanner::new(PlannerConfig {
-            max_job_segments: 2,
-            ..PlannerConfig::default()
-        });
-        // Two disjoint key clusters; the tombstone-heavy old cluster wins
-        // unreserved, and reserving it yields the other cluster's job.
-        let l0 = vec![
-            seg(9, 100, 0, 1_000, (60, 99)),
-            seg(8, 100, 80, 1_000, (0, 40)),
-        ];
-        let unreserved = planner.plan(&l0, &[], &[]).unwrap();
-        assert_eq!(unreserved.l0_inputs, vec![8], "dead old cluster first");
-        let reserved = vec![unreserved.range.clone()];
-        let concurrent = planner.plan(&l0, &[], &reserved).unwrap();
-        assert_eq!(concurrent.l0_inputs, vec![9], "disjoint job still planned");
-        assert!(!concurrent.range.overlaps(&unreserved.range));
-        let everything = vec![KeyRange::everything()];
-        assert_eq!(planner.plan(&l0, &[], &everything), None);
     }
 
     #[test]
@@ -690,7 +623,7 @@ mod tests {
             })
             .collect();
         assert!(!planner.should_compact(&live, &l1));
-        let job = planner.plan(&l0, &l1, &[]).unwrap();
+        let job = planner.plan(&l0, &l1).unwrap();
         assert_eq!(job.l0_inputs, vec![7, 6], "the dead run wins");
     }
 
@@ -708,7 +641,7 @@ mod tests {
             seg(7, 10, 0, 60 << 10, (50, 60)),
             seg(6, 10, 0, 60 << 10, (50, 60)),
         ];
-        let job = planner.plan(&l0, &[], &[]).unwrap();
+        let job = planner.plan(&l0, &[]).unwrap();
         assert_eq!(job.l0_inputs, vec![7, 6], "cheaper rewrite wins");
     }
 
@@ -726,7 +659,7 @@ mod tests {
             part(3, 100, 5_000, (40, 60)),
             part(4, 100, 1_500, (70, 99)),
         ];
-        let job = planner.plan(&[], &l1, &[]).unwrap();
+        let job = planner.plan(&[], &l1).unwrap();
         assert!(job.l0_inputs.is_empty(), "consolidation is L1-only");
         assert_eq!(job.l1_inputs, vec![1, 2], "combined size fits the target");
         // A full partition never consolidates past the target.
@@ -753,21 +686,21 @@ mod tests {
             .collect();
         let one_spill = vec![seg(100, 50, 0, 4_096, (0, 59))];
         assert_eq!(
-            planner.plan(&one_spill, &l1, &[]),
+            planner.plan(&one_spill, &l1),
             None,
             "one spill against a big L1 waits for a batch"
         );
         let batch: Vec<SegmentStats> = (0..3)
             .map(|i| seg(100 + i, 50, 0, 4_096, (0, 59)))
             .collect();
-        let job = planner.plan(&batch, &l1, &[]).unwrap();
+        let job = planner.plan(&batch, &l1).unwrap();
         assert!(!job.l0_inputs.is_empty(), "a full batch promotes");
         // Dead weight is never gated behind batching: tombstones only
         // drain by promotion. (The ratio is measured across all cold
         // records, so the spill must carry enough tombstones to matter.)
         let dead_spill = vec![seg(100, 200, 180, 4_096, (0, 59))];
         assert!(
-            planner.plan(&dead_spill, &l1, &[]).is_some(),
+            planner.plan(&dead_spill, &l1).is_some(),
             "the dead-ratio trigger still promotes a lone spill"
         );
     }
@@ -791,7 +724,7 @@ mod tests {
             .collect();
         let mut next_id = 100u64;
         let mut steps = 0;
-        while let Some(job) = planner.plan(&[], &l1, &[]) {
+        while let Some(job) = planner.plan(&[], &l1) {
             steps += 1;
             assert!(steps < 64, "consolidation planning must converge");
             assert!(!job.split_outputs);
@@ -825,23 +758,7 @@ mod tests {
     fn empty_input_plans_nothing() {
         let planner = CompactionPlanner::default();
         assert!(!planner.should_compact(&[], &[]));
-        assert_eq!(planner.plan(&[], &[], &[]), None);
-    }
-
-    #[test]
-    fn key_range_overlap_and_merge() {
-        let a = KeyRange::bounded(b"a".to_vec(), b"f".to_vec());
-        let b = KeyRange::bounded(b"d".to_vec(), b"k".to_vec());
-        let c = KeyRange::bounded(b"g".to_vec(), b"k".to_vec());
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
-        assert!(KeyRange::everything().overlaps(&a));
-        assert!(a.overlaps(&KeyRange::everything()));
-        let mut merged = a.clone();
-        merged.merge(&c);
-        assert_eq!(merged, KeyRange::bounded(b"a".to_vec(), b"k".to_vec()));
-        merged.merge(&KeyRange::everything());
-        assert_eq!(merged.max, None);
+        assert_eq!(planner.plan(&[], &[]), None);
     }
 
     #[test]

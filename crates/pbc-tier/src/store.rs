@@ -24,13 +24,14 @@
 //! any lock, so a compaction job can retire segments mid-read — the
 //! retired readers (and, on unix, their unlinked files) stay alive until
 //! the last in-flight read drops its snapshot. Spills and compaction jobs
-//! run concurrently, and **multiple compaction jobs run concurrently with
-//! each other** when their key ranges are disjoint: instead of one global
-//! compaction lock, each job reserves its key interval in a reservation
-//! table for the duration of the merge. Every change to the segment set
-//! still commits through one generation-stamped manifest swap under a
-//! dedicated commit lock, with the set's write lock held only for the
-//! final pointer swap — so readers never wait out a manifest fsync.
+//! run concurrently, but **one compactor runs at a time**: a job holds
+//! the `compactor` lock from plan through merge to commit, so it plans
+//! and merges from one snapshot and nothing but spills (which only
+//! prepend L0 segments) can change the segment set under it. Every
+//! change to the segment set commits through one generation-stamped
+//! manifest swap under a dedicated commit lock, with the set's write lock
+//! held only for the final pointer swap — so readers never wait out a
+//! manifest fsync.
 //!
 //! ## Crash safety
 //!
@@ -53,8 +54,8 @@
 //!   `write.rs` — `set`/`delete` atomic with their WAL append, checkpoints.
 //! * `spill.rs` — victim choice, the four spill steps (copy, write,
 //!   publish, evict what did not change).
-//! * `jobs.rs` — planning, plan staleness, merge + commit of one job;
-//!   `reservation.rs` — which jobs may run together.
+//! * `jobs.rs` — planning, merge + commit of one job, the background
+//!   pass; `maintenance.rs` — the thread, and pausing it.
 //! * `commit.rs` — what a segment is, the `MANIFEST` + `cold` swap, the
 //!   value marker, cleanup of files no manifest names; `codec.rs` — which
 //!   block codec spills and jobs write with.
@@ -70,7 +71,7 @@ use pbc_wal::{CheckpointSummary, RecoveryReport, Wal, WalStats};
 
 use crate::cache::BlockCache;
 use crate::codec::TierCodec;
-use crate::commit::{sweep_orphans, ColdList, ColdSegment, ColdTier};
+use crate::commit::{sweep_orphans, ColdList, ColdTier};
 use crate::config::TierConfig;
 use crate::error::{Result, TierError};
 pub use crate::jobs::CompactionSummary;
@@ -79,7 +80,6 @@ use crate::manifest::Manifest;
 pub use crate::obs::TierStats;
 use crate::obs::{BackgroundErrorRecord, TierObs};
 use crate::planner::{CompactionPlanner, SegmentStats};
-use crate::reservation::ReservationTable;
 use crate::spill::SpillScope;
 use crate::write::open_wal;
 
@@ -129,6 +129,10 @@ pub(crate) struct TierInner {
     /// The live cold tier, published as an immutable snapshot (see the
     /// [module docs](self)).
     cold: RwLock<ColdList>,
+    /// Held by the one running compactor (background pass, drain or full
+    /// compaction) from plan through merge to commit, and taken briefly by
+    /// a pause to wait that compactor out.
+    compactor: Mutex<()>,
     /// Serializes spills and flushes (one in-flight copy at a time).
     /// Deliberately not shared with the compaction machinery: a running
     /// compaction job must never stall a watermark spill.
@@ -138,10 +142,6 @@ pub(crate) struct TierInner {
     /// leaves them out, so a writer crossing the watermark mid-spill does
     /// not queue behind it for bytes already on their way out.
     pub(crate) spilling_bytes: AtomicU64,
-    /// In-flight compaction key-range reservations: jobs over disjoint
-    /// key ranges run and commit concurrently; only overlapping work
-    /// excludes itself.
-    pub(crate) reservations: ReservationTable,
     /// Serializes segment-set commits (spill and job alike): successor
     /// tier construction, the manifest swap (fsync + rename — the slow
     /// part), and the generation bump all happen under this lock, so the
@@ -150,10 +150,11 @@ pub(crate) struct TierInner {
     /// `commit_lock` before `cold`; nothing takes `commit_lock` while
     /// holding `cold`.
     ///
-    /// The three ordered locks are private to this file: the other modules
+    /// The four ordered locks are private to this file: the other modules
     /// take them through the accessors below, so each keeps the one name
-    /// the lock-order check knows it by.
-    // lock-order: store.spill_lock < store.commit_lock < store.cold
+    /// the lock-order check knows it by. The background checkpoint spills
+    /// under `compactor`.
+    // lock-order: store.compactor < store.spill_lock < store.commit_lock < store.cold
     commit_lock: Mutex<()>,
     pub(crate) codec: TierCodec,
     pub(crate) next_segment_id: AtomicU64,
@@ -195,6 +196,16 @@ pub(crate) struct TierInner {
 }
 
 impl TierInner {
+    // lock-wrapper: compactor_guard = store.compactor
+    pub(crate) fn compactor_guard(&self) -> MutexGuard<'_, ()> {
+        self.compactor.lock()
+    }
+
+    // lock-wrapper: try_compactor_guard = store.compactor
+    pub(crate) fn try_compactor_guard(&self) -> Option<MutexGuard<'_, ()>> {
+        self.compactor.try_lock()
+    }
+
     // lock-wrapper: spill_guard = store.spill_lock
     pub(crate) fn spill_guard(&self) -> MutexGuard<'_, ()> {
         self.spill_lock.lock()
@@ -234,9 +245,7 @@ impl TierInner {
     }
 
     pub(crate) fn leveled_stats(&self) -> (Vec<SegmentStats>, Vec<SegmentStats>) {
-        let cold = self.cold_snapshot();
-        let stats = |level: &[Arc<ColdSegment>]| level.iter().map(|s| s.stats.clone()).collect();
-        (stats(&cold.l0), stats(&cold.l1))
+        self.cold_snapshot().leveled_stats()
     }
 }
 
@@ -317,9 +326,9 @@ impl TieredStore {
             hot,
             cache,
             cold: RwLock::new(Arc::new(tier)),
+            compactor: Mutex::new(()),
             spill_lock: Mutex::new(()),
             spilling_bytes: AtomicU64::new(0),
-            reservations: ReservationTable::default(),
             commit_lock: Mutex::new(()),
             codec: TierCodec::new(&config.segment),
             next_segment_id: AtomicU64::new(max_id + 1),
@@ -610,10 +619,11 @@ impl TieredStore {
     /// Run planner-selected compaction jobs until no trigger threshold is
     /// crossed. Returns the number of jobs run. This is the synchronous
     /// twin of the background maintenance thread — useful with background
-    /// compaction off, and for deterministic tests. Safe to call from
-    /// several threads at once: each caller reserves its job's key range,
-    /// so disjoint jobs run and commit concurrently while conflicting
-    /// plans fall to whichever caller reserved first.
+    /// compaction off, and for deterministic tests. Holds the one
+    /// compactor lock for the whole drain. When another compactor (the
+    /// maintenance thread, a full compaction or another caller) holds it,
+    /// returns `Ok(0)` at once and leaves the triggers to that compactor
+    /// instead of waiting out its job.
     pub fn run_pending_compactions(&self) -> Result<usize> {
         self.inner.run_pending_compactions()
     }
@@ -622,7 +632,7 @@ impl TieredStore {
     /// and return once an in-flight job, if any, has committed. Pairs
     /// with [`TieredStore::resume_compaction`]; calls nest.
     pub fn pause_compaction(&self) {
-        self.inner.maint.pause();
+        self.inner.pause_maintenance();
     }
 
     /// Undo one [`TieredStore::pause_compaction`], waking the maintenance
@@ -633,9 +643,10 @@ impl TieredStore {
 
     /// Merge **every** cold segment into fresh L1 partitions, dropping
     /// shadowed versions and tombstones and retraining the block codec on
-    /// the merged corpus. Reserves the whole key space, waiting for any
-    /// in-flight jobs to finish. Still the right call for offline
-    /// reorganizations (benchmarks, clean shutdown into a minimal layout).
+    /// the merged corpus. Pauses the maintenance thread and waits for an
+    /// in-flight job, if any, to commit first. Still the right call for
+    /// offline reorganizations (benchmarks, clean shutdown into a minimal
+    /// layout).
     pub fn compact(&self) -> Result<CompactionSummary> {
         self.inner.compact()
     }

@@ -78,8 +78,7 @@ fn main() {
     // L1 partitions, pulling in exactly the partitions each run's key
     // range intersects — never the whole store.
     // (A background thread does the same when opened with
-    // `.with_background_compaction(true)`, and jobs over disjoint key
-    // ranges commit concurrently.)
+    // `.with_background_compaction(true)`; one job runs at a time.)
     store.flush_all().expect("flush");
     let before = store.segment_count();
     let jobs = store
