@@ -1,12 +1,9 @@
 //! Typed errors for the serving layer.
 //!
-//! The split matters to clients: [`ServeError::Busy`] is *server*
-//! pressure — the engine is falling behind and the request should be
-//! retried after the hinted delay; [`ServeError::QuotaExceeded`] is a
-//! *client* budget decision that retrying will not fix until the quota
-//! is raised or usage drops. Neither is ever a silent drop: an
-//! unacknowledged write was never applied (see the router docs for the
-//! exact guarantee).
+//! [`ServeError::Busy`] is *server* pressure — the engine is falling
+//! behind and the request should be retried after the hinted delay.
+//! Neither it nor any other refusal is a silent drop: a refused write
+//! was never applied (see the router docs for the exact guarantee).
 
 use std::fmt;
 use std::time::Duration;
@@ -38,48 +35,17 @@ impl fmt::Display for BusyReason {
     }
 }
 
-/// Which tenant budget a rejected request would have exceeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuotaKind {
-    /// The live stored-bytes budget ([`crate::TenantQuota::max_bytes`]).
-    Bytes,
-    /// The admitted-operation budget ([`crate::TenantQuota::max_ops`]).
-    Ops,
-}
-
-impl fmt::Display for QuotaKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QuotaKind::Bytes => write!(f, "bytes"),
-            QuotaKind::Ops => write!(f, "ops"),
-        }
-    }
-}
-
 /// Everything a router request can fail with.
 #[derive(Debug)]
 pub enum ServeError {
     /// Admission control refused the request; retry after the hint.
     /// Guarantee: the operation was **not** applied —
-    /// a `Busy` rejection has no side effects on the store or on the
-    /// tenant's quota accounting.
+    /// a `Busy` rejection has no side effects on the store.
     Busy {
         /// The signal that tripped.
         reason: BusyReason,
         /// How long the client should back off before retrying.
         retry_after: Duration,
-    },
-    /// The request would exceed one of the tenant's budgets. Not applied,
-    /// no accounting change.
-    QuotaExceeded {
-        /// The tenant that ran out of budget.
-        tenant: String,
-        /// Which budget.
-        kind: QuotaKind,
-        /// The configured limit.
-        limit: u64,
-        /// What admitting the request would have brought usage to.
-        requested: u64,
     },
     /// No tenant with that name was registered.
     UnknownTenant {
@@ -98,7 +64,7 @@ pub enum ServeError {
         tenant: String,
     },
     /// The router was shut down or aborted before the write was
-    /// admitted. Not applied, no accounting change.
+    /// admitted. Not applied.
     Shutdown,
     /// The underlying tiered store failed.
     Tier(TierError),
@@ -113,15 +79,6 @@ impl fmt::Display for ServeError {
             } => {
                 write!(f, "busy ({reason}); retry after {retry_after:?}")
             }
-            ServeError::QuotaExceeded {
-                tenant,
-                kind,
-                limit,
-                requested,
-            } => write!(
-                f,
-                "tenant `{tenant}` {kind} quota exceeded: {requested} over limit {limit}"
-            ),
             ServeError::UnknownTenant { tenant } => write!(f, "unknown tenant `{tenant}`"),
             ServeError::TenantExists { tenant } => {
                 write!(f, "tenant `{tenant}` already exists")

@@ -14,10 +14,10 @@
 //!   [`pbc_tier::TieredStore::write_pressure`]: when spill or compaction
 //!   falls behind, writes are refused with a typed retry hint rather
 //!   than waiting without bound. Never a silent drop.
-//! * **Multi-tenant namespaces** ([`TenantQuota`]) — per-tenant key
-//!   prefixes over one shared store (one cold tier, one block cache),
-//!   with exact live-byte and per-window op budgets enforced at
-//!   admission.
+//! * **Multi-tenant namespaces** ([`Router::create_tenant`]) — one key
+//!   prefix per tenant over one shared store (one cold tier, one block
+//!   cache). Tenants carry no budgets: [`TenantQuota`] is a field-less
+//!   placeholder.
 //!
 //! Everything observable is exported as `pbc_serve_*` metrics through
 //! the store's shared [`pbc_obs::MetricsRegistry`]; `pbc-perf` (`bench/`)
@@ -48,6 +48,6 @@ mod router;
 mod tenant;
 
 pub use config::ServeConfig;
-pub use error::{BusyReason, QuotaKind, Result, ServeError};
+pub use error::{BusyReason, Result, ServeError};
 pub use router::Router;
-pub use tenant::{TenantQuota, TenantUsage};
+pub use tenant::TenantQuota;

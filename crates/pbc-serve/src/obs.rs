@@ -19,8 +19,6 @@ pub(crate) struct ServeObs {
     pub(crate) scans: Counter,
     /// Writes refused by admission control (`Busy` returned).
     pub(crate) admission_rejections: Counter,
-    /// Requests refused by a tenant quota.
-    pub(crate) quota_rejections: Counter,
     /// Writes in flight across all shards.
     pub(crate) queue_depth: Gauge,
     /// Registered tenants.
@@ -40,7 +38,6 @@ impl ServeObs {
             deletes: registry.counter("pbc_serve_deletes_total"),
             scans: registry.counter("pbc_serve_scans_total"),
             admission_rejections: registry.counter("pbc_serve_admission_rejections_total"),
-            quota_rejections: registry.counter("pbc_serve_quota_rejections_total"),
             queue_depth: registry.gauge("pbc_serve_queue_depth"),
             tenants: registry.gauge("pbc_serve_tenants"),
             write_wait_ns: registry.histogram("pbc_serve_write_wait_ns"),

@@ -3,7 +3,7 @@
 //! ## Shape
 //!
 //! Every request runs on the caller's thread. `put`/`delete` pass
-//! admission, charge the tenant, then call [`TieredStore::set`] /
+//! admission, then call [`TieredStore::set`] /
 //! [`TieredStore::delete`] and return the store's answer; gets and scans
 //! take the store's lock-free read path. There is no queue and no
 //! applier thread. Group commit happens one layer down: concurrent
@@ -28,9 +28,8 @@
 //! returned `Ok` therefore means *readable and as durable as the store
 //! promises*. A returned error means the write was **not silently
 //! dropped**: either it was refused before touching anything
-//! ([`ServeError::Busy`], [`ServeError::QuotaExceeded`],
-//! [`ServeError::Shutdown`]) or it failed with the store's error, with
-//! the tenant's quota charge rolled back.
+//! ([`ServeError::Busy`], [`ServeError::Shutdown`]) or it failed with
+//! the store's error.
 //!
 //! ## Admission control
 //!
@@ -63,12 +62,10 @@ use pbc_tier::TieredStore;
 use crate::config::ServeConfig;
 use crate::error::{BusyReason, Result, ServeError};
 use crate::obs::ServeObs;
-use crate::tenant::{validate_name, Tenant, TenantQuota, TenantUsage};
+use crate::tenant::{validate_name, Tenant, TenantQuota};
 
-// Lock order across the serving layer (declared even though the router
-// never nests them, so any future nesting is checked against intent):
-// the tenant map is the outermost, per-tenant accounting next.
-// lock-order: router.tenants < tenant.usage
+// The tenant map is the serving layer's one lock, held only to look a
+// tenant up or register one, so there is no lock order to declare.
 
 /// One shard's count of writes in flight, on its own cache line so that
 /// writers on different shards do not contend for one.
@@ -196,8 +193,9 @@ impl Router {
         Ok(())
     }
 
-    /// Register a tenant. Fails on duplicate or invalid names.
-    pub fn create_tenant(&self, name: &str, quota: TenantQuota) -> Result<()> {
+    /// Register a tenant. Fails on duplicate or invalid names. The quota
+    /// argument is a field-less placeholder and enforces nothing.
+    pub fn create_tenant(&self, name: &str, _quota: TenantQuota) -> Result<()> {
         validate_name(name)?;
         let mut tenants = self.tenants.write();
         if tenants.contains_key(name) {
@@ -205,7 +203,7 @@ impl Router {
                 tenant: name.to_string(),
             });
         }
-        tenants.insert(name.to_string(), Arc::new(Tenant::new(name, quota)));
+        tenants.insert(name.to_string(), Arc::new(Tenant::new(name)));
         self.obs.tenants.set(tenants.len() as u64);
         Ok(())
     }
@@ -215,26 +213,24 @@ impl Router {
     /// stored size. See the module docs for the rejection and
     /// acknowledgement contract.
     pub fn put(&self, tenant: &str, key: &[u8], value: &[u8]) -> Result<usize> {
-        self.write(tenant, key, Some(value), |store, full_key| {
-            store.set(full_key, value)
-        })
+        self.write(tenant, key, |store, full_key| store.set(full_key, value))
+            .inspect(|_| self.obs.puts.inc())
     }
 
     /// Delete a key for `tenant`; returns whether it existed. Admitted
     /// and acknowledged exactly like [`Router::put`].
     pub fn delete(&self, tenant: &str, key: &[u8]) -> Result<bool> {
-        self.write(tenant, key, None, |store, full_key| store.delete(full_key))
+        self.write(tenant, key, |store, full_key| store.delete(full_key))
+            .inspect(|_| self.obs.deletes.inc())
     }
 
-    /// The one write path behind [`Router::put`] (`value` is `Some`) and
-    /// [`Router::delete`]: resolve the tenant, take an in-flight place,
-    /// pass the pressure gate, charge the tenant, and run `apply` on the
-    /// full key. A write the store fails has its charge rolled back.
+    /// The one write path behind [`Router::put`] and [`Router::delete`]:
+    /// resolve the tenant, take an in-flight place, pass the pressure
+    /// gate, and run `apply` on the full key.
     fn write<T>(
         &self,
         tenant: &str,
         key: &[u8],
-        value: Option<&[u8]>,
         apply: impl FnOnce(&TieredStore, &[u8]) -> pbc_tier::Result<T>,
     ) -> Result<T> {
         let tenant = self.tenant(tenant)?;
@@ -247,37 +243,17 @@ impl Router {
                     self.obs.admission_rejections.inc();
                 }
             })?;
-        let charge = match value {
-            Some(value) => tenant.admit_put(key, value.len()),
-            None => tenant.admit_delete(key),
-        }
-        .inspect_err(|_| self.obs.quota_rejections.inc())?;
         let started = Instant::now();
-        match apply(&self.store, &full_key) {
-            Ok(acked) => {
-                self.obs
-                    .write_wait_ns
-                    .record(started.elapsed().as_nanos() as u64);
-                match value {
-                    Some(_) => self.obs.puts.inc(),
-                    None => self.obs.deletes.inc(),
-                }
-                Ok(acked)
-            }
-            Err(e) => {
-                tenant.rollback(key, charge);
-                Err(e.into())
-            }
-        }
+        let acked = apply(&self.store, &full_key)?;
+        self.obs
+            .write_wait_ns
+            .record(started.elapsed().as_nanos() as u64);
+        Ok(acked)
     }
 
     /// Fetch `tenant`'s value for `key` from the store's read path.
     pub fn get(&self, tenant: &str, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let tenant = self.tenant(tenant)?;
-        if let Err(e) = tenant.admit_read() {
-            self.obs.quota_rejections.inc();
-            return Err(e);
-        }
         let timer = self.obs.get_ns.start_timer();
         let value = self.store.get(&tenant.full_key(key))?;
         timer.observe();
@@ -295,10 +271,6 @@ impl Router {
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let tenant = self.tenant(tenant)?;
-        if let Err(e) = tenant.admit_read() {
-            self.obs.quota_rejections.inc();
-            return Err(e);
-        }
         let range = tenant.full_key(start)..tenant.prefix_end();
         let rows = self
             .store
@@ -307,18 +279,6 @@ impl Router {
             .collect::<pbc_tier::Result<_>>()?;
         self.obs.scans.inc();
         Ok(rows)
-    }
-
-    /// A tenant's current accounting (exact under per-key serial
-    /// writes; see the tenant module docs).
-    pub fn usage(&self, tenant: &str) -> Result<TenantUsage> {
-        Ok(self.tenant(tenant)?.usage())
-    }
-
-    /// Reset a tenant's op window (the external rate-limit driver tick).
-    pub fn reset_ops_window(&self, tenant: &str) -> Result<()> {
-        self.tenant(tenant)?.reset_ops_window();
-        Ok(())
     }
 
     /// Writes in flight across all shards, from admission until they

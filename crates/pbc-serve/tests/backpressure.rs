@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pbc_serve::{BusyReason, Router, ServeConfig, ServeError, TenantQuota};
-use pbc_tier::{TierConfig, TieredStore};
+use pbc_tier::{Durability, TierConfig, TieredStore, WalOptions};
 
 #[path = "../../../tests/support/mod.rs"]
 mod support;
@@ -19,17 +19,17 @@ const L0_LIMIT: u64 = 4;
 const SHARDS: usize = 2;
 const QUEUE_CAPACITY: usize = 64;
 
-fn saturating_router(dir: &Path) -> Router {
+/// `wal`: log every write (without fsyncs), so a test can count appends.
+fn saturating_router(dir: &Path, wal: bool) -> Router {
     // Tiny watermark so writes spill constantly; no background compaction,
     // so L0 segments pile up until the router's backlog gate trips.
-    let store = Arc::new(
-        TieredStore::open(
-            TierConfig::new(dir)
-                .with_watermark(8 * 1024)
-                .with_background_compaction(false),
-        )
-        .expect("open store"),
-    );
+    let mut tier = TierConfig::new(dir)
+        .with_watermark(8 * 1024)
+        .with_background_compaction(false);
+    if wal {
+        tier = tier.with_wal(WalOptions::with_durability(Durability::None));
+    }
+    let store = Arc::new(TieredStore::open(tier).expect("open store"));
     let config = ServeConfig::default()
         .with_shards(SHARDS)
         .with_queue_capacity(QUEUE_CAPACITY)
@@ -41,7 +41,7 @@ fn saturating_router(dir: &Path) -> Router {
 #[test]
 fn saturation_engages_admission_then_recovers() {
     let (dir, _guard) = temp_dir("lifecycle");
-    let router = Arc::new(saturating_router(&dir));
+    let router = Arc::new(saturating_router(&dir, false));
     router
         .create_tenant("tenant", TenantQuota::unlimited())
         .expect("create tenant");
@@ -171,7 +171,7 @@ fn saturation_engages_admission_then_recovers() {
 #[test]
 fn rejections_have_no_side_effects() {
     let (dir, _guard) = temp_dir("no-side-effects");
-    let router = saturating_router(&dir);
+    let router = saturating_router(&dir, true);
     router
         .create_tenant("tenant", TenantQuota::unlimited())
         .expect("create tenant");
@@ -190,13 +190,15 @@ fn rejections_have_no_side_effects() {
         "setup must exceed the backlog gate"
     );
 
-    let before = router.usage("tenant").expect("usage");
+    let wal_appends = || router.metrics().snapshot().counters["pbc_wal_appends_total"];
+    let (hot_before, appends_before) = (store.hot_len(), wal_appends());
+    assert!(appends_before >= 200, "the direct writes must be logged");
     let err = router.put("tenant", b"bounced", b"value").unwrap_err();
     assert!(matches!(err, ServeError::Busy { .. }), "got {err}");
-    let after = router.usage("tenant").expect("usage");
     assert_eq!(
-        before, after,
-        "a Busy rejection must not change quota accounting"
+        (store.hot_len(), wal_appends()),
+        (hot_before, appends_before),
+        "a Busy rejection must not reach the hot tier or the log"
     );
     assert_eq!(
         router.get("tenant", b"bounced").expect("get"),

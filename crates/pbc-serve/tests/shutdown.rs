@@ -1,15 +1,15 @@
 //! The shutdown contract: writes from several threads race
 //! `Router::shutdown` (or `Router::abort`), and each one ends in exactly
 //! one of two ways — `Ok`, and the write is readable; or `Shutdown`, and
-//! the key and the tenant's accounting are as before. Once the call has
-//! returned (and, for `abort`, the writers it raced have returned),
-//! nothing is in flight and every later write is refused.
+//! the key is as before. Once the call has returned (and, for `abort`,
+//! the writers it raced have returned), nothing is in flight and every
+//! later write is refused.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pbc_serve::{Router, ServeConfig, ServeError, TenantQuota, TenantUsage};
+use pbc_serve::{Router, ServeConfig, ServeError, TenantQuota};
 use pbc_tier::{Durability, TierConfig, TieredStore, WalOptions};
 
 #[path = "../../../tests/support/mod.rs"]
@@ -26,11 +26,10 @@ fn key(client: usize, i: usize) -> Vec<u8> {
     format!("c{client}-k{i:03}").into_bytes()
 }
 
-/// What one client saw: its keys' final values and how many ops its own
-/// acked writes and reads added to the tenant's window.
+/// What one client saw: its keys' final values and how many of its
+/// writes were refused.
 struct ClientRun {
     model: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    ops: u64,
     refused: u64,
 }
 
@@ -43,7 +42,6 @@ fn client(router: &Router, client: usize, acked: &AtomicUsize, finished: &Atomic
         model: (0..KEYS_PER_CLIENT)
             .map(|i| (key(client, i), Some(b"initial".to_vec())))
             .collect(),
-        ops: 0,
         refused: 0,
     };
     for round in 0..MAX_ROUNDS {
@@ -61,7 +59,6 @@ fn client(router: &Router, client: usize, acked: &AtomicUsize, finished: &Atomic
                 panic!("client {client} round {round}: a write after the call was acked")
             }
             Ok(()) => {
-                run.ops += 1;
                 acked.fetch_add(1, Ordering::Relaxed);
                 run.model.insert(k.clone(), after.clone());
                 after
@@ -77,7 +74,6 @@ fn client(router: &Router, client: usize, acked: &AtomicUsize, finished: &Atomic
             expected,
             "client {client} round {round}: the write must land on Ok and leave no trace on Shutdown"
         );
-        run.ops += 1; // the get
         if run.refused == 3 {
             return run;
         }
@@ -107,7 +103,6 @@ fn race(name: &str, finish: fn(&Router)) {
                 .expect("setup put");
         }
     }
-    router.reset_ops_window("tenant").expect("reset");
 
     let acked = AtomicUsize::new(0);
     let finished = AtomicBool::new(false);
@@ -136,29 +131,22 @@ fn race(name: &str, finish: fn(&Router)) {
         0
     );
 
-    // The accounting is exactly what the acked writes and reads made it:
-    // no refused write left a charge behind.
-    let mut live_bytes = 0;
-    let mut live_keys = 0;
+    // Every key holds exactly what its client's acked writes left there:
+    // no refused write landed after its client checked it.
     for run in &runs {
         for (k, v) in &run.model {
-            if let Some(v) = v {
-                live_bytes += (k.len() + v.len()) as u64;
-                live_keys += 1;
-            }
+            assert_eq!(
+                &router.get("tenant", k).expect("get"),
+                v,
+                "key {}",
+                String::from_utf8_lossy(k)
+            );
         }
     }
-    let expected = TenantUsage {
-        live_bytes,
-        live_keys,
-        ops_admitted: runs.iter().map(|run| run.ops).sum(),
-    };
-    assert_eq!(router.usage("tenant").expect("usage"), expected);
 
     // Every later write is refused and changes nothing.
     let k = key(0, 0);
     let value = router.get("tenant", &k).expect("get");
-    let usage = router.usage("tenant").expect("usage");
     assert!(matches!(
         router.put("tenant", &k, b"late"),
         Err(ServeError::Shutdown)
@@ -171,7 +159,6 @@ fn race(name: &str, finish: fn(&Router)) {
         router.put("tenant", b"new-key", b"late"),
         Err(ServeError::Shutdown)
     ));
-    assert_eq!(router.usage("tenant").expect("usage"), usage);
     assert_eq!(router.get("tenant", &k).expect("get"), value);
     assert_eq!(router.get("tenant", b"new-key").expect("get"), None);
 }

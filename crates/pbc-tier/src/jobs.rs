@@ -76,6 +76,11 @@ impl TierInner {
         let Some(_compactor) = self.try_compactor_guard() else {
             return Ok(0);
         };
+        // Drain the backlog found at entry: a writer spilling meanwhile
+        // would otherwise keep a trigger crossed for as long as it
+        // writes. Promotions of only those later spills are left to the
+        // next call; consolidations still run.
+        let first_later_id = self.next_segment_id.load(Ordering::Relaxed);
         let mut jobs = 0usize;
         // Every promotion shrinks L0 and every consolidation shrinks L1,
         // so planning converges; the cap is a backstop against planner
@@ -85,6 +90,11 @@ impl TierInner {
             let Some(job) = self.plan_next(&cold) else {
                 break;
             };
+            let only_later =
+                !job.l0_inputs.is_empty() && job.l0_inputs.iter().all(|&id| id >= first_later_id);
+            if only_later {
+                break;
+            }
             self.run_job(&cold, &job)?;
             jobs += 1;
         }

@@ -5,7 +5,7 @@
 //! acknowledged data is unreadable and nothing to put back on failure.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use pbc_archive::{CodecSpec, SegmentConfig, SegmentSummary, SegmentWriter};
@@ -30,24 +30,6 @@ pub(crate) enum SpillScope {
     Coldest(usize),
 }
 
-/// RAII setter for [`TierInner::spill_active`]: armed right after the
-/// `spill_lock` is taken, cleared on every exit path (including spill
-/// errors). Spills are serialized by that lock, so arming is never nested.
-struct SpillActiveGuard<'a>(&'a AtomicBool);
-
-impl<'a> SpillActiveGuard<'a> {
-    fn arm(flag: &'a AtomicBool) -> Self {
-        flag.store(true, Ordering::Relaxed);
-        SpillActiveGuard(flag)
-    }
-}
-
-impl Drop for SpillActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Relaxed);
-    }
-}
-
 impl TierInner {
     /// Evict the coldest shards (by last-access epoch) into a segment, as
     /// far as `scope` says. The one spill entry point: every caller
@@ -58,7 +40,6 @@ impl TierInner {
             return Ok(());
         }
         let _guard = self.spill_guard();
-        let _active = SpillActiveGuard::arm(&self.spill_active);
         if let SpillScope::Coldest(n) = scope {
             let mut victims = self.shards_coldest_first();
             victims.truncate(n);

@@ -61,7 +61,7 @@
 //!   block codec spills and jobs write with.
 
 use std::ops::RangeBounds;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
@@ -86,11 +86,10 @@ use crate::write::open_wal;
 /// A lock-free snapshot of the signals a serving front end's admission
 /// control reads on every write ([`TieredStore::write_pressure`]).
 ///
-/// Everything here comes from atomics — the hot tier's byte counters, a
-/// mirror of the committed L0 segment count refreshed at every manifest
-/// commit, and the spill-in-progress flag — so sampling it on the hot
-/// write path never touches the `cold` read lock and never contends
-/// with a commit's pointer swap.
+/// Everything here comes from atomics — the hot tier's byte counters and
+/// a mirror of the committed L0 segment count refreshed at every
+/// manifest commit — so sampling it on the hot write path never touches
+/// the `cold` read lock and never contends with a commit's pointer swap.
 #[derive(Debug, Clone, Copy)]
 pub struct WritePressure {
     /// Hot-tier bytes the watermark governs (keys + values + tombstones,
@@ -102,9 +101,6 @@ pub struct WritePressure {
     /// has not yet promoted into L1. Grows when spills outpace
     /// compaction; the canonical "cold tier is falling behind" signal.
     pub l0_segments: u64,
-    /// Whether a spill pass (watermark spill, explicit spill, or flush)
-    /// is running right now.
-    pub spill_active: bool,
 }
 
 impl WritePressure {
@@ -182,11 +178,6 @@ pub(crate) struct TierInner {
     /// on every front-end write — never touches the `cold` read lock and
     /// so never contends with a commit's pointer swap.
     pub(crate) l0_count_hint: AtomicU64,
-    /// Whether a spill pass (watermark spill, explicit spill, or flush)
-    /// is currently running. Advisory, for backpressure: admission
-    /// control can distinguish "over the watermark and draining" from
-    /// "over the watermark and stuck behind a cold backlog".
-    pub(crate) spill_active: AtomicBool,
     /// Advisory exclusive lock on the store directory, held for the
     /// store's lifetime (released by the OS on drop or process death).
     /// Without it, a second open would sweep the first handle's in-flight
@@ -339,7 +330,6 @@ impl TieredStore {
             wal_recovery,
             obs,
             l0_count_hint: AtomicU64::new(0),
-            spill_active: AtomicBool::new(false),
             _dir_lock: dir_lock,
             config,
         });
@@ -392,7 +382,6 @@ impl TieredStore {
             memory_bytes: inner.memory_usage_bytes(),
             watermark_bytes: inner.config.memory_watermark_bytes,
             l0_segments: inner.l0_count_hint.load(Ordering::Relaxed),
-            spill_active: inner.spill_active.load(Ordering::Relaxed),
         }
     }
 
@@ -617,7 +606,12 @@ impl TieredStore {
     }
 
     /// Run planner-selected compaction jobs until no trigger threshold is
-    /// crossed. Returns the number of jobs run. This is the synchronous
+    /// crossed, or until the planner's next job would promote only L0
+    /// segments spilled after the call began: the drain is bounded by the
+    /// backlog it found, however fast a writer spills meanwhile.
+    /// Consolidations of L1 still run. Returns the number of jobs run;
+    /// on a store no writer touches, calling until it returns 0 leaves
+    /// no trigger crossed. This is the synchronous
     /// twin of the background maintenance thread — useful with background
     /// compaction off, and for deterministic tests. Holds the one
     /// compactor lock for the whole drain. When another compactor (the

@@ -25,9 +25,8 @@
 //!   `TierConfig::wal`: CRC-framed records, four durability levels,
 //!   torn-tail recovery, and checkpoint-bounded size.
 //! * [`serve`] — the multi-tenant serving layer over [`tier`]: a sharded
-//!   request router with write batching, bounded-queue admission control
-//!   with typed `Busy` backpressure, and per-tenant namespaces with
-//!   byte/op quotas.
+//!   request router with caller-thread writes, admission control with
+//!   typed `Busy` backpressure, and one key namespace per tenant.
 //! * [`obs`] — lock-free observability primitives: the metrics registry
 //!   with log-linear latency histograms, Prometheus/JSON exporters, and
 //!   the bounded trace ring the tiered store records into.

@@ -611,6 +611,81 @@ fn compact_finishes_while_the_maintenance_thread_stays_busy() {
     }
 }
 
+/// A writer that spills faster than jobs retire L0 keeps a promotion
+/// trigger crossed for as long as it writes. `run_pending_compactions()`
+/// drains the L0 segments it found and returns, instead of chasing the
+/// writer's new spills while it holds the compactor lock.
+#[test]
+fn run_pending_compactions_drains_the_backlog_it_found_and_returns() {
+    const KEYS: usize = 8_000;
+    let (dir, _guard) = temp_dir("bounded-drain");
+    let store = Arc::new(
+        TieredStore::open(
+            TierConfig::new(&dir)
+                .with_watermark(32 * 1024)
+                .with_planner(PlannerConfig {
+                    max_job_segments: 8,
+                    target_partition_bytes: 64 * 1024,
+                    ..PlannerConfig::default()
+                })
+                .with_background_compaction(false),
+        )
+        .unwrap(),
+    );
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (store, stop) = (Arc::clone(&store), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut writes = 0;
+            while !stop.load(Ordering::Relaxed) {
+                let i = writes % KEYS;
+                store.set(&key(i), &value(i)).unwrap();
+                writes += 1;
+                if writes % 10 == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            writes.min(KEYS)
+        })
+    };
+    wait_for("an L0 backlog", || store.l0_segment_count() >= 8);
+
+    let found: Vec<u64> = store.leveled_stats().0.iter().map(|s| s.id).collect();
+    let (done, finished) = std::sync::mpsc::channel();
+    {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || {
+            let _ = done.send(store.run_pending_compactions().unwrap());
+        });
+    }
+    let jobs = finished
+        .recv_timeout(Duration::from_secs(15))
+        .unwrap_or_else(|e| panic!("run_pending_compactions() did not return within 15 s: {e}"));
+    assert!(jobs > 0);
+    let left: Vec<u64> = store
+        .leveled_stats()
+        .0
+        .iter()
+        .map(|s| s.id)
+        .filter(|id| found.contains(id))
+        .collect();
+    assert!(
+        left.is_empty(),
+        "L0 segments found at entry remain: {left:?}"
+    );
+
+    stop.store(true, Ordering::Relaxed);
+    let written = writer.join().unwrap();
+    assert_l1_invariant(&store);
+    for i in 0..written {
+        assert_eq!(
+            store.get(&key(i)).unwrap().as_deref(),
+            Some(&value(i)[..]),
+            "key {i}"
+        );
+    }
+}
+
 /// The `serve-mixed` shape: every spill covers the whole key space. Each
 /// round overwrites (or deletes) every key, spills, and runs what the
 /// planner asks for. L0 stays shallow, because two whole-range spills
