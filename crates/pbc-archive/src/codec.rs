@@ -326,30 +326,20 @@ impl BlockCodec {
         Ok(())
     }
 
-    /// Find the **last** entry with `key` in the block, preserving the
-    /// per-record random-access property: for per-record codecs only entry
-    /// headers are walked and only the matching value is decoded.
-    /// `sorted` enables early exit once keys pass the target.
+    /// Find the **last** entry with `key` in a block whose keys ascend (a
+    /// key may repeat, adjacently), preserving the per-record random-access
+    /// property: for per-record codecs only entry headers are walked, up to
+    /// the first key past `key`, and only the matching value is decoded.
     pub fn find_by_key(
         &self,
         block: &[u8],
         key: &[u8],
         record_count: usize,
         raw_len: usize,
-        sorted: bool,
     ) -> Result<Option<Vec<u8>>> {
         if !self.is_per_record() {
             let decoded = self.decompress_block(block, record_count, raw_len)?;
-            let hit = if sorted {
-                decoded.find_last(key)
-            } else {
-                decoded
-                    .iter()
-                    .rev()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, v)| v)
-            };
-            return Ok(hit.map(<[u8]>::to_vec));
+            return Ok(decoded.find_last(key).map(<[u8]>::to_vec));
         }
         let mut pos = 0usize;
         let mut hit: Option<&[u8]> = None;
@@ -360,7 +350,7 @@ impl BlockCodec {
             let k = &block[k];
             if k == key {
                 hit = Some(&block[value]); // keep walking: last entry wins
-            } else if sorted && k > key {
+            } else if k > key {
                 break;
             }
         }
@@ -598,37 +588,42 @@ mod tests {
 
     #[test]
     fn find_by_key_matches_full_decompression_and_keeps_last_duplicate() {
+        // Keys ascend, as a segment writer takes them; key 7 repeats right
+        // after itself and the later value must win.
         let mut entries = sample_entries(48);
-        // Duplicate key with two values: the later one must win.
-        entries.push((b"user:00000007".to_vec(), b"overwritten-value".to_vec()));
+        entries.insert(
+            8,
+            (b"user:00000007".to_vec(), b"overwritten-value".to_vec()),
+        );
         let raw_len = serialized_len(&entries);
         for codec in all_trained_codecs(&entries) {
             let block = codec.compress_block(&entries);
-            let hit = codec
-                .find_by_key(&block, b"user:00000007", entries.len(), raw_len, false)
-                .unwrap();
+            let find = |key: &[u8]| {
+                codec
+                    .find_by_key(&block, key, entries.len(), raw_len)
+                    .unwrap()
+            };
+            let name = codec.name();
             assert_eq!(
-                hit.as_deref(),
+                find(b"user:00000007").as_deref(),
                 Some(b"overwritten-value".as_slice()),
-                "{}",
-                codec.name()
+                "{name}"
             );
+            let full = codec
+                .decompress_block(&block, entries.len(), raw_len)
+                .unwrap();
+            for key in [&b"user:00000000"[..], b"user:00000008", b"user:00000047"] {
+                assert_eq!(find(key).as_deref(), full.find_last(key), "{name}: {key:?}");
+            }
             assert_eq!(
-                codec
-                    .find_by_key(&block, b"user:00000012", entries.len(), raw_len, false)
-                    .unwrap(),
-                Some(entries[12].1.clone()),
-                "{}",
-                codec.name()
+                find(b"user:00000012"),
+                Some(entries[13].1.clone()),
+                "{name}"
             );
-            assert_eq!(
-                codec
-                    .find_by_key(&block, b"user:zzz", entries.len(), raw_len, false)
-                    .unwrap(),
-                None,
-                "{}",
-                codec.name()
-            );
+            // Before the first key, between two keys, past the last.
+            for key in [&b"user:"[..], b"user:00000012x", b"user:zzz"] {
+                assert_eq!(find(key), None, "{name}: {key:?}");
+            }
         }
     }
 

@@ -470,9 +470,9 @@ impl SegmentReader {
         for block in self.candidate_blocks_for_key(key)?.rev() {
             let bytes = self.block_bytes(block)?;
             let (record_count, raw_len) = self.block_shape(block)?;
-            let hit =
-                self.block_codec(block)?
-                    .find_by_key(&bytes, key, record_count, raw_len, true)?;
+            let hit = self
+                .block_codec(block)?
+                .find_by_key(&bytes, key, record_count, raw_len)?;
             if hit.is_some() {
                 return Ok(hit);
             }
@@ -485,7 +485,7 @@ impl SegmentReader {
         Scan {
             fetch: Box::new(|block| self.read_block(block).map(Arc::new)),
             blocks: 0..self.blocks.len(),
-            start: Vec::new(),
+            start: Arc::default(),
             end: None,
             decoded: None,
             next: 0,
@@ -532,7 +532,9 @@ impl SegmentReader {
     /// std::fs::remove_file(&path).unwrap();
     /// ```
     pub fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<RangeScan<'_>> {
-        self.scan_range_with(start, end, |block| self.read_block(block).map(Arc::new))
+        self.scan_range_with(start.into(), end.map(Arc::from), |block| {
+            self.read_block(block).map(Arc::new)
+        })
     }
 
     /// [`SegmentReader::scan_range`] with the blocks supplied by `fetch`
@@ -542,18 +544,19 @@ impl SegmentReader {
     /// picks the candidate blocks, and each is fetched once, in order.
     ///
     /// The scan borrows nothing from `self`; whatever `fetch` captures is
-    /// what it keeps alive.
+    /// what it keeps alive. It shares the bounds rather than copying them,
+    /// so a caller opening many cursors over one interval copies it once.
     pub fn scan_range_with<'f>(
         &self,
-        start: &[u8],
-        end: Option<&[u8]>,
+        start: Arc<[u8]>,
+        end: Option<Arc<[u8]>>,
         fetch: impl FnMut(usize) -> Result<Arc<DecodedBlock>> + Send + 'f,
     ) -> Result<Scan<'f>> {
         Ok(Scan {
             fetch: Box::new(fetch),
-            blocks: self.candidate_blocks_for_range(start, end)?,
-            start: start.to_vec(),
-            end: end.map(|e| e.to_vec()),
+            blocks: self.candidate_blocks_for_range(&start, end.as_deref())?,
+            start,
+            end,
             decoded: None,
             next: 0,
         })
@@ -577,9 +580,9 @@ pub struct Scan<'a> {
     blocks: std::ops::Range<usize>,
     /// Inclusive lower key bound, applied inside the first fetched block
     /// (empty for a full scan, where it skips nothing).
-    start: Vec<u8>,
+    start: Arc<[u8]>,
     /// Inclusive upper key bound; `None` = unbounded above.
-    end: Option<Vec<u8>>,
+    end: Option<Arc<[u8]>>,
     /// The block being drained.
     decoded: Option<Arc<DecodedBlock>>,
     /// One past the current record in `decoded` (0 = not yet on a record).

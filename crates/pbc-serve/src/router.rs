@@ -64,6 +64,10 @@ use crate::error::{BusyReason, Result, ServeError};
 use crate::obs::ServeObs;
 use crate::tenant::{validate_name, Tenant, TenantQuota};
 
+/// Rows [`Router::scan`] reserves room for up front: its `limit`, up to
+/// this many, so a huge limit over a short range reserves 48 KiB at most.
+const SCAN_PRESIZE_ROWS: usize = 1024;
+
 // The tenant map is the serving layer's one lock, held only to look a
 // tenant up or register one, so there is no lock order to declare.
 
@@ -272,11 +276,14 @@ impl Router {
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let tenant = self.tenant(tenant)?;
         let range = tenant.full_key(start)..tenant.prefix_end();
-        let rows = self
-            .store
-            .range_scan_limited(range, limit)?
-            .map(|row| row.map(|(key, value)| (key[tenant.prefix.len()..].to_vec(), value)))
-            .collect::<pbc_tier::Result<_>>()?;
+        let mut rows = Vec::with_capacity(limit.min(SCAN_PRESIZE_ROWS));
+        for row in self.store.range_scan_limited(range, limit)? {
+            let (mut key, value) = row?;
+            // Strip the namespace in place: the store's copy of the key is
+            // the one the caller gets.
+            key.drain(..tenant.prefix.len());
+            rows.push((key, value));
+        }
         self.obs.scans.inc();
         Ok(rows)
     }

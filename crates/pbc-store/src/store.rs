@@ -21,8 +21,9 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering as KeyOrder;
+use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap, BinaryHeap};
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -252,13 +253,47 @@ impl RangeSnapshot {
     }
 }
 
+/// One shard's cursor in a cut: its smallest remaining row and the rest
+/// of its range. Ordered by key, reversed, so the max-heap
+/// [`BinaryHeap`] pops the smallest head first. Keys are unique across
+/// shards, so two heads never compare equal.
+struct Head<'g, 'k> {
+    key: &'g HotKey<'k>,
+    slot: &'g Slot,
+    rest: btree_map::Range<'g, HotKey<'k>, Slot>,
+}
+
+impl Ord for Head<'_, '_> {
+    fn cmp(&self, other: &Self) -> KeyOrder {
+        other.key.cmp(self.key)
+    }
+}
+
+impl PartialOrd for Head<'_, '_> {
+    fn partial_cmp(&self, other: &Self) -> Option<KeyOrder> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Head<'_, '_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Head<'_, '_> {}
+
 /// A TierBase-like sharded key-value store with value compression.
 pub struct TierStore {
     /// Lock order: a thread takes at most one shard's write lock and
     /// holds no other shard lock while it does. Only a cut
     /// ([`TierStore::range_snapshot_encoded`],
     /// [`TierStore::snapshot_shards`]) holds several shard locks at once:
-    /// read locks only, taken in ascending index order.
+    /// read locks only, taken in ascending index order. Under them it sums
+    /// the shards' counts to size its buffers, then merges the shards
+    /// through a heap of their heads, O(log shards) compares a row, and
+    /// copies each row's key and value pointer; it decodes nothing. A
+    /// write to any cut shard waits that long.
     shards: Vec<Shard>,
     codec: ValueCodec,
     /// Decoded bytes of every live value, the denominator of
@@ -531,36 +566,56 @@ impl TierStore {
     }
 
     /// The k-way merge behind both cuts, over `shards` in ascending order.
+    ///
+    /// Under the read locks it does three things: sum the cut shards' row
+    /// and key-byte counts to size the snapshot's buffers, seek each
+    /// shard's map to the lower bound, and pop rows off a binary heap of
+    /// shard heads, so ordering a row costs O(log shards) key compares and
+    /// copying it costs its key bytes plus one `Arc` clone.
     fn cut(
         &self,
         shards: impl IntoIterator<Item = usize>,
         bounds: (Bound<HotKey<'_>>, Bound<HotKey<'_>>),
         limit: usize,
     ) -> RangeSnapshot {
-        let mut snapshot = RangeSnapshot::default();
         let guards: Vec<_> = shards
             .into_iter()
             .map(|idx| self.shards[idx].state.read())
             .collect();
-        let mut cursors: Vec<_> = guards
-            .iter()
-            .map(|shard| {
-                let slots: &BTreeMap<HotKey<'_>, Slot> = &shard.slots;
-                slots.range(bounds.clone())
-            })
-            .collect();
-        let mut heads: Vec<_> = cursors.iter_mut().map(Iterator::next).collect();
+        let (slots, key_bytes) = guards.iter().fold((0, 0), |(slots, bytes), shard| {
+            let bytes = bytes + shard.stored_key_bytes + shard.tombstone_bytes;
+            (slots + shard.slots.len(), bytes)
+        });
+        if slots == 0 {
+            return RangeSnapshot::default();
+        }
+        // A limited cut holds about `limit` rows of average length; tombstones
+        // past them, or longer keys than average, grow the buffers instead.
+        let rows = slots.min(limit);
+        let mut snapshot = RangeSnapshot {
+            keys: Vec::with_capacity((key_bytes as usize).div_ceil(slots) * rows),
+            rows: Vec::with_capacity(rows),
+        };
+        let mut heads = Vec::with_capacity(guards.len());
+        heads.extend(guards.iter().filter_map(|shard| {
+            let slots: &BTreeMap<HotKey<'_>, Slot> = &shard.slots;
+            let mut rest = slots.range(bounds.clone());
+            let (key, slot) = rest.next()?;
+            Some(Head { key, slot, rest })
+        }));
+        let mut heads = BinaryHeap::from(heads);
         let mut live = 0;
         while live < limit {
-            let next = heads
-                .iter()
-                .enumerate()
-                .filter_map(|(i, head)| head.map(|(key, slot)| (i, key, slot)))
-                .min_by(|a, b| a.1.cmp(b.1));
-            let Some((i, key, slot)) = next else { break };
-            snapshot.push(key, slot);
-            live += usize::from(slot.encoded().is_some());
-            heads[i] = cursors[i].next();
+            let Some(mut head) = heads.peek_mut() else {
+                break;
+            };
+            snapshot.push(head.key, head.slot);
+            live += usize::from(head.slot.encoded().is_some());
+            match head.rest.next() {
+                // Dropping the `PeekMut` sifts the new head down.
+                Some((key, slot)) => (head.key, head.slot) = (key, slot),
+                None => drop(PeekMut::pop(head)),
+            }
         }
         snapshot
     }
@@ -1171,6 +1226,7 @@ mod tests {
         fn bounded_cuts_match_a_btreemap_model(
             ops in vec((0u8..4, 0usize..48, 0u32..1_000), 1..160),
             cuts in vec((0usize..48, 0usize..50, 0usize..14), 1..24),
+            shard_sets in vec(any::<u16>(), 1..8),
         ) {
             // Short keys, and long ones sharing their first 24 bytes.
             let key = |k: usize| {
@@ -1212,6 +1268,22 @@ mod tests {
                     .collect();
                 let want = model_cut(&model, &start, end.as_deref(), limit);
                 prop_assert_eq!(got, want, "[{:?}, {:?}] limit {}", lo, hi, limit);
+            }
+            // A spill's cut: every slot of a set of shards (one bit each,
+            // listed in any order and with repeats), through the same merge.
+            for set in shard_sets {
+                let mut shards: Vec<usize> = (0..SHARDS).filter(|s| set >> s & 1 == 1).collect();
+                shards.extend(shards.clone().into_iter().rev());
+                let got: Vec<Row> = store
+                    .snapshot_shards(&shards)
+                    .iter()
+                    .map(|(key, value)| (key.to_vec(), value.map(<[u8]>::to_vec)))
+                    .collect();
+                let want: Vec<Row> = model_cut(&model, b"", None, usize::MAX)
+                    .into_iter()
+                    .filter(|(key, _)| shards.contains(&store.shard_of_key(key)))
+                    .collect();
+                prop_assert_eq!(got, want, "shards {:016b}", set);
             }
         }
     }

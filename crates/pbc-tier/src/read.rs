@@ -188,23 +188,22 @@ impl TierInner {
         // Normalize the lower bound to an inclusive key: for byte-string
         // keys the successor of `k` is `k ++ 0x00`, so an excluded start
         // is exact, not approximate.
-        let start = match start {
-            Bound::Included(k) => k.to_vec(),
-            Bound::Excluded(k) => [k, &[0]].concat(),
-            Bound::Unbounded => Vec::new(),
+        let start: Arc<[u8]> = match start {
+            Bound::Included(k) => k.into(),
+            Bound::Excluded(k) => k.iter().copied().chain([0]).collect(),
+            Bound::Unbounded => Arc::default(),
         };
-        let end = end.map(<[u8]>::to_vec);
         // A provably empty scan: nothing to snapshot.
-        let empty = match &end {
-            Bound::Included(e) => start.as_slice() > e.as_slice(),
-            Bound::Excluded(e) => start.as_slice() >= e.as_slice(),
+        let empty = match end {
+            Bound::Included(e) => *start > *e,
+            Bound::Excluded(e) => *start >= *e,
             Bound::Unbounded => false,
         };
         if empty || limit == 0 {
             return Ok(RangeScan::empty(self.generation.load(Ordering::Relaxed)));
         }
-        let end_superset: Option<&[u8]> = match &end {
-            Bound::Included(e) | Bound::Excluded(e) => Some(e.as_slice()),
+        let end_superset = match end {
+            Bound::Included(e) | Bound::Excluded(e) => Some(e),
             Bound::Unbounded => None,
         };
         // Encoded values only: the scan's hot source decodes them lazily,
@@ -213,6 +212,8 @@ impl TierInner {
         // early-terminated scan decodes only what it yields.
         let hot = self.hot.range_snapshot_encoded(&start, end_superset, limit);
         let pinned = self.pinned_cold();
+        // The scan's one copy of its end bound.
+        let end = end.map(Arc::from);
         RangeScan::new(self, start, end, limit, hot, pinned)
     }
 
