@@ -33,9 +33,24 @@ use crate::stats::{CompressionStats, StatsSnapshot};
 /// records, while one huge outlier does not pin its high-water mark.
 const RETAINED_ENCODE_BYTES: usize = 1 << 16;
 
+/// A thread's reusable buffers for [`PbcCompressor::compress`].
+struct EncodeScratch {
+    /// Where the record is encoded before it is copied out.
+    out: Vec<u8>,
+    /// The winning pattern's field spans.
+    best: Vec<(usize, usize)>,
+    /// Where each candidate pattern is matched.
+    spans: Vec<(usize, usize)>,
+}
+
 thread_local! {
-    /// Where [`PbcCompressor::compress`] encodes before copying out.
-    static ENCODE_BUFFER: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    static ENCODE_SCRATCH: RefCell<EncodeScratch> = const {
+        RefCell::new(EncodeScratch {
+            out: Vec::new(),
+            best: Vec::new(),
+            spans: Vec::new(),
+        })
+    };
 }
 
 /// How residual values are serialized.
@@ -172,24 +187,25 @@ impl PbcCompressor {
     /// Compress one record. Records matching no pattern (or violating a
     /// field-encoder constraint) are stored as outliers in raw form.
     pub fn compress(&self, record: &[u8]) -> Vec<u8> {
-        // Encode into the thread's buffer and return an exact-size copy: the
-        // output is allocated once and carries no slack.
-        ENCODE_BUFFER.with_borrow_mut(|out| {
-            out.clear();
-            let outlier = self.encode_record(record, out);
-            self.stats.record(record.len(), out.len(), outlier);
-            let compressed = out.to_vec();
-            if out.capacity() > RETAINED_ENCODE_BYTES {
-                *out = Vec::new();
+        // Encode into the thread's buffers and return an exact-size copy:
+        // the output is the one allocation, and it carries no slack.
+        ENCODE_SCRATCH.with_borrow_mut(|scratch| {
+            scratch.out.clear();
+            let outlier = self.encode_record(record, scratch);
+            self.stats.record(outlier);
+            let compressed = scratch.out.to_vec();
+            if scratch.out.capacity() > RETAINED_ENCODE_BYTES {
+                scratch.out = Vec::new();
             }
             compressed
         })
     }
 
-    /// Append the compressed form of `record` to `out`; returns whether it
-    /// is an outlier.
-    fn encode_record(&self, record: &[u8], out: &mut Vec<u8>) -> bool {
-        let Some((id, m)) = self.matcher.best_match(record) else {
+    /// Append the compressed form of `record` to `scratch.out`; returns
+    /// whether it is an outlier.
+    fn encode_record(&self, record: &[u8], scratch: &mut EncodeScratch) -> bool {
+        let EncodeScratch { out, best, spans } = scratch;
+        let Some(id) = self.matcher.best_match_into(record, best, spans) else {
             varint::write_u32(out, OUTLIER_ID);
             self.encode_outlier(record, out);
             return true;
@@ -200,7 +216,7 @@ impl PbcCompressor {
             .get(id)
             // pbc-allow(panic): the matcher only returns ids minted by this dictionary
             .expect("matcher only returns dictionary ids");
-        for (enc, &(s, e)) in pattern.fields().zip(&m.field_spans) {
+        for (enc, &(s, e)) in pattern.fields().zip(best.iter()) {
             self.encode_field(enc, &record[s..e], out);
         }
         false

@@ -8,8 +8,16 @@
 //! gaps), which is what the compressor encodes.
 //!
 //! The algorithm is the classic iterative glob matcher with backtracking to
-//! the most recent wildcard, which is linear in practice and `O(n·m)` in the
-//! worst case.
+//! the most recent wildcard: every field starts empty, and when the segments
+//! after it fail, only the latest field grows. It grows by a jump rather than
+//! a byte at a time: straight to the next position where the literal after
+//! it occurs (the adjacent position is tried first, then the rest of the
+//! record is searched), and a trailing field takes the rest of the record at
+//! once. Skipping a position where that literal does not start skips only
+//! retries that would fail at it, so the spans are the same leftmost-shortest
+//! ones a byte-stepping matcher finds. The jump makes a typical record
+//! linear with a small constant; the worst case stays `O(n·m)`, since each
+//! jump may re-run the rest of the pattern.
 
 use crate::pattern::{Pattern, Segment};
 
@@ -79,22 +87,55 @@ fn match_structure_into(pattern: &Pattern, record: &[u8], spans: &mut Vec<(usize
         } else if pos == record.len() {
             return true;
         }
-        // Mismatch (or trailing record bytes): grow the most recent field by
-        // one byte and retry the segments after it.
-        match last_star {
-            Some((star_si, star_field)) => {
-                star_end += 1;
-                if star_end > record.len() {
-                    return false;
-                }
-                spans[star_field].1 = star_end;
-                pos = star_end;
-                si = star_si + 1;
-                field = star_field + 1;
-            }
-            None => return false,
+        // Mismatch (or trailing record bytes): grow the most recent field to
+        // the next end at which the segment after it can match, and retry
+        // the segments after it from there.
+        let Some((star_si, star_field)) = last_star else {
+            return false;
+        };
+        let from = star_end + 1;
+        if from > record.len() {
+            return false;
         }
+        star_end = match segs.get(star_si + 1) {
+            Some(Segment::Literal(lit)) => match find_literal(record, lit, from) {
+                Some(at) => at,
+                None => return false,
+            },
+            // A trailing field: only the whole rest of the record can do.
+            None => record.len(),
+            // Never reached: a field right after the latest field would
+            // itself be the latest.
+            Some(Segment::Field(_)) => from,
+        };
+        spans[star_field].1 = star_end;
+        pos = star_end;
+        si = star_si + 1;
+        field = star_field + 1;
     }
+}
+
+/// The first position at or after `from` where `lit` occurs in `record`.
+/// `from` itself is tried before any search: after a field that has just
+/// grown past a failed attempt, the adjacent position is the common hit.
+/// Kept out of line, so the matcher's loop stays small.
+#[inline(never)]
+fn find_literal(record: &[u8], lit: &[u8], from: usize) -> Option<usize> {
+    if record[from..].starts_with(lit) {
+        return Some(from);
+    }
+    // An empty literal starts everywhere, so it returned above.
+    let (&first, rest) = lit.split_first()?;
+    let last_start = record.len().checked_sub(lit.len())?;
+    let mut at = from + 1;
+    while at <= last_start {
+        at += record[at..=last_start].iter().position(|&b| b == first)?;
+        if record[at + 1..].starts_with(rest) {
+            return Some(at);
+        }
+        at += 1;
+    }
+    None
 }
 
 /// Match `record` against `pattern` and additionally require every residual
@@ -215,6 +256,20 @@ mod tests {
         let record = b"acbdb";
         let m = match_structure(&p, record).unwrap();
         assert_eq!(m.field_values(record), vec![b"cbd".as_slice()]);
+    }
+
+    #[test]
+    fn a_growing_field_jumps_to_the_next_occurrence_of_its_literal() {
+        // "ab" first occurs at 4; the `a`s at 1 and 3 are not followed by `b`.
+        let p = Pattern::parse("*ab*");
+        let m = match_structure(&p, b"xaxaab1").unwrap();
+        assert_eq!(m.field_spans, vec![(0, 4), (6, 7)]);
+        // The literal's first byte repeats: "aab" starts at 2, not at 1.
+        let p = Pattern::parse("a*aab");
+        let m = match_structure(&p, b"aaaab").unwrap();
+        assert_eq!(m.field_spans, vec![(1, 2)]);
+        // No later occurrence: the match fails at once.
+        assert!(match_structure(&p, b"aaaba").is_none());
     }
 
     #[test]

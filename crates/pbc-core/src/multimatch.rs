@@ -5,8 +5,21 @@
 //! every pattern at once and then keeps the longest matching pattern
 //! (Section 3.2). This module is the from-scratch substitute: patterns are
 //! bucketed by a short literal-prefix anchor and screened with a cheap byte
-//! signature before the exact glob matcher runs, and candidates are tried in
-//! descending literal-length order so the first hit is the longest pattern.
+//! signature before the exact glob matcher runs.
+//!
+//! The screen is a 128-bit set of the bytes a string contains, each byte
+//! folded onto its low seven bits. A pattern can match a record only if
+//! every bit of its literals' set is in the record's; folding keeps that a
+//! necessary condition, so the screen never rejects a match. The record's
+//! set is built by one store per byte into a presence array, so there is
+//! no serial read-modify-write chain through the record's bytes.
+//!
+//! The order rule: the pattern with the longest literal content
+//! ([`Pattern::literal_len`]) wins; among equally long ones an anchored
+//! pattern (one that starts with a literal) beats a floating one, and then
+//! the lower pattern id wins. Candidates are tried in that order, so the
+//! first hit of each bucket is its best and the search stops as soon as no
+//! remaining candidate can beat the hit.
 
 use crate::dictionary::PatternDictionary;
 use crate::matching::{match_record_into, MatchResult};
@@ -22,9 +35,6 @@ pub struct MultiMatcher {
     /// descending (so the first match found is the longest pattern).
     anchored: Vec<PatternEntry>,
     floating: Vec<PatternEntry>,
-    /// Most fields of any pattern: a span buffer this long serves every
-    /// candidate.
-    max_fields: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -33,23 +43,31 @@ struct PatternEntry {
     pattern: Pattern,
     /// Prefix anchor bytes (empty for floating patterns).
     anchor: Vec<u8>,
-    /// 256-bit byte-occurrence signature of all literal bytes.
-    signature: [u64; 4],
+    /// Byte-occurrence signature of all literal bytes.
+    signature: u128,
     literal_len: usize,
 }
 
-/// Compute the byte-occurrence signature of a byte string.
-fn signature_of(bytes: impl Iterator<Item = u8>) -> [u64; 4] {
-    let mut sig = [0u64; 4];
-    for b in bytes {
-        sig[(b >> 6) as usize] |= 1u64 << (b & 63);
+/// The byte-occurrence signature of `bytes`: bit `b & 127` is set for
+/// every byte `b` it contains.
+///
+/// Each byte is one store into a presence array, and no store reads what
+/// an earlier one wrote, so the loop carries no dependency through memory
+/// or a register; the array is then gathered into bits eight at a time.
+fn signature_of(bytes: &[u8]) -> u128 {
+    let mut seen = [0u8; 128];
+    for &b in bytes {
+        seen[usize::from(b & 127)] = 1;
     }
-    sig
-}
-
-/// Whether every bit of `needle` is present in `haystack`.
-fn signature_subset(needle: &[u64; 4], haystack: &[u64; 4]) -> bool {
-    needle.iter().zip(haystack.iter()).all(|(n, h)| n & !h == 0)
+    seen.chunks_exact(8).enumerate().fold(0, |sig, (i, flags)| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(flags);
+        // Each flag byte is 0 or 1; the multiply moves flag `j` to bit
+        // 56 + j, and no two partial products share a bit, so nothing
+        // carries into the top byte.
+        let bits = u64::from_le_bytes(word).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        sig | u128::from(bits) << (8 * i)
+    })
 }
 
 impl MultiMatcher {
@@ -58,11 +76,10 @@ impl MultiMatcher {
         let mut anchored = Vec::new();
         let mut floating = Vec::new();
         for (id, pattern) in dictionary.iter() {
-            let literal_bytes = pattern.segments().iter().flat_map(|s| match s {
-                Segment::Literal(l) => l.to_vec(),
-                Segment::Field(_) => Vec::new(),
+            let signature = pattern.segments().iter().fold(0, |sig, s| match s {
+                Segment::Literal(l) => sig | signature_of(l),
+                Segment::Field(_) => sig,
             });
-            let signature = signature_of(literal_bytes);
             let anchor = match pattern.segments().first() {
                 Some(Segment::Literal(l)) => l[..l.len().min(ANCHOR_LEN)].to_vec(),
                 _ => Vec::new(),
@@ -82,16 +99,7 @@ impl MultiMatcher {
         }
         anchored.sort_by_key(|e| std::cmp::Reverse(e.literal_len));
         floating.sort_by_key(|e| std::cmp::Reverse(e.literal_len));
-        let max_fields = dictionary
-            .iter()
-            .map(|(_, pattern)| pattern.field_count())
-            .max()
-            .unwrap_or(0);
-        MultiMatcher {
-            anchored,
-            floating,
-            max_fields,
-        }
+        MultiMatcher { anchored, floating }
     }
 
     /// Number of patterns the matcher screens.
@@ -102,41 +110,46 @@ impl MultiMatcher {
     /// Find the longest pattern matching `record` (including field encoder
     /// constraints). Returns `(pattern id, match result)`.
     pub fn best_match(&self, record: &[u8]) -> Option<(u32, MatchResult)> {
-        let record_sig = signature_of(record.iter().copied());
-        // `(id, literal length)` of the best match so far; its spans are in
-        // `best_spans`, and every candidate is matched into `spans`.
-        let mut best: Option<(u32, usize)> = None;
-        let mut best_spans = Vec::new();
-        let mut spans = Vec::with_capacity(self.max_fields);
+        let mut best = Vec::new();
+        let id = self.best_match_into(record, &mut best, &mut Vec::new())?;
+        Some((id, MatchResult { field_spans: best }))
+    }
 
+    /// [`MultiMatcher::best_match`] into caller-owned span buffers: on a
+    /// match the winner's id is returned and `best` holds its field spans.
+    /// `scratch` is where each candidate is tried; its contents on return
+    /// mean nothing.
+    pub fn best_match_into(
+        &self,
+        record: &[u8],
+        best: &mut Vec<(usize, usize)>,
+        scratch: &mut Vec<(usize, usize)>,
+    ) -> Option<u32> {
+        let record_sig = signature_of(record);
+        // `(id, literal length)` of the best match so far; its spans are in
+        // `best`.
+        let mut found: Option<(u32, usize)> = None;
         // Entries are sorted by literal length descending, so the first
         // accepted anchored entry is the best anchored one; likewise for
         // floating entries. We still compare across both lists.
         for entries in [&self.anchored, &self.floating] {
             for entry in entries {
-                if best.is_some_and(|(_, len)| entry.literal_len <= len) {
+                if found.is_some_and(|(_, len)| entry.literal_len <= len) {
                     break;
                 }
                 if entry.literal_len > record.len()
-                    || !signature_subset(&entry.signature, &record_sig)
+                    || entry.signature & !record_sig != 0
                     || !record.starts_with(&entry.anchor)
                 {
                     continue;
                 }
-                if match_record_into(&entry.pattern, record, &mut spans) {
-                    best = Some((entry.id, entry.literal_len));
-                    std::mem::swap(&mut spans, &mut best_spans);
+                if match_record_into(&entry.pattern, record, scratch) {
+                    found = Some((entry.id, entry.literal_len));
+                    std::mem::swap(scratch, best);
                 }
             }
         }
-        best.map(|(id, _)| {
-            (
-                id,
-                MatchResult {
-                    field_spans: best_spans,
-                },
-            )
-        })
+        found.map(|(id, _)| id)
     }
 
     /// Look up the pattern for an id (used by tests and diagnostics).
@@ -216,6 +229,35 @@ mod tests {
         let matcher = MultiMatcher::new(&PatternDictionary::new());
         assert_eq!(matcher.pattern_count(), 0);
         assert!(matcher.best_match(b"anything").is_none());
+    }
+
+    #[test]
+    fn signature_sets_the_folded_bit_of_every_byte() {
+        for n in 0..300usize {
+            let bytes: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
+            let naive = bytes.iter().fold(0u128, |sig, &b| sig | 1 << (b & 127));
+            assert_eq!(signature_of(&bytes), naive, "{n} bytes");
+        }
+        // Folding keeps the screen sound: a byte >= 128 in a literal is
+        // found in a record that holds it.
+        for b in 0..=255u8 {
+            let record = [b'x', b, b'y'];
+            assert_eq!(signature_of(&[b]) & !signature_of(&record), 0);
+        }
+    }
+
+    #[test]
+    fn ties_go_to_anchored_patterns_then_to_lower_ids() {
+        let matcher = MultiMatcher::new(&PatternDictionary::from_patterns(vec![
+            Pattern::parse("*abc"),
+            Pattern::parse("*ab*c"),
+            Pattern::parse("abc*"),
+            Pattern::parse("ab*c"),
+        ]));
+        // All four match "abc" with three literal bytes each.
+        assert_eq!(matcher.best_match(b"abc").unwrap().0, 3);
+        // Only the two floating ones match "xabc".
+        assert_eq!(matcher.best_match(b"xabc").unwrap().0, 1);
     }
 
     #[test]

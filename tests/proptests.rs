@@ -14,8 +14,11 @@ use pbc::archive::{
 use pbc::codecs::lz77::{self, MatchFinder, MatchFinderConfig, MIN_MATCH};
 use pbc::codecs::traits::{Codec, TrainableCodec};
 use pbc::codecs::{fsst, huffman, varint, FsstCodec, Lz4Like, LzmaLike, SnappyLike, ZstdLike};
-use pbc::core::matching::{match_record, reassemble};
-use pbc::core::{FieldEncoder, Pattern, PbcBlockCompressor, PbcCompressor, PbcConfig};
+use pbc::core::matching::{match_record, match_structure, reassemble};
+use pbc::core::multimatch::MultiMatcher;
+use pbc::core::{
+    FieldEncoder, Pattern, PatternDictionary, PbcBlockCompressor, PbcCompressor, PbcConfig, Segment,
+};
 use pbc::datagen::Dataset;
 use pbc::json::{parse, to_string, JsonValue, Number};
 use pbc::tier::{Manifest, ManifestEntry, SegmentStats, TierError, LEVEL_L0, LEVEL_L1};
@@ -499,6 +502,207 @@ fn trained_kernels() -> &'static TrainedKernels {
             compressed,
         }
     })
+}
+
+// ---------------- the glob matcher and the multi-pattern matcher ----------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The jumping matcher finds exactly the spans of the byte-stepping
+    /// one, with and without encoder constraints, on patterns with
+    /// adjacent, leading and trailing fields and empty literals, over an
+    /// alphabet small enough that literal first bytes repeat in the record.
+    #[test]
+    fn matcher_jumps_find_the_byte_stepping_spans(
+        segments in vec(arb_matcher_segment(4), 0..7),
+        fills in vec(vec(matcher_byte(), 0..5), 8..9),
+        edit in arb_record_edit(),
+        noise in vec(matcher_byte(), 0..24),
+    ) {
+        let pattern = raw_pattern(&segments);
+        let instance = fill_pattern(&segments, &fills);
+        for record in [edited(&instance, edit), instance, noise] {
+            let expected = byte_stepping_spans(&pattern, &record);
+            prop_assert_eq!(
+                match_structure(&pattern, &record).map(|m| m.field_spans),
+                expected.clone()
+            );
+            let accepted = expected.filter(|spans| {
+                pattern
+                    .field_encoders()
+                    .iter()
+                    .zip(spans)
+                    .all(|(enc, &(s, e))| enc.accepts(&record[s..e]))
+            });
+            prop_assert_eq!(match_record(&pattern, &record).map(|m| m.field_spans), accepted);
+        }
+    }
+
+    /// `best_match` (and `best_match_into` with buffers reused across
+    /// records) picks what trying every pattern picks: the longest literal
+    /// content wins, then an anchored pattern over a floating one, then the
+    /// lower id. Literals of at most one byte make ties common.
+    #[test]
+    fn matcher_best_match_agrees_with_brute_force(
+        patterns in vec(vec(arb_matcher_segment(2), 1..6), 1..8),
+        fills in vec(vec(matcher_byte(), 0..5), 8..9),
+        picks in vec((any::<usize>(), arb_record_edit()), 1..6),
+    ) {
+        let dictionary =
+            PatternDictionary::from_patterns(patterns.iter().map(|s| raw_pattern(s)).collect());
+        let matcher = MultiMatcher::new(&dictionary);
+        let (mut best, mut scratch) = (vec![(7, 7)], vec![(9, 9); 3]);
+        for (pick, edit) in picks {
+            let instance = fill_pattern(&patterns[pick % patterns.len()], &fills);
+            for record in [edited(&instance, edit), instance] {
+                let expected = brute_force_best_match(&dictionary, &record);
+                prop_assert_eq!(
+                    matcher.best_match(&record).map(|(id, m)| (id, m.field_spans)),
+                    expected.clone()
+                );
+                let id = matcher.best_match_into(&record, &mut best, &mut scratch);
+                prop_assert_eq!(id.map(|id| (id, best.clone())), expected);
+            }
+        }
+    }
+}
+
+/// Record bytes for the matcher cases: `a` and `\xe1` share their low
+/// seven bits, so the matcher's folded byte screen meets both.
+fn matcher_byte() -> impl Strategy<Value = u8> {
+    (0usize..4).prop_map(|i| [b'a', b'b', b'1', 0xe1][i])
+}
+
+/// A literal shorter than `max_literal` (empty ones included) or a field.
+fn arb_matcher_segment(max_literal: usize) -> impl Strategy<Value = Segment> {
+    // Literals and `VARCHAR` fields listed twice: drawn twice as often.
+    prop_oneof![
+        vec(matcher_byte(), 0..max_literal).prop_map(Segment::Literal),
+        vec(matcher_byte(), 0..max_literal).prop_map(Segment::Literal),
+        Just(Segment::Field(FieldEncoder::Varchar)),
+        Just(Segment::Field(FieldEncoder::Varchar)),
+        (1u16..3).prop_map(|n| Segment::Field(FieldEncoder::Char { n })),
+        (1u8..3).prop_map(|digits| Segment::Field(FieldEncoder::int_for_digits(digits))),
+        Just(Segment::Field(FieldEncoder::Varint)),
+    ]
+}
+
+/// Where to edit a record, how (insert, delete, replace or keep), and
+/// the byte to write.
+fn arb_record_edit() -> impl Strategy<Value = (usize, u8, u8)> {
+    (any::<usize>(), 0u8..4, matcher_byte())
+}
+
+/// A pattern with exactly these segments: unlike `Pattern::new`, it keeps
+/// adjacent fields and empty literals, as a deserialized dictionary may.
+fn raw_pattern(segments: &[Segment]) -> Pattern {
+    let mut bytes = Vec::new();
+    varint::write_usize(&mut bytes, segments.len());
+    for segment in segments {
+        match segment {
+            Segment::Literal(lit) => {
+                bytes.push(0);
+                varint::write_usize(&mut bytes, lit.len());
+                bytes.extend_from_slice(lit);
+            }
+            Segment::Field(enc) => {
+                bytes.push(1);
+                enc.serialize(&mut bytes);
+            }
+        }
+    }
+    Pattern::deserialize(&bytes, 0).unwrap().0
+}
+
+/// The pattern's literals with its fields filled from `fills` in turn.
+fn fill_pattern(segments: &[Segment], fills: &[Vec<u8>]) -> Vec<u8> {
+    let mut fill = fills.iter().cycle();
+    let mut record = Vec::new();
+    for segment in segments {
+        match segment {
+            Segment::Literal(lit) => record.extend_from_slice(lit),
+            Segment::Field(_) => record.extend_from_slice(fill.next().unwrap()),
+        }
+    }
+    record
+}
+
+fn edited(record: &[u8], (at, kind, byte): (usize, u8, u8)) -> Vec<u8> {
+    let mut record = record.to_vec();
+    let at = at % (record.len() + 1);
+    match kind {
+        0 => record.insert(at, byte),
+        1 if at < record.len() => drop(record.remove(at)),
+        2 if at < record.len() => record[at] = byte,
+        _ => {}
+    }
+    record
+}
+
+/// The glob matcher as first written, kept as the oracle: on a mismatch
+/// the latest field grows by one byte and everything after it is retried.
+fn byte_stepping_spans(pattern: &Pattern, record: &[u8]) -> Option<Vec<(usize, usize)>> {
+    let segs = pattern.segments();
+    let mut spans = vec![(0, 0); pattern.field_count()];
+    let (mut si, mut field, mut pos) = (0usize, 0usize, 0usize);
+    let mut last_star: Option<(usize, usize)> = None;
+    let mut star_end = 0usize;
+    loop {
+        if si < segs.len() {
+            match &segs[si] {
+                Segment::Literal(lit) => {
+                    if record[pos..].starts_with(lit) {
+                        pos += lit.len();
+                        si += 1;
+                        continue;
+                    }
+                }
+                Segment::Field(_) => {
+                    spans[field] = (pos, pos);
+                    last_star = Some((si, field));
+                    star_end = pos;
+                    si += 1;
+                    field += 1;
+                    continue;
+                }
+            }
+        } else if pos == record.len() {
+            return Some(spans);
+        }
+        let (star_si, star_field) = last_star?;
+        star_end += 1;
+        if star_end > record.len() {
+            return None;
+        }
+        spans[star_field].1 = star_end;
+        pos = star_end;
+        si = star_si + 1;
+        field = star_field + 1;
+    }
+}
+
+/// Every pattern tried in id order; a later match replaces the best only
+/// when it ranks strictly higher by (literal bytes, anchored).
+fn brute_force_best_match(
+    dictionary: &PatternDictionary,
+    record: &[u8],
+) -> Option<(u32, Vec<(usize, usize)>)> {
+    let mut best = None;
+    let mut top = (0, false);
+    for (id, pattern) in dictionary.iter() {
+        let Some(m) = match_record(pattern, record) else {
+            continue;
+        };
+        let anchored =
+            matches!(pattern.segments().first(), Some(Segment::Literal(l)) if !l.is_empty());
+        let rank = (pattern.literal_len(), anchored);
+        if best.is_none() || rank > top {
+            top = rank;
+            best = Some((id, m.field_spans));
+        }
+    }
+    best
 }
 
 // ---------------- Zstd(dict) block decode kernel ----------------
