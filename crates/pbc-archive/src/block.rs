@@ -7,10 +7,10 @@
 //! keep it behind an `Arc`. An owned `(key, value)` pair is only built for
 //! a row a caller actually hands out.
 //!
-//! Whole-block codecs (`Raw`, `Zstd`) decode the serialized payload
+//! The whole-block codec (`Zstd`) decodes the serialized payload
 //! (`varint key_len, key, varint value_len, value`, repeated) straight into
-//! the buffer and index it where it lies; per-record codecs append each
-//! key and decoded value to it.
+//! the buffer and indexes it where it lies; a per-record block (`Raw`
+//! included) appends each key and decoded value to it.
 
 use pbc_codecs::varint;
 
@@ -52,7 +52,8 @@ impl DecodedBlock {
     /// Decode a per-record block (`varint key_len, key, varint len,
     /// compressed value`, repeated), appending each key to one buffer and
     /// having `decode` append each value to it. `raw_len` — the footer's
-    /// serialized payload length — bounds the decoded bytes.
+    /// serialized payload length — bounds the decoded bytes as they grow,
+    /// and the decoded entries must serialize to exactly that length.
     pub(crate) fn decode_per_record(
         block: &[u8],
         record_count: usize,
@@ -63,16 +64,20 @@ impl DecodedBlock {
         // Reserve what the footer promises, capped by the block actually in
         // hand so a forged footer cannot size the allocation on its own.
         let mut bytes = Vec::with_capacity(raw_len.min(block.len().saturating_mul(16)));
-        let mut pos = 0usize;
+        let (mut pos, mut serialized) = (0usize, 0usize);
         while pos < block.len() {
             let key = read_chunk(block, pos, "block entry key")?;
             let value = read_chunk(block, key.end, "block entry value")?;
+            // The key is framed here as the serialized payload frames it.
+            let key_frame_len = key.end - pos;
             pos = value.end;
             let key_start = bytes.len();
             bytes.extend_from_slice(&block[key]);
             let value_start = bytes.len();
             decode(&block[value], &mut bytes)?;
-            if bytes.len() > raw_len {
+            let value_len = bytes.len() - value_start;
+            serialized += key_frame_len + varint::encoded_len(value_len as u64) + value_len;
+            if serialized > raw_len {
                 return Err(ArchiveError::Corrupt {
                     context: format!("block decodes past the {raw_len} bytes its index promises"),
                 });
@@ -83,6 +88,11 @@ impl DecodedBlock {
                 value_start as u32,
                 bytes.len() as u32,
             ]);
+        }
+        if serialized != raw_len {
+            return Err(ArchiveError::Corrupt {
+                context: format!("block decodes to {serialized} bytes, index promises {raw_len}"),
+            });
         }
         DecodedBlock { bytes, bounds }.with_count(record_count)
     }

@@ -1,27 +1,36 @@
-//! Per-block codecs: how a block of records becomes bytes and back.
+//! Record and block codecs: how one value, and a block of records, become
+//! bytes and back.
+//!
+//! A [`RecordCodec`] encodes one value on its own — verbatim, PBC or
+//! PBC_F, FSST, or Zstd-like with a trained dictionary — and is the one
+//! per-record codec of the workspace: the hot tier (`pbc-store`, the
+//! paper's Table 8) stores every value through it, and per-record segment
+//! blocks frame every value through it.
 //!
 //! A segment commits to one [`BlockCodec`] at write time; its trained
 //! artifacts (PBC pattern dictionary, FSST symbol table, Zstd dictionary)
 //! are serialized once into the segment header, so reopening a segment
-//! needs no retraining.
+//! needs no retraining. A block takes one of two shapes:
 //!
-//! Two block shapes exist:
-//!
-//! * The **whole-block** codec (`Zstd`) serializes all entries into one
-//!   payload and compresses it as a unit — best ratio, but a point lookup
+//! * **Per-record** ([`BlockCodec::PerRecord`]): each value is encoded by
+//!   the record codec inside the block's `varint len, bytes` frames, so a
+//!   point lookup walks the frames and decodes only the requested value
+//!   (the paper's random-access property, Figure 5; `repro fig5` measures
+//!   it on [`BlockCodec::entry_at`]). A `Raw` block is this shape with
+//!   every value stored verbatim.
+//! * **Whole-block** ([`BlockCodec::Zstd`]): all entries serialized into
+//!   one payload and compressed as a unit — best ratio, but a point lookup
 //!   decompresses the whole block.
-//! * **Per-record** codecs (`Pbc`, `PbcF`, `Fsst`) compress each value
-//!   independently inside the block, so a point lookup walks entry headers
-//!   and decodes only the requested value (the paper's random-access
-//!   property, Figure 5; `repro fig5` measures it on
-//!   [`BlockCodec::entry_at`]). `Raw` is per-record too: its block is the
-//!   same frames with every value stored verbatim, so lookups walk it the
-//!   same way.
+//!
+//! Header ids 0–4 name the codecs [`CodecSpec::Auto`] chooses from. Id 5
+//! is a per-record Zstd(dict) segment, which only a
+//! [`CodecSpec::Pretrained`] writer stamps.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use pbc_codecs::fsst::FsstCodec;
-use pbc_codecs::traits::DictCodec;
+use pbc_codecs::traits::{DictCodec, TrainableCodec};
 use pbc_codecs::varint;
 use pbc_codecs::zstdlike::ZstdLike;
 use pbc_codecs::Dictionary;
@@ -47,6 +56,8 @@ pub mod codec_id {
     pub const ZSTD: u8 = 3;
     /// Per-record FSST symbol-table compression.
     pub const FSST: u8 = 4;
+    /// Per-record Zstd-like with a trained dictionary.
+    pub const ZSTD_RECORD: u8 = 5;
 }
 
 /// Which codec a [`crate::SegmentWriter`] should use.
@@ -76,104 +87,161 @@ pub enum CodecSpec {
     Pretrained(BlockCodec),
 }
 
-/// A trained, ready-to-use block codec.
+/// Zstd-like compression with a trained dictionary: a whole-block segment
+/// codec, and a record codec (TierBase's previous solution, Table 8's
+/// "Zstd(dict)" row).
 #[derive(Debug, Clone)]
-pub enum BlockCodec {
-    /// Entries stored verbatim.
-    Raw,
-    /// Per-record PBC (plain or FSST residuals — `fsst` distinguishes them
-    /// for the header codec id).
-    Pbc {
-        /// The trained compressor, shared by every clone of the codec.
-        compressor: Arc<PbcCompressor>,
-        /// Whether residuals are FSST-compressed (`PBC_F`).
-        fsst: bool,
-    },
-    /// Whole-block Zstd-like with a shared trained dictionary.
-    Zstd {
-        /// The compressor configured at the chosen level.
-        codec: ZstdLike,
-        /// The trained dictionary, embedded in the segment header.
-        dictionary: Arc<Vec<u8>>,
-    },
-    /// Per-record FSST.
-    Fsst {
-        /// The trained symbol table.
-        codec: FsstCodec,
-    },
+pub struct ZstdDict {
+    /// The compressor, configured at the level it was trained for.
+    pub codec: ZstdLike,
+    /// The trained dictionary, shared by every clone and embedded in the
+    /// segment header.
+    pub dictionary: Arc<Vec<u8>>,
 }
 
-impl BlockCodec {
-    /// The header codec id.
+impl ZstdDict {
+    /// Train a dictionary on sampled values (the paper's "sample data for
+    /// a target workload and train a workload-specific dictionary ...
+    /// offline" flow).
+    pub fn train(samples: &[&[u8]], level: i32) -> Self {
+        ZstdDict {
+            codec: ZstdLike::new(level),
+            dictionary: Arc::new(Dictionary::train_default(samples).as_bytes().to_vec()),
+        }
+    }
+
+    /// `varint level, varint dictionary length, dictionary`.
+    fn artifacts(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.dictionary.len() + 8);
+        varint::write_i64(&mut out, self.codec.level() as i64);
+        varint::write_usize(&mut out, self.dictionary.len());
+        out.extend_from_slice(&self.dictionary);
+        out
+    }
+
+    fn from_artifacts(artifacts: &[u8]) -> Result<Self> {
+        let (level, pos) = varint::read_i64(artifacts, 0)?;
+        let (dict_len, pos) = varint::read_usize(artifacts, pos)?;
+        let end = pos
+            .checked_add(dict_len)
+            .filter(|&e| e <= artifacts.len())
+            .ok_or(ArchiveError::Truncated {
+                context: "Zstd artifacts",
+            })?;
+        Ok(ZstdDict {
+            codec: ZstdLike::new(level as i32),
+            dictionary: Arc::new(artifacts[pos..end].to_vec()),
+        })
+    }
+}
+
+/// A trained per-record codec: one value in, one value out.
+#[derive(Debug, Clone)]
+pub enum RecordCodec {
+    /// Values stored verbatim.
+    Raw,
+    /// PBC with a trained pattern dictionary, shared by every clone:
+    /// `PBC_F` when the compressor codes residuals with FSST
+    /// ([`PbcCompressor::residual_fsst`]), plain `PBC` otherwise.
+    Pbc(Arc<PbcCompressor>),
+    /// FSST with a trained symbol table.
+    Fsst(FsstCodec),
+    /// Zstd-like with a trained dictionary.
+    ZstdDict(ZstdDict),
+}
+
+impl RecordCodec {
+    /// The header id of a per-record segment written with this codec.
     pub fn id(&self) -> u8 {
         match self {
-            BlockCodec::Raw => codec_id::RAW,
-            BlockCodec::Pbc { fsst: false, .. } => codec_id::PBC,
-            BlockCodec::Pbc { fsst: true, .. } => codec_id::PBC_F,
-            BlockCodec::Zstd { .. } => codec_id::ZSTD,
-            BlockCodec::Fsst { .. } => codec_id::FSST,
+            RecordCodec::Raw => codec_id::RAW,
+            RecordCodec::Pbc(compressor) if compressor.residual_fsst().is_some() => codec_id::PBC_F,
+            RecordCodec::Pbc(_) => codec_id::PBC,
+            RecordCodec::Fsst(_) => codec_id::FSST,
+            RecordCodec::ZstdDict(_) => codec_id::ZSTD_RECORD,
         }
     }
 
     /// Name used in reports and summaries.
     pub fn name(&self) -> &'static str {
         match self {
-            BlockCodec::Raw => "Raw",
-            BlockCodec::Pbc { fsst: false, .. } => "PBC",
-            BlockCodec::Pbc { fsst: true, .. } => "PBC_F",
-            BlockCodec::Zstd { .. } => "Zstd(dict)",
-            BlockCodec::Fsst { .. } => "FSST",
+            RecordCodec::Raw => "Raw",
+            RecordCodec::Pbc(compressor) => compressor.variant_name(),
+            RecordCodec::Fsst(_) => "FSST",
+            RecordCodec::ZstdDict(_) => "Zstd(dict)",
         }
     }
 
-    /// Whether point lookups can decode a single record without
-    /// decompressing the rest of its block.
-    pub fn is_per_record(&self) -> bool {
-        matches!(
-            self,
-            BlockCodec::Raw | BlockCodec::Pbc { .. } | BlockCodec::Fsst { .. }
-        )
+    /// Encode one value; `Raw` borrows it.
+    pub fn encode<'a>(&self, value: &'a [u8]) -> Cow<'a, [u8]> {
+        match self {
+            RecordCodec::Raw => Cow::Borrowed(value),
+            RecordCodec::Pbc(compressor) => Cow::Owned(compressor.compress(value)),
+            RecordCodec::Fsst(codec) => Cow::Owned(codec.encode(value)),
+            RecordCodec::ZstdDict(ZstdDict { codec, dictionary }) => {
+                Cow::Owned(codec.compress_with_dict(value, dictionary))
+            }
+        }
+    }
+
+    /// Append the value `stored` encodes to `out`. On error `out` holds
+    /// what it held on entry.
+    pub fn decode_into(&self, stored: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        self.decode_capped_into(stored, usize::MAX, out)
+    }
+
+    /// [`RecordCodec::decode_into`], refusing a `ZstdDict` value that
+    /// declares more than `max_len` bytes before sizing `out` for it (a few
+    /// stream bytes can declare gigabytes). The other codecs' output is
+    /// bounded by their input and trained state.
+    fn decode_capped_into(&self, stored: &[u8], max_len: usize, out: &mut Vec<u8>) -> Result<()> {
+        match self {
+            RecordCodec::Raw => out.extend_from_slice(stored),
+            RecordCodec::Pbc(compressor) => compressor.decompress_into(stored, out)?,
+            RecordCodec::Fsst(codec) => codec.decode_into(stored, out)?,
+            RecordCodec::ZstdDict(ZstdDict { codec, dictionary }) => {
+                codec.decompress_with_dict_into(stored, dictionary, max_len, out)?
+            }
+        }
+        Ok(())
+    }
+
+    /// [`RecordCodec::decode_into`] a new buffer, which the decoder sizes:
+    /// `Raw` and `ZstdDict` allocate it once, at the value's length.
+    pub fn decode(&self, stored: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.decode_into(stored, &mut out)?;
+        Ok(out)
     }
 
     /// Serialize the trained artifacts for the segment header.
     pub fn artifacts(&self) -> Vec<u8> {
         match self {
-            BlockCodec::Raw => Vec::new(),
-            BlockCodec::Pbc { compressor, fsst } => {
+            RecordCodec::Raw => Vec::new(),
+            RecordCodec::Pbc(compressor) => {
                 let dict = compressor.dictionary().serialize();
-                if !*fsst {
+                let Some(fsst) = compressor.residual_fsst() else {
                     return dict;
-                }
+                };
                 let mut out = Vec::with_capacity(dict.len() + 64);
                 varint::write_usize(&mut out, dict.len());
                 out.extend_from_slice(&dict);
-                out.extend_from_slice(&fsst_table(compressor));
+                out.extend_from_slice(&fsst.serialize_table());
                 out
             }
-            BlockCodec::Zstd { codec, dictionary } => {
-                let mut out = Vec::with_capacity(dictionary.len() + 8);
-                varint::write_i64(&mut out, codec.level() as i64);
-                varint::write_usize(&mut out, dictionary.len());
-                out.extend_from_slice(dictionary);
-                out
-            }
-            BlockCodec::Fsst { codec } => codec.serialize_table(),
+            RecordCodec::Fsst(codec) => codec.serialize_table(),
+            RecordCodec::ZstdDict(zstd) => zstd.artifacts(),
         }
     }
 
     /// Rebuild a codec from a header codec id and its artifacts.
     pub fn from_parts(id: u8, artifacts: &[u8]) -> Result<Self> {
+        let pbc = |dictionary| PbcCompressor::from_dictionary(dictionary, &PbcConfig::default());
         match id {
-            codec_id::RAW => Ok(BlockCodec::Raw),
+            codec_id::RAW => Ok(RecordCodec::Raw),
             codec_id::PBC => {
                 let dictionary = PatternDictionary::deserialize(artifacts)?;
-                Ok(BlockCodec::Pbc {
-                    compressor: Arc::new(PbcCompressor::from_dictionary(
-                        dictionary,
-                        &PbcConfig::default(),
-                    )),
-                    fsst: false,
-                })
+                Ok(RecordCodec::Pbc(Arc::new(pbc(dictionary))))
             }
             codec_id::PBC_F => {
                 let (dict_len, pos) = varint::read_usize(artifacts, 0)?;
@@ -190,27 +258,7 @@ impl BlockCodec {
                         context: "trailing bytes after PBC_F artifacts".into(),
                     });
                 }
-                Ok(BlockCodec::Pbc {
-                    compressor: Arc::new(
-                        PbcCompressor::from_dictionary(dictionary, &PbcConfig::default())
-                            .with_fsst(fsst),
-                    ),
-                    fsst: true,
-                })
-            }
-            codec_id::ZSTD => {
-                let (level, pos) = varint::read_i64(artifacts, 0)?;
-                let (dict_len, pos) = varint::read_usize(artifacts, pos)?;
-                let end = pos
-                    .checked_add(dict_len)
-                    .filter(|&e| e <= artifacts.len())
-                    .ok_or(ArchiveError::Truncated {
-                        context: "Zstd artifacts",
-                    })?;
-                Ok(BlockCodec::Zstd {
-                    codec: ZstdLike::new(level as i32),
-                    dictionary: Arc::new(artifacts[pos..end].to_vec()),
-                })
+                Ok(RecordCodec::Pbc(Arc::new(pbc(dictionary).with_fsst(fsst))))
             }
             codec_id::FSST => {
                 let (codec, used) = FsstCodec::deserialize_table(artifacts)?;
@@ -219,66 +267,114 @@ impl BlockCodec {
                         context: "trailing bytes after FSST artifacts".into(),
                     });
                 }
-                Ok(BlockCodec::Fsst { codec })
+                Ok(RecordCodec::Fsst(codec))
+            }
+            codec_id::ZSTD_RECORD => {
+                Ok(RecordCodec::ZstdDict(ZstdDict::from_artifacts(artifacts)?))
             }
             other => Err(ArchiveError::UnknownCodec { id: other }),
         }
+    }
+}
+
+/// A trained, ready-to-use block codec: a block shape and the codec that
+/// fills it.
+#[derive(Debug, Clone)]
+pub enum BlockCodec {
+    /// Every value encoded on its own by the record codec, inside the
+    /// block's frames.
+    PerRecord(RecordCodec),
+    /// The serialized block compressed as a unit, with a shared trained
+    /// dictionary.
+    Zstd(ZstdDict),
+}
+
+impl BlockCodec {
+    /// The header codec id.
+    pub fn id(&self) -> u8 {
+        match self {
+            BlockCodec::PerRecord(codec) => codec.id(),
+            BlockCodec::Zstd(_) => codec_id::ZSTD,
+        }
+    }
+
+    /// Name used in reports and summaries.
+    pub fn name(&self) -> &'static str {
+        match self {
+            BlockCodec::PerRecord(codec) => codec.name(),
+            BlockCodec::Zstd(_) => "Zstd(dict)",
+        }
+    }
+
+    /// Whether point lookups can decode a single record without
+    /// decompressing the rest of its block.
+    pub fn is_per_record(&self) -> bool {
+        matches!(self, BlockCodec::PerRecord(_))
+    }
+
+    /// Serialize the trained artifacts for the segment header.
+    pub fn artifacts(&self) -> Vec<u8> {
+        match self {
+            BlockCodec::PerRecord(codec) => codec.artifacts(),
+            BlockCodec::Zstd(zstd) => zstd.artifacts(),
+        }
+    }
+
+    /// Rebuild a codec from a header codec id and its artifacts.
+    pub fn from_parts(id: u8, artifacts: &[u8]) -> Result<Self> {
+        if id == codec_id::ZSTD {
+            return Ok(BlockCodec::Zstd(ZstdDict::from_artifacts(artifacts)?));
+        }
+        RecordCodec::from_parts(id, artifacts).map(BlockCodec::PerRecord)
     }
 
     /// Compress one block of entries.
     pub fn compress_block(&self, entries: &[Entry]) -> Vec<u8> {
         match self {
-            BlockCodec::Raw => serialize_entries(entries),
-            BlockCodec::Zstd { codec, dictionary } => {
+            BlockCodec::PerRecord(codec) => frame_entries(entries, codec),
+            BlockCodec::Zstd(ZstdDict { codec, dictionary }) => {
                 codec.compress_with_dict(&serialize_entries(entries), dictionary)
             }
-            BlockCodec::Pbc { compressor, .. } => {
-                compress_per_record(entries, |value| compressor.compress(value))
-            }
-            BlockCodec::Fsst { codec } => compress_per_record(entries, |value| codec.encode(value)),
         }
     }
 
     /// Decode a whole block into one flat [`DecodedBlock`]. `record_count`
     /// and `raw_len` are the block's footer entry: the decode must yield
-    /// exactly that many records, and exactly (whole-block codecs) or at
-    /// most (per-record codecs) that many bytes — a block claiming more is
-    /// refused before anything is allocated for the claim.
+    /// exactly that many records, which serialize to exactly that many
+    /// bytes — a block claiming more is refused before anything is
+    /// allocated for the claim.
     pub fn decompress_block(
         &self,
         block: &[u8],
         record_count: usize,
         raw_len: usize,
     ) -> Result<DecodedBlock> {
-        let payload_len_mismatch = |len: usize| ArchiveError::Corrupt {
-            context: format!("block payload is {len} bytes, index promises {raw_len}"),
-        };
         match self {
-            BlockCodec::Raw => {
-                if block.len() != raw_len {
-                    return Err(payload_len_mismatch(block.len()));
-                }
-                DecodedBlock::index_serialized(block.to_vec(), record_count)
+            BlockCodec::PerRecord(codec) => {
+                DecodedBlock::decode_per_record(block, record_count, raw_len, |value, out| {
+                    let budget = raw_len.saturating_sub(out.len());
+                    codec.decode_capped_into(value, budget, out)
+                })
             }
-            BlockCodec::Zstd { codec, dictionary } => {
+            BlockCodec::Zstd(ZstdDict { codec, dictionary }) => {
                 let mut payload = Vec::new();
                 codec.decompress_with_dict_into(block, dictionary, raw_len, &mut payload)?;
                 if payload.len() != raw_len {
-                    return Err(payload_len_mismatch(payload.len()));
+                    return Err(ArchiveError::Corrupt {
+                        context: format!(
+                            "block payload is {} bytes, index promises {raw_len}",
+                            payload.len()
+                        ),
+                    });
                 }
                 DecodedBlock::index_serialized(payload, record_count)
-            }
-            BlockCodec::Pbc { .. } | BlockCodec::Fsst { .. } => {
-                DecodedBlock::decode_per_record(block, record_count, raw_len, |value, out| {
-                    self.decode_value_into(value, out)
-                })
             }
         }
     }
 
-    /// Decode a single entry by its position inside the block. For
-    /// per-record codecs this walks entry headers and decodes only the
-    /// requested value; whole-block codecs fall back to full decompression.
+    /// Decode a single entry by its position inside the block. A
+    /// per-record block walks entry headers and decodes only the requested
+    /// value; a whole-block codec decompresses the block.
     pub fn entry_at(
         &self,
         block: &[u8],
@@ -286,7 +382,7 @@ impl BlockCodec {
         record_count: usize,
         raw_len: usize,
     ) -> Result<Entry> {
-        if !self.is_per_record() {
+        let BlockCodec::PerRecord(codec) = self else {
             let decoded = self.decompress_block(block, record_count, raw_len)?;
             if idx >= decoded.len() {
                 return Err(ArchiveError::Corrupt {
@@ -294,42 +390,21 @@ impl BlockCodec {
                 });
             }
             return Ok((decoded.key(idx).to_vec(), decoded.value(idx).to_vec()));
-        }
+        };
         let mut pos = 0usize;
-        for i in 0..=idx {
+        for _ in 0..idx {
             let key = read_chunk(block, pos, "block entry key")?;
-            let value = read_chunk(block, key.end, "block entry value")?;
-            pos = value.end;
-            if i == idx {
-                return Ok((block[key].to_vec(), self.decode_value(&block[value])?));
-            }
+            pos = read_chunk(block, key.end, "block entry value")?.end;
         }
-        unreachable!("loop returns at i == idx")
-    }
-
-    /// Decode one per-record-compressed value. Only meaningful for codecs
-    /// where [`BlockCodec::is_per_record`] is true.
-    fn decode_value(&self, value: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.decode_value_into(value, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`BlockCodec::decode_value`], appending to `out`.
-    fn decode_value_into(&self, value: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        match self {
-            BlockCodec::Raw => out.extend_from_slice(value),
-            BlockCodec::Pbc { compressor, .. } => compressor.decompress_into(value, out)?,
-            BlockCodec::Fsst { codec } => codec.decode_into(value, out)?,
-            BlockCodec::Zstd { .. } => unreachable!("whole-block codecs have no per-record values"),
-        }
-        Ok(())
+        let key = read_chunk(block, pos, "block entry key")?;
+        let value = read_chunk(block, key.end, "block entry value")?;
+        Ok((block[key].to_vec(), codec.decode(&block[value])?))
     }
 
     /// Find the **last** entry with `key` in a block whose keys ascend (a
     /// key may repeat, adjacently), preserving the per-record random-access
-    /// property: for per-record codecs only entry headers are walked, up to
-    /// the first key past `key`, and only the matching value is decoded.
+    /// property: a per-record block walks only entry headers, up to the
+    /// first key past `key`, and decodes only the matching value.
     pub fn find_by_key(
         &self,
         block: &[u8],
@@ -337,10 +412,10 @@ impl BlockCodec {
         record_count: usize,
         raw_len: usize,
     ) -> Result<Option<Vec<u8>>> {
-        if !self.is_per_record() {
+        let BlockCodec::PerRecord(codec) = self else {
             let decoded = self.decompress_block(block, record_count, raw_len)?;
             return Ok(decoded.find_last(key).map(<[u8]>::to_vec));
-        }
+        };
         let mut pos = 0usize;
         let mut hit: Option<&[u8]> = None;
         while pos < block.len() {
@@ -354,20 +429,14 @@ impl BlockCodec {
                 break;
             }
         }
-        hit.map(|value| self.decode_value(value)).transpose()
+        hit.map(|value| codec.decode(value)).transpose()
     }
 }
 
-/// Serialize entries into the whole-block payload shape.
+/// Serialize entries into the whole-block payload shape: the per-record
+/// frames with every value verbatim.
 pub fn serialize_entries(entries: &[Entry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(serialized_len(entries));
-    for (key, value) in entries {
-        varint::write_usize(&mut out, key.len());
-        out.extend_from_slice(key);
-        varint::write_usize(&mut out, value.len());
-        out.extend_from_slice(value);
-    }
-    out
+    frame_entries(entries, &RecordCodec::Raw)
 }
 
 /// Exact byte length [`serialize_entries`] will produce.
@@ -383,49 +452,32 @@ pub fn serialized_len(entries: &[Entry]) -> usize {
         .sum()
 }
 
-fn compress_per_record(entries: &[Entry], compress: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(serialized_len(entries) / 2 + 16);
+/// `varint key_len, key, varint len, encoded value` per entry, sized for
+/// the serialized payload (a block that outgrows it falls back to raw).
+fn frame_entries(entries: &[Entry], codec: &RecordCodec) -> Vec<u8> {
+    let mut out = Vec::with_capacity(serialized_len(entries));
     for (key, value) in entries {
         varint::write_usize(&mut out, key.len());
         out.extend_from_slice(key);
-        let compressed = compress(value);
-        varint::write_usize(&mut out, compressed.len());
-        out.extend_from_slice(&compressed);
+        let stored = codec.encode(value);
+        varint::write_usize(&mut out, stored.len());
+        out.extend_from_slice(&stored);
     }
     out
-}
-
-fn fsst_table(compressor: &PbcCompressor) -> Vec<u8> {
-    // The compressor does not expose its FSST table directly; recover it via
-    // the residual mode. This helper exists only for artifact serialization.
-    match compressor.residual_fsst() {
-        Some(fsst) => fsst.serialize_table(),
-        None => Vec::new(),
-    }
 }
 
 /// Build the codec a [`CodecSpec`] asks for, training on the given sample
 /// entries (normally the segment's first block).
 pub fn build_codec(spec: &CodecSpec, samples: &[Entry]) -> BlockCodec {
     let values: Vec<&[u8]> = samples.iter().map(|(_, v)| v.as_slice()).collect();
+    let pbc = |compressor| BlockCodec::PerRecord(RecordCodec::Pbc(Arc::new(compressor)));
     match spec {
         CodecSpec::Auto => select_codec_over_blocks(&[samples]),
-        CodecSpec::Raw => BlockCodec::Raw,
-        CodecSpec::Pbc(config) => BlockCodec::Pbc {
-            compressor: Arc::new(PbcCompressor::train(&values, config)),
-            fsst: false,
-        },
-        CodecSpec::PbcF(config) => BlockCodec::Pbc {
-            compressor: Arc::new(PbcCompressor::train_fsst(&values, config)),
-            fsst: true,
-        },
-        CodecSpec::Zstd { level } => BlockCodec::Zstd {
-            codec: ZstdLike::new(*level),
-            dictionary: Arc::new(Dictionary::train_default(&values).as_bytes().to_vec()),
-        },
-        CodecSpec::Fsst => BlockCodec::Fsst {
-            codec: <FsstCodec as pbc_codecs::TrainableCodec>::train(&values),
-        },
+        CodecSpec::Raw => BlockCodec::PerRecord(RecordCodec::Raw),
+        CodecSpec::Pbc(config) => pbc(PbcCompressor::train(&values, config)),
+        CodecSpec::PbcF(config) => pbc(PbcCompressor::train_fsst(&values, config)),
+        CodecSpec::Zstd { level } => BlockCodec::Zstd(ZstdDict::train(&values, *level)),
+        CodecSpec::Fsst => BlockCodec::PerRecord(RecordCodec::Fsst(FsstCodec::train(&values))),
         CodecSpec::Pretrained(codec) => codec.clone(),
     }
 }
@@ -449,7 +501,7 @@ pub(crate) fn select_codec_over_blocks(sample_blocks: &[&[Entry]]) -> BlockCodec
         }
     };
     if training.is_empty() {
-        return BlockCodec::Raw;
+        return BlockCodec::PerRecord(RecordCodec::Raw);
     }
     // `PBC` and `PBC_F` extract the same pattern dictionary from the same
     // sample: extract it once, for `PBC_F`, and build `PBC` on it.
@@ -461,17 +513,11 @@ pub(crate) fn select_codec_over_blocks(sample_blocks: &[&[Entry]]) -> BlockCodec
         &config,
     ));
     let candidates = [
-        BlockCodec::Pbc {
-            compressor: pbc,
-            fsst: false,
-        },
-        BlockCodec::Pbc {
-            compressor: pbc_f,
-            fsst: true,
-        },
+        BlockCodec::PerRecord(RecordCodec::Pbc(pbc)),
+        BlockCodec::PerRecord(RecordCodec::Pbc(pbc_f)),
         build_codec(&CodecSpec::Zstd { level: 3 }, training),
         build_codec(&CodecSpec::Fsst, training),
-        BlockCodec::Raw,
+        BlockCodec::PerRecord(RecordCodec::Raw),
     ];
     let mut best: Option<(usize, BlockCodec)> = None;
     for codec in candidates {
@@ -511,12 +557,15 @@ mod tests {
     }
 
     fn all_trained_codecs(entries: &[Entry]) -> Vec<BlockCodec> {
+        let values: Vec<&[u8]> = entries.iter().map(|(_, v)| v.as_slice()).collect();
         // Plain block Zstd, with no dictionary: the codec `repro fig5`
         // measures against.
-        let plain_zstd = BlockCodec::Zstd {
+        let plain_zstd = BlockCodec::Zstd(ZstdDict {
             codec: ZstdLike::new(1),
             dictionary: Arc::default(),
-        };
+        });
+        let zstd_per_record =
+            BlockCodec::PerRecord(RecordCodec::ZstdDict(ZstdDict::train(&values, 3)));
         [
             CodecSpec::Raw,
             CodecSpec::Pbc(PbcConfig::small()),
@@ -524,6 +573,7 @@ mod tests {
             CodecSpec::Zstd { level: 3 },
             CodecSpec::Fsst,
             CodecSpec::Pretrained(plain_zstd),
+            CodecSpec::Pretrained(zstd_per_record),
         ]
         .iter()
         .map(|spec| build_codec(spec, entries))
@@ -535,17 +585,32 @@ mod tests {
         let entries = sample_entries(120);
         for codec in all_trained_codecs(&entries) {
             let block = codec.compress_block(&entries);
+            let raw_len = serialized_len(&entries);
             let back = codec
-                .decompress_block(&block, entries.len(), serialized_len(&entries))
+                .decompress_block(&block, entries.len(), raw_len)
                 .unwrap();
             assert_eq!(back.to_entries(), entries, "{}", codec.name());
+            // A footer whose raw length is off by one either way is corrupt.
+            for wrong in [raw_len - 1, raw_len + 1] {
+                assert!(
+                    matches!(
+                        codec.decompress_block(&block, entries.len(), wrong),
+                        Err(ArchiveError::Corrupt { .. } | ArchiveError::Codec(_))
+                    ),
+                    "{}: raw_len {wrong}",
+                    codec.name()
+                );
+            }
         }
     }
 
     #[test]
     fn every_codec_survives_header_artifact_roundtrip() {
         let entries = sample_entries(150);
-        for codec in all_trained_codecs(&entries) {
+        let codecs = all_trained_codecs(&entries);
+        let ids: Vec<u8> = codecs.iter().map(BlockCodec::id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4, 3, 5], "every header id, 3 twice");
+        for codec in codecs {
             let rebuilt = BlockCodec::from_parts(codec.id(), &codec.artifacts()).unwrap();
             assert_eq!(rebuilt.id(), codec.id());
             let block = codec.compress_block(&entries);
@@ -570,12 +635,10 @@ mod tests {
         // once for the footer's `raw_len`: no value may grow it.
         let entries = sample_entries(120);
         let raw_len = serialized_len(&entries);
-        for spec in [
-            CodecSpec::Pbc(PbcConfig::small()),
-            CodecSpec::PbcF(PbcConfig::small()),
-            CodecSpec::Fsst,
-        ] {
-            let codec = build_codec(&spec, &entries);
+        for codec in all_trained_codecs(&entries) {
+            if !codec.is_per_record() {
+                continue;
+            }
             let block = codec.compress_block(&entries);
             assert!(raw_len <= block.len() * 16, "{}", codec.name());
             let decoded = codec
@@ -653,6 +716,23 @@ mod tests {
     }
 
     #[test]
+    fn a_per_record_value_cannot_declare_more_than_its_block() {
+        // A few stream bytes that decode to 1 MiB, in a block whose footer
+        // promises 64 bytes: refused on the declared length, before any
+        // buffer is sized for it.
+        let codec = BlockCodec::PerRecord(RecordCodec::ZstdDict(ZstdDict::train(&[], 3)));
+        let entries = vec![(b"k".to_vec(), vec![0u8; 1 << 20])];
+        let block = codec.compress_block(&entries);
+        assert!(block.len() < 1024);
+        assert!(matches!(
+            codec.decompress_block(&block, 1, 64),
+            Err(ArchiveError::Codec(
+                pbc_codecs::CodecError::SizeLimitExceeded { .. }
+            ))
+        ));
+    }
+
+    #[test]
     fn auto_selection_beats_raw_on_templated_data() {
         let entries = sample_entries(256);
         let codec = build_codec(&CodecSpec::Auto, &entries);
@@ -663,9 +743,91 @@ mod tests {
 
     #[test]
     fn unknown_codec_id_is_a_typed_error() {
-        assert!(matches!(
-            BlockCodec::from_parts(250, &[]),
-            Err(ArchiveError::UnknownCodec { id: 250 })
-        ));
+        for id in [6, 250] {
+            assert!(matches!(
+                BlockCodec::from_parts(id, &[]),
+                Err(ArchiveError::UnknownCodec { id: found }) if found == id
+            ));
+        }
+    }
+
+    // The record codec on its own: the hot tier's values and Table 8.
+
+    fn sample_values(n: usize) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                format!(
+                    "{{\"order_id\":\"ORD2023{:010}\",\"user_id\":{},\"status\":\"PAID\",\"amount_cents\":{}}}",
+                    (i as u64 * 1_234_567_891) % 10_000_000_000,
+                    10_000_000 + (i * 9_700_417) % 89_999_999,
+                    100 + (i * 7_103) % 5_000_000
+                )
+                .into_bytes()
+            })
+            .collect()
+    }
+
+    /// Raw, Zstd(dict), PBC and PBC_F trained on `samples`.
+    fn record_codecs(samples: &[&[u8]]) -> [RecordCodec; 4] {
+        let pbc_f = PbcCompressor::train_fsst(samples, &PbcConfig::small());
+        let pbc = PbcCompressor::from_dictionary(pbc_f.dictionary().clone(), &PbcConfig::small());
+        [
+            RecordCodec::Raw,
+            RecordCodec::ZstdDict(ZstdDict::train(samples, 3)),
+            RecordCodec::Pbc(Arc::new(pbc)),
+            RecordCodec::Pbc(Arc::new(pbc_f)),
+        ]
+    }
+
+    #[test]
+    fn record_codecs_roundtrip() {
+        let values = sample_values(200);
+        let refs: Vec<&[u8]> = values[..100].iter().map(|v| v.as_slice()).collect();
+        for codec in record_codecs(&refs) {
+            for v in &values {
+                let stored = codec.encode(v);
+                assert_eq!(&codec.decode(&stored).unwrap(), v, "{}", codec.name());
+                // Appending keeps what the buffer held.
+                let mut out = b"prefix".to_vec();
+                codec.decode_into(&stored, &mut out).unwrap();
+                assert_eq!(&out[6..], v.as_slice(), "{}", codec.name());
+            }
+        }
+    }
+
+    #[test]
+    fn compressed_record_codecs_reduce_stored_bytes() {
+        let values = sample_values(300);
+        let refs: Vec<&[u8]> = values[..100].iter().map(|v| v.as_slice()).collect();
+        let [_, zstd, _, pbc_f] = record_codecs(&refs);
+        let raw: usize = values.iter().map(|v| v.len()).sum();
+        let zstd_total: usize = values.iter().map(|v| zstd.encode(v).len()).sum();
+        let pbc_total: usize = values.iter().map(|v| pbc_f.encode(v).len()).sum();
+        assert!(zstd_total < raw);
+        assert!(pbc_total < raw);
+        assert!(
+            pbc_total < zstd_total,
+            "PBC_F ({pbc_total}) should beat dictionary Zstd ({zstd_total}) on templated values"
+        );
+    }
+
+    #[test]
+    fn record_codec_names_distinguish_the_table8_rows() {
+        let values = sample_values(50);
+        let refs: Vec<&[u8]> = values.iter().map(|v| v.as_slice()).collect();
+        let names = record_codecs(&refs).map(|codec| codec.name());
+        assert_eq!(names, ["Raw", "Zstd(dict)", "PBC", "PBC_F"]);
+    }
+
+    #[test]
+    fn corrupt_record_values_are_typed_errors() {
+        let values = sample_values(60);
+        let refs: Vec<&[u8]> = values.iter().map(|v| v.as_slice()).collect();
+        let [_, zstd, pbc, pbc_f] = record_codecs(&refs);
+        let garbage = [0xff, 0x13, 0x88];
+        assert!(matches!(zstd.decode(&garbage), Err(ArchiveError::Codec(_))));
+        for codec in [pbc, pbc_f] {
+            assert!(matches!(codec.decode(&garbage), Err(ArchiveError::Pbc(_))));
+        }
     }
 }

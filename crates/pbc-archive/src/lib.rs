@@ -8,7 +8,9 @@
 //! a per-segment codec choice (PBC / PBC_F / Zstd-like / FSST / raw —
 //! trial-selected on sample blocks or forced via [`CodecSpec`]), with the
 //! trained PBC pattern dictionary, FSST symbol table, and Zstd dictionary
-//! embedded once in the segment header.
+//! embedded once in the segment header. The per-record codec a block
+//! frames its values with, [`RecordCodec`], is also the hot tier's value
+//! codec (`pbc-store`).
 //!
 //! A footer holds a block index (record counts, raw/compressed offsets,
 //! per-block min/max key, CRCs) enabling `O(log n)` record lookup and — for
@@ -59,7 +61,7 @@ pub mod reader;
 pub mod writer;
 
 pub use block::DecodedBlock;
-pub use codec::{build_codec, BlockCodec, CodecSpec, Entry};
+pub use codec::{build_codec, BlockCodec, CodecSpec, Entry, RecordCodec, ZstdDict};
 pub use error::{ArchiveError, Result};
 pub use mmap::MappedFile;
 pub use obs::{ReaderObs, WriterObs};

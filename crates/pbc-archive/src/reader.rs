@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::block::DecodedBlock;
-use crate::codec::{BlockCodec, Entry};
+use crate::codec::{BlockCodec, Entry, RecordCodec};
 use crate::error::{ArchiveError, Result};
 use crate::format::{
     crc32, decode_index, decode_trailer, BlockMeta, Header, FLAG_SORTED_KEYS, TRAILER_LEN,
@@ -226,7 +226,7 @@ impl SegmentReader {
             path,
             source,
             codec,
-            raw_codec: BlockCodec::Raw,
+            raw_codec: BlockCodec::PerRecord(RecordCodec::Raw),
             blocks,
             starts,
             record_count,

@@ -1,7 +1,9 @@
 //! Table experiments (Tables 2–8 of the paper).
 
+use std::sync::Arc;
 use std::time::Instant;
 
+use pbc_archive::{RecordCodec, ZstdDict};
 use pbc_codecs::dict::Dictionary;
 use pbc_codecs::traits::{Codec, DictCodec, TrainableCodec};
 use pbc_codecs::{FsstCodec, Lz4Like, LzmaLike, SnappyLike, ZstdLike};
@@ -9,7 +11,7 @@ use pbc_core::{PbcBlockCompressor, PbcCompressor, PbcConfig};
 use pbc_datagen::{Dataset, DatasetKind};
 use pbc_json::{BinPackCodec, IonLikeCodec, JsonValue};
 use pbc_logs::LogReducer;
-use pbc_store::{ValueCodec, WorkloadError, WorkloadSpec};
+use pbc_store::{WorkloadError, WorkloadSpec};
 
 use crate::data::{corpus, corpus_bytes, training_refs, SEED};
 use crate::report::{ratio, speed, Table};
@@ -489,7 +491,7 @@ pub fn table7(scale: f64) -> Vec<(String, f64, f64)> {
 pub struct Table8Row {
     /// Workload name.
     pub workload: String,
-    /// Codec name.
+    /// Codec row label ("Uncompressed", "Zstd(dict)", "PBC_F").
     pub codec: &'static str,
     /// Memory usage relative to uncompressed (percent).
     pub memory_pct: f64,
@@ -509,17 +511,21 @@ pub fn table8(scale: f64) -> Result<Vec<Table8Row>, WorkloadError> {
     for (name, dataset) in workloads {
         let records = corpus(dataset, scale);
         let sample = training_refs(&records, 256);
+        let pbc_f = PbcCompressor::train_fsst(&sample, &PbcConfig::default());
         let codecs = [
-            ValueCodec::None,
-            ValueCodec::train_zstd_dict(&sample, 1),
-            ValueCodec::train_pbc_f(&sample, &PbcConfig::default()),
+            ("Uncompressed", RecordCodec::Raw),
+            (
+                "Zstd(dict)",
+                RecordCodec::ZstdDict(ZstdDict::train(&sample, 1)),
+            ),
+            ("PBC_F", RecordCodec::Pbc(Arc::new(pbc_f))),
         ];
-        for codec in codecs {
+        for (label, codec) in codecs {
             let spec = WorkloadSpec::new(name, records.len(), SEED);
             let report = pbc_store::workload::run_workload(&spec, codec, &records)?;
             rows.push(Table8Row {
                 workload: name.to_string(),
-                codec: report.codec,
+                codec: label,
                 memory_pct: report.memory_ratio * 100.0,
                 set_qps: report.set_qps,
                 get_qps: report.get_qps,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pbc_archive::codec::serialized_len;
-use pbc_archive::{BlockCodec, Entry};
+use pbc_archive::{BlockCodec, Entry, RecordCodec, ZstdDict};
 use pbc_codecs::traits::TrainableCodec;
 use pbc_codecs::{FsstCodec, ZstdLike};
 use pbc_core::clustering::{cluster_records, ClusteringConfig};
@@ -52,23 +52,21 @@ pub fn fig5(scale: f64) -> Vec<Fig5Point> {
         let methods = [
             (
                 "FSST",
-                BlockCodec::Fsst {
-                    codec: FsstCodec::train(&sample),
-                },
+                BlockCodec::PerRecord(RecordCodec::Fsst(FsstCodec::train(&sample))),
             ),
             (
                 "PBC_F",
-                BlockCodec::Pbc {
-                    compressor: Arc::new(PbcCompressor::train_fsst(&sample, &PbcConfig::default())),
-                    fsst: true,
-                },
+                BlockCodec::PerRecord(RecordCodec::Pbc(Arc::new(PbcCompressor::train_fsst(
+                    &sample,
+                    &PbcConfig::default(),
+                )))),
             ),
             (
                 "Zstd",
-                BlockCodec::Zstd {
+                BlockCodec::Zstd(ZstdDict {
                     codec: ZstdLike::new(1),
                     dictionary: Arc::default(),
-                },
+                }),
             ),
         ];
         for (method, codec) in &methods {

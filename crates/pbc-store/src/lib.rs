@@ -8,19 +8,21 @@
 //!
 //! This crate reproduces the storage-engine side of that experiment:
 //!
-//! * [`store`] — a sharded in-memory key-value store with pluggable value
-//!   compression and memory accounting, also the ordered hot tier of
-//!   `pbc-tier`;
-//! * [`engine`] — the value codecs (none / Zstd with a trained dictionary /
-//!   PBC / PBC_F);
+//! * [`store`] — a sharded in-memory key-value store whose values pass
+//!   through a [`pbc_archive::RecordCodec`] (raw / Zstd with a trained
+//!   dictionary / PBC / PBC_F: the same codec a per-record segment block
+//!   frames its values with), with memory accounting; also the ordered hot
+//!   tier of `pbc-tier`;
 //! * [`workload`] — a single-threaded SET/GET driver measuring throughput.
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod store;
 pub mod workload;
 
-pub use engine::{StoreError, ValueCodec};
-pub use store::{Lookup, RangeSnapshot, TierStore};
+pub use store::{Lookup, RangeSnapshot, StoreError, TierStore};
 pub use workload::{WorkloadError, WorkloadReport, WorkloadSpec};
+
+/// The hot tier's value codec under its old name, kept only while `bench/`
+/// names it (ROADMAP 0(b)).
+pub use pbc_archive::RecordCodec as ValueCodec;

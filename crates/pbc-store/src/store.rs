@@ -2,7 +2,7 @@
 //!
 //! A deliberately small model of TierBase's storage engine: keys are hashed
 //! onto a fixed number of shards, each protected by a `parking_lot` RwLock,
-//! and values pass through the configured [`ValueCodec`] on SET/GET. Memory
+//! and values pass through the configured [`RecordCodec`] on SET/GET. Memory
 //! accounting counts stored key and value bytes, which is what Table 8's
 //! "Memory Usage (%)" compares across codecs.
 //!
@@ -24,14 +24,37 @@ use std::cmp::Ordering as KeyOrder;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{btree_map, BTreeMap, BinaryHeap};
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use pbc_archive::{ArchiveError, RecordCodec};
 
-use crate::engine::{StoreError, ValueCodec};
+/// Errors surfaced by the store.
+#[derive(Debug)]
+pub enum StoreError {
+    /// A stored value failed to decode (corruption or codec mismatch).
+    ValueCorrupt(ArchiveError),
+}
+
+impl fmt::Display for StoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StoreError::ValueCorrupt(e) => write!(f, "stored value corrupt: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for StoreError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StoreError::ValueCorrupt(e) => Some(e),
+        }
+    }
+}
 
 /// Number of shards (power of two).
 const SHARDS: usize = 16;
@@ -295,7 +318,7 @@ pub struct TierStore {
     /// copies each row's key and value pointer; it decodes nothing. A
     /// write to any cut shard waits that long.
     shards: Vec<Shard>,
-    codec: ValueCodec,
+    codec: RecordCodec,
     /// Decoded bytes of every live value, the denominator of
     /// [`TierStore::memory_usage_ratio`]: added under the shard lock by
     /// the put that stores a value, taken out after whatever replaced or
@@ -315,11 +338,11 @@ pub struct TierStore {
     tombstone_bytes_total: AtomicU64,
 }
 
-impl std::fmt::Debug for TierStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for TierStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TierStore")
             .field("len", &self.len())
-            .field("codec", &self.codec)
+            .field("codec", &self.codec.name())
             .field("memory_usage_bytes", &self.memory_usage_bytes())
             .field("tombstone_bytes", &self.tombstone_bytes())
             .finish()
@@ -328,7 +351,7 @@ impl std::fmt::Debug for TierStore {
 
 impl TierStore {
     /// Create a store with the given value codec.
-    pub fn new(codec: ValueCodec) -> Self {
+    pub fn new(codec: RecordCodec) -> Self {
         TierStore {
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             codec,
@@ -340,8 +363,13 @@ impl TierStore {
     }
 
     /// The codec this store was configured with.
-    pub fn codec(&self) -> &ValueCodec {
+    pub fn codec(&self) -> &RecordCodec {
         &self.codec
+    }
+
+    /// Decode a value this store encoded: a lookup's, or a cut's row.
+    pub fn decode(&self, stored: &[u8]) -> Result<Vec<u8>, StoreError> {
+        self.codec.decode(stored).map_err(StoreError::ValueCorrupt)
     }
 
     /// How many shards keys are hashed onto.
@@ -438,11 +466,8 @@ impl TierStore {
     /// concurrent [`TierStore::tombstone`] lands wholly before or wholly
     /// after it and can never be half-erased.
     pub fn set(&self, key: &[u8], value: &[u8]) -> usize {
-        // Unencoded values go straight into their shared allocation.
-        let encoded: Arc<[u8]> = match &self.codec {
-            ValueCodec::None => Arc::from(value),
-            codec => Arc::from(codec.encode(value)),
-        };
+        // A raw value goes straight into its shared allocation.
+        let encoded: Arc<[u8]> = Arc::from(self.codec.encode(value));
         let encoded_len = encoded.len();
         let idx = self.shard_of_key(key);
         let replaced = {
@@ -459,7 +484,8 @@ impl TierStore {
     /// What this store holds for `key`, a live value decompressed.
     pub fn lookup(&self, key: &[u8]) -> Result<Lookup, StoreError> {
         let idx = self.shard_of_key(key);
-        // Only the byte clone happens under the lock; decoding does not.
+        // Only the byte copy happens under the lock; decoding does not. A
+        // raw value is its own copy, as `set` stores it without one.
         let slot = self.shards[idx]
             .state
             .read()
@@ -467,7 +493,8 @@ impl TierStore {
             .map(|slot| slot.encoded().map(|stored| stored.to_vec()));
         self.touch(idx);
         Ok(match slot {
-            Some(Some(stored)) => Lookup::Live(self.codec.decode(&stored)?),
+            Some(Some(stored)) if matches!(self.codec, RecordCodec::Raw) => Lookup::Live(stored),
+            Some(Some(stored)) => Lookup::Live(self.decode(&stored)?),
             Some(None) => Lookup::Tombstone,
             None => Lookup::Absent,
         })
@@ -662,15 +689,16 @@ impl TierStore {
     /// Take the raw lengths of values that left their slots out of the
     /// memory-ratio denominator. Called with the shard lock released: a
     /// compressing codec decodes each value to learn its length, while
-    /// `ValueCodec::None` reads the stored length.
+    /// `RecordCodec::Raw` reads the stored length.
     fn release_raw(&self, replaced: impl IntoIterator<Item = Slot>) {
+        let raw_codec = matches!(self.codec, RecordCodec::Raw);
         let raw: u64 = replaced
             .into_iter()
             .filter_map(|slot| match slot {
-                Slot::Live(stored) => Some(match &self.codec {
-                    ValueCodec::None => stored.len() as u64,
-                    codec => codec.decode(&stored).map_or(0, |value| value.len() as u64),
-                }),
+                Slot::Live(stored) if raw_codec => Some(stored.len() as u64),
+                Slot::Live(stored) => {
+                    Some(self.codec.decode(&stored).map_or(0, |v| v.len() as u64))
+                }
                 Slot::Tombstone => None,
             })
             .sum();
@@ -716,7 +744,7 @@ impl TierStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbc_core::PbcConfig;
+    use pbc_core::{PbcCompressor, PbcConfig};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -738,9 +766,16 @@ mod tests {
             .collect()
     }
 
+    fn pbc_f(samples: &[&[u8]]) -> RecordCodec {
+        RecordCodec::Pbc(Arc::new(PbcCompressor::train_fsst(
+            samples,
+            &PbcConfig::small(),
+        )))
+    }
+
     #[test]
     fn set_get_delete_roundtrip_uncompressed() {
-        let store = TierStore::new(ValueCodec::None);
+        let store = TierStore::new(RecordCodec::Raw);
         let vals = values(100);
         for (i, v) in vals.iter().enumerate() {
             store.set(format!("key:{i}").as_bytes(), v);
@@ -761,8 +796,8 @@ mod tests {
     fn pbc_codec_reduces_memory_usage() {
         let vals = values(500);
         let refs: Vec<&[u8]> = vals[..128].iter().map(|v| v.as_slice()).collect();
-        let compressed = TierStore::new(ValueCodec::train_pbc_f(&refs, &PbcConfig::small()));
-        let uncompressed = TierStore::new(ValueCodec::None);
+        let compressed = TierStore::new(pbc_f(&refs));
+        let uncompressed = TierStore::new(RecordCodec::Raw);
         for (i, v) in vals.iter().enumerate() {
             let key = format!("user_session:{i:08}");
             compressed.set(key.as_bytes(), v);
@@ -782,8 +817,29 @@ mod tests {
     }
 
     #[test]
+    fn a_damaged_value_is_a_typed_error() {
+        let vals = values(64);
+        let refs: Vec<&[u8]> = vals.iter().map(|v| v.as_slice()).collect();
+        let store = TierStore::new(pbc_f(&refs));
+        store.set(b"k", &vals[0]);
+        // A pattern id no dictionary has, in place of the encoded value.
+        let damaged = Slot::Live(Arc::from(&[0xff, 0xff, 0x7f][..]));
+        let idx = store.shard_of_key(b"k");
+        store.replace_slot(
+            &mut store.shards[idx].state.write(),
+            HotKey::new(b"k"),
+            Some(damaged),
+        );
+        assert!(matches!(
+            store.lookup(b"k"),
+            Err(StoreError::ValueCorrupt(ArchiveError::Pbc(_)))
+        ));
+        assert!(matches!(store.get(b"k"), Err(StoreError::ValueCorrupt(_))));
+    }
+
+    #[test]
     fn overwriting_a_key_updates_accounting() {
-        let store = TierStore::new(ValueCodec::None);
+        let store = TierStore::new(RecordCodec::Raw);
         store.set(b"k", b"0123456789");
         let after_first = store.memory_usage_bytes();
         store.set(b"k", b"01234");
@@ -799,7 +855,7 @@ mod tests {
     #[test]
     fn concurrent_readers_and_writers_are_safe() {
         use std::sync::Arc;
-        let store = Arc::new(TierStore::new(ValueCodec::None));
+        let store = Arc::new(TierStore::new(RecordCodec::Raw));
         let mut handles = Vec::new();
         for t in 0..4 {
             let store = Arc::clone(&store);
@@ -820,7 +876,7 @@ mod tests {
 
     #[test]
     fn empty_store_reports_neutral_ratio() {
-        let store = TierStore::new(ValueCodec::None);
+        let store = TierStore::new(RecordCodec::Raw);
         assert!(store.is_empty());
         assert_eq!(store.memory_usage_ratio(), 1.0);
         assert_eq!(store.memory_usage_bytes(), 0);
@@ -828,7 +884,7 @@ mod tests {
 
     #[test]
     fn shard_accounting_sums_to_store_accounting() {
-        let store = TierStore::new(ValueCodec::None);
+        let store = TierStore::new(RecordCodec::Raw);
         let vals = values(200);
         for (i, v) in vals.iter().enumerate() {
             store.set(format!("acct:{i:05}").as_bytes(), v);
@@ -841,7 +897,7 @@ mod tests {
 
     #[test]
     fn access_epochs_order_shards_by_recency() {
-        let store = TierStore::new(ValueCodec::None);
+        let store = TierStore::new(RecordCodec::Raw);
         // Touch two different shards in a known order.
         let (mut key_a, mut key_b) = (None, None);
         for i in 0..1_000 {
@@ -875,7 +931,7 @@ mod tests {
             .range_snapshot_encoded(start, end, usize::MAX)
             .iter()
             .map(|(key, stored)| {
-                let value = stored.map(|s| store.codec().decode(s).unwrap());
+                let value = stored.map(|s| store.decode(s).unwrap());
                 (key.to_vec(), value)
             })
             .collect()
@@ -908,7 +964,7 @@ mod tests {
             .range_snapshot_encoded(b"", None, usize::MAX)
             .iter()
             .filter_map(|(key, stored)| {
-                stored.map(|s| (key.len() + store.codec().decode(s).unwrap().len()) as u64)
+                stored.map(|s| (key.len() + store.decode(s).unwrap().len()) as u64)
             })
             .sum();
         let ratio = store.memory_usage_ratio();
@@ -918,7 +974,7 @@ mod tests {
             totals.0 as f64 / raw as f64
         };
         assert_eq!(ratio, want, "memory ratio vs recount, {context}");
-        if matches!(store.codec(), ValueCodec::None) {
+        if matches!(store.codec(), RecordCodec::Raw) {
             assert_eq!(ratio, 1.0, "uncompressed memory ratio, {context}");
         }
     }
@@ -928,11 +984,11 @@ mod tests {
         // A compressing codec, so stored bytes differ from raw bytes and a
         // wrong length in the accounting cannot cancel out; and no codec,
         // whose memory ratio must read exactly 1.0 after every transition.
-        slot_transitions(|sample| ValueCodec::train_pbc_f(sample, &PbcConfig::small()));
-        slot_transitions(|_| ValueCodec::None);
+        slot_transitions(pbc_f);
+        slot_transitions(|_| RecordCodec::Raw);
     }
 
-    fn slot_transitions(codec: impl Fn(&[&[u8]]) -> ValueCodec) {
+    fn slot_transitions(codec: impl Fn(&[&[u8]]) -> RecordCodec) {
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum State {
             Absent,
@@ -1054,7 +1110,7 @@ mod tests {
         let decoded_copy: Vec<Row> = copy
             .iter()
             .map(|(key, stored)| {
-                let value = stored.map(|s| store.codec().decode(s).unwrap());
+                let value = stored.map(|s| store.decode(s).unwrap());
                 (key.to_vec(), value)
             })
             .collect();
@@ -1122,7 +1178,7 @@ mod tests {
     #[test]
     fn range_snapshot_tells_an_empty_value_from_a_tombstone() {
         // Both rows occupy zero value bytes in the snapshot's buffer.
-        let store = TierStore::new(ValueCodec::None);
+        let store = TierStore::new(RecordCodec::Raw);
         store.set(b"a", b"");
         store.tombstone(b"b");
         store.set(b"c", b"x");
@@ -1233,7 +1289,7 @@ mod tests {
                 let head = if k.is_multiple_of(3) { "cut:shared-inline-words:" } else { "cut:" };
                 format!("{head}{:02}", k / 2).into_bytes()
             };
-            let store = TierStore::new(ValueCodec::None);
+            let store = TierStore::new(RecordCodec::Raw);
             let mut model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
             for (op, k, v) in ops {
                 let key = key(k);

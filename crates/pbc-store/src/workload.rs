@@ -15,8 +15,9 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::engine::{StoreError, ValueCodec};
-use crate::store::TierStore;
+use pbc_archive::RecordCodec;
+
+use crate::store::{StoreError, TierStore};
 
 /// Parameters of a workload run.
 #[derive(Debug, Clone)]
@@ -46,8 +47,6 @@ impl WorkloadSpec {
 pub struct WorkloadReport {
     /// Workload name.
     pub workload: String,
-    /// Codec name ("Uncompressed", "Zstd(dict)", "PBC_F", ...).
-    pub codec: &'static str,
     /// Memory usage relative to uncompressed (1.0 = 100%).
     pub memory_ratio: f64,
     /// SET operations per second.
@@ -59,7 +58,7 @@ pub struct WorkloadReport {
 }
 
 /// Why a workload run failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum WorkloadError {
     /// GETs were asked of an empty corpus: there is no key to read.
     EmptyCorpus {
@@ -108,7 +107,7 @@ impl From<StoreError> for WorkloadError {
 /// Run one workload: load all records, then issue GETs, timing both phases.
 pub fn run_workload(
     spec: &WorkloadSpec,
-    codec: ValueCodec,
+    codec: RecordCodec,
     records: &[Vec<u8>],
 ) -> Result<WorkloadReport, WorkloadError> {
     if records.is_empty() && spec.get_ops > 0 {
@@ -154,7 +153,6 @@ pub fn run_workload(
 
     Ok(WorkloadReport {
         workload: spec.name.clone(),
-        codec: store.codec().name(),
         memory_ratio: store.memory_usage_ratio(),
         set_qps: if set_elapsed > 0.0 {
             records.len() as f64 / set_elapsed
@@ -173,7 +171,8 @@ pub fn run_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbc_core::PbcConfig;
+    use pbc_core::{PbcCompressor, PbcConfig};
+    use std::sync::Arc;
 
     fn corpus(n: usize) -> Vec<Vec<u8>> {
         (0..n)
@@ -193,19 +192,21 @@ mod tests {
     fn workload_reports_throughput_and_memory() {
         let records = corpus(500);
         let spec = WorkloadSpec::new("Workload T", 500, 42);
-        let report = run_workload(&spec, ValueCodec::None, &records).unwrap();
+        let report = run_workload(&spec, RecordCodec::Raw, &records).unwrap();
         assert_eq!(report.records, 500);
         assert!(report.set_qps > 0.0);
         assert!(report.get_qps > 0.0);
         assert!((report.memory_ratio - 1.0).abs() < 1e-9);
-        assert_eq!(report.codec, "Uncompressed");
     }
 
     #[test]
     fn pbc_workload_reduces_memory_and_still_serves_reads() {
         let records = corpus(800);
         let sample: Vec<&[u8]> = records[..128].iter().map(|r| r.as_slice()).collect();
-        let codec = ValueCodec::train_pbc_f(&sample, &PbcConfig::small());
+        let codec = RecordCodec::Pbc(Arc::new(PbcCompressor::train_fsst(
+            &sample,
+            &PbcConfig::small(),
+        )));
         let spec = WorkloadSpec::new("Workload A", 800, 7);
         let report = run_workload(&spec, codec, &records).unwrap();
         assert!(
@@ -213,7 +214,6 @@ mod tests {
             "memory ratio {:.3}",
             report.memory_ratio
         );
-        assert_eq!(report.codec, "PBC_F");
         assert!(report.get_qps > 0.0);
     }
 
@@ -221,18 +221,18 @@ mod tests {
     fn get_ops_can_exceed_corpus_size() {
         let records = corpus(50);
         let spec = WorkloadSpec::new("Wrap", 200, 3);
-        let report = run_workload(&spec, ValueCodec::None, &records).unwrap();
+        let report = run_workload(&spec, RecordCodec::Raw, &records).unwrap();
         assert!(report.get_qps > 0.0);
     }
 
     #[test]
     fn gets_over_an_empty_corpus_are_a_typed_error() {
         let spec = WorkloadSpec::new("Empty", 10, 1);
-        assert_eq!(
-            run_workload(&spec, ValueCodec::None, &[]).unwrap_err(),
-            WorkloadError::EmptyCorpus { get_ops: 10 }
-        );
-        let report = run_workload(&WorkloadSpec::new("Empty", 0, 1), ValueCodec::None, &[]);
+        assert!(matches!(
+            run_workload(&spec, RecordCodec::Raw, &[]),
+            Err(WorkloadError::EmptyCorpus { get_ops: 10 })
+        ));
+        let report = run_workload(&WorkloadSpec::new("Empty", 0, 1), RecordCodec::Raw, &[]);
         assert_eq!(report.unwrap().records, 0, "no GETs, nothing to read");
     }
 }

@@ -478,18 +478,15 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbc_archive::BlockCodec;
+    use pbc_archive::{BlockCodec, RecordCodec};
 
     fn block(tag: u8, n: usize, value_len: usize) -> Arc<DecodedBlock> {
         let entries: Vec<pbc_archive::Entry> = (0..n)
             .map(|i| (vec![tag, i as u8], vec![tag; value_len]))
             .collect();
-        let raw = BlockCodec::Raw.compress_block(&entries);
-        Arc::new(
-            BlockCodec::Raw
-                .decompress_block(&raw, n, raw.len())
-                .unwrap(),
-        )
+        let codec = BlockCodec::PerRecord(RecordCodec::Raw);
+        let raw = codec.compress_block(&entries);
+        Arc::new(codec.decompress_block(&raw, n, raw.len()).unwrap())
     }
 
     #[test]

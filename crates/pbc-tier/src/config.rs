@@ -3,8 +3,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use pbc_archive::SegmentConfig;
-use pbc_store::ValueCodec;
+use pbc_archive::{RecordCodec, SegmentConfig};
 use pbc_wal::Durability;
 
 use crate::planner::PlannerConfig;
@@ -100,7 +99,7 @@ pub struct TierConfig {
     /// [`CodecSpec::Auto`]: pbc_archive::CodecSpec::Auto
     pub segment: SegmentConfig,
     /// Codec for values while they sit in the hot tier.
-    pub hot_codec: ValueCodec,
+    pub hot_codec: RecordCodec,
     /// Trigger thresholds (segment count, dead-entry ratio), the per-job
     /// L0 input bound, and the L1 partition split size for the compaction
     /// planner. Used by both the background maintenance thread and
@@ -146,7 +145,7 @@ impl TierConfig {
             memory_watermark_bytes: 64 * 1024 * 1024,
             cache_capacity_bytes: 8 * 1024 * 1024,
             segment: SegmentConfig::default(),
-            hot_codec: ValueCodec::None,
+            hot_codec: RecordCodec::Raw,
             planner: PlannerConfig::default(),
             background_compaction: false,
             maintenance_tick: Duration::from_millis(20),
@@ -175,7 +174,7 @@ impl TierConfig {
     }
 
     /// Set the hot-tier value codec.
-    pub fn with_hot_codec(mut self, codec: ValueCodec) -> Self {
+    pub fn with_hot_codec(mut self, codec: RecordCodec) -> Self {
         self.hot_codec = codec;
         self
     }

@@ -120,3 +120,43 @@ impl From<WalError> for TierError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TierError>;
+
+#[cfg(test)]
+mod tests {
+    use std::error::Error as _;
+    use std::sync::Arc;
+
+    use pbc_archive::RecordCodec;
+    use pbc_core::{PbcCompressor, PbcConfig};
+    use pbc_store::TierStore;
+
+    use super::*;
+
+    #[test]
+    fn a_damaged_hot_value_is_a_typed_store_error() {
+        // A hot get, a scan's hot row and a spill all decode a value
+        // through the hot tier and `?` the failure into the tier's error.
+        fn hot_read(hot: &TierStore, stored: &[u8]) -> Result<Vec<u8>> {
+            Ok(hot.decode(stored)?)
+        }
+        let samples: Vec<Vec<u8>> = (0..64)
+            .map(|i| {
+                format!("sess|uid={}|dev=android-13|exp={}", 10_000 + i * 7, i * 13).into_bytes()
+            })
+            .collect();
+        let refs: Vec<&[u8]> = samples.iter().map(|s| s.as_slice()).collect();
+        let pbc_f = PbcCompressor::train_fsst(&refs, &PbcConfig::small());
+        let hot = TierStore::new(RecordCodec::Pbc(Arc::new(pbc_f)));
+        // A pattern id no dictionary has.
+        let err = hot_read(&hot, &[0xff, 0xff, 0x7f]).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                TierError::Store(StoreError::ValueCorrupt(ArchiveError::Pbc(_)))
+            ),
+            "{err:?}"
+        );
+        let cause = err.source().and_then(|store| store.source());
+        assert!(cause.is_some_and(|e| e.is::<ArchiveError>()), "{err}");
+    }
+}

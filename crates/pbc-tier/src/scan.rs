@@ -176,7 +176,7 @@ impl Source<'_> {
                 else {
                     return Ok(None);
                 };
-                Ok(Some((key.to_vec(), inner.hot.codec().decode(stored)?)))
+                Ok(Some((key.to_vec(), inner.hot.decode(stored)?)))
             }
             Source::Chain { cursor, .. } => {
                 let Some((key, stored)) = cursor.as_ref().and_then(|c| c.current()) else {

@@ -202,7 +202,7 @@ impl TierInner {
         for (key, stored) in copy.iter() {
             match stored {
                 Some(stored) => {
-                    let value = self.hot.codec().decode(stored)?;
+                    let value = self.hot.decode(stored)?;
                     writer.append(key, &encode_live(&value))?;
                 }
                 // Flagged, so the footer (and from it the planner) can

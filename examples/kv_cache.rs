@@ -4,9 +4,12 @@
 //!
 //! Run with: `cargo run --release --example kv_cache`
 
-use pbc::core::PbcConfig;
+use std::sync::Arc;
+
+use pbc::archive::{RecordCodec, ZstdDict};
+use pbc::core::{PbcCompressor, PbcConfig};
 use pbc::datagen::Dataset;
-use pbc::store::{workload::run_workload, ValueCodec, WorkloadSpec};
+use pbc::store::{workload::run_workload, WorkloadSpec};
 
 fn main() {
     // A production-like key-value workload: serialized order objects (KV2).
@@ -18,22 +21,26 @@ fn main() {
         .map(|r| r.as_slice())
         .collect();
 
-    let codecs = vec![
-        ValueCodec::None,
-        ValueCodec::train_zstd_dict(&sample, 1),
-        ValueCodec::train_pbc_f(&sample, &PbcConfig::default()),
+    let pbc_f = PbcCompressor::train_fsst(&sample, &PbcConfig::default());
+    let codecs = [
+        ("Uncompressed", RecordCodec::Raw),
+        (
+            "Zstd(dict)",
+            RecordCodec::ZstdDict(ZstdDict::train(&sample, 1)),
+        ),
+        ("PBC_F", RecordCodec::Pbc(Arc::new(pbc_f))),
     ];
 
     println!(
         "{:<14} {:>10} {:>12} {:>12}",
         "codec", "memory %", "SET ops/s", "GET ops/s"
     );
-    for codec in codecs {
+    for (label, codec) in codecs {
         let spec = WorkloadSpec::new("cache-demo", records.len(), 99);
         let report = run_workload(&spec, codec, &records).expect("every GET reads what was SET");
         println!(
             "{:<14} {:>9.1}% {:>12.0} {:>12.0}",
-            report.codec,
+            label,
             report.memory_ratio * 100.0,
             report.set_qps,
             report.get_qps

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pbc::archive::codec::serialized_len;
-use pbc::archive::{BlockCodec, Entry};
+use pbc::archive::{BlockCodec, Entry, RecordCodec, ZstdDict};
 use pbc::codecs::ZstdLike;
 use pbc::core::{PbcCompressor, PbcConfig};
 use pbc::datagen::Dataset;
@@ -69,17 +69,17 @@ fn main() {
     let codecs = [
         (
             "Zstd",
-            BlockCodec::Zstd {
+            BlockCodec::Zstd(ZstdDict {
                 codec: ZstdLike::new(1),
                 dictionary: Arc::default(),
-            },
+            }),
         ),
         (
             "PBC_F",
-            BlockCodec::Pbc {
-                compressor: Arc::new(PbcCompressor::train_fsst(&sample, &PbcConfig::default())),
-                fsst: true,
-            },
+            BlockCodec::PerRecord(RecordCodec::Pbc(Arc::new(PbcCompressor::train_fsst(
+                &sample,
+                &PbcConfig::default(),
+            )))),
         ),
     ];
     for (name, codec) in &codecs {

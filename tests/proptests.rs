@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and codecs.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use pbc::archive::codec::serialized_len;
 use pbc::archive::format::{crc32, decode_trailer, Header, TRAILER_LEN};
 use pbc::archive::{
-    build_codec, ArchiveError, BlockCodec, CodecSpec, Entry, SegmentConfig, SegmentReader,
-    SegmentWriter,
+    build_codec, ArchiveError, BlockCodec, CodecSpec, Entry, RecordCodec, SegmentConfig,
+    SegmentReader, SegmentWriter, ZstdDict,
 };
 use pbc::codecs::lz77::{self, MatchFinder, MatchFinderConfig, MIN_MATCH};
 use pbc::codecs::traits::{Codec, TrainableCodec};
@@ -271,7 +271,12 @@ proptest! {
         // A real compressed record, damaged: bytes flipped, cut short and
         // extended with junk — or, when `pick` says so, nothing but junk.
         let kernels = trained_kernels();
-        for (codec, compressed) in [&kernels.pbc, &kernels.pbc_f].into_iter().zip(&kernels.compressed) {
+        let codecs = [
+            RecordCodec::Pbc(Arc::clone(&kernels.pbc)),
+            RecordCodec::Pbc(Arc::clone(&kernels.pbc_f)),
+            kernels.zstd.clone(),
+        ];
+        for (codec, compressed) in codecs.iter().zip(&kernels.compressed) {
             let mut data = if pick.is_multiple_of(5) {
                 Vec::new()
             } else {
@@ -286,7 +291,7 @@ proptest! {
             data.truncate(cut % (data.len() + 1));
             data.extend_from_slice(&junk);
             let mut out = prefix.clone();
-            match codec.decompress_into(&data, &mut out) {
+            match codec.decode_into(&data, &mut out) {
                 Ok(()) => prop_assert!(out.starts_with(&prefix)),
                 Err(_) => prop_assert_eq!(&out, &prefix),
             }
@@ -478,12 +483,14 @@ fn reference_fsst_encode(symbols: &[Vec<u8>], input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// `PBC` and `PBC_F` trained once on `kv2` records, with every record
-/// compressed by each (the first of them outliers).
+/// `PBC`, `PBC_F` and per-record `Zstd(dict)` trained once on `kv2`
+/// records, with every record compressed by each (the first of them a PBC
+/// outlier).
 struct TrainedKernels {
-    pbc: PbcCompressor,
-    pbc_f: PbcCompressor,
-    compressed: [Vec<Vec<u8>>; 2],
+    pbc: Arc<PbcCompressor>,
+    pbc_f: Arc<PbcCompressor>,
+    zstd: RecordCodec,
+    compressed: [Vec<Vec<u8>>; 3],
 }
 
 fn trained_kernels() -> &'static TrainedKernels {
@@ -494,12 +501,18 @@ fn trained_kernels() -> &'static TrainedKernels {
         let refs: Vec<&[u8]> = records.iter().map(|r| r.as_slice()).collect();
         let pbc_f = PbcCompressor::train_fsst(&refs, &PbcConfig::small());
         let pbc = PbcCompressor::from_dictionary(pbc_f.dictionary().clone(), &PbcConfig::small());
-        let compressed =
+        let zstd = RecordCodec::ZstdDict(ZstdDict::train(&refs, 3));
+        let [pbc_records, pbc_f_records] =
             [&pbc, &pbc_f].map(|codec| records.iter().map(|r| codec.compress(r)).collect());
+        let zstd_records = records
+            .iter()
+            .map(|r| zstd.encode(r).into_owned())
+            .collect();
         TrainedKernels {
-            pbc,
-            pbc_f,
-            compressed,
+            pbc: Arc::new(pbc),
+            pbc_f: Arc::new(pbc_f),
+            zstd,
+            compressed: [pbc_records, pbc_f_records, zstd_records],
         }
     })
 }
@@ -780,7 +793,7 @@ fn zstd_blocks() -> &'static ZstdBlocks {
         let blocks: Vec<&[Entry]> = entries.chunks(80).collect();
         let codec = build_codec(&CodecSpec::Zstd { level: 3 }, blocks[0]);
         let compressed = blocks.iter().map(|b| codec.compress_block(b)).collect();
-        let BlockCodec::Zstd { codec, dictionary } = codec else {
+        let BlockCodec::Zstd(ZstdDict { codec, dictionary }) = codec else {
             unreachable!("a Zstd spec builds a Zstd codec")
         };
         ZstdBlocks {
@@ -890,7 +903,7 @@ proptest! {
     #[test]
     fn segments_roundtrip_arbitrary_records_under_every_codec(
         records in vec(vec(any::<u8>(), 0..160), 1..60),
-        codec_pick in 0usize..5,
+        codec_pick in 0usize..6,
         block_bytes in 64usize..2048,
     ) {
         let codec = segment_codecs()[codec_pick].clone();
@@ -921,7 +934,7 @@ proptest! {
     #[test]
     fn sorted_keyed_segments_serve_key_lookups(
         suffixes in vec(0u32..1_000_000, 1..80),
-        codec_pick in 0usize..5,
+        codec_pick in 0usize..6,
     ) {
         let mut keys: Vec<Vec<u8>> = suffixes
             .iter()
@@ -1120,7 +1133,7 @@ proptest! {
     /// slice.
     #[test]
     fn segment_header_and_footer_survive_arbitrary_bytes(
-        codec_pick in 0usize..5,
+        codec_pick in 0usize..6,
         shape in 0u8..11,
         at in any::<usize>(),
         bits in any::<u8>(),
@@ -1174,8 +1187,8 @@ proptest! {
                 reseal_header(real, &Header { artifacts, ..header.clone() })
             }
             8 => {
-                // Another codec's id over these artifacts.
-                let codec_id = bits % 6;
+                // Another codec's id over these artifacts, or an unknown one.
+                let codec_id = bits % 7;
                 reseal_header(real, &Header { codec_id, ..header.clone() })
             }
             9 => reseal_header(real, &Header { flags: 0, ..header.clone() }),
@@ -1237,14 +1250,22 @@ fn arb_block_key() -> impl Strategy<Value = Vec<u8>> {
     vec(0u8..3, 0..3)
 }
 
-/// The five codec choices a segment can commit to.
-fn segment_codecs() -> [CodecSpec; 5] {
+/// The six codecs a segment can commit to: the five `Auto` picks from,
+/// and per-record `Zstd(dict)`, which only a pretrained codec writes.
+fn segment_codecs() -> [CodecSpec; 6] {
+    static ZSTD_RECORD: OnceLock<BlockCodec> = OnceLock::new();
+    let zstd_record = ZSTD_RECORD.get_or_init(|| {
+        let values = Dataset::Kv2.generate(200, 5);
+        let refs: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+        BlockCodec::PerRecord(RecordCodec::ZstdDict(ZstdDict::train(&refs, 3)))
+    });
     [
         CodecSpec::Raw,
         CodecSpec::Pbc(PbcConfig::small()),
         CodecSpec::PbcF(PbcConfig::small()),
         CodecSpec::Zstd { level: 3 },
         CodecSpec::Fsst,
+        CodecSpec::Pretrained(zstd_record.clone()),
     ]
 }
 

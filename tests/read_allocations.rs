@@ -1,5 +1,5 @@
-//! Allocation bounds for cold point reads: an uncached get (ISSUE 15)
-//! and a get the cache answers from a record entry.
+//! Allocation bounds for point reads: an uncached get, a get the cache
+//! answers from a record entry, and a get the hot tier answers.
 //!
 //! A block decodes into one flat `DecodedBlock` — a byte buffer and an
 //! offsets table — with the codec's scratch reused per thread, so a cache
@@ -10,6 +10,8 @@
 //!
 //! A miss also admits the record it resolved, and a later get of the same
 //! key is answered from that record: it allocates only the returned value.
+//! So does a get of a key still in the hot tier under the default raw
+//! codec: the copy taken under the shard lock is the value returned.
 //!
 //! This file holds exactly one test: the counting allocator is a
 //! process-global, and a second concurrently-running test would pollute
@@ -141,5 +143,28 @@ fn an_uncached_get_on_a_zstd_segment_allocates_a_handful_of_times() {
     assert!(
         worst <= MAX_ALLOCATIONS_PER_RECORD_HIT,
         "a record hit made {worst} allocations (limit {MAX_ALLOCATIONS_PER_RECORD_HIT})"
+    );
+
+    // Keys written since the flush sit in the hot tier: a get of one is
+    // answered from its slot and allocates only the value it returns.
+    const ALLOCATIONS_PER_HOT_GET: usize = 1;
+    let hot: Vec<usize> = (KEYS..KEYS + 64).collect();
+    for &i in &hot {
+        store.set(&key(i), &value(i)).unwrap();
+    }
+    assert_eq!(store.hot_len(), hot.len());
+    let hot_hits_before = store.stats().hot_hits;
+    let mut made = Vec::with_capacity(hot.len());
+    for &i in &hot {
+        let (probe, expected) = (key(i), value(i));
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let got = store.get(&probe).unwrap();
+        made.push(ALLOCATIONS.load(Ordering::Relaxed) - before);
+        assert_eq!(got, Some(expected));
+    }
+    assert_eq!(store.stats().hot_hits, hot_hits_before + hot.len() as u64);
+    assert!(
+        made.iter().all(|&n| n == ALLOCATIONS_PER_HOT_GET),
+        "hot gets made {made:?} allocations (pinned at {ALLOCATIONS_PER_HOT_GET} each)"
     );
 }

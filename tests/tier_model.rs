@@ -18,13 +18,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use pbc::archive::SegmentReader;
-use pbc::core::PbcConfig;
-use pbc::store::ValueCodec;
+use pbc::archive::{RecordCodec, SegmentReader};
+use pbc::core::{PbcCompressor, PbcConfig};
 use pbc::tier::{PlannerConfig, TierConfig, TieredStore};
 
 mod support;
@@ -65,15 +65,18 @@ fn value(k: usize, v: u32) -> Vec<u8> {
 }
 
 /// `PBC_F` trained once on a few hundred of the test's own values.
-fn pbc_f_codec() -> ValueCodec {
-    static CODEC: std::sync::OnceLock<ValueCodec> = std::sync::OnceLock::new();
+fn pbc_f_codec() -> RecordCodec {
+    static CODEC: std::sync::OnceLock<RecordCodec> = std::sync::OnceLock::new();
     CODEC
         .get_or_init(|| {
             let samples: Vec<Vec<u8>> = (0..300usize)
                 .map(|i| value(i % 48, (i as u32).wrapping_mul(2_654_435_761) % 100_000))
                 .collect();
             let refs: Vec<&[u8]> = samples.iter().map(|s| s.as_slice()).collect();
-            ValueCodec::train_pbc_f(&refs, &PbcConfig::small())
+            RecordCodec::Pbc(Arc::new(PbcCompressor::train_fsst(
+                &refs,
+                &PbcConfig::small(),
+            )))
         })
         .clone()
 }
@@ -87,7 +90,7 @@ proptest! {
         compressed_hot in any::<bool>(),
     ) {
         let (dir, _guard) = temp_dir("tier-model");
-        let hot_codec = if compressed_hot { pbc_f_codec() } else { ValueCodec::None };
+        let hot_codec = if compressed_hot { pbc_f_codec() } else { RecordCodec::Raw };
         let store = TieredStore::open(
             TierConfig::new(&dir)
                 .with_hot_codec(hot_codec)
