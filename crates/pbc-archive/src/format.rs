@@ -24,10 +24,12 @@
 //! `flags` bits) do not. All integers are little-endian or LEB128 varints;
 //! keys and blocks are opaque bytes.
 //!
-//! `flagged_count` is a caller-defined per-block record counter (the tiered
-//! store counts tombstones with it), so segment-level dead-entry statistics
-//! are readable from the footer without decoding any block.
+//! `flagged_count` is a caller-defined per-block record counter, read from
+//! the footer without decoding any block. The tiered store flags its
+//! tombstones, and the sum over a segment's blocks is the only tombstone
+//! count it keeps for that segment.
 
+use pbc_codecs::crc::crc32;
 use pbc_codecs::varint;
 
 use crate::error::{ArchiveError, Result};
@@ -47,20 +49,6 @@ pub const TRAILER_LEN: usize = 24;
 /// Header flag: records were appended in non-decreasing key order, so
 /// key lookups may binary-search the block index.
 pub const FLAG_SORTED_KEYS: u8 = 0b0000_0001;
-
-/// CRC-32 (IEEE, reflected) over `data` — the same polynomial as zip/png.
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xedb8_8320;
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
-    }
-    !crc
-}
 
 /// Decoded segment header.
 #[derive(Debug, Clone)]
@@ -317,13 +305,6 @@ pub fn decode_trailer(trailer: &[u8; TRAILER_LEN]) -> Result<(u64, u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn header_roundtrips() {

@@ -6,11 +6,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pbc_codecs::crc::crc32;
+
 use crate::block::DecodedBlock;
 use crate::codec::{BlockCodec, Entry, RecordCodec};
 use crate::error::{ArchiveError, Result};
 use crate::format::{
-    crc32, decode_index, decode_trailer, BlockMeta, Header, FLAG_SORTED_KEYS, TRAILER_LEN,
+    decode_index, decode_trailer, BlockMeta, Header, FLAG_SORTED_KEYS, TRAILER_LEN,
 };
 use crate::mmap::MappedFile;
 use crate::obs::ReaderObs;
@@ -263,11 +265,6 @@ impl SegmentReader {
     /// [`crate::SegmentWriter::append_flagged`]).
     pub fn flagged_count(&self) -> u64 {
         self.blocks.iter().map(|b| b.flagged_count).sum()
-    }
-
-    /// Flagged records in block `block`.
-    pub fn block_flagged_count(&self, block: usize) -> u64 {
-        self.blocks.get(block).map_or(0, |b| b.flagged_count)
     }
 
     /// Smallest key (`None` for an empty segment): the first block's

@@ -19,14 +19,14 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use pbc_codecs::crc::crc32;
+
 use crate::codec::{
     build_codec, codec_id, select_codec_over_blocks, serialize_entries, serialized_len, BlockCodec,
     CodecSpec, Entry,
 };
 use crate::error::{ArchiveError, Result};
-use crate::format::{
-    crc32, encode_index, encode_trailer, BlockMeta, Header, FLAG_SORTED_KEYS, VERSION,
-};
+use crate::format::{encode_index, encode_trailer, BlockMeta, Header, FLAG_SORTED_KEYS, VERSION};
 use crate::obs::WriterObs;
 
 /// Hard cap on records per block regardless of size.
@@ -108,9 +108,6 @@ pub struct SegmentSummary {
     /// it as [`CodecSpec::Pretrained`] writes the same codec without
     /// training.
     pub block_codec: BlockCodec,
-    /// Records appended via [`SegmentWriter::append_flagged`] (tombstones,
-    /// for the tiered store).
-    pub flagged_count: u64,
     /// Total bytes written to the segment file (header + blocks + index +
     /// trailer) — the authoritative on-disk size, counted by the writer
     /// itself so callers never have to re-stat a file they just fsynced.
@@ -385,7 +382,6 @@ impl SegmentWriter {
             compressed_bytes: self.index.iter().map(|b| b.comp_len).sum(),
             codec: codec.name(),
             block_codec: codec,
-            flagged_count: self.index.iter().map(|b| b.flagged_count).sum(),
             file_bytes: index_offset + index.len() as u64 + trailer.len() as u64,
         })
     }

@@ -27,7 +27,8 @@
 //!
 //! [`varint`] (LEB128), [`bitstream`] (MSB-first bit IO), [`lz77`]
 //! (hash-chain match finder) are shared by the codecs and re-used by
-//! `pbc-core` field encoders.
+//! `pbc-core` field encoders. [`crc`] is the CRC-32 every stored format
+//! of the workspace checksums with.
 //!
 //! ## Quick example
 //!
@@ -44,6 +45,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bitstream;
+pub mod crc;
 pub mod dict;
 pub mod error;
 pub mod fsst;

@@ -1,7 +1,8 @@
-//! The committed cold tier. Owns what a cold segment is, the one place a
-//! new segment set becomes live (`MANIFEST` swap, then the `cold` pointer
-//! swap), the value marker byte, and the unlinking of files no manifest
-//! names ([`UncommittedFiles`]).
+//! The committed cold tier. Owns what a cold segment is (opened by id and
+//! level, described by its own footer), the one place a new segment set
+//! becomes live (`MANIFEST` swap, then the `cold` pointer swap), the value
+//! marker byte, and the unlinking of files no manifest names
+//! ([`UncommittedFiles`]).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -12,7 +13,7 @@ use pbc_obs::Event;
 
 use crate::config::TierConfig;
 use crate::error::{Result, TierError};
-use crate::manifest::{Manifest, ManifestEntry};
+use crate::manifest::{segment_file_name, Manifest, ManifestEntry};
 use crate::obs::TierObs;
 use crate::planner::{Leveled, SegmentStats, LEVEL_L1};
 use crate::store::TierInner;
@@ -51,11 +52,6 @@ pub(crate) fn decode_marked(stored: &[u8]) -> Result<Option<Vec<u8>>> {
     }
 }
 
-/// File name for segment `id`.
-pub(crate) fn segment_file_name(id: u64) -> String {
-    format!("seg-{id:06}.seg")
-}
-
 /// Sweep orphaned segments out of `dir`: files from a spill or compaction
 /// that died before (or after) its manifest swap — the output of an
 /// uncommitted job, or the retired inputs of a committed one.
@@ -63,7 +59,7 @@ pub(crate) fn segment_file_name(id: u64) -> String {
 /// id named by the manifest or swept, so a new segment never reuses a
 /// swept name.
 pub(crate) fn sweep_orphans(dir: &Path, manifest: &Manifest) -> Result<u64> {
-    let mut max_id = manifest.segments.iter().map(|s| s.stats.id).max();
+    let mut max_id = manifest.segments.iter().map(|s| s.id).max();
     for dir_entry in std::fs::read_dir(dir)? {
         let dir_entry = dir_entry?;
         let name = dir_entry.file_name().to_string_lossy().into_owned();
@@ -72,7 +68,9 @@ pub(crate) fn sweep_orphans(dir: &Path, manifest: &Manifest) -> Result<u64> {
             .and_then(|rest| rest.strip_suffix(".seg"))
             .and_then(|digits| digits.parse::<u64>().ok())
         {
-            if !manifest.segments.iter().any(|s| s.file_name == name) {
+            let live =
+                name == segment_file_name(id) && manifest.segments.iter().any(|s| s.id == id);
+            if !live {
                 max_id = max_id.max(Some(id));
                 std::fs::remove_file(dir_entry.path())?;
             }
@@ -110,41 +108,45 @@ impl Drop for UncommittedFiles {
     }
 }
 
-/// One cold segment: its reader, on-disk name, and the stats (id, level,
-/// counts, byte size, key range) the manifest records and the compaction
-/// planner scores it by. Immutable once published; shared between the
-/// live tier and any in-flight read/scan snapshots via `Arc`.
+/// One cold segment: its reader, and the stats (id, level, counts, byte
+/// size, key range) the compaction planner scores it by. Immutable once
+/// published; shared between the live tier and any in-flight read/scan
+/// snapshots via `Arc`.
 ///
 /// Every segment holds each key at most once, in ascending order: a spill
 /// writes one sorted hot cut and a merge emits each key once. Reads
 /// rely on it — a cold cursor never has a duplicate run to collapse.
 pub(crate) struct ColdSegment {
-    file_name: String,
     pub(crate) reader: SegmentReader,
     pub(crate) stats: SegmentStats,
 }
 
 impl ColdSegment {
-    /// Open `file_name` in the store directory — the one place a cold
-    /// reader is opened and wired to the store's metrics. `stats` sees
-    /// the open reader, so a segment this process just wrote can take its
-    /// key range from the footer ([`TierInner::open_written`]) while a
-    /// reopened one passes what the manifest recorded.
+    /// Open segment `id` on `level` in the store directory — the one place
+    /// a cold reader is opened and wired to the store's metrics, and the
+    /// one place a live segment's stats are made. Reopen, the spill commit
+    /// and the job commit all come here. Only the id and level come from
+    /// the caller; counts, byte size and key range come from the
+    /// segment's CRC-checked footer, so they cannot disagree with the
+    /// data.
     pub(crate) fn open(
         config: &TierConfig,
         obs: &TierObs,
-        file_name: String,
-        stats: impl FnOnce(&SegmentReader) -> SegmentStats,
+        id: u64,
+        level: u8,
     ) -> Result<Arc<ColdSegment>> {
-        let path = config.dir.join(&file_name);
-        let mut reader = SegmentReader::open(&path)?;
+        let mut reader = SegmentReader::open(config.dir.join(segment_file_name(id)))?;
         reader.set_obs(obs.reader.clone());
-        let stats = stats(&reader);
-        Ok(Arc::new(ColdSegment {
-            file_name,
-            reader,
-            stats,
-        }))
+        let stats = SegmentStats {
+            id,
+            level,
+            records: reader.record_count(),
+            tombstones: reader.flagged_count(),
+            bytes: reader.file_len(),
+            min_key: reader.min_key().unwrap_or_default().to_vec(),
+            max_key: reader.max_key().unwrap_or_default().to_vec(),
+        };
+        Ok(Arc::new(ColdSegment { reader, stats }))
     }
 }
 
@@ -168,10 +170,8 @@ impl ColdTier {
     pub(crate) fn load(config: &TierConfig, obs: &TierObs, manifest: &Manifest) -> Result<Self> {
         let mut tier = ColdTier::default();
         for entry in &manifest.segments {
-            let segment = ColdSegment::open(config, obs, entry.file_name.clone(), |_| {
-                entry.stats.clone()
-            })?;
-            if entry.stats.level == LEVEL_L1 {
+            let segment = ColdSegment::open(config, obs, entry.id, entry.level)?;
+            if entry.level == LEVEL_L1 {
                 tier.l1.push(segment);
             } else {
                 tier.l0.push(segment);
@@ -210,8 +210,8 @@ impl ColdTier {
             segments: self
                 .iter()
                 .map(|s| ManifestEntry {
-                    file_name: s.file_name.clone(),
-                    stats: s.stats.clone(),
+                    id: s.stats.id,
+                    level: s.stats.level,
                 })
                 .collect(),
         }
@@ -238,21 +238,6 @@ impl ColdTier {
 pub(crate) type ColdList = Arc<ColdTier>;
 
 impl TierInner {
-    /// Open a segment this store just wrote: counts and byte size as its
-    /// writer reported them (never a re-stat whose transient failure would
-    /// silently record a 0-byte segment), key range from its footer.
-    pub(crate) fn open_written(
-        &self,
-        file_name: String,
-        stats: SegmentStats,
-    ) -> Result<Arc<ColdSegment>> {
-        ColdSegment::open(&self.config, &self.obs, file_name, |reader| SegmentStats {
-            min_key: reader.min_key().unwrap_or_default().to_vec(),
-            max_key: reader.max_key().unwrap_or_default().to_vec(),
-            ..stats
-        })
-    }
-
     /// Publish the cold-tier gauges for a just-committed segment set.
     /// Called outside the `cold` write lock — the gauges are advisory
     /// (exported snapshots), while [`crate::TieredStore::stats`] derives
@@ -303,7 +288,7 @@ impl TierInner {
         self.cache.evict_segments(&ids);
         for segment in retired {
             // pbc-allow(drop-result): retired segments are removed best-effort after the commit; recovery sweeps leftovers
-            let _ = std::fs::remove_file(self.config.dir.join(&segment.file_name));
+            let _ = std::fs::remove_file(segment.reader.path());
         }
     }
 }

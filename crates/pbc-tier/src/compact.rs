@@ -38,8 +38,6 @@ use crate::error::Result;
 pub struct MergeOutput {
     /// Segment id the `next_output` callback allocated for this partition.
     pub id: u64,
-    /// File name relative to the store directory.
-    pub file_name: String,
     /// Full path the partition was written to.
     pub path: PathBuf,
     /// Writer summary (record counts, byte totals, codec).
@@ -65,7 +63,6 @@ pub struct MergeOutcome {
 /// An output partition currently being written.
 struct OpenOutput {
     id: u64,
-    file_name: String,
     path: PathBuf,
     writer: SegmentWriter,
     /// Estimated serialized payload written so far (the writer's own
@@ -77,7 +74,6 @@ impl OpenOutput {
     fn finish(self) -> Result<MergeOutput> {
         Ok(MergeOutput {
             id: self.id,
-            file_name: self.file_name,
             path: self.path,
             summary: self.writer.finish()?,
         })
@@ -108,7 +104,7 @@ pub fn merge_segments(
     config: &SegmentConfig,
     split_bytes: Option<u64>,
     writer_obs: &WriterObs,
-    next_output: &mut dyn FnMut() -> (u64, String, PathBuf),
+    next_output: &mut dyn FnMut() -> (u64, PathBuf),
 ) -> Result<MergeOutcome> {
     // Every file this merge creates is unreachable (no manifest names it)
     // until the caller commits; an error below removes them all.
@@ -167,13 +163,12 @@ pub fn merge_segments(
             let current = match open.as_mut() {
                 Some(current) => current,
                 None => {
-                    let (id, file_name, path) = next_output();
+                    let (id, path) = next_output();
                     created.push(path.clone());
                     let writer =
                         SegmentWriter::create_with_obs(&path, config.clone(), writer_obs.clone())?;
                     open.insert(OpenOutput {
                         id,
-                        file_name,
                         path,
                         writer,
                         estimated_bytes: 0,
@@ -229,7 +224,7 @@ mod tests {
             } else {
                 dir.join("missing")
             };
-            (next_id, name.clone(), parent.join(name))
+            (next_id, parent.join(name))
         };
         let result = merge_segments(
             &[&reader],

@@ -9,10 +9,11 @@ use std::sync::Arc;
 use pbc_archive::{CodecSpec, SegmentConfig, SegmentReader};
 use pbc_obs::Event;
 
-use crate::commit::{segment_file_name, ColdSegment, ColdTier, UncommittedFiles};
+use crate::commit::{ColdSegment, ColdTier, UncommittedFiles};
 use crate::compact::merge_segments;
 use crate::error::{Result, TierError};
-use crate::planner::{promotion_l1, CompactionJob, KeyRange, SegmentStats, LEVEL_L1};
+use crate::manifest::segment_file_name;
+use crate::planner::{promotion_l1, CompactionJob, KeyRange, LEVEL_L1};
 use crate::store::TierInner;
 
 /// What a compaction (full [`crate::TieredStore::compact`] or one planned
@@ -145,9 +146,7 @@ impl TierInner {
     ) -> Result<CompactionSummary> {
         let mut next_output = || {
             let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
-            let name = segment_file_name(id);
-            let path = self.config.dir.join(&name);
-            (id, name, path)
+            (id, self.config.dir.join(segment_file_name(id)))
         };
         // Consolidation jobs must merge to exactly one partition (their
         // qualifying threshold is compressed bytes; re-splitting on the
@@ -175,18 +174,7 @@ impl TierInner {
         let replacements = outcome
             .outputs
             .iter()
-            .map(|output| {
-                self.open_written(
-                    output.file_name.clone(),
-                    SegmentStats {
-                        id: output.id,
-                        level: LEVEL_L1,
-                        records: output.summary.record_count,
-                        bytes: output.summary.file_bytes,
-                        ..SegmentStats::default()
-                    },
-                )
-            })
+            .map(|output| ColdSegment::open(&self.config, &self.obs, output.id, LEVEL_L1))
             .collect::<Result<Vec<_>>>()?;
 
         // Commit: rebuild the tier with the inputs replaced by the output
@@ -228,7 +216,7 @@ impl TierInner {
             inputs: retired.len(),
             outputs: outcome.outputs.len(),
             input_bytes: retired.iter().map(|s| s.stats.bytes).sum(),
-            output_bytes: outcome.outputs.iter().map(|o| o.summary.file_bytes).sum(),
+            output_bytes: replacements.iter().map(|s| s.stats.bytes).sum(),
             live_entries: outcome.live_entries,
         });
         Ok(CompactionSummary {

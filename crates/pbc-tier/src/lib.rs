@@ -46,8 +46,8 @@
 //!   tier snapshot (and its generation) is pinned for the iterator's
 //!   lifetime, and cold blocks stream through the cache one
 //!   footer-selected block at a time (see [`scan`]).
-//! * **Crash safety**: durable state is the [`Manifest`] (v3: per-segment
-//!   level + stats) plus the segments it names, committed under a
+//! * **Crash safety**: durable state is the [`Manifest`] (v4: each live
+//!   segment's id and level) plus the segments it names, committed under a
 //!   monotonically increasing **generation**; segments are fsynced before
 //!   the atomic manifest swap, and reopen lands on exactly one consistent
 //!   generation, sweeping debris (a stale `MANIFEST.tmp`, orphaned or
@@ -246,7 +246,7 @@ mod tests {
             .inner
             .next_segment_id
             .load(std::sync::atomic::Ordering::Relaxed);
-        let obstruction = dir.join(crate::commit::segment_file_name(id));
+        let obstruction = dir.join(manifest::segment_file_name(id));
         std::fs::create_dir(&obstruction).unwrap();
         assert!(store.flush_all().is_err());
         assert_eq!(hot_state(&store), before, "the hot tier is untouched");
@@ -509,7 +509,7 @@ mod tests {
             );
         }
         assert!(store.get(b"user:999999").unwrap().is_none());
-        // Reopen: the leveled layout (manifest v3) survives.
+        // Reopen: the leveled layout (manifest v4) survives.
         drop(store);
         let reopened = TieredStore::open(small_config(&dir)).unwrap();
         assert_eq!(reopened.l1_partition_count(), summary.output_partitions);
@@ -535,19 +535,41 @@ mod tests {
         TieredStore::open(small_config(&dir)).unwrap();
     }
 
+    /// Reopen rebuilds every segment's stats from its footer: one L1
+    /// partition and one L0 segment holding a tombstone come back with
+    /// the counts, byte sizes and key ranges the commits published.
     #[test]
     fn reopen_recovers_spilled_state() {
         let (dir, _guard) = temp_dir("reopen");
-        {
+        let before = {
             let store = TieredStore::open(small_config(&dir)).unwrap();
             for i in 0..700 {
                 store.set(&key(i), &value(i)).unwrap();
             }
+            store.flush_all().unwrap();
+            store.compact().unwrap();
+            for i in (0..700).step_by(50) {
+                store.set(&key(i), &value(i)).unwrap();
+            }
             store.delete(&key(13)).unwrap();
             store.flush_all().unwrap();
+            store.leveled_stats()
+        };
+        let (l0, l1) = &before;
+        assert_eq!(
+            (l0.len(), l1.len()),
+            (1, 1),
+            "one L0 segment over one L1 partition"
+        );
+        assert_eq!((l0[0].records, l0[0].tombstones), (15, 1));
+        assert_eq!((l1[0].records, l1[0].tombstones), (700, 0));
+        for stats in l0.iter().chain(l1) {
+            let file = dir.join(manifest::segment_file_name(stats.id));
+            assert_eq!(stats.bytes, std::fs::metadata(file).unwrap().len());
         }
+
         let store = TieredStore::open(small_config(&dir)).unwrap();
-        assert!(store.segment_count() >= 1);
+        assert_eq!(store.leveled_stats(), before, "stats survive reopen");
         assert_eq!(store.hot_len(), 0);
         for i in (0..700).step_by(31) {
             let expected = if i == 13 { None } else { Some(value(i)) };

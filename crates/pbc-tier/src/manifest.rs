@@ -20,21 +20,23 @@
 //! after a crash lands on exactly one consistent generation, sweeping
 //! whichever segment files that generation does not name.
 //!
-//! The format is **v3**: a magic line, a generation line, one line per
-//! segment (`segment <id> <file> <level> <records> <tombstones> <bytes>
-//! <min key> <max key>`, level 0 = recency-ordered L0 spill segment, 1 =
-//! sorted non-overlapping L1 partition; L0 entries newest first, then L1
-//! ascending by key range) and a CRC line. v1 and v2 were never deployed
-//! and are refused with [`TierError::UnsupportedVersion`].
+//! The format is **v4**: a magic line, a generation line, one `segment
+//! <id> <level>` line per live segment (level 0 = recency-ordered L0 spill
+//! segment, 1 = sorted non-overlapping L1 partition; L0 entries newest
+//! first, then L1 ascending by key range) and a CRC line. It records only
+//! what a segment cannot say about itself: that it is live, and on which
+//! level. Record and tombstone counts, byte size and key range are read
+//! from each segment's own footer when it is opened. v1–v3 were never
+//! deployed and are refused with [`TierError::UnsupportedVersion`].
 
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use pbc_archive::format::crc32;
+use pbc_codecs::crc::crc32;
 
 use crate::error::{Result, TierError};
-use crate::planner::{SegmentStats, LEVEL_L0, LEVEL_L1};
+use crate::planner::{LEVEL_L0, LEVEL_L1};
 
 /// File name of the live manifest inside the store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -42,17 +44,22 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 pub const MANIFEST_TMP_NAME: &str = "MANIFEST.tmp";
 
 const MAGIC_PREFIX: &str = "pbc-tier-manifest ";
-const VERSION: &str = "v3";
+const VERSION: &str = "v4";
 
-/// One live segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// File name of segment `id` inside the store directory: the one place a
+/// segment's name is derived from its id.
+pub fn segment_file_name(id: u64) -> String {
+    format!("seg-{id:06}.seg")
+}
+
+/// One live segment: its file is [`segment_file_name`]`(id)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ManifestEntry {
-    /// File name relative to the store directory.
-    pub file_name: String,
-    /// Id, level ([`LEVEL_L0`] recency-ordered spill segment or
-    /// [`LEVEL_L1`] sorted, non-overlapping partition), counts, byte size
-    /// and key range, recorded by the commit that wrote the segment.
-    pub stats: SegmentStats,
+    /// Segment id (monotonic; larger = newer).
+    pub id: u64,
+    /// [`LEVEL_L0`] (recency-ordered spill segment) or [`LEVEL_L1`]
+    /// (sorted, non-overlapping partition).
+    pub level: u8,
 }
 
 /// The ordered set of live segments plus the generation this set was
@@ -67,34 +74,6 @@ pub struct Manifest {
     pub segments: Vec<ManifestEntry>,
 }
 
-/// Lowercase hex of `bytes`; `-` stands for the empty byte string so the
-/// field never collapses to nothing in the space-separated line format.
-fn hex_encode(bytes: &[u8]) -> String {
-    if bytes.is_empty() {
-        return "-".to_string();
-    }
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn hex_decode(text: &str) -> Option<Vec<u8>> {
-    if text == "-" {
-        return Some(Vec::new());
-    }
-    // Work on bytes, not char boundaries: a (CRC-valid but hand-edited)
-    // manifest may put multi-byte UTF-8 in a key field, and slicing a
-    // `str` mid-character would panic — corruption must stay a typed
-    // error.
-    let bytes = text.as_bytes();
-    if !bytes.len().is_multiple_of(2) {
-        return None;
-    }
-    let nibble = |b: u8| (b as char).to_digit(16);
-    bytes
-        .chunks_exact(2)
-        .map(|pair| Some((nibble(pair[0])? * 16 + nibble(pair[1])?) as u8))
-        .collect()
-}
-
 impl Manifest {
     /// Path of the live manifest in `dir`.
     pub fn path_in(dir: &Path) -> PathBuf {
@@ -106,18 +85,7 @@ impl Manifest {
     fn encode(&self) -> String {
         let mut body = format!("{MAGIC_PREFIX}{VERSION}\ngeneration {}\n", self.generation);
         for entry in &self.segments {
-            let stats = &entry.stats;
-            body.push_str(&format!(
-                "segment {} {} {} {} {} {} {} {}\n",
-                stats.id,
-                entry.file_name,
-                stats.level,
-                stats.records,
-                stats.tombstones,
-                stats.bytes,
-                hex_encode(&stats.min_key),
-                hex_encode(&stats.max_key),
-            ));
+            body.push_str(&format!("segment {} {}\n", entry.id, entry.level));
         }
         let crc = crc32(body.as_bytes());
         body.push_str(&format!("crc {crc:08x}\n"));
@@ -157,50 +125,22 @@ impl Manifest {
             .strip_prefix("generation ")
             .and_then(|g| g.parse::<u64>().ok())
             .ok_or_else(|| corrupt(format!("bad generation line {line:?}")))?;
-        let mut segments = Vec::new();
-        for line in lines {
-            let parts: Vec<&str> = line.split(' ').collect();
-            let parse = |field: &str| -> Result<u64> {
-                field
+        let segments = lines
+            .map(|line| {
+                let parts: Vec<&str> = line.split(' ').collect();
+                let ["segment", id, level] = parts.as_slice() else {
+                    return Err(corrupt(format!("unrecognized line {line:?}")));
+                };
+                let id = id
                     .parse::<u64>()
-                    .map_err(|_| corrupt(format!("bad stats field in {line:?}")))
-            };
-            let ["segment", id, file_name, level, records, tombstones, bytes, min_key, max_key] =
-                parts.as_slice()
-            else {
-                return Err(corrupt(format!("unrecognized line {line:?}")));
-            };
-            let level = parse(level)?;
-            if level != u64::from(LEVEL_L0) && level != u64::from(LEVEL_L1) {
-                return Err(corrupt(format!("bad level in {line:?}")));
-            }
-            let id = id
-                .parse::<u64>()
-                .map_err(|_| corrupt(format!("bad segment id in {line:?}")))?;
-            let stats = SegmentStats {
-                id,
-                level: level as u8,
-                records: parse(records)?,
-                tombstones: parse(tombstones)?,
-                bytes: parse(bytes)?,
-                min_key: hex_decode(min_key)
-                    .ok_or_else(|| corrupt(format!("bad min key in {line:?}")))?,
-                max_key: hex_decode(max_key)
-                    .ok_or_else(|| corrupt(format!("bad max key in {line:?}")))?,
-            };
-            if stats.tombstones > stats.records {
-                return Err(corrupt(format!(
-                    "segment claims more tombstones than records in {line:?}"
-                )));
-            }
-            if file_name.is_empty() || file_name.contains(['/', '\\']) {
-                return Err(corrupt(format!("bad segment file name in {line:?}")));
-            }
-            segments.push(ManifestEntry {
-                file_name: file_name.to_string(),
-                stats,
-            });
-        }
+                    .map_err(|_| corrupt(format!("bad segment id in {line:?}")))?;
+                let level = match level.parse::<u8>() {
+                    Ok(level @ (LEVEL_L0 | LEVEL_L1)) => level,
+                    _ => return Err(corrupt(format!("bad level in {line:?}"))),
+                };
+                Ok(ManifestEntry { id, level })
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(Manifest {
             generation,
             segments,
@@ -293,57 +233,40 @@ mod tests {
     use super::*;
     use crate::test_support::temp_dir;
 
-    fn entry(id: u64, level: u8, records: u64, tombstones: u64) -> ManifestEntry {
-        ManifestEntry {
-            file_name: format!("seg-{id:06}.seg"),
-            stats: SegmentStats {
-                id,
-                level,
-                records,
-                tombstones,
-                bytes: 4_096,
-                min_key: b"user:000001".to_vec(),
-                max_key: b"user:099999".to_vec(),
-            },
-        }
-    }
-
     fn sample() -> Manifest {
         Manifest {
             generation: 12,
-            segments: vec![entry(7, LEVEL_L0, 900, 45), entry(3, LEVEL_L1, 1_200, 0)],
+            segments: vec![
+                ManifestEntry {
+                    id: 7,
+                    level: LEVEL_L0,
+                },
+                ManifestEntry {
+                    id: 3,
+                    level: LEVEL_L1,
+                },
+            ],
         }
     }
 
     #[test]
-    fn roundtrips_generation_levels_stats_and_order() {
+    fn roundtrips_generation_levels_and_order() {
         let (dir, _guard) = temp_dir("roundtrip");
         sample().store(&dir).unwrap();
-        let loaded = Manifest::load(&dir).unwrap().unwrap();
-        assert_eq!(loaded, sample());
-        assert_eq!(loaded.generation, 12);
-        let s = &loaded.segments[0].stats;
-        assert_eq!(s.id, 7, "L0 first");
-        assert_eq!(s.level, LEVEL_L0);
-        assert_eq!(loaded.segments[1].stats.level, LEVEL_L1);
-        assert_eq!((s.records, s.tombstones), (900, 45));
-    }
-
-    #[test]
-    fn empty_keys_roundtrip() {
-        let (dir, _guard) = temp_dir("empty-keys");
-        let manifest = Manifest {
-            generation: 1,
-            segments: vec![ManifestEntry {
-                file_name: "seg-000001.seg".into(),
-                stats: SegmentStats {
-                    id: 1,
-                    ..SegmentStats::default()
-                },
-            }],
-        };
-        manifest.store(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap().unwrap(), manifest);
+        let text = fs::read_to_string(Manifest::path_in(&dir)).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[..4],
+            [
+                "pbc-tier-manifest v4",
+                "generation 12",
+                "segment 7 0",
+                "segment 3 1"
+            ],
+            "one id and one level per segment, L0 first"
+        );
+        assert_eq!(Manifest::load(&dir).unwrap().unwrap(), sample());
+        assert_eq!(segment_file_name(7), "seg-000007.seg");
     }
 
     #[test]
@@ -354,6 +277,10 @@ mod tests {
             (
                 "v2",
                 "pbc-tier-manifest v2\ngeneration 9\nsegment 7 seg-000007.seg 900 45 4096 61 7a\n",
+            ),
+            (
+                "v3",
+                "pbc-tier-manifest v3\ngeneration 9\nsegment 7 seg-000007.seg 0 900 45 4096 61 7a\n",
             ),
         ];
         for (version, body) in bodies {
@@ -369,9 +296,9 @@ mod tests {
     #[test]
     fn an_unknown_level_is_a_typed_error() {
         let (dir, _guard) = temp_dir("bad-level");
-        let mut body = String::from("pbc-tier-manifest v3\n");
+        let mut body = String::from("pbc-tier-manifest v4\n");
         body.push_str("generation 1\n");
-        body.push_str("segment 1 seg-000001.seg 7 10 0 100 61 7a\n");
+        body.push_str("segment 1 7\n");
         let crc = crc32(body.as_bytes());
         body.push_str(&format!("crc {crc:08x}\n"));
         fs::write(Manifest::path_in(&dir), body).unwrap();
@@ -457,27 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn multibyte_utf8_in_a_key_field_is_a_typed_error_not_a_panic() {
-        // A hand-edited manifest with a recomputed CRC is CRC-valid but
-        // still corrupt; a key field holding multi-byte UTF-8 (even byte
-        // length, so it passes the length check) must not panic the
-        // decoder by slicing mid-character.
-        let (dir, _guard) = temp_dir("utf8-key");
-        let mut body = String::from("pbc-tier-manifest v3\n");
-        body.push_str("generation 1\n");
-        // "€a" is 4 bytes — even, so it passes the length check and the
-        // first 2-byte chunk would split the 3-byte '€' mid-character.
-        body.push_str("segment 1 seg-000001.seg 0 10 0 100 \u{20AC}a cd\n");
-        let crc = crc32(body.as_bytes());
-        body.push_str(&format!("crc {crc:08x}\n"));
-        fs::write(Manifest::path_in(&dir), body).unwrap();
-        assert!(matches!(
-            Manifest::load(&dir),
-            Err(TierError::ManifestCorrupt { .. })
-        ));
-    }
-
-    #[test]
     fn corruption_is_a_typed_error() {
         let (dir, _guard) = temp_dir("corrupt");
         sample().store(&dir).unwrap();
@@ -492,7 +398,7 @@ mod tests {
             Err(TierError::ManifestCorrupt { .. })
         ));
         // Truncation too.
-        fs::write(&path, b"pbc-tier-manifest v3\n").unwrap();
+        fs::write(&path, b"pbc-tier-manifest v4\n").unwrap();
         assert!(matches!(
             Manifest::load(&dir),
             Err(TierError::ManifestCorrupt { .. })
@@ -505,7 +411,10 @@ mod tests {
         sample().store(&dir).unwrap();
         let newer = Manifest {
             generation: 13,
-            segments: vec![entry(9, LEVEL_L1, 2_000, 10)],
+            segments: vec![ManifestEntry {
+                id: 9,
+                level: LEVEL_L1,
+            }],
         };
         newer.store(&dir).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap().unwrap(), newer);

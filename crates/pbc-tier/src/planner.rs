@@ -73,15 +73,6 @@ pub struct SegmentStats {
 }
 
 impl SegmentStats {
-    /// Tombstones as a fraction of records (0 for an empty segment).
-    pub fn dead_ratio(&self) -> f64 {
-        if self.records == 0 {
-            0.0
-        } else {
-            self.tombstones as f64 / self.records as f64
-        }
-    }
-
     /// This segment's key range (`None` for an empty segment, which
     /// overlaps nothing).
     pub fn range(&self) -> Option<KeyRange> {
@@ -272,11 +263,6 @@ impl CompactionJob {
     pub fn input_ids(&self) -> impl Iterator<Item = u64> + '_ {
         self.l0_inputs.iter().chain(self.l1_inputs.iter()).copied()
     }
-
-    /// Total number of input segments.
-    pub fn input_count(&self) -> usize {
-        self.l0_inputs.len() + self.l1_inputs.len()
-    }
 }
 
 impl fmt::Display for CompactionJob {
@@ -317,17 +303,6 @@ impl CompactionPlanner {
     /// The thresholds this planner runs under.
     pub fn config(&self) -> &PlannerConfig {
         &self.config
-    }
-
-    /// Tombstones across `segments` as a fraction of all records.
-    pub fn total_dead_ratio(segments: &[SegmentStats]) -> f64 {
-        let records: u64 = segments.iter().map(|s| s.records).sum();
-        let tombstones: u64 = segments.iter().map(|s| s.tombstones).sum();
-        if records == 0 {
-            0.0
-        } else {
-            tombstones as f64 / records as f64
-        }
     }
 
     /// Whether promotion jobs should run. L0 must hold a key, and one of

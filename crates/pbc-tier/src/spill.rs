@@ -12,11 +12,10 @@ use pbc_archive::{CodecSpec, SegmentConfig, SegmentSummary, SegmentWriter};
 use pbc_obs::Event;
 use pbc_store::RangeSnapshot;
 
-use crate::commit::{
-    encode_live, encode_tombstone, segment_file_name, ColdSegment, ColdTier, UncommittedFiles,
-};
+use crate::commit::{encode_live, encode_tombstone, ColdSegment, ColdTier, UncommittedFiles};
 use crate::error::Result;
-use crate::planner::{SegmentStats, LEVEL_L0};
+use crate::manifest::segment_file_name;
+use crate::planner::LEVEL_L0;
 use crate::store::TierInner;
 
 /// How much one [`TierInner::spill`] call evicts.
@@ -111,27 +110,26 @@ impl TierInner {
             timer.cancel();
             return Ok(());
         }
-        let records = copy.len() as u64;
-        let tombstones = copy.iter().filter(|(_, value)| value.is_none()).count() as u64;
         self.spilling_bytes
             .store(copy.accounted_bytes(), Ordering::Relaxed);
 
         // (2) + (3), then (4) only once the segment is published.
         let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
-        let committed = self.commit_copy(id, &copy, records, tombstones);
+        let committed = self.commit_copy(id, &copy);
         if committed.is_ok() {
             self.hot.evict_unchanged(&copy);
         }
         self.spilling_bytes.store(0, Ordering::Relaxed);
         let segment = committed?;
 
+        let stats = &segment.stats;
         self.obs.spills.inc();
-        self.obs.spilled_entries.add(records);
+        self.obs.spilled_entries.add(stats.records);
         self.obs.trace(Event::SpillFinished {
             segment_id: id,
-            records: records - tombstones,
-            tombstones,
-            bytes: segment.stats.bytes,
+            records: stats.records - stats.tombstones,
+            tombstones: stats.tombstones,
+            bytes: stats.bytes,
         });
         timer.observe();
         // A new segment may have crossed a planner threshold — let the
@@ -143,31 +141,14 @@ impl TierInner {
     /// Spill steps (2)–(3): write `copy` out as segment `id`, open it, and
     /// commit it as the newest L0 segment. On `Err` the file is gone and
     /// nothing was published.
-    fn commit_copy(
-        &self,
-        id: u64,
-        copy: &RangeSnapshot,
-        records: u64,
-        tombstones: u64,
-    ) -> Result<Arc<ColdSegment>> {
-        let file_name = segment_file_name(id);
-        let path = self.config.dir.join(&file_name);
+    fn commit_copy(&self, id: u64, copy: &RangeSnapshot) -> Result<Arc<ColdSegment>> {
+        let path = self.config.dir.join(segment_file_name(id));
         let mut uncommitted = UncommittedFiles::default();
         uncommitted.push(path.clone());
         // (2) Write and fsync the segment, streaming from the copy.
         let codec = self.codec.spill_spec();
         let summary = self.write_spill_segment(&path, codec.clone(), copy)?;
-        let segment = self.open_written(
-            file_name,
-            SegmentStats {
-                id,
-                level: LEVEL_L0,
-                records,
-                tombstones,
-                bytes: summary.file_bytes,
-                ..SegmentStats::default()
-            },
-        )?;
+        let segment = ColdSegment::open(&self.config, &self.obs, id, LEVEL_L0)?;
         // (3) Swap the manifest under the next generation, then publish
         // the new tier. The commit lock (not the cold write lock) covers
         // the slow manifest fsync; the successor tier cannot go stale in

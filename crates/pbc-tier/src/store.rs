@@ -35,7 +35,9 @@
 //!
 //! ## Crash safety
 //!
-//! The durable state is the manifest plus the segments it names. Spills
+//! The durable state is the manifest (which segments are live, on which
+//! level) plus the segments it names, each describing itself — counts,
+//! byte size, key range — in its own footer. Spills
 //! write and fsync the new segment *before* the manifest swap, and the swap
 //! is write-temp + rename; a crash mid-spill leaves the previous manifest
 //! intact and at worst an orphaned half-segment, swept on reopen. A
@@ -56,9 +58,12 @@
 //!   publish, evict what did not change).
 //! * `jobs.rs` — planning, merge + commit of one job, the background
 //!   pass; `maintenance.rs` — the thread, and pausing it.
-//! * `commit.rs` — what a segment is, the `MANIFEST` + `cold` swap, the
-//!   value marker, cleanup of files no manifest names; `codec.rs` — which
-//!   block codec spills and jobs write with.
+//! * `commit.rs` — what a segment is (opened by id and level, its stats
+//!   read from its footer), the `MANIFEST` + `cold` swap, the value
+//!   marker, cleanup of files no manifest names; `codec.rs` — which block
+//!   codec spills and jobs write with.
+//! * `manifest.rs` — the `MANIFEST` format: the generation and each live
+//!   segment's id and level, nothing a footer already holds.
 
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};

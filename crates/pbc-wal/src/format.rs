@@ -23,6 +23,8 @@
 //! writes and one CRC over the payload, so the WAL never stalls a write
 //! on codec work.
 
+use pbc_codecs::crc::crc32;
+
 /// Op byte for a put record.
 pub const OP_PUT: u8 = 0x01;
 /// Op byte for a delete record.
@@ -40,36 +42,6 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// garbage. Generous enough for any real record (keys + values are store
 /// entries, not blobs).
 pub const MAX_PAYLOAD_LEN: usize = 256 * 1024 * 1024;
-
-/// CRC-32 (IEEE 802.3, reflected — the same polynomial zlib and
-/// `pbc-archive` use), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xedb8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    }
-    const TABLE: [u32; 256] = table();
-    let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xff) as usize];
-    }
-    !crc
-}
 
 /// One decoded WAL record, borrowing its key/value from the frame buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -283,12 +255,6 @@ pub fn shard_of(key: &[u8], shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_the_standard_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn put_delete_checkpoint_round_trip() {

@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use pbc::archive::format::Header;
 use pbc::archive::{build_codec, CodecSpec, Entry, SegmentConfig};
 use pbc::datagen::Dataset;
+use pbc::tier::manifest::segment_file_name;
 use pbc::tier::{Manifest, PlannerConfig, TierConfig, TieredStore};
 
 mod support;
@@ -236,7 +237,7 @@ fn crashes_between_job_commit_steps_land_on_a_consistent_generation() {
         .unwrap()
         .segments
         .iter()
-        .map(|s| s.file_name.clone())
+        .map(|s| segment_file_name(s.id))
         .collect();
     let mut saved: Vec<(String, Vec<u8>)> = Vec::new();
     for name in &before {
@@ -264,7 +265,7 @@ fn crashes_between_job_commit_steps_land_on_a_consistent_generation() {
         .unwrap()
         .segments
         .iter()
-        .map(|s| s.file_name.clone())
+        .map(|s| segment_file_name(s.id))
         .collect();
     let mut resurrected = 0;
     for (name, bytes) in &saved {
@@ -755,8 +756,9 @@ fn live_segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
         .unwrap_or_default()
         .iter()
         .map(|entry| {
-            let bytes = std::fs::read(dir.join(&entry.file_name)).unwrap();
-            (entry.file_name.clone(), bytes)
+            let name = segment_file_name(entry.id);
+            let bytes = std::fs::read(dir.join(&name)).unwrap();
+            (name, bytes)
         })
         .collect()
 }
