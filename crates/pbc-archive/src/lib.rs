@@ -65,7 +65,7 @@ pub use codec::{build_codec, BlockCodec, CodecSpec, Entry, RecordCodec, ZstdDict
 pub use error::{ArchiveError, Result};
 pub use mmap::MappedFile;
 pub use obs::{ReaderObs, WriterObs};
-pub use reader::{RangeScan, ReadMode, Scan, SegmentReader};
+pub use reader::{ReadMode, Scan, SegmentReader};
 pub use writer::{entry_size_estimate, SegmentConfig, SegmentSummary, SegmentWriter};
 
 #[cfg(test)]

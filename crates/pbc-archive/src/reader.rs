@@ -528,7 +528,7 @@ impl SegmentReader {
     /// assert_eq!(reader.scan_range(b"k:00990", None).unwrap().count(), 10);
     /// std::fs::remove_file(&path).unwrap();
     /// ```
-    pub fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<RangeScan<'_>> {
+    pub fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Scan<'_>> {
         self.scan_range_with(start.into(), end.map(Arc::from), |block| {
             self.read_block(block).map(Arc::new)
         })
@@ -585,9 +585,6 @@ pub struct Scan<'a> {
     /// One past the current record in `decoded` (0 = not yet on a record).
     next: usize,
 }
-
-/// A [`Scan`] bounded to a key interval; see [`SegmentReader::scan_range`].
-pub type RangeScan<'a> = Scan<'a>;
 
 impl Scan<'_> {
     /// Step onto the next entry, fetching the next block when the current

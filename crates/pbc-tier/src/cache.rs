@@ -436,18 +436,11 @@ impl BlockCache {
         }
     }
 
-    /// Drop every cached entry of `segment` (the segment was retired by
-    /// compaction). Returns how many entries were dropped. Called on every
-    /// retirement so a retired segment's records and blocks stop occupying
-    /// budget the moment it leaves the manifest, instead of lingering
-    /// until natural eviction.
-    pub fn evict_segment(&self, segment: u64) -> usize {
-        self.evict_segments(std::slice::from_ref(&segment))
-    }
-
     /// Drop every cached entry of all of `segments` under one lock — a
     /// compaction job retires its whole input set (an L0 run plus the L1
-    /// partitions it pulled in) at a single commit. Entries are filed per
+    /// partitions it pulled in) at a single commit, and their records and
+    /// blocks stop occupying budget the moment they leave the manifest.
+    /// Returns how many entries were dropped. Entries are filed per
     /// segment, so this costs the retired segments' own entries, not a
     /// walk over the cache.
     pub fn evict_segments(&self, segments: &[u64]) -> usize {
@@ -540,7 +533,7 @@ mod tests {
         cache.insert((1, 0), block(1, 4, 10));
         cache.insert((1, 1), block(2, 4, 10));
         cache.insert((2, 0), block(3, 4, 10));
-        assert_eq!(cache.evict_segment(1), 2);
+        assert_eq!(cache.evict_segments(&[1]), 2);
         assert!(cache.get((1, 0)).is_none());
         assert!(cache.get((1, 1)).is_none());
         assert!(cache.get((2, 0)).is_some());
@@ -548,7 +541,7 @@ mod tests {
         assert_eq!(cache.cached_bytes(), survivor);
         assert_eq!(cache.invalidations(), 2);
         assert_eq!(cache.evictions(), 0, "retirement is not capacity pressure");
-        assert_eq!(cache.evict_segment(1), 0, "double eviction is a no-op");
+        assert_eq!(cache.evict_segments(&[1]), 0, "double eviction is a no-op");
     }
 
     #[test]
@@ -844,7 +837,7 @@ mod tests {
         ));
         // Promoted entries leave from the protected queue just the same.
         assert!(cache.protected_bytes() > 0);
-        assert_eq!(cache.evict_segment(2), 3);
+        assert_eq!(cache.evict_segments(&[2]), 3);
         assert_eq!(cache.cached_bytes(), 0);
         assert_eq!((cache.probation_bytes(), cache.protected_bytes()), (0, 0));
     }

@@ -1,21 +1,23 @@
 //! The committed cold tier. Owns what a cold segment is (opened by id and
-//! level, described by its own footer), the one place a new segment set
-//! becomes live (`MANIFEST` swap, then the `cold` pointer swap), the value
-//! marker byte, and the unlinking of files no manifest names
-//! ([`UncommittedFiles`]).
+//! level, described by its own footer), the one way new segments are
+//! written ([`RunWriter`]), the one place a new segment set becomes live
+//! ([`TierInner::commit`]: successor tier, `MANIFEST` swap, then the
+//! `cold` pointer swap), the value marker byte, and the unlinking of files
+//! no manifest names ([`UncommittedFiles`]).
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use pbc_archive::SegmentReader;
+use pbc_archive::{entry_size_estimate, CodecSpec, SegmentConfig, SegmentReader, SegmentWriter};
 use pbc_obs::Event;
 
 use crate::config::TierConfig;
 use crate::error::{Result, TierError};
 use crate::manifest::{segment_file_name, Manifest, ManifestEntry};
 use crate::obs::TierObs;
-use crate::planner::{Leveled, SegmentStats, LEVEL_L1};
+use crate::planner::{promotion_l1, CompactionJob, Leveled, SegmentStats, LEVEL_L1};
 use crate::store::TierInner;
 
 /// Marker prefix for a live cold value.
@@ -82,19 +84,20 @@ pub(crate) fn sweep_orphans(dir: &Path, manifest: &Manifest) -> Result<u64> {
 /// Output files written but not yet named by a committed manifest.
 /// Dropping the guard unlinks them — every early return between "file
 /// created" and "manifest swapped" leaves no debris — unless
-/// [`UncommittedFiles::disarm`] ran first.
+/// [`UncommittedFiles::disarm`] ran first. A [`RunWriter`] holds the one
+/// guard of its run from the first create through publish.
 #[derive(Default)]
-pub(crate) struct UncommittedFiles(Vec<PathBuf>);
+struct UncommittedFiles(Vec<PathBuf>);
 
 impl UncommittedFiles {
     /// Take ownership of `path` (before the file is created, so a failed
     /// create is covered too).
-    pub(crate) fn push(&mut self, path: PathBuf) {
+    fn push(&mut self, path: PathBuf) {
         self.0.push(path);
     }
 
-    /// The files are committed (or handed to a caller that guards them).
-    pub(crate) fn disarm(mut self) {
+    /// The files are committed.
+    fn disarm(mut self) {
         self.0.clear();
     }
 }
@@ -106,6 +109,139 @@ impl Drop for UncommittedFiles {
             let _ = std::fs::remove_file(path);
         }
     }
+}
+
+/// A run of new segments on one level, written in ascending key order:
+/// the one way a spill or a compaction job writes cold data. It allocates
+/// each segment's id, creates its file with the tier's writer metrics,
+/// rolls to a new segment once the current one's estimated payload reaches
+/// `split_bytes`, and writes every segment after the first with the codec
+/// the first committed to. Its files are unlinked on drop unless
+/// [`TierInner::commit`] publishes the run.
+pub(crate) struct RunWriter<'a> {
+    inner: &'a TierInner,
+    level: u8,
+    /// The spec the run was asked to write with.
+    spec: CodecSpec,
+    /// The next segment's settings: `spec`, then the first segment's
+    /// codec as [`CodecSpec::Pretrained`].
+    config: SegmentConfig,
+    /// `None` writes one segment, whatever its size.
+    split_bytes: Option<u64>,
+    /// The segment being appended to (id, writer) and its payload so far,
+    /// by the writer's own per-entry estimate.
+    open: Option<(u64, SegmentWriter)>,
+    open_bytes: u64,
+    /// Ids of the finished segments, ascending by key range.
+    finished: Vec<u64>,
+    files: UncommittedFiles,
+}
+
+impl<'a> RunWriter<'a> {
+    pub(crate) fn new(
+        inner: &'a TierInner,
+        level: u8,
+        spec: CodecSpec,
+        split_bytes: Option<u64>,
+    ) -> Self {
+        let config = SegmentConfig {
+            codec: spec.clone(),
+            ..inner.config.segment.clone()
+        };
+        RunWriter {
+            inner,
+            level,
+            spec,
+            config,
+            split_bytes,
+            open: None,
+            open_bytes: 0,
+            finished: Vec::new(),
+            files: UncommittedFiles::default(),
+        }
+    }
+
+    /// Append one record; `flagged` counts it in the footer's
+    /// `flagged_count` (the tier flags tombstones).
+    pub(crate) fn append(&mut self, key: &[u8], value: &[u8], flagged: bool) -> Result<()> {
+        if self
+            .split_bytes
+            .is_some_and(|limit| self.open_bytes >= limit)
+        {
+            self.close()?;
+        }
+        let (_, writer) = match self.open.as_mut() {
+            Some(open) => open,
+            None => {
+                let id = self.inner.next_segment_id.fetch_add(1, Ordering::Relaxed);
+                let path = self.inner.config.dir.join(segment_file_name(id));
+                self.files.push(path.clone());
+                let obs = self.inner.obs.writer.clone();
+                let writer = SegmentWriter::create_with_obs(&path, self.config.clone(), obs)?;
+                self.open.insert((id, writer))
+            }
+        };
+        self.open_bytes += entry_size_estimate(key.len(), value.len()) as u64;
+        if flagged {
+            writer.append_flagged(key, value)?;
+        } else {
+            writer.append(key, value)?;
+        }
+        Ok(())
+    }
+
+    /// Finish the open segment, pinning the run's codec after the first.
+    fn close(&mut self) -> Result<()> {
+        if let Some((id, writer)) = self.open.take() {
+            let summary = writer.finish()?;
+            if self.finished.is_empty() {
+                self.config.codec = CodecSpec::Pretrained(summary.block_codec);
+            }
+            self.finished.push(id);
+            self.open_bytes = 0;
+        }
+        Ok(())
+    }
+
+    /// Finish the run and open its segments at the run's level, ready for
+    /// [`TierInner::commit`].
+    pub(crate) fn finish(mut self) -> Result<Run> {
+        self.close()?;
+        let open = |&id| ColdSegment::open(&self.inner.config, &self.inner.obs, id, self.level);
+        Ok(Run {
+            segments: self.finished.iter().map(open).collect::<Result<_>>()?,
+            spec: self.spec,
+            written: self.config.codec,
+            files: self.files,
+        })
+    }
+}
+
+/// A finished, uncommitted run: its segments ascending by key, the codec
+/// it wrote (still `spec` when the run is empty), and its files' guard.
+pub(crate) struct Run {
+    segments: Vec<Arc<ColdSegment>>,
+    spec: CodecSpec,
+    written: CodecSpec,
+    files: UncommittedFiles,
+}
+
+/// How a commit changes the segment set.
+pub(crate) enum Edit<'j> {
+    /// A spill: its segment becomes the newest L0 segment.
+    Spill,
+    /// A compaction job: its inputs leave, its outputs join L1 at their
+    /// sorted position.
+    Job(&'j CompactionJob),
+}
+
+/// What a commit published.
+pub(crate) struct Committed {
+    pub(crate) generation: u64,
+    /// The run's segments, now live.
+    pub(crate) segments: Vec<Arc<ColdSegment>>,
+    /// The job's inputs, no longer live (empty for a spill).
+    pub(crate) retired: Vec<Arc<ColdSegment>>,
 }
 
 /// One cold segment: its reader, and the stats (id, level, counts, byte
@@ -255,17 +391,57 @@ impl TierInner {
             .store(tier.l0.len() as u64, Ordering::Relaxed);
     }
 
-    /// Commit `tier` as the next generation and make it the live cold
-    /// tier: manifest swap, then the pointer swap with the generation
-    /// stored **under the same `cold` write lock** — so any reader holding
-    /// the `cold` read lock sees a generation that matches the segment set
-    /// it is looking at — then gauges and the trace event. Returns the new
-    /// generation. Callers must hold `commit_lock` (it serializes
-    /// generation bumps and successor-tier construction); on `Err` nothing
-    /// was published and the old manifest is still live, so the caller
-    /// only has its own files to clean up.
-    pub(crate) fn publish(&self, tier: Arc<ColdTier>) -> Result<u64> {
-        debug_assert!(tier.check_l1_invariant().is_ok());
+    /// Commit `run` as the next generation: the one place a segment set
+    /// changes. Under the commit lock (not the cold write lock, so readers
+    /// never wait out the slow manifest fsync) it builds the successor of
+    /// the *current* tier — spills commit beside a running job, and every
+    /// segment-set change commits under this same lock, so the successor
+    /// cannot go stale — checks the L1 invariant, publishes, disarms the
+    /// run's file guard and adopts the run's codec if it trained one. On
+    /// `Err` nothing was published and the run's files are gone.
+    pub(crate) fn commit(&self, run: Run, edit: Edit<'_>) -> Result<Committed> {
+        let _commit = self.commit_guard();
+        let current = self.cold_snapshot();
+        let (mut l0, mut l1) = (current.l0.clone(), current.l1.clone());
+        let retired = match edit {
+            Edit::Spill => {
+                l0.splice(0..0, run.segments.iter().cloned());
+                Vec::new()
+            }
+            Edit::Job(job) => {
+                let (l0_run, l1_run) = locate_inputs(&current, job)?;
+                let retired: Vec<_> = l0.drain(l0_run).chain(l1.drain(l1_run)).collect();
+                // The run is ascending and disjoint; splice it in at its
+                // sorted position.
+                if let Some(first) = run.segments.first() {
+                    let at = l1.partition_point(|p| p.stats.max_key < first.stats.min_key);
+                    l1.splice(at..at, run.segments.iter().cloned());
+                }
+                retired
+            }
+        };
+        let tier = Arc::new(ColdTier { l0, l1 });
+        tier.check_l1_invariant()?;
+        let generation = self.publish(tier)?;
+        run.files.disarm();
+        if let CodecSpec::Pretrained(written) = &run.written {
+            self.codec.adopt(&run.spec, written);
+        }
+        Ok(Committed {
+            generation,
+            segments: run.segments,
+            retired,
+        })
+    }
+
+    /// Make `tier` the live cold tier under the next generation: manifest
+    /// swap, then the pointer swap with the generation stored **under the
+    /// same `cold` write lock** — so any reader holding the `cold` read
+    /// lock sees a generation that matches the segment set it is looking
+    /// at — then gauges and the trace event. Only [`TierInner::commit`]
+    /// calls it, under `commit_lock`; on `Err` the old manifest is still
+    /// live.
+    fn publish(&self, tier: Arc<ColdTier>) -> Result<u64> {
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         tier.manifest(generation).store_checked(&self.config.dir)?;
         {
@@ -291,4 +467,42 @@ impl TierInner {
             let _ = std::fs::remove_file(segment.reader.path());
         }
     }
+}
+
+/// Locate a job's inputs in the live tier: the L0 inputs as a contiguous
+/// newest-first run, the L1 inputs as a contiguous ascending run, and the
+/// planner's soundness rules still holding for them. Spills only prepend
+/// L0 segments and one job runs at a time, so this fails only on a broken
+/// invariant.
+fn locate_inputs(tier: &ColdTier, job: &CompactionJob) -> Result<(Range<usize>, Range<usize>)> {
+    let located = || {
+        let l0_run = locate_run(&tier.l0, &job.l0_inputs)?;
+        let l1_run = locate_run(&tier.l1, &job.l1_inputs)?;
+        let required = promotion_l1(&tier.l0, l0_run.clone(), &tier.l1)?;
+        let included =
+            required.is_empty() || (l1_run.start <= required.start && required.end <= l1_run.end);
+        included.then_some((l0_run, l1_run))
+    };
+    located().ok_or_else(|| TierError::ManifestCorrupt {
+        context: format!("compaction inputs no longer in place at commit: {job}"),
+    })
+}
+
+/// Find `inputs` as a contiguous run of `list` (by id); `None` when any
+/// input is missing or out of order. Empty inputs locate as the empty run
+/// at the front.
+fn locate_run(list: &[Arc<ColdSegment>], inputs: &[u64]) -> Option<Range<usize>> {
+    if inputs.is_empty() {
+        return Some(0..0);
+    }
+    let start = list.iter().position(|s| s.stats.id == inputs[0])?;
+    let end = start + inputs.len();
+    if end > list.len() {
+        return None;
+    }
+    list[start..end]
+        .iter()
+        .zip(inputs)
+        .all(|(s, &id)| s.stats.id == id)
+        .then_some(start..end)
 }

@@ -2,18 +2,17 @@
 //! generation bump, all under the one `compactor` lock; and the
 //! background pass that runs them.
 
-use std::ops::Range;
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use pbc_archive::{CodecSpec, SegmentConfig, SegmentReader};
+use pbc_archive::CodecSpec;
 use pbc_obs::Event;
 
-use crate::commit::{ColdSegment, ColdTier, UncommittedFiles};
-use crate::compact::merge_segments;
-use crate::error::{Result, TierError};
-use crate::manifest::segment_file_name;
-use crate::planner::{promotion_l1, CompactionJob, KeyRange, LEVEL_L1};
+use crate::commit::{is_tombstone, ColdSegment, ColdTier, Edit, RunWriter};
+use crate::error::Result;
+use crate::merge::{Fetch, Head, Merge, Source};
+use crate::planner::{CompactionJob, KeyRange, LEVEL_L1};
 use crate::store::TierInner;
 
 /// What a compaction (full [`crate::TieredStore::compact`] or one planned
@@ -113,23 +112,31 @@ impl TierInner {
             min_key: job.range.min.clone(),
             max_key: job.range.max.clone(),
         });
-        // Newest-first merge rank: the L0 run in recency order, then the
-        // L1 partitions (their versions are older than any L0 version of
-        // the same key — the leveling invariant). `cold.iter()` walks
-        // exactly that order.
-        let inputs: Vec<&Arc<ColdSegment>> = cold
+        // Newest-first merge rank: each L0 input its own source, in
+        // recency order, then the L1 inputs as one chain (their versions
+        // are older than any L0 version of the same key — the leveling
+        // invariant — and they are disjoint and ascending). Every input is
+        // read whole.
+        let is_input = |s: &&Arc<ColdSegment>| job.input_ids().any(|id| id == s.stats.id);
+        let everything: Arc<[u8]> = Arc::default();
+        let chain = |pending: VecDeque<Arc<ColdSegment>>| {
+            Source::chain(pending, Arc::clone(&everything), None, Fetch::Direct)
+        };
+        let mut sources: Vec<Source<'_>> = cold
+            .l0
             .iter()
-            .filter(|s| job.input_ids().any(|id| id == s.stats.id))
+            .filter(is_input)
+            .map(|s| chain(VecDeque::from([Arc::clone(s)])))
             .collect();
-        let readers: Vec<&SegmentReader> = inputs.iter().map(|s| &s.reader).collect();
+        sources.push(chain(cold.l1.iter().filter(is_input).cloned().collect()));
         let codec = self.codec.job_spec(
-            inputs.iter().map(|s| s.stats.records).sum(),
+            cold.iter().filter(is_input).map(|s| s.stats.records).sum(),
             cold.iter().map(|s| s.stats.records).sum(),
         );
         // Only committed jobs land in the histogram — failed ones would
         // skew it with durations of work that produced nothing.
         let timer = self.obs.compaction_ns.start_timer();
-        let result = self.merge_and_commit(job, &readers, codec);
+        let result = self.merge_and_commit(job, sources, codec);
         match &result {
             Ok(_) => timer.observe(),
             Err(_) => timer.cancel(),
@@ -137,17 +144,13 @@ impl TierInner {
         result
     }
 
-    /// Merge `readers` into split L1 partitions and commit the swap.
+    /// Merge `sources` into split L1 partitions and commit the swap.
     fn merge_and_commit(
         &self,
         job: &CompactionJob,
-        readers: &[&SegmentReader],
+        sources: Vec<Source<'_>>,
         codec: CodecSpec,
     ) -> Result<CompactionSummary> {
-        let mut next_output = || {
-            let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
-            (id, self.config.dir.join(segment_file_name(id)))
-        };
         // Consolidation jobs must merge to exactly one partition (their
         // qualifying threshold is compressed bytes; re-splitting on the
         // raw-byte boundary could re-create the small partitions the
@@ -155,77 +158,40 @@ impl TierInner {
         let split_bytes = job
             .split_outputs
             .then(|| self.config.planner.target_partition_bytes.max(1));
-        let outcome = merge_segments(
-            readers,
-            &SegmentConfig {
-                codec: codec.clone(),
-                ..self.config.segment.clone()
-            },
-            split_bytes,
-            &self.obs.writer,
-            &mut next_output,
-        )?;
-        // No manifest names the outputs until the publish below: every
-        // early return before it removes them all.
-        let mut uncommitted = UncommittedFiles::default();
-        for output in &outcome.outputs {
-            uncommitted.push(output.path.clone());
-        }
-        let replacements = outcome
-            .outputs
-            .iter()
-            .map(|output| ColdSegment::open(&self.config, &self.obs, output.id, LEVEL_L1))
-            .collect::<Result<Vec<_>>>()?;
-
-        // Commit: rebuild the tier with the inputs replaced by the output
-        // partitions. Spills may have prepended L0 segments since our
-        // snapshot, so relocate the inputs in the *current* tier; nothing
-        // else changes the segment set while we hold the `compactor`
-        // lock, so inputs that cannot be found are a broken invariant.
-        // The commit lock covers the slow manifest fsync; the cold write
-        // lock is held only for the pointer swap, so readers never wait
-        // on the fsync.
-        let (retired, generation): (Vec<Arc<ColdSegment>>, u64) = {
-            let _commit = self.commit_guard();
-            let current = self.cold_snapshot();
-            let (l0_run, l1_run) = locate_inputs(&current, job)?;
-            let (mut l0, mut l1) = (current.l0.clone(), current.l1.clone());
-            let retired: Vec<Arc<ColdSegment>> = l0.drain(l0_run).chain(l1.drain(l1_run)).collect();
-            // The merge emits keys in ascending order, so `replacements`
-            // is ascending and disjoint; splice it in at its sorted
-            // position.
-            if let Some(first) = replacements.first() {
-                let at = l1.partition_point(|p| p.stats.max_key < first.stats.min_key);
-                l1.splice(at..at, replacements.iter().cloned());
+        let mut run = RunWriter::new(self, LEVEL_L1, codec, split_bytes);
+        let mut merge = Merge::new(sources)?;
+        let mut summary = CompactionSummary::default();
+        // Tombstones are dropped: a job includes every segment that could
+        // hold an older version of its keys, so L1 never stores one.
+        while let Some((key, head)) = merge.head() {
+            match head {
+                Head::Cold(stored) if !is_tombstone(stored) => {
+                    run.append(key, stored, false)?;
+                    summary.live_entries += 1;
+                }
+                // A job merges cold sources only: anything else here is a
+                // tombstone.
+                _ => summary.tombstones_dropped += 1,
             }
-            let tier = Arc::new(ColdTier { l0, l1 });
-            tier.check_l1_invariant()?;
-            let generation = self.publish(tier)?;
-            uncommitted.disarm();
-            (retired, generation)
-        };
-
-        self.unlink_retired(&retired);
-        self.obs.segments_retired.add(retired.len() as u64);
-        if let Some(first) = outcome.outputs.first() {
-            self.codec.adopt(&codec, &first.summary.block_codec);
+            summary.shadowed_dropped += merge.step()?;
         }
+        let committed = self.commit(run.finish()?, Edit::Job(job))?;
+
+        let retired = &committed.retired;
+        self.unlink_retired(retired);
+        self.obs.segments_retired.add(retired.len() as u64);
         self.obs.compactions.inc();
         self.obs.trace(Event::CompactionCommitted {
-            generation,
+            generation: committed.generation,
             inputs: retired.len(),
-            outputs: outcome.outputs.len(),
+            outputs: committed.segments.len(),
             input_bytes: retired.iter().map(|s| s.stats.bytes).sum(),
-            output_bytes: replacements.iter().map(|s| s.stats.bytes).sum(),
-            live_entries: outcome.live_entries,
+            output_bytes: committed.segments.iter().map(|s| s.stats.bytes).sum(),
+            live_entries: summary.live_entries,
         });
-        Ok(CompactionSummary {
-            merged_segments: retired.len(),
-            output_partitions: outcome.outputs.len(),
-            live_entries: outcome.live_entries,
-            shadowed_dropped: outcome.shadowed_dropped,
-            tombstones_dropped: outcome.tombstones_dropped,
-        })
+        summary.merged_segments = retired.len();
+        summary.output_partitions = committed.segments.len();
+        Ok(summary)
     }
 
     /// Full merge: every segment on both levels into fresh L1 partitions,
@@ -260,41 +226,4 @@ fn describe_job(job: &CompactionJob) -> String {
             .as_deref()
             .map_or("+inf".into(), String::from_utf8_lossy),
     )
-}
-
-/// Locate a job's inputs in the live tier: the L0 inputs as a contiguous
-/// newest-first run, the L1 inputs as a contiguous ascending run, and the
-/// planner's soundness rules still holding for them. Spills only prepend
-/// L0 segments, so this fails only on a broken invariant.
-fn locate_inputs(tier: &ColdTier, job: &CompactionJob) -> Result<(Range<usize>, Range<usize>)> {
-    let located = || {
-        let l0_run = locate_run(&tier.l0, &job.l0_inputs)?;
-        let l1_run = locate_run(&tier.l1, &job.l1_inputs)?;
-        let required = promotion_l1(&tier.l0, l0_run.clone(), &tier.l1)?;
-        let included =
-            required.is_empty() || (l1_run.start <= required.start && required.end <= l1_run.end);
-        included.then_some((l0_run, l1_run))
-    };
-    located().ok_or_else(|| TierError::ManifestCorrupt {
-        context: format!("compaction inputs no longer in place at commit: {job}"),
-    })
-}
-
-/// Find `inputs` as a contiguous run of `list` (by id); `None` when any
-/// input is missing or out of order. Empty inputs locate as the empty run
-/// at the front.
-fn locate_run(list: &[Arc<ColdSegment>], inputs: &[u64]) -> Option<Range<usize>> {
-    if inputs.is_empty() {
-        return Some(0..0);
-    }
-    let start = list.iter().position(|s| s.stats.id == inputs[0])?;
-    let end = start + inputs.len();
-    if end > list.len() {
-        return None;
-    }
-    list[start..end]
-        .iter()
-        .zip(inputs)
-        .all(|(s, &id)| s.stats.id == id)
-        .then_some(start..end)
 }

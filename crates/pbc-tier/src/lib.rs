@@ -65,7 +65,9 @@
 //!   adjacent L1 partitions — whose outputs are written back to L1 split
 //!   at [`PlannerConfig::target_partition_bytes`] boundaries. Every job
 //!   includes everything at or below its key range, so every job drops
-//!   tombstones: L1 never stores one. **One compactor runs at a time**:
+//!   tombstones: L1 never stores one. Spills and jobs write through one
+//!   run writer and commit through one commit; jobs and range scans
+//!   share one newest-wins merge. **One compactor runs at a time**:
 //!   the background maintenance thread
 //!   ([`TierConfig::background_compaction`]),
 //!   [`TieredStore::run_pending_compactions`] and [`TieredStore::compact`]
@@ -108,12 +110,12 @@
 pub mod cache;
 mod codec;
 mod commit;
-pub mod compact;
 pub mod config;
 pub mod error;
 mod jobs;
 mod maintenance;
 pub mod manifest;
+mod merge;
 pub mod obs;
 pub mod planner;
 mod read;
@@ -124,7 +126,6 @@ mod twoq;
 mod write;
 
 pub use cache::{BlockCache, BlockKey, CacheCounters};
-pub use compact::{MergeOutcome, MergeOutput};
 pub use config::{TierConfig, WalOptions};
 pub use error::{Result, TierError};
 pub use manifest::{Manifest, ManifestEntry};
@@ -273,6 +274,80 @@ mod tests {
         );
     }
 
+    /// A compaction job whose second output cannot be created returns the
+    /// error and changes nothing: the same generation, segments and reads,
+    /// and no file the manifest does not name. The next job succeeds.
+    #[test]
+    fn a_failed_job_removes_every_output_it_created() {
+        let (dir, _guard) = temp_dir("failed-job");
+        let store = TieredStore::open(small_config(&dir).with_planner(PlannerConfig {
+            target_partition_bytes: 8 * 1024, // several outputs
+            ..PlannerConfig::default()
+        }))
+        .unwrap();
+        let n = 1_200;
+        for i in 0..n {
+            store.set(&key(i), &value(i)).unwrap();
+        }
+        store.flush_all().unwrap();
+        store.compact().unwrap();
+        for i in (0..n).step_by(5) {
+            store.set(&key(i), b"rewritten").unwrap();
+        }
+        for i in (0..n).step_by(7) {
+            store.delete(&key(i)).unwrap();
+        }
+        store.flush_all().unwrap();
+        let reads = |store: &TieredStore| -> Vec<Option<Vec<u8>>> {
+            (0..n).map(|i| store.get(&key(i)).unwrap()).collect()
+        };
+        let before = (store.generation(), store.leveled_stats(), reads(&store));
+        let unnamed_files = |store: &TieredStore| -> Vec<String> {
+            let (l0, l1) = store.leveled_stats();
+            let named: Vec<String> = l0
+                .iter()
+                .chain(&l1)
+                .map(|s| manifest::segment_file_name(s.id))
+                .collect();
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap())
+                .filter(|entry| entry.file_type().unwrap().is_file())
+                .map(|entry| entry.file_name().to_string_lossy().into_owned())
+                .filter(|name| name.starts_with("seg-") && !named.contains(name))
+                .collect()
+        };
+
+        // A directory where the job's second output goes.
+        let first = store
+            .inner
+            .next_segment_id
+            .load(std::sync::atomic::Ordering::Relaxed);
+        let obstruction = dir.join(manifest::segment_file_name(first + 1));
+        std::fs::create_dir(&obstruction).unwrap();
+        assert!(store.compact().is_err());
+        assert!(
+            store
+                .inner
+                .next_segment_id
+                .load(std::sync::atomic::Ordering::Relaxed)
+                > first + 1,
+            "the job reached its second output"
+        );
+        assert_eq!(
+            (store.generation(), store.leveled_stats(), reads(&store)),
+            before,
+            "a failed job publishes nothing"
+        );
+        assert_eq!(unnamed_files(&store), Vec::<String>::new());
+
+        std::fs::remove_dir(&obstruction).unwrap();
+        let summary = store.compact().unwrap();
+        assert!(summary.output_partitions >= 2);
+        assert_eq!(reads(&store), before.2);
+        assert_eq!(unnamed_files(&store), Vec::<String>::new());
+    }
+
     #[test]
     fn overwrites_and_deletes_shadow_spilled_state() {
         let (dir, _guard) = temp_dir("shadow");
@@ -402,25 +477,34 @@ mod tests {
             reference.insert(key(i), value(i));
         }
         store.flush_all().unwrap();
-        // Overwrite a slice, delete a slice, spill those too.
+        // Overwrite a slice, delete a slice, spill those too: each key
+        // they touch is in both spills once, the second spill's version
+        // newest.
+        let spills = store.stats().spills;
+        let mut rewritten = std::collections::BTreeSet::new();
+        let mut deleted = 0u64;
         for i in (0..900).step_by(10) {
             let v = format!("v2-{i}").into_bytes();
             store.set(&key(i), &v).unwrap();
             reference.insert(key(i), v);
+            rewritten.insert(i);
         }
         for i in (0..900).step_by(17) {
             store.delete(&key(i)).unwrap();
             reference.remove(&key(i));
+            rewritten.insert(i);
+            deleted += 1;
         }
         store.flush_all().unwrap();
+        assert_eq!(store.stats().spills, spills + 1, "one second spill");
         let before = store.segment_count();
         assert!(before >= 2);
 
         let summary = store.compact().unwrap();
         assert_eq!(summary.merged_segments, before);
         assert_eq!(summary.live_entries, reference.len() as u64);
-        assert!(summary.shadowed_dropped > 0);
-        assert!(summary.tombstones_dropped > 0);
+        assert_eq!(summary.shadowed_dropped, rewritten.len() as u64);
+        assert_eq!(summary.tombstones_dropped, deleted);
         // A tombstone written into L1 would raise the record count above
         // the live entries.
         assert_eq!(

@@ -4,17 +4,13 @@
 //! before the segment is published, so there is no window where
 //! acknowledged data is unreadable and nothing to put back on failure.
 
-use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use pbc_archive::{CodecSpec, SegmentConfig, SegmentSummary, SegmentWriter};
 use pbc_obs::Event;
 use pbc_store::RangeSnapshot;
 
-use crate::commit::{encode_live, encode_tombstone, ColdSegment, ColdTier, UncommittedFiles};
+use crate::commit::{encode_live, encode_tombstone, Edit, Run, RunWriter};
 use crate::error::Result;
-use crate::manifest::segment_file_name;
 use crate::planner::LEVEL_L0;
 use crate::store::TierInner;
 
@@ -113,24 +109,30 @@ impl TierInner {
         self.spilling_bytes
             .store(copy.accounted_bytes(), Ordering::Relaxed);
 
-        // (2) + (3), then (4) only once the segment is published.
-        let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
-        let committed = self.commit_copy(id, &copy);
+        // (2) + (3), then (4) only once the segment is published. The
+        // commit (3) takes the commit lock, builds the successor tier
+        // with the new segment first, and swaps the manifest.
+        let committed = self
+            .write_copy(&copy)
+            .and_then(|run| self.commit(run, Edit::Spill));
         if committed.is_ok() {
             self.hot.evict_unchanged(&copy);
         }
         self.spilling_bytes.store(0, Ordering::Relaxed);
-        let segment = committed?;
+        let committed = committed?;
 
-        let stats = &segment.stats;
         self.obs.spills.inc();
-        self.obs.spilled_entries.add(stats.records);
-        self.obs.trace(Event::SpillFinished {
-            segment_id: id,
-            records: stats.records - stats.tombstones,
-            tombstones: stats.tombstones,
-            bytes: stats.bytes,
-        });
+        // One segment: the copy is not empty.
+        for segment in &committed.segments {
+            let stats = &segment.stats;
+            self.obs.spilled_entries.add(stats.records);
+            self.obs.trace(Event::SpillFinished {
+                segment_id: stats.id,
+                records: stats.records - stats.tombstones,
+                tombstones: stats.tombstones,
+                bytes: stats.bytes,
+            });
+        }
         timer.observe();
         // A new segment may have crossed a planner threshold — let the
         // maintenance thread check without waiting for its tick.
@@ -138,59 +140,18 @@ impl TierInner {
         Ok(())
     }
 
-    /// Spill steps (2)–(3): write `copy` out as segment `id`, open it, and
-    /// commit it as the newest L0 segment. On `Err` the file is gone and
-    /// nothing was published.
-    fn commit_copy(&self, id: u64, copy: &RangeSnapshot) -> Result<Arc<ColdSegment>> {
-        let path = self.config.dir.join(segment_file_name(id));
-        let mut uncommitted = UncommittedFiles::default();
-        uncommitted.push(path.clone());
-        // (2) Write and fsync the segment, streaming from the copy.
-        let codec = self.codec.spill_spec();
-        let summary = self.write_spill_segment(&path, codec.clone(), copy)?;
-        let segment = ColdSegment::open(&self.config, &self.obs, id, LEVEL_L0)?;
-        // (3) Swap the manifest under the next generation, then publish
-        // the new tier. The commit lock (not the cold write lock) covers
-        // the slow manifest fsync; the successor tier cannot go stale in
-        // between because every segment-set mutation commits under this
-        // same lock.
-        let _commit = self.commit_guard();
-        let current = self.cold_snapshot();
-        let mut l0 = vec![Arc::clone(&segment)];
-        l0.extend(current.l0.iter().cloned());
-        self.publish(Arc::new(ColdTier {
-            l0,
-            l1: current.l1.clone(),
-        }))?;
-        uncommitted.disarm();
-        self.codec.adopt(&codec, &summary.block_codec);
-        Ok(segment)
-    }
-
-    /// Stream `copy` into a new segment at `path`, decoding hot-codec
-    /// values as it goes.
-    fn write_spill_segment(
-        &self,
-        path: &Path,
-        codec: CodecSpec,
-        copy: &RangeSnapshot,
-    ) -> Result<SegmentSummary> {
-        let config = SegmentConfig {
-            codec,
-            ..self.config.segment.clone()
-        };
-        let mut writer = SegmentWriter::create_with_obs(path, config, self.obs.writer.clone())?;
+    /// Spill step (2): write and fsync `copy` as one L0 segment, decoding
+    /// hot-codec values as it goes. Tombstones are flagged, so the footer
+    /// (and from it the planner) counts the segment's dead entries
+    /// without decoding.
+    fn write_copy(&self, copy: &RangeSnapshot) -> Result<Run> {
+        let mut run = RunWriter::new(self, LEVEL_L0, self.codec.spill_spec(), None);
         for (key, stored) in copy.iter() {
             match stored {
-                Some(stored) => {
-                    let value = self.hot.decode(stored)?;
-                    writer.append(key, &encode_live(&value))?;
-                }
-                // Flagged, so the footer (and from it the planner) can
-                // count this segment's dead entries without decoding.
-                None => writer.append_flagged(key, &encode_tombstone())?,
+                Some(stored) => run.append(key, &encode_live(&self.hot.decode(stored)?), false)?,
+                None => run.append(key, &encode_tombstone(), true)?,
             }
         }
-        Ok(writer.finish()?)
+        run.finish()
     }
 }

@@ -56,12 +56,17 @@
 //!   `write.rs` — `set`/`delete` atomic with their WAL append, checkpoints.
 //! * `spill.rs` — victim choice, the four spill steps (copy, write,
 //!   publish, evict what did not change).
-//! * `jobs.rs` — planning, merge + commit of one job, the background
-//!   pass; `maintenance.rs` — the thread, and pausing it.
+//! * `jobs.rs` — planning, one job (its sources, which merged rows it
+//!   keeps, its counts), the background pass; `maintenance.rs` — the
+//!   thread, and pausing it.
+//! * `merge.rs` — the one newest-wins k-way merge, driven by range scans
+//!   (`scan.rs`) and jobs alike, and how its chains fetch blocks.
 //! * `commit.rs` — what a segment is (opened by id and level, its stats
-//!   read from its footer), the `MANIFEST` + `cold` swap, the value
-//!   marker, cleanup of files no manifest names; `codec.rs` — which block
-//!   codec spills and jobs write with.
+//!   read from its footer); the one run writer spills and jobs write
+//!   through (ids, split outputs, one codec, one cleanup guard); the one
+//!   commit (successor tier, `MANIFEST` + `cold` swap, codec adoption);
+//!   the value marker, cleanup of files no manifest names; `codec.rs` —
+//!   which block codec spills and jobs write with.
 //! * `manifest.rs` — the `MANIFEST` format: the generation and each live
 //!   segment's id and level, nothing a footer already holds.
 
